@@ -13,11 +13,11 @@ import sys
 import click
 import numpy as np
 
-from . import families, mesothetic, oracles, protocol, traps
+from . import families, mesothetic, oracles, protocol
 from .circuit import CircuitParseError, parse, serialize, validate
 from .noise import ExplicitCollectionDistribution, model_from_json, noiseless
-from .protocol import (AccreditationReport, OperationCounts, ProtocolConfig,
-                       curve_to_csv, figure8_curve)
+from .protocol import (OperationCounts, ProtocolConfig, curve_to_csv,
+                       figure8_curve)
 from .simulator import SimLimitError
 
 EXIT_OK = 0
@@ -162,7 +162,8 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, bound, seed, out):
             reports = oracles.lemma2_sweep(topology, band_class, rng=rng)
         elif which == "twirl":
             circ = families.random_generic_circuit(n, m, rng)
-            channels = {0: _random_channel(n, rng)}
+            # a random unitary deviation as a one-element Kraus list
+            channels = {0: [families.random_unitary(2 ** n, rng)]}
             reports = [_twirl_report(circ, channels)]
         elif which == "pauli-twirl":
             reports = [oracles.pauli_twirl_identity_check(n, rng)]
@@ -187,15 +188,6 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, bound, seed, out):
     if failures:
         click.echo(f"{failures} lemma check(s) failed", err=True)
         sys.exit(EXIT_LEMMA_FAILURE)
-
-
-def _random_channel(n, rng):
-    """A random unitary deviation as a one-element Kraus list."""
-    dim = 2 ** n
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return [q]
 
 
 def _twirl_report(circ, channels):

@@ -59,12 +59,16 @@ def random_clifford_circuit(n: int, m: int,
     return Circuit(n=n, m=m, bands=tuple(bands))
 
 
-def random_unitary_gate(rng: np.random.Generator) -> Gate:
-    """Haar-ish random 2x2 unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random dim x dim unitary via QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return Gate(matrix=q)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_unitary_gate(rng: np.random.Generator) -> Gate:
+    """Haar-random single-qubit gate."""
+    return Gate(matrix=random_unitary(2, rng))
 
 
 def random_generic_circuit(n: int, m: int,

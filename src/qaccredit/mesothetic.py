@@ -14,16 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from . import pauli, qotp, simulator, traps
-from .circuit import Circuit, validate
+from . import pauli, qotp, simulator
+from .circuit import Circuit
 from .noise import DeviationEvent, NoiseModel
-from .oracles import LemmaReport
+from .oracles import LemmaReport, three_sigma_report
 from .pauli import PauliString
-from .protocol import epsilon_theorem1, epsilon_theorem2
+from .protocol import epsilon_theorem1, epsilon_theorem2, plan_run
 
 ALICE = "alice"
 BOB = "bob"
@@ -55,25 +55,20 @@ class QubitRegister:
 
     def apply_single(self, party: str, u: np.ndarray, qubit: int):
         self._check(party)
-        self._state = simulator._apply_single(self._state, u, qubit, self.n)
+        self._state = simulator.apply_single(self._state, u, qubit, self.n)
 
     def apply_cz(self, party: str, i: int, j: int):
         self._check(party)
-        self._state = simulator._apply_cz(self._state, i, j, self.n)
+        self._state = simulator.apply_cz(self._state, i, j, self.n)
 
     def apply_pauli(self, party: str, p: PauliString):
         self._check(party)
-        self._state = simulator._apply_pauli(self._state, p, self.n)
+        self._state = simulator.apply_pauli(self._state, p, self.n)
 
     def measure_x(self, party: str, rng: np.random.Generator) -> np.ndarray:
         self._check(party)
-        state = self._state
-        for q in range(self.n):
-            state = simulator._apply_single(state, simulator._HAD, q, self.n)
-        probs = np.abs(state) ** 2
-        probs /= probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
-        return simulator.index_to_bits(outcome, self.n)
+        probs = simulator.x_distribution(self._state, self.n)
+        return simulator.sample_bits(probs, self.n, rng)
 
 
 @dataclass(frozen=True)
@@ -147,28 +142,20 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
                 alice_noise: Optional[NoiseModel] = None) -> SessionReport:
     """One interactive session over all v+1 circuits.
 
-    Alice's preliminary work (trap sampling, padding, slot choice) happens
-    before any message is exchanged. ``alice_noise`` optionally injects
-    bounded gate noise into Alice's own single-qubit rounds.
+    Alice's preliminary work (``protocol.plan_run``: slot choice, trap
+    sampling, padding) happens before any message is exchanged.
+    ``alice_noise`` optionally injects bounded gate noise into Alice's own
+    single-qubit rounds.
     """
-    report = validate(target)
-    if not report.ok:
-        raise ValueError("invalid target circuit: "
-                         + "; ".join(report.violations))
+    v0, prepared = plan_run(target, v, rng)
     n, m = target.n, target.m
-    v0 = int(rng.integers(0, v + 1))
-    prepared = []
-    for k in range(v + 1):
-        base = target if k == v0 else traps.generate_trap(
-            target, traps.sample_choice(target, rng))
-        prepared.append(qotp.dress(base, qotp.sample_pads(n, m, rng)))
-
     channel = Transport()
     target_output = None
     aborted = False
     flag = "acc"
-    for k in range(v + 1):
-        dressed = prepared[k]
+    for k, dressed in enumerate(prepared):
+        deviations = ({} if alice_noise is None
+                      else alice_noise.sample_deviations(k, m, rng))
         register = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             register.apply_pauli(BOB, _as_pauli(dev, n))
@@ -179,10 +166,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
             reg = msg.register
             for i, gate in enumerate(band.singles):
                 reg.apply_single(ALICE, gate.to_matrix(), i)
-            if alice_noise is not None and alice_noise.has_gate_part:
-                dev = alice_noise.sample_gate_deviation(k, j, rng)
-                if dev is not None:
-                    reg.apply_pauli(ALICE, _as_pauli(dev, n))
+            for dev in deviations.get(j, []):
+                reg.apply_pauli(ALICE, _as_pauli(dev, n))
             reg.transfer(ALICE, BOB)
             channel.send(Message("qubits_to_bob", register=reg))
             msg = channel.receive("qubits_to_bob")
@@ -231,12 +216,11 @@ def _corrupts_target(target: Circuit, bob: BobStrategy, k: int) -> bool:
 
 def soundness_estimate(target: Circuit, v: int, bob: BobStrategy,
                        sessions: int, rng: np.random.Generator,
-                       alice_noise: Optional[NoiseModel] = None,
-                       g: Optional[float] = None) -> LemmaReport:
+                       alice_noise: Optional[NoiseModel] = None) -> LemmaReport:
     """Monte Carlo frequency of {accept AND target corrupted}.
 
     Bound: kappa/(v+1), or g*kappa/(v+1) + 1 - g when Alice-side gate noise
-    with survival factor g is configured.
+    is configured, with g its survival factor over all (v+1)*m rounds.
     """
     if v < 3:
         raise ValueError("v >= 3 required")
@@ -246,14 +230,9 @@ def soundness_estimate(target: Circuit, v: int, bob: BobStrategy,
         rep = run_session(target, v, bob, rng, alice_noise=alice_noise)
         if rep.flag == "acc" and corrupt_by_slot[rep.v0]:
             bad += 1
-    freq = bad / sessions
-    if alice_noise is not None and g is not None:
-        bound = float(epsilon_theorem2(v, Fraction(g)))
+    if alice_noise is None:
+        bound = epsilon_theorem1(v)
     else:
-        bound = float(epsilon_theorem1(v))
-    sigma = float(np.sqrt(max(bound * (1 - bound), 0.25 / sessions) / sessions))
-    return LemmaReport(
-        instance=f"mesothetic v={v} sessions={sessions}",
-        probability=freq, bound=bound, passed=freq <= bound + 3 * sigma,
-        samples=sessions, sampled=True,
-        detail={"three_sigma": 3 * sigma})
+        bound = epsilon_theorem2(v, Fraction(alice_noise.g_factor(v, target.m)))
+    return three_sigma_report(f"mesothetic v={v} sessions={sessions}",
+                              bad / sessions, float(bound), sessions)

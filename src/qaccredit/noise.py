@@ -15,7 +15,7 @@ is the target or any pad/trap bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,6 +109,17 @@ class NoiseModel:
                               rng: np.random.Generator) -> Optional[DeviationEvent]:
         raise ValueError("this noise model has no gate-noise part")
 
+    def sample_deviations(self, k: int, m: int,
+                          rng: np.random.Generator) -> dict:
+        """Gate deviations of circuit k's m single-qubit rounds, by band."""
+        deviations = {}
+        if self.has_gate_part:
+            for j in range(m):
+                dev = self.sample_gate_deviation(k, j, rng)
+                if dev is not None:
+                    deviations.setdefault(j, []).append(dev)
+        return deviations
+
     def gate_rate(self, k: int, j: int) -> float:
         return 0.0
 
@@ -169,6 +180,11 @@ class IndependentLocationChannels(NoiseModel):
     def __init__(self, default_rates=None, rates=None):
         self.default_rates = dict(default_rates or {})
         self.rates = {k: dict(v) for k, v in (rates or {}).items()}
+        for r in (self.default_rates, *self.rates.values()):
+            xyz = [float(r.get(p, 0.0)) for p in "XYZ"]
+            if not all(x >= 0.0 for x in xyz) or sum(xyz) > 1.0 + PROB_ATOL:
+                raise ValueError("Pauli rates must be nonnegative with "
+                                 "X + Y + Z <= 1")
 
     def _rates_at(self, k, loc, m):
         r = self.rates.get((k, loc), self.default_rates)
@@ -258,21 +274,6 @@ class CompositeModel(NoiseModel):
 
     def gate_rate(self, k, j):
         return self.gate_part.gate_rate(k, j) if self.gate_part else 0.0
-
-
-def sample_collection(model: NoiseModel, v, n, m, rng) -> PauliErrorCollection:
-    coll = model.sample_collection(v, n, m, rng)
-    if coll.num_circuits != v + 1:
-        raise ValueError("collection covers the wrong number of circuits")
-    return coll
-
-
-def sample_gate_deviation(model: NoiseModel, k, j, rng):
-    return model.sample_gate_deviation(k, j, rng)
-
-
-def g_factor(model: NoiseModel, v: int, m: int) -> float:
-    return model.g_factor(v, m)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from scipy.optimize import nnls
 
 from . import pauli, qotp, simulator, traps
 from .circuit import Circuit
-from .noise import ExplicitCollectionDistribution, PauliErrorCollection
+from .noise import ExplicitCollectionDistribution
 from .pauli import PauliString
+from .protocol import KAPPA
 
-KAPPA = Fraction(27, 16)
 TWIRL_RESIDUAL_TOL = 1e-9
 CROSS_TERM_TOL = 1e-12
 
@@ -378,6 +378,20 @@ def pauli_twirl_identity_check(n: int,
 # ---------------------------------------------------------------------------
 
 
+def three_sigma_report(instance: str, freq: float, bound: float, runs: int,
+                       detail: Optional[dict] = None) -> LemmaReport:
+    """Sampled report that passes when freq <= bound + 3 sigma.
+
+    sigma is the binomial standard error at the bound, floored at
+    1/(2 runs) so that a bound of 0 or 1 still gets sampling slack.
+    """
+    sigma = float(np.sqrt(max(bound * (1 - bound), 0.25 / runs) / runs))
+    return LemmaReport(
+        instance=instance, probability=freq, bound=bound,
+        passed=freq <= bound + 3 * sigma, samples=runs, sampled=True,
+        detail={**(detail or {}), "three_sigma": 3 * sigma})
+
+
 def _acceptance_tables(target: Circuit,
                        adversary: ExplicitCollectionDistribution,
                        cap: int):
@@ -387,8 +401,7 @@ def _acceptance_tables(target: Circuit,
     outputs all zeros under adversary entry e. corrupted[e, k] = 1 iff the
     entry's slot-k errors flip the target's post-processed output.
     """
-    n, m = target.n, target.m
-    n_choices, table = _choice_flip_tables(target, cap)
+    n_choices, _ = _choice_flip_tables(target, cap)
     entries = adversary.entries
     n_entries = len(entries)
     v_plus_1 = entries[0][0].num_circuits
@@ -397,14 +410,7 @@ def _acceptance_tables(target: Circuit,
     for e, (coll, _) in enumerate(entries):
         for k in range(v_plus_1):
             errs = coll.slice_for(k)
-            flips = np.zeros(n_choices, dtype=np.uint32)
-            for loc, err in enumerate(errs):
-                for q in range(n):
-                    if (err.x_bits >> q) & 1:
-                        flips ^= table[loc][q]
-                    if (err.z_bits >> q) & 1:
-                        flips ^= table[loc][n + q]
-            accept[e, k] = flips == 0
+            accept[e, k] = _collection_flips(target, errs, cap) == 0
             frame = simulator.propagate_frame(target, errs)
             corrupted[e, k] = pauli.z_mask(frame) != 0
     probs = np.array([p for _, p in entries])
@@ -454,11 +460,5 @@ def theorem1_empirical(target: Circuit, v: int,
             bound = min(bound, vhat_bound)
             detail["v_hat"] = v_hat
             detail["v_hat_bound"] = float(vhat_bound)
-    sigma = float(np.sqrt(max(float(bound) * (1 - float(bound)), 0.25 / runs)
-                          / runs))
-    passed = freq <= float(bound) + 3 * sigma
-    return LemmaReport(
-        instance=f"credibility v={v} entries={n_entries}",
-        probability=freq, bound=float(bound),
-        passed=passed, samples=runs, sampled=True,
-        detail={**detail, "three_sigma": 3 * sigma})
+    return three_sigma_report(f"credibility v={v} entries={n_entries}",
+                              freq, float(bound), runs, detail)

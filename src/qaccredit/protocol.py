@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,7 +97,9 @@ class RunOutcome:
 
     def __post_init__(self):
         traps_zero = all(not out.any() for out in self.trap_outputs)
-        assert (self.flag == "acc") == traps_zero
+        if (self.flag == "acc") != traps_zero:
+            raise ValueError("flag must be acc exactly when every trap "
+                             "output is all zeros")
 
 
 @dataclass
@@ -147,10 +149,14 @@ def _simulate_circuit(dressed: qotp.DressedCircuit, errors, deviations,
     return simulator.run_statevector(circ, errors, deviations, rng, limits)
 
 
-def single_run(target: Circuit, v: int, noise: NoiseModel,
-               rng: np.random.Generator,
-               limits: SimLimits = DEFAULT_LIMITS) -> RunOutcome:
-    """One protocol run: hide the target among v traps, pad, simulate, flag."""
+def plan_run(target: Circuit, v: int,
+             rng: np.random.Generator) -> tuple[int, list]:
+    """The verifier's secret choices for one run: (v0, dressed circuits).
+
+    Draws the target's slot v0, then slot by slot a trap choice (every slot
+    but v0) and fresh pads. Both the direct run and the two-party session
+    execute the v+1 dressed circuits this returns.
+    """
     report = validate(target)
     if not report.ok:
         raise ValueError("invalid target circuit: " + "; ".join(report.violations))
@@ -158,22 +164,27 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
         raise DomainError("v must be >= 1")
     n, m = target.n, target.m
     v0 = int(rng.integers(0, v + 1))
+    dressed = []
+    for k in range(v + 1):
+        base = target if k == v0 else traps.generate_trap(
+            target, traps.sample_choice(target, rng))
+        dressed.append(qotp.dress(base, qotp.sample_pads(n, m, rng)))
+    return v0, dressed
+
+
+def single_run(target: Circuit, v: int, noise: NoiseModel,
+               rng: np.random.Generator,
+               limits: SimLimits = DEFAULT_LIMITS) -> RunOutcome:
+    """One protocol run: hide the target among v traps, pad, simulate, flag."""
+    v0, plan = plan_run(target, v, rng)
+    n, m = target.n, target.m
     collection = (noise.sample_collection(v, n, m, rng)
                   if noise.has_pauli_part
                   else noise_mod.identity_collection(v + 1, n, m))
     target_output = None
     trap_outputs = []
-    for k in range(v + 1):
-        base = target if k == v0 else traps.generate_trap(
-            target, traps.sample_choice(target, rng))
-        pads = qotp.sample_pads(n, m, rng)
-        dressed = qotp.dress(base, pads)
-        deviations = {}
-        if noise.has_gate_part:
-            for j in range(m):
-                dev = noise.sample_gate_deviation(k, j, rng)
-                if dev is not None:
-                    deviations.setdefault(j, []).append(dev)
+    for k, dressed in enumerate(plan):
+        deviations = noise.sample_deviations(k, m, rng)
         raw = _simulate_circuit(dressed, collection.slice_for(k),
                                 deviations, rng, limits, is_trap=(k != v0))
         out = qotp.postprocess(raw, dressed.key)
@@ -196,7 +207,7 @@ def accredit(config: ProtocolConfig, target: Circuit) -> AccreditationReport:
     if config.epsilon_mode == "theorem1":
         eps = epsilon_theorem1(config.v)
     else:
-        g = noise_mod.g_factor(config.noise, config.v, target.m)
+        g = config.noise.g_factor(config.v, target.m)
         eps = epsilon_theorem2(config.v, Fraction(g))
     n_acc = 0
     accepted = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
+from . import cliffords, pauli
 from .circuit import Band, Circuit, Gate, compose_singles
 
 
@@ -86,7 +86,6 @@ def zero_pads(n: int, m: int) -> PadRecord:
 
 
 def _pauli_gate(x: int, z: int) -> Gate:
-    from . import cliffords
     return Gate(clifford=cliffords.PAULI_INDEX[(x, z)])
 
 

@@ -87,13 +87,13 @@ def trap_output(circuit: Circuit, errors: Sequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_single(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
+def apply_single(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
     """Apply a 2x2 unitary to qubit q (qubit 0 = least significant bit)."""
     psi = state.reshape(2 ** (n - 1 - q), 2, 2 ** q)
     return np.einsum("ab,ibj->iaj", u, psi).reshape(-1)
 
 
-def _apply_cz(state: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
+def apply_cz(state: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     idx = np.arange(2 ** n)
     mask = ((idx >> i) & 1) & ((idx >> j) & 1)
     out = state.copy()
@@ -101,7 +101,7 @@ def _apply_cz(state: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     return out
 
 
-def _apply_pauli(state: np.ndarray, p: PauliString, n: int) -> np.ndarray:
+def apply_pauli(state: np.ndarray, p: PauliString, n: int) -> np.ndarray:
     idx = np.arange(2 ** n)
     flipped = idx ^ p.x_bits
     # X^x Z^z on |b>: Z phases first on b, then X flips b
@@ -133,29 +133,39 @@ def _evolve_state(circuit: Circuit,
     n, m = circuit.n, circuit.m
     state = _plus_state(n)
     if errors is not None:
-        state = _apply_pauli(state, errors[0], n)
+        state = apply_pauli(state, errors[0], n)
     for j, band in enumerate(circuit.bands):
         for i, gate in enumerate(band.singles):
-            state = _apply_single(state, gate.to_matrix(), i, n)
+            state = apply_single(state, gate.to_matrix(), i, n)
         for dev in (deviations or {}).get(j, []):
             if isinstance(dev, DeviationEvent):
                 dev = dev.as_pauli(n)
             if isinstance(dev, PauliString):
-                state = _apply_pauli(state, dev, n)
+                state = apply_pauli(state, dev, n)
             else:
                 state = np.asarray(dev, dtype=complex) @ state
-        if errors is not None and 0 < j + 1 <= m:
-            loc = j + 1 if j < m - 1 else m
-            if j < m - 1:
-                state = _apply_pauli(state, errors[loc], n)
+        if errors is not None and j < m - 1:
+            state = apply_pauli(state, errors[j + 1], n)
         for pair in band.sorted_pairs():
-            state = _apply_cz(state, *pair, n)
+            state = apply_cz(state, *pair, n)
     if errors is not None:
-        state = _apply_pauli(state, errors[m], n)
+        state = apply_pauli(state, errors[m], n)
+    return state
+
+
+def x_distribution(state: np.ndarray, n: int) -> np.ndarray:
+    """X-measurement outcome distribution of a state (index bit q = qubit q)."""
     # rotate to the X basis so computational outcomes are the measurement bits
     for q in range(n):
-        state = _apply_single(state, _HAD, q, n)
-    return state
+        state = apply_single(state, _HAD, q, n)
+    probs = np.abs(state) ** 2
+    return probs / probs.sum()
+
+
+def sample_bits(probs: np.ndarray, n: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """One outcome drawn from ``probs`` as an n-bit array."""
+    return index_to_bits(int(rng.choice(len(probs), p=probs)), n)
 
 
 def statevector_distribution(circuit: Circuit,
@@ -167,9 +177,8 @@ def statevector_distribution(circuit: Circuit,
         raise SimLimitError(
             f"{circuit.n} qubits exceeds statevector limit "
             f"{limits.max_statevector_qubits}")
-    state = _evolve_state(circuit, errors, deviations)
-    probs = np.abs(state) ** 2
-    return probs / probs.sum()
+    return x_distribution(_evolve_state(circuit, errors, deviations),
+                          circuit.n)
 
 
 def run_statevector(circuit: Circuit,
@@ -180,9 +189,7 @@ def run_statevector(circuit: Circuit,
     """One X-measurement sample as an n-bit array."""
     probs = statevector_distribution(circuit, errors, gate_deviations, limits)
     rng = rng if rng is not None else np.random.default_rng()
-    outcome = int(rng.choice(len(probs), p=probs))
-    return np.array([(outcome >> q) & 1 for q in range(circuit.n)],
-                    dtype=np.uint8)
+    return sample_bits(probs, circuit.n, rng)
 
 
 def _apply_channel(rho: np.ndarray, kraus: Sequence) -> np.ndarray:
@@ -198,13 +205,16 @@ def _apply_channel(rho: np.ndarray, kraus: Sequence) -> np.ndarray:
     return total
 
 
-def _single_to_full(u: np.ndarray, q: int, n: int) -> np.ndarray:
-    ops = [np.eye(2, dtype=complex)] * n
-    ops[q] = np.asarray(u, dtype=complex)
-    full = np.array([[1.0]], dtype=complex)
-    for op in reversed(ops):  # qubit 0 least significant -> rightmost factor
-        full = np.kron(full, op)
-    return full
+def _conjugate_single(rho: np.ndarray, u: np.ndarray, q: int,
+                      n: int) -> np.ndarray:
+    """U rho U^dagger for a 2x2 U on qubit q.
+
+    Row-major rho read as a 2n-qubit vector carries the row index on qubits
+    n..2n-1 and the column index on qubits 0..n-1, so U acts on qubit n+q
+    and conj(U) on qubit q.
+    """
+    vec = apply_single(rho.reshape(-1), u, n + q, 2 * n)
+    return apply_single(vec, u.conj(), q, 2 * n).reshape(rho.shape)
 
 
 def run_density(circuit: Circuit,
@@ -225,10 +235,8 @@ def run_density(circuit: Circuit,
     if 0 in channels:
         rho = _apply_channel(rho, channels[0])
     for j, band in enumerate(circuit.bands):
-        u_band = np.eye(2 ** n, dtype=complex)
         for i, gate in enumerate(band.singles):
-            u_band = _single_to_full(gate.to_matrix(), i, n) @ u_band
-        rho = u_band @ rho @ u_band.conj().T
+            rho = _conjugate_single(rho, gate.to_matrix(), i, n)
         loc = j + 1
         if 0 < loc < m and loc in channels:
             rho = _apply_channel(rho, channels[loc])
@@ -240,10 +248,8 @@ def run_density(circuit: Circuit,
             rho = rho * np.outer(sign, sign)
     if m in channels:
         rho = _apply_channel(rho, channels[m])
-    had = _single_to_full(_HAD, 0, n)
-    for q in range(1, n):
-        had = _single_to_full(_HAD, q, n) @ had
-    rho = had @ rho @ had.conj().T
+    for q in range(n):
+        rho = _conjugate_single(rho, _HAD, q, n)
     probs = np.real(np.diag(rho))
     if abs(probs.sum() - 1.0) > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")

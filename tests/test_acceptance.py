@@ -5,7 +5,11 @@ failure) and asserts the criterion at its stated tolerance.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -284,3 +288,18 @@ def test_criterion_11_backend_cross_check():
     _report(11, "frame and statevector backends agree bit-for-bit on 1e3 "
                 "random (Clifford circuit, Pauli collection) instances",
             agree)
+
+
+def test_demos_run():
+    """Demos 01-03 run to completion; 04 is left out for its run time."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    demos = sorted((root / "demos").glob("0[1-3]_*.py"))
+    assert len(demos) == 3
+    for demo in demos:
+        result = subprocess.run([sys.executable, str(demo)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, f"{demo.name}: {result.stderr}"
+        assert result.stdout

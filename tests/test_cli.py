@@ -102,6 +102,17 @@ def test_accredit_with_noise_file(runner, ghz_file, tmp_path):
     assert result.exit_code == 0
 
 
+def test_accredit_rejects_bad_noise_rates(runner, ghz_file, tmp_path):
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text('{"variant": "independent", "default_rates": '
+                          '{"X": 0.8, "Y": 0.8, "Z": -0.3}}')
+    result = runner.invoke(main, ["accredit", "--circuit", ghz_file,
+                                  "--v", "3", "--d", "3", "--theta", "0.1",
+                                  "--noise", str(noise_path), "--seed", "1"])
+    assert result.exit_code == 2
+    assert "X + Y + Z <= 1" in result.output
+
+
 def test_bounds_csv(runner):
     result = runner.invoke(main, ["bounds", "--v", "3", "--n", "7", "--m", "7",
                                   "--r0-grid", "0:0.01:10"])

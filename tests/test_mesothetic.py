@@ -93,11 +93,18 @@ def test_soundness_estimate_pauli_bob():
 def test_soundness_estimate_with_alice_noise_bound():
     target = families.ghz_circuit(2)
     bob = BobStrategy(honest=True)
-    alice = BoundedGateNoise(rate=0.0, n=2)
-    g = 0.95
+    alice = BoundedGateNoise(rate=0.01, n=2)
+    g = 0.99 ** (4 * target.m)  # survival over (v+1)*m rounds
     rep = soundness_estimate(target, 3, bob, 100, np.random.default_rng(4),
-                             alice_noise=alice, g=g)
-    assert abs(rep.bound - (0.95 * 0.421875 + 0.05)) < 1e-12
+                             alice_noise=alice)
+    assert abs(rep.bound - (g * 0.421875 + 1 - g)) < 1e-12
+    assert rep.passed
+
+
+def test_session_rejects_no_traps():
+    with pytest.raises(ValueError, match="v must be >= 1"):
+        run_session(families.ghz_circuit(2), 0, BobStrategy(honest=True),
+                    np.random.default_rng(0))
 
 
 def test_session_deterministic():

@@ -113,6 +113,32 @@ def test_g_factor():
     assert abs(uniform.g_factor(1, 2) - 0.9 ** 4) < 1e-15
 
 
+def test_independent_channels_reject_bad_rates():
+    for bad in ({"X": 0.8, "Y": 0.8, "Z": -0.3}, {"Z": -0.1},
+                {"X": 0.5, "Y": 0.3, "Z": 0.3}):
+        with pytest.raises(ValueError, match="X \\+ Y \\+ Z <= 1"):
+            IndependentLocationChannels(default_rates=bad)
+        with pytest.raises(ValueError):
+            IndependentLocationChannels(rates={(0, 1): bad})
+    with pytest.raises(ValueError):
+        model_from_json('{"variant": "independent", "rates": '
+                        '[{"k": 0, "loc": 1, "X": 0.6, "Z": 0.6}]}')
+    IndependentLocationChannels(default_rates={"X": 0.5, "Y": 0.25, "Z": 0.25})
+
+
+def test_sample_deviations_draws_band_by_band():
+    model = BoundedGateNoise(rate=0.5, n=3)
+    devs = model.sample_deviations(2, 4, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    expected = {}
+    for j in range(4):
+        dev = model.sample_gate_deviation(2, j, rng)
+        if dev is not None:
+            expected[j] = [dev]
+    assert devs == expected
+    assert noiseless().sample_deviations(0, 4, np.random.default_rng(0)) == {}
+
+
 def test_composite_model():
     model = CompositeModel(pauli_part=noiseless(),
                            gate_part=BoundedGateNoise(rate=0.2, n=2))

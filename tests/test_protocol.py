@@ -4,16 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qaccredit import families, protocol
+from qaccredit import families, protocol, qotp, simulator
+from qaccredit.mesothetic import BobStrategy, run_session
 from qaccredit.noise import (BoundedGateNoise, CompositeModel,
                              ExplicitCollectionDistribution,
                              PauliErrorCollection, noiseless)
 from qaccredit.pauli import PauliString
 from qaccredit.protocol import (AccreditationReport, DomainError,
-                                OperationCounts, ProtocolConfig, confidence,
-                                curve_to_csv, delta_bound, epsilon_theorem1,
-                                epsilon_theorem2, eq1_bound, figure8_curve,
-                                single_run)
+                                OperationCounts, ProtocolConfig, RunOutcome,
+                                confidence, curve_to_csv, delta_bound,
+                                epsilon_theorem1, epsilon_theorem2, eq1_bound,
+                                figure8_curve, plan_run, single_run)
 
 
 def test_epsilon_theorem1_values():
@@ -102,6 +103,36 @@ def test_single_run_v0_uniform():
         counts[single_run(target, 3, noiseless(), rng).v0] += 1
     sigma = np.sqrt(0.25 * 0.75 / reps)
     assert (abs(counts / reps - 0.25) < 4 * sigma).all()
+
+
+def test_plan_run_hides_target_among_traps():
+    target = families.ghz_circuit(3)
+    v0, plan = plan_run(target, 5, np.random.default_rng(4))
+    assert len(plan) == 6 and 0 <= v0 <= 5
+    rng = np.random.default_rng(5)
+    for k, dressed in enumerate(plan):
+        out = qotp.postprocess(
+            simulator.run_statevector(dressed.circuit, rng=rng), dressed.key)
+        if k == v0:  # GHZ X-measurement outputs have even parity
+            assert int(out.sum()) % 2 == 0
+        else:  # a noiseless trap outputs all zeros
+            assert not out.any()
+    # the direct run and the two-party session draw the same plan first
+    session = run_session(target, 5, BobStrategy(honest=True),
+                          np.random.default_rng(4))
+    run = single_run(target, 5, noiseless(), np.random.default_rng(4))
+    assert session.v0 == run.v0 == v0
+
+
+def test_run_outcome_rejects_inconsistent_flag():
+    zeros, ones = np.zeros(2, np.uint8), np.ones(2, np.uint8)
+    RunOutcome(v0=0, target_output=zeros, trap_outputs=(zeros,), flag="acc")
+    with pytest.raises(ValueError):
+        RunOutcome(v0=0, target_output=zeros, trap_outputs=(ones,),
+                   flag="acc")
+    with pytest.raises(ValueError):
+        RunOutcome(v0=0, target_output=zeros, trap_outputs=(zeros,),
+                   flag="rej")
 
 
 def test_accredit_noiseless():

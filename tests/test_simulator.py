@@ -150,6 +150,54 @@ def test_density_matches_statevector_sampling():
         assert abs(counts[k] / reps - dist[k]) < 3 * sigma
 
 
+def _kron_density(circ, channels):
+    """Dense reference: every gate as a full 2^n x 2^n Kronecker product."""
+    n, m = circ.n, circ.m
+    had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+
+    def full(u, q):
+        ops = [np.eye(2, dtype=complex)] * n
+        ops[q] = np.asarray(u, dtype=complex)
+        out = np.array([[1.0]], dtype=complex)
+        for op in reversed(ops):  # qubit 0 is the rightmost factor
+            out = np.kron(out, op)
+        return out
+
+    def channel(rho, loc):
+        kraus = channels.get(loc, [np.eye(2 ** n)])
+        return sum(k @ rho @ k.conj().T for k in kraus)
+
+    plus = np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
+    rho = channel(np.outer(plus, plus.conj()), 0)
+    idx = np.arange(2 ** n)
+    for j, band in enumerate(circ.bands):
+        for i, gate in enumerate(band.singles):
+            u = full(gate.to_matrix(), i)
+            rho = u @ rho @ u.conj().T
+        if 0 < j + 1 < m:
+            rho = channel(rho, j + 1)
+        for a, b in band.sorted_pairs():
+            cz = np.diag(1.0 - 2.0 * (((idx >> a) & 1) & ((idx >> b) & 1)))
+            rho = cz @ rho @ cz
+    rho = channel(rho, m)
+    for q in range(n):
+        u = full(had, q)
+        rho = u @ rho @ u.conj().T
+    return np.real(np.diag(rho))
+
+
+def test_density_matches_kronecker_reference():
+    rng = np.random.default_rng(13)
+    for n in range(1, 7):
+        for _ in range(3):
+            m = int(rng.integers(1, 4))
+            circ = families.random_generic_circuit(n, m, rng)
+            channels = {loc: [families.random_unitary(2 ** n, rng)]
+                        for loc in range(m + 1) if rng.random() < 0.5}
+            assert np.abs(run_density(circ, channels)
+                          - _kron_density(circ, channels)).max() < 1e-12
+
+
 def test_density_normalization_random_channels():
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -66,9 +66,9 @@ def test_trap_is_oriented_cx_sequence():
         state = np.full(4, 0.5, dtype=complex)
         for band in trap.bands:
             for i, g in enumerate(band.singles):
-                state = simulator._apply_single(state, g.to_matrix(), i, 2)
+                state = simulator.apply_single(state, g.to_matrix(), i, 2)
             for pair in band.sorted_pairs():
-                state = simulator._apply_cz(state, *pair, 2)
+                state = simulator.apply_cz(state, *pair, 2)
         # cX on |++> is |++>, so the whole trap must fix |+>^n
         overlap = abs(np.vdot(np.full(4, 0.5), state))
         assert overlap > 1 - 1e-10
