@@ -15,7 +15,7 @@ import numpy as np
 
 from . import families, mesothetic, oracles, protocol
 from .circuit import CircuitParseError, parse, serialize, validate
-from .noise import ExplicitCollectionDistribution, model_from_json, noiseless
+from .noise import model_from_json, noiseless, random_adversary
 from .protocol import (OperationCounts, ProtocolConfig, curve_to_csv,
                        figure8_curve)
 from .simulator import SimLimitError
@@ -171,7 +171,7 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, bound, seed, out):
             target = families.random_clifford_circuit(
                 n, m, np.random.default_rng(seed))
             for _ in range(adversaries):
-                adv = _random_adversary(n, m, v, rng)
+                adv = random_adversary(n, m, v, rng)
                 reports.append(oracles.theorem1_empirical(
                     target, v, adv, runs=runs, rng=rng))
     except SimLimitError as exc:
@@ -196,29 +196,6 @@ def _twirl_report(circ, channels):
         instance=f"twirl n={circ.n} m={circ.m}",
         probability=rep.residual, bound=oracles.TWIRL_RESIDUAL_TOL,
         passed=rep.passed, samples=len(rep.collections))
-
-
-def _random_adversary(n, m, v, rng):
-    from .noise import PauliErrorCollection, identity_collection
-    from .pauli import PauliString
-    entries = []
-    k_entries = int(rng.integers(1, 4))
-    weights = rng.dirichlet(np.ones(k_entries))
-    for w in weights:
-        circuits = []
-        for k in range(v + 1):
-            locs = []
-            for loc in range(m + 1):
-                z_only = loc in (0, m)
-                x = 0 if z_only else int(rng.integers(0, 2 ** n))
-                z = int(rng.integers(0, 2 ** n))
-                locs.append(PauliString(n, x, z))
-            circuits.append(tuple(locs))
-        entries.append((PauliErrorCollection(tuple(circuits)), float(w)))
-    # renormalize exactly
-    total = sum(p for _, p in entries)
-    entries = [(c, p / total) for c, p in entries]
-    return ExplicitCollectionDistribution(entries)
 
 
 @main.command("mesothetic")

@@ -61,6 +61,19 @@ class PauliErrorCollection:
         return [k for k in range(self.num_circuits)
                 if not self.is_identity_on(k)]
 
+    def to_bits(self) -> tuple:
+        """(x, z) uint8 arrays of shape (circuits, m+1, n); bit q is qubit q."""
+        n = self.circuits[0][0].n
+        x = np.array([[_int_to_bits(p.x_bits, n) for p in locs]
+                      for locs in self.circuits], dtype=np.uint8)
+        z = np.array([[_int_to_bits(p.z_bits, n) for p in locs]
+                      for locs in self.circuits], dtype=np.uint8)
+        return x, z
+
+    @classmethod
+    def from_bits(cls, x: np.ndarray, z: np.ndarray) -> "PauliErrorCollection":
+        return cls(tuple(paulis_from_bits(xk, zk) for xk, zk in zip(x, z)))
+
     def to_json(self) -> str:
         return json.dumps([[pauli.to_text(p) for p in locs]
                            for locs in self.circuits])
@@ -70,6 +83,23 @@ class PauliErrorCollection:
         doc = json.loads(text)
         return cls(tuple(tuple(pauli.from_text(s) for s in locs)
                          for locs in doc))
+
+
+def _int_to_bits(value: int, n: int) -> np.ndarray:
+    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n]
+
+
+def _bits_to_int(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
+def paulis_from_bits(x: np.ndarray, z: np.ndarray) -> tuple:
+    """One PauliString (sign 0) per row of two (rows, n) bit arrays."""
+    n = x.shape[-1]
+    return tuple(PauliString(n, _bits_to_int(xr), _bits_to_int(zr))
+                 for xr, zr in zip(x, z))
 
 
 def identity_collection(num_circuits: int, n: int, m: int) -> PauliErrorCollection:
@@ -105,6 +135,11 @@ class NoiseModel:
                           rng: np.random.Generator) -> PauliErrorCollection:
         raise ValueError("this noise model has no Pauli-collection part")
 
+    def sample_error_bits(self, v: int, n: int, m: int,
+                          rng: np.random.Generator) -> tuple:
+        """One collection as (x, z) uint8 arrays of shape (v+1, m+1, n)."""
+        return self.sample_collection(v, n, m, rng).to_bits()
+
     def sample_gate_deviation(self, k: int, j: int,
                               rng: np.random.Generator) -> Optional[DeviationEvent]:
         raise ValueError("this noise model has no gate-noise part")
@@ -138,6 +173,10 @@ class NoiselessModel(NoiseModel):
     def sample_collection(self, v, n, m, rng):
         return identity_collection(v + 1, n, m)
 
+    def sample_error_bits(self, v, n, m, rng):
+        shape = (v + 1, m + 1, n)
+        return np.zeros(shape, np.uint8), np.zeros(shape, np.uint8)
+
 
 def noiseless() -> NoiseModel:
     return NoiselessModel()
@@ -158,13 +197,28 @@ class ExplicitCollectionDistribution(NoiseModel):
         if abs(probs.sum() - 1.0) > PROB_ATOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self._probs = probs
+        self._bits = []
+        for coll, _ in self.entries:
+            bits = coll.to_bits()
+            for arr in bits:
+                arr.setflags(write=False)
+            self._bits.append(bits)
 
-    def sample_collection(self, v, n, m, rng):
+    def _draw(self, v, m, rng) -> int:
         idx = rng.choice(len(self.entries), p=self._probs)
         coll = self.entries[idx][0]
         if coll.num_circuits != v + 1 or coll.m != m:
             raise ValueError("collection shape does not match (v, m)")
-        return coll
+        return idx
+
+    def sample_collection(self, v, n, m, rng):
+        return self.entries[self._draw(v, m, rng)][0]
+
+    def sample_error_bits(self, v, n, m, rng):
+        x, z = self._bits[self._draw(v, m, rng)]
+        if x.shape[-1] != n:
+            raise ValueError("collection qubit count does not match n")
+        return x, z
 
 
 class IndependentLocationChannels(NoiseModel):
@@ -172,7 +226,8 @@ class IndependentLocationChannels(NoiseModel):
 
     ``rates[(k, loc)]`` (or the default rate) maps each of the letters X/Y/Z
     to a firing probability per qubit; X/Y rates are forced to 0 at the end
-    locations so the Z-only constraint holds by construction.
+    locations so the Z-only constraint holds by construction. Any other key
+    is rejected, so a misspelt letter cannot silently mean rate 0.
     """
 
     has_pauli_part = True
@@ -181,37 +236,71 @@ class IndependentLocationChannels(NoiseModel):
         self.default_rates = dict(default_rates or {})
         self.rates = {k: dict(v) for k, v in (rates or {}).items()}
         for r in (self.default_rates, *self.rates.values()):
+            unknown = set(r) - set("XYZ")
+            if unknown:
+                raise ValueError(f"unknown Pauli rate keys {sorted(unknown)}; "
+                                 "expected X, Y, Z")
             xyz = [float(r.get(p, 0.0)) for p in "XYZ"]
             if not all(x >= 0.0 for x in xyz) or sum(xyz) > 1.0 + PROB_ATOL:
                 raise ValueError("Pauli rates must be nonnegative with "
                                  "X + Y + Z <= 1")
+        self._cumulative = {}
 
-    def _rates_at(self, k, loc, m):
-        r = self.rates.get((k, loc), self.default_rates)
-        r = {p: float(r.get(p, 0.0)) for p in "XYZ"}
-        if loc == 0 or loc == m:
-            r["X"] = r["Y"] = 0.0
-        return r
+    def _thresholds(self, v, m) -> np.ndarray:
+        """Cumulative X, X+Y, X+Y+Z rates of shape (v+1, m+1, 1, 3)."""
+        if (v, m) not in self._cumulative:
+            rates = np.empty((v + 1, m + 1, 3))
+            rates[...] = [float(self.default_rates.get(p, 0.0)) for p in "XYZ"]
+            for (k, loc), r in self.rates.items():
+                if k in range(v + 1) and loc in range(m + 1):
+                    rates[int(k), int(loc)] = [float(r.get(p, 0.0))
+                                               for p in "XYZ"]
+            rates[:, [0, m], :2] = 0.0
+            self._cumulative[v, m] = np.cumsum(rates, axis=-1)[:, :, None, :]
+        return self._cumulative[v, m]
+
+    def sample_error_bits(self, v, n, m, rng):
+        """One uniform draw per (circuit, location, qubit) against the rates."""
+        cum = self._thresholds(v, m)
+        u = rng.random((v + 1, m + 1, n))
+        x = u < cum[..., 1]
+        z = (u >= cum[..., 0]) & (u < cum[..., 2])
+        return x.astype(np.uint8), z.astype(np.uint8)
 
     def sample_collection(self, v, n, m, rng):
+        return PauliErrorCollection.from_bits(
+            *self.sample_error_bits(v, n, m, rng))
+
+
+def random_adversary(n: int, m: int, v: int,
+                     rng: np.random.Generator) -> ExplicitCollectionDistribution:
+    """A random mixture of one to three collections for soundness checks.
+
+    Each collection puts one random non-identity Pauli (Z-only at the end
+    locations) at a random location of each of v_hat random slots, with
+    v_hat uniform in [1, v+1]; the mixture weights are Dirichlet(1, ..., 1).
+    """
+    n_entries = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(n_entries))
+    v_hat = int(rng.integers(1, v + 2))
+    slots = rng.choice(v + 1, size=v_hat, replace=False)
+    entries = []
+    for w in weights:
         circuits = []
         for k in range(v + 1):
-            locs = []
-            for loc in range(m + 1):
-                r = self._rates_at(k, loc, m)
-                x = z = 0
-                for q in range(n):
-                    u = rng.random()
-                    if u < r["X"]:
-                        x |= 1 << q
-                    elif u < r["X"] + r["Y"]:
-                        x |= 1 << q
-                        z |= 1 << q
-                    elif u < r["X"] + r["Y"] + r["Z"]:
-                        z |= 1 << q
-                locs.append(PauliString(n, x, z))
+            locs = [PauliString(n)] * (m + 1)
+            if k in slots:
+                loc = int(rng.integers(0, m + 1))
+                z_only = loc in (0, m)
+                x = 0 if z_only else int(rng.integers(0, 2 ** n))
+                z = int(rng.integers(0, 2 ** n))
+                if x == 0 and z == 0:
+                    z = int(rng.integers(1, 2 ** n))
+                locs[loc] = PauliString(n, x, z)
             circuits.append(tuple(locs))
-        return PauliErrorCollection(tuple(circuits))
+        entries.append((PauliErrorCollection(tuple(circuits)), float(w)))
+    total = sum(p for _, p in entries)
+    return ExplicitCollectionDistribution([(c, p / total) for c, p in entries])
 
 
 def _default_deviation_sampler(n: int, rng: np.random.Generator) -> DeviationEvent:
@@ -267,6 +356,11 @@ class CompositeModel(NoiseModel):
             return super().sample_collection(v, n, m, rng)
         return self.pauli_part.sample_collection(v, n, m, rng)
 
+    def sample_error_bits(self, v, n, m, rng):
+        if self.pauli_part is None:
+            return super().sample_error_bits(v, n, m, rng)
+        return self.pauli_part.sample_error_bits(v, n, m, rng)
+
     def sample_gate_deviation(self, k, j, rng):
         if self.gate_part is None:
             return super().sample_gate_deviation(k, j, rng)
@@ -309,8 +403,13 @@ def _model_from_obj(doc) -> NoiseModel:
             entries.append((coll, e["prob"]))
         return ExplicitCollectionDistribution(entries)
     if variant == "independent":
-        rates = {(r["k"], r["loc"]): {p: r.get(p, 0.0) for p in "XYZ"}
-                 for r in doc.get("rates", [])}
+        rates = {}
+        for r in doc.get("rates", []):
+            unknown = set(r) - {"k", "loc", "X", "Y", "Z"}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)} in a "
+                                 "per-location rate entry")
+            rates[(r["k"], r["loc"])] = {p: r[p] for p in "XYZ" if p in r}
         return IndependentLocationChannels(
             default_rates=doc.get("default_rates"), rates=rates)
     if variant == "bounded_gate":

@@ -24,9 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import noise as noise_mod
-from . import qotp, simulator, traps
+from . import pauli, qotp, simulator, traps
 from .circuit import Circuit, validate
-from .noise import NoiseModel
+from .noise import DeviationEvent, NoiseModel
+from .pauli import PauliString
 from .simulator import DEFAULT_LIMITS, SimLimits
 
 KAPPA = Fraction(27, 16)  # 3 * (3/4)^2, exact
@@ -135,18 +136,45 @@ def eq1_bound(epsilon: float, n_acc: int, d: int, theta: float) -> Optional[floa
     return float(epsilon) / denom
 
 
+def _fold_deviations(errors, deviations: dict, n: int) -> list:
+    """The error slice with each band-j Pauli deviation moved to location j+1.
+
+    A deviation acts right after band j's single-qubit round and just before
+    the location-(j+1) error (location m for the last band), so the product
+    is the same operator up to phase.
+    """
+    errors = list(errors)
+    for j, devs in deviations.items():
+        for dev in devs:
+            if isinstance(dev, DeviationEvent):
+                dev = dev.as_pauli(n)
+            errors[j + 1] = pauli.multiply(errors[j + 1], dev)
+    return errors
+
+
 def _simulate_circuit(dressed: qotp.DressedCircuit, errors, deviations,
                       rng, limits, is_trap: bool) -> np.ndarray:
     """Raw (pre-key) output bits of one implemented circuit.
 
-    Trap circuits under pure Pauli noise are handled by the exact frame
-    backend (their noiseless padded output is the key itself, so the raw
-    output is key XOR flip-mask); everything else goes dense.
+    Clifford traps whose deviations are all Paulis are handled by the exact
+    frame backend (their noiseless padded output is the key itself, so the
+    raw output is key XOR flip-mask); everything else goes dense.
     """
     circ = dressed.circuit
-    if is_trap and circ.all_clifford and not deviations:
+    if is_trap and circ.all_clifford and all(
+            isinstance(dev, (DeviationEvent, PauliString))
+            for devs in deviations.values() for dev in devs):
+        errors = _fold_deviations(errors, deviations, circ.n)
         return simulator.trap_output(circ, errors) ^ dressed.key
     return simulator.run_statevector(circ, errors, deviations, rng, limits)
+
+
+def _check_plan(target: Circuit, v: int):
+    report = validate(target)
+    if not report.ok:
+        raise ValueError("invalid target circuit: " + "; ".join(report.violations))
+    if v < 1:
+        raise DomainError("v must be >= 1")
 
 
 def plan_run(target: Circuit, v: int,
@@ -157,11 +185,7 @@ def plan_run(target: Circuit, v: int,
     but v0) and fresh pads. Both the direct run and the two-party session
     execute the v+1 dressed circuits this returns.
     """
-    report = validate(target)
-    if not report.ok:
-        raise ValueError("invalid target circuit: " + "; ".join(report.violations))
-    if v < 1:
-        raise DomainError("v must be >= 1")
+    _check_plan(target, v)
     n, m = target.n, target.m
     v0 = int(rng.integers(0, v + 1))
     dressed = []
@@ -202,21 +226,95 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, run_index]))
 
 
+def _padded_runs(config: ProtocolConfig, target: Circuit) -> list:
+    """Accepted target outputs of d padded runs, one :func:`single_run` each."""
+    outputs = []
+    for r in range(config.d):
+        outcome = single_run(target, config.v, config.noise,
+                             run_rng(config.master_seed, r), config.limits)
+        if outcome.flag == "acc":
+            outputs.append(outcome.target_output)
+    return outputs
+
+
+# Runs per batched frame; bounds the pad-free path's memory for any d.
+RUN_BLOCK = 128
+
+
+def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
+    """Accepted target outputs of d runs under Pauli-only noise.
+
+    By Lemma 1 the one-time pad changes neither a trap's flip mask nor the
+    target's post-processed output distribution under Pauli noise, so no
+    circuit is padded: the traps of a block of runs move through one
+    batched Pauli frame, and each accepted run samples the bare target.
+    Run r draws from ``run_rng(master_seed, r)``, in order: v0, the flat
+    choice bits of its v traps (slot order), the error bits of its v+1
+    slots and, only if every trap outputs zeros, the target sample.
+    """
+    _check_plan(target, config.v)
+    simulator.check_statevector_size(target.n, config.limits)
+    # the target's output distribution depends only on its error slice
+    distributions = {}
+    outputs = []
+    for start in range(0, config.d, RUN_BLOCK):
+        runs = range(start, min(start + RUN_BLOCK, config.d))
+        outputs += _pad_free_block(config, target, runs, distributions)
+    return outputs
+
+
+def _pad_free_block(config: ProtocolConfig, target: Circuit, runs: range,
+                    distributions: dict) -> list:
+    v, noise, b = config.v, config.noise, len(runs)
+    n, m = target.n, target.m
+    width = traps.choice_width(target)
+    v0 = np.empty(b, dtype=np.intp)
+    choice = np.empty((b, v, width), dtype=np.uint8)
+    err_x = np.zeros((b, v + 1, m + 1, n), dtype=np.uint8)
+    err_z = np.zeros_like(err_x)
+    rngs = []
+    for i, r in enumerate(runs):
+        rng = run_rng(config.master_seed, r)
+        v0[i] = rng.integers(0, v + 1)
+        choice[i] = rng.integers(0, 2, size=(v, width), dtype=np.uint8)
+        if noise.has_pauli_part:
+            err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
+        rngs.append(rng)
+    # run i's t-th trap sits at the t-th slot other than v0[i]
+    slots = np.arange(v) + (np.arange(v) >= v0[:, None])
+    rows = np.arange(b)[:, None]
+    flips = simulator.frame_flips(
+        target, traps.trap_cliffords(target, choice.reshape(b * v, width)),
+        err_x[rows, slots].reshape(b * v, m + 1, n),
+        err_z[rows, slots].reshape(b * v, m + 1, n))
+    outputs = []
+    for i in np.flatnonzero(~flips.reshape(b, v * n).any(axis=1)):
+        x, z = err_x[i, v0[i]], err_z[i, v0[i]]
+        key = x.tobytes() + z.tobytes()
+        if key not in distributions:
+            distributions[key] = simulator.statevector_distribution(
+                target, noise_mod.paulis_from_bits(x, z), limits=config.limits)
+        outputs.append(simulator.sample_bits(distributions[key], n, rngs[i]))
+    return outputs
+
+
 def accredit(config: ProtocolConfig, target: Circuit) -> AccreditationReport:
-    """Execute d independent runs and assemble the accreditation report."""
+    """Execute d independent runs and assemble the accreditation report.
+
+    Under noise with no gate part the runs take the batched pad-free path;
+    gate deviations may be arbitrary matrices, so those runs are padded
+    and executed one by one.
+    """
     if config.epsilon_mode == "theorem1":
         eps = epsilon_theorem1(config.v)
     else:
         g = config.noise.g_factor(config.v, target.m)
         eps = epsilon_theorem2(config.v, Fraction(g))
-    n_acc = 0
-    accepted = []
-    for r in range(config.d):
-        outcome = single_run(target, config.v, config.noise,
-                             run_rng(config.master_seed, r), config.limits)
-        if outcome.flag == "acc":
-            n_acc += 1
-            accepted.append(outcome.target_output)
+    if config.noise.has_gate_part:
+        accepted = _padded_runs(config, target)
+    else:
+        accepted = _pad_free_runs(config, target)
+    n_acc = len(accepted)
     return AccreditationReport(
         n_acc=n_acc,
         d=config.d,

@@ -2,7 +2,8 @@
 
 * Pauli-frame propagation: exact and sampling-free for all-Clifford circuits
   under Pauli noise — errors are commuted to the end of the circuit and read
-  off as an X-measurement flip mask.
+  off as an X-measurement flip mask; :func:`frame_flips` does this for many
+  circuits on one cZ topology at once, on bit arrays.
 * Dense statevector / density-matrix simulation for small generic circuits,
   including arbitrary Kraus channels at the standard noise locations.
 
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import pauli
+from . import cliffords, pauli
 from .circuit import Circuit
 from .noise import DeviationEvent
 from .pauli import PauliString
@@ -80,6 +81,46 @@ def trap_output(circuit: Circuit, errors: Sequence) -> np.ndarray:
     mask = pauli.z_mask(propagate_frame(circuit, errors))
     return np.array([(mask >> q) & 1 for q in range(circuit.n)],
                     dtype=np.uint8)
+
+
+def _build_conj_table() -> np.ndarray:
+    """_CONJ[c, x | z << 1] = x' | z' << 1 where c X^x Z^z c† ~ X^x' Z^z'."""
+    table = np.zeros((cliffords.GROUP_ORDER, 2, 2), dtype=np.uint8)
+    for c in range(cliffords.GROUP_ORDER):
+        for z in (0, 1):
+            for x in (0, 1):
+                lx = x & cliffords.IMG_X[c][0] ^ z & cliffords.IMG_Z[c][0]
+                lz = x & cliffords.IMG_X[c][1] ^ z & cliffords.IMG_Z[c][1]
+                table[c, z, x] = lx | lz << 1
+    return table.reshape(cliffords.GROUP_ORDER, 4)
+
+
+_CONJ = _build_conj_table()
+
+
+def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
+                err_z: np.ndarray) -> np.ndarray:
+    """Flip patterns of R Clifford circuits sharing ``topology``'s cZ layers.
+
+    ``gates`` holds Clifford indices of shape (R, m, n); ``err_x``/``err_z``
+    the location-indexed error bits of shape (R, m+1, n). Row r of the
+    (R, n) result is :func:`trap_output` of circuit r under error slice r.
+    The frame of all R circuits moves band by band as a 2-bit code
+    x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202).
+    """
+    m = topology.m
+    codes = err_x | err_z << 1
+    frame = codes[:, 0].copy()
+    for j, band in enumerate(topology.bands):
+        frame = _CONJ[gates[:, j], frame]
+        if j < m - 1:
+            frame ^= codes[:, j + 1]
+        if band.cz_pairs:
+            lo, hi = np.array(band.sorted_pairs()).T
+            x = frame & 1
+            frame[:, lo] ^= x[:, hi] << 1
+            frame[:, hi] ^= x[:, lo] << 1
+    return (frame ^ codes[:, m]) >> 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +209,20 @@ def sample_bits(probs: np.ndarray, n: int,
     return index_to_bits(int(rng.choice(len(probs), p=probs)), n)
 
 
+def check_statevector_size(n: int, limits: SimLimits = DEFAULT_LIMITS):
+    """Raise SimLimitError when n qubits exceed the statevector limit."""
+    if n > limits.max_statevector_qubits:
+        raise SimLimitError(
+            f"{n} qubits exceeds statevector limit "
+            f"{limits.max_statevector_qubits}")
+
+
 def statevector_distribution(circuit: Circuit,
                              errors: Optional[Sequence] = None,
                              deviations: Optional[dict] = None,
                              limits: SimLimits = DEFAULT_LIMITS) -> np.ndarray:
     """Exact X-measurement outcome distribution (index bit q = qubit q)."""
-    if circuit.n > limits.max_statevector_qubits:
-        raise SimLimitError(
-            f"{circuit.n} qubits exceeds statevector limit "
-            f"{limits.max_statevector_qubits}")
+    check_statevector_size(circuit.n, limits)
     return x_distribution(_evolve_state(circuit, errors, deviations),
                           circuit.n)
 

@@ -126,6 +126,55 @@ def generate_trap(target: Circuit, choice: TrapChoice) -> Circuit:
     return Circuit(n=n, m=m, bands=tuple(bands))
 
 
+_COMPOSE = np.array(cliffords.COMPOSE, dtype=np.uint8)
+_DAGGER = np.array(cliffords.DAGGER, dtype=np.uint8)
+
+
+def choice_width(target: Circuit) -> int:
+    """Bits in one flat trap choice: every pair and unpaired bit, then t."""
+    return 1 + sum(target.n - len(target.bands[j].cz_pairs)
+                   for j in range(target.m - 1))
+
+
+def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
+    """Clifford indices (R, m, n) of the R traps chosen by rows of ``bits``.
+
+    Row r is one flat choice of :func:`choice_width` bits in TrapChoice's
+    order: band by band the pair bits then the unpaired bits, and t last.
+    Band j of trap r is the gate :func:`generate_trap` builds from the
+    matching TrapChoice.
+    """
+    if target.m < 2:
+        raise ValueError("trap generation needs at least 2 bands")
+    n, m = target.n, target.m
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 2 or bits.shape[1] != choice_width(target):
+        raise ValueError("choice bits must have shape (R, choice_width)")
+    # V_j on qubit q is S exactly when bit[column] ^ lower-of-pair is 1
+    assign = np.empty((len(bits), m - 1, n), dtype=np.uint8)
+    col = 0
+    for j in range(m - 1):
+        pairs, unpaired = _band_layout(target, j)
+        cols = np.empty(n, dtype=np.intp)
+        lower = np.zeros(n, dtype=np.uint8)
+        for lo, hi in pairs:
+            cols[lo] = cols[hi] = col
+            lower[lo] = 1
+            col += 1
+        for q in unpaired:
+            cols[q] = col
+            col += 1
+        assign[:, j] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
+                                cliffords.C_H)
+    sandwich = np.where(bits[:, -1:], cliffords.C_H, cliffords.C_I)
+    undo = _DAGGER[assign]
+    gates = np.empty((len(bits), m, n), dtype=np.uint8)
+    gates[:, 0] = _COMPOSE[sandwich, assign[:, 0]]
+    gates[:, 1:m - 1] = _COMPOSE[undo[:, :-1], assign[:, 1:]]
+    gates[:, m - 1] = _COMPOSE[undo[:, -1], sandwich]
+    return gates
+
+
 def sample_choice(target: Circuit, rng: np.random.Generator) -> TrapChoice:
     """Uniform over the Routine-2 choice space; deterministic given rng."""
     pair_bits, single_bits = [], []

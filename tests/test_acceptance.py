@@ -16,10 +16,8 @@ import numpy as np
 from qaccredit import families, oracles, pauli, protocol, qotp, simulator, traps
 from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import BobStrategy, run_session, soundness_estimate
-from qaccredit.noise import (BoundedGateNoise, CompositeModel,
-                             ExplicitCollectionDistribution,
-                             PauliErrorCollection, identity_collection,
-                             noiseless)
+from qaccredit.noise import (BoundedGateNoise, CompositeModel, noiseless,
+                             random_adversary)
 from qaccredit.pauli import PauliString
 from qaccredit.protocol import (OperationCounts, ProtocolConfig,
                                 epsilon_theorem1, epsilon_theorem2,
@@ -153,30 +151,6 @@ def test_criterion_5_lemma1_twirl():
                f"{worst_cross:.2e} < 1e-12", ok)
 
 
-def _random_adversary(n, m, v, rng):
-    n_entries = int(rng.integers(1, 4))
-    weights = rng.dirichlet(np.ones(n_entries))
-    v_hat = int(rng.integers(1, v + 2))
-    slots = rng.choice(v + 1, size=v_hat, replace=False)
-    entries = []
-    for w in weights:
-        circuits = []
-        for k in range(v + 1):
-            locs = [PauliString(n)] * (m + 1)
-            if k in slots:
-                loc = int(rng.integers(0, m + 1))
-                z_only = loc in (0, m)
-                x = 0 if z_only else int(rng.integers(0, 2 ** n))
-                z = int(rng.integers(0, 2 ** n))
-                if x == 0 and z == 0:
-                    z = int(rng.integers(1, 2 ** n))
-                locs[loc] = PauliString(n, x, z)
-            circuits.append(tuple(locs))
-        entries.append((PauliErrorCollection(tuple(circuits)), float(w)))
-    total = sum(p for _, p in entries)
-    return ExplicitCollectionDistribution([(c, p / total) for c, p in entries])
-
-
 def test_criterion_6_theorem1_empirical():
     rng = np.random.default_rng(60)
     worst_margin = -1.0
@@ -185,7 +159,7 @@ def test_criterion_6_theorem1_empirical():
         m = int(rng.integers(2, 4))
         target = families.random_clifford_circuit(
             n, m, np.random.default_rng(600 + i))
-        adv = _random_adversary(n, m, 3, rng)
+        adv = random_adversary(n, m, 3, rng)
         rep = oracles.theorem1_empirical(target, 3, adv, runs=10 ** 5, rng=rng)
         assert rep.passed, (i, rep.probability, rep.bound)
         assert float(rep.probability) <= 0.421875 + rep.detail["three_sigma"]
@@ -205,7 +179,7 @@ def test_criterion_7_theorem2_consistency():
     rng = np.random.default_rng(70)
     target = families.random_clifford_circuit(2, 2,
                                               np.random.default_rng(70))
-    adv = _random_adversary(2, 2, 3, rng)
+    adv = random_adversary(2, 2, 3, rng)
     rep = oracles.theorem1_empirical(target, 3, adv, runs=10 ** 5, rng=rng)
     bound2 = float(epsilon_theorem2(3, 1))
     empirical_ok = (rep.passed

@@ -113,6 +113,20 @@ def test_accredit_rejects_bad_noise_rates(runner, ghz_file, tmp_path):
     assert "X + Y + Z <= 1" in result.output
 
 
+def test_accredit_rejects_unknown_rate_keys(runner, ghz_file, tmp_path):
+    noise_path = tmp_path / "noise.json"
+    for doc in ('{"variant": "independent", "default_rates": {"x": 0.5}}',
+                '{"variant": "independent", "rates": '
+                '[{"k": 0, "loc": 1, "z": 0.5}]}'):
+        noise_path.write_text(doc)
+        result = runner.invoke(main, ["accredit", "--circuit", ghz_file,
+                                      "--v", "3", "--d", "3", "--theta", "0.1",
+                                      "--noise", str(noise_path),
+                                      "--seed", "1"])
+        assert result.exit_code == 2
+        assert "unknown" in result.output
+
+
 def test_bounds_csv(runner):
     result = runner.invoke(main, ["bounds", "--v", "3", "--n", "7", "--m", "7",
                                   "--r0-grid", "0:0.01:10"])

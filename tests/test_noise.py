@@ -173,3 +173,94 @@ def test_model_json_variants():
     assert model.has_pauli_part and model.has_gate_part
     with pytest.raises(ValueError, match="variant"):
         model_from_json('{"variant": "bogus"}')
+
+
+def test_independent_error_bits_match_rates():
+    rates = {"X": 0.1, "Y": 0.2, "Z": 0.3}
+    model = IndependentLocationChannels(default_rates=rates,
+                                        rates={(1, 2): {"Y": 0.5}})
+    v, n, m, draws = 2, 4, 3, 4000
+    x = np.empty((draws, v + 1, m + 1, n), np.uint8)
+    z = np.empty_like(x)
+    rng = np.random.default_rng(13)
+    for i in range(draws):
+        x[i], z[i] = model.sample_error_bits(v, n, m, rng)
+
+    def freqs(sel):
+        xs, zs = x[(slice(None),) + sel], z[(slice(None),) + sel]
+        return {"X": (xs & ~zs).mean(), "Y": (xs & zs).mean(),
+                "Z": (~xs & zs).mean()}
+
+    samples = draws * n
+    for sel, expected in (((0, 1), rates), ((2, 2), rates),
+                          ((1, 2), {"X": 0.0, "Y": 0.5, "Z": 0.0}),
+                          ((0, 0), {"X": 0.0, "Y": 0.0, "Z": 0.3}),
+                          ((1, m), {"X": 0.0, "Y": 0.0, "Z": 0.3})):
+        for letter, f in freqs(sel).items():
+            p = expected[letter]
+            assert abs(f - p) <= 5 * np.sqrt(p * (1 - p) / samples) + 1e-12
+    # X and Y never fire at the end locations
+    assert not x[:, :, 0].any() and not x[:, :, m].any()
+
+
+def test_error_bits_agree_with_collections():
+    coll = PauliErrorCollection.from_json(
+        '[["Z", "X", "I"], ["I", "Y", "Z"]]')
+    model = ExplicitCollectionDistribution([(coll, 1.0)])
+    x, z = model.sample_error_bits(1, 1, 2, np.random.default_rng(0))
+    assert x[:, :, 0].tolist() == [[0, 1, 0], [0, 1, 0]]
+    assert z[:, :, 0].tolist() == [[1, 0, 0], [0, 1, 1]]
+    assert PauliErrorCollection.from_bits(x, z).circuits == tuple(
+        tuple(PauliString(1, p.x_bits, p.z_bits) for p in locs)
+        for locs in coll.circuits)
+    with pytest.raises(ValueError, match="qubit count"):
+        model.sample_error_bits(1, 2, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="shape"):
+        model.sample_error_bits(2, 1, 2, np.random.default_rng(0))
+    x, z = noiseless().sample_error_bits(3, 2, 4, np.random.default_rng(0))
+    assert x.shape == z.shape == (4, 5, 2) and not x.any() and not z.any()
+    composite = CompositeModel(pauli_part=model,
+                               gate_part=BoundedGateNoise(rate=0.1, n=1))
+    assert np.array_equal(
+        composite.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1],
+        model.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1])
+    # the collection sampler is the bit sampler, draw for draw
+    ilc = IndependentLocationChannels(default_rates={"X": 0.3, "Z": 0.3})
+    bits = ilc.sample_error_bits(2, 3, 3, np.random.default_rng(7))
+    assert ilc.sample_collection(2, 3, 3, np.random.default_rng(7)) \
+        == PauliErrorCollection.from_bits(*bits)
+
+
+def test_independent_channels_reject_unknown_rate_keys():
+    for bad in ({"x": 0.5}, {"X": 0.1, "Q": 0.1}):
+        with pytest.raises(ValueError, match="unknown"):
+            IndependentLocationChannels(default_rates=bad)
+        with pytest.raises(ValueError, match="unknown"):
+            IndependentLocationChannels(rates={(0, 1): bad})
+    for doc in ('{"variant": "independent", "default_rates": {"x": 0.5}}',
+                '{"variant": "independent", "rates": '
+                '[{"k": 0, "loc": 1, "x": 0.5}]}',
+                '{"variant": "independent", "rates": '
+                '[{"k": 0, "loc": 1, "Z": 0.5, "prob": 1}]}'):
+        with pytest.raises(ValueError, match="unknown"):
+            model_from_json(doc)
+    model = model_from_json('{"variant": "independent", "rates": '
+                            '[{"k": 0, "loc": 1, "X": 1.0}]}')
+    x, _ = model.sample_error_bits(1, 2, 2, np.random.default_rng(0))
+    assert x[0, 1].all() and not x[1].any()
+
+
+def test_random_adversary_touches_one_location_per_slot():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        adv = noise.random_adversary(3, 4, 3, rng)
+        assert 1 <= len(adv.entries) <= 3
+        assert abs(sum(p for _, p in adv.entries) - 1.0) < 1e-12
+        touched = None
+        for coll, _ in adv.entries:
+            slots = coll.touched_circuits()
+            assert touched is None or slots == touched
+            touched = slots
+            for k in slots:
+                assert sum(not p.is_identity for p in coll.slice_for(k)) == 1
+        assert 1 <= len(touched) <= 4

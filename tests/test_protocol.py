@@ -4,17 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qaccredit import families, protocol, qotp, simulator
+from qaccredit import families, protocol, qotp, simulator, traps
 from qaccredit.mesothetic import BobStrategy, run_session
-from qaccredit.noise import (BoundedGateNoise, CompositeModel,
+from qaccredit.noise import (BoundedGateNoise, CompositeModel, DeviationEvent,
                              ExplicitCollectionDistribution,
+                             IndependentLocationChannels,
                              PauliErrorCollection, noiseless)
 from qaccredit.pauli import PauliString
+from qaccredit.simulator import SimLimitError, SimLimits
 from qaccredit.protocol import (AccreditationReport, DomainError,
                                 OperationCounts, ProtocolConfig, RunOutcome,
                                 confidence, curve_to_csv, delta_bound,
                                 epsilon_theorem1, epsilon_theorem2, eq1_bound,
-                                figure8_curve, plan_run, single_run)
+                                figure8_curve, plan_run, run_rng,
+                                single_run)
 
 
 def test_epsilon_theorem1_values():
@@ -174,6 +177,115 @@ def test_accredit_with_gate_noise_mode():
     # r=0 means g=1, so theorem2 epsilon collapses to the theorem1 value
     assert rep.epsilon == 0.421875
     assert rep.n_acc == 5
+
+
+def _hoeffding(d: int, delta: float = 1e-9) -> float:
+    """t with P(|difference of two d-run frequencies| >= t) <= delta."""
+    return math.sqrt(math.log(2.0 / delta) / d)
+
+
+def test_pad_free_runs_match_padded_runs():
+    target, v, d = families.ghz_circuit(2), 3, 3000
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.03, "Y": 0.03, "Z": 0.03})
+    cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=41, noise=model)
+    fast = protocol.accredit(cfg, target).accepted_outputs
+    slow = []
+    for r in range(d):
+        out = single_run(target, v, model, run_rng(42, r))
+        if out.flag == "acc":
+            slow.append(out.target_output)
+    assert abs(len(fast) - len(slow)) / d <= _hoeffding(d)
+    # TV between the two empirical distributions over k = 4 outcomes: its
+    # mean is at most sum_i sqrt(k / N_i) / 2, and McDiarmid (one sample
+    # moves it by at most 1/N_i) adds t with exp(-2t^2 / sum_i 1/N_i) = 1e-9
+    hist = [np.bincount([int(o[0]) + 2 * int(o[1]) for o in outs],
+                        minlength=4) / len(outs) for outs in (fast, slow)]
+    inv = 1 / len(fast) + 1 / len(slow)
+    tol = (math.sqrt(4 / len(fast)) + math.sqrt(4 / len(slow))) / 2 \
+        + math.sqrt(math.log(1e9) * inv / 2)
+    assert 0.5 * np.abs(hist[0] - hist[1]).sum() <= tol
+    # the noise is visible in the target: odd-parity GHZ outputs occur
+    assert hist[0][1] + hist[0][2] > 0
+
+
+def test_pad_free_slots_see_their_own_errors():
+    # Z on qubit 0 before measurement, in slot 2 only: a trap there always
+    # rejects, and a target there always outputs odd GHZ parity
+    target, v, d = families.ghz_circuit(2), 3, 400
+    ident, z0 = PauliString(2), PauliString(2, 0, 1)
+    circuits = [(ident,) * (target.m + 1)] * (v + 1)
+    circuits[2] = (ident,) * target.m + (z0,)
+    model = ExplicitCollectionDistribution(
+        [(PauliErrorCollection(tuple(circuits)), 1.0)])
+    cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=43, noise=model)
+    report = protocol.accredit(cfg, target)
+    # exactly the runs that hide the target at slot 2 accept
+    assert abs(report.n_acc / d - 1 / (v + 1)) \
+        <= math.sqrt(math.log(2e9) / (2 * d))
+    assert all(int(out.sum()) % 2 == 1 for out in report.accepted_outputs)
+
+
+def test_accredit_report_repeats_under_pauli_noise(monkeypatch):
+    target = families.ghz_circuit(3)
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02})
+
+    def report(d):
+        cfg = ProtocolConfig(v=3, d=d, theta=0.1, master_seed=98,
+                             noise=model)
+        return protocol.accredit(cfg, target)
+
+    first = report(300)
+    assert 0 < first.n_acc < 300
+    assert report(300).to_json() == first.to_json()
+    # each run draws from its own generator, so neither the block size of
+    # the batched frame nor the number of runs changes a run's outcome
+    monkeypatch.setattr(protocol, "RUN_BLOCK", 7)
+    assert report(300).to_json() == first.to_json()
+    short = report(100)
+    assert [o.tolist() for o in short.accepted_outputs] == \
+        [o.tolist() for o in first.accepted_outputs[:short.n_acc]]
+
+
+def test_accredit_checks_target_size_before_running():
+    target = families.ghz_circuit(3)
+    cfg = ProtocolConfig(v=3, d=5, theta=0.05, master_seed=12,
+                         noise=_z_everywhere_model(3, 3, target.m),
+                         limits=SimLimits(max_statevector_qubits=2))
+    # no run accepts, yet the target could never have been simulated
+    with pytest.raises(SimLimitError):
+        protocol.accredit(cfg, target)
+
+
+def test_pauli_deviations_fold_into_trap_frame():
+    rng = np.random.default_rng(17)
+    tiny = SimLimits(max_statevector_qubits=1)  # proves no dense fallback
+    for _ in range(150):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        topo = families.random_clifford_circuit(n, m, rng)
+        trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
+        dressed = qotp.dress(trap, qotp.sample_pads(n, m, rng))
+        errors = [PauliString(n, 0 if loc in (0, m)
+                              else int(rng.integers(0, 2 ** n)),
+                              int(rng.integers(0, 2 ** n)))
+                  for loc in range(m + 1)]
+        deviations = {}
+        for j in rng.choice(m, size=int(rng.integers(1, m + 1)),
+                            replace=False):
+            deviations[int(j)] = [
+                DeviationEvent(qubit=int(rng.integers(0, n)), x=1, z=0),
+                PauliString(n, int(rng.integers(0, 2 ** n)),
+                            int(rng.integers(0, 2 ** n)))]
+        frame = protocol._simulate_circuit(dressed, errors, deviations, rng,
+                                           tiny, is_trap=True)
+        dense = simulator.run_statevector(dressed.circuit, errors,
+                                          deviations, rng)
+        assert np.array_equal(frame, dense)
+    # a matrix-valued deviation still needs the dense backend
+    with pytest.raises(SimLimitError):
+        protocol._simulate_circuit(dressed, errors, {0: [np.eye(2 ** n)]},
+                                   rng, tiny, is_trap=True)
 
 
 def test_config_invariants():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qaccredit import families, pauli, simulator, traps
+from qaccredit import families, noise, pauli, simulator, traps
 from qaccredit.circuit import Band, Circuit, clifford_gate, identity_circuit
 from qaccredit.noise import identity_collection
 from qaccredit.pauli import PauliString
@@ -214,3 +216,51 @@ def test_run_statevector_deterministic_given_seed():
     a = run_statevector(circ, rng=np.random.default_rng(123))
     b = run_statevector(circ, rng=np.random.default_rng(123))
     assert np.array_equal(a, b)
+
+
+def _choice_from_bits(topology, row):
+    """TrapChoice of one flat choice row (band-major, pairs first, t last)."""
+    pair_bits, single_bits, col = [], [], 0
+    for band in topology.bands[:-1]:
+        n_pairs = len(band.cz_pairs)
+        n_single = topology.n - 2 * n_pairs
+        pair_bits.append(tuple(int(b) for b in row[col:col + n_pairs]))
+        single_bits.append(tuple(int(b) for b in
+                                 row[col + n_pairs:col + n_pairs + n_single]))
+        col += n_pairs + n_single
+    assert col == len(row) - 1
+    return TrapChoice(pair_bits=tuple(pair_bits),
+                      single_bits=tuple(single_bits), t=int(row[-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(2, 6), traps_count=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, m=2, traps_count=4, seed=0)
+@example(n=1, m=5, traps_count=8, seed=1)
+@example(n=2, m=2, traps_count=1, seed=2)
+def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
+    rng = np.random.default_rng(seed)
+    topo = families.random_clifford_circuit(n, m, rng)
+    bits = rng.integers(0, 2, size=(traps_count, traps.choice_width(topo)),
+                        dtype=np.uint8)
+    bits[0, -1] = 1  # at least one Hadamard-sandwiched trap
+    err_x = rng.integers(0, 2, size=(traps_count, m + 1, n), dtype=np.uint8)
+    err_z = rng.integers(0, 2, size=(traps_count, m + 1, n), dtype=np.uint8)
+    gates = traps.trap_cliffords(topo, bits)
+    flips = simulator.frame_flips(topo, gates, err_x, err_z)
+    assert flips.shape == (traps_count, n)
+    for r in range(traps_count):
+        trap = generate_trap(topo, _choice_from_bits(topo, bits[r]))
+        assert [[g.clifford for g in band.singles] for band in trap.bands] \
+            == gates[r].tolist()
+        errors = noise.paulis_from_bits(err_x[r], err_z[r])
+        assert np.array_equal(flips[r], trap_output(trap, errors))
+
+
+def test_trap_cliffords_rejects_bad_input():
+    with pytest.raises(ValueError, match="2 bands"):
+        traps.trap_cliffords(identity_circuit(2, 1), np.zeros((1, 1)))
+    topo = families.ghz_circuit(3)
+    with pytest.raises(ValueError, match="choice_width"):
+        traps.trap_cliffords(topo, np.zeros((1, traps.choice_width(topo) + 1)))
