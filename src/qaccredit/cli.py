@@ -171,7 +171,7 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, bound, seed, out):
             target = families.random_clifford_circuit(
                 n, m, np.random.default_rng(seed))
             for _ in range(adversaries):
-                adv = random_adversary(n, m, v, rng)
+                adv = random_adversary(n, m, v, rng, min_slots=2)
                 reports.append(oracles.theorem1_empirical(
                     target, v, adv, runs=runs, rng=rng))
     except SimLimitError as exc:

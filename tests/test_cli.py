@@ -171,8 +171,12 @@ def test_oracle_pauli_twirl_passes(runner):
 def test_oracle_theorem1_passes(runner):
     result = runner.invoke(main, ["oracle", "--which", "theorem1", "--n", "2",
                                   "--m", "2", "--v", "3", "--runs", "20000",
-                                  "--adversaries", "3", "--seed", "7"])
+                                  "--adversaries", "8", "--seed", "7"])
     assert result.exit_code == 0, result.output
+    # one touched slot meets the bound with equality; the CLI draws >= 2
+    reports = [json.loads(line) for line in result.output.splitlines()]
+    assert len(reports) == 8
+    assert all(r["detail"]["v_hat"] >= 2 for r in reports)
 
 
 def test_oracle_corrupted_bound_hook(runner):

@@ -213,7 +213,7 @@ def test_error_bits_agree_with_collections():
     assert PauliErrorCollection.from_bits(x, z).circuits == tuple(
         tuple(PauliString(1, p.x_bits, p.z_bits) for p in locs)
         for locs in coll.circuits)
-    with pytest.raises(ValueError, match="qubit count"):
+    with pytest.raises(ValueError, match="shape"):
         model.sample_error_bits(1, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape"):
         model.sample_error_bits(2, 1, 2, np.random.default_rng(0))
@@ -264,3 +264,14 @@ def test_random_adversary_touches_one_location_per_slot():
             for k in slots:
                 assert sum(not p.is_identity for p in coll.slice_for(k)) == 1
         assert 1 <= len(touched) <= 4
+
+
+def test_random_adversary_min_slots():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        adv = noise.random_adversary(2, 2, 3, rng, min_slots=2)
+        assert all(len(coll.touched_circuits()) >= 2
+                   for coll, _ in adv.entries)
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="min_slots"):
+            noise.random_adversary(2, 2, 3, rng, min_slots=bad)
