@@ -86,6 +86,15 @@ def cmd_accredit(circuit_path, v, d, theta, noise_path, epsilon_mode, seed, out)
         report = protocol.accredit(config, target)
     except SimLimitError as exc:
         _fail(EXIT_SIM_LIMITS, str(exc))
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
+    if report.bound_vacuous:
+        bound = "unavailable" if report.bound is None \
+            else f"{report.bound:.4g}"
+        click.echo(f"note: vacuous bound {bound}", err=True)
+    if report.confidence_vacuous:
+        click.echo(f"note: vacuous confidence {report.confidence:.4g} "
+                   "(at most 0)", err=True)
     _emit(report.to_json() + "\n", out)
 
 

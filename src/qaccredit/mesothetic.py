@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pauli, qotp, simulator
 from .circuit import Circuit
-from .noise import DeviationEvent, NoiseModel
+from .noise import NoiseModel
 from .oracles import LemmaReport, three_sigma_report
 from .pauli import PauliString
 from .protocol import epsilon_theorem1, epsilon_theorem2, plan_run
@@ -130,12 +130,6 @@ class SessionReport:
     v0: int
 
 
-def _as_pauli(dev, n: int) -> PauliString:
-    if isinstance(dev, DeviationEvent):
-        return dev.as_pauli(n)
-    return dev
-
-
 def run_session(target: Circuit, v: int, bob: BobStrategy,
                 rng: np.random.Generator,
                 abort_on_trap_failure: bool = True,
@@ -158,7 +152,7 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
                       else alice_noise.sample_deviations(k, m, rng))
         register = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
-            register.apply_pauli(BOB, _as_pauli(dev, n))
+            register.apply_pauli(BOB, dev)
         register.transfer(BOB, ALICE)
         channel.send(Message("qubits_to_alice", register=register))
         for j, band in enumerate(dressed.circuit.bands):
@@ -167,21 +161,21 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
             for i, gate in enumerate(band.singles):
                 reg.apply_single(ALICE, gate.to_matrix(), i)
             for dev in deviations.get(j, []):
-                reg.apply_pauli(ALICE, _as_pauli(dev, n))
+                reg.apply_pauli(ALICE, dev)
             reg.transfer(ALICE, BOB)
             channel.send(Message("qubits_to_bob", register=reg))
             msg = channel.receive("qubits_to_bob")
             reg = msg.register
             if j < m - 1:
                 for dev in bob.deviations_for(k, j + 1):
-                    reg.apply_pauli(BOB, _as_pauli(dev, n))
+                    reg.apply_pauli(BOB, dev)
                 for pair in band.sorted_pairs():
                     reg.apply_cz(BOB, *pair)
                 reg.transfer(BOB, ALICE)
                 channel.send(Message("qubits_to_alice", register=reg))
             else:
                 for dev in bob.deviations_for(k, m):
-                    reg.apply_pauli(BOB, _as_pauli(dev, n))
+                    reg.apply_pauli(BOB, dev)
                 bits = reg.measure_x(BOB, rng)
                 channel.send(Message("measurement_results", bits=bits))
         msg = channel.receive("measurement_results")
@@ -208,7 +202,7 @@ def _corrupts_target(target: Circuit, bob: BobStrategy, k: int) -> bool:
     for loc in range(m + 1):
         p = PauliString(n)
         for dev in bob.deviations_for(k, loc):
-            p = pauli.multiply(_as_pauli(dev, n), p)
+            p = pauli.multiply(dev, p)
         errs.append(p)
     frame = simulator.propagate_frame(target, errs)
     return pauli.z_mask(frame) != 0

@@ -8,15 +8,18 @@ end locations are restricted to {I, Z}-only strings (X-type noise there is
 absorbed by preparation/measurement in the X basis).
 
 Gate noise is a per-(circuit, band) rate r: with probability 1-r nothing
-happens, otherwise a sampled deviation fires. Models never see which circuit
-is the target or any pad/trap bits.
+happens, otherwise a single-qubit Pauli deviation fires right after the
+band's single-qubit round. A deviation that is not a Pauli needs no model
+of its own: the one-time pad twirls it into a Pauli mixture, which the twirl
+oracle checks. Models never see which circuit is the target or any pad/trap
+bits.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,18 +111,6 @@ def identity_collection(num_circuits: int, n: int, m: int) -> PauliErrorCollecti
         tuple(tuple(ident for _ in range(m + 1)) for _ in range(num_circuits)))
 
 
-@dataclass(frozen=True)
-class DeviationEvent:
-    """A single-qubit Pauli deviation fired by gate noise."""
-
-    qubit: int
-    x: int
-    z: int
-
-    def as_pauli(self, n: int) -> PauliString:
-        return PauliString(n, self.x << self.qubit, self.z << self.qubit)
-
-
 # ---------------------------------------------------------------------------
 # Model variants
 # ---------------------------------------------------------------------------
@@ -145,7 +136,7 @@ class NoiseModel:
         return x, z
 
     def sample_gate_deviation(self, k: int, j: int,
-                              rng: np.random.Generator) -> Optional[DeviationEvent]:
+                              rng: np.random.Generator) -> Optional[PauliString]:
         raise ValueError("this noise model has no gate-noise part")
 
     def sample_deviations(self, k: int, m: int,
@@ -212,7 +203,9 @@ class IndependentLocationChannels(NoiseModel):
     ``rates[(k, loc)]`` (or the default rate) maps each of the letters X/Y/Z
     to a firing probability per qubit; X/Y rates are forced to 0 at the end
     locations so the Z-only constraint holds by construction. Any other key
-    is rejected, so a misspelt letter cannot silently mean rate 0.
+    is rejected, so a misspelt letter cannot silently mean rate 0. For the
+    same reason sampling raises when a location (k, loc) lies outside the
+    v+1 circuits and m+1 locations being sampled.
     """
 
     has_pauli_part = True
@@ -220,6 +213,11 @@ class IndependentLocationChannels(NoiseModel):
     def __init__(self, default_rates=None, rates=None):
         self.default_rates = dict(default_rates or {})
         self.rates = {k: dict(v) for k, v in (rates or {}).items()}
+        for key in self.rates:
+            if not all(isinstance(i, (int, np.integer)) and i >= 0
+                       for i in key):
+                raise ValueError(f"rate location {key} needs integers "
+                                 "k, loc >= 0")
         for r in (self.default_rates, *self.rates.values()):
             unknown = set(r) - set("XYZ")
             if unknown:
@@ -237,9 +235,11 @@ class IndependentLocationChannels(NoiseModel):
             rates = np.empty((v + 1, m + 1, 3))
             rates[...] = [float(self.default_rates.get(p, 0.0)) for p in "XYZ"]
             for (k, loc), r in self.rates.items():
-                if k in range(v + 1) and loc in range(m + 1):
-                    rates[int(k), int(loc)] = [float(r.get(p, 0.0))
-                                               for p in "XYZ"]
+                if k > v or loc > m:
+                    raise ValueError(
+                        f"rate location (k={k}, loc={loc}) lies outside "
+                        f"circuits 0..{v} and locations 0..{m}")
+                rates[k, loc] = [float(r.get(p, 0.0)) for p in "XYZ"]
             rates[:, [0, m], :2] = 0.0
             self._cumulative[v, m] = np.cumsum(rates, axis=-1)[:, :, None, :]
         return self._cumulative[v, m]
@@ -294,28 +294,21 @@ def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,
     return ExplicitCollectionDistribution([(c, p / total) for c, p in entries])
 
 
-def _default_deviation_sampler(n: int, rng: np.random.Generator) -> DeviationEvent:
-    """Uniform non-identity Pauli on a uniform random qubit."""
-    q = int(rng.integers(0, n))
-    x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
-    return DeviationEvent(qubit=q, x=x, z=z)
-
-
 class BoundedGateNoise(NoiseModel):
     """Diamond-norm-bounded single-qubit-gate deviations.
 
     ``rate`` may be a float (same r everywhere) or a map (k, j) -> r. Each
-    single-qubit round fires a deviation with probability r; the deviation
-    sampler is pluggable and defaults to a random non-identity Pauli.
+    single-qubit round fires a deviation with probability r: a uniform
+    non-identity Pauli on a uniform random qubit. The pads twirl any other
+    deviation into a Pauli mixture, so Pauli deviations are the ones to
+    simulate.
     """
 
     has_gate_part = True
 
-    def __init__(self, rate, n: int,
-                 sampler: Optional[Callable] = None):
+    def __init__(self, rate, n: int):
         self._rate = rate
         self.n = n
-        self.sampler = sampler or _default_deviation_sampler
         for r in ([rate] if not isinstance(rate, dict) else rate.values()):
             if not 0.0 <= float(r) < 1.0:
                 raise ValueError("rates must lie in [0, 1)")
@@ -329,7 +322,9 @@ class BoundedGateNoise(NoiseModel):
         r = self.gate_rate(k, j)
         if rng.random() >= r:
             return None
-        return self.sampler(self.n, rng)
+        q = int(rng.integers(0, self.n))
+        x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
+        return PauliString(self.n, x << q, z << q)
 
 
 class CompositeModel(NoiseModel):

@@ -11,6 +11,10 @@ with confidence 1 - 2 exp(-2 d theta^2), where epsilon is the credibility
 parameter: kappa / (v + 1) with kappa = 27/16 for Pauli-collection noise,
 or g * kappa / (v + 1) + 1 - g when single-qubit rounds additionally suffer
 diamond-norm-bounded deviations with survival factor g.
+
+:func:`accredit` runs the protocol without the pads, which change nothing
+observable under Pauli errors and Pauli gate deviations (Lemma 1);
+:func:`single_run` is the padded run it is checked against.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import noise as noise_mod
-from . import pauli, qotp, simulator, traps
+from . import qotp, simulator, traps
 from .circuit import Circuit, validate
-from .noise import DeviationEvent, NoiseModel
-from .pauli import PauliString
+from .noise import NoiseModel
 from .simulator import DEFAULT_LIMITS, SimLimits
 
 KAPPA = Fraction(27, 16)  # 3 * (3/4)^2, exact
@@ -114,6 +117,16 @@ class AccreditationReport:
     accepted_outputs: list = field(default_factory=list)
     seed: Optional[int] = None
 
+    @property
+    def bound_vacuous(self) -> bool:
+        """The bound is unavailable or above 1, so it says nothing."""
+        return self.bound is None or self.bound > 1.0
+
+    @property
+    def confidence_vacuous(self) -> bool:
+        """The confidence is at most 0: d is too small for this theta."""
+        return self.confidence <= 0.0
+
     def to_json(self) -> str:
         return json.dumps({
             "n_acc": self.n_acc,
@@ -122,6 +135,8 @@ class AccreditationReport:
             "epsilon": self.epsilon,
             "confidence": self.confidence,
             "bound": self.bound if self.bound is not None else "unavailable",
+            "bound_vacuous": self.bound_vacuous,
+            "confidence_vacuous": self.confidence_vacuous,
             "accepted_outputs": ["".join(str(int(b)) for b in out)
                                  for out in self.accepted_outputs],
             "seed": self.seed,
@@ -134,39 +149,6 @@ def eq1_bound(epsilon: float, n_acc: int, d: int, theta: float) -> Optional[floa
     if denom <= 0:
         return None
     return float(epsilon) / denom
-
-
-def _fold_deviations(errors, deviations: dict, n: int) -> list:
-    """The error slice with each band-j Pauli deviation moved to location j+1.
-
-    A deviation acts right after band j's single-qubit round and just before
-    the location-(j+1) error (location m for the last band), so the product
-    is the same operator up to phase.
-    """
-    errors = list(errors)
-    for j, devs in deviations.items():
-        for dev in devs:
-            if isinstance(dev, DeviationEvent):
-                dev = dev.as_pauli(n)
-            errors[j + 1] = pauli.multiply(errors[j + 1], dev)
-    return errors
-
-
-def _simulate_circuit(dressed: qotp.DressedCircuit, errors, deviations,
-                      rng, limits, is_trap: bool) -> np.ndarray:
-    """Raw (pre-key) output bits of one implemented circuit.
-
-    Clifford traps whose deviations are all Paulis are handled by the exact
-    frame backend (their noiseless padded output is the key itself, so the
-    raw output is key XOR flip-mask); everything else goes dense.
-    """
-    circ = dressed.circuit
-    if is_trap and circ.all_clifford and all(
-            isinstance(dev, (DeviationEvent, PauliString))
-            for devs in deviations.values() for dev in devs):
-        errors = _fold_deviations(errors, deviations, circ.n)
-        return simulator.trap_output(circ, errors) ^ dressed.key
-    return simulator.run_statevector(circ, errors, deviations, rng, limits)
 
 
 def _check_plan(target: Circuit, v: int):
@@ -182,8 +164,8 @@ def plan_run(target: Circuit, v: int,
     """The verifier's secret choices for one run: (v0, dressed circuits).
 
     Draws the target's slot v0, then slot by slot a trap choice (every slot
-    but v0) and fresh pads. Both the direct run and the two-party session
-    execute the v+1 dressed circuits this returns.
+    but v0) and fresh pads. Both the padded reference run and the
+    two-party session execute the v+1 dressed circuits this returns.
     """
     _check_plan(target, v)
     n, m = target.n, target.m
@@ -199,26 +181,29 @@ def plan_run(target: Circuit, v: int,
 def single_run(target: Circuit, v: int, noise: NoiseModel,
                rng: np.random.Generator,
                limits: SimLimits = DEFAULT_LIMITS) -> RunOutcome:
-    """One protocol run: hide the target among v traps, pad, simulate, flag."""
+    """One padded protocol run, the reference that :func:`accredit` matches.
+
+    Hides the target among v traps and pads every circuit
+    (:func:`plan_run`), draws the Pauli collection, then per slot the gate
+    deviations and one dense statevector sample of the dressed circuit,
+    post-processed with its key. The run accepts iff every trap outputs
+    all zeros.
+    """
     v0, plan = plan_run(target, v, rng)
     n, m = target.n, target.m
     collection = (noise.sample_collection(v, n, m, rng)
                   if noise.has_pauli_part
                   else noise_mod.identity_collection(v + 1, n, m))
-    target_output = None
-    trap_outputs = []
+    outputs = []
     for k, dressed in enumerate(plan):
-        deviations = noise.sample_deviations(k, m, rng)
-        raw = _simulate_circuit(dressed, collection.slice_for(k),
-                                deviations, rng, limits, is_trap=(k != v0))
-        out = qotp.postprocess(raw, dressed.key)
-        if k == v0:
-            target_output = out
-        else:
-            trap_outputs.append(out)
+        raw = simulator.run_statevector(
+            dressed.circuit, collection.slice_for(k),
+            noise.sample_deviations(k, m, rng), rng, limits)
+        outputs.append(qotp.postprocess(raw, dressed.key))
+    trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"
-    return RunOutcome(v0=v0, target_output=target_output,
-                      trap_outputs=tuple(trap_outputs), flag=flag)
+    return RunOutcome(v0=v0, target_output=outputs[v0],
+                      trap_outputs=trap_outputs, flag=flag)
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -226,45 +211,62 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, run_index]))
 
 
-def _padded_runs(config: ProtocolConfig, target: Circuit) -> list:
-    """Accepted target outputs of d padded runs, one :func:`single_run` each."""
-    outputs = []
-    for r in range(config.d):
-        outcome = single_run(target, config.v, config.noise,
-                             run_rng(config.master_seed, r), config.limits)
-        if outcome.flag == "acc":
-            outputs.append(outcome.target_output)
-    return outputs
-
-
-# Runs per batched frame; bounds the pad-free path's memory for any d.
+# Runs per batched frame; bounds the trap frame's memory for any d.
 RUN_BLOCK = 128
 
 
+def _fold_deviations(err_x: np.ndarray, err_z: np.ndarray, deviations: dict):
+    """XOR each band-j Pauli deviation into location j+1 of one error slice.
+
+    A deviation acts right after band j's single-qubit round and just before
+    the location-(j+1) error (location m for the last band, which has no
+    cZ), so the product is the same operator up to phase.
+    """
+    qubits = np.arange(err_x.shape[-1])
+    for j, devs in deviations.items():
+        for dev in devs:
+            err_x[j + 1] ^= (dev.x_bits >> qubits & 1).astype(np.uint8)
+            err_z[j + 1] ^= (dev.z_bits >> qubits & 1).astype(np.uint8)
+
+
 def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
-    """Accepted target outputs of d runs under Pauli-only noise.
+    """Accepted target outputs of d runs, in run order, without padding.
 
     By Lemma 1 the one-time pad changes neither a trap's flip mask nor the
-    target's post-processed output distribution under Pauli noise, so no
+    target's post-processed output distribution under Pauli errors, and
+    every gate deviation is a Pauli folded into the error bits, so no
     circuit is padded: the traps of a block of runs move through one
     batched Pauli frame, and each accepted run samples the bare target.
     Run r draws from ``run_rng(master_seed, r)``, in order: v0, the flat
     choice bits of its v traps (slot order), the error bits of its v+1
-    slots and, only if every trap outputs zeros, the target sample.
+    slots, the gate deviations of slots 0..v and, only if every trap
+    outputs zeros, the uniform that picks its target sample
+    (:func:`simulator.sample_bits`'s rule).
     """
     _check_plan(target, config.v)
     simulator.check_statevector_size(target.n, config.limits)
-    # the target's output distribution depends only on its error slice
-    distributions = {}
-    outputs = []
+    # (run, sample draw) of each accepted run, by its target's error bits
+    slices = {}
     for start in range(0, config.d, RUN_BLOCK):
         runs = range(start, min(start + RUN_BLOCK, config.d))
-        outputs += _pad_free_block(config, target, runs, distributions)
-    return outputs
+        for r, u, bits in _pad_free_block(config, target, runs):
+            slices.setdefault(bits, []).append((r, u))
+    # one target distribution at a time
+    outputs = [None] * config.d
+    shape = (2, target.m + 1, target.n)
+    for bits, accepted in slices.items():
+        x, z = np.frombuffer(bits, dtype=np.uint8).reshape(shape)
+        probs = simulator.statevector_distribution(
+            target, noise_mod.paulis_from_bits(x, z), limits=config.limits)
+        run_ids, draws = zip(*accepted)
+        for r, i in zip(run_ids, simulator.quantile_indices(probs, draws)):
+            outputs[r] = simulator.index_to_bits(int(i), target.n)
+    return [out for out in outputs if out is not None]
 
 
-def _pad_free_block(config: ProtocolConfig, target: Circuit, runs: range,
-                    distributions: dict) -> list:
+def _pad_free_block(config: ProtocolConfig, target: Circuit,
+                    runs: range) -> list:
+    """(run, sample draw, target error bits as bytes) per accepted run."""
     v, noise, b = config.v, config.noise, len(runs)
     n, m = target.n, target.m
     width = traps.choice_width(target)
@@ -279,6 +281,10 @@ def _pad_free_block(config: ProtocolConfig, target: Circuit, runs: range,
         choice[i] = rng.integers(0, 2, size=(v, width), dtype=np.uint8)
         if noise.has_pauli_part:
             err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
+        if noise.has_gate_part:
+            for k in range(v + 1):
+                _fold_deviations(err_x[i, k], err_z[i, k],
+                                 noise.sample_deviations(k, m, rng))
         rngs.append(rng)
     # run i's t-th trap sits at the t-th slot other than v0[i]
     slots = np.arange(v) + (np.arange(v) >= v0[:, None])
@@ -287,33 +293,23 @@ def _pad_free_block(config: ProtocolConfig, target: Circuit, runs: range,
         target, traps.trap_cliffords(target, choice.reshape(b * v, width)),
         err_x[rows, slots].reshape(b * v, m + 1, n),
         err_z[rows, slots].reshape(b * v, m + 1, n))
-    outputs = []
-    for i in np.flatnonzero(~flips.reshape(b, v * n).any(axis=1)):
-        x, z = err_x[i, v0[i]], err_z[i, v0[i]]
-        key = x.tobytes() + z.tobytes()
-        if key not in distributions:
-            distributions[key] = simulator.statevector_distribution(
-                target, noise_mod.paulis_from_bits(x, z), limits=config.limits)
-        outputs.append(simulator.sample_bits(distributions[key], n, rngs[i]))
-    return outputs
+    return [(runs[i], rngs[i].random(),
+             err_x[i, v0[i]].tobytes() + err_z[i, v0[i]].tobytes())
+            for i in np.flatnonzero(~flips.reshape(b, v * n).any(axis=1))]
 
 
 def accredit(config: ProtocolConfig, target: Circuit) -> AccreditationReport:
     """Execute d independent runs and assemble the accreditation report.
 
-    Under noise with no gate part the runs take the batched pad-free path;
-    gate deviations may be arbitrary matrices, so those runs are padded
-    and executed one by one.
+    Every run, under any noise model, takes the batched pad-free path
+    (:func:`_pad_free_runs`); :func:`single_run` is its padded reference.
     """
     if config.epsilon_mode == "theorem1":
         eps = epsilon_theorem1(config.v)
     else:
         g = config.noise.g_factor(config.v, target.m)
         eps = epsilon_theorem2(config.v, Fraction(g))
-    if config.noise.has_gate_part:
-        accepted = _padded_runs(config, target)
-    else:
-        accepted = _pad_free_runs(config, target)
+    accepted = _pad_free_runs(config, target)
     n_acc = len(accepted)
     return AccreditationReport(
         n_acc=n_acc,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import cliffords, pauli
 from .circuit import Circuit
-from .noise import DeviationEvent
 from .pauli import PauliString
 
 TRACE_ATOL = 1e-10
@@ -167,9 +166,8 @@ def _evolve_state(circuit: Circuit,
                   deviations: Optional[dict]) -> np.ndarray:
     """|+>^n through the circuit with Pauli errors and gate deviations.
 
-    ``deviations`` maps band index j to a list of insertions (DeviationEvent,
-    PauliString, or 2^n-dim unitary) applied after band j's single-qubit round
-    and before the location-j error.
+    ``deviations`` maps band index j to a list of PauliStrings applied after
+    band j's single-qubit round and before the location-(j+1) error.
     """
     n, m = circuit.n, circuit.m
     state = _plus_state(n)
@@ -179,12 +177,7 @@ def _evolve_state(circuit: Circuit,
         for i, gate in enumerate(band.singles):
             state = apply_single(state, gate.to_matrix(), i, n)
         for dev in (deviations or {}).get(j, []):
-            if isinstance(dev, DeviationEvent):
-                dev = dev.as_pauli(n)
-            if isinstance(dev, PauliString):
-                state = apply_pauli(state, dev, n)
-            else:
-                state = np.asarray(dev, dtype=complex) @ state
+            state = apply_pauli(state, dev, n)
         if errors is not None and j < m - 1:
             state = apply_pauli(state, errors[j + 1], n)
         for pair in band.sorted_pairs():
@@ -206,7 +199,19 @@ def x_distribution(state: np.ndarray, n: int) -> np.ndarray:
 def sample_bits(probs: np.ndarray, n: int,
                 rng: np.random.Generator) -> np.ndarray:
     """One outcome drawn from ``probs`` as an n-bit array."""
-    return index_to_bits(int(rng.choice(len(probs), p=probs)), n)
+    return index_to_bits(int(quantile_indices(probs, rng.random())), n)
+
+
+def quantile_indices(probs: np.ndarray, u) -> np.ndarray:
+    """Outcome indices at uniform draw(s) ``u`` by inverse CDF.
+
+    This is the rule ``Generator.choice(len(probs), p=probs)`` applies to
+    its one uniform draw, so a caller may take the draw first and pick the
+    outcome later.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
 
 
 def check_statevector_size(n: int, limits: SimLimits = DEFAULT_LIMITS):

@@ -56,9 +56,13 @@ def test_accredit_noiseless(runner, ghz_file):
                                   "--v", "3", "--d", "10", "--theta", "0.05",
                                   "--seed", "3"])
     assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["n_acc"] == 10
     assert doc["seed"] == 3
+    # d=10 at theta=0.05 leaves confidence -0.90: flagged, not hidden
+    assert doc["confidence_vacuous"] and not doc["bound_vacuous"]
+    assert result.stderr.splitlines() == \
+        ["note: vacuous confidence -0.9025 (at most 0)"]
 
 
 def test_accredit_rejects_small_v(runner, ghz_file):
@@ -78,7 +82,7 @@ def test_accredit_echoes_entropy_seed(runner, ghz_file):
     result = runner.invoke(main, ["accredit", "--circuit", ghz_file,
                                   "--v", "3", "--d", "2", "--theta", "0.1"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["seed"] is not None
+    assert json.loads(result.stdout)["seed"] is not None
 
 
 def test_accredit_limits_exit_code(runner, tmp_path):
@@ -125,6 +129,39 @@ def test_accredit_rejects_unknown_rate_keys(runner, ghz_file, tmp_path):
                                       "--seed", "1"])
         assert result.exit_code == 2
         assert "unknown" in result.output
+
+
+def test_accredit_notes_unavailable_bound(runner, tmp_path):
+    path = tmp_path / "ghz2.json"
+    runner.invoke(main, ["gen", "--family", "ghz", "--n", "2", "--seed", "1",
+                         "--out", str(path)])
+    noise_path = tmp_path / "noise.json"
+    # Z on both qubits before every measurement (GHZ(2) has m = 2): every
+    # trap flips both outputs, so every run rejects
+    rates = ", ".join(f'{{"k": {k}, "loc": 2, "Z": 1.0}}' for k in range(4))
+    noise_path.write_text(f'{{"variant": "independent", "rates": [{rates}]}}')
+    result = runner.invoke(main, ["accredit", "--circuit", str(path),
+                                  "--v", "3", "--d", "400", "--theta", "0.1",
+                                  "--noise", str(noise_path), "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert doc["n_acc"] == 0 and doc["bound"] == "unavailable"
+    assert doc["bound_vacuous"] and not doc["confidence_vacuous"]
+    assert result.stderr.splitlines() == ["note: vacuous bound unavailable"]
+
+
+def test_accredit_rejects_rates_outside_the_run(runner, ghz_file, tmp_path):
+    noise_path = tmp_path / "noise.json"
+    # GHZ(3) has m = 3: circuit 9 and location -1 or 4 are not sampled
+    for k, loc in ((9, 1), (0, -1), (0, 4)):
+        noise_path.write_text('{"variant": "independent", "rates": '
+                              f'[{{"k": {k}, "loc": {loc}, "Z": 1.0}}]}}')
+        result = runner.invoke(main, ["accredit", "--circuit", ghz_file,
+                                      "--v", "3", "--d", "3", "--theta", "0.1",
+                                      "--noise", str(noise_path),
+                                      "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert "error: rate location" in result.stderr
 
 
 def test_bounds_csv(runner):

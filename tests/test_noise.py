@@ -93,11 +93,13 @@ def test_gate_deviation_rates():
 def test_gate_deviation_is_nonidentity_pauli():
     model = BoundedGateNoise(rate=1 - 1e-12, n=3)
     rng = np.random.default_rng(5)
+    letters = set()
     for _ in range(100):
         dev = model.sample_gate_deviation(0, 0, rng)
-        assert dev is not None
-        assert (dev.x, dev.z) != (0, 0)
-        assert 0 <= dev.qubit < 3
+        assert isinstance(dev, PauliString) and dev.n == 3
+        assert dev.weight == 1 and dev.sign == 0
+        letters |= {dev.qubit(q) for q in range(3)} - {"I"}
+    assert letters == {"X", "Y", "Z"}
 
 
 def test_rate_bounds():
@@ -124,6 +126,24 @@ def test_independent_channels_reject_bad_rates():
         model_from_json('{"variant": "independent", "rates": '
                         '[{"k": 0, "loc": 1, "X": 0.6, "Z": 0.6}]}')
     IndependentLocationChannels(default_rates={"X": 0.5, "Y": 0.25, "Z": 0.25})
+
+
+def test_independent_channels_reject_locations_outside_the_run():
+    for key in ((0, -1), (-1, 0), (0.0, 1), (0, "1")):
+        with pytest.raises(ValueError, match="integers"):
+            IndependentLocationChannels(rates={key: {"Z": 1.0}})
+    rng = np.random.default_rng(0)
+    for key in ((9, 1), (0, 3)):
+        model = IndependentLocationChannels(rates={key: {"Z": 1.0}})
+        with pytest.raises(ValueError, match=f"k={key[0]}, loc={key[1]}"):
+            model.sample_error_bits(3, 2, 2, rng)
+    # the same key is fine where it lies inside the run
+    model = IndependentLocationChannels(rates={(9, 1): {"Z": 1.0}})
+    x, z = model.sample_error_bits(9, 2, 2, rng)
+    assert z[9, 1].all() and not z.sum() - z[9, 1].sum()
+    with pytest.raises(ValueError, match="integers"):
+        model_from_json('{"variant": "independent", "rates": '
+                        '[{"k": 0, "loc": -1, "Z": 1.0}]}')
 
 
 def test_sample_deviations_draws_band_by_band():

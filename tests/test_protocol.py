@@ -1,12 +1,15 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaccredit import families, protocol, qotp, simulator, traps
+from qaccredit import families, noise, protocol, qotp, simulator, traps
 from qaccredit.mesothetic import BobStrategy, run_session
-from qaccredit.noise import (BoundedGateNoise, CompositeModel, DeviationEvent,
+from qaccredit.noise import (BoundedGateNoise, CompositeModel,
                              ExplicitCollectionDistribution,
                              IndependentLocationChannels,
                              PauliErrorCollection, noiseless)
@@ -159,6 +162,25 @@ def test_accredit_always_rejecting():
     assert "unavailable" in rep.to_json()
 
 
+def test_report_json_keys_and_vacuous_flags():
+    # the README's command-line example: d=100 and theta=0.05 give
+    # confidence 1 - 2 exp(-0.5) = -0.21
+    cfg = ProtocolConfig(v=3, d=100, theta=0.05, master_seed=1,
+                         noise=noiseless())
+    doc = json.loads(protocol.accredit(cfg, families.ghz_circuit(3)).to_json())
+    assert set(doc) == {"n_acc", "d", "theta", "epsilon", "confidence",
+                        "bound", "bound_vacuous", "confidence_vacuous",
+                        "accepted_outputs", "seed"}
+    assert round(doc["confidence"], 2) == -0.21
+    assert doc["confidence_vacuous"] is True and doc["bound_vacuous"] is False
+    flags = []
+    for bound, conf in ((None, 0.5), (1.0, 0.0), (1.01, 1e-9)):
+        rep = AccreditationReport(n_acc=5, d=10, theta=0.1, epsilon=0.5,
+                                  confidence=conf, bound=bound)
+        flags.append((rep.bound_vacuous, rep.confidence_vacuous))
+    assert flags == [(True, False), (False, True), (True, False)]
+
+
 def test_accredit_deterministic_report():
     target = families.ghz_circuit(2)
     cfg = ProtocolConfig(v=3, d=8, theta=0.1, master_seed=99,
@@ -186,27 +208,34 @@ def _hoeffding(d: int, delta: float = 1e-9) -> float:
 
 def test_pad_free_runs_match_padded_runs():
     target, v, d = families.ghz_circuit(2), 3, 3000
-    model = IndependentLocationChannels(
+    pauli_only = IndependentLocationChannels(
         default_rates={"X": 0.03, "Y": 0.03, "Z": 0.03})
-    cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=41, noise=model)
-    fast = protocol.accredit(cfg, target).accepted_outputs
-    slow = []
-    for r in range(d):
-        out = single_run(target, v, model, run_rng(42, r))
-        if out.flag == "acc":
-            slow.append(out.target_output)
-    assert abs(len(fast) - len(slow)) / d <= _hoeffding(d)
-    # TV between the two empirical distributions over k = 4 outcomes: its
-    # mean is at most sum_i sqrt(k / N_i) / 2, and McDiarmid (one sample
-    # moves it by at most 1/N_i) adds t with exp(-2t^2 / sum_i 1/N_i) = 1e-9
-    hist = [np.bincount([int(o[0]) + 2 * int(o[1]) for o in outs],
-                        minlength=4) / len(outs) for outs in (fast, slow)]
-    inv = 1 / len(fast) + 1 / len(slow)
-    tol = (math.sqrt(4 / len(fast)) + math.sqrt(4 / len(slow))) / 2 \
-        + math.sqrt(math.log(1e9) * inv / 2)
-    assert 0.5 * np.abs(hist[0] - hist[1]).sum() <= tol
-    # the noise is visible in the target: odd-parity GHZ outputs occur
-    assert hist[0][1] + hist[0][2] > 0
+    gate_noise = CompositeModel(
+        pauli_part=IndependentLocationChannels(
+            default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02}),
+        gate_part=BoundedGateNoise(rate=0.08, n=target.n))
+    for model in (pauli_only, gate_noise):
+        cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=41,
+                             noise=model)
+        fast = protocol.accredit(cfg, target).accepted_outputs
+        slow = []
+        for r in range(d):
+            out = single_run(target, v, model, run_rng(42, r))
+            if out.flag == "acc":
+                slow.append(out.target_output)
+        assert abs(len(fast) - len(slow)) / d <= _hoeffding(d)
+        # TV between the two empirical distributions over k = 4 outcomes:
+        # its mean is at most sum_i sqrt(k / N_i) / 2, and McDiarmid (one
+        # sample moves it by at most 1/N_i) adds t with
+        # exp(-2t^2 / sum_i 1/N_i) = 1e-9
+        hist = [np.bincount([int(o[0]) + 2 * int(o[1]) for o in outs],
+                            minlength=4) / len(outs) for outs in (fast, slow)]
+        inv = 1 / len(fast) + 1 / len(slow)
+        tol = (math.sqrt(4 / len(fast)) + math.sqrt(4 / len(slow))) / 2 \
+            + math.sqrt(math.log(1e9) * inv / 2)
+        assert 0.5 * np.abs(hist[0] - hist[1]).sum() <= tol
+        # the noise is visible in the target: odd-parity GHZ outputs occur
+        assert hist[0][1] + hist[0][2] > 0
 
 
 def test_pad_free_slots_see_their_own_errors():
@@ -260,32 +289,57 @@ def test_accredit_checks_target_size_before_running():
 
 def test_pauli_deviations_fold_into_trap_frame():
     rng = np.random.default_rng(17)
-    tiny = SimLimits(max_statevector_qubits=1)  # proves no dense fallback
     for _ in range(150):
         n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         topo = families.random_clifford_circuit(n, m, rng)
         trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
+        gates = np.array([[[g.clifford for g in band.singles]
+                           for band in trap.bands]], dtype=np.uint8)
         dressed = qotp.dress(trap, qotp.sample_pads(n, m, rng))
-        errors = [PauliString(n, 0 if loc in (0, m)
-                              else int(rng.integers(0, 2 ** n)),
-                              int(rng.integers(0, 2 ** n)))
-                  for loc in range(m + 1)]
-        deviations = {}
-        for j in rng.choice(m, size=int(rng.integers(1, m + 1)),
-                            replace=False):
-            deviations[int(j)] = [
-                DeviationEvent(qubit=int(rng.integers(0, n)), x=1, z=0),
-                PauliString(n, int(rng.integers(0, 2 ** n)),
-                            int(rng.integers(0, 2 ** n)))]
-        frame = protocol._simulate_circuit(dressed, errors, deviations, rng,
-                                           tiny, is_trap=True)
-        dense = simulator.run_statevector(dressed.circuit, errors,
-                                          deviations, rng)
-        assert np.array_equal(frame, dense)
-    # a matrix-valued deviation still needs the dense backend
-    with pytest.raises(SimLimitError):
-        protocol._simulate_circuit(dressed, errors, {0: [np.eye(2 ** n)]},
-                                   rng, tiny, is_trap=True)
+        err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
+        err_x[[0, m]] = 0
+        err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
+        errors = noise.paulis_from_bits(err_x, err_z)
+        # single-qubit deviations as the model draws them, plus one
+        # arbitrary Pauli in a random band
+        deviations = BoundedGateNoise(rate=0.5, n=n).sample_deviations(
+            0, m, rng)
+        deviations.setdefault(int(rng.integers(0, m)), []).append(
+            PauliString(n, int(rng.integers(0, 2 ** n)),
+                        int(rng.integers(0, 2 ** n))))
+        protocol._fold_deviations(err_x, err_z, deviations)
+        frame = simulator.frame_flips(topo, gates, err_x[None], err_z[None])
+        dense = qotp.postprocess(simulator.run_statevector(
+            dressed.circuit, errors, deviations, rng), dressed.key)
+        assert np.array_equal(frame[0], dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(2, 4), generic=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pad_invariance_under_folded_deviations(n, m, generic, seed):
+    # Lemma 1 with gate deviations: padding changes nothing observable, so
+    # the pad-free engine may run the bare target under the folded slice
+    rng = np.random.default_rng(seed)
+    make = (families.random_generic_circuit if generic
+            else families.random_clifford_circuit)
+    target = make(n, m, rng)
+    dressed = qotp.dress(target, qotp.sample_pads(n, m, rng))
+    err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
+    err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
+    errors = noise.paulis_from_bits(err_x, err_z)
+    deviations = {j: [PauliString(n, int(rng.integers(0, 2 ** n)),
+                                  int(rng.integers(0, 2 ** n)))
+                      for _ in range(int(rng.integers(0, 3)))]
+                  for j in range(m)}
+    padded = simulator.statevector_distribution(dressed.circuit, errors,
+                                                deviations)
+    protocol._fold_deviations(err_x, err_z, deviations)
+    bare = simulator.statevector_distribution(
+        target, noise.paulis_from_bits(err_x, err_z))
+    # post-processing XORs every outcome with the key
+    key = simulator.bits_to_index(dressed.key)
+    assert np.abs(padded[np.arange(2 ** n) ^ key] - bare).max() <= 1e-12
 
 
 def test_config_invariants():

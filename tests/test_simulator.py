@@ -218,6 +218,24 @@ def test_run_statevector_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def test_sample_bits_draws_as_generator_choice():
+    # the pad-free engine takes a run's uniform draw before its target's
+    # distribution exists; the outcome must be the one choice() would pick
+    meta = np.random.default_rng(10)
+    for _ in range(2000):
+        n = int(meta.integers(1, 7))
+        probs = meta.random(2 ** n) ** 4
+        probs[meta.random(2 ** n) < 0.3] = 0.0
+        probs[0] += probs.sum() == 0
+        probs /= probs.sum()
+        seed = int(meta.integers(2 ** 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = a.choice(2 ** n, p=probs)
+        assert simulator.bits_to_index(
+            simulator.sample_bits(probs, n, b)) == expected
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def _choice_from_bits(topology, row):
     """TrapChoice of one flat choice row (band-major, pairs first, t last)."""
     pair_bits, single_bits, col = [], [], 0
