@@ -6,8 +6,9 @@ Submodules:
 * :mod:`qaccredit.circuit` — band-structured circuit IR and JSON round-trip
 * :mod:`qaccredit.pauli` / :mod:`qaccredit.cliffords` — exact Pauli algebra
 * :mod:`qaccredit.qotp` — quantum one-time-pad compilation
-* :mod:`qaccredit.traps` — trap-circuit generation
-* :mod:`qaccredit.noise` — Pauli-collection and bounded-gate noise models
+* :mod:`qaccredit.traps` — trap-circuit generation from flat 0/1 choice rows
+* :mod:`qaccredit.noise` — Pauli-collection and bounded-gate noise models,
+  each sampling Pauli error bits and gate deviations
 * :mod:`qaccredit.simulator` — Pauli-frame and dense backends
 * :mod:`qaccredit.protocol` — the accreditation runner and bounds
 * :mod:`qaccredit.oracles` — brute-force lemma verifiers
@@ -24,7 +25,8 @@ from .protocol import (AccreditationReport, ProtocolConfig, RunOutcome,
 from .qotp import PadRecord, dress, postprocess, sample_pads
 from .simulator import SimLimits, propagate_frame, run_density, \
     run_statevector, trap_output
-from .traps import TrapChoice, enumerate_choices, generate_trap, sample_choice
+from .traps import (choice_width, enumerate_choices, generate_trap,
+                    sample_choice)
 
 __version__ = "0.1.0"
 
@@ -38,6 +40,6 @@ __all__ = [
     "PadRecord", "dress", "postprocess", "sample_pads",
     "SimLimits", "propagate_frame", "run_density", "run_statevector",
     "trap_output",
-    "TrapChoice", "enumerate_choices", "generate_trap", "sample_choice",
+    "choice_width", "enumerate_choices", "generate_trap", "sample_choice",
     "__version__",
 ]

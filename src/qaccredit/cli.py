@@ -74,9 +74,6 @@ def cmd_accredit(circuit_path, v, d, theta, noise_path, epsilon_mode, seed, out)
         if noise_path:
             with open(noise_path) as fh:
                 model = model_from_json(fh.read())
-        if v < 3:
-            raise protocol.DomainError(
-                "v >= 3 required for the credibility bound")
         config = ProtocolConfig(v=v, d=d, theta=theta, master_seed=seed,
                                 noise=model, epsilon_mode=epsilon_mode)
     except (CircuitParseError, protocol.DomainError, ValueError,

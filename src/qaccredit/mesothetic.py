@@ -149,7 +149,7 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     flag = "acc"
     for k, dressed in enumerate(prepared):
         deviations = ({} if alice_noise is None
-                      else alice_noise.sample_deviations(k, m, rng))
+                      else alice_noise.sample_deviations(k, n, m, rng))
         register = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             register.apply_pauli(BOB, dev)

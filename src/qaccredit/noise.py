@@ -13,6 +13,11 @@ band's single-qubit round. A deviation that is not a Pauli needs no model
 of its own: the one-time pad twirls it into a Pauli mixture, which the twirl
 oracle checks. Models never see which circuit is the target or any pad/trap
 bits.
+
+A model has one sampler per part: ``sample_error_bits`` draws a collection
+as (x, z) error bits and ``sample_deviations`` the gate deviations of one
+circuit. The sampler of a part a model lacks draws nothing and returns no
+errors.
 """
 
 from __future__ import annotations
@@ -73,20 +78,6 @@ class PauliErrorCollection:
                       for locs in self.circuits], dtype=np.uint8)
         return x, z
 
-    @classmethod
-    def from_bits(cls, x: np.ndarray, z: np.ndarray) -> "PauliErrorCollection":
-        return cls(tuple(paulis_from_bits(xk, zk) for xk, zk in zip(x, z)))
-
-    def to_json(self) -> str:
-        return json.dumps([[pauli.to_text(p) for p in locs]
-                           for locs in self.circuits])
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliErrorCollection":
-        doc = json.loads(text)
-        return cls(tuple(tuple(pauli.from_text(s) for s in locs)
-                         for locs in doc))
-
 
 def _int_to_bits(value: int, n: int) -> np.ndarray:
     raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), np.uint8)
@@ -117,38 +108,21 @@ def identity_collection(num_circuits: int, n: int, m: int) -> PauliErrorCollecti
 
 
 class NoiseModel:
-    """Base: a Pauli part (collections) and/or a gate part (deviations)."""
-
-    has_pauli_part = False
-    has_gate_part = False
-
-    def sample_collection(self, v: int, n: int, m: int,
-                          rng: np.random.Generator) -> PauliErrorCollection:
-        raise ValueError("this noise model has no Pauli-collection part")
+    """Base: no noise. A model overrides the sampler of each part it has,
+    its Pauli errors and its gate deviations; the base versions draw nothing.
+    """
 
     def sample_error_bits(self, v: int, n: int, m: int,
                           rng: np.random.Generator) -> tuple:
         """One collection as (x, z) uint8 arrays of shape (v+1, m+1, n)."""
-        x, z = self.sample_collection(v, n, m, rng).to_bits()
-        if x.shape != (v + 1, m + 1, n):
-            raise ValueError(f"collection shape {x.shape} does not match "
-                             f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
-        return x, z
+        shape = (v + 1, m + 1, n)
+        return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
 
-    def sample_gate_deviation(self, k: int, j: int,
-                              rng: np.random.Generator) -> Optional[PauliString]:
-        raise ValueError("this noise model has no gate-noise part")
-
-    def sample_deviations(self, k: int, m: int,
+    def sample_deviations(self, k: int, n: int, m: int,
                           rng: np.random.Generator) -> dict:
-        """Gate deviations of circuit k's m single-qubit rounds, by band."""
-        deviations = {}
-        if self.has_gate_part:
-            for j in range(m):
-                dev = self.sample_gate_deviation(k, j, rng)
-                if dev is not None:
-                    deviations.setdefault(j, []).append(dev)
-        return deviations
+        """Gate deviations of n-qubit circuit k's m single-qubit rounds,
+        as lists of PauliStrings by band."""
+        return {}
 
     def gate_rate(self, k: int, j: int) -> float:
         return 0.0
@@ -162,21 +136,12 @@ class NoiseModel:
         return g
 
 
-class NoiselessModel(NoiseModel):
-    has_pauli_part = True
-
-    def sample_collection(self, v, n, m, rng):
-        return identity_collection(v + 1, n, m)
-
-
 def noiseless() -> NoiseModel:
-    return NoiselessModel()
+    return NoiseModel()
 
 
 class ExplicitCollectionDistribution(NoiseModel):
     """Arbitrary classical correlation: a finite list of (collection, prob)."""
-
-    has_pauli_part = True
 
     def __init__(self, entries: Sequence):
         self.entries = [(c, float(p)) for c, p in entries]
@@ -189,12 +154,13 @@ class ExplicitCollectionDistribution(NoiseModel):
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self._probs = probs
 
-    def sample_collection(self, v, n, m, rng):
+    def sample_error_bits(self, v, n, m, rng):
         idx = rng.choice(len(self.entries), p=self._probs)
-        coll = self.entries[idx][0]
-        if coll.num_circuits != v + 1 or coll.m != m:
-            raise ValueError("collection shape does not match (v, m)")
-        return coll
+        x, z = self.entries[idx][0].to_bits()
+        if x.shape != (v + 1, m + 1, n):
+            raise ValueError(f"collection shape {x.shape} does not match "
+                             f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
+        return x, z
 
 
 class IndependentLocationChannels(NoiseModel):
@@ -207,8 +173,6 @@ class IndependentLocationChannels(NoiseModel):
     same reason sampling raises when a location (k, loc) lies outside the
     v+1 circuits and m+1 locations being sampled.
     """
-
-    has_pauli_part = True
 
     def __init__(self, default_rates=None, rates=None):
         self.default_rates = dict(default_rates or {})
@@ -251,10 +215,6 @@ class IndependentLocationChannels(NoiseModel):
         x = u < cum[..., 1]
         z = (u >= cum[..., 0]) & (u < cum[..., 2])
         return x.astype(np.uint8), z.astype(np.uint8)
-
-    def sample_collection(self, v, n, m, rng):
-        return PauliErrorCollection.from_bits(
-            *self.sample_error_bits(v, n, m, rng))
 
 
 def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,
@@ -301,10 +261,9 @@ class BoundedGateNoise(NoiseModel):
     single-qubit round fires a deviation with probability r: a uniform
     non-identity Pauli on a uniform random qubit. The pads twirl any other
     deviation into a Pauli mixture, so Pauli deviations are the ones to
-    simulate.
+    simulate. Sampling raises when the circuit has another qubit count
+    than the model.
     """
-
-    has_gate_part = True
 
     def __init__(self, rate, n: int):
         self._rate = rate
@@ -318,37 +277,35 @@ class BoundedGateNoise(NoiseModel):
             return float(self._rate.get((k, j), 0.0))
         return float(self._rate)
 
-    def sample_gate_deviation(self, k, j, rng):
-        r = self.gate_rate(k, j)
-        if rng.random() >= r:
-            return None
-        q = int(rng.integers(0, self.n))
-        x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
-        return PauliString(self.n, x << q, z << q)
+    def sample_deviations(self, k, n, m, rng):
+        if n != self.n:
+            raise ValueError(f"gate noise built for n={self.n} qubits "
+                             f"cannot act on a circuit of n={n} qubits")
+        deviations = {}
+        for j in range(m):
+            if rng.random() < self.gate_rate(k, j):
+                q = int(rng.integers(0, n))
+                x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
+                deviations[j] = [PauliString(n, x << q, z << q)]
+        return deviations
 
 
 class CompositeModel(NoiseModel):
-    """Pauli part + gate part combined."""
+    """Pauli part + gate part combined; a missing part is noiseless."""
 
     def __init__(self, pauli_part: Optional[NoiseModel] = None,
                  gate_part: Optional[NoiseModel] = None):
-        self.pauli_part = pauli_part
-        self.gate_part = gate_part
-        self.has_pauli_part = pauli_part is not None
-        self.has_gate_part = gate_part is not None
+        self.pauli_part = pauli_part if pauli_part is not None else NoiseModel()
+        self.gate_part = gate_part if gate_part is not None else NoiseModel()
 
-    def sample_collection(self, v, n, m, rng):
-        if self.pauli_part is None:
-            return super().sample_collection(v, n, m, rng)
-        return self.pauli_part.sample_collection(v, n, m, rng)
+    def sample_error_bits(self, v, n, m, rng):
+        return self.pauli_part.sample_error_bits(v, n, m, rng)
 
-    def sample_gate_deviation(self, k, j, rng):
-        if self.gate_part is None:
-            return super().sample_gate_deviation(k, j, rng)
-        return self.gate_part.sample_gate_deviation(k, j, rng)
+    def sample_deviations(self, k, n, m, rng):
+        return self.gate_part.sample_deviations(k, n, m, rng)
 
     def gate_rate(self, k, j):
-        return self.gate_part.gate_rate(k, j) if self.gate_part else 0.0
+        return self.gate_part.gate_rate(k, j)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _choice_flip_tables(topology: Circuit, cap: int):
     symplectic bits, so any collection is an XOR of these rows.
     """
     n, m = topology.n, topology.m
-    choices = list(traps.enumerate_choices(topology, cap=cap))
+    choices = traps.enumerate_choices(topology, cap=cap)
     circuits = [traps.generate_trap(topology, c) for c in choices]
     ident = PauliString(n)
     table = [[np.zeros(len(choices), dtype=np.uint32) for _ in range(2 * n)]
@@ -208,12 +208,9 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
 def _all_pads(n: int, m: int):
     total_bits = 2 * n * m + n
     for code in range(2 ** total_bits):
-        bits = [(code >> k) & 1 for k in range(total_bits)]
-        alpha = np.array(bits[: n * m], dtype=np.uint8).reshape(m, n)
-        alpha_prime = np.array(bits[n * m: 2 * n * m],
-                               dtype=np.uint8).reshape(m, n)
-        gamma = np.array(bits[2 * n * m:], dtype=np.uint8)
-        yield qotp.PadRecord(alpha, alpha_prime, gamma)
+        bits = np.array([(code >> k) & 1 for k in range(total_bits)],
+                        dtype=np.uint8)
+        yield qotp.pads_from_bits(bits, n, m)
 
 
 def _postprocessed(dist: np.ndarray, key: np.ndarray) -> np.ndarray:

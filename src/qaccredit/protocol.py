@@ -86,8 +86,8 @@ class ProtocolConfig:
             raise DomainError("v >= 3 required for the credibility bound")
         if self.d < 1:
             raise DomainError("d must be >= 1")
-        if self.theta <= 0:
-            raise DomainError("theta must be > 0")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise DomainError("theta must be finite and > 0")
         if self.epsilon_mode not in ("theorem1", "theorem2"):
             raise DomainError("epsilon_mode must be theorem1 or theorem2")
 
@@ -184,21 +184,19 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     """One padded protocol run, the reference that :func:`accredit` matches.
 
     Hides the target among v traps and pads every circuit
-    (:func:`plan_run`), draws the Pauli collection, then per slot the gate
+    (:func:`plan_run`), draws the Pauli error bits, then per slot the gate
     deviations and one dense statevector sample of the dressed circuit,
     post-processed with its key. The run accepts iff every trap outputs
     all zeros.
     """
     v0, plan = plan_run(target, v, rng)
     n, m = target.n, target.m
-    collection = (noise.sample_collection(v, n, m, rng)
-                  if noise.has_pauli_part
-                  else noise_mod.identity_collection(v + 1, n, m))
+    err_x, err_z = noise.sample_error_bits(v, n, m, rng)
     outputs = []
     for k, dressed in enumerate(plan):
         raw = simulator.run_statevector(
-            dressed.circuit, collection.slice_for(k),
-            noise.sample_deviations(k, m, rng), rng, limits)
+            dressed.circuit, noise_mod.paulis_from_bits(err_x[k], err_z[k]),
+            noise.sample_deviations(k, n, m, rng), rng, limits)
         outputs.append(qotp.postprocess(raw, dressed.key))
     trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"
@@ -272,19 +270,18 @@ def _pad_free_block(config: ProtocolConfig, target: Circuit,
     width = traps.choice_width(target)
     v0 = np.empty(b, dtype=np.intp)
     choice = np.empty((b, v, width), dtype=np.uint8)
-    err_x = np.zeros((b, v + 1, m + 1, n), dtype=np.uint8)
-    err_z = np.zeros_like(err_x)
+    err_x = np.empty((b, v + 1, m + 1, n), dtype=np.uint8)
+    err_z = np.empty_like(err_x)
     rngs = []
     for i, r in enumerate(runs):
         rng = run_rng(config.master_seed, r)
         v0[i] = rng.integers(0, v + 1)
         choice[i] = rng.integers(0, 2, size=(v, width), dtype=np.uint8)
-        if noise.has_pauli_part:
-            err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
-        if noise.has_gate_part:
-            for k in range(v + 1):
-                _fold_deviations(err_x[i, k], err_z[i, k],
-                                 noise.sample_deviations(k, m, rng))
+        err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
+        for k in range(v + 1):
+            deviations = noise.sample_deviations(k, n, m, rng)
+            if deviations:
+                _fold_deviations(err_x[i, k], err_z[i, k], deviations)
         rngs.append(rng)
     # run i's t-th trap sits at the t-th slot other than v0[i]
     slots = np.arange(v) + (np.arange(v) >= v0[:, None])

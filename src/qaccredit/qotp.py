@@ -9,7 +9,6 @@ survive as a classical key that is XORed into the measured outputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +43,6 @@ class PadRecord:
     def n(self) -> int:
         return self.alpha.shape[1]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.alpha.tolist(),
-            "alpha_prime": self.alpha_prime.tolist(),
-            "gamma": self.gamma.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PadRecord":
-        doc = json.loads(text)
-        return cls(np.array(doc["alpha"]), np.array(doc["alpha_prime"]),
-                   np.array(doc["gamma"]))
-
 
 @dataclass(frozen=True)
 class DressedCircuit:
@@ -71,13 +57,17 @@ class DressedCircuit:
         object.__setattr__(self, "key", key)
 
 
+def pads_from_bits(bits: np.ndarray, n: int, m: int) -> PadRecord:
+    """The pads of 2nm + n bits: alpha, then alpha', then gamma."""
+    return PadRecord(alpha=bits[: n * m].reshape(m, n),
+                     alpha_prime=bits[n * m: 2 * n * m].reshape(m, n),
+                     gamma=bits[2 * n * m:])
+
+
 def sample_pads(n: int, m: int, rng: np.random.Generator) -> PadRecord:
     """Uniform pads: 2nm + n independent bits, deterministic given rng."""
-    bits = rng.integers(0, 2, size=2 * n * m + n, dtype=np.uint8)
-    alpha = bits[: n * m].reshape(m, n)
-    alpha_prime = bits[n * m: 2 * n * m].reshape(m, n)
-    gamma = bits[2 * n * m:]
-    return PadRecord(alpha=alpha, alpha_prime=alpha_prime, gamma=gamma)
+    return pads_from_bits(rng.integers(0, 2, size=2 * n * m + n,
+                                       dtype=np.uint8), n, m)
 
 
 def zero_pads(n: int, m: int) -> PadRecord:

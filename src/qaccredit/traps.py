@@ -6,13 +6,14 @@ unpaired qubit gets H or S. The next band prepends the inverses, so the whole
 trap telescopes to the identity on ``|+>^n`` and noiselessly outputs all
 zeros. A global bit t optionally sandwiches the circuit in Hadamard rounds,
 swapping which error species the trap is sensitive to.
+
+A trap choice is one flat 0/1 row of :func:`choice_width` bits. Band by band
+for j in [0, m-1), it holds one bit per sorted cZ pair (0: S on the lower
+qubit, H on the higher; 1: swapped), then one bit per unpaired qubit in
+ascending order (0: H, 1: S); t is the last bit.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,37 +27,6 @@ _S = Gate(clifford=cliffords.C_S)
 _I = Gate(clifford=cliffords.C_I)
 
 
-@dataclass(frozen=True)
-class TrapChoice:
-    """Random bits defining one trap circuit on a fixed topology.
-
-    ``pair_bits[j]`` has one bit per sorted cZ pair of band j (0: S on the
-    lower qubit, H on the higher; 1: swapped) and ``single_bits[j]`` one bit
-    per unpaired qubit in ascending order (0: H, 1: S), for j in [0, m-1).
-    ``t`` is the global Hadamard-sandwich bit.
-    """
-
-    pair_bits: tuple  # tuple over bands of tuple of bits
-    single_bits: tuple
-    t: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "pair_bits": [list(b) for b in self.pair_bits],
-            "single_bits": [list(b) for b in self.single_bits],
-            "t": self.t,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrapChoice":
-        doc = json.loads(text)
-        return cls(
-            pair_bits=tuple(tuple(b) for b in doc["pair_bits"]),
-            single_bits=tuple(tuple(b) for b in doc["single_bits"]),
-            t=int(doc["t"]),
-        )
-
-
 def _band_layout(target: Circuit, j: int):
     """Sorted cZ pairs and ascending unpaired qubits of band j."""
     pairs = target.bands[j].sorted_pairs()
@@ -65,47 +35,45 @@ def _band_layout(target: Circuit, j: int):
     return pairs, unpaired
 
 
-def _check_choice(target: Circuit, choice: TrapChoice):
+def choice_width(target: Circuit) -> int:
+    """Bits in one trap choice: every pair and unpaired bit, then t."""
+    return 1 + sum(target.n - len(target.bands[j].cz_pairs)
+                   for j in range(target.m - 1))
+
+
+def _check_choice(target: Circuit, bits, ndim: int) -> np.ndarray:
+    """``bits`` as uint8, once it is an ndim-array of 0/1 choice rows."""
     if target.m < 2:
         raise ValueError("trap generation needs at least 2 bands")
-    if len(choice.pair_bits) != target.m - 1 \
-            or len(choice.single_bits) != target.m - 1:
-        raise ValueError("choice band count does not match topology")
-    for j in range(target.m - 1):
-        pairs, unpaired = _band_layout(target, j)
-        if len(choice.pair_bits[j]) != len(pairs):
-            raise ValueError(f"band {j}: pair bit count mismatch")
-        if len(choice.single_bits[j]) != len(unpaired):
-            raise ValueError(f"band {j}: unpaired bit count mismatch")
-    if choice.t not in (0, 1):
-        raise ValueError("t must be a bit")
+    bits = np.asarray(bits)
+    if bits.ndim != ndim or bits.shape[-1] != choice_width(target):
+        shape = "(R, choice_width)" if ndim == 2 else "(choice_width,)"
+        raise ValueError(f"choice bits must have shape {shape}")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("choice bits must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
 
 
-def _band_gates(target: Circuit, choice: TrapChoice, j: int):
-    """The fresh H/S assignment V_j of band j (before undo/sandwich)."""
-    pairs, unpaired = _band_layout(target, j)
-    gates = [_I] * target.n
-    for bit, (lo, hi) in zip(choice.pair_bits[j], pairs):
-        if bit == 0:
-            gates[lo], gates[hi] = _S, _H
-        else:
-            gates[lo], gates[hi] = _H, _S
-    for bit, q in zip(choice.single_bits[j], unpaired):
-        gates[q] = _S if bit else _H
-    return gates
-
-
-def generate_trap(target: Circuit, choice: TrapChoice) -> Circuit:
-    """Build the trap circuit for one random choice.
+def generate_trap(target: Circuit, choice) -> Circuit:
+    """Build the trap circuit for one choice row.
 
     Band j applies V_j after undoing V_{j-1}; band m applies only the undo.
     With t=1 an extra Hadamard round is composed before band 1's assignment
     and after band m's undo, each pair (i, j) recompiled into one Clifford.
     """
-    _check_choice(target, choice)
+    choice = _check_choice(target, choice, ndim=1)
     n, m = target.n, target.m
-    sandwich = _H if choice.t else _I
-    assignments = [_band_gates(target, choice, j) for j in range(m - 1)]
+    sandwich = _H if choice[-1] else _I
+    # the fresh H/S assignment V_j of each band, read from the row in order
+    assignments, bits = [], iter(choice[:-1])
+    for j in range(m - 1):
+        pairs, unpaired = _band_layout(target, j)
+        gates = [_I] * n
+        for lo, hi in pairs:
+            gates[lo], gates[hi] = (_H, _S) if next(bits) else (_S, _H)
+        for q in unpaired:
+            gates[q] = _S if next(bits) else _H
+        assignments.append(gates)
     bands = []
     for j in range(m):
         singles = []
@@ -130,26 +98,13 @@ _COMPOSE = np.array(cliffords.COMPOSE, dtype=np.uint8)
 _DAGGER = np.array(cliffords.DAGGER, dtype=np.uint8)
 
 
-def choice_width(target: Circuit) -> int:
-    """Bits in one flat trap choice: every pair and unpaired bit, then t."""
-    return 1 + sum(target.n - len(target.bands[j].cz_pairs)
-                   for j in range(target.m - 1))
-
-
 def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     """Clifford indices (R, m, n) of the R traps chosen by rows of ``bits``.
 
-    Row r is one flat choice of :func:`choice_width` bits in TrapChoice's
-    order: band by band the pair bits then the unpaired bits, and t last.
-    Band j of trap r is the gate :func:`generate_trap` builds from the
-    matching TrapChoice.
+    Band j of trap r is the gate :func:`generate_trap` builds from row r.
     """
-    if target.m < 2:
-        raise ValueError("trap generation needs at least 2 bands")
+    bits = _check_choice(target, bits, ndim=2)
     n, m = target.n, target.m
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 2 or bits.shape[1] != choice_width(target):
-        raise ValueError("choice bits must have shape (R, choice_width)")
     # V_j on qubit q is S exactly when bit[column] ^ lower-of-pair is 1
     assign = np.empty((len(bits), m - 1, n), dtype=np.uint8)
     col = 0
@@ -175,54 +130,39 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     return gates
 
 
-def sample_choice(target: Circuit, rng: np.random.Generator) -> TrapChoice:
-    """Uniform over the Routine-2 choice space; deterministic given rng."""
-    pair_bits, single_bits = [], []
-    for j in range(target.m - 1):
-        pairs, unpaired = _band_layout(target, j)
-        pair_bits.append(tuple(int(b) for b in
-                               rng.integers(0, 2, size=len(pairs))))
-        single_bits.append(tuple(int(b) for b in
-                                 rng.integers(0, 2, size=len(unpaired))))
-    return TrapChoice(pair_bits=tuple(pair_bits),
-                      single_bits=tuple(single_bits),
-                      t=int(rng.integers(0, 2)))
+def sample_choice(target: Circuit, rng: np.random.Generator) -> np.ndarray:
+    """Uniform over the Routine-2 choice space; deterministic given rng.
+
+    Draws with the default integer dtype, one 32-bit word per bit in row
+    order, so the stream does not depend on how the row splits into bands.
+    """
+    return rng.integers(0, 2, size=choice_width(target)).astype(np.uint8)
 
 
 def choice_space_size(target: Circuit) -> int:
-    total = 2  # the global t bit
-    for j in range(target.m - 1):
-        pairs, unpaired = _band_layout(target, j)
-        total <<= len(pairs) + len(unpaired)
-    return total
+    return 2 ** choice_width(target)
 
 
 def enumerate_choices(target: Circuit,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[TrapChoice]:
-    """Yield every TrapChoice once, in deterministic order.
+                      cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Every choice row once, in deterministic order, as a 2-D array.
 
-    Order is band-major with pair bits before unpaired bits and the t bit
-    varying fastest, so downstream exhaustive averages are reproducible.
+    Row c holds the bits of the code c: bit 0 is t, and the higher bits
+    fill the bands from the last band to the first, each band's pair bits
+    before its unpaired bits, so downstream exhaustive averages are
+    reproducible.
     """
     total = choice_space_size(target)
     if total > cap:
         raise ValueError(
             f"choice space of size {total} too large to enumerate (cap {cap})")
-    layouts = [_band_layout(target, j) for j in range(target.m - 1)]
-    widths = [len(pairs) + len(unpaired) for pairs, unpaired in layouts]
-
-    def build(code: int) -> TrapChoice:
-        t = code & 1
-        code >>= 1
-        pair_bits, single_bits = [], []
-        # highest band consumes the lowest remaining bits; reverse at the end
-        for (pairs, unpaired), w in zip(reversed(layouts), reversed(widths)):
-            bits = [(code >> k) & 1 for k in range(w)]
-            code >>= w
-            pair_bits.append(tuple(bits[: len(pairs)]))
-            single_bits.append(tuple(bits[len(pairs):]))
-        return TrapChoice(pair_bits=tuple(reversed(pair_bits)),
-                          single_bits=tuple(reversed(single_bits)), t=t)
-
-    for code in range(total):
-        yield build(code)
+    widths = [target.n - len(target.bands[j].cz_pairs)
+              for j in range(target.m - 1)]
+    # code bit of each row column: band by band, then t at bit 0
+    shifts = [1 + sum(widths[j + 1:]) + k
+              for j, w in enumerate(widths) for k in range(w)] + [0]
+    codes = np.arange(total)
+    rows = np.empty((total, len(shifts)), dtype=np.uint8)
+    for col, shift in enumerate(shifts):
+        rows[:, col] = codes >> shift & 1
+    return rows

@@ -72,6 +72,31 @@ def test_accredit_rejects_small_v(runner, ghz_file):
     assert "v >= 3" in result.output
 
 
+def test_accredit_rejects_non_finite_theta(runner, ghz_file):
+    for theta in ("nan", "inf"):
+        result = runner.invoke(main, ["accredit", "--circuit", ghz_file,
+                                      "--v", "3", "--d", "5",
+                                      "--theta", theta, "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert "theta must be finite" in result.stderr
+
+
+def test_accredit_rejects_gate_noise_for_another_qubit_count(
+        runner, tmp_path):
+    path = tmp_path / "ghz2.json"
+    runner.invoke(main, ["gen", "--family", "ghz", "--n", "2", "--seed", "1",
+                         "--out", str(path)])
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text('{"variant": "bounded_gate", "rate": 0.5, "n": 6}')
+    result = runner.invoke(main, ["accredit", "--circuit", str(path),
+                                  "--v", "3", "--d", "400", "--theta", "0.05",
+                                  "--noise", str(noise_path),
+                                  "--epsilon-mode", "theorem2",
+                                  "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert "n=6" in result.stderr and "n=2" in result.stderr
+
+
 def test_accredit_seed_reproducible(runner, ghz_file):
     args = ["accredit", "--circuit", ghz_file, "--v", "3", "--d", "5",
             "--theta", "0.1", "--seed", "42"]
@@ -239,3 +264,23 @@ def test_mesothetic_dishonest(runner, ghz_file):
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert all(s["flag"] == "rej" for s in doc["sessions"])
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--which", "lemma2", "--n", "2", "--m", "3",
+     "--band-class", "single"],
+    ["oracle", "--which", "twirl", "--n", "1", "--m", "2"],
+    ["oracle", "--which", "pauli-twirl", "--n", "1"],
+    ["oracle", "--which", "theorem1", "--n", "2", "--m", "2", "--v", "3",
+     "--runs", "2000", "--adversaries", "2"],
+    ["mesothetic", "--v", "3", "--sessions", "4"],
+    ["mesothetic", "--v", "3", "--sessions", "4", "--dishonest"],
+], ids=["lemma2", "twirl", "pauli-twirl", "theorem1", "mesothetic-honest",
+        "mesothetic-dishonest"])
+def test_same_seed_same_output(runner, ghz_file, args):
+    if args[0] == "mesothetic":
+        args = args + ["--circuit", ghz_file]
+    first, second = (runner.invoke(main, args + ["--seed", "21"])
+                     for _ in range(2))
+    assert first.exit_code == 0, first.output
+    assert first.stdout == second.stdout

@@ -29,9 +29,9 @@ def test_z_only_constraint_enforced():
 
 def test_noiseless_model():
     model = noiseless()
-    coll = model.sample_collection(3, 2, 2, np.random.default_rng(0))
-    assert coll.touched_circuits() == []
-    assert coll == identity_collection(4, 2, 2)
+    x, z = model.sample_error_bits(3, 2, 2, np.random.default_rng(0))
+    assert x.shape == z.shape == (4, 3, 2) and not x.any() and not z.any()
+    assert model.sample_deviations(0, 2, 2, np.random.default_rng(0)) == {}
 
 
 def test_explicit_distribution_frequencies():
@@ -40,7 +40,8 @@ def test_explicit_distribution_frequencies():
     model = ExplicitCollectionDistribution([(c1, 0.3), (c2, 0.7)])
     rng = np.random.default_rng(1)
     draws = 10 ** 4
-    hits = sum(model.sample_collection(1, 1, 1, rng) == c1
+    # c1 puts Z at every location, c2 nothing
+    hits = sum(model.sample_error_bits(1, 1, 1, rng)[1].all()
                for _ in range(draws))
     sigma = np.sqrt(0.3 * 0.7 / draws)
     assert abs(hits / draws - 0.3) < 3 * sigma
@@ -57,36 +58,33 @@ def test_explicit_distribution_validation():
 def test_independent_channels_degenerate_rate():
     model = IndependentLocationChannels(rates={(1, 2): {"Z": 1.0}})
     rng = np.random.default_rng(2)
-    coll = model.sample_collection(1, 3, 2, rng)
-    p = coll.slice_for(1)[2]
-    assert p.z_bits == 0b111 and p.x_bits == 0
+    x, z = model.sample_error_bits(1, 3, 2, rng)
+    assert z[1, 2].all() and not x[1, 2].any()
     # untouched circuits stay identity
-    assert coll.is_identity_on(0)
+    assert not x[0].any() and not z[0].any()
 
 
 def test_independent_channels_respect_z_only_ends():
     model = IndependentLocationChannels(default_rates={"X": 0.9, "Z": 0.05})
     rng = np.random.default_rng(3)
     for _ in range(50):
-        coll = model.sample_collection(1, 2, 2, rng)
-        for k in range(2):
-            locs = coll.slice_for(k)
-            assert locs[0].x_bits == 0 and locs[-1].x_bits == 0
+        x, _ = model.sample_error_bits(1, 2, 2, rng)
+        assert not x[:, [0, -1]].any()
 
 
 def test_gate_deviation_rates():
     rng = np.random.default_rng(4)
     zero = BoundedGateNoise(rate=0.0, n=2)
-    assert all(zero.sample_gate_deviation(0, 0, rng) is None
+    assert all(zero.sample_deviations(0, 2, 1, rng) == {}
                for _ in range(100))
     hot = BoundedGateNoise(rate=1 - 1e-9, n=2)
-    fired = sum(hot.sample_gate_deviation(0, 0, rng) is not None
+    fired = sum(bool(hot.sample_deviations(0, 2, 1, rng))
                 for _ in range(10 ** 4))
     assert fired >= 9990
-    a = BoundedGateNoise(rate=0.5, n=2).sample_gate_deviation(
-        0, 0, np.random.default_rng(9))
-    b = BoundedGateNoise(rate=0.5, n=2).sample_gate_deviation(
-        0, 0, np.random.default_rng(9))
+    a = BoundedGateNoise(rate=0.5, n=2).sample_deviations(
+        0, 2, 8, np.random.default_rng(9))
+    b = BoundedGateNoise(rate=0.5, n=2).sample_deviations(
+        0, 2, 8, np.random.default_rng(9))
     assert a == b
 
 
@@ -95,7 +93,7 @@ def test_gate_deviation_is_nonidentity_pauli():
     rng = np.random.default_rng(5)
     letters = set()
     for _ in range(100):
-        dev = model.sample_gate_deviation(0, 0, rng)
+        (dev,) = model.sample_deviations(0, 3, 1, rng)[0]
         assert isinstance(dev, PauliString) and dev.n == 3
         assert dev.weight == 1 and dev.sign == 0
         letters |= {dev.qubit(q) for q in range(3)} - {"I"}
@@ -148,49 +146,73 @@ def test_independent_channels_reject_locations_outside_the_run():
 
 def test_sample_deviations_draws_band_by_band():
     model = BoundedGateNoise(rate=0.5, n=3)
-    devs = model.sample_deviations(2, 4, np.random.default_rng(12))
+    devs = model.sample_deviations(2, 3, 4, np.random.default_rng(12))
+    # per band: the firing uniform, then the qubit and the letter
     rng = np.random.default_rng(12)
     expected = {}
     for j in range(4):
-        dev = model.sample_gate_deviation(2, j, rng)
-        if dev is not None:
-            expected[j] = [dev]
-    assert devs == expected
-    assert noiseless().sample_deviations(0, 4, np.random.default_rng(0)) == {}
+        if rng.random() < 0.5:
+            q = int(rng.integers(0, 3))
+            x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
+            expected[j] = [PauliString(3, x << q, z << q)]
+    assert devs == expected and expected
+    assert noiseless().sample_deviations(0, 3, 4, np.random.default_rng(0)) \
+        == {}
+
+
+def test_gate_noise_rejects_another_qubit_count():
+    model = BoundedGateNoise(rate=0.5, n=6)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n=6 .* n=2"):
+        model.sample_deviations(0, 2, 2, rng)
+    # raised before any draw
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="n=6 .* n=2"):
+        CompositeModel(gate_part=model).sample_deviations(0, 2, 2, rng)
 
 
 def test_composite_model():
-    model = CompositeModel(pauli_part=noiseless(),
-                           gate_part=BoundedGateNoise(rate=0.2, n=2))
-    assert model.has_pauli_part and model.has_gate_part
+    gate = BoundedGateNoise(rate=0.2, n=2)
+    model = CompositeModel(pauli_part=noiseless(), gate_part=gate)
     rng = np.random.default_rng(6)
-    assert model.sample_collection(3, 2, 2, rng).touched_circuits() == []
+    x, z = model.sample_error_bits(3, 2, 2, rng)
+    assert not x.any() and not z.any()
     assert model.gate_rate(0, 1) == 0.2
+    assert model.sample_deviations(1, 2, 9, np.random.default_rng(7)) \
+        == gate.sample_deviations(1, 2, 9, np.random.default_rng(7))
 
 
 def test_pauli_part_missing():
-    model = BoundedGateNoise(rate=0.1, n=1)
-    with pytest.raises(ValueError, match="no Pauli-collection part"):
-        model.sample_collection(3, 1, 1, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="no gate-noise part"):
-        noiseless().sample_gate_deviation(0, 0, np.random.default_rng(0))
+    # a part a model lacks draws nothing and returns no errors
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for model in (BoundedGateNoise(rate=0.1, n=1),
+                  CompositeModel(gate_part=BoundedGateNoise(rate=0.1, n=1))):
+        x, z = model.sample_error_bits(3, 1, 1, rng)
+        assert x.shape == z.shape == (4, 2, 1) and not x.any() and not z.any()
+    for model in (IndependentLocationChannels(default_rates={"Z": 0.5}),
+                  CompositeModel(pauli_part=noiseless())):
+        assert model.sample_deviations(0, 1, 3, rng) == {}
+        assert model.gate_rate(0, 0) == 0.0
+    assert rng.bit_generator.state == state
 
 
 def test_model_json_variants():
-    assert isinstance(model_from_json('{"variant": "noiseless"}'),
-                      noise.NoiselessModel)
+    assert type(model_from_json('{"variant": "noiseless"}')) \
+        is noise.NoiseModel
     doc = ('{"variant": "explicit", "entries": [{"prob": 1.0, '
            '"collection": [["Z", "X", "I"], ["I", "I", "Z"]]}]}')
     model = model_from_json(doc)
-    coll = model.sample_collection(1, 1, 2, np.random.default_rng(0))
-    assert pauli.to_text(coll.slice_for(0)[0]) == "Z"
-    assert pauli.to_text(coll.slice_for(1)[2]) == "Z"
+    x, z = model.sample_error_bits(1, 1, 2, np.random.default_rng(0))
+    assert x[:, :, 0].tolist() == [[0, 1, 0], [0, 0, 0]]
+    assert z[:, :, 0].tolist() == [[1, 0, 0], [0, 0, 1]]
     model = model_from_json('{"variant": "bounded_gate", "rate": 0.25, "n": 2}')
     assert model.gate_rate(0, 0) == 0.25
     model = model_from_json(
         '{"variant": "composite", "pauli": {"variant": "noiseless"}, '
         '"gate": {"variant": "bounded_gate", "rate": 0.1, "n": 1}}')
-    assert model.has_pauli_part and model.has_gate_part
+    assert isinstance(model, CompositeModel) and model.gate_rate(0, 0) == 0.1
     with pytest.raises(ValueError, match="variant"):
         model_from_json('{"variant": "bogus"}')
 
@@ -224,15 +246,16 @@ def test_independent_error_bits_match_rates():
 
 
 def test_error_bits_agree_with_collections():
-    coll = PauliErrorCollection.from_json(
-        '[["Z", "X", "I"], ["I", "Y", "Z"]]')
+    coll = PauliErrorCollection(tuple(
+        tuple(pauli.from_text(s) for s in locs)
+        for locs in (["Z", "X", "I"], ["I", "Y", "Z"])))
     model = ExplicitCollectionDistribution([(coll, 1.0)])
     x, z = model.sample_error_bits(1, 1, 2, np.random.default_rng(0))
     assert x[:, :, 0].tolist() == [[0, 1, 0], [0, 1, 0]]
     assert z[:, :, 0].tolist() == [[1, 0, 0], [0, 1, 1]]
-    assert PauliErrorCollection.from_bits(x, z).circuits == tuple(
-        tuple(PauliString(1, p.x_bits, p.z_bits) for p in locs)
-        for locs in coll.circuits)
+    assert tuple(noise.paulis_from_bits(xk, zk) for xk, zk in zip(x, z)) \
+        == tuple(tuple(PauliString(1, p.x_bits, p.z_bits) for p in locs)
+                 for locs in coll.circuits)
     with pytest.raises(ValueError, match="shape"):
         model.sample_error_bits(1, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape"):
@@ -244,11 +267,6 @@ def test_error_bits_agree_with_collections():
     assert np.array_equal(
         composite.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1],
         model.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1])
-    # the collection sampler is the bit sampler, draw for draw
-    ilc = IndependentLocationChannels(default_rates={"X": 0.3, "Z": 0.3})
-    bits = ilc.sample_error_bits(2, 3, 3, np.random.default_rng(7))
-    assert ilc.sample_collection(2, 3, 3, np.random.default_rng(7)) \
-        == PauliErrorCollection.from_bits(*bits)
 
 
 def test_independent_channels_reject_unknown_rate_keys():

@@ -303,7 +303,7 @@ def test_pauli_deviations_fold_into_trap_frame():
         # single-qubit deviations as the model draws them, plus one
         # arbitrary Pauli in a random band
         deviations = BoundedGateNoise(rate=0.5, n=n).sample_deviations(
-            0, m, rng)
+            0, n, m, rng)
         deviations.setdefault(int(rng.integers(0, m)), []).append(
             PauliString(n, int(rng.integers(0, 2 ** n)),
                         int(rng.integers(0, 2 ** n))))
@@ -349,6 +349,29 @@ def test_config_invariants():
         ProtocolConfig(v=3, d=0, theta=0.1, master_seed=0, noise=noiseless())
     with pytest.raises(DomainError):
         ProtocolConfig(v=3, d=1, theta=0.0, master_seed=0, noise=noiseless())
+
+
+def test_config_rejects_non_finite_theta():
+    # a NaN theta slipped past "theta <= 0" and printed NaN bounds
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            ProtocolConfig(v=3, d=1, theta=theta, master_seed=0,
+                           noise=noiseless())
+
+
+def test_gate_noise_for_another_qubit_count_is_rejected():
+    target = families.ghz_circuit(2)
+    model = BoundedGateNoise(rate=0.5, n=6)
+    cfg = ProtocolConfig(v=3, d=20, theta=0.05, master_seed=1,
+                         noise=CompositeModel(gate_part=model),
+                         epsilon_mode="theorem2")
+    with pytest.raises(ValueError, match="n=6 .* n=2"):
+        protocol.accredit(cfg, target)
+    with pytest.raises(ValueError, match="n=6 .* n=2"):
+        single_run(target, 3, model, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n=6 .* n=2"):
+        run_session(target, 3, BobStrategy(honest=True),
+                    np.random.default_rng(0), alice_noise=model)
 
 
 def _counts():

@@ -122,10 +122,3 @@ def test_transparency_random_pads():
         for _ in range(20):
             assert _transparency_tv(circ, sample_pads(n, m, rng)) < TV_TOL
 
-
-def test_pad_record_json_round_trip():
-    pads = sample_pads(2, 3, np.random.default_rng(1))
-    again = PadRecord.from_json(pads.to_json())
-    assert np.array_equal(pads.alpha, again.alpha)
-    assert np.array_equal(pads.alpha_prime, again.alpha_prime)
-    assert np.array_equal(pads.gamma, again.gamma)

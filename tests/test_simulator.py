@@ -11,7 +11,7 @@ from qaccredit.simulator import (NonCliffordError, SimLimitError, SimLimits,
                                  propagate_frame, run_density,
                                  run_statevector, statevector_distribution,
                                  trap_output)
-from qaccredit.traps import TrapChoice, generate_trap
+from qaccredit.traps import generate_trap
 
 
 def _ident_errors(n, m):
@@ -39,8 +39,7 @@ def test_frame_detection_depends_on_cx_orientation():
     errs[1] = PauliString(2, 0, 0b01)
     masks = []
     for bit in (0, 1):
-        trap = generate_trap(
-            topo, TrapChoice(pair_bits=((bit,),), single_bits=((),), t=0))
+        trap = generate_trap(topo, [bit, 0])
         masks.append(pauli.z_mask(propagate_frame(trap, errs)))
     assert sorted(m != 0 for m in masks) == [False, True]
 
@@ -53,8 +52,7 @@ def test_frame_rejects_non_clifford():
 
 def test_trap_output_flips():
     topo = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
-    trap = generate_trap(
-        topo, TrapChoice(pair_bits=((0,),), single_bits=((),), t=0))
+    trap = generate_trap(topo, [0, 0])
     assert not trap_output(trap, _ident_errors(2, 2)).any()
     errs = list(_ident_errors(2, 2))
     errs[2] = PauliString(2, 0, 0b10)
@@ -236,21 +234,6 @@ def test_sample_bits_draws_as_generator_choice():
         assert a.bit_generator.state == b.bit_generator.state
 
 
-def _choice_from_bits(topology, row):
-    """TrapChoice of one flat choice row (band-major, pairs first, t last)."""
-    pair_bits, single_bits, col = [], [], 0
-    for band in topology.bands[:-1]:
-        n_pairs = len(band.cz_pairs)
-        n_single = topology.n - 2 * n_pairs
-        pair_bits.append(tuple(int(b) for b in row[col:col + n_pairs]))
-        single_bits.append(tuple(int(b) for b in
-                                 row[col + n_pairs:col + n_pairs + n_single]))
-        col += n_pairs + n_single
-    assert col == len(row) - 1
-    return TrapChoice(pair_bits=tuple(pair_bits),
-                      single_bits=tuple(single_bits), t=int(row[-1]))
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(2, 6), traps_count=st.integers(1, 8),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -269,7 +252,7 @@ def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
     flips = simulator.frame_flips(topo, gates, err_x, err_z)
     assert flips.shape == (traps_count, n)
     for r in range(traps_count):
-        trap = generate_trap(topo, _choice_from_bits(topo, bits[r]))
+        trap = generate_trap(topo, bits[r])
         assert [[g.clifford for g in band.singles] for band in trap.bands] \
             == gates[r].tolist()
         errors = noise.paulis_from_bits(err_x[r], err_z[r])
@@ -282,3 +265,7 @@ def test_trap_cliffords_rejects_bad_input():
     topo = families.ghz_circuit(3)
     with pytest.raises(ValueError, match="choice_width"):
         traps.trap_cliffords(topo, np.zeros((1, traps.choice_width(topo) + 1)))
+    bits = np.zeros((2, traps.choice_width(topo)))
+    bits[1, 0] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        traps.trap_cliffords(topo, bits)

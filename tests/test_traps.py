@@ -4,36 +4,31 @@ import pytest
 from qaccredit import cliffords, families, simulator, traps
 from qaccredit.circuit import identity_circuit, validate
 from qaccredit.noise import identity_collection
-from qaccredit.traps import (TrapChoice, choice_space_size, enumerate_choices,
+from qaccredit.traps import (choice_space_size, enumerate_choices,
                              generate_trap, sample_choice)
 
 
 def test_single_qubit_trap_gates():
     topo = identity_circuit(1, 2)
-    choice = TrapChoice(pair_bits=((),), single_bits=((1,),), t=0)  # S
-    trap = generate_trap(topo, choice)
+    trap = generate_trap(topo, [1, 0])  # S, t=0
     assert trap.bands[0].singles[0].clifford == cliffords.C_S
     assert trap.bands[1].singles[0].clifford == cliffords.C_SDG
 
 
 def test_pair_orientation():
     topo = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
-    choice = TrapChoice(pair_bits=((0,),), single_bits=((),), t=0)
-    trap = generate_trap(topo, choice)
+    trap = generate_trap(topo, [0, 0])
     assert trap.bands[0].singles[0].clifford == cliffords.C_S
     assert trap.bands[0].singles[1].clifford == cliffords.C_H
-    flipped = generate_trap(
-        topo, TrapChoice(pair_bits=((1,),), single_bits=((),), t=0))
+    flipped = generate_trap(topo, [1, 0])
     assert flipped.bands[0].singles[0].clifford == cliffords.C_H
     assert flipped.bands[0].singles[1].clifford == cliffords.C_S
 
 
 def test_sandwich_bit():
     topo = identity_circuit(1, 2)
-    base = TrapChoice(pair_bits=((),), single_bits=((1,),), t=0)
-    sand = TrapChoice(pair_bits=((),), single_bits=((1,),), t=1)
-    plain = generate_trap(topo, base)
-    wrapped = generate_trap(topo, sand)
+    plain = generate_trap(topo, [1, 0])
+    wrapped = generate_trap(topo, [1, 1])
     # first band gate becomes S*H, last band H*Sdg
     s_then_nothing = plain.bands[0].singles[0].clifford
     h_then_s = cliffords.COMPOSE[cliffords.C_H][s_then_nothing]
@@ -60,9 +55,7 @@ def test_trap_is_oriented_cx_sequence():
     # t=0 trap unitary equals the corresponding cX product on |+>^n
     topo = identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()])
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        choice = TrapChoice(pair_bits=((bits[0],), (bits[1],)),
-                            single_bits=((), ()), t=0)
-        trap = generate_trap(topo, choice)
+        trap = generate_trap(topo, [*bits, 0])
         state = np.full(4, 0.5, dtype=complex)
         for band in trap.bands:
             for i, g in enumerate(band.singles):
@@ -78,14 +71,13 @@ def test_sample_choice_deterministic_and_uniform():
     topo = identity_circuit(3, 3, cz_layout=[{(0, 1)}, {(1, 2)}, set()])
     a = sample_choice(topo, np.random.default_rng(4))
     b = sample_choice(topo, np.random.default_rng(4))
-    assert a == b
+    assert a.dtype == np.uint8 and np.array_equal(a, b)
     rng = np.random.default_rng(5)
     counts = np.zeros(5)
     reps = 10 ** 4
     for _ in range(reps):
-        c = sample_choice(topo, rng)
-        counts += [c.pair_bits[0][0], c.single_bits[0][0],
-                   c.pair_bits[1][0], c.single_bits[1][0], c.t]
+        # band 0's pair and unpaired bits, band 1's, then t
+        counts += sample_choice(topo, rng)
     assert ((counts / reps > 0.48) & (counts / reps < 0.52)).all()
 
 
@@ -99,9 +91,11 @@ def test_choice_space_sizes():
 
 def test_enumerate_choices_complete_and_unique():
     topo = identity_circuit(2, 3, cz_layout=[{(0, 1)}, set(), set()])
-    choices = list(enumerate_choices(topo))
+    choices = enumerate_choices(topo)
     assert len(choices) == choice_space_size(topo)
-    assert len(set(choices)) == len(choices)
+    assert len({tuple(c) for c in choices}) == len(choices)
+    # code c = 0b1010: t = 0, band 1's unpaired bits (1, 0), band 0's pair 1
+    assert choices[0b1010].tolist() == [1, 1, 0, 0]
 
 
 def test_enumerate_cap():
@@ -112,12 +106,7 @@ def test_enumerate_cap():
 
 def test_choice_topology_mismatch():
     topo = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
-    bad = TrapChoice(pair_bits=((),), single_bits=((0, 1),), t=0)
-    with pytest.raises(ValueError):
-        generate_trap(topo, bad)
-
-
-def test_choice_json_round_trip():
-    topo = identity_circuit(3, 3, cz_layout=[{(0, 1)}, {(1, 2)}, set()])
-    choice = sample_choice(topo, np.random.default_rng(8))
-    assert TrapChoice.from_json(choice.to_json()) == choice
+    with pytest.raises(ValueError, match="shape"):
+        generate_trap(topo, [0, 0, 1])
+    with pytest.raises(ValueError, match="0 or 1"):
+        generate_trap(topo, [2, 0])
