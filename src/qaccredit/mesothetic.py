@@ -62,8 +62,10 @@ class QubitRegister:
         self._state = simulator.apply_cz(self._state, i, j, self.n)
 
     def apply_pauli(self, party: str, p: PauliString):
+        """Apply p up to its global phase."""
         self._check(party)
-        self._state = simulator.apply_pauli(self._state, p, self.n)
+        self._state = simulator.apply_pauli(self._state, p.x_bits, p.z_bits,
+                                            self.n)
 
     def measure_x(self, party: str, rng: np.random.Generator) -> np.ndarray:
         self._check(party)
@@ -148,8 +150,9 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     aborted = False
     flag = "acc"
     for k, dressed in enumerate(prepared):
-        deviations = ({} if alice_noise is None
-                      else alice_noise.sample_deviations(k, n, m, rng))
+        deviations = simulator.row_masks(
+            None if alice_noise is None
+            else alice_noise.sample_deviations(k, n, m, rng), m)
         register = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             register.apply_pauli(BOB, dev)
@@ -160,8 +163,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
             reg = msg.register
             for i, gate in enumerate(band.singles):
                 reg.apply_single(ALICE, gate.to_matrix(), i)
-            for dev in deviations.get(j, []):
-                reg.apply_pauli(ALICE, dev)
+            if any(deviations[j]):
+                reg.apply_pauli(ALICE, PauliString(n, *deviations[j]))
             reg.transfer(ALICE, BOB)
             channel.send(Message("qubits_to_bob", register=reg))
             msg = channel.receive("qubits_to_bob")

@@ -14,10 +14,11 @@ of its own: the one-time pad twirls it into a Pauli mixture, which the twirl
 oracle checks. Models never see which circuit is the target or any pad/trap
 bits.
 
-A model has one sampler per part: ``sample_error_bits`` draws a collection
-as (x, z) error bits and ``sample_deviations`` the gate deviations of one
-circuit. The sampler of a part a model lacks draws nothing and returns no
-errors.
+A model has one sampler per part, both in (x, z) uint8 bits (bit q is qubit
+q): ``sample_error_bits`` draws a (v+1, m+1, n) collection and
+``sample_deviations`` one circuit's gate deviations as an (m, n) pair, row j
+acting right after band j's single-qubit round, or None when none fires.
+The sampler of a part a model lacks draws nothing and returns no errors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import pauli
 from .pauli import PauliString
+from .simulator import index_to_bits
 
 PROB_ATOL = 1e-12
 
@@ -72,28 +74,11 @@ class PauliErrorCollection:
     def to_bits(self) -> tuple:
         """(x, z) uint8 arrays of shape (circuits, m+1, n); bit q is qubit q."""
         n = self.circuits[0][0].n
-        x = np.array([[_int_to_bits(p.x_bits, n) for p in locs]
+        x = np.array([[index_to_bits(p.x_bits, n) for p in locs]
                       for locs in self.circuits], dtype=np.uint8)
-        z = np.array([[_int_to_bits(p.z_bits, n) for p in locs]
+        z = np.array([[index_to_bits(p.z_bits, n) for p in locs]
                       for locs in self.circuits], dtype=np.uint8)
         return x, z
-
-
-def _int_to_bits(value: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                          "little")
-
-
-def paulis_from_bits(x: np.ndarray, z: np.ndarray) -> tuple:
-    """One PauliString (sign 0) per row of two (rows, n) bit arrays."""
-    n = x.shape[-1]
-    return tuple(PauliString(n, _bits_to_int(xr), _bits_to_int(zr))
-                 for xr, zr in zip(x, z))
 
 
 def identity_collection(num_circuits: int, n: int, m: int) -> PauliErrorCollection:
@@ -119,10 +104,10 @@ class NoiseModel:
         return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
 
     def sample_deviations(self, k: int, n: int, m: int,
-                          rng: np.random.Generator) -> dict:
-        """Gate deviations of n-qubit circuit k's m single-qubit rounds,
-        as lists of PauliStrings by band."""
-        return {}
+                          rng: np.random.Generator) -> Optional[tuple]:
+        """Gate deviations of n-qubit circuit k's m single-qubit rounds as
+        (x, z) uint8 arrays of shape (m, n), or None when none fires."""
+        return None
 
     def gate_rate(self, k: int, j: int) -> float:
         return 0.0
@@ -141,7 +126,10 @@ def noiseless() -> NoiseModel:
 
 
 class ExplicitCollectionDistribution(NoiseModel):
-    """Arbitrary classical correlation: a finite list of (collection, prob)."""
+    """Arbitrary classical correlation: a finite list of (collection, prob).
+
+    Each collection is converted once, here, to read-only (x, z) bits.
+    """
 
     def __init__(self, entries: Sequence):
         self.entries = [(c, float(p)) for c, p in entries]
@@ -153,14 +141,17 @@ class ExplicitCollectionDistribution(NoiseModel):
         if abs(probs.sum() - 1.0) > PROB_ATOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self._probs = probs
+        self._bits = [c.to_bits() for c, _ in self.entries]
+        for x, z in self._bits:
+            x.setflags(write=False)
+            z.setflags(write=False)
 
     def sample_error_bits(self, v, n, m, rng):
-        idx = rng.choice(len(self.entries), p=self._probs)
-        x, z = self.entries[idx][0].to_bits()
-        if x.shape != (v + 1, m + 1, n):
-            raise ValueError(f"collection shape {x.shape} does not match "
+        shape = self._bits[0][0].shape
+        if shape != (v + 1, m + 1, n):
+            raise ValueError(f"collection shape {shape} does not match "
                              f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
-        return x, z
+        return self._bits[rng.choice(len(self.entries), p=self._probs)]
 
 
 class IndependentLocationChannels(NoiseModel):
@@ -281,13 +272,13 @@ class BoundedGateNoise(NoiseModel):
         if n != self.n:
             raise ValueError(f"gate noise built for n={self.n} qubits "
                              f"cannot act on a circuit of n={n} qubits")
-        deviations = {}
+        deviations = np.zeros((2, m, n), dtype=np.uint8)
         for j in range(m):
             if rng.random() < self.gate_rate(k, j):
                 q = int(rng.integers(0, n))
-                x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
-                deviations[j] = [PauliString(n, x << q, z << q)]
-        return deviations
+                deviations[:, j, q] = [(1, 0), (1, 1), (0, 1)][
+                    int(rng.integers(0, 3))]
+        return tuple(deviations) if deviations.any() else None
 
 
 class CompositeModel(NoiseModel):

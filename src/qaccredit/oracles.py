@@ -29,7 +29,7 @@ from scipy.optimize import nnls
 
 from . import pauli, qotp, simulator, traps
 from .circuit import Circuit
-from .noise import ExplicitCollectionDistribution
+from .noise import ExplicitCollectionDistribution, PauliErrorCollection
 from .pauli import PauliString
 from .protocol import KAPPA
 
@@ -265,10 +265,12 @@ def twirl_channel(circuits, channels: dict,
     n, m = circuits[0].n, circuits[0].m
     averaged = [pad_averaged_distribution(c, channels) for c in circuits]
     collections = _enumerate_collections(n, m)
+    # the candidate slices as the circuits of one collection, in bits
+    err_x, err_z = PauliErrorCollection(collections).to_bits()
     columns = []
-    for errs in collections:
+    for x, z in zip(err_x, err_z):
         col = np.concatenate([
-            simulator.statevector_distribution(c, errors=errs)
+            simulator.statevector_distribution(c, errors=(x, z))
             for c in circuits
         ])
         columns.append(col)

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import noise as noise_mod
 from . import qotp, simulator, traps
 from .circuit import Circuit, validate
 from .noise import NoiseModel
@@ -195,7 +194,7 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     outputs = []
     for k, dressed in enumerate(plan):
         raw = simulator.run_statevector(
-            dressed.circuit, noise_mod.paulis_from_bits(err_x[k], err_z[k]),
+            dressed.circuit, (err_x[k], err_z[k]),
             noise.sample_deviations(k, n, m, rng), rng, limits)
         outputs.append(qotp.postprocess(raw, dressed.key))
     trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
@@ -211,20 +210,6 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 # Runs per batched frame; bounds the trap frame's memory for any d.
 RUN_BLOCK = 128
-
-
-def _fold_deviations(err_x: np.ndarray, err_z: np.ndarray, deviations: dict):
-    """XOR each band-j Pauli deviation into location j+1 of one error slice.
-
-    A deviation acts right after band j's single-qubit round and just before
-    the location-(j+1) error (location m for the last band, which has no
-    cZ), so the product is the same operator up to phase.
-    """
-    qubits = np.arange(err_x.shape[-1])
-    for j, devs in deviations.items():
-        for dev in devs:
-            err_x[j + 1] ^= (dev.x_bits >> qubits & 1).astype(np.uint8)
-            err_z[j + 1] ^= (dev.z_bits >> qubits & 1).astype(np.uint8)
 
 
 def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
@@ -253,9 +238,9 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     outputs = [None] * config.d
     shape = (2, target.m + 1, target.n)
     for bits, accepted in slices.items():
-        x, z = np.frombuffer(bits, dtype=np.uint8).reshape(shape)
         probs = simulator.statevector_distribution(
-            target, noise_mod.paulis_from_bits(x, z), limits=config.limits)
+            target, np.frombuffer(bits, dtype=np.uint8).reshape(shape),
+            limits=config.limits)
         run_ids, draws = zip(*accepted)
         for r, i in zip(run_ids, simulator.quantile_indices(probs, draws)):
             outputs[r] = simulator.index_to_bits(int(i), target.n)
@@ -280,8 +265,11 @@ def _pad_free_block(config: ProtocolConfig, target: Circuit,
         err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
         for k in range(v + 1):
             deviations = noise.sample_deviations(k, n, m, rng)
-            if deviations:
-                _fold_deviations(err_x[i, k], err_z[i, k], deviations)
+            if deviations is not None:
+                # band j's deviation acts right before the location-(j+1)
+                # error (location m after the last band, which has no cZ)
+                err_x[i, k, 1:] ^= deviations[0]
+                err_z[i, k, 1:] ^= deviations[1]
         rngs.append(rng)
     # run i's t-th trap sits at the t-th slot other than v0[i]
     slots = np.arange(v) + (np.arange(v) >= v0[:, None])

@@ -141,17 +141,20 @@ def apply_cz(state: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     return out
 
 
-def apply_pauli(state: np.ndarray, p: PauliString, n: int) -> np.ndarray:
+def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
+                n: int) -> np.ndarray:
+    """Apply X^x Z^z by integer masks (bit q = qubit q); no global phase."""
+    if not x_mask and not z_mask:
+        return state
     idx = np.arange(2 ** n)
-    flipped = idx ^ p.x_bits
     # X^x Z^z on |b>: Z phases first on b, then X flips b
     zpar = np.zeros(2 ** n, dtype=np.int64)
     for q in range(n):
-        if (p.z_bits >> q) & 1:
+        if (z_mask >> q) & 1:
             zpar ^= (idx >> q) & 1
     out = np.zeros_like(state)
-    out[flipped] = state * ((-1.0) ** zpar)
-    return out * (1j ** p.sign)
+    out[idx ^ x_mask] = state * ((-1.0) ** zpar)
+    return out
 
 
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -161,30 +164,36 @@ def _plus_state(n: int) -> np.ndarray:
     return np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
 
 
+def row_masks(bits: Optional[Sequence], rows: int) -> list:
+    """(x, z) integer masks per row of an (x, z) bit-array pair; None: 0."""
+    if bits is None:
+        return [(0, 0)] * rows
+    return [(bits_to_index(x), bits_to_index(z)) for x, z in zip(*bits)]
+
+
 def _evolve_state(circuit: Circuit,
                   errors: Optional[Sequence],
-                  deviations: Optional[dict]) -> np.ndarray:
+                  deviations: Optional[Sequence]) -> np.ndarray:
     """|+>^n through the circuit with Pauli errors and gate deviations.
 
-    ``deviations`` maps band index j to a list of PauliStrings applied after
-    band j's single-qubit round and before the location-(j+1) error.
+    ``errors`` is an (x, z) pair of (m+1, n) bit arrays, row j the
+    location-j error. ``deviations`` is an (x, z) pair of (m, n) bit arrays,
+    row j applied after band j's single-qubit round and before the
+    location-(j+1) error. Either may be None for no noise.
     """
     n, m = circuit.n, circuit.m
-    state = _plus_state(n)
-    if errors is not None:
-        state = apply_pauli(state, errors[0], n)
+    err = row_masks(errors, m + 1)
+    dev = row_masks(deviations, m)
+    state = apply_pauli(_plus_state(n), *err[0], n)
     for j, band in enumerate(circuit.bands):
         for i, gate in enumerate(band.singles):
             state = apply_single(state, gate.to_matrix(), i, n)
-        for dev in (deviations or {}).get(j, []):
-            state = apply_pauli(state, dev, n)
-        if errors is not None and j < m - 1:
-            state = apply_pauli(state, errors[j + 1], n)
+        state = apply_pauli(state, *dev[j], n)
+        if j < m - 1:
+            state = apply_pauli(state, *err[j + 1], n)
         for pair in band.sorted_pairs():
             state = apply_cz(state, *pair, n)
-    if errors is not None:
-        state = apply_pauli(state, errors[m], n)
-    return state
+    return apply_pauli(state, *err[m], n)
 
 
 def x_distribution(state: np.ndarray, n: int) -> np.ndarray:
@@ -224,9 +233,10 @@ def check_statevector_size(n: int, limits: SimLimits = DEFAULT_LIMITS):
 
 def statevector_distribution(circuit: Circuit,
                              errors: Optional[Sequence] = None,
-                             deviations: Optional[dict] = None,
+                             deviations: Optional[Sequence] = None,
                              limits: SimLimits = DEFAULT_LIMITS) -> np.ndarray:
-    """Exact X-measurement outcome distribution (index bit q = qubit q)."""
+    """Exact X-measurement outcome distribution (index bit q = qubit q)
+    under the (x, z) bit pairs that :func:`_evolve_state` reads."""
     check_statevector_size(circuit.n, limits)
     return x_distribution(_evolve_state(circuit, errors, deviations),
                           circuit.n)
@@ -234,11 +244,11 @@ def statevector_distribution(circuit: Circuit,
 
 def run_statevector(circuit: Circuit,
                     errors: Optional[Sequence] = None,
-                    gate_deviations: Optional[dict] = None,
+                    deviations: Optional[Sequence] = None,
                     rng: Optional[np.random.Generator] = None,
                     limits: SimLimits = DEFAULT_LIMITS) -> np.ndarray:
     """One X-measurement sample as an n-bit array."""
-    probs = statevector_distribution(circuit, errors, gate_deviations, limits)
+    probs = statevector_distribution(circuit, errors, deviations, limits)
     rng = rng if rng is not None else np.random.default_rng()
     return sample_bits(probs, circuit.n, rng)
 

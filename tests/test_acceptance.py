@@ -16,7 +16,8 @@ import numpy as np
 from qaccredit import families, oracles, pauli, protocol, qotp, simulator, traps
 from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import BobStrategy, run_session, soundness_estimate
-from qaccredit.noise import (BoundedGateNoise, CompositeModel, noiseless,
+from qaccredit.noise import (BoundedGateNoise, CompositeModel,
+                             PauliErrorCollection, noiseless,
                              random_adversary)
 from qaccredit.pauli import PauliString
 from qaccredit.protocol import (OperationCounts, ProtocolConfig,
@@ -255,7 +256,9 @@ def test_criterion_11_backend_cross_check():
             x = 0 if z_only else int(rng.integers(0, 2 ** n))
             errs.append(PauliString(n, x, int(rng.integers(0, 2 ** n))))
         frame_bits = simulator.trap_output(trap, errs)
-        sv_bits = simulator.run_statevector(trap, errors=errs, rng=rng)
+        err_x, err_z = PauliErrorCollection((errs,)).to_bits()
+        sv_bits = simulator.run_statevector(trap, errors=(err_x[0], err_z[0]),
+                                            rng=rng)
         if not np.array_equal(frame_bits, sv_bits):
             agree = False
             break

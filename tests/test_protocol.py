@@ -287,6 +287,12 @@ def test_accredit_checks_target_size_before_running():
         protocol.accredit(cfg, target)
 
 
+def _fold(err_x, err_z, dev_x, dev_z):
+    """The engine's rule: band j's deviation joins the location-(j+1) error."""
+    err_x[1:] ^= dev_x
+    err_z[1:] ^= dev_z
+
+
 def test_pauli_deviations_fold_into_trap_frame():
     rng = np.random.default_rng(17)
     for _ in range(150):
@@ -299,18 +305,18 @@ def test_pauli_deviations_fold_into_trap_frame():
         err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
         err_x[[0, m]] = 0
         err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
-        errors = noise.paulis_from_bits(err_x, err_z)
-        # single-qubit deviations as the model draws them, plus one
+        errors = err_x.copy(), err_z.copy()
+        # single-qubit deviations as the model draws them, times one
         # arbitrary Pauli in a random band
-        deviations = BoundedGateNoise(rate=0.5, n=n).sample_deviations(
-            0, n, m, rng)
-        deviations.setdefault(int(rng.integers(0, m)), []).append(
-            PauliString(n, int(rng.integers(0, 2 ** n)),
-                        int(rng.integers(0, 2 ** n))))
-        protocol._fold_deviations(err_x, err_z, deviations)
+        dev_x, dev_z = BoundedGateNoise(rate=0.5, n=n).sample_deviations(
+            0, n, m, rng) or np.zeros((2, m, n), dtype=np.uint8)
+        j = int(rng.integers(0, m))
+        dev_x[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
+        dev_z[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
+        _fold(err_x, err_z, dev_x, dev_z)
         frame = simulator.frame_flips(topo, gates, err_x[None], err_z[None])
         dense = qotp.postprocess(simulator.run_statevector(
-            dressed.circuit, errors, deviations, rng), dressed.key)
+            dressed.circuit, errors, (dev_x, dev_z), rng), dressed.key)
         assert np.array_equal(frame[0], dense)
 
 
@@ -327,16 +333,20 @@ def test_pad_invariance_under_folded_deviations(n, m, generic, seed):
     dressed = qotp.dress(target, qotp.sample_pads(n, m, rng))
     err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
     err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
-    errors = noise.paulis_from_bits(err_x, err_z)
-    deviations = {j: [PauliString(n, int(rng.integers(0, 2 ** n)),
-                                  int(rng.integers(0, 2 ** n)))
-                      for _ in range(int(rng.integers(0, 3)))]
-                  for j in range(m)}
+    errors = err_x.copy(), err_z.copy()
+    # zero to two arbitrary Paulis per band, multiplied together
+    def row():
+        return simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
+
+    dev_x, dev_z = np.zeros((2, m, n), dtype=np.uint8)
+    for j in range(m):
+        for _ in range(int(rng.integers(0, 3))):
+            dev_x[j] ^= row()
+            dev_z[j] ^= row()
     padded = simulator.statevector_distribution(dressed.circuit, errors,
-                                                deviations)
-    protocol._fold_deviations(err_x, err_z, deviations)
-    bare = simulator.statevector_distribution(
-        target, noise.paulis_from_bits(err_x, err_z))
+                                                (dev_x, dev_z))
+    _fold(err_x, err_z, dev_x, dev_z)
+    bare = simulator.statevector_distribution(target, (err_x, err_z))
     # post-processing XORs every outcome with the key
     key = simulator.bits_to_index(dressed.key)
     assert np.abs(padded[np.arange(2 ** n) ^ key] - bare).max() <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaccredit import families, noise, pauli, simulator, traps
+from qaccredit import families, pauli, simulator, traps
 from qaccredit.circuit import Band, Circuit, clifford_gate, identity_circuit
 from qaccredit.noise import identity_collection
 from qaccredit.pauli import PauliString
@@ -16,6 +16,19 @@ from qaccredit.traps import generate_trap
 
 def _ident_errors(n, m):
     return identity_collection(1, n, m).slice_for(0)
+
+
+def _bits(errs):
+    """The (x, z) bit arrays of a slice of PauliStrings."""
+    n = errs[0].n
+    return (np.array([simulator.index_to_bits(p.x_bits, n) for p in errs]),
+            np.array([simulator.index_to_bits(p.z_bits, n) for p in errs]))
+
+
+def _paulis(x, z):
+    """The PauliStrings of the rows of (x, z) bit arrays."""
+    return [PauliString(x.shape[-1], simulator.bits_to_index(xr),
+                        simulator.bits_to_index(zr)) for xr, zr in zip(x, z)]
 
 
 def test_frame_identity_errors():
@@ -88,7 +101,7 @@ def test_statevector_matches_frame_on_traps():
             x = 0 if z_only else int(rng.integers(0, 2 ** n))
             errs.append(PauliString(n, x, int(rng.integers(0, 2 ** n))))
         expected = trap_output(trap, errs)
-        sampled = run_statevector(trap, errors=errs, rng=rng)
+        sampled = run_statevector(trap, errors=_bits(errs), rng=rng)
         assert np.array_equal(sampled, expected)
 
 
@@ -105,7 +118,7 @@ def test_statevector_frame_exhaustive_small():
                     errs = list(_ident_errors(2, 3))
                     errs[loc] = PauliString(2, x, z)
                     expected = trap_output(trap, errs)
-                    got = run_statevector(trap, errors=errs, rng=rng)
+                    got = run_statevector(trap, errors=_bits(errs), rng=rng)
                     assert np.array_equal(got, expected)
 
 
@@ -255,7 +268,7 @@ def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
         trap = generate_trap(topo, bits[r])
         assert [[g.clifford for g in band.singles] for band in trap.bands] \
             == gates[r].tolist()
-        errors = noise.paulis_from_bits(err_x[r], err_z[r])
+        errors = _paulis(err_x[r], err_z[r])
         assert np.array_equal(flips[r], trap_output(trap, errors))
 
 
