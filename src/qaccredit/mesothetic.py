@@ -122,6 +122,18 @@ class BobStrategy:
     def deviations_for(self, k: int, stage: int) -> list:
         return self.deviations.get((k, stage), [])
 
+    def check_fits(self, v: int, n: int, m: int):
+        """Raise ValueError unless every deviation lies in circuits 0..v and
+        stages 0..m and acts on n qubits."""
+        for (k, stage), devs in self.deviations.items():
+            where = f"Bob deviation at (k={k}, stage={stage})"
+            if not (0 <= k <= v and 0 <= stage <= m):
+                raise ValueError(f"{where} lies outside circuits 0..{v} "
+                                 f"and stages 0..{m}")
+            if any(dev.n != n for dev in devs):
+                raise ValueError(f"{where} does not act on the target's "
+                                 f"{n} qubits")
+
 
 @dataclass
 class SessionReport:
@@ -141,10 +153,12 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     Alice's preliminary work (``protocol.plan_run``: slot choice, trap
     sampling, padding) happens before any message is exchanged.
     ``alice_noise`` optionally injects bounded gate noise into Alice's own
-    single-qubit rounds.
+    single-qubit rounds. Bob's deviations are checked against the run
+    (:meth:`BobStrategy.check_fits`) before any draw.
     """
-    v0, prepared = plan_run(target, v, rng)
     n, m = target.n, target.m
+    bob.check_fits(v, n, m)
+    v0, prepared = plan_run(target, v, rng)
     channel = Transport()
     target_output = None
     aborted = False
@@ -221,6 +235,7 @@ def soundness_estimate(target: Circuit, v: int, bob: BobStrategy,
     """
     if v < 3:
         raise ValueError("v >= 3 required")
+    bob.check_fits(v, target.n, target.m)
     corrupt_by_slot = [_corrupts_target(target, bob, k) for k in range(v + 1)]
     bad = 0
     for _ in range(sessions):

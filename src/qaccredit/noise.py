@@ -45,6 +45,12 @@ class PauliErrorCollection:
     def __post_init__(self):
         object.__setattr__(
             self, "circuits", tuple(tuple(locs) for locs in self.circuits))
+        if not self.circuits:
+            raise ValueError("collection needs at least one circuit")
+        if len({len(locs) for locs in self.circuits}) > 1:
+            raise ValueError("circuits have different location counts")
+        if len({p.n for locs in self.circuits for p in locs}) > 1:
+            raise ValueError("PauliStrings have different qubit counts")
         for k, locs in enumerate(self.circuits):
             if len(locs) < 2:
                 raise ValueError(f"circuit {k}: needs locations 0..m with m>=1")
@@ -128,7 +134,8 @@ def noiseless() -> NoiseModel:
 class ExplicitCollectionDistribution(NoiseModel):
     """Arbitrary classical correlation: a finite list of (collection, prob).
 
-    Each collection is converted once, here, to read-only (x, z) bits.
+    Each collection is converted once, here, to read-only (x, z) bits, and
+    all of them must have one shape.
     """
 
     def __init__(self, entries: Sequence):
@@ -142,6 +149,9 @@ class ExplicitCollectionDistribution(NoiseModel):
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self._probs = probs
         self._bits = [c.to_bits() for c, _ in self.entries]
+        shapes = {x.shape for x, _ in self._bits}
+        if len(shapes) > 1:
+            raise ValueError(f"entries have different shapes {sorted(shapes)}")
         for x, z in self._bits:
             x.setflags(write=False)
             z.setflags(write=False)

@@ -165,7 +165,8 @@ def _plus_state(n: int) -> np.ndarray:
 
 
 def row_masks(bits: Optional[Sequence], rows: int) -> list:
-    """(x, z) integer masks per row of an (x, z) bit-array pair; None: 0."""
+    """(x, z) integer masks per row of an (x, z) bit-array pair, or of
+    ``rows`` noiseless rows for None."""
     if bits is None:
         return [(0, 0)] * rows
     return [(bits_to_index(x), bits_to_index(z)) for x, z in zip(*bits)]

@@ -3,7 +3,8 @@
 The digests below pin the exact reports, run outcomes and session outcomes
 for fixed seeds, plus the generators' final states. A change that draws
 differently on purpose updates them and says so in CHANGES.md; any other
-change must leave them as they are.
+change must leave them as they are. ``python tests/test_golden_streams.py``
+(with ``src`` on PYTHONPATH) prints the current digests.
 """
 
 import hashlib

@@ -36,6 +36,28 @@ def test_z_everywhere_bob_aborts():
     assert rep.flag == "rej" and not rep.aborted
 
 
+def test_bob_who_cannot_act_is_rejected_before_any_draw():
+    target = families.ghz_circuit(2)  # m = 2
+    yy = PauliString(2, 0b11, 0b11)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for devs, match in (({(9, 1): [yy]}, "k=9, stage=1"),
+                        ({(0, 7): [yy]}, "k=0, stage=7"),
+                        ({(-1, 1): [yy]}, "k=-1, stage=1"),
+                        ({(0, 1): [PauliString(3, 0, 0b100)]}, "2 qubits"),
+                        ({(0, 1): [yy, PauliString(3, 0b100, 0)]},
+                         "2 qubits")):
+        bob = BobStrategy(honest=False, deviations=devs)
+        with pytest.raises(ValueError, match=match):
+            run_session(target, 3, bob, rng)
+        with pytest.raises(ValueError, match=match):
+            soundness_estimate(target, 3, bob, 10, rng)
+    assert rng.bit_generator.state == state
+    # the edges of the run are fine
+    edges = {(0, 0): [yy], (3, target.m): [yy]}
+    run_session(target, 3, BobStrategy(honest=False, deviations=edges), rng)
+
+
 def test_register_ownership_enforced():
     reg = QubitRegister(2, owner=BOB)
     with pytest.raises(OwnershipError):

@@ -27,6 +27,32 @@ def test_z_only_constraint_enforced():
         ((PauliString(1), PauliString(1, 1, 0), PauliString(1)),))
 
 
+def test_collection_rejects_no_circuits():
+    with pytest.raises(ValueError, match="at least one circuit"):
+        PauliErrorCollection(())
+
+
+def test_collection_rejects_different_location_counts():
+    with pytest.raises(ValueError, match="location counts"):
+        PauliErrorCollection(((PauliString(1),) * 3, (PauliString(1),) * 4))
+
+
+def test_collection_rejects_different_qubit_counts():
+    # X on qubit 1 of a 2-qubit string among 1-qubit strings used to read
+    # as noiseless
+    with pytest.raises(ValueError, match="qubit counts"):
+        PauliErrorCollection(
+            ((PauliString(1), PauliString(2, 0b10, 0), PauliString(1)),))
+    with pytest.raises(ValueError, match="qubit counts"):
+        PauliErrorCollection(((PauliString(1),) * 3, (PauliString(2),) * 3))
+
+
+def test_explicit_distribution_rejects_different_shapes():
+    with pytest.raises(ValueError, match="different shapes"):
+        ExplicitCollectionDistribution([(identity_collection(2, 1, 2), 0.5),
+                                        (identity_collection(3, 1, 2), 0.5)])
+
+
 def test_noiseless_model():
     model = noiseless()
     x, z = model.sample_error_bits(3, 2, 2, np.random.default_rng(0))
