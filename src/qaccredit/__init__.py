@@ -23,8 +23,8 @@ from .protocol import (AccreditationReport, ProtocolConfig, RunOutcome,
                        accredit, delta_bound, epsilon_theorem1,
                        epsilon_theorem2, figure8_curve, single_run)
 from .qotp import PadRecord, dress, postprocess, sample_pads
-from .simulator import SimLimits, propagate_frame, run_density, \
-    run_statevector, trap_output
+from .simulator import propagate_frame, run_density, run_statevector, \
+    trap_output
 from .traps import (choice_width, enumerate_choices, generate_trap,
                     sample_choice)
 
@@ -38,8 +38,7 @@ __all__ = [
     "delta_bound", "epsilon_theorem1", "epsilon_theorem2", "figure8_curve",
     "single_run",
     "PadRecord", "dress", "postprocess", "sample_pads",
-    "SimLimits", "propagate_frame", "run_density", "run_statevector",
-    "trap_output",
+    "propagate_frame", "run_density", "run_statevector", "trap_output",
     "choice_width", "enumerate_choices", "generate_trap", "sample_choice",
     "__version__",
 ]

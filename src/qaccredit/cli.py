@@ -152,11 +152,9 @@ def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
 @click.option("--runs", type=int, default=10 ** 5)
 @click.option("--adversaries", type=int, default=5,
               help="Random adversary distributions for the theorem1 oracle.")
-@click.option("--bound", type=float, default=None,
-              help="Test hook: override the asserted bound.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_oracle(which, n, m, v, band_class, runs, adversaries, bound, seed, out):
+def cmd_oracle(which, n, m, v, band_class, runs, adversaries, seed, out):
     """Run a lemma-verification suite; emits JSON-lines reports."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
@@ -184,10 +182,6 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, bound, seed, out):
         _fail(EXIT_SIM_LIMITS, str(exc))
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    if bound is not None:
-        for r in reports:
-            r.bound = bound
-            r.passed = float(r.probability) <= bound
     text = "\n".join(r.to_json() for r in reports) + "\n"
     _emit(text, out)
     failures = sum(1 for r in reports if not r.passed)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import cliffords
 from .circuit import Band, Circuit, Gate, IDENTITY_GATE, clifford_gate
+
+GENERIC_FRACTION = 0.5  # share of Haar-random gates in random_generic_circuit
 
 
 def ghz_circuit(n: int) -> Circuit:
@@ -46,9 +46,8 @@ def _random_disjoint_pairs(n: int, rng: np.random.Generator) -> frozenset:
 
 
 def random_clifford_circuit(n: int, m: int,
-                            rng: Optional[np.random.Generator] = None) -> Circuit:
+                            rng: np.random.Generator) -> Circuit:
     """Uniformly random single-qubit Cliffords on random disjoint cZ layers."""
-    rng = rng if rng is not None else np.random.default_rng()
     bands = []
     for j in range(m):
         singles = tuple(
@@ -72,16 +71,14 @@ def random_unitary_gate(rng: np.random.Generator) -> Gate:
 
 
 def random_generic_circuit(n: int, m: int,
-                           rng: Optional[np.random.Generator] = None,
-                           generic_fraction: float = 0.5) -> Circuit:
+                           rng: np.random.Generator) -> Circuit:
     """Mixed Clifford/generic gates; guaranteed at least one generic gate."""
-    rng = rng if rng is not None else np.random.default_rng()
     bands = []
     has_generic = False
     for j in range(m):
         singles = []
         for _ in range(n):
-            if rng.random() < generic_fraction:
+            if rng.random() < GENERIC_FRACTION:
                 singles.append(random_unitary_gate(rng))
                 has_generic = True
             else:

@@ -21,7 +21,7 @@ import numpy as np
 from . import pauli, qotp, simulator
 from .circuit import Circuit
 from .noise import NoiseModel
-from .oracles import LemmaReport, three_sigma_report
+from .oracles import LemmaReport, corrupts_target, three_sigma_report
 from .pauli import PauliString
 from .protocol import epsilon_theorem1, epsilon_theorem2, plan_run
 
@@ -146,7 +146,6 @@ class SessionReport:
 
 def run_session(target: Circuit, v: int, bob: BobStrategy,
                 rng: np.random.Generator,
-                abort_on_trap_failure: bool = True,
                 alice_noise: Optional[NoiseModel] = None) -> SessionReport:
     """One interactive session over all v+1 circuits.
 
@@ -161,8 +160,6 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     v0, prepared = plan_run(target, v, rng)
     channel = Transport()
     target_output = None
-    aborted = False
-    flag = "acc"
     for k, dressed in enumerate(prepared):
         deviations = simulator.row_masks(
             None if alice_noise is None
@@ -200,14 +197,12 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
         if k == v0:
             target_output = out
         elif out.any():
-            flag = "rej"
-            if abort_on_trap_failure:
-                channel.send(Message("abort"))
-                aborted = True
-                break
-    return SessionReport(flag=flag, target_output=target_output,
-                         transcript_length=channel.sent,
-                         aborted=aborted, v0=v0)
+            channel.send(Message("abort"))
+            return SessionReport(flag="rej", target_output=target_output,
+                                 transcript_length=channel.sent,
+                                 aborted=True, v0=v0)
+    return SessionReport(flag="acc", target_output=target_output,
+                         transcript_length=channel.sent, aborted=False, v0=v0)
 
 
 def _corrupts_target(target: Circuit, bob: BobStrategy, k: int) -> bool:
@@ -221,8 +216,7 @@ def _corrupts_target(target: Circuit, bob: BobStrategy, k: int) -> bool:
         for dev in bob.deviations_for(k, loc):
             p = pauli.multiply(dev, p)
         errs.append(p)
-    frame = simulator.propagate_frame(target, errs)
-    return pauli.z_mask(frame) != 0
+    return corrupts_target(target, errs)
 
 
 def soundness_estimate(target: Circuit, v: int, bob: BobStrategy,

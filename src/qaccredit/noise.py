@@ -31,7 +31,6 @@ import numpy as np
 
 from . import pauli
 from .pauli import PauliString
-from .simulator import index_to_bits
 
 PROB_ATOL = 1e-12
 
@@ -78,12 +77,20 @@ class PauliErrorCollection:
                 if not self.is_identity_on(k)]
 
     def to_bits(self) -> tuple:
-        """(x, z) uint8 arrays of shape (circuits, m+1, n); bit q is qubit q."""
+        """(x, z) uint8 arrays of shape (circuits, m+1, n); bit q is qubit q.
+
+        Every mask is unpacked in one NumPy step from its little-endian
+        bytes, which is exact at any n.
+        """
         n = self.circuits[0][0].n
-        x = np.array([[index_to_bits(p.x_bits, n) for p in locs]
-                      for locs in self.circuits], dtype=np.uint8)
-        z = np.array([[index_to_bits(p.z_bits, n) for p in locs]
-                      for locs in self.circuits], dtype=np.uint8)
+        width = (n + 7) // 8 or 1
+        masks = [p.x_bits for locs in self.circuits for p in locs] \
+            + [p.z_bits for locs in self.circuits for p in locs]
+        raw = np.frombuffer(b"".join(mask.to_bytes(width, "little")
+                                     for mask in masks), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(masks), width), axis=-1,
+                             count=n, bitorder="little")
+        x, z = bits.reshape(2, self.num_circuits, self.m + 1, n)
         return x, z
 
 

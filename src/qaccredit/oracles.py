@@ -35,6 +35,7 @@ from .protocol import KAPPA
 
 TWIRL_RESIDUAL_TOL = 1e-9
 CROSS_TERM_TOL = 1e-12
+SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
 
 
 @dataclass
@@ -67,7 +68,7 @@ class LemmaReport:
 
 
 @lru_cache(maxsize=32)
-def _choice_flip_tables(topology: Circuit, cap: int):
+def _choice_flip_tables(topology: Circuit):
     """Flip masks of basis errors for every trap choice of a topology.
 
     Returns (n_choices, table) where table[loc][b] is a uint32 array over
@@ -77,7 +78,7 @@ def _choice_flip_tables(topology: Circuit, cap: int):
     symplectic bits, so any collection is an XOR of these rows.
     """
     n, m = topology.n, topology.m
-    choices = traps.enumerate_choices(topology, cap=cap)
+    choices = traps.enumerate_choices(topology)
     circuits = [traps.generate_trap(topology, c) for c in choices]
     ident = PauliString(n)
     table = [[np.zeros(len(choices), dtype=np.uint32) for _ in range(2 * n)]
@@ -94,9 +95,8 @@ def _choice_flip_tables(topology: Circuit, cap: int):
     return len(choices), table
 
 
-def _collection_flips(topology: Circuit, errors: Sequence,
-                      cap: int) -> np.ndarray:
-    n_choices, table = _choice_flip_tables(topology, cap)
+def _collection_flips(topology: Circuit, errors: Sequence) -> np.ndarray:
+    n_choices, table = _choice_flip_tables(topology)
     n = topology.n
     flips = np.zeros(n_choices, dtype=np.uint32)
     for loc, err in enumerate(errors):
@@ -108,14 +108,21 @@ def _collection_flips(topology: Circuit, errors: Sequence,
     return flips
 
 
-def lemma2_exact_prob(topology: Circuit, errors: Sequence,
-                      cap: int = traps.DEFAULT_ENUMERATION_CAP) -> Fraction:
+def lemma2_exact_prob(topology: Circuit, errors: Sequence) -> Fraction:
     """Exact prob(trap outputs all zeros), uniform over all trap choices.
 
     ``errors`` is a single-circuit slice: m+1 PauliStrings by location.
     """
-    flips = _collection_flips(topology, errors, cap)
+    flips = _collection_flips(topology, errors)
     return Fraction(int((flips == 0).sum()), len(flips))
+
+
+def corrupts_target(target: Circuit, errors: Sequence) -> bool:
+    """Does a slice of m+1 PauliStrings flip a Clifford target's output?
+
+    Decided by frame propagation, independently of the batched engine.
+    """
+    return pauli.z_mask(simulator.propagate_frame(target, errors)) != 0
 
 
 def _location_paulis(n: int, z_only: bool):
@@ -130,17 +137,15 @@ def _location_paulis(n: int, z_only: bool):
 
 
 def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
-                 cap: int = traps.DEFAULT_ENUMERATION_CAP,
-                 sample_count: int = 10 ** 4,
                  rng: Optional[np.random.Generator] = None) -> list:
     """Sweep error collections against the 1/2 (single) / 3/4 (multi) bounds.
 
     ``single`` and ``two`` enumerate exhaustively all collections supported
-    on exactly one / two locations. ``all`` samples collections with no
-    support restriction (reports flagged as sampled).
+    on exactly one / two locations. ``all`` samples ``SWEEP_SAMPLES``
+    collections with no support restriction (reports flagged as sampled).
     """
     n, m = topology.n, topology.m
-    n_choices, _ = _choice_flip_tables(topology, cap)
+    n_choices, _ = _choice_flip_tables(topology)
     options = [
         _location_paulis(n, z_only=(loc in (0, m))) for loc in range(m + 1)
     ]
@@ -148,8 +153,7 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
     reports = []
 
     def check(errs, label, bound, sampled=False):
-        flips = _collection_flips(topology, errs, cap)
-        prob = Fraction(int((flips == 0).sum()), len(flips))
+        prob = lemma2_exact_prob(topology, errs)
         # prob == 1 means the flip mask vanishes for every dressing: the
         # errors cancel exactly and the collection acts as the identity
         # channel on the trap. The detection bounds apply to collections
@@ -180,7 +184,7 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
                           f"+loc{lb}:{pauli.to_text(eb)}", Fraction(3, 4))
     elif band_count_class == "all":
         rng = rng if rng is not None else np.random.default_rng(0)
-        for _ in range(sample_count):
+        for _ in range(SWEEP_SAMPLES):
             errs = []
             for loc in range(m + 1):
                 z_only = loc in (0, m)
@@ -252,8 +256,7 @@ def pad_averaged_distribution(circ: Circuit, channels: dict) -> np.ndarray:
     return total / count
 
 
-def twirl_channel(circuits, channels: dict,
-                  residual_tol: float = TWIRL_RESIDUAL_TOL) -> TwirlReport:
+def twirl_channel(circuits, channels: dict) -> TwirlReport:
     """Fit the pad-averaged noisy channel by a Pauli-collection mixture.
 
     ``circuits`` is one Circuit or a list sharing (n, m); a list makes the
@@ -284,7 +287,7 @@ def twirl_channel(circuits, channels: dict,
     residual = float(np.max(np.abs(a @ weights - b)))
     return TwirlReport(averaged=averaged, residual=residual, weights=weights,
                        collections=collections,
-                       passed=residual < residual_tol)
+                       passed=residual < TWIRL_RESIDUAL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +395,14 @@ def three_sigma_report(instance: str, freq: float, bound: float, runs: int,
 
 
 def _acceptance_tables(target: Circuit,
-                       adversary: ExplicitCollectionDistribution,
-                       cap: int):
+                       adversary: ExplicitCollectionDistribution):
     """Precompute per-(entry, slot, choice) trap acceptance and corruption.
 
     accept[e, k, c] = 1 iff a trap built from choice c, placed at slot k,
     outputs all zeros under adversary entry e. corrupted[e, k] = 1 iff the
     entry's slot-k errors flip the target's post-processed output.
     """
-    n_choices, _ = _choice_flip_tables(target, cap)
+    n_choices, _ = _choice_flip_tables(target)
     entries = adversary.entries
     n_entries = len(entries)
     v_plus_1 = entries[0][0].num_circuits
@@ -409,9 +411,8 @@ def _acceptance_tables(target: Circuit,
     for e, (coll, _) in enumerate(entries):
         for k in range(v_plus_1):
             errs = coll.slice_for(k)
-            accept[e, k] = _collection_flips(target, errs, cap) == 0
-            frame = simulator.propagate_frame(target, errs)
-            corrupted[e, k] = pauli.z_mask(frame) != 0
+            accept[e, k] = _collection_flips(target, errs) == 0
+            corrupted[e, k] = corrupts_target(target, errs)
     probs = np.array([p for _, p in entries])
     return accept, corrupted, probs
 
@@ -419,8 +420,8 @@ def _acceptance_tables(target: Circuit,
 def theorem1_empirical(target: Circuit, v: int,
                        adversary: ExplicitCollectionDistribution,
                        runs: int = 10 ** 5,
-                       rng: Optional[np.random.Generator] = None,
-                       cap: int = traps.DEFAULT_ENUMERATION_CAP) -> LemmaReport:
+                       rng: Optional[np.random.Generator] = None
+                       ) -> LemmaReport:
     """Estimate freq(accept AND target corrupted) against kappa/(v+1).
 
     The target must be all-Clifford (corruption is decided by frame
@@ -433,7 +434,7 @@ def theorem1_empirical(target: Circuit, v: int,
     if not target.all_clifford:
         raise ValueError("empirical credibility check needs a Clifford target")
     rng = rng if rng is not None else np.random.default_rng(0)
-    accept, corrupted, probs = _acceptance_tables(target, adversary, cap)
+    accept, corrupted, probs = _acceptance_tables(target, adversary)
     n_entries, v_plus_1, n_choices = accept.shape
     if v_plus_1 != v + 1:
         raise ValueError("adversary collections do not cover v+1 circuits")

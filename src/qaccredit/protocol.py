@@ -30,7 +30,6 @@ import numpy as np
 from . import qotp, simulator, traps
 from .circuit import Circuit, validate
 from .noise import NoiseModel
-from .simulator import DEFAULT_LIMITS, SimLimits
 
 KAPPA = Fraction(27, 16)  # 3 * (3/4)^2, exact
 
@@ -78,7 +77,6 @@ class ProtocolConfig:
     master_seed: int
     noise: NoiseModel
     epsilon_mode: str = "theorem1"  # or "theorem2"
-    limits: SimLimits = DEFAULT_LIMITS
 
     def __post_init__(self):
         if self.v < 3:
@@ -178,8 +176,7 @@ def plan_run(target: Circuit, v: int,
 
 
 def single_run(target: Circuit, v: int, noise: NoiseModel,
-               rng: np.random.Generator,
-               limits: SimLimits = DEFAULT_LIMITS) -> RunOutcome:
+               rng: np.random.Generator) -> RunOutcome:
     """One padded protocol run, the reference that :func:`accredit` matches.
 
     Hides the target among v traps and pads every circuit
@@ -195,7 +192,7 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     for k, dressed in enumerate(plan):
         raw = simulator.run_statevector(
             dressed.circuit, (err_x[k], err_z[k]),
-            noise.sample_deviations(k, n, m, rng), rng, limits)
+            noise.sample_deviations(k, n, m, rng), rng=rng)
         outputs.append(qotp.postprocess(raw, dressed.key))
     trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"
@@ -227,7 +224,7 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     (:func:`simulator.sample_bits`'s rule).
     """
     _check_plan(target, config.v)
-    simulator.check_statevector_size(target.n, config.limits)
+    simulator.check_statevector_size(target.n)
     # (run, sample draw) of each accepted run, by its target's error bits
     slices = {}
     for start in range(0, config.d, RUN_BLOCK):
@@ -239,8 +236,7 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     shape = (2, target.m + 1, target.n)
     for bits, accepted in slices.items():
         probs = simulator.statevector_distribution(
-            target, np.frombuffer(bits, dtype=np.uint8).reshape(shape),
-            limits=config.limits)
+            target, np.frombuffer(bits, dtype=np.uint8).reshape(shape))
         run_ids, draws = zip(*accepted)
         for r, i in zip(run_ids, simulator.quantile_indices(probs, draws)):
             outputs[r] = simulator.index_to_bits(int(i), target.n)
@@ -288,12 +284,18 @@ def accredit(config: ProtocolConfig, target: Circuit) -> AccreditationReport:
 
     Every run, under any noise model, takes the batched pad-free path
     (:func:`_pad_free_runs`); :func:`single_run` is its padded reference.
+    Theorem 1 covers Pauli noise only, so a theorem-1 epsilon under gate
+    noise (survival factor g < 1) raises DomainError before any run.
     """
-    if config.epsilon_mode == "theorem1":
-        eps = epsilon_theorem1(config.v)
-    else:
-        g = config.noise.g_factor(config.v, target.m)
+    g = config.noise.g_factor(config.v, target.m)
+    if config.epsilon_mode == "theorem2":
         eps = epsilon_theorem2(config.v, Fraction(g))
+    elif g < 1:
+        raise DomainError(
+            f"gate noise (g = {g:.4g} < 1) is covered only by Theorem 2; "
+            "use epsilon mode theorem2 (--epsilon-mode theorem2)")
+    else:
+        eps = epsilon_theorem1(config.v)
     accepted = _pad_free_runs(config, target)
     n_acc = len(accepted)
     return AccreditationReport(

@@ -16,7 +16,6 @@ Measurement convention: X-basis outcome 0 corresponds to ``|+>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,23 +25,12 @@ from .circuit import Circuit
 from .pauli import PauliString
 
 TRACE_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SimLimits:
-    max_statevector_qubits: int = 16
-    max_density_qubits: int = 6
-
-    def __post_init__(self):
-        if self.max_statevector_qubits < 1 or self.max_density_qubits < 1:
-            raise ValueError("limits must be >= 1")
-
-
-DEFAULT_LIMITS = SimLimits()
+MAX_STATEVECTOR_QUBITS = 16
+MAX_DENSITY_QUBITS = 6
 
 
 class SimLimitError(RuntimeError):
-    """Requested simulation exceeds the configured size limits."""
+    """Requested simulation exceeds the dense backends' qubit limits."""
 
 
 class NonCliffordError(ValueError):
@@ -224,33 +212,30 @@ def quantile_indices(probs: np.ndarray, u) -> np.ndarray:
     return cdf.searchsorted(u, side="right")
 
 
-def check_statevector_size(n: int, limits: SimLimits = DEFAULT_LIMITS):
+def check_statevector_size(n: int):
     """Raise SimLimitError when n qubits exceed the statevector limit."""
-    if n > limits.max_statevector_qubits:
+    if n > MAX_STATEVECTOR_QUBITS:
         raise SimLimitError(
-            f"{n} qubits exceeds statevector limit "
-            f"{limits.max_statevector_qubits}")
+            f"{n} qubits exceeds statevector limit {MAX_STATEVECTOR_QUBITS}")
 
 
 def statevector_distribution(circuit: Circuit,
                              errors: Optional[Sequence] = None,
-                             deviations: Optional[Sequence] = None,
-                             limits: SimLimits = DEFAULT_LIMITS) -> np.ndarray:
+                             deviations: Optional[Sequence] = None
+                             ) -> np.ndarray:
     """Exact X-measurement outcome distribution (index bit q = qubit q)
     under the (x, z) bit pairs that :func:`_evolve_state` reads."""
-    check_statevector_size(circuit.n, limits)
+    check_statevector_size(circuit.n)
     return x_distribution(_evolve_state(circuit, errors, deviations),
                           circuit.n)
 
 
 def run_statevector(circuit: Circuit,
                     errors: Optional[Sequence] = None,
-                    deviations: Optional[Sequence] = None,
-                    rng: Optional[np.random.Generator] = None,
-                    limits: SimLimits = DEFAULT_LIMITS) -> np.ndarray:
+                    deviations: Optional[Sequence] = None, *,
+                    rng: np.random.Generator) -> np.ndarray:
     """One X-measurement sample as an n-bit array."""
-    probs = statevector_distribution(circuit, errors, deviations, limits)
-    rng = rng if rng is not None else np.random.default_rng()
+    probs = statevector_distribution(circuit, errors, deviations)
     return sample_bits(probs, circuit.n, rng)
 
 
@@ -280,17 +265,16 @@ def _conjugate_single(rho: np.ndarray, u: np.ndarray, q: int,
 
 
 def run_density(circuit: Circuit,
-                channels: Optional[dict] = None,
-                limits: SimLimits = DEFAULT_LIMITS) -> np.ndarray:
+                channels: Optional[dict] = None) -> np.ndarray:
     """Exact output distribution under Kraus channels at noise locations.
 
     ``channels`` maps location index (0..m) to a list of 2^n x 2^n Kraus
     operators. Returns the length-2^n X-measurement probability vector.
     """
     n, m = circuit.n, circuit.m
-    if n > limits.max_density_qubits:
+    if n > MAX_DENSITY_QUBITS:
         raise SimLimitError(
-            f"{n} qubits exceeds density limit {limits.max_density_qubits}")
+            f"{n} qubits exceeds density limit {MAX_DENSITY_QUBITS}")
     channels = channels or {}
     plus = _plus_state(n)
     rho = np.outer(plus, plus.conj())

@@ -20,7 +20,7 @@ import numpy as np
 from . import cliffords
 from .circuit import Band, Circuit, Gate, compose_singles
 
-DEFAULT_ENUMERATION_CAP = 2 ** 24
+ENUMERATION_CAP = 2 ** 24
 
 _H = Gate(clifford=cliffords.C_H)
 _S = Gate(clifford=cliffords.C_S)
@@ -143,8 +143,7 @@ def choice_space_size(target: Circuit) -> int:
     return 2 ** choice_width(target)
 
 
-def enumerate_choices(target: Circuit,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def enumerate_choices(target: Circuit) -> np.ndarray:
     """Every choice row once, in deterministic order, as a 2-D array.
 
     Row c holds the bits of the code c: bit 0 is t, and the higher bits
@@ -153,9 +152,9 @@ def enumerate_choices(target: Circuit,
     reproducible.
     """
     total = choice_space_size(target)
-    if total > cap:
-        raise ValueError(
-            f"choice space of size {total} too large to enumerate (cap {cap})")
+    if total > ENUMERATION_CAP:
+        raise ValueError(f"choice space of size {total} too large to "
+                         f"enumerate (cap {ENUMERATION_CAP})")
     widths = [target.n - len(target.bands[j].cz_pairs)
               for j in range(target.m - 1)]
     # code bit of each row column: band by band, then t at bit 0

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qaccredit import oracles
 from qaccredit.cli import main
 from qaccredit.circuit import parse
 
@@ -95,6 +97,23 @@ def test_accredit_rejects_gate_noise_for_another_qubit_count(
                                   "--seed", "1"])
     assert result.exit_code == 2, result.output
     assert "n=6" in result.stderr and "n=2" in result.stderr
+
+
+def test_accredit_gate_noise_needs_theorem2(runner, ghz_file, tmp_path):
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text('{"variant": "bounded_gate", "rate": 0.05, "n": 3}')
+    args = ["accredit", "--circuit", ghz_file, "--v", "7", "--theta", "0.05",
+            "--noise", str(noise_path), "--seed", "1"]
+    # Theorem 1 covers Pauli noise only, so its epsilon is refused
+    result = runner.invoke(main, args + ["--d", "2000"])
+    assert result.exit_code == 2, result.output
+    assert "--epsilon-mode theorem2" in result.stderr
+    assert result.stdout == ""
+    result = runner.invoke(main, args + ["--d", "200",
+                                         "--epsilon-mode", "theorem2"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["epsilon"] == pytest.approx(0.7696,
+                                                                 abs=1e-4)
 
 
 def test_accredit_seed_reproducible(runner, ghz_file):
@@ -241,11 +260,17 @@ def test_oracle_theorem1_passes(runner):
     assert all(r["detail"]["v_hat"] >= 2 for r in reports)
 
 
-def test_oracle_corrupted_bound_hook(runner):
+def test_oracle_corrupted_bound_hook(runner, monkeypatch):
+    failing = oracles.LemmaReport(instance="loc1:Z", probability=Fraction(1),
+                                  bound=Fraction(1, 2), passed=False,
+                                  samples=4)
+    monkeypatch.setattr(oracles, "lemma2_sweep", lambda *a, **k: [failing])
     result = runner.invoke(main, ["oracle", "--which", "lemma2", "--n", "1",
                                   "--m", "2", "--band-class", "single",
-                                  "--seed", "8", "--bound", "0.1"])
+                                  "--seed", "8"])
     assert result.exit_code == 4
+    assert "1 lemma check(s) failed" in result.stderr
+    assert json.loads(result.stdout)["passed"] is False
 
 
 def test_mesothetic_honest(runner, ghz_file):

@@ -31,9 +31,6 @@ def test_z_everywhere_bob_aborts():
         rep = run_session(target, 3, bob, rng)
         assert rep.flag == "rej"
         assert rep.aborted
-    # without abort-on-failure the session runs to completion but still rejects
-    rep = run_session(target, 3, bob, rng, abort_on_trap_failure=False)
-    assert rep.flag == "rej" and not rep.aborted
 
 
 def test_bob_who_cannot_act_is_rejected_before_any_draw():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qaccredit import noise, pauli
+from qaccredit import noise, pauli, simulator
 from qaccredit.noise import (BoundedGateNoise, CompositeModel,
                              ExplicitCollectionDistribution,
                              IndependentLocationChannels,
@@ -295,6 +295,29 @@ def test_error_bits_agree_with_collections():
     assert np.array_equal(
         composite.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1],
         model.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1])
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 100])
+def test_to_bits_matches_per_string_reference(n):
+    rng = np.random.default_rng(n)
+    m = 3
+
+    def mask():
+        return int.from_bytes(rng.bytes(16), "little") % (1 << n)
+
+    circuits = tuple(
+        tuple(PauliString(n, 0 if loc in (0, m) else mask(), mask())
+              for loc in range(m + 1))
+        for _ in range(4))
+    x, z = PauliErrorCollection(circuits).to_bits()
+    for bits, attr in ((x, "x_bits"), (z, "z_bits")):
+        want = [[simulator.index_to_bits(getattr(p, attr), n) for p in locs]
+                for locs in circuits]
+        assert bits.dtype == np.uint8 and bits.shape == (4, m + 1, n)
+        assert np.array_equal(bits, want)
+    # high qubits are reached: some bit above 62 is set at n >= 64
+    if n >= 64:
+        assert z[..., 63:].any()
 
 
 def test_independent_channels_reject_unknown_rate_keys():

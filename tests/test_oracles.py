@@ -65,8 +65,7 @@ def test_sweep_two_class():
 
 def test_sweep_sampled_class():
     topo = identity_circuit(2, 4, cz_layout=[{(0, 1)}] * 3 + [set()])
-    reports = lemma2_sweep(topo, "all", sample_count=10 ** 3,
-                           rng=np.random.default_rng(0))
+    reports = lemma2_sweep(topo, "all", rng=np.random.default_rng(0))
     assert reports and all(r.passed for r in reports)
     assert all(r.sampled for r in reports)
 
@@ -174,6 +173,22 @@ def test_theorem1_random_adversaries():
         adv = _adversary_touching(2, 2, 3, v_hat, rng)
         rep = theorem1_empirical(target, 3, adv, runs=2 * 10 ** 4, rng=rng)
         assert rep.passed, (v_hat, rep.probability, rep.bound)
+
+
+def test_corrupted_target_is_seen():
+    target = families.ghz_circuit(2)
+    z_at_end = [PauliString(2)] * target.m + [PauliString(2, 0, 1)]
+    assert oracles.corrupts_target(target, z_at_end)
+    assert not oracles.corrupts_target(target, [PauliString(2)] * 3)
+    # the corrupting slice sits in slot 0 only, so it is never caught by a
+    # trap and corrupts the output exactly when v0 = 0
+    circuits = (tuple(z_at_end),) + identity_collection(3, 2, 2).circuits
+    adv = ExplicitCollectionDistribution(
+        [(PauliErrorCollection(circuits), 1.0)])
+    rep = theorem1_empirical(target, 3, adv, runs=10 ** 4,
+                             rng=np.random.default_rng(10))
+    assert abs(rep.probability - 1 / 4) < 0.02
+    assert rep.passed
 
 
 def test_theorem1_requires_v_at_least_3():

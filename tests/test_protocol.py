@@ -14,7 +14,7 @@ from qaccredit.noise import (BoundedGateNoise, CompositeModel,
                              IndependentLocationChannels,
                              PauliErrorCollection, noiseless)
 from qaccredit.pauli import PauliString
-from qaccredit.simulator import SimLimitError, SimLimits
+from qaccredit.simulator import SimLimitError
 from qaccredit.protocol import (AccreditationReport, DomainError,
                                 OperationCounts, ProtocolConfig, RunOutcome,
                                 confidence, curve_to_csv, delta_bound,
@@ -201,6 +201,32 @@ def test_accredit_with_gate_noise_mode():
     assert rep.n_acc == 5
 
 
+def test_theorem1_epsilon_under_gate_noise_is_rejected(monkeypatch):
+    target = families.ghz_circuit(3)
+    gate = CompositeModel(
+        pauli_part=IndependentLocationChannels(default_rates={"Z": 0.01}),
+        gate_part=BoundedGateNoise(rate=0.05, n=3))
+    cfg = ProtocolConfig(v=7, d=2000, theta=0.05, master_seed=1, noise=gate)
+
+    def no_runs(*args):
+        raise AssertionError("a run started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_pad_free_runs", no_runs)
+        with pytest.raises(DomainError, match="theorem2"):
+            protocol.accredit(cfg, target)
+    # under theorem 2 the same model gives g * kappa / 8 + 1 - g
+    cfg = ProtocolConfig(v=7, d=20, theta=0.05, master_seed=1, noise=gate,
+                         epsilon_mode="theorem2")
+    g = 0.95 ** (8 * target.m)
+    assert protocol.accredit(cfg, target).epsilon == pytest.approx(
+        g * 27 / 128 + 1 - g)
+    # rate 0 means g = 1, where Theorem 1 still holds
+    zero = CompositeModel(gate_part=BoundedGateNoise(rate=0.0, n=3))
+    cfg = ProtocolConfig(v=7, d=5, theta=0.05, master_seed=1, noise=zero)
+    assert protocol.accredit(cfg, target).epsilon == 27 / 128
+
+
 def _hoeffding(d: int, delta: float = 1e-9) -> float:
     """t with P(|difference of two d-run frequencies| >= t) <= delta."""
     return math.sqrt(math.log(2.0 / delta) / d)
@@ -216,7 +242,7 @@ def test_pad_free_runs_match_padded_runs():
         gate_part=BoundedGateNoise(rate=0.08, n=target.n))
     for model in (pauli_only, gate_noise):
         cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=41,
-                             noise=model)
+                             noise=model, epsilon_mode="theorem2")
         fast = protocol.accredit(cfg, target).accepted_outputs
         slow = []
         for r in range(d):
@@ -277,13 +303,12 @@ def test_accredit_report_repeats_under_pauli_noise(monkeypatch):
         [o.tolist() for o in first.accepted_outputs[:short.n_acc]]
 
 
-def test_accredit_checks_target_size_before_running():
-    target = families.ghz_circuit(3)
+def test_accredit_checks_target_size_before_running(allocates_at_most):
+    target = families.ghz_circuit(simulator.MAX_STATEVECTOR_QUBITS + 1)
     cfg = ProtocolConfig(v=3, d=5, theta=0.05, master_seed=12,
-                         noise=_z_everywhere_model(3, 3, target.m),
-                         limits=SimLimits(max_statevector_qubits=2))
+                         noise=_z_everywhere_model(3, target.n, target.m))
     # no run accepts, yet the target could never have been simulated
-    with pytest.raises(SimLimitError):
+    with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
         protocol.accredit(cfg, target)
 
 
@@ -316,7 +341,7 @@ def test_pauli_deviations_fold_into_trap_frame():
         _fold(err_x, err_z, dev_x, dev_z)
         frame = simulator.frame_flips(topo, gates, err_x[None], err_z[None])
         dense = qotp.postprocess(simulator.run_statevector(
-            dressed.circuit, errors, (dev_x, dev_z), rng), dressed.key)
+            dressed.circuit, errors, (dev_x, dev_z), rng=rng), dressed.key)
         assert np.array_equal(frame[0], dense)
 
 

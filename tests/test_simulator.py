@@ -7,7 +7,8 @@ from qaccredit import families, pauli, simulator, traps
 from qaccredit.circuit import Band, Circuit, clifford_gate, identity_circuit
 from qaccredit.noise import identity_collection
 from qaccredit.pauli import PauliString
-from qaccredit.simulator import (NonCliffordError, SimLimitError, SimLimits,
+from qaccredit.simulator import (MAX_DENSITY_QUBITS, MAX_STATEVECTOR_QUBITS,
+                                 NonCliffordError, SimLimitError,
                                  propagate_frame, run_density,
                                  run_statevector, statevector_distribution,
                                  trap_output)
@@ -122,12 +123,12 @@ def test_statevector_frame_exhaustive_small():
                     assert np.array_equal(got, expected)
 
 
-def test_statevector_limits():
-    circ = identity_circuit(3, 1)
-    with pytest.raises(SimLimitError):
-        statevector_distribution(circ, limits=SimLimits(2, 2))
-    with pytest.raises(ValueError):
-        SimLimits(0, 1)
+def test_statevector_limits(allocates_at_most):
+    assert (MAX_STATEVECTOR_QUBITS, MAX_DENSITY_QUBITS) == (16, 6)
+    with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
+        statevector_distribution(identity_circuit(17, 1))
+    with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
+        run_density(identity_circuit(7, 1))
 
 
 def test_density_identity_point_mass():

@@ -98,10 +98,12 @@ def test_enumerate_choices_complete_and_unique():
     assert choices[0b1010].tolist() == [1, 1, 0, 0]
 
 
-def test_enumerate_cap():
-    topo = identity_circuit(4, 4)
-    with pytest.raises(ValueError, match="too large to enumerate"):
-        list(enumerate_choices(topo, cap=8))
+def test_enumerate_cap(allocates_at_most):
+    assert traps.ENUMERATION_CAP == 2 ** 24
+    topo = identity_circuit(26, 2)  # 26 unpaired bits and t: 2**27 choices
+    with allocates_at_most(2 ** 16), \
+            pytest.raises(ValueError, match="too large to enumerate"):
+        enumerate_choices(topo)
 
 
 def test_choice_topology_mismatch():
