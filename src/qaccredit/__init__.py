@@ -22,7 +22,7 @@ from .pauli import PauliString
 from .protocol import (AccreditationReport, ProtocolConfig, RunOutcome,
                        accredit, delta_bound, epsilon_theorem1,
                        epsilon_theorem2, figure8_curve, single_run)
-from .qotp import PadRecord, dress, postprocess, sample_pads
+from .qotp import dress, postprocess, sample_pads
 from .simulator import propagate_frame, run_density, run_statevector, \
     trap_output
 from .traps import (choice_width, enumerate_choices, generate_trap,
@@ -37,7 +37,7 @@ __all__ = [
     "AccreditationReport", "ProtocolConfig", "RunOutcome", "accredit",
     "delta_bound", "epsilon_theorem1", "epsilon_theorem2", "figure8_curve",
     "single_run",
-    "PadRecord", "dress", "postprocess", "sample_pads",
+    "dress", "postprocess", "sample_pads",
     "propagate_frame", "run_density", "run_statevector", "trap_output",
     "choice_width", "enumerate_choices", "generate_trap", "sample_choice",
     "__version__",

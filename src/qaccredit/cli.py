@@ -144,13 +144,13 @@ def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
 @main.command("oracle")
 @click.option("--which", required=True,
               type=click.Choice(["lemma2", "twirl", "pauli-twirl", "theorem1"]))
-@click.option("--n", type=int, default=2)
-@click.option("--m", type=int, default=2)
+@click.option("--n", type=click.IntRange(min=1), default=2)
+@click.option("--m", type=click.IntRange(min=1), default=2)
 @click.option("--v", type=int, default=3)
 @click.option("--band-class", type=click.Choice(["single", "two", "all"]),
               default="single")
-@click.option("--runs", type=int, default=10 ** 5)
-@click.option("--adversaries", type=int, default=5,
+@click.option("--runs", type=click.IntRange(min=1), default=10 ** 5)
+@click.option("--adversaries", type=click.IntRange(min=1), default=5,
               help="Random adversary distributions for the theorem1 oracle.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -202,7 +202,7 @@ def _twirl_report(circ, channels):
 @click.option("--circuit", "circuit_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--v", required=True, type=int)
-@click.option("--sessions", type=int, default=1)
+@click.option("--sessions", type=click.IntRange(min=1), default=1)
 @click.option("--dishonest", is_flag=True,
               help="Bob inserts a fixed Z on qubit 0 before every measurement.")
 @click.option("--seed", type=int, default=None)
@@ -239,6 +239,8 @@ def cmd_mesothetic(circuit_path, v, sessions, dishonest, seed, out):
             })
     except SimLimitError as exc:
         _fail(EXIT_SIM_LIMITS, str(exc))
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
     _emit(json.dumps({"seed": seed, "sessions": results}, indent=2) + "\n",
           out)
 

@@ -210,11 +210,9 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
 
 
 def _all_pads(n: int, m: int):
-    total_bits = 2 * n * m + n
-    for code in range(2 ** total_bits):
-        bits = np.array([(code >> k) & 1 for k in range(total_bits)],
-                        dtype=np.uint8)
-        yield qotp.pads_from_bits(bits, n, m)
+    width = qotp.pad_width(n, m)
+    for code in range(2 ** width):
+        yield simulator.index_to_bits(code, width)
 
 
 def _postprocessed(dist: np.ndarray, key: np.ndarray) -> np.ndarray:

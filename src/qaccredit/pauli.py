@@ -5,7 +5,7 @@ factor ordered X-then-Z. The sign is tracked mod 4 so products are exact;
 measurement semantics only ever look at the z bits (the X-basis flip mask).
 
 Conjugation is supported through exactly the gates the protocol needs: any
-single-qubit Clifford (by index into :mod:`qaccredit.cliffords`), cZ, and cX.
+single-qubit Clifford (by index into :mod:`qaccredit.cliffords`) and cZ.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0 and self.sign == 0
-
-    @property
-    def weight(self) -> int:
-        """Number of qubits acted on nontrivially."""
-        return bin(self.x_bits | self.z_bits).count("1")
 
     def qubit(self, q: int) -> str:
         """Letter (I/X/Y/Z) on qubit q, phase dropped."""
@@ -136,22 +131,6 @@ def conj_cz(p: PauliString, pair: tuple) -> PauliString:
     xj = (p.x_bits >> j) & 1
     z = p.z_bits ^ (xi << j) ^ (xj << i)
     return PauliString(p.n, p.x_bits, z, (p.sign + 2 * (xi & xj)) % 4)
-
-
-def conj_cx(p: PauliString, control: int, target: int) -> PauliString:
-    """Conjugate through cX: X_c -> X_c X_t, Z_t -> Z_c Z_t (no sign change)."""
-    if control == target:
-        raise ValueError("cX needs two distinct qubits")
-    if not (0 <= control < p.n and 0 <= target < p.n):
-        raise IndexError("qubit index out of range")
-    xc = (p.x_bits >> control) & 1
-    zt = (p.z_bits >> target) & 1
-    return PauliString(
-        p.n,
-        p.x_bits ^ (xc << target),
-        p.z_bits ^ (zt << control),
-        p.sign,
-    )
 
 
 def z_mask(p: PauliString) -> int:

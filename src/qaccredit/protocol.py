@@ -154,6 +154,8 @@ def _check_plan(target: Circuit, v: int):
         raise ValueError("invalid target circuit: " + "; ".join(report.violations))
     if v < 1:
         raise DomainError("v must be >= 1")
+    if target.m < 2:
+        raise DomainError("traps need at least 2 bands")
 
 
 def plan_run(target: Circuit, v: int,

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from qaccredit import oracles
 from qaccredit.cli import main
-from qaccredit.circuit import parse
+from qaccredit.circuit import identity_circuit, parse, serialize
 
 
 @pytest.fixture
@@ -309,3 +309,35 @@ def test_same_seed_same_output(runner, ghz_file, args):
                      for _ in range(2))
     assert first.exit_code == 0, first.output
     assert first.stdout == second.stdout
+
+
+def test_mesothetic_rejects_one_band_circuit(runner, tmp_path):
+    path = tmp_path / "one_band.json"
+    path.write_text(serialize(identity_circuit(2, 1)))
+    for command in (["mesothetic", "--v", "3"],
+                    ["accredit", "--v", "3", "--d", "5", "--theta", "0.1"]):
+        result = runner.invoke(main, command + ["--circuit", str(path),
+                                                "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "traps need at least 2 bands" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--which", "theorem1", "--runs", "0"],
+    ["oracle", "--which", "twirl", "--n", "0"],
+    ["oracle", "--which", "twirl", "--m", "0"],
+    ["oracle", "--which", "pauli-twirl", "--n", "0"],
+    ["oracle", "--which", "lemma2", "--n", "0"],
+    ["oracle", "--which", "theorem1", "--adversaries", "0"],
+    ["mesothetic", "--v", "3", "--sessions", "0"],
+], ids=["theorem1-runs", "twirl-n", "twirl-m", "pauli-twirl-n", "lemma2-n",
+        "theorem1-adversaries", "mesothetic-sessions"])
+def test_counts_below_one_are_usage_errors(runner, ghz_file, args):
+    if args[0] == "mesothetic":
+        args = args + ["--circuit", ghz_file]
+    result = runner.invoke(main, args + ["--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value" in result.stderr
+    assert result.stdout == ""

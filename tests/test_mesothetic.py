@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qaccredit import families, mesothetic
+from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import (ALICE, BOB, BobStrategy, OwnershipError,
                                   ProtocolViolation, QubitRegister, Transport,
                                   Message, run_session, soundness_estimate)
 from qaccredit.noise import BoundedGateNoise
 from qaccredit.pauli import PauliString
+from qaccredit.protocol import DomainError
 
 
 def test_honest_sessions_accept_and_never_abort():
@@ -124,6 +126,14 @@ def test_session_rejects_no_traps():
     with pytest.raises(ValueError, match="v must be >= 1"):
         run_session(families.ghz_circuit(2), 0, BobStrategy(honest=True),
                     np.random.default_rng(0))
+
+
+def test_session_rejects_one_band_target_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="traps need at least 2 bands"):
+        run_session(identity_circuit(2, 1), 3, BobStrategy(honest=True), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_session_deterministic():

@@ -84,25 +84,10 @@ def test_conj_cz_examples():
     assert (res.x_bits, res.z_bits) == (0b01, 0b11)  # Y x Z up to sign
 
 
-def test_conj_cx_examples():
-    assert pauli.to_text(pauli.conj_cx(pauli.from_text("IZ"), 0, 1)) == "ZZ"
-    assert pauli.to_text(pauli.conj_cx(pauli.from_text("XI"), 0, 1)) == "XX"
-    assert pauli.to_text(pauli.conj_cx(pauli.from_text("ZZ"), 0, 1)) == "IZ"
-
-
 def _dense_cz(n, i, j):
     idx = np.arange(2 ** n)
     sign = 1.0 - 2.0 * (((idx >> i) & 1) & ((idx >> j) & 1))
     return np.diag(sign).astype(complex)
-
-
-def _dense_cx(n, c, t):
-    dim = 2 ** n
-    u = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        out = b ^ (((b >> c) & 1) << t)
-        u[out, b] = 1.0
-    return u
 
 
 def _dense_single(n, u2, q):
@@ -126,9 +111,6 @@ def test_conj_against_dense_oracle():
             ucz = _dense_cz(n, int(i), int(j))
             assert np.allclose(dense(pauli.conj_cz(p, (int(i), int(j)))),
                                ucz @ dense(p) @ ucz.conj().T, atol=1e-9)
-            ucx = _dense_cx(n, int(i), int(j))
-            assert np.allclose(dense(pauli.conj_cx(p, int(i), int(j))),
-                               ucx @ dense(p) @ ucx.conj().T, atol=1e-9)
 
 
 @settings(max_examples=60)

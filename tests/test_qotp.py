@@ -1,72 +1,92 @@
 import numpy as np
 import pytest
 
-from qaccredit import families, pauli, qotp, simulator
-from qaccredit.circuit import identity_circuit
-from qaccredit.qotp import PadRecord, dress, postprocess, sample_pads, zero_pads
+from qaccredit import cliffords, families, simulator
+from qaccredit.circuit import Gate, identity_circuit
+from qaccredit.qotp import dress, pad_width, postprocess, sample_pads
 
 TV_TOL = 1e-10
+PAULI = {xz: Gate(clifford=c) for xz, c in cliffords.PAULI_INDEX.items()}
 
 
 def tv(a, b):
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def test_zero_pads_are_identity():
+def _single_bit_row(n, m, index):
+    row = np.zeros(pad_width(n, m), np.uint8)
+    row[index] = 1
+    return row
+
+
+def test_zero_row_is_identity():
     circ = families.random_clifford_circuit(2, 3, np.random.default_rng(0))
-    dressed = dress(circ, zero_pads(2, 3))
+    dressed = dress(circ, np.zeros(pad_width(2, 3), np.uint8))
     assert dressed.circuit == circ
     assert not dressed.key.any()
 
 
-def test_undo_pauli_through_cz():
-    # X pad on qubit 0 of band 1 crosses the (0,1) cZ as X on 0, Z on 1
-    pads = zero_pads(2, 2)
-    alpha_prime = np.zeros((2, 2), np.uint8)
-    alpha_prime[0, 0] = 1
-    pads = PadRecord(pads.alpha, alpha_prime, pads.gamma)
+def test_pad_row_layout():
+    # alpha (m x n, band-major), then alpha' (m x n), then gamma (n)
+    n, m = 2, 3
+    circ = identity_circuit(n, m)
+    gamma_on_1 = dress(circ, _single_bit_row(n, m, 2 * n * m + 1))
+    assert gamma_on_1.circuit.bands[0].singles == (PAULI[0, 0], PAULI[1, 0])
+    assert all(g == PAULI[0, 0] for band in gamma_on_1.circuit.bands[1:]
+               for g in band.singles)
+    assert not gamma_on_1.key.any()
+    last_alpha_on_0 = dress(circ, _single_bit_row(n, m, (m - 1) * n))
+    assert last_alpha_on_0.circuit.bands[m - 1].singles == \
+        (PAULI[0, 1], PAULI[0, 0])
+    assert last_alpha_on_0.key.tolist() == [1, 0]
+
+
+def test_dress_undoes_pad_through_cz():
+    # an X pad on qubit q of band 1 crosses the (0,1) cZ as X on q, Z on 1-q
     circ = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
-    undo = qotp.undo_pauli(pads, circ.bands[0], 0)
-    assert undo.qubit(0) == "X"
-    assert undo.qubit(1) == "Z"
+    for q in (0, 1):
+        dressed = dress(circ, _single_bit_row(2, 2, 2 * 2 + q))
+        first, second = (band.singles for band in dressed.circuit.bands)
+        assert first[q] == PAULI[1, 0] and first[1 - q] == PAULI[0, 0]
+        assert second[q] == PAULI[1, 0] and second[1 - q] == PAULI[0, 1]
 
 
 def test_dress_dimension_mismatch():
     circ = identity_circuit(2, 2)
+    for width in (pad_width(2, 2) - 1, pad_width(3, 2)):
+        with pytest.raises(ValueError):
+            dress(circ, np.zeros(width, np.uint8))
     with pytest.raises(ValueError):
-        dress(circ, zero_pads(3, 2))
+        dress(circ, np.zeros((1, pad_width(2, 2)), np.uint8))
+
+
+def test_dress_rejects_non_bit_values():
+    row = np.zeros(pad_width(2, 2), np.uint8)
+    row[3] = 2
+    with pytest.raises(ValueError):
+        dress(identity_circuit(2, 2), row)
 
 
 def test_sample_pads_deterministic():
-    a = sample_pads(3, 2, np.random.default_rng(42))
-    b = sample_pads(3, 2, np.random.default_rng(42))
-    assert np.array_equal(a.alpha, b.alpha)
-    assert np.array_equal(a.alpha_prime, b.alpha_prime)
-    assert np.array_equal(a.gamma, b.gamma)
+    pads = sample_pads(3, 2, np.random.default_rng(42))
+    assert pads.dtype == np.uint8
+    assert np.array_equal(pads, np.random.default_rng(42).integers(
+        0, 2, size=pad_width(3, 2), dtype=np.uint8))
 
 
 def test_sample_pads_bit_means():
     rng = np.random.default_rng(7)
-    total = np.zeros((2, 2))
-    total_p = np.zeros((2, 2))
-    total_g = np.zeros(2)
     reps = 10 ** 4
-    for _ in range(reps):
-        pads = sample_pads(2, 2, rng)
-        total += pads.alpha
-        total_p += pads.alpha_prime
-        total_g += pads.gamma
-    for mean in np.concatenate(
-            [total.ravel(), total_p.ravel(), total_g]) / reps:
+    rows = np.array([sample_pads(2, 2, rng) for _ in range(reps)])
+    for mean in rows.mean(axis=0):
         assert 0.48 <= mean <= 0.52
 
 
 def test_pad_bit_budget():
     # n=1, m=1 uses exactly 3 bits: alpha, alpha_prime, gamma
-    pads = sample_pads(1, 1, np.random.default_rng(0))
-    assert pads.alpha.shape == (1, 1)
-    assert pads.alpha_prime.shape == (1, 1)
-    assert pads.gamma.shape == (1,)
+    assert pad_width(1, 1) == 3
+    assert pad_width(2, 3) == 14
+    assert sample_pads(1, 1, np.random.default_rng(0)).shape == (3,)
 
 
 def test_postprocess():
@@ -89,7 +109,7 @@ def test_dressing_preserves_structure():
     assert dressed.circuit.n == circ.n and dressed.circuit.m == circ.m
     for a, b in zip(dressed.circuit.bands, circ.bands):
         assert a.cz_pairs == b.cz_pairs
-    assert np.array_equal(dressed.key, pads.alpha[-1])
+    assert np.array_equal(dressed.key, pads[6:9])  # alpha of band m
     # Clifford gates stay Clifford, generic stay generic
     for db, bb in zip(dressed.circuit.bands, circ.bands):
         for dg, bg in zip(db.singles, bb.singles):
