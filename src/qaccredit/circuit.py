@@ -78,18 +78,20 @@ IDENTITY_GATE = Gate(clifford=cliffords.C_I)
 
 @dataclass(frozen=True)
 class Band:
-    """One round of single-qubit gates plus one round of disjoint cZ pairs."""
+    """One round of single-qubit gates plus one round of disjoint cZ pairs.
+
+    ``cz_pairs`` is stored as an ascending tuple of (lo, hi) pairs. A pair
+    given twice is kept, so that ``validate`` reports it rather than the
+    band silently dropping one of the two gates.
+    """
 
     singles: tuple  # tuple of Gate, one per qubit
-    cz_pairs: frozenset = frozenset()  # frozenset of (lo, hi) tuples
+    cz_pairs: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "singles", tuple(self.singles))
-        pairs = frozenset(tuple(sorted(p)) for p in self.cz_pairs)
+        pairs = tuple(sorted(tuple(sorted(p)) for p in self.cz_pairs))
         object.__setattr__(self, "cz_pairs", pairs)
-
-    def sorted_pairs(self):
-        return sorted(self.cz_pairs)
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def validate(circuit: Circuit) -> ValidationReport:
             add(f"band {j}: expected {circuit.n} single-qubit gates, "
                 f"found {len(band.singles)}")
         seen = set()
-        for pair in band.sorted_pairs():
+        for pair in band.cz_pairs:
             lo, hi = pair
             if lo == hi:
                 add(f"band {j}: cZ pair ({lo},{hi}) is degenerate")
@@ -240,7 +242,7 @@ def parse(json_text: str) -> Circuit:
                     or not all(isinstance(q, int) for q in pr)):
                 raise CircuitParseError(ppath, "cZ pair must be [int, int]")
             pairs.append(tuple(pr))
-        bands.append(Band(singles=tuple(singles), cz_pairs=frozenset(pairs)))
+        bands.append(Band(singles=tuple(singles), cz_pairs=pairs))
     circ = Circuit(n=n, m=m, bands=tuple(bands))
     report = validate(circ)
     if not report.ok:
@@ -256,7 +258,7 @@ def serialize(circuit: Circuit) -> str:
         "bands": [
             {
                 "singles": [_gate_to_json(g) for g in band.singles],
-                "cz": [list(p) for p in band.sorted_pairs()],
+                "cz": [list(p) for p in band.cz_pairs],
             }
             for band in circuit.bands
         ],
@@ -269,7 +271,6 @@ def identity_circuit(n: int, m: int,
     """All-identity gates on an optional cZ topology (last band forced empty)."""
     bands = []
     for j in range(m):
-        pairs = frozenset() if (cz_layout is None or j == m - 1) \
-            else frozenset(cz_layout[j])
+        pairs = () if (cz_layout is None or j == m - 1) else cz_layout[j]
         bands.append(Band(singles=(IDENTITY_GATE,) * n, cz_pairs=pairs))
     return Circuit(n=n, m=m, bands=tuple(bands))

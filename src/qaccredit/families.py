@@ -29,20 +29,20 @@ def ghz_circuit(n: int) -> Circuit:
             singles[j] = clifford_gate("H")
         if j < n - 1 and j < m - 1:
             pairs.append((j, j + 1))
-        bands.append(Band(singles=tuple(singles), cz_pairs=frozenset(pairs)))
+        bands.append(Band(singles=tuple(singles), cz_pairs=pairs))
     return Circuit(n=n, m=m, bands=tuple(bands))
 
 
-def _random_disjoint_pairs(n: int, rng: np.random.Generator) -> frozenset:
+def _random_disjoint_pairs(n: int, rng: np.random.Generator) -> list:
     qubits = list(rng.permutation(n))
     pairs = []
     while len(qubits) >= 2:
         if rng.random() < 0.7:
             a, b = qubits.pop(), qubits.pop()
-            pairs.append(tuple(sorted((int(a), int(b)))))
+            pairs.append((int(a), int(b)))
         else:
             qubits.pop()
-    return frozenset(pairs)
+    return pairs
 
 
 def random_clifford_circuit(n: int, m: int,
@@ -53,7 +53,7 @@ def random_clifford_circuit(n: int, m: int,
         singles = tuple(
             Gate(clifford=int(rng.integers(0, cliffords.GROUP_ORDER)))
             for _ in range(n))
-        pairs = _random_disjoint_pairs(n, rng) if j < m - 1 else frozenset()
+        pairs = _random_disjoint_pairs(n, rng) if j < m - 1 else []
         bands.append(Band(singles=singles, cz_pairs=pairs))
     return Circuit(n=n, m=m, bands=tuple(bands))
 
@@ -84,7 +84,7 @@ def random_generic_circuit(n: int, m: int,
             else:
                 singles.append(
                     Gate(clifford=int(rng.integers(0, cliffords.GROUP_ORDER))))
-        pairs = _random_disjoint_pairs(n, rng) if j < m - 1 else frozenset()
+        pairs = _random_disjoint_pairs(n, rng) if j < m - 1 else []
         bands.append(Band(singles=tuple(singles), cz_pairs=pairs))
     if not has_generic:
         bands[0] = Band(

@@ -183,7 +183,7 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
             if j < m - 1:
                 for dev in bob.deviations_for(k, j + 1):
                     reg.apply_pauli(BOB, dev)
-                for pair in band.sorted_pairs():
+                for pair in band.cz_pairs:
                     reg.apply_cz(BOB, *pair)
                 reg.transfer(BOB, ALICE)
                 channel.send(Message("qubits_to_alice", register=reg))

@@ -7,9 +7,9 @@ before the band-j cZ round, and location m right before measurement. The
 end locations are restricted to {I, Z}-only strings (X-type noise there is
 absorbed by preparation/measurement in the X basis).
 
-Gate noise is a per-(circuit, band) rate r: with probability 1-r nothing
-happens, otherwise a single-qubit Pauli deviation fires right after the
-band's single-qubit round. A deviation that is not a Pauli needs no model
+Gate noise is one rate r for every (circuit, band): with probability 1-r
+nothing happens, otherwise a single-qubit Pauli deviation fires right after
+the band's single-qubit round. A deviation that is not a Pauli needs no model
 of its own: the one-time pad twirls it into a Pauli mixture, which the twirl
 oracle checks. Models never see which circuit is the target or any pad/trap
 bits.
@@ -24,6 +24,8 @@ The sampler of a part a model lacks draws nothing and returns no errors.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -122,16 +124,9 @@ class NoiseModel:
         (x, z) uint8 arrays of shape (m, n), or None when none fires."""
         return None
 
-    def gate_rate(self, k: int, j: int) -> float:
-        return 0.0
-
     def g_factor(self, v: int, m: int) -> float:
         """Product over all (v+1)*m single-qubit rounds of (1 - r_max)."""
-        g = 1.0
-        for k in range(v + 1):
-            for j in range(m):
-                g *= 1.0 - self.gate_rate(k, j)
-        return g
+        return 1.0
 
 
 def noiseless() -> NoiseModel:
@@ -265,25 +260,27 @@ def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,
 class BoundedGateNoise(NoiseModel):
     """Diamond-norm-bounded single-qubit-gate deviations.
 
-    ``rate`` may be a float (same r everywhere) or a map (k, j) -> r. Each
-    single-qubit round fires a deviation with probability r: a uniform
-    non-identity Pauli on a uniform random qubit. The pads twirl any other
-    deviation into a Pauli mixture, so Pauli deviations are the ones to
+    Each single-qubit round fires a deviation with probability ``rate``: a
+    uniform non-identity Pauli on a uniform random qubit. The pads twirl any
+    other deviation into a Pauli mixture, so Pauli deviations are the ones to
     simulate. Sampling raises when the circuit has another qubit count
     than the model.
     """
 
-    def __init__(self, rate, n: int):
-        self._rate = rate
-        self.n = n
-        for r in ([rate] if not isinstance(rate, dict) else rate.values()):
-            if not 0.0 <= float(r) < 1.0:
-                raise ValueError("rates must lie in [0, 1)")
+    def __init__(self, rate: float, n: int):
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) \
+                or not 0.0 <= rate < 1.0:
+            raise ValueError(f"gate rate must be a number in [0, 1), "
+                             f"not {rate!r}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+                or n < 1:
+            raise ValueError(f"gate noise needs an integer n >= 1, "
+                             f"not {n!r}")
+        self.rate = float(rate)
+        self.n = int(n)
 
-    def gate_rate(self, k, j):
-        if isinstance(self._rate, dict):
-            return float(self._rate.get((k, j), 0.0))
-        return float(self._rate)
+    def g_factor(self, v, m):
+        return math.prod([1.0 - self.rate] * ((v + 1) * m))
 
     def sample_deviations(self, k, n, m, rng):
         if n != self.n:
@@ -291,7 +288,7 @@ class BoundedGateNoise(NoiseModel):
                              f"cannot act on a circuit of n={n} qubits")
         deviations = np.zeros((2, m, n), dtype=np.uint8)
         for j in range(m):
-            if rng.random() < self.gate_rate(k, j):
+            if rng.random() < self.rate:
                 q = int(rng.integers(0, n))
                 deviations[:, j, q] = [(1, 0), (1, 1), (0, 1)][
                     int(rng.integers(0, 3))]
@@ -312,8 +309,8 @@ class CompositeModel(NoiseModel):
     def sample_deviations(self, k, n, m, rng):
         return self.gate_part.sample_deviations(k, n, m, rng)
 
-    def gate_rate(self, k, j):
-        return self.gate_part.gate_rate(k, j)
+    def g_factor(self, v, m):
+        return self.gate_part.g_factor(v, m)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +327,14 @@ def model_from_json(text: str) -> NoiseModel:
      "rates": [{"k":..,"loc":..,"X":..}]} |
     {"variant": "bounded_gate", "rate": r, "n": n} |
     {"variant": "composite", "pauli": {...}, "gate": {...}}
+
+    A value of the wrong type anywhere in the document raises ValueError.
     """
-    return _model_from_obj(json.loads(text))
+    doc = json.loads(text)
+    try:
+        return _model_from_obj(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed noise model document: {exc}") from exc
 
 
 def _model_from_obj(doc) -> NoiseModel:

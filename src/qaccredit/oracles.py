@@ -68,44 +68,34 @@ class LemmaReport:
 
 
 @lru_cache(maxsize=32)
-def _choice_flip_tables(topology: Circuit):
+def _choice_flip_tables(topology: Circuit) -> np.ndarray:
     """Flip masks of basis errors for every trap choice of a topology.
 
-    Returns (n_choices, table) where table[loc][b] is a uint32 array over
-    choices holding the end-of-circuit flip mask of the basis error with
-    symplectic bit b (b < n: X on qubit b; b >= n: Z on qubit b-n) inserted
-    at the given location. Flip masks are GF(2)-linear in the error's
-    symplectic bits, so any collection is an XOR of these rows.
+    Returns a read-only uint32 array of shape (m+1, 2n, choices): entry
+    [loc, b, c] is the end-of-circuit flip mask, under trap choice c, of the
+    basis error with symplectic bit b (b < n: X on qubit b; b >= n: Z on
+    qubit b-n) inserted at location loc. Flip masks are GF(2)-linear in the
+    error's symplectic bits, so any collection is an XOR of these rows.
     """
     n, m = topology.n, topology.m
-    choices = traps.enumerate_choices(topology)
-    circuits = [traps.generate_trap(topology, c) for c in choices]
-    ident = PauliString(n)
-    table = [[np.zeros(len(choices), dtype=np.uint32) for _ in range(2 * n)]
-             for _ in range(m + 1)]
-    for loc in range(m + 1):
-        for b in range(2 * n):
-            q = b % n
-            err = PauliString(n, (b < n) << q, (b >= n) << q)
-            slice_ = [ident] * (m + 1)
-            slice_[loc] = err
-            for ci, circ in enumerate(circuits):
-                frame = simulator.propagate_frame(circ, slice_)
-                table[loc][b][ci] = pauli.z_mask(frame)
-    return len(choices), table
+    circuits = [traps.generate_trap(topology, c)
+                for c in traps.enumerate_choices(topology)]
+    table = np.zeros((m + 1, 2 * n, len(circuits)), dtype=np.uint32)
+    for loc, b in itertools.product(range(m + 1), range(2 * n)):
+        slice_ = [PauliString(n)] * (m + 1)
+        slice_[loc] = PauliString(n, (b < n) << (b % n), (b >= n) << (b % n))
+        table[loc, b] = [pauli.z_mask(simulator.propagate_frame(c, slice_))
+                         for c in circuits]
+    table.flags.writeable = False
+    return table
 
 
 def _collection_flips(topology: Circuit, errors: Sequence) -> np.ndarray:
-    n_choices, table = _choice_flip_tables(topology)
     n = topology.n
-    flips = np.zeros(n_choices, dtype=np.uint32)
-    for loc, err in enumerate(errors):
-        for q in range(n):
-            if (err.x_bits >> q) & 1:
-                flips ^= table[loc][q]
-            if (err.z_bits >> q) & 1:
-                flips ^= table[loc][n + q]
-    return flips
+    bits = [[(mask >> q) & 1 for mask in (e.x_bits, e.z_bits)
+             for q in range(n)] for e in errors]
+    table = _choice_flip_tables(topology)
+    return np.bitwise_xor.reduce(table[np.array(bits, dtype=bool)], axis=0)
 
 
 def lemma2_exact_prob(topology: Circuit, errors: Sequence) -> Fraction:
@@ -145,14 +135,32 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
     collections with no support restriction (reports flagged as sampled).
     """
     n, m = topology.n, topology.m
-    n_choices, _ = _choice_flip_tables(topology)
-    options = [
-        _location_paulis(n, z_only=(loc in (0, m))) for loc in range(m + 1)
-    ]
-    ident = PauliString(n)
-    reports = []
+    if band_count_class == "all":
+        rng = rng if rng is not None else np.random.default_rng(0)
 
-    def check(errs, label, bound, sampled=False):
+        def draw(z_only):
+            x = 0 if z_only else int(rng.integers(0, 2 ** n))
+            return PauliString(n, x, int(rng.integers(0, 2 ** n)))
+        collections = ([draw(loc in (0, m)) for loc in range(m + 1)]
+                       for _ in range(SWEEP_SAMPLES))
+    elif band_count_class in ("single", "two"):
+        options = [_location_paulis(n, z_only=(loc in (0, m)))
+                   for loc in range(m + 1)]
+        k = 1 if band_count_class == "single" else 2
+        ident = PauliString(n)
+        collections = (
+            [dict(zip(locs, picked)).get(loc, ident) for loc in range(m + 1)]
+            for locs in itertools.combinations(range(m + 1), k)
+            for picked in itertools.product(*(options[loc] for loc in locs)))
+    else:
+        raise ValueError("band_count_class must be single, two, or all")
+    n_choices = _choice_flip_tables(topology).shape[-1]
+    reports = []
+    for errs in collections:
+        support = [(loc, e) for loc, e in enumerate(errs)
+                   if e.x_bits or e.z_bits]
+        if not support:
+            continue
         prob = lemma2_exact_prob(topology, errs)
         # prob == 1 means the flip mask vanishes for every dressing: the
         # errors cancel exactly and the collection acts as the identity
@@ -160,47 +168,14 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
         # with a non-trivial action, so these pass with a note (they can
         # never corrupt an output either).
         trivial = prob == 1
+        bound = Fraction(1, 2) if len(support) == 1 else Fraction(3, 4)
         reports.append(LemmaReport(
-            instance=label,
+            instance="+".join(f"loc{loc}:{pauli.to_text(e)}"
+                              for loc, e in support),
             probability=prob, bound=bound,
             passed=trivial or prob <= bound,
-            samples=n_choices, sampled=sampled,
+            samples=n_choices, sampled=band_count_class == "all",
             detail={"acts_trivially": True} if trivial else {}))
-
-    if band_count_class == "single":
-        for loc in range(m + 1):
-            for err in options[loc]:
-                errs = [ident] * (m + 1)
-                errs[loc] = err
-                check(errs, f"loc{loc}:{pauli.to_text(err)}", Fraction(1, 2))
-    elif band_count_class == "two":
-        for la, lb in itertools.combinations(range(m + 1), 2):
-            for ea in options[la]:
-                for eb in options[lb]:
-                    errs = [ident] * (m + 1)
-                    errs[la], errs[lb] = ea, eb
-                    check(errs,
-                          f"loc{la}:{pauli.to_text(ea)}"
-                          f"+loc{lb}:{pauli.to_text(eb)}", Fraction(3, 4))
-    elif band_count_class == "all":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        for _ in range(SWEEP_SAMPLES):
-            errs = []
-            for loc in range(m + 1):
-                z_only = loc in (0, m)
-                x = 0 if z_only else int(rng.integers(0, 2 ** n))
-                z = int(rng.integers(0, 2 ** n))
-                errs.append(PauliString(n, x, z))
-            support = sum(1 for e in errs if e.x_bits or e.z_bits)
-            if support == 0:
-                continue
-            bound = Fraction(1, 2) if support == 1 else Fraction(3, 4)
-            label = "+".join(f"loc{loc}:{pauli.to_text(e)}"
-                             for loc, e in enumerate(errs)
-                             if e.x_bits or e.z_bits)
-            check(errs, label, bound, sampled=True)
-    else:
-        raise ValueError("band_count_class must be single, two, or all")
     return reports
 
 
@@ -223,18 +198,14 @@ def _postprocessed(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 def _enumerate_collections(n: int, m: int):
     """All single-circuit Pauli collections (Z-only at the end locations)."""
-    per_loc = []
-    for loc in range(m + 1):
-        z_only = loc in (0, m)
-        opts = [PauliString(n)]
-        opts += _location_paulis(n, z_only=z_only)
-        per_loc.append(opts)
-    return [tuple(c) for c in itertools.product(*per_loc)]
+    per_loc = [[PauliString(n)] + _location_paulis(n, z_only=(loc in (0, m)))
+               for loc in range(m + 1)]
+    return list(itertools.product(*per_loc))
 
 
 @dataclass
 class TwirlReport:
-    averaged: list  # one averaged output distribution per input circuit
+    averaged: np.ndarray  # pad-averaged output distribution of the circuit
     residual: float
     weights: np.ndarray
     collections: list
@@ -254,35 +225,23 @@ def pad_averaged_distribution(circ: Circuit, channels: dict) -> np.ndarray:
     return total / count
 
 
-def twirl_channel(circuits, channels: dict) -> TwirlReport:
+def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
     """Fit the pad-averaged noisy channel by a Pauli-collection mixture.
 
-    ``circuits`` is one Circuit or a list sharing (n, m); a list makes the
-    fit stronger because one mixture must explain every circuit at once.
     ``channels`` maps noise locations to Kraus lists (2^n-dimensional).
     """
-    if isinstance(circuits, Circuit):
-        circuits = [circuits]
-    n, m = circuits[0].n, circuits[0].m
-    averaged = [pad_averaged_distribution(c, channels) for c in circuits]
-    collections = _enumerate_collections(n, m)
+    averaged = pad_averaged_distribution(circ, channels)
+    collections = _enumerate_collections(circ.n, circ.m)
     # the candidate slices as the circuits of one collection, in bits
     err_x, err_z = PauliErrorCollection(collections).to_bits()
-    columns = []
-    for x, z in zip(err_x, err_z):
-        col = np.concatenate([
-            simulator.statevector_distribution(c, errors=(x, z))
-            for c in circuits
-        ])
-        columns.append(col)
-    a = np.array(columns).T
-    b = np.concatenate(averaged)
+    a = np.array([simulator.statevector_distribution(circ, errors=(x, z))
+                  for x, z in zip(err_x, err_z)]).T
     # constrain weights to a distribution by appending the sum-to-one row
     scale = 10.0
     a_aug = np.vstack([a, scale * np.ones(a.shape[1])])
-    b_aug = np.concatenate([b, [scale]])
+    b_aug = np.concatenate([averaged, [scale]])
     weights, _ = nnls(a_aug, b_aug)
-    residual = float(np.max(np.abs(a @ weights - b)))
+    residual = float(np.max(np.abs(a @ weights - averaged)))
     return TwirlReport(averaged=averaged, residual=residual, weights=weights,
                        collections=collections,
                        passed=residual < TWIRL_RESIDUAL_TOL)
@@ -308,14 +267,10 @@ def _dense_pauli(p: PauliString) -> np.ndarray:
 
 
 def _pauli_set(n: int, letters: str):
-    if letters == "full":
-        return [PauliString(n, x, z) for x in range(2 ** n)
-                for z in range(2 ** n)]
-    if letters == "IX":
-        return [PauliString(n, x, 0) for x in range(2 ** n)]
-    if letters == "IZ":
-        return [PauliString(n, 0, z) for z in range(2 ** n)]
-    raise ValueError(letters)
+    """All Paulis over {I,X,Y,Z}^n ("full"), {I,X}^n ("IX") or {I,Z}^n."""
+    xs = range(2 ** n) if letters in ("full", "IX") else [0]
+    zs = range(2 ** n) if letters in ("full", "IZ") else [0]
+    return [PauliString(n, x, z) for x in xs for z in zs]
 
 
 def pauli_twirl_identity_check(n: int,
@@ -342,30 +297,18 @@ def pauli_twirl_identity_check(n: int,
 
     worst = 0.0
     checks = 0
-    full = _pauli_set(n, "full")
-    for p in full:
-        for p2 in full:
-            if p.x_bits == p2.x_bits and p.z_bits == p2.z_bits:
-                continue
-            res = twirl_sum(p, p2, full)
+    for q_letters, p_letters in (("full", "full"), ("IX", "IZ"), ("IZ", "IX")):
+        q_set = _pauli_set(n, q_letters)
+        for p1, p2 in itertools.permutations(_pauli_set(n, p_letters), 2):
+            res = twirl_sum(p1, p2, q_set)
             worst = max(worst, float(np.max(np.abs(res))))
             checks += 1
     # sanity arm: no cancellation when P = P'
+    full = _pauli_set(n, "full")
     p = full[1]
     pd = _dense_pauli(p)
     same = twirl_sum(p, p, full)
     sanity_ok = np.allclose(same, (4 ** n) * pd @ rho @ pd, atol=1e-9)
-    # restricted twirls
-    for q_letters, p_letters in (("IX", "IZ"), ("IZ", "IX")):
-        q_set = _pauli_set(n, q_letters)
-        p_set = _pauli_set(n, p_letters)
-        for p1 in p_set:
-            for p2 in p_set:
-                if p1.x_bits == p2.x_bits and p1.z_bits == p2.z_bits:
-                    continue
-                res = twirl_sum(p1, p2, q_set)
-                worst = max(worst, float(np.max(np.abs(res))))
-                checks += 1
     passed = worst < CROSS_TERM_TOL and sanity_ok
     return LemmaReport(
         instance=f"pauli-twirl n={n}",
@@ -400,7 +343,7 @@ def _acceptance_tables(target: Circuit,
     outputs all zeros under adversary entry e. corrupted[e, k] = 1 iff the
     entry's slot-k errors flip the target's post-processed output.
     """
-    n_choices, _ = _choice_flip_tables(target)
+    n_choices = _choice_flip_tables(target).shape[-1]
     entries = adversary.entries
     n_entries = len(entries)
     v_plus_1 = entries[0][0].num_circuits

@@ -70,7 +70,7 @@ def dress(circuit: Circuit, pads: np.ndarray) -> DressedCircuit:
         new_bands.append(Band(singles=singles, cz_pairs=band.cz_pairs))
         # band j+1 undoes band j's pad after its cZ layer
         x, z = alpha_prime[j], list(alpha[j])
-        for lo, hi in band.sorted_pairs():
+        for lo, hi in band.cz_pairs:
             z[lo] ^= x[hi]
             z[hi] ^= x[lo]
     dressed = Circuit(n=n, m=m, bands=tuple(new_bands))

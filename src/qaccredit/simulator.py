@@ -58,7 +58,7 @@ def propagate_frame(circuit: Circuit, errors: Sequence) -> PauliString:
             q = pauli.conj_single(q, gate.clifford, i)
         if j < circuit.m - 1:
             q = pauli.multiply(errors[j + 1], q)
-        for pair in band.sorted_pairs():
+        for pair in band.cz_pairs:
             q = pauli.conj_cz(q, pair)
     return pauli.multiply(errors[circuit.m], q)
 
@@ -103,7 +103,7 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
         if j < m - 1:
             frame ^= codes[:, j + 1]
         if band.cz_pairs:
-            lo, hi = np.array(band.sorted_pairs()).T
+            lo, hi = np.array(band.cz_pairs).T
             x = frame & 1
             frame[:, lo] ^= x[:, hi] << 1
             frame[:, hi] ^= x[:, lo] << 1
@@ -180,7 +180,7 @@ def _evolve_state(circuit: Circuit,
         state = apply_pauli(state, *dev[j], n)
         if j < m - 1:
             state = apply_pauli(state, *err[j + 1], n)
-        for pair in band.sorted_pairs():
+        for pair in band.cz_pairs:
             state = apply_cz(state, *pair, n)
     return apply_pauli(state, *err[m], n)
 
@@ -289,7 +289,7 @@ def run_density(circuit: Circuit,
         if band.cz_pairs:
             idx = np.arange(2 ** n)
             sign = np.ones(2 ** n)
-            for i, k in band.sorted_pairs():
+            for i, k in band.cz_pairs:
                 sign *= 1.0 - 2.0 * (((idx >> i) & 1) & ((idx >> k) & 1))
             rho = rho * np.outer(sign, sign)
     if m in channels:

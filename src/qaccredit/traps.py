@@ -29,7 +29,7 @@ _I = Gate(clifford=cliffords.C_I)
 
 def _band_layout(target: Circuit, j: int):
     """Sorted cZ pairs and ascending unpaired qubits of band j."""
-    pairs = target.bands[j].sorted_pairs()
+    pairs = target.bands[j].cz_pairs
     in_pair = {q for p in pairs for q in p}
     unpaired = [q for q in range(target.n) if q not in in_pair]
     return pairs, unpaired

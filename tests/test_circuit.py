@@ -171,6 +171,25 @@ def test_parse_validates_invariants():
         parse(json.dumps(doc))
 
 
+_DUPLICATE_CZ = {"n": 2, "m": 2, "bands": [
+    {"singles": [{"clifford": "I"}, {"clifford": "I"}],
+     "cz": [[0, 1], [1, 0]]},
+    {"singles": [{"clifford": "I"}, {"clifford": "H"}], "cz": []}]}
+
+
+def test_parse_rejects_duplicate_cz_pair():
+    # cZ·cZ = I: merging the two pairs into one would change the circuit
+    with pytest.raises(CircuitParseError, match="qubit 0 in two pairs"):
+        parse(json.dumps(_DUPLICATE_CZ))
+
+
+def test_band_pairs_are_an_ascending_tuple():
+    assert Band(singles=(I, I), cz_pairs={(1, 0)}) \
+        == Band(singles=(I, I), cz_pairs=[(0, 1)])
+    band = Band(singles=(I,) * 4, cz_pairs=[(3, 2), (1, 0), (0, 1)])
+    assert band.cz_pairs == ((0, 1), (0, 1), (2, 3))
+
+
 def test_ck_names_round_trip():
     # indices without a one-letter name serialize as "C<k>" and parse back
     circ = Circuit(n=1, m=1, bands=(

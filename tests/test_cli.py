@@ -194,6 +194,44 @@ def test_accredit_notes_unavailable_bound(runner, tmp_path):
     assert result.stderr.splitlines() == ["note: vacuous bound unavailable"]
 
 
+_RATE_MAP = '{"variant": "bounded_gate", "rate": {"0,0": 0.5}, "n": 3}'
+_MALFORMED = "malformed noise model document"
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_RATE_MAP, "gate rate must be a number"),
+    ('{"variant": "composite", "gate": %s}' % _RATE_MAP,
+     "gate rate must be a number"),
+    ('{"variant": "bounded_gate", "rate": null, "n": 3}',
+     "gate rate must be a number"),
+    ('{"variant": "bounded_gate", "rate": [0.1], "n": 3}',
+     "gate rate must be a number"),
+    ('{"variant": "independent", "default_rates": 5}', _MALFORMED),
+    ('{"variant": "independent", "default_rates": {"X": null}}', _MALFORMED),
+    ('{"variant": "explicit", "entries": 5}', _MALFORMED),
+    ('{"variant": "explicit", "entries": [{"prob": 1.0, "collection": 5}]}',
+     _MALFORMED),
+    ('{"variant": "explicit", "entries": '
+     '[{"prob": 1.0, "collection": [[1, 2]]}]}', _MALFORMED),
+    ('{"variant": "bounded_gate", "rate": 0.1, "n": "3"}', "integer n >= 1"),
+], ids=["rate-map", "composite-rate-map", "rate-null", "rate-list",
+        "default-rates-int", "default-rate-null", "entries-int",
+        "collection-int", "collection-ints", "n-string"])
+def test_accredit_rejects_malformed_noise_documents(runner, ghz_file,
+                                                    tmp_path, doc, message):
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text(doc)
+    result = runner.invoke(main, ["accredit", "--circuit", ghz_file,
+                                  "--v", "3", "--d", "200", "--theta", "0.1",
+                                  "--noise", str(noise_path),
+                                  "--epsilon-mode", "theorem2",
+                                  "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and message in result.stderr
+    assert result.stdout == ""
+
+
 def test_accredit_rejects_rates_outside_the_run(runner, ghz_file, tmp_path):
     noise_path = tmp_path / "noise.json"
     # GHZ(3) has m = 3: circuit 9 and location -1 or 4 are not sampled
@@ -321,6 +359,20 @@ def test_mesothetic_rejects_one_band_circuit(runner, tmp_path):
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "traps need at least 2 bands" in result.stderr
+
+
+def test_accredit_rejects_duplicate_cz_pair(runner, tmp_path):
+    path = tmp_path / "duplicate_cz.json"
+    path.write_text(json.dumps({"n": 2, "m": 2, "bands": [
+        {"singles": [{"clifford": "I"}, {"clifford": "I"}],
+         "cz": [[0, 1], [1, 0]]},
+        {"singles": [{"clifford": "I"}, {"clifford": "H"}], "cz": []}]}))
+    result = runner.invoke(main, ["accredit", "--circuit", str(path),
+                                  "--v", "3", "--d", "5", "--theta", "0.1",
+                                  "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "qubit 0 in two pairs" in result.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -1,9 +1,12 @@
-"""Golden random streams: every draw of accredit, single_run and run_session.
+"""Golden random streams: every draw of accredit, single_run and run_session,
+and the reports of the oracles.
 
 The digests below pin the exact reports, run outcomes and session outcomes
-for fixed seeds, plus the generators' final states. A change that draws
-differently on purpose updates them and says so in CHANGES.md; any other
-change must leave them as they are. ``python tests/test_golden_streams.py``
+for fixed seeds, plus the generators' final states. The least-squares twirl
+fit enters the ``oracles`` digest rounded, so the digest pins the fit rather
+than the last bits of one LAPACK build. A change that draws differently on
+purpose updates them and says so in CHANGES.md; any other change must leave
+them as they are. ``python tests/test_golden_streams.py``
 (with ``src`` on PYTHONPATH) prints the current digests.
 """
 
@@ -12,7 +15,7 @@ import json
 
 import numpy as np
 
-from qaccredit import families, noise, protocol
+from qaccredit import families, noise, oracles, protocol
 from qaccredit.mesothetic import BobStrategy, run_session
 from qaccredit.pauli import PauliString
 
@@ -23,6 +26,8 @@ GOLDEN = {
         "490c00ad4c7ba330ad37ae9b9c87771f573107156c75f6b8131ab671e22dbb5b",
     "run_session":
         "40eff3ba689e20d7fc3d8e96e53db17766947b061028e8522261056deb2803a1",
+    "oracles":
+        "0e6349936045dc908c42ce94db4cb58431fa397290ec0ad5757e7599e984befa",
 }
 
 
@@ -93,11 +98,38 @@ def _session_stream(h):
             h.update(_state(rng))
 
 
+def _oracle_stream(h):
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 3), (2, 2), (2, 3)):
+        topology = families.random_clifford_circuit(n, m, rng)
+        for band_class in ("single", "two", "all"):
+            h.update(f"{n} {m} {band_class}\n".encode())
+            for rep in oracles.lemma2_sweep(
+                    topology, band_class, rng=np.random.default_rng(n + m)):
+                h.update(rep.to_json().encode())
+    target = families.random_clifford_circuit(2, 2, rng)
+    adversary = noise.random_adversary(2, 2, 3, rng)
+    rep = oracles.theorem1_empirical(target, 3, adversary, runs=10 ** 4,
+                                     rng=np.random.default_rng(12))
+    h.update(rep.to_json().encode())
+    for n in (1, 2):
+        # the cross terms are zero up to rounding, so only counts and flags
+        rep = oracles.pauli_twirl_identity_check(n, np.random.default_rng(n))
+        h.update(f"{rep.samples} {rep.passed} {rep.detail}\n".encode())
+    circ = families.random_generic_circuit(1, 2, rng)
+    channels = {1: [families.random_unitary(2, rng)]}
+    twirl = oracles.twirl_channel(circ, channels)
+    h.update(f"{twirl.passed} {round(twirl.residual, 9)}\n".encode())
+    h.update(np.round(twirl.weights, 6).tobytes())
+    h.update(_state(rng))
+
+
 def _digests():
     out = {}
     for name, stream in (("accredit", _accredit_stream),
                          ("single_run", _single_run_stream),
-                         ("run_session", _session_stream)):
+                         ("run_session", _session_stream),
+                         ("oracles", _oracle_stream)):
         h = hashlib.sha256()
         stream(h)
         out[name] = h.hexdigest()

@@ -133,8 +133,7 @@ def test_rate_bounds():
 
 def test_g_factor():
     assert BoundedGateNoise(rate=0.0, n=1).g_factor(3, 2) == 1.0
-    single = BoundedGateNoise(rate={(0, 0): 0.5}, n=1)
-    assert single.g_factor(0, 1) == 0.5
+    assert BoundedGateNoise(rate=0.5, n=1).g_factor(0, 1) == 0.5
     uniform = BoundedGateNoise(rate=0.1, n=1)
     assert abs(uniform.g_factor(1, 2) - 0.9 ** 4) < 1e-15
 
@@ -204,7 +203,8 @@ def test_composite_model():
     rng = np.random.default_rng(6)
     x, z = model.sample_error_bits(3, 2, 2, rng)
     assert not x.any() and not z.any()
-    assert model.gate_rate(0, 1) == 0.2
+    assert model.g_factor(3, 2) == gate.g_factor(3, 2)
+    assert abs(model.g_factor(3, 2) - 0.8 ** 8) < 1e-15
     assert np.array_equal(
         model.sample_deviations(1, 2, 9, np.random.default_rng(7)),
         gate.sample_deviations(1, 2, 9, np.random.default_rng(7)))
@@ -221,7 +221,7 @@ def test_pauli_part_missing():
     for model in (IndependentLocationChannels(default_rates={"Z": 0.5}),
                   CompositeModel(pauli_part=noiseless())):
         assert model.sample_deviations(0, 1, 3, rng) is None
-        assert model.gate_rate(0, 0) == 0.0
+        assert model.g_factor(3, 2) == 1.0
     assert rng.bit_generator.state == state
 
 
@@ -235,11 +235,11 @@ def test_model_json_variants():
     assert x[:, :, 0].tolist() == [[0, 1, 0], [0, 0, 0]]
     assert z[:, :, 0].tolist() == [[1, 0, 0], [0, 0, 1]]
     model = model_from_json('{"variant": "bounded_gate", "rate": 0.25, "n": 2}')
-    assert model.gate_rate(0, 0) == 0.25
+    assert model.rate == 0.25
     model = model_from_json(
         '{"variant": "composite", "pauli": {"variant": "noiseless"}, '
         '"gate": {"variant": "bounded_gate", "rate": 0.1, "n": 1}}')
-    assert isinstance(model, CompositeModel) and model.gate_rate(0, 0) == 0.1
+    assert isinstance(model, CompositeModel) and model.gate_part.rate == 0.1
     with pytest.raises(ValueError, match="variant"):
         model_from_json('{"variant": "bogus"}')
 

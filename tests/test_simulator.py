@@ -190,7 +190,7 @@ def _kron_density(circ, channels):
             rho = u @ rho @ u.conj().T
         if 0 < j + 1 < m:
             rho = channel(rho, j + 1)
-        for a, b in band.sorted_pairs():
+        for a, b in band.cz_pairs:
             cz = np.diag(1.0 - 2.0 * (((idx >> a) & 1) & ((idx >> b) & 1)))
             rho = cz @ rho @ cz
     rho = channel(rho, m)

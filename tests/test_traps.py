@@ -60,7 +60,7 @@ def test_trap_is_oriented_cx_sequence():
         for band in trap.bands:
             for i, g in enumerate(band.singles):
                 state = simulator.apply_single(state, g.to_matrix(), i, 2)
-            for pair in band.sorted_pairs():
+            for pair in band.cz_pairs:
                 state = simulator.apply_cz(state, *pair, 2)
         # cX on |++> is |++>, so the whole trap must fix |+>^n
         overlap = abs(np.vdot(np.full(4, 0.5), state))
