@@ -104,8 +104,9 @@ class Transport:
 @dataclass
 class BobStrategy:
     """Prover behavior. Stage s of circuit k marks where Bob holds the
-    register: s=0 right after preparation, s=j right before applying band
-    j's cZ round (1 <= j <= m-1), s=m right before measurement.
+    register: s=0 right after preparation, s=j+1 right after Alice's round
+    of band j and before its cZ round; the last band has no cZ round, so
+    s=m is right before measurement.
 
     The deviation policy maps (k, stage) to Pauli insertions; honest Bob has
     an empty policy. The interface deliberately exposes nothing else: no
@@ -144,6 +145,14 @@ class SessionReport:
     v0: int
 
 
+def _hand_over(channel: Transport, register: QubitRegister, sender: str,
+               receiver: str, kind: str) -> QubitRegister:
+    """Pass the register from sender to receiver as one ``kind`` message."""
+    register.transfer(sender, receiver)
+    channel.send(Message(kind, register=register))
+    return channel.receive(kind).register
+
+
 def run_session(target: Circuit, v: int, bob: BobStrategy,
                 rng: np.random.Generator,
                 alice_noise: Optional[NoiseModel] = None) -> SessionReport:
@@ -164,34 +173,22 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
         deviations = simulator.row_masks(
             None if alice_noise is None
             else alice_noise.sample_deviations(k, n, m, rng), m)
-        register = QubitRegister(n, owner=BOB)
+        reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
-            register.apply_pauli(BOB, dev)
-        register.transfer(BOB, ALICE)
-        channel.send(Message("qubits_to_alice", register=register))
+            reg.apply_pauli(BOB, dev)
         for j, band in enumerate(dressed.circuit.bands):
-            msg = channel.receive("qubits_to_alice")
-            reg = msg.register
+            reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
             for i, gate in enumerate(band.singles):
                 reg.apply_single(ALICE, gate.to_matrix(), i)
             if any(deviations[j]):
                 reg.apply_pauli(ALICE, PauliString(n, *deviations[j]))
-            reg.transfer(ALICE, BOB)
-            channel.send(Message("qubits_to_bob", register=reg))
-            msg = channel.receive("qubits_to_bob")
-            reg = msg.register
-            if j < m - 1:
-                for dev in bob.deviations_for(k, j + 1):
-                    reg.apply_pauli(BOB, dev)
-                for pair in band.cz_pairs:
-                    reg.apply_cz(BOB, *pair)
-                reg.transfer(BOB, ALICE)
-                channel.send(Message("qubits_to_alice", register=reg))
-            else:
-                for dev in bob.deviations_for(k, m):
-                    reg.apply_pauli(BOB, dev)
-                bits = reg.measure_x(BOB, rng)
-                channel.send(Message("measurement_results", bits=bits))
+            reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
+            for dev in bob.deviations_for(k, j + 1):
+                reg.apply_pauli(BOB, dev)
+            for pair in band.cz_pairs:
+                reg.apply_cz(BOB, *pair)
+        channel.send(Message("measurement_results",
+                             bits=reg.measure_x(BOB, rng)))
         msg = channel.receive("measurement_results")
         out = qotp.postprocess(msg.bits, dressed.key)
         if k == v0:

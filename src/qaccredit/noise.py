@@ -181,8 +181,8 @@ class IndependentLocationChannels(NoiseModel):
         self.default_rates = dict(default_rates or {})
         self.rates = {k: dict(v) for k, v in (rates or {}).items()}
         for key in self.rates:
-            if not all(isinstance(i, (int, np.integer)) and i >= 0
-                       for i in key):
+            if not all(isinstance(i, (int, np.integer))
+                       and not isinstance(i, bool) and i >= 0 for i in key):
                 raise ValueError(f"rate location {key} needs integers "
                                  "k, loc >= 0")
         for r in (self.default_rates, *self.rates.values()):
@@ -328,11 +328,15 @@ def model_from_json(text: str) -> NoiseModel:
     {"variant": "bounded_gate", "rate": r, "n": n} |
     {"variant": "composite", "pauli": {...}, "gate": {...}}
 
-    A value of the wrong type anywhere in the document raises ValueError.
+    A value of the wrong type or a missing key anywhere in the document
+    raises ValueError.
     """
     doc = json.loads(text)
     try:
         return _model_from_obj(doc)
+    except KeyError as exc:
+        raise ValueError(
+            f"malformed noise model document: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed noise model document: {exc}") from exc
 

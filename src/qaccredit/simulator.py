@@ -4,18 +4,20 @@
   under Pauli noise — errors are commuted to the end of the circuit and read
   off as an X-measurement flip mask; :func:`frame_flips` does this for many
   circuits on one cZ topology at once, on bit arrays.
-* Dense statevector / density-matrix simulation for small generic circuits,
-  including arbitrary Kraus channels at the standard noise locations.
+* Dense statevector simulation for small generic circuits; the density
+  backend sums it over every path of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
-preparation, location j in [1, m-1] after band j's single-qubit round and
-before its cZ round, location m right before measurement.
+preparation, location j+1 right after band j's single-qubit round and before
+its cZ round. The last band has no cZ round, so location m is right before
+measurement.
 
 Measurement convention: X-basis outcome 0 corresponds to ``|+>``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,11 +58,10 @@ def propagate_frame(circuit: Circuit, errors: Sequence) -> PauliString:
     for j, band in enumerate(circuit.bands):
         for i, gate in enumerate(band.singles):
             q = pauli.conj_single(q, gate.clifford, i)
-        if j < circuit.m - 1:
-            q = pauli.multiply(errors[j + 1], q)
+        q = pauli.multiply(errors[j + 1], q)
         for pair in band.cz_pairs:
             q = pauli.conj_cz(q, pair)
-    return pauli.multiply(errors[circuit.m], q)
+    return q
 
 
 def trap_output(circuit: Circuit, errors: Sequence) -> np.ndarray:
@@ -95,19 +96,16 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     The frame of all R circuits moves band by band as a 2-bit code
     x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202).
     """
-    m = topology.m
     codes = err_x | err_z << 1
-    frame = codes[:, 0].copy()
+    frame = codes[:, 0]
     for j, band in enumerate(topology.bands):
-        frame = _CONJ[gates[:, j], frame]
-        if j < m - 1:
-            frame ^= codes[:, j + 1]
+        frame = _CONJ[gates[:, j], frame] ^ codes[:, j + 1]
         if band.cz_pairs:
             lo, hi = np.array(band.cz_pairs).T
             x = frame & 1
             frame[:, lo] ^= x[:, hi] << 1
             frame[:, hi] ^= x[:, lo] << 1
-    return (frame ^ codes[:, m]) >> 1
+    return frame >> 1
 
 
 # ---------------------------------------------------------------------------
@@ -162,35 +160,46 @@ def row_masks(bits: Optional[Sequence], rows: int) -> list:
 
 def _evolve_state(circuit: Circuit,
                   errors: Optional[Sequence],
-                  deviations: Optional[Sequence]) -> np.ndarray:
+                  deviations: Optional[Sequence],
+                  operators: Optional[dict] = None) -> np.ndarray:
     """|+>^n through the circuit with Pauli errors and gate deviations.
 
     ``errors`` is an (x, z) pair of (m+1, n) bit arrays, row j the
     location-j error. ``deviations`` is an (x, z) pair of (m, n) bit arrays,
     row j applied after band j's single-qubit round and before the
-    location-(j+1) error. Either may be None for no noise.
+    location-(j+1) error. Either may be None for no noise. ``operators``
+    maps a location to one 2^n x 2^n matrix applied after its error.
     """
     n, m = circuit.n, circuit.m
     err = row_masks(errors, m + 1)
     dev = row_masks(deviations, m)
-    state = apply_pauli(_plus_state(n), *err[0], n)
+    operators = operators or {}
+
+    def at_location(state, loc):
+        state = apply_pauli(state, *err[loc], n)
+        return operators[loc] @ state if loc in operators else state
+
+    state = at_location(_plus_state(n), 0)
     for j, band in enumerate(circuit.bands):
         for i, gate in enumerate(band.singles):
             state = apply_single(state, gate.to_matrix(), i, n)
-        state = apply_pauli(state, *dev[j], n)
-        if j < m - 1:
-            state = apply_pauli(state, *err[j + 1], n)
+        state = at_location(apply_pauli(state, *dev[j], n), j + 1)
         for pair in band.cz_pairs:
             state = apply_cz(state, *pair, n)
-    return apply_pauli(state, *err[m], n)
+    return state
+
+
+def _x_weights(state: np.ndarray, n: int) -> np.ndarray:
+    """Squared X-basis amplitudes of a state, not normalised."""
+    # rotate to the X basis so computational outcomes are the measurement bits
+    for q in range(n):
+        state = apply_single(state, _HAD, q, n)
+    return np.abs(state) ** 2
 
 
 def x_distribution(state: np.ndarray, n: int) -> np.ndarray:
     """X-measurement outcome distribution of a state (index bit q = qubit q)."""
-    # rotate to the X basis so computational outcomes are the measurement bits
-    for q in range(n):
-        state = apply_single(state, _HAD, q, n)
-    probs = np.abs(state) ** 2
+    probs = _x_weights(state, n)
     return probs / probs.sum()
 
 
@@ -239,69 +248,37 @@ def run_statevector(circuit: Circuit,
     return sample_bits(probs, circuit.n, rng)
 
 
-def _apply_channel(rho: np.ndarray, kraus: Sequence) -> np.ndarray:
-    dim = rho.shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    check = np.zeros((dim, dim), dtype=complex)
-    for k in kraus:
-        k = np.asarray(k, dtype=complex)
-        total += k @ rho @ k.conj().T
-        check += k.conj().T @ k
-    if not np.allclose(check, np.eye(dim), atol=TRACE_ATOL, rtol=0):
-        raise ValueError("channel is not trace-preserving within 1e-10")
-    return total
-
-
-def _conjugate_single(rho: np.ndarray, u: np.ndarray, q: int,
-                      n: int) -> np.ndarray:
-    """U rho U^dagger for a 2x2 U on qubit q.
-
-    Row-major rho read as a 2n-qubit vector carries the row index on qubits
-    n..2n-1 and the column index on qubits 0..n-1, so U acts on qubit n+q
-    and conj(U) on qubit q.
-    """
-    vec = apply_single(rho.reshape(-1), u, n + q, 2 * n)
-    return apply_single(vec, u.conj(), q, 2 * n).reshape(rho.shape)
-
-
 def run_density(circuit: Circuit,
                 channels: Optional[dict] = None) -> np.ndarray:
     """Exact output distribution under Kraus channels at noise locations.
 
     ``channels`` maps location index (0..m) to a list of 2^n x 2^n Kraus
     operators. Returns the length-2^n X-measurement probability vector.
+
+    The distribution is a sum over Kraus paths: for every choice of one
+    operator per location, the statevector walk of :func:`_evolve_state`
+    adds that path's squared X-basis amplitudes. This costs one walk per
+    path, the product of the Kraus-list lengths, in 2^n memory.
     """
     n, m = circuit.n, circuit.m
     if n > MAX_DENSITY_QUBITS:
         raise SimLimitError(
             f"{n} qubits exceeds density limit {MAX_DENSITY_QUBITS}")
-    channels = channels or {}
-    plus = _plus_state(n)
-    rho = np.outer(plus, plus.conj())
-    if 0 in channels:
-        rho = _apply_channel(rho, channels[0])
-    for j, band in enumerate(circuit.bands):
-        for i, gate in enumerate(band.singles):
-            rho = _conjugate_single(rho, gate.to_matrix(), i, n)
-        loc = j + 1
-        if 0 < loc < m and loc in channels:
-            rho = _apply_channel(rho, channels[loc])
-        if band.cz_pairs:
-            idx = np.arange(2 ** n)
-            sign = np.ones(2 ** n)
-            for i, k in band.cz_pairs:
-                sign *= 1.0 - 2.0 * (((idx >> i) & 1) & ((idx >> k) & 1))
-            rho = rho * np.outer(sign, sign)
-    if m in channels:
-        rho = _apply_channel(rho, channels[m])
-    for q in range(n):
-        rho = _conjugate_single(rho, _HAD, q, n)
-    probs = np.real(np.diag(rho))
+    channels = {loc: [np.asarray(k, dtype=complex) for k in kraus]
+                for loc, kraus in (channels or {}).items()}
+    for loc, kraus in channels.items():
+        if loc not in range(m + 1):
+            raise ValueError(f"channel location {loc} lies outside 0..{m}")
+        check = sum(k.conj().T @ k for k in kraus)
+        if not np.allclose(check, np.eye(2 ** n), atol=TRACE_ATOL, rtol=0):
+            raise ValueError("channel is not trace-preserving within 1e-10")
+    probs = np.zeros(2 ** n)
+    for path in itertools.product(*channels.values()):
+        operators = dict(zip(channels, path))
+        probs += _x_weights(_evolve_state(circuit, None, None, operators), n)
     if abs(probs.sum() - 1.0) > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")
-    if probs.min() < -1e-12:
-        raise ValueError("negative probability beyond tolerance")
-    return np.clip(probs, 0.0, None) / probs.sum()
+    return probs / probs.sum()
 
 
 def bits_to_index(bits: np.ndarray) -> int:

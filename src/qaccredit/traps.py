@@ -57,41 +57,33 @@ def _check_choice(target: Circuit, bits, ndim: int) -> np.ndarray:
 def generate_trap(target: Circuit, choice) -> Circuit:
     """Build the trap circuit for one choice row.
 
-    Band j applies V_j after undoing V_{j-1}; band m applies only the undo.
-    With t=1 an extra Hadamard round is composed before band 1's assignment
-    and after band m's undo, each pair (i, j) recompiled into one Clifford.
+    The row picks m+1 layers of single-qubit Cliffords: a Hadamard sandwich
+    at both ends (H on every qubit when t is 1, else I) and, as layer j+1,
+    band j's fresh H/S assignment for j in [0, m-1). Band j undoes layer j
+    and applies layer j+1, recompiled into one Clifford per qubit; H and I
+    are their own inverses, so band 0 opens the sandwich and band m-1
+    closes it.
     """
     choice = _check_choice(target, choice, ndim=1)
-    n, m = target.n, target.m
-    sandwich = _H if choice[-1] else _I
-    # the fresh H/S assignment V_j of each band, read from the row in order
-    assignments, bits = [], iter(choice[:-1])
-    for j in range(m - 1):
+    n = target.n
+    sandwich = [_H if choice[-1] else _I] * n
+    layers, bits = [sandwich], iter(choice[:-1])
+    for j in range(target.m - 1):
         pairs, unpaired = _band_layout(target, j)
         gates = [_I] * n
         for lo, hi in pairs:
             gates[lo], gates[hi] = (_H, _S) if next(bits) else (_S, _H)
         for q in unpaired:
             gates[q] = _S if next(bits) else _H
-        assignments.append(gates)
-    bands = []
-    for j in range(m):
-        singles = []
-        for i in range(n):
-            g = _I
-            if j == 0:
-                g = compose_singles(sandwich, assignments[0][i])
-            else:
-                undo = Gate(clifford=cliffords.DAGGER[
-                    assignments[j - 1][i].clifford])
-                if j < m - 1:
-                    g = compose_singles(undo, assignments[j][i])
-                else:
-                    g = compose_singles(undo, sandwich)
-            singles.append(g)
-        bands.append(Band(singles=tuple(singles),
-                          cz_pairs=target.bands[j].cz_pairs))
-    return Circuit(n=n, m=m, bands=tuple(bands))
+        layers.append(gates)
+    layers.append(sandwich)
+    bands = tuple(
+        Band(singles=tuple(
+            compose_singles(Gate(clifford=cliffords.DAGGER[undo.clifford]), g)
+            for undo, g in zip(layers[j], layers[j + 1])),
+            cz_pairs=band.cz_pairs)
+        for j, band in enumerate(target.bands))
+    return Circuit(n=n, m=target.m, bands=bands)
 
 
 _COMPOSE = np.array(cliffords.COMPOSE, dtype=np.uint8)
@@ -105,8 +97,11 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     """
     bits = _check_choice(target, bits, ndim=2)
     n, m = target.n, target.m
-    # V_j on qubit q is S exactly when bit[column] ^ lower-of-pair is 1
-    assign = np.empty((len(bits), m - 1, n), dtype=np.uint8)
+    # layers 0 and m are the sandwich; layer j+1, band j's assignment, is S
+    # on qubit q exactly when bit[column] ^ lower-of-pair is 1
+    layers = np.empty((len(bits), m + 1, n), dtype=np.uint8)
+    layers[:, [0, m]] = np.where(bits[:, -1:, None], cliffords.C_H,
+                                 cliffords.C_I)
     col = 0
     for j in range(m - 1):
         pairs, unpaired = _band_layout(target, j)
@@ -119,15 +114,9 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
         for q in unpaired:
             cols[q] = col
             col += 1
-        assign[:, j] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
-                                cliffords.C_H)
-    sandwich = np.where(bits[:, -1:], cliffords.C_H, cliffords.C_I)
-    undo = _DAGGER[assign]
-    gates = np.empty((len(bits), m, n), dtype=np.uint8)
-    gates[:, 0] = _COMPOSE[sandwich, assign[:, 0]]
-    gates[:, 1:m - 1] = _COMPOSE[undo[:, :-1], assign[:, 1:]]
-    gates[:, m - 1] = _COMPOSE[undo[:, -1], sandwich]
-    return gates
+        layers[:, j + 1] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
+                                    cliffords.C_H)
+    return _COMPOSE[_DAGGER[layers[:, :-1]], layers[:, 1:]]
 
 
 def sample_choice(target: Circuit, rng: np.random.Generator) -> np.ndarray:

@@ -214,9 +214,17 @@ _MALFORMED = "malformed noise model document"
     ('{"variant": "explicit", "entries": '
      '[{"prob": 1.0, "collection": [[1, 2]]}]}', _MALFORMED),
     ('{"variant": "bounded_gate", "rate": 0.1, "n": "3"}', "integer n >= 1"),
+    ('{"variant": "independent", "rates": [{"k": true, "loc": true, '
+     '"Z": 1.0}]}', "needs integers"),
+    ('{"variant": "bounded_gate", "n": 3}', f"{_MALFORMED}: missing key 'rate'"),
+    ('{"variant": "explicit", "entries": [{"prob": 1.0}]}',
+     f"{_MALFORMED}: missing key 'collection'"),
+    ('{"variant": "independent", "rates": [{"k": 0, "Z": 1.0}]}',
+     f"{_MALFORMED}: missing key 'loc'"),
 ], ids=["rate-map", "composite-rate-map", "rate-null", "rate-list",
         "default-rates-int", "default-rate-null", "entries-int",
-        "collection-int", "collection-ints", "n-string"])
+        "collection-int", "collection-ints", "n-string", "location-bools",
+        "missing-rate", "missing-collection", "missing-loc"])
 def test_accredit_rejects_malformed_noise_documents(runner, ghz_file,
                                                     tmp_path, doc, message):
     noise_path = tmp_path / "noise.json"

@@ -151,6 +151,15 @@ def test_density_rejects_non_trace_preserving():
         run_density(circ, channels={1: [0.5 * np.eye(2, dtype=complex)]})
 
 
+def test_density_rejects_channel_outside_locations():
+    circ = identity_circuit(1, 2)
+    z = np.diag([1, -1]).astype(complex)
+    assert np.allclose(run_density(circ, channels={2: [z]}), [0, 1])
+    for loc in (7, -1, 3):
+        with pytest.raises(ValueError, match=f"location {loc} lies outside"):
+            run_density(circ, channels={loc: [z]})
+
+
 def test_density_matches_statevector_sampling():
     rng = np.random.default_rng(7)
     circ = families.random_generic_circuit(2, 2, rng)
@@ -208,6 +217,28 @@ def test_density_matches_kronecker_reference():
             circ = families.random_generic_circuit(n, m, rng)
             channels = {loc: [families.random_unitary(2 ** n, rng)]
                         for loc in range(m + 1) if rng.random() < 0.5}
+            assert np.abs(run_density(circ, channels)
+                          - _kron_density(circ, channels)).max() < 1e-12
+
+
+def _amplitude_damping(n, q, gamma):
+    """The two Kraus operators of amplitude damping on qubit q of n."""
+    kraus = [np.diag([1.0, np.sqrt(1 - gamma)]),
+             np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])]
+    return [np.kron(np.kron(np.eye(2 ** (n - 1 - q)), k), np.eye(2 ** q))
+            .astype(complex) for k in kraus]
+
+
+def test_density_matches_kronecker_reference_on_kraus_paths():
+    # two operators at every location, so every Kraus path is summed
+    rng = np.random.default_rng(14)
+    for n in range(1, 4):
+        for _ in range(3):
+            m = int(rng.integers(1, 4))
+            circ = families.random_generic_circuit(n, m, rng)
+            channels = {loc: _amplitude_damping(n, int(rng.integers(n)),
+                                                rng.uniform(0.1, 0.9))
+                        for loc in range(m + 1)}
             assert np.abs(run_density(circ, channels)
                           - _kron_density(circ, channels)).max() < 1e-12
 
