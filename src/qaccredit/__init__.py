@@ -3,7 +3,9 @@ of noisy quantum circuit outputs.
 
 Submodules:
 
-* :mod:`qaccredit.circuit` — band-structured circuit IR and JSON round-trip
+* :mod:`qaccredit.circuit` — band-structured circuit IR (one (m, n) array of
+  Clifford indices, ``GENERIC`` for a 2x2 unitary, one cZ layer per band)
+  and JSON round-trip
 * :mod:`qaccredit.pauli` / :mod:`qaccredit.cliffords` — exact Pauli algebra
 * :mod:`qaccredit.qotp` — quantum one-time-pad compilation
 * :mod:`qaccredit.traps` — trap-circuit generation from flat 0/1 choice rows
@@ -16,7 +18,7 @@ Submodules:
 * :mod:`qaccredit.families` — example circuit families
 """
 
-from .circuit import Band, Circuit, Gate, parse, serialize, validate
+from .circuit import GENERIC, Circuit, parse, serialize, validate
 from .noise import NoiseModel, PauliErrorCollection, noiseless
 from .pauli import PauliString
 from .protocol import (AccreditationReport, ProtocolConfig, RunOutcome,
@@ -31,7 +33,7 @@ from .traps import (choice_width, enumerate_choices, generate_trap,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band", "Circuit", "Gate", "parse", "serialize", "validate",
+    "GENERIC", "Circuit", "parse", "serialize", "validate",
     "NoiseModel", "PauliErrorCollection", "noiseless",
     "PauliString",
     "AccreditationReport", "ProtocolConfig", "RunOutcome", "accredit",

@@ -1,18 +1,21 @@
-"""Band-structured circuit IR: validation, composition, JSON round-trip.
+"""Band-structured circuit IR: validation and JSON round-trip.
 
 A circuit acts on ``|+>^n``: each band is one round of single-qubit gates
 followed by one round of disjoint cZ gates, the last band has no cZ gates,
 and every qubit is finally measured in the X basis (outcome 0 <-> ``|+>``).
 
-Gates carry a dual representation: an index into the 24-element single-qubit
-Clifford group (exact, used by the trap/frame machinery) or an arbitrary 2x2
-unitary matrix. Global phase is quotiented out everywhere.
+The single-qubit gates are one read-only (m, n) uint8 array of indices into
+the 24-element single-qubit Clifford group (exact, used by the trap/frame
+machinery); the reserved index :data:`GENERIC` marks a gate given instead as
+an arbitrary 2x2 unitary, stored by its (band, qubit) position. Global phase
+is quotiented out everywhere.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,94 +23,87 @@ import numpy as np
 from . import cliffords
 
 UNITARITY_ATOL = 1e-12
+GENERIC = cliffords.GROUP_ORDER  # gate index of a generic 2x2 unitary
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Single-qubit gate: Clifford index or generic 2x2 unitary."""
-
-    clifford: Optional[int] = None
-    matrix: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if (self.clifford is None) == (self.matrix is None):
-            raise ValueError("gate needs exactly one of clifford index / matrix")
-        if self.clifford is not None:
-            if not 0 <= self.clifford < cliffords.GROUP_ORDER:
-                raise ValueError(f"Clifford index {self.clifford} not in [0, 24)")
-        else:
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError("matrix gate must be 2x2")
-            if not np.allclose(m @ m.conj().T, np.eye(2), atol=UNITARITY_ATOL, rtol=0):
-                raise ValueError("matrix gate is not unitary within 1e-12")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
-
-    @property
-    def is_clifford(self) -> bool:
-        return self.clifford is not None
-
-    def to_matrix(self) -> np.ndarray:
-        if self.clifford is not None:
-            return cliffords.matrix(self.clifford)
-        return np.array(self.matrix)
-
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        if self.clifford is not None or other.clifford is not None:
-            return self.clifford == other.clifford
-        return np.array_equal(self.matrix, other.matrix)
-
-    def __hash__(self):
-        if self.clifford is not None:
-            return hash(("c", self.clifford))
-        return hash(("m", self.matrix.tobytes()))
+def _unitary(u) -> np.ndarray:
+    """``u`` as a read-only complex 2x2 copy, once it is unitary."""
+    u = np.array(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError("matrix gate must be 2x2")
+    if not np.allclose(u @ u.conj().T, np.eye(2), atol=UNITARITY_ATOL, rtol=0):
+        raise ValueError("matrix gate is not unitary within 1e-12")
+    u.setflags(write=False)
+    return u
 
 
-def clifford_gate(name_or_index) -> Gate:
-    """Gate from a Clifford name ('H', 'S', ...) or group index."""
-    if isinstance(name_or_index, str):
-        return Gate(clifford=cliffords.NAME_TO_INDEX[name_or_index])
-    return Gate(clifford=int(name_or_index))
-
-
-IDENTITY_GATE = Gate(clifford=cliffords.C_I)
-
-
-@dataclass(frozen=True)
-class Band:
-    """One round of single-qubit gates plus one round of disjoint cZ pairs.
-
-    ``cz_pairs`` is stored as an ascending tuple of (lo, hi) pairs. A pair
-    given twice is kept, so that ``validate`` reports it rather than the
-    band silently dropping one of the two gates.
-    """
-
-    singles: tuple  # tuple of Gate, one per qubit
-    cz_pairs: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "singles", tuple(self.singles))
-        pairs = tuple(sorted(tuple(sorted(p)) for p in self.cz_pairs))
-        object.__setattr__(self, "cz_pairs", pairs)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """n qubits, m bands; input |+>^n, X-basis measurement after band m."""
+    """n qubits, m bands; input |+>^n, X-basis measurement after band m.
+
+    ``gates[j, i]`` is the Clifford index of band j's gate on qubit i, or
+    :data:`GENERIC` when ``matrices[(j, i)]`` holds it as a 2x2 unitary.
+    ``cz[j]`` is band j's cZ layer as an ascending tuple of (lo, hi) pairs;
+    a pair given twice is kept, so that ``validate`` reports it rather than
+    the band silently dropping one of the two gates. ``gates``, ``matrices``
+    and every matrix are read-only copies, so a circuit can key a cache.
+    """
 
     n: int
     m: int
-    bands: tuple
+    gates: np.ndarray
+    cz: tuple = None  # None: no cZ gate in any band
+    matrices: dict = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bands", tuple(self.bands))
+        gates = np.array(self.gates)
+        if gates.shape != (self.m, self.n):
+            raise ValueError(f"gates must have shape ({self.m}, {self.n}), "
+                             f"found {gates.shape}")
+        # checked as Python ints: numpy reductions cost more on small arrays
+        values = gates.ravel().tolist()
+        if gates.dtype.kind not in "iu" or not all(
+                0 <= c <= GENERIC for c in values):
+            raise ValueError("gate indices must be integers in "
+                             f"[0, {GENERIC}]")
+        gates = gates.astype(np.uint8)
+        gates.setflags(write=False)
+        cz = ((),) * self.m if self.cz is None else self.cz
+        if len(cz) != self.m:
+            raise ValueError(f"expected {self.m} cZ layers, found {len(cz)}")
+        cz = tuple(tuple(sorted(tuple(sorted(p)) for p in pairs))
+                   for pairs in cz)
+        matrices = {(int(j), int(i)): _unitary(u)
+                    for (j, i), u in (self.matrices or {}).items()}
+        if set(matrices) != {divmod(k, self.n)
+                             for k, c in enumerate(values) if c == GENERIC}:
+            raise ValueError("matrices must be given exactly at the "
+                             f"GENERIC ({GENERIC}) gates")
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "cz", cz)
+        object.__setattr__(self, "matrices", MappingProxyType(matrices))
 
     @property
     def all_clifford(self) -> bool:
-        return all(g.is_clifford for b in self.bands for g in b.singles)
+        return not self.matrices
+
+    def unitary(self, j: int, i: int) -> np.ndarray:
+        """Read-only 2x2 matrix of band j's gate on qubit i."""
+        c = self.gates[j, i]
+        return self.matrices[j, i] if c == GENERIC else cliffords.MATRICES[c]
+
+    def _key(self) -> tuple:
+        return (self.n, self.m, self.cz, self.gates.tobytes(),
+                tuple(sorted((at, u.tobytes())
+                             for at, u in self.matrices.items())))
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass
@@ -127,14 +123,9 @@ def validate(circuit: Circuit) -> ValidationReport:
         add("qubit count must be >= 1")
     if circuit.m < 1:
         add("band count must be >= 1")
-    if len(circuit.bands) != circuit.m:
-        add(f"expected {circuit.m} bands, found {len(circuit.bands)}")
-    for j, band in enumerate(circuit.bands):
-        if len(band.singles) != circuit.n:
-            add(f"band {j}: expected {circuit.n} single-qubit gates, "
-                f"found {len(band.singles)}")
+    for j, pairs in enumerate(circuit.cz):
         seen = set()
-        for pair in band.cz_pairs:
+        for pair in pairs:
             lo, hi = pair
             if lo == hi:
                 add(f"band {j}: cZ pair ({lo},{hi}) is degenerate")
@@ -144,16 +135,9 @@ def validate(circuit: Circuit) -> ValidationReport:
                 elif q in seen:
                     add(f"band {j}: qubit {q} in two pairs")
                 seen.add(q)
-        if j == circuit.m - 1 and band.cz_pairs:
+        if j == circuit.m - 1 and pairs:
             add("final band must have no cZ")
     return report
-
-
-def compose_singles(a: Gate, b: Gate) -> Gate:
-    """The gate equal to applying a, then b."""
-    if a.is_clifford and b.is_clifford:
-        return Gate(clifford=cliffords.COMPOSE[a.clifford][b.clifford])
-    return Gate(matrix=b.to_matrix() @ a.to_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +153,22 @@ class CircuitParseError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _gate_to_json(gate: Gate) -> dict:
-    if gate.clifford is not None:
-        name = cliffords.INDEX_TO_NAME.get(gate.clifford)
-        return {"clifford": name if name is not None else f"C{gate.clifford}"}
+def _gate_to_json(circuit: Circuit, j: int, i: int) -> dict:
+    c = int(circuit.gates[j, i])
+    if c != GENERIC:
+        return {"clifford": cliffords.INDEX_TO_NAME.get(c, f"C{c}")}
     return {"matrix": [[[float(v.real), float(v.imag)] for v in row]
-                       for row in gate.matrix]}
+                       for row in circuit.matrices[j, i]]}
 
 
-def _gate_from_json(obj, path: str) -> Gate:
+def _gate_from_json(obj, path: str):
+    """(Clifford index, None) or (GENERIC, unitary) of one gate object."""
     if not isinstance(obj, dict):
         raise CircuitParseError(path, "gate must be an object")
     if "clifford" in obj:
         name = obj["clifford"]
         if name in cliffords.NAME_TO_INDEX:
-            return Gate(clifford=cliffords.NAME_TO_INDEX[name])
+            return cliffords.NAME_TO_INDEX[name], None
         if isinstance(name, str) and name.startswith("C"):
             try:
                 idx = int(name[1:])
@@ -191,7 +176,7 @@ def _gate_from_json(obj, path: str) -> Gate:
                 raise CircuitParseError(path, f"unknown Clifford name {name!r}")
             if not 0 <= idx < cliffords.GROUP_ORDER:
                 raise CircuitParseError(path, f"Clifford index {idx} not in [0, 24)")
-            return Gate(clifford=idx)
+            return idx, None
         raise CircuitParseError(path, f"unknown Clifford name {name!r}")
     if "matrix" in obj:
         rows = obj["matrix"]
@@ -200,7 +185,7 @@ def _gate_from_json(obj, path: str) -> Gate:
         except (TypeError, ValueError):
             raise CircuitParseError(path, "matrix must be [[re,im] x2] x2")
         try:
-            return Gate(matrix=m)
+            return GENERIC, _unitary(m)
         except ValueError as exc:
             raise CircuitParseError(path, str(exc))
     raise CircuitParseError(path, "gate needs 'clifford' or 'matrix'")
@@ -224,17 +209,25 @@ def parse(json_text: str) -> Circuit:
         raise CircuitParseError("$.m", "must be a positive integer")
     if not isinstance(doc["bands"], list):
         raise CircuitParseError("$.bands", "must be a list")
-    bands = []
+    if len(doc["bands"]) != m:
+        raise CircuitParseError("$.bands", f"expected {m} bands, "
+                                f"found {len(doc['bands'])}")
+    gates = np.empty((m, n), dtype=np.uint8)
+    cz, matrices = [], {}
     for j, bobj in enumerate(doc["bands"]):
         bpath = f"$.bands[{j}]"
         if not isinstance(bobj, dict):
             raise CircuitParseError(bpath, "band must be an object")
         if "singles" not in bobj:
             raise CircuitParseError(f"{bpath}.singles", "missing required key")
-        singles = [
-            _gate_from_json(g, f"{bpath}.singles[{i}]")
-            for i, g in enumerate(bobj["singles"])
-        ]
+        singles = bobj["singles"]
+        if not isinstance(singles, list) or len(singles) != n:
+            raise CircuitParseError(f"{bpath}.singles", "expected a list of "
+                                    f"{n} single-qubit gates")
+        for i, g in enumerate(singles):
+            gates[j, i], u = _gate_from_json(g, f"{bpath}.singles[{i}]")
+            if u is not None:
+                matrices[j, i] = u
         pairs = []
         for k, pr in enumerate(bobj.get("cz", [])):
             ppath = f"{bpath}.cz[{k}]"
@@ -242,8 +235,8 @@ def parse(json_text: str) -> Circuit:
                     or not all(isinstance(q, int) for q in pr)):
                 raise CircuitParseError(ppath, "cZ pair must be [int, int]")
             pairs.append(tuple(pr))
-        bands.append(Band(singles=tuple(singles), cz_pairs=pairs))
-    circ = Circuit(n=n, m=m, bands=tuple(bands))
+        cz.append(pairs)
+    circ = Circuit(n, m, gates, cz, matrices)
     report = validate(circ)
     if not report.ok:
         raise CircuitParseError("$", "; ".join(report.violations))
@@ -257,10 +250,11 @@ def serialize(circuit: Circuit) -> str:
         "m": circuit.m,
         "bands": [
             {
-                "singles": [_gate_to_json(g) for g in band.singles],
-                "cz": [list(p) for p in band.cz_pairs],
+                "singles": [_gate_to_json(circuit, j, i)
+                            for i in range(circuit.n)],
+                "cz": [list(p) for p in pairs],
             }
-            for band in circuit.bands
+            for j, pairs in enumerate(circuit.cz)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -269,8 +263,7 @@ def serialize(circuit: Circuit) -> str:
 def identity_circuit(n: int, m: int,
                      cz_layout: Optional[Sequence] = None) -> Circuit:
     """All-identity gates on an optional cZ topology (last band forced empty)."""
-    bands = []
-    for j in range(m):
-        pairs = () if (cz_layout is None or j == m - 1) else cz_layout[j]
-        bands.append(Band(singles=(IDENTITY_GATE,) * n, cz_pairs=pairs))
-    return Circuit(n=n, m=m, bands=tuple(bands))
+    cz = [() if cz_layout is None or j == m - 1 else cz_layout[j]
+          for j in range(m)]
+    gates = np.full((m, n), cliffords.C_I, dtype=np.uint8)
+    return Circuit(n, m, gates, cz)

@@ -121,6 +121,8 @@ def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
         if counts_path:
             with open(counts_path) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("counts document must be an object")
             counts = OperationCounts(
                 preparations=doc["preparations"],
                 measurements=doc["measurements"],

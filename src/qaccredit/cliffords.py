@@ -3,10 +3,14 @@
 The group is generated from H and S and canonicalized modulo global phase,
 so every element has a stable integer index in [0, 24). Tables built here:
 
-* ``COMPOSE[a][b]``: index of the gate "apply a, then b"
-* ``DAGGER[a]``: index of the inverse
+* ``MATRICES[c]``: canonical 2x2 matrix of index c, one (24, 2, 2) array
+* ``COMPOSE[a, b]``: index of the gate "apply a, then b", a (24, 24) array
+* ``DAGGER[a]``: index of the inverse, a (24,) array
 * ``IMG_X[c]`` / ``IMG_Z[c]``: conjugation images ``c X c†`` and ``c Z c†``
   as ``(x, z, sign)`` triples, where the operator is ``i^sign X^x Z^z``
+
+``MATRICES``, ``COMPOSE`` and ``DAGGER`` are read-only numpy arrays, the
+index tables of dtype uint8.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ def _build_group():
                     nxt.append(c)
         frontier = nxt
     assert len(mats) == 24
+    mats = np.array(mats)
+    mats.setflags(write=False)
     return mats, index
 
 
@@ -86,17 +92,18 @@ def index_of(u: np.ndarray) -> int:
     return _INDEX[_key(np.asarray(u, dtype=complex))]
 
 
-def _build_compose():
-    table = [[0] * GROUP_ORDER for _ in range(GROUP_ORDER)]
-    for a in range(GROUP_ORDER):
-        for b in range(GROUP_ORDER):
-            table[a][b] = _INDEX[_key(MATRICES[b] @ MATRICES[a])]
+def _table(indices) -> np.ndarray:
+    """Nested lists of group indices as a read-only uint8 array."""
+    table = np.array(indices, dtype=np.uint8)
+    table.setflags(write=False)
     return table
 
 
-# COMPOSE[a][b] = "apply a first, then b"
-COMPOSE = _build_compose()
-DAGGER = [_INDEX[_key(MATRICES[c].conj().T)] for c in range(GROUP_ORDER)]
+# COMPOSE[a, b] = "apply a first, then b"
+COMPOSE = _table([[_INDEX[_key(MATRICES[b] @ MATRICES[a])]
+                   for b in range(GROUP_ORDER)] for a in range(GROUP_ORDER)])
+DAGGER = _table([_INDEX[_key(MATRICES[c].conj().T)]
+                 for c in range(GROUP_ORDER)])
 
 
 def _match_pauli(m: np.ndarray):
@@ -135,10 +142,6 @@ C_H = NAME_TO_INDEX["H"]
 C_S = NAME_TO_INDEX["S"]
 C_SDG = NAME_TO_INDEX["Sdg"]
 
-# Index of the single-qubit Pauli X^x Z^z (phase dropped).
-PAULI_INDEX = {
-    (0, 0): C_I,
-    (1, 0): C_X,
-    (0, 1): C_Z,
-    (1, 1): C_Y,  # XZ = -iY, same index modulo phase
-}
+# PAULI_INDEX[x, z]: index of the single-qubit Pauli X^x Z^z (phase
+# dropped; XZ = -iY has Y's index)
+PAULI_INDEX = _table([[C_I, C_Z], [C_X, C_Y]])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cliffords
-from .circuit import Band, Circuit, Gate, IDENTITY_GATE, clifford_gate
+from .circuit import GENERIC, Circuit
 
 GENERIC_FRACTION = 0.5  # share of Haar-random gates in random_generic_circuit
 
@@ -21,16 +21,10 @@ def ghz_circuit(n: int) -> Circuit:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = max(n, 2)
-    bands = []
-    for j in range(m):
-        singles = [IDENTITY_GATE] * n
-        pairs = []
-        if 1 <= j <= n - 1:
-            singles[j] = clifford_gate("H")
-        if j < n - 1 and j < m - 1:
-            pairs.append((j, j + 1))
-        bands.append(Band(singles=tuple(singles), cz_pairs=pairs))
-    return Circuit(n=n, m=m, bands=tuple(bands))
+    gates = np.full((m, n), cliffords.C_I)
+    gates[range(1, n), range(1, n)] = cliffords.C_H
+    cz = [((j, j + 1),) if j < n - 1 else () for j in range(m)]
+    return Circuit(n, m, gates, cz)
 
 
 def _random_disjoint_pairs(n: int, rng: np.random.Generator) -> list:
@@ -48,14 +42,12 @@ def _random_disjoint_pairs(n: int, rng: np.random.Generator) -> list:
 def random_clifford_circuit(n: int, m: int,
                             rng: np.random.Generator) -> Circuit:
     """Uniformly random single-qubit Cliffords on random disjoint cZ layers."""
-    bands = []
+    gates = np.empty((m, n), dtype=np.uint8)
+    cz = []
     for j in range(m):
-        singles = tuple(
-            Gate(clifford=int(rng.integers(0, cliffords.GROUP_ORDER)))
-            for _ in range(n))
-        pairs = _random_disjoint_pairs(n, rng) if j < m - 1 else []
-        bands.append(Band(singles=singles, cz_pairs=pairs))
-    return Circuit(n=n, m=m, bands=tuple(bands))
+        gates[j] = [rng.integers(0, cliffords.GROUP_ORDER) for _ in range(n)]
+        cz.append(_random_disjoint_pairs(n, rng) if j < m - 1 else ())
+    return Circuit(n, m, gates, cz)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,29 +57,20 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_unitary_gate(rng: np.random.Generator) -> Gate:
-    """Haar-random single-qubit gate."""
-    return Gate(matrix=random_unitary(2, rng))
-
-
 def random_generic_circuit(n: int, m: int,
                            rng: np.random.Generator) -> Circuit:
     """Mixed Clifford/generic gates; guaranteed at least one generic gate."""
-    bands = []
-    has_generic = False
+    gates = np.empty((m, n), dtype=np.uint8)
+    cz, matrices = [], {}
     for j in range(m):
-        singles = []
-        for _ in range(n):
+        for i in range(n):
             if rng.random() < GENERIC_FRACTION:
-                singles.append(random_unitary_gate(rng))
-                has_generic = True
+                gates[j, i] = GENERIC
+                matrices[j, i] = random_unitary(2, rng)
             else:
-                singles.append(
-                    Gate(clifford=int(rng.integers(0, cliffords.GROUP_ORDER))))
-        pairs = _random_disjoint_pairs(n, rng) if j < m - 1 else []
-        bands.append(Band(singles=tuple(singles), cz_pairs=pairs))
-    if not has_generic:
-        bands[0] = Band(
-            singles=(random_unitary_gate(rng),) + bands[0].singles[1:],
-            cz_pairs=bands[0].cz_pairs)
-    return Circuit(n=n, m=m, bands=tuple(bands))
+                gates[j, i] = rng.integers(0, cliffords.GROUP_ORDER)
+        cz.append(_random_disjoint_pairs(n, rng) if j < m - 1 else ())
+    if not matrices:
+        gates[0, 0] = GENERIC
+        matrices[0, 0] = random_unitary(2, rng)
+    return Circuit(n, m, gates, cz, matrices)

@@ -176,16 +176,16 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             reg.apply_pauli(BOB, dev)
-        for j, band in enumerate(dressed.circuit.bands):
+        for j, pairs in enumerate(dressed.circuit.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
-            for i, gate in enumerate(band.singles):
-                reg.apply_single(ALICE, gate.to_matrix(), i)
+            for i in range(n):
+                reg.apply_single(ALICE, dressed.circuit.unitary(j, i), i)
             if any(deviations[j]):
                 reg.apply_pauli(ALICE, PauliString(n, *deviations[j]))
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
             for dev in bob.deviations_for(k, j + 1):
                 reg.apply_pauli(BOB, dev)
-            for pair in band.cz_pairs:
+            for pair in pairs:
                 reg.apply_cz(BOB, *pair)
         channel.send(Message("measurement_results",
                              bits=reg.measure_x(BOB, rng)))

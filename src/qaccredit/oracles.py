@@ -36,6 +36,7 @@ from .protocol import KAPPA
 TWIRL_RESIDUAL_TOL = 1e-9
 CROSS_TERM_TOL = 1e-12
 SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
+FLIP_TABLE_CAP = 2 ** 20  # basis-error propagations in one flip table
 
 
 @dataclass
@@ -76,8 +77,14 @@ def _choice_flip_tables(topology: Circuit) -> np.ndarray:
     basis error with symplectic bit b (b < n: X on qubit b; b >= n: Z on
     qubit b-n) inserted at location loc. Flip masks are GF(2)-linear in the
     error's symplectic bits, so any collection is an XOR of these rows.
+    Raises ValueError when the table needs more than ``FLIP_TABLE_CAP``
+    propagations, 2n(m+1) per trap choice.
     """
     n, m = topology.n, topology.m
+    size = 2 * n * (m + 1) * traps.choice_space_size(topology)
+    if size > FLIP_TABLE_CAP:
+        raise ValueError(f"flip table of {size} basis-error propagations "
+                         f"too large to build (cap {FLIP_TABLE_CAP})")
     circuits = [traps.generate_trap(topology, c)
                 for c in traps.enumerate_choices(topology)]
     table = np.zeros((m + 1, 2 * n, len(circuits)), dtype=np.uint32)
@@ -134,7 +141,11 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
     on exactly one / two locations. ``all`` samples ``SWEEP_SAMPLES``
     collections with no support restriction (reports flagged as sampled).
     """
+    if band_count_class not in ("single", "two", "all"):
+        raise ValueError("band_count_class must be single, two, or all")
     n, m = topology.n, topology.m
+    # the table is checked against its cap before any collection is listed
+    n_choices = _choice_flip_tables(topology).shape[-1]
     if band_count_class == "all":
         rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -143,7 +154,7 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
             return PauliString(n, x, int(rng.integers(0, 2 ** n)))
         collections = ([draw(loc in (0, m)) for loc in range(m + 1)]
                        for _ in range(SWEEP_SAMPLES))
-    elif band_count_class in ("single", "two"):
+    else:
         options = [_location_paulis(n, z_only=(loc in (0, m)))
                    for loc in range(m + 1)]
         k = 1 if band_count_class == "single" else 2
@@ -152,9 +163,6 @@ def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
             [dict(zip(locs, picked)).get(loc, ident) for loc in range(m + 1)]
             for locs in itertools.combinations(range(m + 1), k)
             for picked in itertools.product(*(options[loc] for loc in locs)))
-    else:
-        raise ValueError("band_count_class must be single, two, or all")
-    n_choices = _choice_flip_tables(topology).shape[-1]
     reports = []
     for errs in collections:
         support = [(loc, e) for loc, e in enumerate(errs)

@@ -326,6 +326,13 @@ class OperationCounts:
     cz_gates: int
     single_qubit_rounds: int
 
+    def __post_init__(self):
+        for name, count in vars(self).items():
+            if not isinstance(count, int) or isinstance(count, bool) \
+                    or count < 0:
+                raise DomainError(f"{name} must be an integer >= 0, "
+                                  f"found {count!r}")
+
     @classmethod
     def for_protocol(cls, n: int, m: int, v: int,
                      cz_per_circuit: int) -> "OperationCounts":
@@ -353,6 +360,8 @@ def figure8_curve(v: int, r0_grid: Sequence[float], counts: OperationCounts,
     delta = (1-r0)^(preps+meas+cZ) * (1-r0/div)^rounds, g = (1-r0/div)^rounds,
     epsilon from the bounded-gate-noise formula, and bound = epsilon/delta.
     """
+    if not (math.isfinite(gate_rate_divisor) and gate_rate_divisor > 0):
+        raise DomainError("gate rate divisor must be finite and > 0")
     points = []
     for r0 in r0_grid:
         if not 0.0 <= r0 < 1.0:

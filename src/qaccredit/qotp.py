@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cliffords
-from .circuit import Band, Circuit, Gate, compose_singles
+from .circuit import GENERIC, Circuit
 
-# The single-qubit Pauli X^x Z^z as a gate, keyed by (x, z).
-_PAULI_GATES = {xz: Gate(clifford=c) for xz, c in cliffords.PAULI_INDEX.items()}
+# COMPOSE with a GENERIC row and column: a generic gate stays generic
+_COMPOSE = np.pad(cliffords.COMPOSE, (0, 1), constant_values=GENERIC)
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,27 @@ def dress(circuit: Circuit, pads: np.ndarray) -> DressedCircuit:
     """
     n, m = circuit.n, circuit.m
     row = np.asarray(pads)
-    if row.shape != (pad_width(n, m),) or ((row != 0) & (row != 1)).any():
+    if row.shape != (pad_width(n, m),) or not set(row.tolist()) <= {0, 1}:
         raise ValueError(f"pads must be a 0/1 row of {pad_width(n, m)} bits")
-    alpha = row[: n * m].reshape(m, n).tolist()
-    alpha_prime = row[n * m: 2 * n * m].reshape(m, n).tolist()
-    # band 1's pre-Pauli is X^gamma
-    x, z = row[2 * n * m:].tolist(), [0] * n
-    new_bands = []
-    for j, band in enumerate(circuit.bands):
-        singles = tuple(
-            compose_singles(compose_singles(_PAULI_GATES[x[i], z[i]], u),
-                            _PAULI_GATES[alpha_prime[j][i], alpha[j][i]])
-            for i, u in enumerate(band.singles))
-        new_bands.append(Band(singles=singles, cz_pairs=band.cz_pairs))
-        # band j+1 undoes band j's pad after its cZ layer
-        x, z = alpha_prime[j], list(alpha[j])
-        for lo, hi in band.cz_pairs:
-            z[lo] ^= x[hi]
-            z[hi] ^= x[lo]
-    dressed = Circuit(n=n, m=m, bands=tuple(new_bands))
+    row = row.astype(np.uint8)
+    alpha = row[: n * m].reshape(m, n)
+    alpha_prime = row[n * m: 2 * n * m].reshape(m, n)
+    # band j's pad conjugated through band j's cZ layer
+    crossed_z = alpha.copy()
+    for j, pairs in enumerate(circuit.cz):
+        for lo, hi in pairs:
+            crossed_z[j, lo] ^= alpha_prime[j, hi]
+            crossed_z[j, hi] ^= alpha_prime[j, lo]
+    # band 1 opens with X^gamma; band j+1 undoes band j's crossed pad
+    pre = np.empty((m, n), dtype=np.uint8)
+    pre[0] = cliffords.PAULI_INDEX[row[2 * n * m:], 0]
+    pre[1:] = cliffords.PAULI_INDEX[alpha_prime[:-1], crossed_z[:-1]]
+    post = cliffords.PAULI_INDEX[alpha_prime, alpha]
+    matrices = {(j, i): cliffords.MATRICES[post[j, i]]
+                @ (u @ cliffords.MATRICES[pre[j, i]])
+                for (j, i), u in circuit.matrices.items()}
+    dressed = Circuit(n, m, _COMPOSE[_COMPOSE[pre, circuit.gates], post],
+                      circuit.cz, matrices)
     return DressedCircuit(circuit=dressed, key=alpha[m - 1])
 
 

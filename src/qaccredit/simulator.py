@@ -55,11 +55,11 @@ def propagate_frame(circuit: Circuit, errors: Sequence) -> PauliString:
     if len(errors) != circuit.m + 1:
         raise ValueError(f"expected {circuit.m + 1} error locations")
     q = errors[0]
-    for j, band in enumerate(circuit.bands):
-        for i, gate in enumerate(band.singles):
-            q = pauli.conj_single(q, gate.clifford, i)
+    for j, pairs in enumerate(circuit.cz):
+        for i, c in enumerate(circuit.gates[j].tolist()):
+            q = pauli.conj_single(q, c, i)
         q = pauli.multiply(errors[j + 1], q)
-        for pair in band.cz_pairs:
+        for pair in pairs:
             q = pauli.conj_cz(q, pair)
     return q
 
@@ -98,10 +98,10 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     """
     codes = err_x | err_z << 1
     frame = codes[:, 0]
-    for j, band in enumerate(topology.bands):
+    for j, pairs in enumerate(topology.cz):
         frame = _CONJ[gates[:, j], frame] ^ codes[:, j + 1]
-        if band.cz_pairs:
-            lo, hi = np.array(band.cz_pairs).T
+        if pairs:
+            lo, hi = np.array(pairs).T
             x = frame & 1
             frame[:, lo] ^= x[:, hi] << 1
             frame[:, hi] ^= x[:, lo] << 1
@@ -180,11 +180,11 @@ def _evolve_state(circuit: Circuit,
         return operators[loc] @ state if loc in operators else state
 
     state = at_location(_plus_state(n), 0)
-    for j, band in enumerate(circuit.bands):
-        for i, gate in enumerate(band.singles):
-            state = apply_single(state, gate.to_matrix(), i, n)
+    for j, pairs in enumerate(circuit.cz):
+        for i in range(n):
+            state = apply_single(state, circuit.unitary(j, i), i, n)
         state = at_location(apply_pauli(state, *dev[j], n), j + 1)
-        for pair in band.cz_pairs:
+        for pair in pairs:
             state = apply_cz(state, *pair, n)
     return state
 

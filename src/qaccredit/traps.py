@@ -18,18 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import cliffords
-from .circuit import Band, Circuit, Gate, compose_singles
+from .circuit import Circuit
 
 ENUMERATION_CAP = 2 ** 24
-
-_H = Gate(clifford=cliffords.C_H)
-_S = Gate(clifford=cliffords.C_S)
-_I = Gate(clifford=cliffords.C_I)
 
 
 def _band_layout(target: Circuit, j: int):
     """Sorted cZ pairs and ascending unpaired qubits of band j."""
-    pairs = target.bands[j].cz_pairs
+    pairs = target.cz[j]
     in_pair = {q for p in pairs for q in p}
     unpaired = [q for q in range(target.n) if q not in in_pair]
     return pairs, unpaired
@@ -37,8 +33,7 @@ def _band_layout(target: Circuit, j: int):
 
 def choice_width(target: Circuit) -> int:
     """Bits in one trap choice: every pair and unpaired bit, then t."""
-    return 1 + sum(target.n - len(target.bands[j].cz_pairs)
-                   for j in range(target.m - 1))
+    return 1 + sum(target.n - len(pairs) for pairs in target.cz[:-1])
 
 
 def _check_choice(target: Circuit, bits, ndim: int) -> np.ndarray:
@@ -65,29 +60,20 @@ def generate_trap(target: Circuit, choice) -> Circuit:
     closes it.
     """
     choice = _check_choice(target, choice, ndim=1)
-    n = target.n
-    sandwich = [_H if choice[-1] else _I] * n
-    layers, bits = [sandwich], iter(choice[:-1])
-    for j in range(target.m - 1):
+    n, m = target.n, target.m
+    h, s = cliffords.C_H, cliffords.C_S
+    layers = np.empty((m + 1, n), dtype=np.uint8)
+    layers[0] = layers[m] = h if choice[-1] else cliffords.C_I
+    bits = iter(choice[:-1].tolist())
+    for j in range(m - 1):
         pairs, unpaired = _band_layout(target, j)
-        gates = [_I] * n
         for lo, hi in pairs:
-            gates[lo], gates[hi] = (_H, _S) if next(bits) else (_S, _H)
+            layers[j + 1, lo], layers[j + 1, hi] = \
+                (h, s) if next(bits) else (s, h)
         for q in unpaired:
-            gates[q] = _S if next(bits) else _H
-        layers.append(gates)
-    layers.append(sandwich)
-    bands = tuple(
-        Band(singles=tuple(
-            compose_singles(Gate(clifford=cliffords.DAGGER[undo.clifford]), g)
-            for undo, g in zip(layers[j], layers[j + 1])),
-            cz_pairs=band.cz_pairs)
-        for j, band in enumerate(target.bands))
-    return Circuit(n=n, m=target.m, bands=bands)
-
-
-_COMPOSE = np.array(cliffords.COMPOSE, dtype=np.uint8)
-_DAGGER = np.array(cliffords.DAGGER, dtype=np.uint8)
+            layers[j + 1, q] = s if next(bits) else h
+    gates = cliffords.COMPOSE[cliffords.DAGGER[layers[:-1]], layers[1:]]
+    return Circuit(n, m, gates, target.cz)
 
 
 def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
@@ -116,7 +102,7 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
             col += 1
         layers[:, j + 1] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
                                     cliffords.C_H)
-    return _COMPOSE[_DAGGER[layers[:, :-1]], layers[:, 1:]]
+    return cliffords.COMPOSE[cliffords.DAGGER[layers[:, :-1]], layers[:, 1:]]
 
 
 def sample_choice(target: Circuit, rng: np.random.Generator) -> np.ndarray:
@@ -144,8 +130,7 @@ def enumerate_choices(target: Circuit) -> np.ndarray:
     if total > ENUMERATION_CAP:
         raise ValueError(f"choice space of size {total} too large to "
                          f"enumerate (cap {ENUMERATION_CAP})")
-    widths = [target.n - len(target.bands[j].cz_pairs)
-              for j in range(target.m - 1)]
+    widths = [target.n - len(pairs) for pairs in target.cz[:-1]]
     # code bit of each row column: band by band, then t at bit 0
     shifts = [1 + sum(widths[j + 1:]) + k
               for j, w in enumerate(widths) for k in range(w)] + [0]

@@ -5,68 +5,106 @@ import numpy as np
 import pytest
 
 from qaccredit import cliffords
-from qaccredit.circuit import (Band, Circuit, CircuitParseError, Gate,
-                               clifford_gate, compose_singles,
+from qaccredit.circuit import (GENERIC, Circuit, CircuitParseError,
                                identity_circuit, parse, serialize, validate)
 
-H = clifford_gate("H")
-S = clifford_gate("S")
-I = clifford_gate("I")
+H, S, I = cliffords.C_H, cliffords.C_S, cliffords.C_I
+T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
 
 def test_validate_minimal_legal():
-    circ = Circuit(n=2, m=2, bands=(
-        Band(singles=(I, I), cz_pairs=frozenset({(0, 1)})),
-        Band(singles=(I, I)),
-    ))
+    circ = Circuit(2, 2, [[I, I], [I, I]], [frozenset({(0, 1)}), ()])
     assert validate(circ).ok
 
 
 def test_validate_double_pairing():
-    circ = Circuit(n=3, m=2, bands=(
-        Band(singles=(I, I, I), cz_pairs=frozenset({(0, 1), (1, 2)})),
-        Band(singles=(I, I, I)),
-    ))
+    circ = Circuit(3, 2, [[I, I, I], [I, I, I]],
+                   [frozenset({(0, 1), (1, 2)}), ()])
     report = validate(circ)
     assert not report.ok
     assert any("qubit 1 in two pairs" in v for v in report.violations)
 
 
 def test_validate_final_band_cz():
-    circ = Circuit(n=2, m=1, bands=(
-        Band(singles=(I, I), cz_pairs=frozenset({(0, 1)})),
-    ))
+    circ = Circuit(2, 1, [[I, I]], [frozenset({(0, 1)})])
     report = validate(circ)
     assert any("final band must have no cZ" in v for v in report.violations)
 
 
-def test_compose_examples():
-    assert compose_singles(H, H) == I
-    assert compose_singles(S, S) == clifford_gate("Z")
-    # H then S recompiled into the single Clifford with matrix S @ H
-    sh = compose_singles(H, S)
-    assert sh.clifford == cliffords.index_of(
-        cliffords.matrix(cliffords.C_S) @ cliffords.matrix(cliffords.C_H))
-
-
-def test_compose_generic_stays_generic():
-    t_gate = Gate(matrix=np.diag([1.0, np.exp(1j * np.pi / 4)]))
-    out = compose_singles(t_gate, H)
-    assert not out.is_clifford
-    assert np.allclose(out.to_matrix(),
-                       cliffords.matrix(cliffords.C_H) @ t_gate.to_matrix())
-
-
 def test_gate_unitarity_tolerance():
     with pytest.raises(ValueError, match="unitary"):
-        Gate(matrix=np.array([[1.0, 0.0], [0.0, 1.0 + 1e-3]]))
+        Circuit(1, 1, [[GENERIC]], matrices={
+            (0, 0): np.array([[1.0, 0.0], [0.0, 1.0 + 1e-3]])})
 
 
 def test_gate_needs_exactly_one_representation():
+    # a GENERIC entry needs its matrix; a Clifford index takes none
+    with pytest.raises(ValueError, match="GENERIC"):
+        Circuit(1, 1, [[GENERIC]])
+    with pytest.raises(ValueError, match="GENERIC"):
+        Circuit(1, 1, [[I]], matrices={(0, 0): np.eye(2)})
+
+
+def test_construction_rejects_bad_gate_arrays():
+    for bad in ([[GENERIC + 1]], [[-1]], [[0.5]], [[True]]):
+        with pytest.raises(ValueError, match="integers in"):
+            Circuit(1, 1, bad)
+    for shape in ((1, 2), (2, 1), (2,)):
+        with pytest.raises(ValueError, match="shape"):
+            Circuit(1, 1, np.zeros(shape, dtype=np.uint8))
+    with pytest.raises(ValueError, match="2x2"):
+        Circuit(1, 1, [[GENERIC]], matrices={(0, 0): np.eye(3)})
+    with pytest.raises(ValueError, match="cZ layers"):
+        Circuit(1, 2, [[I], [I]], [()])
+
+
+def test_gates_and_matrices_are_read_only():
+    circ = Circuit(1, 2, [[H], [GENERIC]], matrices={(1, 0): T_GATE})
+    key = hash(circ)
     with pytest.raises(ValueError):
-        Gate()
+        circ.gates[0, 0] = S
     with pytest.raises(ValueError):
-        Gate(clifford=0, matrix=np.eye(2))
+        circ.matrices[1, 0][0, 0] = 0
+    with pytest.raises(TypeError):
+        circ.matrices[0, 0] = T_GATE
+    with pytest.raises(ValueError):
+        circ.unitary(0, 0)[0, 0] = 0
+    # the circuit holds copies, so the caller's arrays stay writable
+    gates, u = np.array([[H], [GENERIC]]), T_GATE.copy()
+    copied = Circuit(1, 2, gates, matrices={(1, 0): u})
+    gates[0, 0], u[0, 0] = S, -1
+    assert copied == circ and hash(circ) == key
+
+
+def test_unitary_reads_the_table_or_the_matrix():
+    circ = Circuit(1, 2, [[H], [GENERIC]], matrices={(1, 0): T_GATE})
+    assert np.array_equal(circ.unitary(0, 0), cliffords.matrix(H))
+    assert np.array_equal(circ.unitary(1, 0), T_GATE)
+    assert not circ.all_clifford
+    assert identity_circuit(2, 2).all_clifford
+
+
+def test_equal_circuits_built_two_ways_hash_equal():
+    half = complex(0.7071067811865476, 0.7071067811865476)
+    built = Circuit(2, 2, np.array([[H, GENERIC], [S, I]], dtype=np.int64),
+                    [[(1, 0)], []], {(0, 1): [[1, 0], [0, half]]})
+    parsed = parse(EXAMPLE_DOC)
+    assert built == parsed and hash(built) == hash(parsed)
+    layout = identity_circuit(3, 2, cz_layout=[{(2, 1)}, set()])
+    assert layout == Circuit(3, 2, np.zeros((2, 3), dtype=np.uint8),
+                             [((1, 2),), ()])
+    assert hash(layout) == hash(identity_circuit(3, 2, [[(1, 2)], []]))
+
+
+def test_one_index_or_one_matrix_entry_makes_circuits_unequal():
+    base = parse(EXAMPLE_DOC)
+    gates = base.gates.copy()
+    gates[1, 1] = cliffords.C_Z
+    assert Circuit(2, 2, gates, base.cz, base.matrices) != base
+    u = base.matrices[0, 1].copy()
+    u[1, 1] = -u[1, 1]
+    assert Circuit(2, 2, base.gates, base.cz, {(0, 1): u}) != base
+    assert Circuit(2, 2, base.gates, None, base.matrices) != base
 
 
 EXAMPLE_DOC = """{
@@ -155,6 +193,14 @@ def test_parse_bad_matrix_unitarity():
         parse(json.dumps(doc))
 
 
+def test_parse_rejects_singles_row_of_wrong_length():
+    for singles in ([{"clifford": "I"}], [{"clifford": "I"}] * 3):
+        doc = {"n": 2, "m": 1, "bands": [{"singles": singles, "cz": []}]}
+        with pytest.raises(CircuitParseError) as exc:
+            parse(json.dumps(doc))
+        assert exc.value.path == "$.bands[0].singles"
+
+
 def test_parse_reports_gate_path():
     doc = {"n": 1, "m": 1,
            "bands": [{"singles": [{"bogus": 1}], "cz": []}]}
@@ -184,16 +230,16 @@ def test_parse_rejects_duplicate_cz_pair():
 
 
 def test_band_pairs_are_an_ascending_tuple():
-    assert Band(singles=(I, I), cz_pairs={(1, 0)}) \
-        == Band(singles=(I, I), cz_pairs=[(0, 1)])
-    band = Band(singles=(I,) * 4, cz_pairs=[(3, 2), (1, 0), (0, 1)])
-    assert band.cz_pairs == ((0, 1), (0, 1), (2, 3))
+    assert Circuit(2, 1, [[I, I]], [{(1, 0)}]) \
+        == Circuit(2, 1, [[I, I]], [[(0, 1)]])
+    circ = Circuit(4, 1, [[I] * 4], [[(3, 2), (1, 0), (0, 1)]])
+    assert circ.cz == (((0, 1), (0, 1), (2, 3)),)
 
 
 def test_ck_names_round_trip():
     # indices without a one-letter name serialize as "C<k>" and parse back
-    circ = Circuit(n=1, m=1, bands=(
-        Band(singles=(Gate(clifford=compose_singles(H, S).clifford),)),))
+    circ = Circuit(1, 1, [[cliffords.COMPOSE[H, S]]])
+    assert '"C' in serialize(circ)
     assert parse(serialize(circ)) == circ
 
 
@@ -207,17 +253,3 @@ def test_generators_produce_valid_circuits():
     for circ in circs:
         assert validate(circ).ok
 
-
-def test_compose_associativity_property():
-    rng = np.random.default_rng(2)
-    for _ in range(1000):
-        gates = [Gate(clifford=int(g)) for g in rng.integers(0, 24, size=3)]
-        left = compose_singles(compose_singles(gates[0], gates[1]), gates[2])
-        right = compose_singles(gates[0], compose_singles(gates[1], gates[2]))
-        assert left == right
-        dense = (gates[2].to_matrix() @ gates[1].to_matrix()
-                 @ gates[0].to_matrix())
-        got = left.to_matrix()
-        k = int(np.argmax(np.abs(dense.ravel()) > 1e-9))
-        phase = got.ravel()[k] / dense.ravel()[k]
-        assert np.allclose(got, phase * dense, atol=1e-10)

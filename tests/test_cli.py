@@ -272,6 +272,51 @@ def test_bounds_bad_grid(runner):
     assert result.exit_code == 2
 
 
+_COUNTS = {"preparations": 4, "measurements": 4, "cz_gates": 4,
+           "single_qubit_rounds": 4}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_COUNTS, "cz_gates": 1.5}, "cz_gates must be an integer >= 0"),
+    ({**_COUNTS, "preparations": -40}, "preparations must be an integer"),
+    ({**_COUNTS, "measurements": True}, "measurements must be an integer"),
+    ([4, 4, 4, 4], "counts document must be an object"),
+    (4, "counts document must be an object"),
+], ids=["float", "negative", "boolean", "list", "number"])
+def test_bounds_rejects_bad_counts(runner, tmp_path, doc, message):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["bounds", "--v", "3", "--n", "2", "--m", "2",
+                                  "--r0-grid", "0:0.01:5",
+                                  "--counts", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and message in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("divisor", ["0", "-1", "inf", "nan"])
+def test_bounds_rejects_bad_gate_rate_divisor(runner, divisor):
+    # warnings are errors in this suite, so exit 2 also shows that no
+    # RuntimeWarning from r0 / divisor comes before the DomainError
+    result = runner.invoke(main, ["bounds", "--v", "3", "--n", "2", "--m", "2",
+                                  "--r0-grid", "0:0.01:5",
+                                  "--gate-rate-divisor", divisor])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: gate rate divisor must be finite and > 0" in result.stderr
+
+
+def test_oracle_rejects_flip_table_over_cap(runner):
+    # 2^16 trap choices x 156 basis errors: refused before any table work
+    result = runner.invoke(main, ["oracle", "--which", "lemma2", "--n", "26",
+                                  "--m", "2", "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "too large to build" in result.stderr
+    assert result.stdout == ""
+
+
 def test_oracle_lemma2_passes(runner):
     result = runner.invoke(main, ["oracle", "--which", "lemma2", "--n", "1",
                                   "--m", "3", "--band-class", "single",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qaccredit import families, oracles
+from qaccredit import families, oracles, traps
 from qaccredit.circuit import identity_circuit
 from qaccredit.noise import (ExplicitCollectionDistribution,
                              PauliErrorCollection, identity_collection)
@@ -73,6 +73,21 @@ def test_sweep_sampled_class():
 def test_sweep_rejects_unknown_class():
     with pytest.raises(ValueError):
         lemma2_sweep(identity_circuit(1, 2), "three")
+
+
+def test_flip_table_cap(allocates_at_most):
+    assert oracles.FLIP_TABLE_CAP == 2 ** 20
+    # 2n(m+1) = 64 basis errors per choice: 2^14 choices sit at the cap,
+    # 2^15 exceed it and are refused before any trap is built
+    at_cap = identity_circuit(8, 3, cz_layout=[{(0, 1), (2, 3)}, {(4, 5)},
+                                               set()])
+    over = identity_circuit(8, 3, cz_layout=[{(0, 1)}, {(4, 5)}, set()])
+    assert 64 * 2 ** traps.choice_width(at_cap) == oracles.FLIP_TABLE_CAP
+    assert traps.choice_width(over) == 15
+    for kind in ("single", "two", "all"):
+        with allocates_at_most(2 ** 16), \
+                pytest.raises(ValueError, match="too large to build"):
+            lemma2_sweep(over, kind)
 
 
 def test_report_json():

@@ -324,8 +324,7 @@ def test_pauli_deviations_fold_into_trap_frame():
         n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         topo = families.random_clifford_circuit(n, m, rng)
         trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
-        gates = np.array([[[g.clifford for g in band.singles]
-                           for band in trap.bands]], dtype=np.uint8)
+        gates = trap.gates[None]
         dressed = qotp.dress(trap, qotp.sample_pads(n, m, rng))
         err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
         err_x[[0, m]] = 0

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qaccredit import cliffords, families, simulator
-from qaccredit.circuit import Gate, identity_circuit
+from qaccredit.circuit import GENERIC, Circuit, identity_circuit
 from qaccredit.qotp import dress, pad_width, postprocess, sample_pads
 
 TV_TOL = 1e-10
-PAULI = {xz: Gate(clifford=c) for xz, c in cliffords.PAULI_INDEX.items()}
+PAULI = cliffords.PAULI_INDEX
 
 
 def tv(a, b):
@@ -31,13 +31,12 @@ def test_pad_row_layout():
     n, m = 2, 3
     circ = identity_circuit(n, m)
     gamma_on_1 = dress(circ, _single_bit_row(n, m, 2 * n * m + 1))
-    assert gamma_on_1.circuit.bands[0].singles == (PAULI[0, 0], PAULI[1, 0])
-    assert all(g == PAULI[0, 0] for band in gamma_on_1.circuit.bands[1:]
-               for g in band.singles)
+    assert gamma_on_1.circuit.gates[0].tolist() == [PAULI[0, 0], PAULI[1, 0]]
+    assert (gamma_on_1.circuit.gates[1:] == PAULI[0, 0]).all()
     assert not gamma_on_1.key.any()
     last_alpha_on_0 = dress(circ, _single_bit_row(n, m, (m - 1) * n))
-    assert last_alpha_on_0.circuit.bands[m - 1].singles == \
-        (PAULI[0, 1], PAULI[0, 0])
+    assert last_alpha_on_0.circuit.gates[m - 1].tolist() == \
+        [PAULI[0, 1], PAULI[0, 0]]
     assert last_alpha_on_0.key.tolist() == [1, 0]
 
 
@@ -46,7 +45,7 @@ def test_dress_undoes_pad_through_cz():
     circ = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
     for q in (0, 1):
         dressed = dress(circ, _single_bit_row(2, 2, 2 * 2 + q))
-        first, second = (band.singles for band in dressed.circuit.bands)
+        first, second = dressed.circuit.gates.tolist()
         assert first[q] == PAULI[1, 0] and first[1 - q] == PAULI[0, 0]
         assert second[q] == PAULI[1, 0] and second[1 - q] == PAULI[0, 1]
 
@@ -107,13 +106,31 @@ def test_dressing_preserves_structure():
     pads = sample_pads(3, 3, rng)
     dressed = dress(circ, pads)
     assert dressed.circuit.n == circ.n and dressed.circuit.m == circ.m
-    for a, b in zip(dressed.circuit.bands, circ.bands):
-        assert a.cz_pairs == b.cz_pairs
+    assert dressed.circuit.cz == circ.cz
     assert np.array_equal(dressed.key, pads[6:9])  # alpha of band m
     # Clifford gates stay Clifford, generic stay generic
-    for db, bb in zip(dressed.circuit.bands, circ.bands):
-        for dg, bg in zip(db.singles, bb.singles):
-            assert dg.is_clifford == bg.is_clifford
+    assert np.array_equal(dressed.circuit.gates == GENERIC,
+                          circ.gates == GENERIC)
+    assert dressed.circuit.matrices.keys() == circ.matrices.keys()
+
+
+def test_dress_keeps_generic_gates_generic():
+    # T on band 0 and H on band 1 of one qubit, under every pad
+    t_gate = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    circ = Circuit(1, 2, [[GENERIC], [cliffords.C_H]],
+                   matrices={(0, 0): t_gate})
+    from qaccredit.oracles import _all_pads
+    for pads in _all_pads(1, 2):
+        alpha, alpha_prime, gamma = pads[:2], pads[2:4], pads[4]
+        pre = [PAULI[gamma, 0], PAULI[alpha_prime[0], alpha[0]]]
+        post = [PAULI[alpha_prime[j], alpha[j]] for j in (0, 1)]
+        dressed = dress(circ, pads).circuit
+        assert dressed.gates[0, 0] == GENERIC
+        p_pre, p_post = (cliffords.matrix(c) for c in (pre[0], post[0]))
+        assert np.array_equal(dressed.matrices[0, 0],
+                              p_post @ (t_gate @ p_pre))
+        assert dressed.gates[1, 0] == cliffords.COMPOSE[
+            cliffords.COMPOSE[pre[1], cliffords.C_H], post[1]]
 
 
 def _transparency_tv(circ, pads):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaccredit import families, pauli, simulator, traps
-from qaccredit.circuit import Band, Circuit, clifford_gate, identity_circuit
+from qaccredit import cliffords, families, pauli, simulator, traps
+from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.noise import identity_collection
 from qaccredit.pauli import PauliString
 from qaccredit.simulator import (MAX_DENSITY_QUBITS, MAX_STATEVECTOR_QUBITS,
@@ -81,7 +81,7 @@ def test_statevector_identity_circuit():
 
 
 def test_statevector_hadamard_split():
-    circ = Circuit(n=1, m=1, bands=(Band(singles=(clifford_gate("H"),)),))
+    circ = Circuit(1, 1, [[cliffords.C_H]])
     dist = statevector_distribution(circ)
     assert np.allclose(dist, [0.5, 0.5])
     rng = np.random.default_rng(4)
@@ -193,13 +193,13 @@ def _kron_density(circ, channels):
     plus = np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
     rho = channel(np.outer(plus, plus.conj()), 0)
     idx = np.arange(2 ** n)
-    for j, band in enumerate(circ.bands):
-        for i, gate in enumerate(band.singles):
-            u = full(gate.to_matrix(), i)
+    for j, pairs in enumerate(circ.cz):
+        for i in range(n):
+            u = full(circ.unitary(j, i), i)
             rho = u @ rho @ u.conj().T
         if 0 < j + 1 < m:
             rho = channel(rho, j + 1)
-        for a, b in band.cz_pairs:
+        for a, b in pairs:
             cz = np.diag(1.0 - 2.0 * (((idx >> a) & 1) & ((idx >> b) & 1)))
             rho = cz @ rho @ cz
     rho = channel(rho, m)
@@ -298,8 +298,7 @@ def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
     assert flips.shape == (traps_count, n)
     for r in range(traps_count):
         trap = generate_trap(topo, bits[r])
-        assert [[g.clifford for g in band.singles] for band in trap.bands] \
-            == gates[r].tolist()
+        assert np.array_equal(trap.gates, gates[r])
         errors = _paulis(err_x[r], err_z[r])
         assert np.array_equal(flips[r], trap_output(trap, errors))
 

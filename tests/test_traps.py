@@ -11,18 +11,18 @@ from qaccredit.traps import (choice_space_size, enumerate_choices,
 def test_single_qubit_trap_gates():
     topo = identity_circuit(1, 2)
     trap = generate_trap(topo, [1, 0])  # S, t=0
-    assert trap.bands[0].singles[0].clifford == cliffords.C_S
-    assert trap.bands[1].singles[0].clifford == cliffords.C_SDG
+    assert trap.gates[0, 0] == cliffords.C_S
+    assert trap.gates[1, 0] == cliffords.C_SDG
 
 
 def test_pair_orientation():
     topo = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
     trap = generate_trap(topo, [0, 0])
-    assert trap.bands[0].singles[0].clifford == cliffords.C_S
-    assert trap.bands[0].singles[1].clifford == cliffords.C_H
+    assert trap.gates[0, 0] == cliffords.C_S
+    assert trap.gates[0, 1] == cliffords.C_H
     flipped = generate_trap(topo, [1, 0])
-    assert flipped.bands[0].singles[0].clifford == cliffords.C_H
-    assert flipped.bands[0].singles[1].clifford == cliffords.C_S
+    assert flipped.gates[0, 0] == cliffords.C_H
+    assert flipped.gates[0, 1] == cliffords.C_S
 
 
 def test_sandwich_bit():
@@ -30,11 +30,11 @@ def test_sandwich_bit():
     plain = generate_trap(topo, [1, 0])
     wrapped = generate_trap(topo, [1, 1])
     # first band gate becomes S*H, last band H*Sdg
-    s_then_nothing = plain.bands[0].singles[0].clifford
-    h_then_s = cliffords.COMPOSE[cliffords.C_H][s_then_nothing]
-    assert wrapped.bands[0].singles[0].clifford == h_then_s
-    sdg_then_h = cliffords.COMPOSE[cliffords.C_SDG][cliffords.C_H]
-    assert wrapped.bands[1].singles[0].clifford == sdg_then_h
+    s_then_nothing = plain.gates[0, 0]
+    h_then_s = cliffords.COMPOSE[cliffords.C_H, s_then_nothing]
+    assert wrapped.gates[0, 0] == h_then_s
+    sdg_then_h = cliffords.COMPOSE[cliffords.C_SDG, cliffords.C_H]
+    assert wrapped.gates[1, 0] == sdg_then_h
 
 
 def test_traps_always_output_zero_noiseless():
@@ -57,10 +57,10 @@ def test_trap_is_oriented_cx_sequence():
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
         trap = generate_trap(topo, [*bits, 0])
         state = np.full(4, 0.5, dtype=complex)
-        for band in trap.bands:
-            for i, g in enumerate(band.singles):
-                state = simulator.apply_single(state, g.to_matrix(), i, 2)
-            for pair in band.cz_pairs:
+        for j, pairs in enumerate(trap.cz):
+            for i in range(2):
+                state = simulator.apply_single(state, trap.unitary(j, i), i, 2)
+            for pair in pairs:
                 state = simulator.apply_cz(state, *pair, 2)
         # cX on |++> is |++>, so the whole trap must fix |+>^n
         overlap = abs(np.vdot(np.full(4, 0.5), state))
