@@ -1,8 +1,10 @@
-"""Band-structured circuit IR: validation and JSON round-trip.
+"""Band-structured circuit IR, valid by construction, and JSON round-trip.
 
 A circuit acts on ``|+>^n``: each band is one round of single-qubit gates
 followed by one round of disjoint cZ gates, the last band has no cZ gates,
 and every qubit is finally measured in the X basis (outcome 0 <-> ``|+>``).
+:class:`Circuit` rejects any other shape when it is built, so every circuit
+that exists has this form.
 
 The single-qubit gates are one read-only (m, n) uint8 array of indices into
 the 24-element single-qubit Clifford group (exact, used by the trap/frame
@@ -14,7 +16,7 @@ is quotiented out everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -37,16 +39,44 @@ def _unitary(u) -> np.ndarray:
     return u
 
 
+def _violations(n: int, m: int, cz: tuple) -> list:
+    """Every broken band-structure invariant, with its coordinates."""
+    out = []
+    if n < 1:
+        out.append("qubit count must be >= 1")
+    if m < 1:
+        out.append("band count must be >= 1")
+    for j, pairs in enumerate(cz):
+        seen = set()
+        for pair in pairs:
+            if len(pair) != 2:
+                out.append(f"band {j}: cZ pair {pair} is not two qubits")
+                continue
+            lo, hi = pair
+            if lo == hi:
+                out.append(f"band {j}: cZ pair ({lo},{hi}) is degenerate")
+            for q in pair:
+                if not 0 <= q < n:
+                    out.append(f"band {j}: qubit {q} out of range")
+                elif q in seen:
+                    out.append(f"band {j}: qubit {q} in two pairs")
+                seen.add(q)
+    if cz and cz[-1]:
+        out.append(f"band {m - 1}: final band must have no cZ")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """n qubits, m bands; input |+>^n, X-basis measurement after band m.
 
     ``gates[j, i]`` is the Clifford index of band j's gate on qubit i, or
     :data:`GENERIC` when ``matrices[(j, i)]`` holds it as a 2x2 unitary.
-    ``cz[j]`` is band j's cZ layer as an ascending tuple of (lo, hi) pairs;
-    a pair given twice is kept, so that ``validate`` reports it rather than
-    the band silently dropping one of the two gates. ``gates``, ``matrices``
-    and every matrix are read-only copies, so a circuit can key a cache.
+    ``cz[j]`` is band j's cZ layer as an ascending tuple of (lo, hi) pairs
+    of distinct qubits in range, no qubit in two pairs of one band and no
+    pair in the last band; a pair given twice is rejected, never merged
+    (cZ.cZ = I). ``gates``, ``matrices`` and every matrix are read-only
+    copies, so a circuit can key a cache.
     """
 
     n: int
@@ -73,6 +103,9 @@ class Circuit:
             raise ValueError(f"expected {self.m} cZ layers, found {len(cz)}")
         cz = tuple(tuple(sorted(tuple(sorted(p)) for p in pairs))
                    for pairs in cz)
+        violations = _violations(self.n, self.m, cz)
+        if violations:
+            raise ValueError("; ".join(violations))
         matrices = {(int(j), int(i)): _unitary(u)
                     for (j, i), u in (self.matrices or {}).items()}
         if set(matrices) != {divmod(k, self.n)
@@ -104,40 +137,6 @@ class Circuit:
 
     def __hash__(self):
         return hash(self._key())
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(circuit: Circuit) -> ValidationReport:
-    """Check every structural invariant; violations carry coordinates."""
-    report = ValidationReport()
-    add = report.violations.append
-    if circuit.n < 1:
-        add("qubit count must be >= 1")
-    if circuit.m < 1:
-        add("band count must be >= 1")
-    for j, pairs in enumerate(circuit.cz):
-        seen = set()
-        for pair in pairs:
-            lo, hi = pair
-            if lo == hi:
-                add(f"band {j}: cZ pair ({lo},{hi}) is degenerate")
-            for q in pair:
-                if not 0 <= q < circuit.n:
-                    add(f"band {j}: qubit {q} out of range")
-                elif q in seen:
-                    add(f"band {j}: qubit {q} in two pairs")
-                seen.add(q)
-        if j == circuit.m - 1 and pairs:
-            add("final band must have no cZ")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def _gate_from_json(obj, path: str):
 
 
 def parse(json_text: str) -> Circuit:
-    """Parse and validate a circuit document; errors carry a JSON path."""
+    """Parse a circuit document; errors carry a JSON path."""
     try:
         doc = json.loads(json_text)
     except json.JSONDecodeError as exc:
@@ -236,11 +235,10 @@ def parse(json_text: str) -> Circuit:
                 raise CircuitParseError(ppath, "cZ pair must be [int, int]")
             pairs.append(tuple(pr))
         cz.append(pairs)
-    circ = Circuit(n, m, gates, cz, matrices)
-    report = validate(circ)
-    if not report.ok:
-        raise CircuitParseError("$", "; ".join(report.violations))
-    return circ
+    try:
+        return Circuit(n, m, gates, cz, matrices)
+    except ValueError as exc:
+        raise CircuitParseError("$", str(exc))
 
 
 def serialize(circuit: Circuit) -> str:

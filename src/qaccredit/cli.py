@@ -7,6 +7,7 @@ no seed is given one is drawn from entropy and echoed in the output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -14,7 +15,7 @@ import click
 import numpy as np
 
 from . import families, mesothetic, oracles, protocol
-from .circuit import CircuitParseError, parse, serialize, validate
+from .circuit import parse, serialize
 from .noise import model_from_json, noiseless, random_adversary
 from .protocol import (OperationCounts, ProtocolConfig, curve_to_csv,
                        figure8_curve)
@@ -40,9 +41,15 @@ def _emit(text: str, out):
         click.echo(text, nl=not text.endswith("\n"))
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+@contextlib.contextmanager
+def _exit_codes():
+    """Exit 3 on SimLimitError and 2 on bad input (ValueError, KeyError)."""
+    try:
+        yield
+    except (SimLimitError, ValueError, KeyError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_SIM_LIMITS if isinstance(exc, SimLimitError)
+                 else EXIT_BAD_INPUT)
 
 
 @click.group()
@@ -64,27 +71,19 @@ def main():
               default="theorem1")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes()
 def cmd_accredit(circuit_path, v, d, theta, noise_path, epsilon_mode, seed, out):
     """Run the accreditation protocol and print the report."""
     seed = _resolve_seed(seed)
-    try:
-        with open(circuit_path) as fh:
-            target = parse(fh.read())
-        model = noiseless()
-        if noise_path:
-            with open(noise_path) as fh:
-                model = model_from_json(fh.read())
-        config = ProtocolConfig(v=v, d=d, theta=theta, master_seed=seed,
-                                noise=model, epsilon_mode=epsilon_mode)
-    except (CircuitParseError, protocol.DomainError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-    try:
-        report = protocol.accredit(config, target)
-    except SimLimitError as exc:
-        _fail(EXIT_SIM_LIMITS, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    with open(circuit_path) as fh:
+        target = parse(fh.read())
+    model = noiseless()
+    if noise_path:
+        with open(noise_path) as fh:
+            model = model_from_json(fh.read())
+    config = ProtocolConfig(v=v, d=d, theta=theta, master_seed=seed,
+                            noise=model, epsilon_mode=epsilon_mode)
+    report = protocol.accredit(config, target)
     if report.bound_vacuous:
         bound = "unavailable" if report.bound is None \
             else f"{report.bound:.4g}"
@@ -107,35 +106,33 @@ def cmd_accredit(circuit_path, v, d, theta, noise_path, epsilon_mode, seed, out)
                    "single_qubit_rounds}; omitted = dense-topology default.")
 @click.option("--gate-rate-divisor", type=float, default=10.0)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes()
 def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
     """Emit the credibility/acceptance bound curve as CSV."""
-    try:
-        parts = grid_spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid spec must be start:stop:steps")
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (0 <= start < stop < 1) or steps < 1:
-            raise ValueError("grid requires 0 <= start < stop < 1, steps >= 1")
-        if v < 3 or n < 1 or m < 1:
-            raise ValueError("need v >= 3, n >= 1, m >= 1")
-        if counts_path:
-            with open(counts_path) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("counts document must be an object")
-            counts = OperationCounts(
-                preparations=doc["preparations"],
-                measurements=doc["measurements"],
-                cz_gates=doc["cz_gates"],
-                single_qubit_rounds=doc["single_qubit_rounds"])
-        else:
-            counts = OperationCounts.for_protocol(
-                n, m, v, cz_per_circuit=(m - 1) * (n // 2))
-        grid = np.linspace(start, stop, steps)
-        points = figure8_curve(v, grid, counts,
-                               gate_rate_divisor=gate_rate_divisor)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    parts = grid_spec.split(":")
+    if len(parts) != 3:
+        raise ValueError("grid spec must be start:stop:steps")
+    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (0 <= start < stop < 1) or steps < 1:
+        raise ValueError("grid requires 0 <= start < stop < 1, steps >= 1")
+    if v < 3 or n < 1 or m < 1:
+        raise ValueError("need v >= 3, n >= 1, m >= 1")
+    if counts_path:
+        with open(counts_path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("counts document must be an object")
+        counts = OperationCounts(
+            preparations=doc["preparations"],
+            measurements=doc["measurements"],
+            cz_gates=doc["cz_gates"],
+            single_qubit_rounds=doc["single_qubit_rounds"])
+    else:
+        counts = OperationCounts.for_protocol(
+            n, m, v, cz_per_circuit=(m - 1) * (n // 2))
+    grid = np.linspace(start, stop, steps)
+    points = figure8_curve(v, grid, counts,
+                           gate_rate_divisor=gate_rate_divisor)
     for p in points:
         if p.vacuous:
             click.echo(f"note: vacuous bound {p.bound:.4g} at r0={p.r0:.4g}",
@@ -156,34 +153,30 @@ def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
               help="Random adversary distributions for the theorem1 oracle.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes()
 def cmd_oracle(which, n, m, v, band_class, runs, adversaries, seed, out):
     """Run a lemma-verification suite; emits JSON-lines reports."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     reports = []
-    try:
-        if which == "lemma2":
-            topology = families.random_clifford_circuit(
-                n, m, np.random.default_rng(seed))
-            reports = oracles.lemma2_sweep(topology, band_class, rng=rng)
-        elif which == "twirl":
-            circ = families.random_generic_circuit(n, m, rng)
-            # a random unitary deviation as a one-element Kraus list
-            channels = {0: [families.random_unitary(2 ** n, rng)]}
-            reports = [_twirl_report(circ, channels)]
-        elif which == "pauli-twirl":
-            reports = [oracles.pauli_twirl_identity_check(n, rng)]
-        elif which == "theorem1":
-            target = families.random_clifford_circuit(
-                n, m, np.random.default_rng(seed))
-            for _ in range(adversaries):
-                adv = random_adversary(n, m, v, rng, min_slots=2)
-                reports.append(oracles.theorem1_empirical(
-                    target, v, adv, runs=runs, rng=rng))
-    except SimLimitError as exc:
-        _fail(EXIT_SIM_LIMITS, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    if which == "lemma2":
+        topology = families.random_clifford_circuit(
+            n, m, np.random.default_rng(seed))
+        reports = oracles.lemma2_sweep(topology, band_class, rng=rng)
+    elif which == "twirl":
+        circ = families.random_generic_circuit(n, m, rng)
+        # a random unitary deviation as a one-element Kraus list
+        channels = {0: [families.random_unitary(2 ** n, rng)]}
+        reports = [_twirl_report(circ, channels)]
+    elif which == "pauli-twirl":
+        reports = [oracles.pauli_twirl_identity_check(n, rng)]
+    elif which == "theorem1":
+        target = families.random_clifford_circuit(
+            n, m, np.random.default_rng(seed))
+        for _ in range(adversaries):
+            adv = random_adversary(n, m, v, rng, min_slots=2)
+            reports.append(oracles.theorem1_empirical(
+                target, v, adv, runs=runs, rng=rng))
     text = "\n".join(r.to_json() for r in reports) + "\n"
     _emit(text, out)
     failures = sum(1 for r in reports if not r.passed)
@@ -209,40 +202,33 @@ def _twirl_report(circ, channels):
               help="Bob inserts a fixed Z on qubit 0 before every measurement.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes()
 def cmd_mesothetic(circuit_path, v, sessions, dishonest, seed, out):
     """Run interactive verifier/prover sessions."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
-    try:
-        with open(circuit_path) as fh:
-            target = parse(fh.read())
-        if v < 3:
-            raise ValueError("v >= 3 required for the credibility bound")
-        if dishonest:
-            from .pauli import PauliString
-            devs = {(k, target.m): [PauliString(target.n, 0, 1)]
-                    for k in range(v + 1)}
-            bob = mesothetic.BobStrategy(honest=False, deviations=devs)
-        else:
-            bob = mesothetic.BobStrategy(honest=True)
-    except (CircuitParseError, ValueError) as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    with open(circuit_path) as fh:
+        target = parse(fh.read())
+    if v < 3:
+        raise ValueError("v >= 3 required for the credibility bound")
+    if dishonest:
+        from .pauli import PauliString
+        devs = {(k, target.m): [PauliString(target.n, 0, 1)]
+                for k in range(v + 1)}
+        bob = mesothetic.BobStrategy(honest=False, deviations=devs)
+    else:
+        bob = mesothetic.BobStrategy(honest=True)
     results = []
-    try:
-        for _ in range(sessions):
-            rep = mesothetic.run_session(target, v, bob, rng)
-            results.append({
-                "flag": rep.flag,
-                "aborted": rep.aborted,
-                "transcript_length": rep.transcript_length,
-                "target_output": (None if rep.target_output is None else
-                                  "".join(str(int(b))
-                                          for b in rep.target_output)),
-            })
-    except SimLimitError as exc:
-        _fail(EXIT_SIM_LIMITS, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    for _ in range(sessions):
+        rep = mesothetic.run_session(target, v, bob, rng)
+        results.append({
+            "flag": rep.flag,
+            "aborted": rep.aborted,
+            "transcript_length": rep.transcript_length,
+            "target_output": (None if rep.target_output is None else
+                              "".join(str(int(b))
+                                      for b in rep.target_output)),
+        })
     _emit(json.dumps({"seed": seed, "sessions": results}, indent=2) + "\n",
           out)
 
@@ -254,25 +240,21 @@ def cmd_mesothetic(circuit_path, v, sessions, dishonest, seed, out):
 @click.option("--m", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes()
 def cmd_gen(family, n, m, seed, out):
     """Generate a circuit in the band-structured JSON form."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
-    try:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if family == "ghz":
-            circ = families.ghz_circuit(n)
-        else:
-            if m is None or m < 2:
-                raise ValueError("--m >= 2 required for random families")
-            if family == "random-clifford":
-                circ = families.random_clifford_circuit(n, m, rng)
-            else:
-                circ = families.random_generic_circuit(n, m, rng)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-    assert validate(circ).ok
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if family == "ghz":
+        circ = families.ghz_circuit(n)
+    elif m is None or m < 2:
+        raise ValueError("--m >= 2 required for random families")
+    elif family == "random-clifford":
+        circ = families.random_clifford_circuit(n, m, rng)
+    else:
+        circ = families.random_generic_circuit(n, m, rng)
     _emit(serialize(circ), out)
 
 

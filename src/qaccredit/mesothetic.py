@@ -162,24 +162,26 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     sampling, padding) happens before any message is exchanged.
     ``alice_noise`` optionally injects bounded gate noise into Alice's own
     single-qubit rounds. Bob's deviations are checked against the run
-    (:meth:`BobStrategy.check_fits`) before any draw.
+    (:meth:`BobStrategy.check_fits`), and n against the statevector limit
+    (SimLimitError), before any draw.
     """
     n, m = target.n, target.m
     bob.check_fits(v, n, m)
+    simulator.check_statevector_size(n)
     v0, prepared = plan_run(target, v, rng)
     channel = Transport()
     target_output = None
-    for k, dressed in enumerate(prepared):
+    for k, (circuit, key) in enumerate(prepared):
         deviations = simulator.row_masks(
             None if alice_noise is None
             else alice_noise.sample_deviations(k, n, m, rng), m)
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             reg.apply_pauli(BOB, dev)
-        for j, pairs in enumerate(dressed.circuit.cz):
+        for j, pairs in enumerate(circuit.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
             for i in range(n):
-                reg.apply_single(ALICE, dressed.circuit.unitary(j, i), i)
+                reg.apply_single(ALICE, circuit.unitary(j, i), i)
             if any(deviations[j]):
                 reg.apply_pauli(ALICE, PauliString(n, *deviations[j]))
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
@@ -190,7 +192,7 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
         channel.send(Message("measurement_results",
                              bits=reg.measure_x(BOB, rng)))
         msg = channel.receive("measurement_results")
-        out = qotp.postprocess(msg.bits, dressed.key)
+        out = qotp.postprocess(msg.bits, key)
         if k == v0:
             target_output = out
         elif out.any():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,8 @@ TWIRL_RESIDUAL_TOL = 1e-9
 CROSS_TERM_TOL = 1e-12
 SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
 FLIP_TABLE_CAP = 2 ** 20  # basis-error propagations in one flip table
+TWIRL_WALK_CAP = 2 ** 15  # statevector walks in one pad-twirl fit
+PAULI_TWIRL_TERM_CAP = 2 ** 18  # Q-conjugated terms in the dense twirl sums
 
 
 @dataclass
@@ -220,15 +223,28 @@ class TwirlReport:
     passed: bool
 
 
+def _check_twirl_walks(circ: Circuit, channels: dict, fit: bool):
+    """Raise ValueError when the pad average (one walk per pad row and Kraus
+    path) plus, for a fit, one walk per candidate collection (4^(nm) of
+    them) exceeds ``TWIRL_WALK_CAP``."""
+    n, m = circ.n, circ.m
+    walks = 2 ** qotp.pad_width(n, m) * math.prod(
+        len(kraus) for kraus in (channels or {}).values())
+    walks += 4 ** (n * m) if fit else 0
+    if walks > TWIRL_WALK_CAP:
+        raise ValueError(f"pad twirl of {walks} statevector walks too large "
+                         f"to run (cap {TWIRL_WALK_CAP})")
+
+
 def pad_averaged_distribution(circ: Circuit, channels: dict) -> np.ndarray:
     """Exhaustive pad average of the noisy, post-processed output."""
+    _check_twirl_walks(circ, channels, fit=False)
     n, m = circ.n, circ.m
     total = np.zeros(2 ** n)
     count = 0
     for pads in _all_pads(n, m):
-        dressed = qotp.dress(circ, pads)
-        dist = simulator.run_density(dressed.circuit, channels)
-        total += _postprocessed(dist, dressed.key)
+        dressed, key = qotp.dress(circ, pads)
+        total += _postprocessed(simulator.run_density(dressed, channels), key)
         count += 1
     return total / count
 
@@ -238,6 +254,7 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
 
     ``channels`` maps noise locations to Kraus lists (2^n-dimensional).
     """
+    _check_twirl_walks(circ, channels, fit=True)
     averaged = pad_averaged_distribution(circ, channels)
     collections = _enumerate_collections(circ.n, circ.m)
     # the candidate slices as the circuits of one collection, in bits
@@ -287,8 +304,17 @@ def pauli_twirl_identity_check(n: int,
 
     Full twirl: sum_Q (QPQ) rho (QP'Q) = 0 for all P != P'. Restricted twirl
     over {I,X}^n kills cross terms with P, P' in {I,Z}^n (and the X<->Z
-    swapped statement). The P = P' arm must equal 4^n P rho P.
+    swapped statement). The P = P' arm must equal 4^n P rho P. Raises
+    ValueError, before any draw, when the sums need more than
+    ``PAULI_TWIRL_TERM_CAP`` terms, 16^n (4^n - 1) + 2 * 4^n (2^n - 1) + 4^n.
     """
+    size = {"full": 4 ** n, "IX": 2 ** n, "IZ": 2 ** n}
+    cases = (("full", "full"), ("IX", "IZ"), ("IZ", "IX"))
+    terms = size["full"] + sum(size[q] * size[p] * (size[p] - 1)
+                               for q, p in cases)
+    if terms > PAULI_TWIRL_TERM_CAP:
+        raise ValueError(f"Pauli twirl of {terms} terms too large to sum "
+                         f"(cap {PAULI_TWIRL_TERM_CAP})")
     rng = rng if rng is not None else np.random.default_rng(7)
     dim = 2 ** n
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -305,7 +331,7 @@ def pauli_twirl_identity_check(n: int,
 
     worst = 0.0
     checks = 0
-    for q_letters, p_letters in (("full", "full"), ("IX", "IZ"), ("IZ", "IX")):
+    for q_letters, p_letters in cases:
         q_set = _pauli_set(n, q_letters)
         for p1, p2 in itertools.permutations(_pauli_set(n, p_letters), 2):
             res = twirl_sum(p1, p2, q_set)

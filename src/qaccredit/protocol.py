@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import qotp, simulator, traps
-from .circuit import Circuit, validate
+from .circuit import Circuit
 from .noise import NoiseModel
 
 KAPPA = Fraction(27, 16)  # 3 * (3/4)^2, exact
@@ -149,9 +149,6 @@ def eq1_bound(epsilon: float, n_acc: int, d: int, theta: float) -> Optional[floa
 
 
 def _check_plan(target: Circuit, v: int):
-    report = validate(target)
-    if not report.ok:
-        raise ValueError("invalid target circuit: " + "; ".join(report.violations))
     if v < 1:
         raise DomainError("v must be >= 1")
     if target.m < 2:
@@ -160,11 +157,12 @@ def _check_plan(target: Circuit, v: int):
 
 def plan_run(target: Circuit, v: int,
              rng: np.random.Generator) -> tuple[int, list]:
-    """The verifier's secret choices for one run: (v0, dressed circuits).
+    """The verifier's secret choices for one run: (v0, [(circuit, key)]).
 
     Draws the target's slot v0, then slot by slot a trap choice (every slot
     but v0) and fresh pads. Both the padded reference run and the
-    two-party session execute the v+1 dressed circuits this returns.
+    two-party session execute the v+1 dressed circuits this returns, each
+    with the key that post-processes its output.
     """
     _check_plan(target, v)
     n, m = target.n, target.m
@@ -191,11 +189,11 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     n, m = target.n, target.m
     err_x, err_z = noise.sample_error_bits(v, n, m, rng)
     outputs = []
-    for k, dressed in enumerate(plan):
+    for k, (circuit, key) in enumerate(plan):
         raw = simulator.run_statevector(
-            dressed.circuit, (err_x[k], err_z[k]),
+            circuit, (err_x[k], err_z[k]),
             noise.sample_deviations(k, n, m, rng), rng=rng)
-        outputs.append(qotp.postprocess(raw, dressed.key))
+        outputs.append(qotp.postprocess(raw, key))
     trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"
     return RunOutcome(v0=v0, target_output=outputs[v0],

@@ -7,11 +7,10 @@ single-qubit gate U_{i,j} gets a Pauli pad appended:
 (X stabilizes ``|+>``). The pad of band j is undone at the start of band j+1
 by the pad conjugated through band j's cZ layer; the band-m Z-pad exponents
 survive as a classical key that is XORed into the measured outputs.
+:func:`dress` returns the padded circuit and its key as a pair.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +19,6 @@ from .circuit import GENERIC, Circuit
 
 # COMPOSE with a GENERIC row and column: a generic gate stays generic
 _COMPOSE = np.pad(cliffords.COMPOSE, (0, 1), constant_values=GENERIC)
-
-
-@dataclass(frozen=True)
-class DressedCircuit:
-    """Padded circuit plus the n-bit classical post-processing key."""
-
-    circuit: Circuit
-    key: np.ndarray
-
-    def __post_init__(self):
-        key = np.asarray(self.key, dtype=np.uint8)
-        key.setflags(write=False)
-        object.__setattr__(self, "key", key)
 
 
 def pad_width(n: int, m: int) -> int:
@@ -45,8 +31,8 @@ def sample_pads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=pad_width(n, m), dtype=np.uint8)
 
 
-def dress(circuit: Circuit, pads: np.ndarray) -> DressedCircuit:
-    """Routine-1 compilation: pads folded into each gate, key extracted.
+def dress(circuit: Circuit, pads: np.ndarray) -> tuple[Circuit, np.ndarray]:
+    """Routine-1 compilation: (padded circuit, n-bit post-processing key).
 
     Band 1: ``U'' = X^{alpha'} Z^{alpha} U X^{gamma}``. Band j+1 prepends the
     band-j pad conjugated through band j's cZ layer (X_i -> X_i Z_j).
@@ -76,7 +62,7 @@ def dress(circuit: Circuit, pads: np.ndarray) -> DressedCircuit:
                 for (j, i), u in circuit.matrices.items()}
     dressed = Circuit(n, m, _COMPOSE[_COMPOSE[pre, circuit.gates], post],
                       circuit.cz, matrices)
-    return DressedCircuit(circuit=dressed, key=alpha[m - 1])
+    return dressed, alpha[m - 1]
 
 
 def postprocess(outputs: np.ndarray, key: np.ndarray) -> np.ndarray:

@@ -60,9 +60,9 @@ def test_criterion_2_qotp_transparency():
         total = np.zeros(2 ** n)
         count = 0
         for pads in pad_iter:
-            dressed = qotp.dress(circ, pads)
-            dist = simulator.run_density(dressed.circuit)
-            total += oracles._postprocessed(dist, dressed.key)
+            dressed, key = qotp.dress(circ, pads)
+            total += oracles._postprocessed(simulator.run_density(dressed),
+                                            key)
             count += 1
         worst = max(worst, _tv(bare, total / count))
     _report(2, f"QOTP pad average leaves 50 random circuits unchanged "

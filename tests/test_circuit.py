@@ -6,7 +6,7 @@ import pytest
 
 from qaccredit import cliffords
 from qaccredit.circuit import (GENERIC, Circuit, CircuitParseError,
-                               identity_circuit, parse, serialize, validate)
+                               identity_circuit, parse, serialize)
 
 H, S, I = cliffords.C_H, cliffords.C_S, cliffords.C_I
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -14,21 +14,42 @@ T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
 def test_validate_minimal_legal():
     circ = Circuit(2, 2, [[I, I], [I, I]], [frozenset({(0, 1)}), ()])
-    assert validate(circ).ok
+    assert circ.cz == (((0, 1),), ())
 
 
 def test_validate_double_pairing():
-    circ = Circuit(3, 2, [[I, I, I], [I, I, I]],
-                   [frozenset({(0, 1), (1, 2)}), ()])
-    report = validate(circ)
-    assert not report.ok
-    assert any("qubit 1 in two pairs" in v for v in report.violations)
+    with pytest.raises(ValueError, match="band 0: qubit 1 in two pairs"):
+        Circuit(3, 2, [[I, I, I], [I, I, I]],
+                [frozenset({(0, 1), (1, 2)}), ()])
 
 
 def test_validate_final_band_cz():
-    circ = Circuit(2, 1, [[I, I]], [frozenset({(0, 1)})])
-    report = validate(circ)
-    assert any("final band must have no cZ" in v for v in report.violations)
+    with pytest.raises(ValueError, match="band 0: final band must have no cZ"):
+        Circuit(2, 1, [[I, I]], [frozenset({(0, 1)})])
+    # one error lists every violation
+    with pytest.raises(ValueError) as exc:
+        Circuit(2, 1, [[I, I]], [[(0, 5)]])
+    assert str(exc.value) == ("band 0: qubit 5 out of range; "
+                              "band 0: final band must have no cZ")
+
+
+_EMPTY = np.zeros((2, 3), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n, m, gates, cz, message", [
+    (3, 2, _EMPTY, [[(0, 5)], ()], "band 0: qubit 5 out of range"),
+    (3, 2, _EMPTY, [[(1, 1)], ()], r"band 0: cZ pair \(1,1\) is degenerate"),
+    (3, 2, _EMPTY, [[(0, 1), (1, 0)], ()], "band 0: qubit 0 in two pairs"),
+    (3, 2, _EMPTY, [[(0, 1), (1, 2)], ()], "band 0: qubit 1 in two pairs"),
+    (3, 2, _EMPTY, [(), [(0, 2)]], "band 1: final band must have no cZ"),
+    (3, 2, _EMPTY, [[(0, 1, 2)], ()], "band 0: cZ pair .* is not two qubits"),
+    (0, 2, np.zeros((2, 0), np.uint8), None, "qubit count must be >= 1"),
+    (3, 0, np.zeros((0, 3), np.uint8), None, "band count must be >= 1"),
+], ids=["out-of-range", "degenerate", "pair-twice", "qubit-in-two-pairs",
+        "last-band-cz", "three-qubit-pair", "no-qubits", "no-bands"])
+def test_construction_rejects_invalid_band_structure(n, m, gates, cz, message):
+    with pytest.raises(ValueError, match=message):
+        Circuit(n, m, gates, cz)
 
 
 def test_gate_unitarity_tolerance():
@@ -230,10 +251,13 @@ def test_parse_rejects_duplicate_cz_pair():
 
 
 def test_band_pairs_are_an_ascending_tuple():
-    assert Circuit(2, 1, [[I, I]], [{(1, 0)}]) \
-        == Circuit(2, 1, [[I, I]], [[(0, 1)]])
-    circ = Circuit(4, 1, [[I] * 4], [[(3, 2), (1, 0), (0, 1)]])
-    assert circ.cz == (((0, 1), (0, 1), (2, 3)),)
+    assert Circuit(2, 2, [[I, I]] * 2, [{(1, 0)}, ()]) \
+        == Circuit(2, 2, [[I, I]] * 2, [[(0, 1)], ()])
+    circ = Circuit(4, 2, [[I] * 4] * 2, [[(3, 2), (1, 0)], ()])
+    assert circ.cz == (((0, 1), (2, 3)), ())
+    # a pair given twice is refused, never merged into one cZ (cZ.cZ = I)
+    with pytest.raises(ValueError, match="qubit 0 in two pairs"):
+        Circuit(4, 2, [[I] * 4] * 2, [[(3, 2), (1, 0), (0, 1)], ()])
 
 
 def test_ck_names_round_trip():
@@ -251,5 +275,8 @@ def test_generators_produce_valid_circuits():
     circs += [families.random_generic_circuit(3, 3, rng) for _ in range(20)]
     circs += [identity_circuit(2, 2)]
     for circ in circs:
-        assert validate(circ).ok
+        # the generators built them, so the constructor accepted them
+        assert not circ.cz[-1]
+        assert Circuit(circ.n, circ.m, circ.gates, circ.cz,
+                       circ.matrices) == circ
 

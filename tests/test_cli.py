@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qaccredit import oracles
+from qaccredit import families, oracles
 from qaccredit.cli import main
 from qaccredit.circuit import identity_circuit, parse, serialize
 
@@ -314,6 +314,30 @@ def test_oracle_rejects_flip_table_over_cap(runner):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "too large to build" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["twirl", "--n", "2", "--m", "4"], "too large to run"),
+    (["twirl", "--n", "3", "--m", "3"], "too large to run"),
+    (["pauli-twirl", "--n", "4"], "too large to sum"),
+], ids=["twirl-n2-m4", "twirl-n3-m3", "pauli-twirl-n4"])
+def test_oracle_rejects_twirl_over_cap(runner, args, message):
+    result = runner.invoke(main, ["oracle", "--which"] + args
+                           + ["--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.stderr
+    assert result.stdout == ""
+
+
+def test_mesothetic_limits_exit_code(runner, tmp_path):
+    path = tmp_path / "ghz17.json"
+    path.write_text(serialize(families.ghz_circuit(17)))
+    result = runner.invoke(main, ["mesothetic", "--circuit", str(path),
+                                  "--v", "3", "--seed", "1"])
+    assert result.exit_code == 3, result.output
+    assert "17 qubits exceeds statevector limit 16" in result.stderr
     assert result.stdout == ""
 
 

@@ -11,6 +11,7 @@ from qaccredit.mesothetic import (ALICE, BOB, BobStrategy, OwnershipError,
 from qaccredit.noise import BoundedGateNoise
 from qaccredit.pauli import PauliString
 from qaccredit.protocol import DomainError
+from qaccredit.simulator import SimLimitError
 
 
 def test_honest_sessions_accept_and_never_abort():
@@ -133,6 +134,17 @@ def test_session_rejects_one_band_target_before_any_draw():
     state = rng.bit_generator.state
     with pytest.raises(DomainError, match="traps need at least 2 bands"):
         run_session(identity_circuit(2, 1), 3, BobStrategy(honest=True), rng)
+    assert rng.bit_generator.state == state
+
+
+def test_session_rejects_oversize_target_before_any_draw():
+    target = families.ghz_circuit(17)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(SimLimitError, match="17 qubits exceeds"):
+        run_session(target, 3, BobStrategy(honest=True), rng)
+    with pytest.raises(SimLimitError, match="17 qubits exceeds"):
+        soundness_estimate(target, 3, BobStrategy(honest=True), 10, rng)
     assert rng.bit_generator.state == state
 
 

@@ -135,6 +135,46 @@ def test_twirl_pure_z_error_recovered():
     assert weights.get(target, 0) > 1 - 1e-8
 
 
+def test_twirl_walk_cap(allocates_at_most, monkeypatch):
+    assert oracles.TWIRL_WALK_CAP == 2 ** 15
+    rng = np.random.default_rng(5)
+    # 2^18 and 2^21 pad rows, refused before any circuit is dressed
+    for n, m in ((2, 4), (3, 3)):
+        circ = families.random_generic_circuit(n, m, rng)
+        channels = {0: [_random_unitary(2 ** n, rng)]}
+        with allocates_at_most(2 ** 16), \
+                pytest.raises(ValueError, match="too large to run"):
+            twirl_channel(circ, channels)
+    # pad rows x Kraus paths: 2^10 rows x 3 x 11 paths exceed the cap
+    circ = families.random_generic_circuit(2, 2, rng)
+    channels = {0: [np.eye(4) / np.sqrt(3)] * 3,
+                2: [np.eye(4) / np.sqrt(11)] * 11}
+    with pytest.raises(ValueError, match="33792 statevector walks"):
+        oracles.pad_averaged_distribution(circ, channels)
+    # the fit counts 2^5 pad rows plus 4^2 collections: 48 walks
+    circ = families.random_generic_circuit(1, 2, rng)
+    monkeypatch.setattr(oracles, "TWIRL_WALK_CAP", 48)
+    assert twirl_channel(circ, {}).passed
+    monkeypatch.setattr(oracles, "TWIRL_WALK_CAP", 47)
+    with pytest.raises(ValueError, match="48 statevector walks"):
+        twirl_channel(circ, {})
+
+
+def test_pauli_twirl_term_cap(monkeypatch):
+    assert oracles.PAULI_TWIRL_TERM_CAP == 2 ** 18
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="too large to sum"):
+        pauli_twirl_identity_check(4, rng)
+    assert rng.bit_generator.state == state
+    # n = 1 sums 4 + 4 * 4 * 3 + 2 * (2 * 2 * 1) = 60 terms
+    monkeypatch.setattr(oracles, "PAULI_TWIRL_TERM_CAP", 60)
+    assert pauli_twirl_identity_check(1, rng).passed
+    monkeypatch.setattr(oracles, "PAULI_TWIRL_TERM_CAP", 59)
+    with pytest.raises(ValueError, match="60 terms"):
+        pauli_twirl_identity_check(1, rng)
+
+
 def test_pauli_twirl_identities():
     for n in (1, 2):
         rep = pauli_twirl_identity_check(n, np.random.default_rng(4))

@@ -116,9 +116,9 @@ def test_plan_run_hides_target_among_traps():
     v0, plan = plan_run(target, 5, np.random.default_rng(4))
     assert len(plan) == 6 and 0 <= v0 <= 5
     rng = np.random.default_rng(5)
-    for k, dressed in enumerate(plan):
+    for k, (circuit, key) in enumerate(plan):
         out = qotp.postprocess(
-            simulator.run_statevector(dressed.circuit, rng=rng), dressed.key)
+            simulator.run_statevector(circuit, rng=rng), key)
         if k == v0:  # GHZ X-measurement outputs have even parity
             assert int(out.sum()) % 2 == 0
         else:  # a noiseless trap outputs all zeros
@@ -325,7 +325,7 @@ def test_pauli_deviations_fold_into_trap_frame():
         topo = families.random_clifford_circuit(n, m, rng)
         trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
         gates = trap.gates[None]
-        dressed = qotp.dress(trap, qotp.sample_pads(n, m, rng))
+        dressed, key = qotp.dress(trap, qotp.sample_pads(n, m, rng))
         err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
         err_x[[0, m]] = 0
         err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
@@ -340,7 +340,7 @@ def test_pauli_deviations_fold_into_trap_frame():
         _fold(err_x, err_z, dev_x, dev_z)
         frame = simulator.frame_flips(topo, gates, err_x[None], err_z[None])
         dense = qotp.postprocess(simulator.run_statevector(
-            dressed.circuit, errors, (dev_x, dev_z), rng=rng), dressed.key)
+            dressed, errors, (dev_x, dev_z), rng=rng), key)
         assert np.array_equal(frame[0], dense)
 
 
@@ -354,7 +354,7 @@ def test_pad_invariance_under_folded_deviations(n, m, generic, seed):
     make = (families.random_generic_circuit if generic
             else families.random_clifford_circuit)
     target = make(n, m, rng)
-    dressed = qotp.dress(target, qotp.sample_pads(n, m, rng))
+    dressed, key = qotp.dress(target, qotp.sample_pads(n, m, rng))
     err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
     err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
     errors = err_x.copy(), err_z.copy()
@@ -367,12 +367,12 @@ def test_pad_invariance_under_folded_deviations(n, m, generic, seed):
         for _ in range(int(rng.integers(0, 3))):
             dev_x[j] ^= row()
             dev_z[j] ^= row()
-    padded = simulator.statevector_distribution(dressed.circuit, errors,
+    padded = simulator.statevector_distribution(dressed, errors,
                                                 (dev_x, dev_z))
     _fold(err_x, err_z, dev_x, dev_z)
     bare = simulator.statevector_distribution(target, (err_x, err_z))
     # post-processing XORs every outcome with the key
-    key = simulator.bits_to_index(dressed.key)
+    key = simulator.bits_to_index(key)
     assert np.abs(padded[np.arange(2 ** n) ^ key] - bare).max() <= 1e-12
 
 

@@ -21,31 +21,31 @@ def _single_bit_row(n, m, index):
 
 def test_zero_row_is_identity():
     circ = families.random_clifford_circuit(2, 3, np.random.default_rng(0))
-    dressed = dress(circ, np.zeros(pad_width(2, 3), np.uint8))
-    assert dressed.circuit == circ
-    assert not dressed.key.any()
+    dressed, key = dress(circ, np.zeros(pad_width(2, 3), np.uint8))
+    assert dressed == circ
+    assert not key.any()
 
 
 def test_pad_row_layout():
     # alpha (m x n, band-major), then alpha' (m x n), then gamma (n)
     n, m = 2, 3
     circ = identity_circuit(n, m)
-    gamma_on_1 = dress(circ, _single_bit_row(n, m, 2 * n * m + 1))
-    assert gamma_on_1.circuit.gates[0].tolist() == [PAULI[0, 0], PAULI[1, 0]]
-    assert (gamma_on_1.circuit.gates[1:] == PAULI[0, 0]).all()
-    assert not gamma_on_1.key.any()
-    last_alpha_on_0 = dress(circ, _single_bit_row(n, m, (m - 1) * n))
-    assert last_alpha_on_0.circuit.gates[m - 1].tolist() == \
+    gamma_on_1, key = dress(circ, _single_bit_row(n, m, 2 * n * m + 1))
+    assert gamma_on_1.gates[0].tolist() == [PAULI[0, 0], PAULI[1, 0]]
+    assert (gamma_on_1.gates[1:] == PAULI[0, 0]).all()
+    assert not key.any()
+    last_alpha_on_0, key = dress(circ, _single_bit_row(n, m, (m - 1) * n))
+    assert last_alpha_on_0.gates[m - 1].tolist() == \
         [PAULI[0, 1], PAULI[0, 0]]
-    assert last_alpha_on_0.key.tolist() == [1, 0]
+    assert key.tolist() == [1, 0]
 
 
 def test_dress_undoes_pad_through_cz():
     # an X pad on qubit q of band 1 crosses the (0,1) cZ as X on q, Z on 1-q
     circ = identity_circuit(2, 2, cz_layout=[{(0, 1)}, set()])
     for q in (0, 1):
-        dressed = dress(circ, _single_bit_row(2, 2, 2 * 2 + q))
-        first, second = dressed.circuit.gates.tolist()
+        dressed, _ = dress(circ, _single_bit_row(2, 2, 2 * 2 + q))
+        first, second = dressed.gates.tolist()
         assert first[q] == PAULI[1, 0] and first[1 - q] == PAULI[0, 0]
         assert second[q] == PAULI[1, 0] and second[1 - q] == PAULI[0, 1]
 
@@ -104,14 +104,13 @@ def test_dressing_preserves_structure():
     rng = np.random.default_rng(3)
     circ = families.random_generic_circuit(3, 3, rng)
     pads = sample_pads(3, 3, rng)
-    dressed = dress(circ, pads)
-    assert dressed.circuit.n == circ.n and dressed.circuit.m == circ.m
-    assert dressed.circuit.cz == circ.cz
-    assert np.array_equal(dressed.key, pads[6:9])  # alpha of band m
+    dressed, key = dress(circ, pads)
+    assert dressed.n == circ.n and dressed.m == circ.m
+    assert dressed.cz == circ.cz
+    assert np.array_equal(key, pads[6:9])  # alpha of band m
     # Clifford gates stay Clifford, generic stay generic
-    assert np.array_equal(dressed.circuit.gates == GENERIC,
-                          circ.gates == GENERIC)
-    assert dressed.circuit.matrices.keys() == circ.matrices.keys()
+    assert np.array_equal(dressed.gates == GENERIC, circ.gates == GENERIC)
+    assert dressed.matrices.keys() == circ.matrices.keys()
 
 
 def test_dress_keeps_generic_gates_generic():
@@ -124,7 +123,7 @@ def test_dress_keeps_generic_gates_generic():
         alpha, alpha_prime, gamma = pads[:2], pads[2:4], pads[4]
         pre = [PAULI[gamma, 0], PAULI[alpha_prime[0], alpha[0]]]
         post = [PAULI[alpha_prime[j], alpha[j]] for j in (0, 1)]
-        dressed = dress(circ, pads).circuit
+        dressed, _ = dress(circ, pads)
         assert dressed.gates[0, 0] == GENERIC
         p_pre, p_post = (cliffords.matrix(c) for c in (pre[0], post[0]))
         assert np.array_equal(dressed.matrices[0, 0],
@@ -135,9 +134,9 @@ def test_dress_keeps_generic_gates_generic():
 
 def _transparency_tv(circ, pads):
     bare = simulator.run_density(circ)
-    dressed = dress(circ, pads)
-    noisy = simulator.run_density(dressed.circuit)
-    key_int = simulator.bits_to_index(dressed.key)
+    dressed, key = dress(circ, pads)
+    noisy = simulator.run_density(dressed)
+    key_int = simulator.bits_to_index(key)
     idx = np.arange(len(noisy))
     return tv(bare, noisy[idx ^ key_int])
 
