@@ -33,7 +33,9 @@ def _unitary(u) -> np.ndarray:
     u = np.array(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("matrix gate must be 2x2")
-    if not np.allclose(u @ u.conj().T, np.eye(2), atol=UNITARITY_ATOL, rtol=0):
+    # finite first, so that no inf reaches the product
+    if not (np.isfinite(u).all() and np.abs(
+            u @ u.conj().T - np.eye(2)).max() <= UNITARITY_ATOL):
         raise ValueError("matrix gate is not unitary within 1e-12")
     u.setflags(write=False)
     return u

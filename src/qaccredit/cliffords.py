@@ -82,16 +82,6 @@ NAME_TO_INDEX = {name: _INDEX[_key(_GEN_MATRICES[name])] for name in CLIFFORD_NA
 INDEX_TO_NAME = {v: k for k, v in NAME_TO_INDEX.items()}
 
 
-def matrix(c: int) -> np.ndarray:
-    """Canonical 2x2 matrix of Clifford index ``c``."""
-    return MATRICES[c].copy()
-
-
-def index_of(u: np.ndarray) -> int:
-    """Index of a 2x2 Clifford matrix; raises KeyError if not in the group."""
-    return _INDEX[_key(np.asarray(u, dtype=complex))]
-
-
 def _table(indices) -> np.ndarray:
     """Nested lists of group indices as a read-only uint8 array."""
     table = np.array(indices, dtype=np.uint8)

@@ -5,6 +5,9 @@ qubit register shuttles between the parties: Bob (prover) prepares the
 qubits, applies every cZ round, and measures; Alice applies only the padded
 single-qubit rounds. Bob never learns the target's slot, the pads, or the
 trap choices — his strategy interface receives only (circuit index, stage).
+The register only checks ownership: a party acts on it by the simulator's
+band steps (``apply_round``, ``apply_cz``, ``apply_pauli``), the steps of
+the statevector walk.
 
 Alice checks each trap's post-processed output as it arrives and aborts the
 session at the first failure.
@@ -38,12 +41,13 @@ class ProtocolViolation(RuntimeError):
 
 
 class QubitRegister:
-    """n simulated qubits; only the current owner may operate on them."""
+    """n simulated qubits; only the current owner may act on them, and it
+    acts by the simulator's band steps."""
 
     def __init__(self, n: int, owner: str):
         self.n = n
         self.owner = owner
-        self._state = np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
+        self._state = simulator.plus_state(n)
 
     def _check(self, party: str):
         if party != self.owner:
@@ -53,19 +57,11 @@ class QubitRegister:
         self._check(from_party)
         self.owner = to_party
 
-    def apply_single(self, party: str, u: np.ndarray, qubit: int):
+    def apply(self, party: str, step, *args):
+        """Set the state to ``step(state, *args, n)``, a simulator step
+        such as ``apply_round``, ``apply_cz`` or ``apply_pauli``."""
         self._check(party)
-        self._state = simulator.apply_single(self._state, u, qubit, self.n)
-
-    def apply_cz(self, party: str, i: int, j: int):
-        self._check(party)
-        self._state = simulator.apply_cz(self._state, i, j, self.n)
-
-    def apply_pauli(self, party: str, p: PauliString):
-        """Apply p up to its global phase."""
-        self._check(party)
-        self._state = simulator.apply_pauli(self._state, p.x_bits, p.z_bits,
-                                            self.n)
+        self._state = step(self._state, *args, self.n)
 
     def measure_x(self, party: str, rng: np.random.Generator) -> np.ndarray:
         self._check(party)
@@ -177,18 +173,15 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
             else alice_noise.sample_deviations(k, n, m, rng), m)
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
-            reg.apply_pauli(BOB, dev)
+            reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)
         for j, pairs in enumerate(circuit.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
-            for i in range(n):
-                reg.apply_single(ALICE, circuit.unitary(j, i), i)
-            if any(deviations[j]):
-                reg.apply_pauli(ALICE, PauliString(n, *deviations[j]))
+            reg.apply(ALICE, simulator.apply_round, circuit, j)
+            reg.apply(ALICE, simulator.apply_pauli, *deviations[j])
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
             for dev in bob.deviations_for(k, j + 1):
-                reg.apply_pauli(BOB, dev)
-            for pair in pairs:
-                reg.apply_cz(BOB, *pair)
+                reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)
+            reg.apply(BOB, simulator.apply_cz, pairs)
         channel.send(Message("measurement_results",
                              bits=reg.measure_x(BOB, rng)))
         msg = channel.receive("measurement_results")

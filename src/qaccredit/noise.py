@@ -60,24 +60,6 @@ class PauliErrorCollection:
                     raise ValueError(
                         f"circuit {k} location {loc}: must be Z-only")
 
-    @property
-    def num_circuits(self) -> int:
-        return len(self.circuits)
-
-    @property
-    def m(self) -> int:
-        return len(self.circuits[0]) - 1
-
-    def slice_for(self, k: int) -> tuple:
-        return self.circuits[k]
-
-    def is_identity_on(self, k: int) -> bool:
-        return all(p.x_bits == 0 and p.z_bits == 0 for p in self.circuits[k])
-
-    def touched_circuits(self) -> list:
-        return [k for k in range(self.num_circuits)
-                if not self.is_identity_on(k)]
-
     def to_bits(self) -> tuple:
         """(x, z) uint8 arrays of shape (circuits, m+1, n); bit q is qubit q.
 
@@ -92,7 +74,7 @@ class PauliErrorCollection:
                                      for mask in masks), dtype=np.uint8)
         bits = np.unpackbits(raw.reshape(len(masks), width), axis=-1,
                              count=n, bitorder="little")
-        x, z = bits.reshape(2, self.num_circuits, self.m + 1, n)
+        x, z = bits.reshape(2, len(self.circuits), -1, n)
         return x, z
 
 
@@ -136,8 +118,9 @@ def noiseless() -> NoiseModel:
 class ExplicitCollectionDistribution(NoiseModel):
     """Arbitrary classical correlation: a finite list of (collection, prob).
 
-    Each collection is converted once, here, to read-only (x, z) bits, and
-    all of them must have one shape.
+    Each collection is converted once, here, to read-only (x, z) bits:
+    ``bits[e]`` is entry e's pair of (v+1, m+1, n) arrays, all of one
+    shape, and ``probs[e]`` its probability.
     """
 
     def __init__(self, entries: Sequence):
@@ -149,21 +132,21 @@ class ExplicitCollectionDistribution(NoiseModel):
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > PROB_ATOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        self._probs = probs
-        self._bits = [c.to_bits() for c, _ in self.entries]
-        shapes = {x.shape for x, _ in self._bits}
+        self.probs = probs
+        self.bits = [c.to_bits() for c, _ in self.entries]
+        shapes = {x.shape for x, _ in self.bits}
         if len(shapes) > 1:
             raise ValueError(f"entries have different shapes {sorted(shapes)}")
-        for x, z in self._bits:
+        for x, z in self.bits:
             x.setflags(write=False)
             z.setflags(write=False)
 
     def sample_error_bits(self, v, n, m, rng):
-        shape = self._bits[0][0].shape
+        shape = self.bits[0][0].shape
         if shape != (v + 1, m + 1, n):
             raise ValueError(f"collection shape {shape} does not match "
                              f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
-        return self._bits[rng.choice(len(self.entries), p=self._probs)]
+        return self.bits[rng.choice(len(self.entries), p=self.probs)]
 
 
 class IndependentLocationChannels(NoiseModel):

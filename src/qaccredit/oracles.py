@@ -12,7 +12,8 @@ independent check, not a tautology:
   least-squares fit, residual threshold 1e-9);
 * the dense Pauli-twirl identities (full and restricted);
 * Monte Carlo credibility: freq(accept AND target corrupted) under explicit
-  adversarial collection distributions stays below kappa/(v+1).
+  adversarial collection distributions stays below kappa/(v+1); traps and
+  target read the adversary's error bits through flip rows of basis errors.
 """
 
 from __future__ import annotations
@@ -71,41 +72,56 @@ class LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _choice_flip_tables(topology: Circuit) -> np.ndarray:
-    """Flip masks of basis errors for every trap choice of a topology.
+def _flip_rows(circuit: Circuit) -> np.ndarray:
+    """Flip masks of the basis errors of one Clifford circuit.
 
-    Returns a read-only uint32 array of shape (m+1, 2n, choices): entry
-    [loc, b, c] is the end-of-circuit flip mask, under trap choice c, of the
+    Returns a uint32 array of shape (m+1, 2n): entry [loc, b] is the
+    end-of-circuit flip mask, by :func:`simulator.propagate_frame`, of the
     basis error with symplectic bit b (b < n: X on qubit b; b >= n: Z on
     qubit b-n) inserted at location loc. Flip masks are GF(2)-linear in the
-    error's symplectic bits, so any collection is an XOR of these rows.
-    Raises ValueError when the table needs more than ``FLIP_TABLE_CAP``
-    propagations, 2n(m+1) per trap choice.
+    error's symplectic bits, so any slice's mask is an XOR of these rows.
+    """
+    n, m = circuit.n, circuit.m
+    ident = PauliString(n)
+    rows = np.zeros((m + 1, 2 * n), dtype=np.uint32)
+    for loc, b in itertools.product(range(m + 1), range(2 * n)):
+        slice_ = [ident] * (m + 1)
+        slice_[loc] = PauliString(n, (b < n) << (b % n), (b >= n) << (b % n))
+        rows[loc, b] = pauli.z_mask(simulator.propagate_frame(circuit, slice_))
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _choice_flip_tables(topology: Circuit) -> np.ndarray:
+    """:func:`_flip_rows` of every trap choice of a topology.
+
+    Returns a read-only uint32 array of shape (m+1, 2n, choices), choice c
+    last. Raises ValueError when the table needs more than
+    ``FLIP_TABLE_CAP`` propagations, 2n(m+1) per trap choice.
     """
     n, m = topology.n, topology.m
     size = 2 * n * (m + 1) * traps.choice_space_size(topology)
     if size > FLIP_TABLE_CAP:
         raise ValueError(f"flip table of {size} basis-error propagations "
                          f"too large to build (cap {FLIP_TABLE_CAP})")
-    circuits = [traps.generate_trap(topology, c)
-                for c in traps.enumerate_choices(topology)]
-    table = np.zeros((m + 1, 2 * n, len(circuits)), dtype=np.uint32)
-    for loc, b in itertools.product(range(m + 1), range(2 * n)):
-        slice_ = [PauliString(n)] * (m + 1)
-        slice_[loc] = PauliString(n, (b < n) << (b % n), (b >= n) << (b % n))
-        table[loc, b] = [pauli.z_mask(simulator.propagate_frame(c, slice_))
-                         for c in circuits]
+    table = np.stack([_flip_rows(traps.generate_trap(topology, c))
+                      for c in traps.enumerate_choices(topology)], axis=-1)
     table.flags.writeable = False
     return table
 
 
+def _flips(rows: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """XOR of the flip rows that a slice's (m+1, n) error bits select."""
+    select = np.concatenate((x, z), axis=-1).astype(bool)
+    return np.bitwise_xor.reduce(rows[select], axis=0)
+
+
 def _collection_flips(topology: Circuit, errors: Sequence) -> np.ndarray:
+    """Per trap choice, the flip mask of a slice of m+1 PauliStrings."""
     n = topology.n
-    bits = [[(mask >> q) & 1 for mask in (e.x_bits, e.z_bits)
-             for q in range(n)] for e in errors]
-    table = _choice_flip_tables(topology)
-    return np.bitwise_xor.reduce(table[np.array(bits, dtype=bool)], axis=0)
+    x = np.array([simulator.index_to_bits(e.x_bits, n) for e in errors])
+    z = np.array([simulator.index_to_bits(e.z_bits, n) for e in errors])
+    return _flips(_choice_flip_tables(topology), x, z)
 
 
 def lemma2_exact_prob(topology: Circuit, errors: Sequence) -> Fraction:
@@ -136,22 +152,23 @@ def _location_paulis(n: int, z_only: bool):
     return out
 
 
-def lemma2_sweep(topology: Circuit, band_count_class: str = "all",
+def lemma2_sweep(topology: Circuit, band_count_class: str,
                  rng: Optional[np.random.Generator] = None) -> list:
     """Sweep error collections against the 1/2 (single) / 3/4 (multi) bounds.
 
     ``single`` and ``two`` enumerate exhaustively all collections supported
     on exactly one / two locations. ``all`` samples ``SWEEP_SAMPLES``
-    collections with no support restriction (reports flagged as sampled).
+    collections with no support restriction from ``rng``, which it
+    requires (reports flagged as sampled).
     """
     if band_count_class not in ("single", "two", "all"):
         raise ValueError("band_count_class must be single, two, or all")
+    if band_count_class == "all" and rng is None:
+        raise ValueError("the sampled class 'all' needs an rng")
     n, m = topology.n, topology.m
     # the table is checked against its cap before any collection is listed
     n_choices = _choice_flip_tables(topology).shape[-1]
     if band_count_class == "all":
-        rng = rng if rng is not None else np.random.default_rng(0)
-
         def draw(z_only):
             x = 0 if z_only else int(rng.integers(0, 2 ** n))
             return PauliString(n, x, int(rng.integers(0, 2 ** n)))
@@ -299,7 +316,7 @@ def _pauli_set(n: int, letters: str):
 
 
 def pauli_twirl_identity_check(n: int,
-                               rng: Optional[np.random.Generator] = None) -> LemmaReport:
+                               rng: np.random.Generator) -> LemmaReport:
     """Verify that twirling kills cross terms, by dense matrix arithmetic.
 
     Full twirl: sum_Q (QPQ) rho (QP'Q) = 0 for all P != P'. Restricted twirl
@@ -315,7 +332,6 @@ def pauli_twirl_identity_check(n: int,
     if terms > PAULI_TWIRL_TERM_CAP:
         raise ValueError(f"Pauli twirl of {terms} terms too large to sum "
                          f"(cap {PAULI_TWIRL_TERM_CAP})")
-    rng = rng if rng is not None else np.random.default_rng(7)
     dim = 2 ** n
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = mat @ mat.conj().T
@@ -375,28 +391,21 @@ def _acceptance_tables(target: Circuit,
 
     accept[e, k, c] = 1 iff a trap built from choice c, placed at slot k,
     outputs all zeros under adversary entry e. corrupted[e, k] = 1 iff the
-    entry's slot-k errors flip the target's post-processed output.
+    entry's slot-k errors flip the target's post-processed output. Both
+    read the entries' error bits through one flip-row XOR.
     """
-    n_choices = _choice_flip_tables(target).shape[-1]
-    entries = adversary.entries
-    n_entries = len(entries)
-    v_plus_1 = entries[0][0].num_circuits
-    accept = np.ones((n_entries, v_plus_1, n_choices), dtype=bool)
-    corrupted = np.zeros((n_entries, v_plus_1), dtype=bool)
-    for e, (coll, _) in enumerate(entries):
-        for k in range(v_plus_1):
-            errs = coll.slice_for(k)
-            accept[e, k] = _collection_flips(target, errs) == 0
-            corrupted[e, k] = corrupts_target(target, errs)
-    probs = np.array([p for _, p in entries])
-    return accept, corrupted, probs
+    table = _choice_flip_tables(target)
+    rows = _flip_rows(target)
+    accept = np.array([[_flips(table, xk, zk) == 0 for xk, zk in zip(x, z)]
+                       for x, z in adversary.bits])
+    corrupted = np.array([[_flips(rows, xk, zk) != 0 for xk, zk in zip(x, z)]
+                          for x, z in adversary.bits])
+    return accept, corrupted, adversary.probs
 
 
 def theorem1_empirical(target: Circuit, v: int,
                        adversary: ExplicitCollectionDistribution,
-                       runs: int = 10 ** 5,
-                       rng: Optional[np.random.Generator] = None
-                       ) -> LemmaReport:
+                       runs: int, rng: np.random.Generator) -> LemmaReport:
     """Estimate freq(accept AND target corrupted) against kappa/(v+1).
 
     The target must be all-Clifford (corruption is decided by frame
@@ -408,11 +417,12 @@ def theorem1_empirical(target: Circuit, v: int,
         raise ValueError("v >= 3 required")
     if not target.all_clifford:
         raise ValueError("empirical credibility check needs a Clifford target")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    shape, want = adversary.bits[0][0].shape, (v + 1, target.m + 1, target.n)
+    if shape != want:
+        raise ValueError(f"adversary collections of shape {shape} do not "
+                         f"cover (v+1, m+1, n) = {want}")
     accept, corrupted, probs = _acceptance_tables(target, adversary)
-    n_entries, v_plus_1, n_choices = accept.shape
-    if v_plus_1 != v + 1:
-        raise ValueError("adversary collections do not cover v+1 circuits")
+    n_entries, _, n_choices = accept.shape
 
     entry_idx = rng.choice(n_entries, size=runs, p=probs)
     v0 = rng.integers(0, v + 1, size=runs)
@@ -426,7 +436,7 @@ def theorem1_empirical(target: Circuit, v: int,
     freq = float(bad.mean())
 
     bound = KAPPA / (v + 1)
-    touched = {len(coll.touched_circuits()) for coll, _ in adversary.entries}
+    touched = {int((x | z).any(axis=(1, 2)).sum()) for x, z in adversary.bits}
     detail = {}
     if len(touched) == 1:
         v_hat = touched.pop()

@@ -4,8 +4,10 @@
   under Pauli noise — errors are commuted to the end of the circuit and read
   off as an X-measurement flip mask; :func:`frame_flips` does this for many
   circuits on one cZ topology at once, on bit arrays.
-* Dense statevector simulation for small generic circuits; the density
-  backend sums it over every path of Kraus operators at the noise locations.
+* Dense statevector simulation for small generic circuits, one band step at
+  a time (:func:`apply_round`, :func:`apply_pauli`, :func:`apply_cz`), the
+  steps the two-party register also runs; the density backend sums it over
+  every path of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -119,12 +121,22 @@ def apply_single(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray
     return np.einsum("ab,ibj->iaj", u, psi).reshape(-1)
 
 
-def apply_cz(state: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    idx = np.arange(2 ** n)
-    mask = ((idx >> i) & 1) & ((idx >> j) & 1)
-    out = state.copy()
-    out[mask == 1] *= -1
-    return out
+def apply_round(state: np.ndarray, circuit: Circuit, j: int,
+                n: int) -> np.ndarray:
+    """Apply band j's single-qubit round of ``circuit``."""
+    for i in range(n):
+        state = apply_single(state, circuit.unitary(j, i), i, n)
+    return state
+
+
+def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
+    """Apply a band's cZ round, one (i, j) pair at a time."""
+    for i, j in pairs:
+        idx = np.arange(2 ** n)
+        mask = ((idx >> i) & 1) & ((idx >> j) & 1)
+        state = state.copy()
+        state[mask == 1] *= -1
+    return state
 
 
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
@@ -143,10 +155,8 @@ def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
     return out
 
 
-_HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-
-def _plus_state(n: int) -> np.ndarray:
+def plus_state(n: int) -> np.ndarray:
+    """The n-qubit input state |+>^n."""
     return np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
 
 
@@ -179,21 +189,20 @@ def _evolve_state(circuit: Circuit,
         state = apply_pauli(state, *err[loc], n)
         return operators[loc] @ state if loc in operators else state
 
-    state = at_location(_plus_state(n), 0)
+    state = at_location(plus_state(n), 0)
     for j, pairs in enumerate(circuit.cz):
-        for i in range(n):
-            state = apply_single(state, circuit.unitary(j, i), i, n)
+        state = apply_round(state, circuit, j, n)
         state = at_location(apply_pauli(state, *dev[j], n), j + 1)
-        for pair in pairs:
-            state = apply_cz(state, *pair, n)
+        state = apply_cz(state, pairs, n)
     return state
 
 
 def _x_weights(state: np.ndarray, n: int) -> np.ndarray:
     """Squared X-basis amplitudes of a state, not normalised."""
     # rotate to the X basis so computational outcomes are the measurement bits
+    had = cliffords.MATRICES[cliffords.C_H]
     for q in range(n):
-        state = apply_single(state, _HAD, q, n)
+        state = apply_single(state, had, q, n)
     return np.abs(state) ** 2
 
 
@@ -269,8 +278,10 @@ def run_density(circuit: Circuit,
     for loc, kraus in channels.items():
         if loc not in range(m + 1):
             raise ValueError(f"channel location {loc} lies outside 0..{m}")
-        check = sum(k.conj().T @ k for k in kraus)
-        if not np.allclose(check, np.eye(2 ** n), atol=TRACE_ATOL, rtol=0):
+        # finite first, so that no inf reaches the products
+        if not (all(np.isfinite(k).all() for k in kraus) and np.abs(
+                sum(k.conj().T @ k for k in kraus)
+                - np.eye(2 ** n)).max() <= TRACE_ATOL):
             raise ValueError("channel is not trace-preserving within 1e-10")
     probs = np.zeros(2 ** n)
     for path in itertools.product(*channels.values()):

@@ -99,7 +99,7 @@ def test_gates_and_matrices_are_read_only():
 
 def test_unitary_reads_the_table_or_the_matrix():
     circ = Circuit(1, 2, [[H], [GENERIC]], matrices={(1, 0): T_GATE})
-    assert np.array_equal(circ.unitary(0, 0), cliffords.matrix(H))
+    assert np.array_equal(circ.unitary(0, 0), cliffords.MATRICES[H])
     assert np.array_equal(circ.unitary(1, 0), T_GATE)
     assert not circ.all_clifford
     assert identity_circuit(2, 2).all_clifford
@@ -212,6 +212,20 @@ def test_parse_bad_matrix_unitarity():
         {"matrix": [[[1.0, 0], [0, 0]], [[0, 0], [1.001, 0]]]}], "cz": []}]}
     with pytest.raises(CircuitParseError, match="unitary"):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        Circuit(1, 1, [[GENERIC]], None, {(0, 0): u})
+    # the JSON module reads NaN and Infinity literals as floats
+    doc = {"n": 1, "m": 1, "bands": [{"singles": [
+        {"matrix": [[[1.0, 0], [0, 0]], [[0, 0], [bad, 0]]]}], "cz": []}]}
+    with pytest.raises(CircuitParseError, match="not unitary") as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == "$.bands[0].singles[0]"
 
 
 def test_parse_rejects_singles_row_of_wrong_length():

@@ -2,15 +2,17 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaccredit import families, mesothetic
+from qaccredit import families, mesothetic, qotp, simulator
 from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import (ALICE, BOB, BobStrategy, OwnershipError,
                                   ProtocolViolation, QubitRegister, Transport,
                                   Message, run_session, soundness_estimate)
 from qaccredit.noise import BoundedGateNoise
 from qaccredit.pauli import PauliString
-from qaccredit.protocol import DomainError
+from qaccredit.protocol import DomainError, plan_run
 from qaccredit.simulator import SimLimitError
 
 
@@ -61,13 +63,15 @@ def test_bob_who_cannot_act_is_rejected_before_any_draw():
 def test_register_ownership_enforced():
     reg = QubitRegister(2, owner=BOB)
     with pytest.raises(OwnershipError):
-        reg.apply_pauli(ALICE, PauliString(2, 1, 0))
+        reg.apply(ALICE, simulator.apply_pauli, 1, 0)
     reg.transfer(BOB, ALICE)
-    reg.apply_pauli(ALICE, PauliString(2, 1, 0))
+    reg.apply(ALICE, simulator.apply_pauli, 0, 1)  # Z on qubit 0 flips it
     with pytest.raises(OwnershipError):
-        reg.apply_cz(BOB, 0, 1)
+        reg.apply(BOB, simulator.apply_cz, ((0, 1),))
     with pytest.raises(OwnershipError):
         reg.transfer(BOB, ALICE)
+    rng = np.random.default_rng(0)
+    assert reg.measure_x(ALICE, rng).tolist() == [1, 0]
 
 
 def test_transport_ordering():
@@ -156,3 +160,66 @@ def test_session_deterministic():
     assert a.flag == b.flag and a.v0 == b.v0
     assert np.array_equal(a.target_output, b.target_output)
     assert a.transcript_length == b.transcript_length
+
+
+def _replay(target, v, bob, rng, alice_noise):
+    """A session's outcome without the register: each slot sampled from its
+    statevector distribution, with Bob's stage-s Paulis XORed into the
+    location-s error and Alice's deviations as the walk's deviations.
+    Returns (flag, v0, target output, transcript length)."""
+    n, m = target.n, target.m
+    v0, prepared = plan_run(target, v, rng)
+    output, sent = None, 0
+    for k, (circuit, key) in enumerate(prepared):
+        dev = None if alice_noise is None \
+            else alice_noise.sample_deviations(k, n, m, rng)
+        bob_bits = np.zeros((2, m + 1, n), dtype=np.uint8)
+        for stage in range(m + 1):
+            for p in bob.deviations_for(k, stage):
+                bob_bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)
+                bob_bits[1, stage] ^= simulator.index_to_bits(p.z_bits, n)
+        probs = simulator.statevector_distribution(circuit, tuple(bob_bits),
+                                                   dev)
+        out = qotp.postprocess(simulator.sample_bits(probs, n, rng), key)
+        sent += 2 * m + 1  # m round trips of the register, one measurement
+        if k == v0:
+            output = out
+        elif out.any():
+            return "rej", v0, output, sent + 1  # the abort message
+    return "acc", v0, output, sent
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(2, 4), v=st.integers(1, 4),
+       generic=st.booleans(), alice_gate_noise=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_session_matches_statevector_replay(n, m, v, generic,
+                                            alice_gate_noise, seed):
+    """The register walk equals the simulator's walk at BobStrategy's
+    stage-to-location rule: stage s is noise location s."""
+    rng = np.random.default_rng(seed)
+    make = (families.random_generic_circuit if generic
+            else families.random_clifford_circuit)
+    target = make(n, m, rng)
+    deviations = {}
+    for k in range(v + 1):
+        for stage in range(m + 1):
+            count = int(rng.integers(0, 4)) if rng.random() < 0.3 else 0
+            if count:
+                deviations[k, stage] = [
+                    PauliString(n, int(rng.integers(0, 2 ** n)),
+                                int(rng.integers(0, 2 ** n)))
+                    for _ in range(count)]
+    bob = BobStrategy(honest=not deviations, deviations=deviations)
+    alice = BoundedGateNoise(rate=0.3, n=n) if alice_gate_noise else None
+    session_rng = np.random.default_rng(seed + 1)
+    replay_rng = np.random.default_rng(seed + 1)
+    rep = run_session(target, v, bob, session_rng, alice_noise=alice)
+    flag, v0, output, sent = _replay(target, v, bob, replay_rng, alice)
+    assert (rep.flag, rep.v0, rep.transcript_length) == (flag, v0, sent)
+    assert rep.aborted == (flag == "rej")
+    if output is None:
+        assert rep.target_output is None
+    else:
+        assert np.array_equal(rep.target_output, output)
+    assert session_rng.bit_generator.state == replay_rng.bit_generator.state

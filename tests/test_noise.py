@@ -339,6 +339,12 @@ def test_independent_channels_reject_unknown_rate_keys():
     assert x[0, 1].all() and not x[1].any()
 
 
+def _touched(coll):
+    """Slots of a collection that carry a non-identity Pauli."""
+    return [k for k, locs in enumerate(coll.circuits)
+            if any(not p.is_identity for p in locs)]
+
+
 def test_random_adversary_touches_one_location_per_slot():
     rng = np.random.default_rng(8)
     for _ in range(50):
@@ -347,11 +353,11 @@ def test_random_adversary_touches_one_location_per_slot():
         assert abs(sum(p for _, p in adv.entries) - 1.0) < 1e-12
         touched = None
         for coll, _ in adv.entries:
-            slots = coll.touched_circuits()
+            slots = _touched(coll)
             assert touched is None or slots == touched
             touched = slots
             for k in slots:
-                assert sum(not p.is_identity for p in coll.slice_for(k)) == 1
+                assert sum(not p.is_identity for p in coll.circuits[k]) == 1
         assert 1 <= len(touched) <= 4
 
 
@@ -359,7 +365,7 @@ def test_random_adversary_min_slots():
     rng = np.random.default_rng(9)
     for _ in range(50):
         adv = noise.random_adversary(2, 2, 3, rng, min_slots=2)
-        assert all(len(coll.touched_circuits()) >= 2
+        assert all(len(_touched(coll)) >= 2
                    for coll, _ in adv.entries)
     for bad in (0, 5):
         with pytest.raises(ValueError, match="min_slots"):

@@ -7,7 +7,8 @@ import pytest
 from qaccredit import families, oracles, traps
 from qaccredit.circuit import identity_circuit
 from qaccredit.noise import (ExplicitCollectionDistribution,
-                             PauliErrorCollection, identity_collection)
+                             PauliErrorCollection, identity_collection,
+                             random_adversary)
 from qaccredit.oracles import (lemma2_exact_prob, lemma2_sweep,
                                pauli_twirl_identity_check, theorem1_empirical,
                                twirl_channel)
@@ -75,6 +76,20 @@ def test_sweep_rejects_unknown_class():
         lemma2_sweep(identity_circuit(1, 2), "three")
 
 
+def test_sampled_sweep_needs_an_rng():
+    topo = identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()])
+
+    def table_calls():
+        info = oracles._choice_flip_tables.cache_info()
+        return info.hits + info.misses
+    before = table_calls()
+    # refused before the flip table is looked up, let alone built
+    with pytest.raises(ValueError, match="needs an rng"):
+        lemma2_sweep(topo, "all")
+    assert table_calls() == before
+    assert lemma2_sweep(topo, "single")  # the exhaustive classes need none
+
+
 def test_flip_table_cap(allocates_at_most):
     assert oracles.FLIP_TABLE_CAP == 2 ** 20
     # 2n(m+1) = 64 basis errors per choice: 2^14 choices sit at the cap,
@@ -87,7 +102,7 @@ def test_flip_table_cap(allocates_at_most):
     for kind in ("single", "two", "all"):
         with allocates_at_most(2 ** 16), \
                 pytest.raises(ValueError, match="too large to build"):
-            lemma2_sweep(over, kind)
+            lemma2_sweep(over, kind, rng=np.random.default_rng(0))
 
 
 def test_report_json():
@@ -109,7 +124,7 @@ def test_twirl_identity_channels():
     rep = twirl_channel(circ, {})
     assert rep.passed
     ident_idx = rep.collections.index(
-        tuple(identity_collection(1, 1, 2).slice_for(0)))
+        identity_collection(1, 1, 2).circuits[0])
     assert rep.weights[ident_idx] > 1 - 1e-8
 
 
@@ -246,8 +261,46 @@ def test_corrupted_target_is_seen():
     assert rep.passed
 
 
+def test_acceptance_tables_match_the_pauli_path():
+    """The bits path of the credibility oracle against the PauliString
+    path, slot by slot: trap acceptance by the per-slice flip XOR and
+    corruption by propagating the whole slice through the target."""
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(12):
+        n, m = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        target = families.random_clifford_circuit(n, m, rng)
+        adv = random_adversary(n, m, 3, rng)
+        accept, corrupted, probs = oracles._acceptance_tables(target, adv)
+        assert accept.shape[:2] == corrupted.shape == (len(adv.entries), 4)
+        assert np.array_equal(probs, [p for _, p in adv.entries])
+        for e, (coll, _) in enumerate(adv.entries):
+            for k, errs in enumerate(coll.circuits):
+                assert np.array_equal(
+                    accept[e, k],
+                    oracles._collection_flips(target, errs) == 0)
+                assert corrupted[e, k] == oracles.corrupts_target(target,
+                                                                  errs)
+                seen.add(bool(corrupted[e, k]))
+    assert seen == {False, True}
+
+
 def test_theorem1_requires_v_at_least_3():
     target = families.random_clifford_circuit(2, 2, np.random.default_rng(9))
     adv = ExplicitCollectionDistribution([(identity_collection(3, 2, 2), 1.0)])
     with pytest.raises(ValueError):
-        theorem1_empirical(target, 2, adv)
+        theorem1_empirical(target, 2, adv, runs=10,
+                           rng=np.random.default_rng(0))
+
+
+def test_theorem1_rejects_adversary_of_another_shape():
+    # the tables read the adversary's bits against the target's (m+1, n)
+    target = families.random_clifford_circuit(2, 2, np.random.default_rng(9))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for circuits, n, m in ((5, 2, 2), (4, 1, 2), (4, 3, 2), (4, 2, 3)):
+        adv = ExplicitCollectionDistribution(
+            [(identity_collection(circuits, n, m), 1.0)])
+        with pytest.raises(ValueError, match="do not cover"):
+            theorem1_empirical(target, 3, adv, runs=10, rng=rng)
+    assert rng.bit_generator.state == state

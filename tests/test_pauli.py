@@ -104,7 +104,7 @@ def test_conj_against_dense_oracle():
             p = random_pauli(rng, n)
             g = int(rng.integers(0, 24))
             q = int(rng.integers(0, n))
-            u = _dense_single(n, cliffords.matrix(g), q)
+            u = _dense_single(n, cliffords.MATRICES[g], q)
             assert np.allclose(dense(pauli.conj_single(p, g, q)),
                                u @ dense(p) @ u.conj().T, atol=1e-9)
             i, j = rng.choice(n, size=2, replace=False)

@@ -125,7 +125,7 @@ def test_dress_keeps_generic_gates_generic():
         post = [PAULI[alpha_prime[j], alpha[j]] for j in (0, 1)]
         dressed, _ = dress(circ, pads)
         assert dressed.gates[0, 0] == GENERIC
-        p_pre, p_post = (cliffords.matrix(c) for c in (pre[0], post[0]))
+        p_pre, p_post = (cliffords.MATRICES[c] for c in (pre[0], post[0]))
         assert np.array_equal(dressed.matrices[0, 0],
                               p_post @ (t_gate @ p_pre))
         assert dressed.gates[1, 0] == cliffords.COMPOSE[

@@ -16,7 +16,7 @@ from qaccredit.traps import generate_trap
 
 
 def _ident_errors(n, m):
-    return identity_collection(1, n, m).slice_for(0)
+    return identity_collection(1, n, m).circuits[0]
 
 
 def _bits(errs):
@@ -149,6 +149,15 @@ def test_density_rejects_non_trace_preserving():
     circ = identity_circuit(1, 1)
     with pytest.raises(ValueError, match="trace-preserving"):
         run_density(circ, channels={1: [0.5 * np.eye(2, dtype=complex)]})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_rejects_non_finite_kraus(bad):
+    circ = identity_circuit(1, 1)
+    kraus = np.eye(2, dtype=complex)
+    kraus[0, 1] = bad
+    with pytest.raises(ValueError, match="trace-preserving"):
+        run_density(circ, channels={1: [kraus]})
 
 
 def test_density_rejects_channel_outside_locations():

@@ -47,7 +47,7 @@ def test_traps_always_output_zero_noiseless():
         assert trap.all_clifford
         dist = simulator.statevector_distribution(trap)
         assert dist[0] > 1 - 1e-10
-        errs = identity_collection(1, n, m).slice_for(0)
+        errs = identity_collection(1, n, m).circuits[0]
         assert not simulator.trap_output(trap, errs).any()
 
 
@@ -56,12 +56,10 @@ def test_trap_is_oriented_cx_sequence():
     topo = identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()])
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
         trap = generate_trap(topo, [*bits, 0])
-        state = np.full(4, 0.5, dtype=complex)
+        state = simulator.plus_state(2)
         for j, pairs in enumerate(trap.cz):
-            for i in range(2):
-                state = simulator.apply_single(state, trap.unitary(j, i), i, 2)
-            for pair in pairs:
-                state = simulator.apply_cz(state, *pair, 2)
+            state = simulator.apply_round(state, trap, j, 2)
+            state = simulator.apply_cz(state, pairs, 2)
         # cX on |++> is |++>, so the whole trap must fix |+>^n
         overlap = abs(np.vdot(np.full(4, 0.5), state))
         assert overlap > 1 - 1e-10
