@@ -10,7 +10,7 @@ Submodules:
 * :mod:`qaccredit.qotp` — quantum one-time-pad compilation
 * :mod:`qaccredit.traps` — trap-circuit generation from flat 0/1 choice rows
 * :mod:`qaccredit.noise` — Pauli-collection and bounded-gate noise models,
-  each sampling Pauli error bits and gate deviations
+  each with one sampler of (x, z) error bits per noise location
 * :mod:`qaccredit.simulator` — Pauli-frame and dense backends
 * :mod:`qaccredit.protocol` — the accreditation runner and bounds
 * :mod:`qaccredit.oracles` — brute-force lemma verifiers

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli, qotp, simulator
 from .circuit import Circuit
-from .noise import NoiseModel
+from .noise import BoundedGateNoise
 from .oracles import LemmaReport, corrupts_target, three_sigma_report
 from .pauli import PauliString
 from .protocol import epsilon_theorem1, epsilon_theorem2, plan_run
@@ -151,33 +151,37 @@ def _hand_over(channel: Transport, register: QubitRegister, sender: str,
 
 def run_session(target: Circuit, v: int, bob: BobStrategy,
                 rng: np.random.Generator,
-                alice_noise: Optional[NoiseModel] = None) -> SessionReport:
+                alice_noise: Optional[BoundedGateNoise] = None
+                ) -> SessionReport:
     """One interactive session over all v+1 circuits.
 
     Alice's preliminary work (``protocol.plan_run``: slot choice, trap
     sampling, padding) happens before any message is exchanged.
-    ``alice_noise`` optionally injects bounded gate noise into Alice's own
-    single-qubit rounds. Bob's deviations are checked against the run
-    (:meth:`BobStrategy.check_fits`), and n against the statevector limit
-    (SimLimitError), before any draw.
+    ``alice_noise`` (None or a BoundedGateNoise): Alice draws one circuit's
+    error bits from it per circuit and applies location j+1 after her band-j
+    round. Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
+    statevector limit (SimLimitError) and the noise's type are checked
+    before any draw.
     """
     n, m = target.n, target.m
     bob.check_fits(v, n, m)
     simulator.check_statevector_size(n)
+    if not isinstance(alice_noise, (BoundedGateNoise, type(None))):
+        raise ValueError("Alice's noise must be None or a BoundedGateNoise, "
+                         f"not {type(alice_noise).__name__}")
     v0, prepared = plan_run(target, v, rng)
     channel = Transport()
     target_output = None
     for k, (circuit, key) in enumerate(prepared):
-        deviations = simulator.row_masks(
-            None if alice_noise is None
-            else alice_noise.sample_deviations(k, n, m, rng), m)
+        alice = simulator.row_masks(None if alice_noise is None else [
+            b[0] for b in alice_noise.sample_error_bits(0, n, m, rng)], m + 1)
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)
         for j, pairs in enumerate(circuit.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
             reg.apply(ALICE, simulator.apply_round, circuit, j)
-            reg.apply(ALICE, simulator.apply_pauli, *deviations[j])
+            reg.apply(ALICE, simulator.apply_pauli, *alice[j + 1])
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
             for dev in bob.deviations_for(k, j + 1):
                 reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)
@@ -213,7 +217,8 @@ def _corrupts_target(target: Circuit, bob: BobStrategy, k: int) -> bool:
 
 def soundness_estimate(target: Circuit, v: int, bob: BobStrategy,
                        sessions: int, rng: np.random.Generator,
-                       alice_noise: Optional[NoiseModel] = None) -> LemmaReport:
+                       alice_noise: Optional[BoundedGateNoise] = None
+                       ) -> LemmaReport:
     """Monte Carlo frequency of {accept AND target corrupted}.
 
     Bound: kappa/(v+1), or g*kappa/(v+1) + 1 - g when Alice-side gate noise
@@ -221,6 +226,8 @@ def soundness_estimate(target: Circuit, v: int, bob: BobStrategy,
     """
     if v < 3:
         raise ValueError("v >= 3 required")
+    if sessions < 1:
+        raise ValueError(f"sessions must be >= 1, not {sessions}")
     bob.check_fits(v, target.n, target.m)
     corrupt_by_slot = [_corrupts_target(target, bob, k) for k in range(v + 1)]
     bad = 0

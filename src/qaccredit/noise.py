@@ -9,16 +9,15 @@ absorbed by preparation/measurement in the X basis).
 
 Gate noise is one rate r for every (circuit, band): with probability 1-r
 nothing happens, otherwise a single-qubit Pauli deviation fires right after
-the band's single-qubit round. A deviation that is not a Pauli needs no model
-of its own: the one-time pad twirls it into a Pauli mixture, which the twirl
-oracle checks. Models never see which circuit is the target or any pad/trap
-bits.
+the band's single-qubit round, which is noise location j+1. A deviation that
+is not a Pauli needs no model of its own: the one-time pad twirls it into a
+Pauli mixture, which the twirl oracle checks. Models never see which circuit
+is the target or any pad/trap bits.
 
-A model has one sampler per part, both in (x, z) uint8 bits (bit q is qubit
-q): ``sample_error_bits`` draws a (v+1, m+1, n) collection and
-``sample_deviations`` one circuit's gate deviations as an (m, n) pair, row j
-acting right after band j's single-qubit round, or None when none fires.
-The sampler of a part a model lacks draws nothing and returns no errors.
+A model has one sampler, ``sample_error_bits``, which draws a (v+1, m+1, n)
+collection as (x, z) uint8 bits (bit q is qubit q). A gate deviation is
+drawn as the location error it meets: band j's deviation is XORed into the
+location-(j+1) error, the same operator up to phase.
 """
 
 from __future__ import annotations
@@ -89,9 +88,16 @@ def identity_collection(num_circuits: int, n: int, m: int) -> PauliErrorCollecti
 # ---------------------------------------------------------------------------
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; TypeError unless a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, not {value!r}")
+    return float(value)
+
+
 class NoiseModel:
-    """Base: no noise. A model overrides the sampler of each part it has,
-    its Pauli errors and its gate deviations; the base versions draw nothing.
+    """Base: no noise. A model overrides the sampler; the base version
+    draws nothing.
     """
 
     def sample_error_bits(self, v: int, n: int, m: int,
@@ -99,12 +105,6 @@ class NoiseModel:
         """One collection as (x, z) uint8 arrays of shape (v+1, m+1, n)."""
         shape = (v + 1, m + 1, n)
         return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
-
-    def sample_deviations(self, k: int, n: int, m: int,
-                          rng: np.random.Generator) -> Optional[tuple]:
-        """Gate deviations of n-qubit circuit k's m single-qubit rounds as
-        (x, z) uint8 arrays of shape (m, n), or None when none fires."""
-        return None
 
     def g_factor(self, v: int, m: int) -> float:
         """Product over all (v+1)*m single-qubit rounds of (1 - r_max)."""
@@ -124,13 +124,13 @@ class ExplicitCollectionDistribution(NoiseModel):
     """
 
     def __init__(self, entries: Sequence):
-        self.entries = [(c, float(p)) for c, p in entries]
+        self.entries = [(c, _real(p, "probability")) for c, p in entries]
         if not self.entries:
             raise ValueError("distribution needs at least one entry")
         probs = np.array([p for _, p in self.entries])
-        if (probs < 0).any():
+        if not (probs >= 0).all():
             raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > PROB_ATOL:
+        if not abs(probs.sum() - 1.0) <= PROB_ATOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self.probs = probs
         self.bits = [c.to_bits() for c, _ in self.entries]
@@ -153,14 +153,18 @@ class IndependentLocationChannels(NoiseModel):
     """Per-location single-qubit Pauli rates, i.i.d. across circuits/qubits.
 
     ``rates[(k, loc)]`` (or the default rate) maps each of the letters X/Y/Z
-    to a firing probability per qubit; X/Y rates are forced to 0 at the end
-    locations so the Z-only constraint holds by construction. Any other key
-    is rejected, so a misspelt letter cannot silently mean rate 0. For the
-    same reason sampling raises when a location (k, loc) lies outside the
-    v+1 circuits and m+1 locations being sampled.
+    to a firing probability per qubit, a real number; X/Y rates are forced
+    to 0 at the end locations so the Z-only constraint holds by
+    construction. Any other key is rejected, so a misspelt letter cannot
+    silently mean rate 0. For the same reason sampling raises when a
+    location (k, loc) lies outside the v+1 circuits and m+1 locations being
+    sampled.
     """
 
     def __init__(self, default_rates=None, rates=None):
+        if not isinstance(default_rates, (dict, type(None))):
+            raise TypeError("default rates must map X, Y, Z to rates, "
+                            f"not {default_rates!r}")
         self.default_rates = dict(default_rates or {})
         self.rates = {k: dict(v) for k, v in (rates or {}).items()}
         for key in self.rates:
@@ -173,7 +177,7 @@ class IndependentLocationChannels(NoiseModel):
             if unknown:
                 raise ValueError(f"unknown Pauli rate keys {sorted(unknown)}; "
                                  "expected X, Y, Z")
-            xyz = [float(r.get(p, 0.0)) for p in "XYZ"]
+            xyz = [_real(r.get(p, 0.0), f"rate {p}") for p in "XYZ"]
             if not all(x >= 0.0 for x in xyz) or sum(xyz) > 1.0 + PROB_ATOL:
                 raise ValueError("Pauli rates must be nonnegative with "
                                  "X + Y + Z <= 1")
@@ -265,21 +269,25 @@ class BoundedGateNoise(NoiseModel):
     def g_factor(self, v, m):
         return math.prod([1.0 - self.rate] * ((v + 1) * m))
 
-    def sample_deviations(self, k, n, m, rng):
+    def sample_error_bits(self, v, n, m, rng):
+        """Circuit by circuit and band by band: the firing uniform, then the
+        qubit, then the letter; band j's deviation sits at location j+1."""
         if n != self.n:
             raise ValueError(f"gate noise built for n={self.n} qubits "
                              f"cannot act on a circuit of n={n} qubits")
-        deviations = np.zeros((2, m, n), dtype=np.uint8)
-        for j in range(m):
-            if rng.random() < self.rate:
-                q = int(rng.integers(0, n))
-                deviations[:, j, q] = [(1, 0), (1, 1), (0, 1)][
-                    int(rng.integers(0, 3))]
-        return tuple(deviations) if deviations.any() else None
+        bits = np.zeros((2, v + 1, m + 1, n), dtype=np.uint8)
+        for k in range(v + 1):
+            for j in range(m):
+                if rng.random() < self.rate:
+                    q = int(rng.integers(0, n))
+                    bits[:, k, j + 1, q] = [(1, 0), (1, 1), (0, 1)][
+                        int(rng.integers(0, 3))]
+        return bits[0], bits[1]
 
 
 class CompositeModel(NoiseModel):
-    """Pauli part + gate part combined; a missing part is noiseless."""
+    """Any two models at once: their error bits XORed (Pauli part drawn
+    first) and their g factors multiplied; a missing part is noiseless."""
 
     def __init__(self, pauli_part: Optional[NoiseModel] = None,
                  gate_part: Optional[NoiseModel] = None):
@@ -287,13 +295,12 @@ class CompositeModel(NoiseModel):
         self.gate_part = gate_part if gate_part is not None else NoiseModel()
 
     def sample_error_bits(self, v, n, m, rng):
-        return self.pauli_part.sample_error_bits(v, n, m, rng)
-
-    def sample_deviations(self, k, n, m, rng):
-        return self.gate_part.sample_deviations(k, n, m, rng)
+        px, pz = self.pauli_part.sample_error_bits(v, n, m, rng)
+        gx, gz = self.gate_part.sample_error_bits(v, n, m, rng)
+        return px ^ gx, pz ^ gz
 
     def g_factor(self, v, m):
-        return self.gate_part.g_factor(v, m)
+        return self.pauli_part.g_factor(v, m) * self.gate_part.g_factor(v, m)
 
 
 # ---------------------------------------------------------------------------

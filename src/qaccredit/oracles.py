@@ -378,6 +378,8 @@ def three_sigma_report(instance: str, freq: float, bound: float, runs: int,
     sigma is the binomial standard error at the bound, floored at
     1/(2 runs) so that a bound of 0 or 1 still gets sampling slack.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, not {runs}")
     sigma = float(np.sqrt(max(bound * (1 - bound), 0.25 / runs) / runs))
     return LemmaReport(
         instance=instance, probability=freq, bound=bound,
@@ -415,6 +417,8 @@ def theorem1_empirical(target: Circuit, v: int,
     """
     if v < 3:
         raise ValueError("v >= 3 required")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, not {runs}")
     if not target.all_clifford:
         raise ValueError("empirical credibility check needs a Clifford target")
     shape, want = adversary.bits[0][0].shape, (v + 1, target.m + 1, target.n)

@@ -13,7 +13,7 @@ or g * kappa / (v + 1) + 1 - g when single-qubit rounds additionally suffer
 diamond-norm-bounded deviations with survival factor g.
 
 :func:`accredit` runs the protocol without the pads, which change nothing
-observable under Pauli errors and Pauli gate deviations (Lemma 1);
+observable under Pauli errors, gate deviations included (Lemma 1);
 :func:`single_run` is the padded run it is checked against.
 """
 
@@ -180,19 +180,16 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     """One padded protocol run, the reference that :func:`accredit` matches.
 
     Hides the target among v traps and pads every circuit
-    (:func:`plan_run`), draws the Pauli error bits, then per slot the gate
-    deviations and one dense statevector sample of the dressed circuit,
-    post-processed with its key. The run accepts iff every trap outputs
-    all zeros.
+    (:func:`plan_run`), draws the error bits, then per slot one dense
+    statevector sample of the dressed circuit, post-processed with its key.
+    The run accepts iff every trap outputs all zeros.
     """
     v0, plan = plan_run(target, v, rng)
-    n, m = target.n, target.m
-    err_x, err_z = noise.sample_error_bits(v, n, m, rng)
+    err_x, err_z = noise.sample_error_bits(v, target.n, target.m, rng)
     outputs = []
     for k, (circuit, key) in enumerate(plan):
-        raw = simulator.run_statevector(
-            circuit, (err_x[k], err_z[k]),
-            noise.sample_deviations(k, n, m, rng), rng=rng)
+        raw = simulator.run_statevector(circuit, (err_x[k], err_z[k]),
+                                        rng=rng)
         outputs.append(qotp.postprocess(raw, key))
     trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"
@@ -214,13 +211,13 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
 
     By Lemma 1 the one-time pad changes neither a trap's flip mask nor the
     target's post-processed output distribution under Pauli errors, and
-    every gate deviation is a Pauli folded into the error bits, so no
+    every gate deviation is a Pauli drawn into the error bits, so no
     circuit is padded: the traps of a block of runs move through one
     batched Pauli frame, and each accepted run samples the bare target.
     Run r draws from ``run_rng(master_seed, r)``, in order: v0, the flat
     choice bits of its v traps (slot order), the error bits of its v+1
-    slots, the gate deviations of slots 0..v and, only if every trap
-    outputs zeros, the uniform that picks its target sample
+    slots (one ``sample_error_bits`` call) and, only if every trap outputs
+    zeros, the uniform that picks its target sample
     (:func:`simulator.sample_bits`'s rule).
     """
     _check_plan(target, config.v)
@@ -259,13 +256,6 @@ def _pad_free_block(config: ProtocolConfig, target: Circuit,
         v0[i] = rng.integers(0, v + 1)
         choice[i] = rng.integers(0, 2, size=(v, width), dtype=np.uint8)
         err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
-        for k in range(v + 1):
-            deviations = noise.sample_deviations(k, n, m, rng)
-            if deviations is not None:
-                # band j's deviation acts right before the location-(j+1)
-                # error (location m after the last band, which has no cZ)
-                err_x[i, k, 1:] ^= deviations[0]
-                err_z[i, k, 1:] ^= deviations[1]
         rngs.append(rng)
     # run i's t-th trap sits at the t-th slot other than v0[i]
     slots = np.arange(v) + (np.arange(v) >= v0[:, None])

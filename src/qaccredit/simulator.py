@@ -168,21 +168,17 @@ def row_masks(bits: Optional[Sequence], rows: int) -> list:
     return [(bits_to_index(x), bits_to_index(z)) for x, z in zip(*bits)]
 
 
-def _evolve_state(circuit: Circuit,
-                  errors: Optional[Sequence],
-                  deviations: Optional[Sequence],
+def _evolve_state(circuit: Circuit, errors: Optional[Sequence],
                   operators: Optional[dict] = None) -> np.ndarray:
-    """|+>^n through the circuit with Pauli errors and gate deviations.
+    """|+>^n through the circuit with one Pauli error per location.
 
     ``errors`` is an (x, z) pair of (m+1, n) bit arrays, row j the
-    location-j error. ``deviations`` is an (x, z) pair of (m, n) bit arrays,
-    row j applied after band j's single-qubit round and before the
-    location-(j+1) error. Either may be None for no noise. ``operators``
-    maps a location to one 2^n x 2^n matrix applied after its error.
+    location-j error, or None for no noise; a gate deviation is the error
+    at the location after its round. ``operators`` maps a location to one
+    2^n x 2^n matrix applied after its error.
     """
     n, m = circuit.n, circuit.m
     err = row_masks(errors, m + 1)
-    dev = row_masks(deviations, m)
     operators = operators or {}
 
     def at_location(state, loc):
@@ -191,8 +187,7 @@ def _evolve_state(circuit: Circuit,
 
     state = at_location(plus_state(n), 0)
     for j, pairs in enumerate(circuit.cz):
-        state = apply_round(state, circuit, j, n)
-        state = at_location(apply_pauli(state, *dev[j], n), j + 1)
+        state = at_location(apply_round(state, circuit, j, n), j + 1)
         state = apply_cz(state, pairs, n)
     return state
 
@@ -238,22 +233,17 @@ def check_statevector_size(n: int):
 
 
 def statevector_distribution(circuit: Circuit,
-                             errors: Optional[Sequence] = None,
-                             deviations: Optional[Sequence] = None
-                             ) -> np.ndarray:
+                             errors: Optional[Sequence] = None) -> np.ndarray:
     """Exact X-measurement outcome distribution (index bit q = qubit q)
-    under the (x, z) bit pairs that :func:`_evolve_state` reads."""
+    under the (x, z) error bits that :func:`_evolve_state` reads."""
     check_statevector_size(circuit.n)
-    return x_distribution(_evolve_state(circuit, errors, deviations),
-                          circuit.n)
+    return x_distribution(_evolve_state(circuit, errors), circuit.n)
 
 
-def run_statevector(circuit: Circuit,
-                    errors: Optional[Sequence] = None,
-                    deviations: Optional[Sequence] = None, *,
+def run_statevector(circuit: Circuit, errors: Optional[Sequence] = None, *,
                     rng: np.random.Generator) -> np.ndarray:
     """One X-measurement sample as an n-bit array."""
-    probs = statevector_distribution(circuit, errors, deviations)
+    probs = statevector_distribution(circuit, errors)
     return sample_bits(probs, circuit.n, rng)
 
 
@@ -286,7 +276,7 @@ def run_density(circuit: Circuit,
     probs = np.zeros(2 ** n)
     for path in itertools.product(*channels.values()):
         operators = dict(zip(channels, path))
-        probs += _x_weights(_evolve_state(circuit, None, None, operators), n)
+        probs += _x_weights(_evolve_state(circuit, None, operators), n)
     if abs(probs.sum() - 1.0) > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")
     return probs / probs.sum()

@@ -116,6 +116,28 @@ def test_accredit_gate_noise_needs_theorem2(runner, ghz_file, tmp_path):
                                                                  abs=1e-4)
 
 
+def test_gate_model_reads_the_same_in_every_composite_slot(runner, ghz_file,
+                                                           tmp_path):
+    # a composite multiplies its parts' errors, whichever slot holds which
+    gate = '{"variant": "bounded_gate", "rate": 0.1, "n": 3}'
+    docs = ['{"variant": "composite", "pauli": %s}' % gate,
+            '{"variant": "composite", "gate": %s}' % gate, gate]
+    reports = []
+    for i, doc in enumerate(docs):
+        noise_path = tmp_path / f"noise{i}.json"
+        noise_path.write_text(doc)
+        args = ["accredit", "--circuit", ghz_file, "--v", "3", "--d", "200",
+                "--theta", "0.05", "--noise", str(noise_path), "--seed", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--epsilon-mode theorem2" in result.stderr
+        result = runner.invoke(main, args + ["--epsilon-mode", "theorem2"])
+        assert result.exit_code == 0, result.output
+        reports.append(result.stdout)
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["n_acc"] < 200
+
+
 def test_accredit_seed_reproducible(runner, ghz_file):
     args = ["accredit", "--circuit", ghz_file, "--v", "3", "--d", "5",
             "--theta", "0.1", "--seed", "42"]
@@ -196,6 +218,9 @@ def test_accredit_notes_unavailable_bound(runner, tmp_path):
 
 _RATE_MAP = '{"variant": "bounded_gate", "rate": {"0,0": 0.5}, "n": 3}'
 _MALFORMED = "malformed noise model document"
+_ENTRY = '{"variant": "explicit", "entries": [{"prob": %s, "collection": ' \
+    '[["I", "I", "I"], ["I", "I", "I"], ["I", "I", "I"], ["I", "I", "I"]]}]}'
+_DEFAULT = '{"variant": "independent", "default_rates": %s}'
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -221,10 +246,20 @@ _MALFORMED = "malformed noise model document"
      f"{_MALFORMED}: missing key 'collection'"),
     ('{"variant": "independent", "rates": [{"k": 0, "Z": 1.0}]}',
      f"{_MALFORMED}: missing key 'loc'"),
+    (_ENTRY % "true", f"{_MALFORMED}: probability must be a real number"),
+    (_ENTRY % '"1"', f"{_MALFORMED}: probability must be a real number"),
+    (_DEFAULT % '{"X": true}', f"{_MALFORMED}: rate X must be a real number"),
+    (_DEFAULT % '{"X": "0.1"}',
+     f"{_MALFORMED}: rate X must be a real number"),
+    ('{"variant": "independent", "rates": [{"k": 0, "loc": 1, "Z": false}]}',
+     f"{_MALFORMED}: rate Z must be a real number"),
+    (_DEFAULT % '[["X", 0.1]]', f"{_MALFORMED}: default rates must map"),
 ], ids=["rate-map", "composite-rate-map", "rate-null", "rate-list",
         "default-rates-int", "default-rate-null", "entries-int",
         "collection-int", "collection-ints", "n-string", "location-bools",
-        "missing-rate", "missing-collection", "missing-loc"])
+        "missing-rate", "missing-collection", "missing-loc", "prob-bool",
+        "prob-string", "default-rate-bool", "default-rate-string",
+        "location-rate-bool", "default-rates-pairs"])
 def test_accredit_rejects_malformed_noise_documents(runner, ghz_file,
                                                     tmp_path, doc, message):
     noise_path = tmp_path / "noise.json"

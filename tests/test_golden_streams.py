@@ -23,7 +23,7 @@ GOLDEN = {
     "accredit":
         "b1c50d5a5db62ef8021895d512178e85a6710dff194f4c5b75a090b6f2a628eb",
     "single_run":
-        "490c00ad4c7ba330ad37ae9b9c87771f573107156c75f6b8131ab671e22dbb5b",
+        "6750d171e2917df953c7d6d445e7629b6ee4e5024395468286c72ab998a8fbd7",
     "run_session":
         "40eff3ba689e20d7fc3d8e96e53db17766947b061028e8522261056deb2803a1",
     "oracles":

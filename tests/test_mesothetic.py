@@ -10,7 +10,8 @@ from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import (ALICE, BOB, BobStrategy, OwnershipError,
                                   ProtocolViolation, QubitRegister, Transport,
                                   Message, run_session, soundness_estimate)
-from qaccredit.noise import BoundedGateNoise
+from qaccredit.noise import (BoundedGateNoise, CompositeModel,
+                             IndependentLocationChannels, noiseless)
 from qaccredit.pauli import PauliString
 from qaccredit.protocol import DomainError, plan_run
 from qaccredit.simulator import SimLimitError
@@ -127,6 +128,36 @@ def test_soundness_estimate_with_alice_noise_bound():
     assert rep.passed
 
 
+def test_alice_noise_other_than_gate_noise_is_rejected_before_any_draw():
+    target = families.ghz_circuit(2)
+    bob = BobStrategy(honest=True)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for model in (IndependentLocationChannels(default_rates={"Z": 0.5}),
+                  CompositeModel(gate_part=BoundedGateNoise(rate=0.1, n=2)),
+                  noiseless()):
+        with pytest.raises(ValueError, match="BoundedGateNoise"):
+            run_session(target, 3, bob, rng, alice_noise=model)
+        with pytest.raises(ValueError, match="BoundedGateNoise"):
+            soundness_estimate(target, 3, bob, 10, rng, alice_noise=model)
+    assert rng.bit_generator.state == state
+
+
+def test_soundness_estimate_needs_a_session(monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr(mesothetic, "run_session", no_session)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for sessions in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"sessions must be >= 1, not {sessions}"):
+            soundness_estimate(families.ghz_circuit(2), 3,
+                               BobStrategy(honest=True), sessions, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_session_rejects_no_traps():
     with pytest.raises(ValueError, match="v must be >= 1"):
         run_session(families.ghz_circuit(2), 0, BobStrategy(honest=True),
@@ -164,22 +195,22 @@ def test_session_deterministic():
 
 def _replay(target, v, bob, rng, alice_noise):
     """A session's outcome without the register: each slot sampled from its
-    statevector distribution, with Bob's stage-s Paulis XORed into the
-    location-s error and Alice's deviations as the walk's deviations.
+    statevector distribution, with Bob's stage-s Paulis and Alice's
+    location-s gate-noise bits XORed into the location-s error.
     Returns (flag, v0, target output, transcript length)."""
     n, m = target.n, target.m
     v0, prepared = plan_run(target, v, rng)
     output, sent = None, 0
     for k, (circuit, key) in enumerate(prepared):
-        dev = None if alice_noise is None \
-            else alice_noise.sample_deviations(k, n, m, rng)
-        bob_bits = np.zeros((2, m + 1, n), dtype=np.uint8)
+        bits = np.zeros((2, m + 1, n), dtype=np.uint8)
+        if alice_noise is not None:
+            # one circuit's error bits, drawn as Alice starts the circuit
+            bits ^= np.array(alice_noise.sample_error_bits(0, n, m, rng))[:, 0]
         for stage in range(m + 1):
             for p in bob.deviations_for(k, stage):
-                bob_bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)
-                bob_bits[1, stage] ^= simulator.index_to_bits(p.z_bits, n)
-        probs = simulator.statevector_distribution(circuit, tuple(bob_bits),
-                                                   dev)
+                bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)
+                bits[1, stage] ^= simulator.index_to_bits(p.z_bits, n)
+        probs = simulator.statevector_distribution(circuit, tuple(bits))
         out = qotp.postprocess(simulator.sample_bits(probs, n, rng), key)
         sent += 2 * m + 1  # m round trips of the register, one measurement
         if k == v0:

@@ -57,7 +57,6 @@ def test_noiseless_model():
     model = noiseless()
     x, z = model.sample_error_bits(3, 2, 2, np.random.default_rng(0))
     assert x.shape == z.shape == (4, 3, 2) and not x.any() and not z.any()
-    assert model.sample_deviations(0, 2, 2, np.random.default_rng(0)) is None
 
 
 def test_explicit_distribution_frequencies():
@@ -99,17 +98,18 @@ def test_independent_channels_respect_z_only_ends():
 
 
 def test_gate_deviation_rates():
+    # one circuit of one band: one round that may fire
     rng = np.random.default_rng(4)
     zero = BoundedGateNoise(rate=0.0, n=2)
-    assert all(zero.sample_deviations(0, 2, 1, rng) is None
-               for _ in range(100))
+    assert not any(np.any(zero.sample_error_bits(0, 2, 1, rng))
+                   for _ in range(100))
     hot = BoundedGateNoise(rate=1 - 1e-9, n=2)
-    fired = sum(hot.sample_deviations(0, 2, 1, rng) is not None
+    fired = sum(np.any(hot.sample_error_bits(0, 2, 1, rng))
                 for _ in range(10 ** 4))
     assert fired >= 9990
-    a = BoundedGateNoise(rate=0.5, n=2).sample_deviations(
+    a = BoundedGateNoise(rate=0.5, n=2).sample_error_bits(
         0, 2, 8, np.random.default_rng(9))
-    b = BoundedGateNoise(rate=0.5, n=2).sample_deviations(
+    b = BoundedGateNoise(rate=0.5, n=2).sample_error_bits(
         0, 2, 8, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
@@ -119,10 +119,14 @@ def test_gate_deviation_is_nonidentity_pauli():
     rng = np.random.default_rng(5)
     letters = set()
     for _ in range(100):
-        x, z = model.sample_deviations(0, 3, 1, rng)
-        assert x.shape == z.shape == (1, 3) and x.dtype == z.dtype == np.uint8
-        (q,) = np.flatnonzero(x[0] | z[0])  # one qubit
-        letters.add({(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[x[0, q], z[0, q]])
+        x, z = model.sample_error_bits(0, 3, 1, rng)
+        assert x.shape == z.shape == (1, 2, 3)
+        assert x.dtype == z.dtype == np.uint8
+        # nothing at location 0; the band-0 deviation at location 1
+        assert not x[0, 0].any() and not z[0, 0].any()
+        (q,) = np.flatnonzero(x[0, 1] | z[0, 1])  # one qubit
+        letters.add({(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[x[0, 1, q],
+                                                            z[0, 1, q]])
     assert letters == {"X", "Y", "Z"}
 
 
@@ -169,60 +173,73 @@ def test_independent_channels_reject_locations_outside_the_run():
                         '[{"k": 0, "loc": -1, "Z": 1.0}]}')
 
 
-def test_sample_deviations_draws_band_by_band():
+def test_gate_noise_draws_band_by_band_at_the_next_location():
     model = BoundedGateNoise(rate=0.5, n=3)
-    devs = model.sample_deviations(2, 3, 4, np.random.default_rng(12))
-    # per band: the firing uniform, then the qubit and the letter
+    bits = model.sample_error_bits(2, 3, 4, np.random.default_rng(12))
+    # circuit by circuit and band by band: the firing uniform, then the
+    # qubit and the letter; band j's deviation sits at location j+1
     rng = np.random.default_rng(12)
-    expected = np.zeros((2, 4, 3), dtype=np.uint8)
-    for j in range(4):
-        if rng.random() < 0.5:
-            q = int(rng.integers(0, 3))
-            x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
-            expected[:, j, q] = x, z
-    assert expected.any() and np.array_equal(devs, expected)
-    assert noiseless().sample_deviations(0, 3, 4, np.random.default_rng(0)) \
-        is None
+    expected = np.zeros((2, 3, 5, 3), dtype=np.uint8)
+    for k in range(3):
+        for j in range(4):
+            if rng.random() < 0.5:
+                q = int(rng.integers(0, 3))
+                x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
+                expected[:, k, j + 1, q] = x, z
+    assert expected[:, :, 4].any() and not expected[:, :, 0].any()
+    assert np.array_equal(bits, expected)
 
 
 def test_gate_noise_rejects_another_qubit_count():
     model = BoundedGateNoise(rate=0.5, n=6)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="n=6 .* n=2"):
-        model.sample_deviations(0, 2, 2, rng)
-    # raised before any draw
-    assert rng.bit_generator.state == state
-    with pytest.raises(ValueError, match="n=6 .* n=2"):
-        CompositeModel(gate_part=model).sample_deviations(0, 2, 2, rng)
+    for sampler in (model, CompositeModel(gate_part=model),
+                    CompositeModel(pauli_part=model)):
+        with pytest.raises(ValueError, match="n=6 .* n=2"):
+            sampler.sample_error_bits(3, 2, 2, rng)
+        # raised before any draw
+        assert rng.bit_generator.state == state
 
 
 def test_composite_model():
+    pauli_part = IndependentLocationChannels(default_rates={"X": 0.1,
+                                                            "Z": 0.2})
     gate = BoundedGateNoise(rate=0.2, n=2)
-    model = CompositeModel(pauli_part=noiseless(), gate_part=gate)
-    rng = np.random.default_rng(6)
-    x, z = model.sample_error_bits(3, 2, 2, rng)
-    assert not x.any() and not z.any()
+    model = CompositeModel(pauli_part=pauli_part, gate_part=gate)
+    x, z = model.sample_error_bits(3, 2, 9, np.random.default_rng(7))
+    # the XOR of the parts' bits, drawn from one generator, Pauli part first
+    rng = np.random.default_rng(7)
+    px, pz = pauli_part.sample_error_bits(3, 2, 9, rng)
+    gx, gz = gate.sample_error_bits(3, 2, 9, rng)
+    assert px.any() and gx.any()
+    assert np.array_equal(x, px ^ gx) and np.array_equal(z, pz ^ gz)
+    # g is the product of the parts' g factors, whichever slot holds a part
     assert model.g_factor(3, 2) == gate.g_factor(3, 2)
     assert abs(model.g_factor(3, 2) - 0.8 ** 8) < 1e-15
-    assert np.array_equal(
-        model.sample_deviations(1, 2, 9, np.random.default_rng(7)),
-        gate.sample_deviations(1, 2, 9, np.random.default_rng(7)))
+    both = CompositeModel(pauli_part=BoundedGateNoise(rate=0.5, n=2),
+                          gate_part=gate)
+    assert both.g_factor(3, 2) == 0.5 ** 8 * gate.g_factor(3, 2)
+    assert CompositeModel(pauli_part=gate).g_factor(3, 2) \
+        == gate.g_factor(3, 2)
 
 
-def test_pauli_part_missing():
-    # a part a model lacks draws nothing and returns no errors
+def test_models_without_gate_noise():
+    # no noise draws nothing; no gate noise means g = 1
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for model in (BoundedGateNoise(rate=0.1, n=1),
-                  CompositeModel(gate_part=BoundedGateNoise(rate=0.1, n=1))):
+    for model in (noiseless(), CompositeModel(),
+                  CompositeModel(pauli_part=noiseless())):
         x, z = model.sample_error_bits(3, 1, 1, rng)
         assert x.shape == z.shape == (4, 2, 1) and not x.any() and not z.any()
-    for model in (IndependentLocationChannels(default_rates={"Z": 0.5}),
-                  CompositeModel(pauli_part=noiseless())):
-        assert model.sample_deviations(0, 1, 3, rng) is None
-        assert model.g_factor(3, 2) == 1.0
     assert rng.bit_generator.state == state
+    for model in (noiseless(),
+                  IndependentLocationChannels(default_rates={"Z": 0.5}),
+                  ExplicitCollectionDistribution(
+                      [(identity_collection(4, 1, 2), 1.0)]),
+                  CompositeModel(pauli_part=IndependentLocationChannels()),
+                  BoundedGateNoise(rate=0.0, n=1)):
+        assert model.g_factor(3, 2) == 1.0
 
 
 def test_model_json_variants():
@@ -290,11 +307,16 @@ def test_error_bits_agree_with_collections():
         model.sample_error_bits(2, 1, 2, np.random.default_rng(0))
     x, z = noiseless().sample_error_bits(3, 2, 4, np.random.default_rng(0))
     assert x.shape == z.shape == (4, 5, 2) and not x.any() and not z.any()
-    composite = CompositeModel(pauli_part=model,
-                               gate_part=BoundedGateNoise(rate=0.1, n=1))
-    assert np.array_equal(
-        composite.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1],
-        model.sample_error_bits(1, 1, 2, np.random.default_rng(0))[1])
+    # a composite multiplies into new arrays, never into the read-only ones
+    gate = BoundedGateNoise(rate=1 - 1e-12, n=1)
+    composite = CompositeModel(pauli_part=model, gate_part=gate)
+    cx, cz = composite.sample_error_bits(1, 1, 2, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    x, z = model.sample_error_bits(1, 1, 2, rng)
+    gx, gz = gate.sample_error_bits(1, 1, 2, rng)
+    assert gx.any() or gz.any()
+    assert np.array_equal(cx, x ^ gx) and np.array_equal(cz, z ^ gz)
+    assert np.array_equal((x, z), coll.to_bits())
 
 
 @pytest.mark.parametrize("n", [1, 8, 63, 64, 100])
@@ -318,6 +340,29 @@ def test_to_bits_matches_per_string_reference(n):
     # high qubits are reached: some bit above 62 is set at n >= 64
     if n >= 64:
         assert z[..., 63:].any()
+
+
+def test_rates_and_probabilities_must_be_real_numbers():
+    coll = identity_collection(4, 1, 2)
+    for bad in (True, "1", None):
+        with pytest.raises(TypeError, match="probability must be a real"):
+            ExplicitCollectionDistribution([(coll, bad)])
+        with pytest.raises(TypeError, match="rate X must be a real"):
+            IndependentLocationChannels(default_rates={"X": bad})
+        with pytest.raises(TypeError, match="rate Z must be a real"):
+            IndependentLocationChannels(rates={(0, 1): {"Z": bad}})
+    with pytest.raises(TypeError, match="must map X, Y, Z"):
+        IndependentLocationChannels(default_rates=[("X", 0.1)])
+    # NaN is a real number but no probability
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExplicitCollectionDistribution([(coll, float("nan")), (coll, 1.0)])
+    # numpy numbers are real numbers
+    model = ExplicitCollectionDistribution([(coll, np.float32(1.0))])
+    assert model.probs.tolist() == [1.0]
+    model = IndependentLocationChannels(
+        default_rates={"Z": np.float64(1.0)}, rates={(0, 1): {"X": np.int64(1)}})
+    x, z = model.sample_error_bits(3, 1, 2, np.random.default_rng(0))
+    assert z[:, [0, 2]].all() and x[0, 1].all() and not z[0, 1].any()
 
 
 def test_independent_channels_reject_unknown_rate_keys():

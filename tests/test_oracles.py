@@ -304,3 +304,21 @@ def test_theorem1_rejects_adversary_of_another_shape():
         with pytest.raises(ValueError, match="do not cover"):
             theorem1_empirical(target, 3, adv, runs=10, rng=rng)
     assert rng.bit_generator.state == state
+
+
+def test_monte_carlo_counts_below_one_are_rejected(monkeypatch):
+    target = families.random_clifford_circuit(2, 2, np.random.default_rng(9))
+    adv = ExplicitCollectionDistribution([(identity_collection(4, 2, 2), 1.0)])
+
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(oracles, "_acceptance_tables", no_tables)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for runs in (0, -5):
+        with pytest.raises(ValueError, match=f"runs must be >= 1, not {runs}"):
+            theorem1_empirical(target, 3, adv, runs=runs, rng=rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="runs must be >= 1, not 0"):
+        oracles.three_sigma_report("no runs", 0.0, 0.5, runs=0)

@@ -312,13 +312,7 @@ def test_accredit_checks_target_size_before_running(allocates_at_most):
         protocol.accredit(cfg, target)
 
 
-def _fold(err_x, err_z, dev_x, dev_z):
-    """The engine's rule: band j's deviation joins the location-(j+1) error."""
-    err_x[1:] ^= dev_x
-    err_z[1:] ^= dev_z
-
-
-def test_pauli_deviations_fold_into_trap_frame():
+def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
     rng = np.random.default_rng(17)
     for _ in range(150):
         n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -329,48 +323,37 @@ def test_pauli_deviations_fold_into_trap_frame():
         err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
         err_x[[0, m]] = 0
         err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
-        errors = err_x.copy(), err_z.copy()
         # single-qubit deviations as the model draws them, times one
-        # arbitrary Pauli in a random band
-        dev_x, dev_z = BoundedGateNoise(rate=0.5, n=n).sample_deviations(
-            0, n, m, rng) or np.zeros((2, m, n), dtype=np.uint8)
-        j = int(rng.integers(0, m))
-        dev_x[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
-        dev_z[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
-        _fold(err_x, err_z, dev_x, dev_z)
+        # arbitrary Pauli at a random location after a round
+        gate_x, gate_z = BoundedGateNoise(rate=0.5, n=n).sample_error_bits(
+            0, n, m, rng)
+        err_x ^= gate_x[0]
+        err_z ^= gate_z[0]
+        j = int(rng.integers(1, m + 1))
+        err_x[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
+        err_z[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
         frame = simulator.frame_flips(topo, gates, err_x[None], err_z[None])
         dense = qotp.postprocess(simulator.run_statevector(
-            dressed, errors, (dev_x, dev_z), rng=rng), key)
+            dressed, (err_x, err_z), rng=rng), key)
         assert np.array_equal(frame[0], dense)
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), m=st.integers(2, 4), generic=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_pad_invariance_under_folded_deviations(n, m, generic, seed):
-    # Lemma 1 with gate deviations: padding changes nothing observable, so
-    # the pad-free engine may run the bare target under the folded slice
+def test_pad_invariance_under_paulis_at_every_location(n, m, generic, seed):
+    # Lemma 1: padding changes nothing observable under any Pauli at any
+    # location, gate deviations included, so the pad-free engine may run
+    # the bare target under the same error bits
     rng = np.random.default_rng(seed)
     make = (families.random_generic_circuit if generic
             else families.random_clifford_circuit)
     target = make(n, m, rng)
     dressed, key = qotp.dress(target, qotp.sample_pads(n, m, rng))
-    err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
-    err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
-    errors = err_x.copy(), err_z.copy()
-    # zero to two arbitrary Paulis per band, multiplied together
-    def row():
-        return simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
-
-    dev_x, dev_z = np.zeros((2, m, n), dtype=np.uint8)
-    for j in range(m):
-        for _ in range(int(rng.integers(0, 3))):
-            dev_x[j] ^= row()
-            dev_z[j] ^= row()
-    padded = simulator.statevector_distribution(dressed, errors,
-                                                (dev_x, dev_z))
-    _fold(err_x, err_z, dev_x, dev_z)
-    bare = simulator.statevector_distribution(target, (err_x, err_z))
+    errors = (rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8),
+              rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8))
+    padded = simulator.statevector_distribution(dressed, errors)
+    bare = simulator.statevector_distribution(target, errors)
     # post-processing XORs every outcome with the key
     key = simulator.bits_to_index(key)
     assert np.abs(padded[np.arange(2 ** n) ^ key] - bare).max() <= 1e-12
