@@ -190,7 +190,7 @@ def _twirl_report(circ, channels):
     return oracles.LemmaReport(
         instance=f"twirl n={circ.n} m={circ.m}",
         probability=rep.residual, bound=oracles.TWIRL_RESIDUAL_TOL,
-        passed=rep.passed, samples=len(rep.collections))
+        passed=rep.passed, samples=len(rep.weights))
 
 
 @main.command("mesothetic")

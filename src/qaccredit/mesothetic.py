@@ -160,8 +160,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     ``alice_noise`` (None or a BoundedGateNoise): Alice draws one circuit's
     error bits from it per circuit and applies location j+1 after her band-j
     round. Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
-    statevector limit (SimLimitError) and the noise's type are checked
-    before any draw.
+    statevector limit (SimLimitError) and the noise's type and qubit count
+    are checked before any draw.
     """
     n, m = target.n, target.m
     bob.check_fits(v, n, m)
@@ -169,6 +169,9 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     if not isinstance(alice_noise, (BoundedGateNoise, type(None))):
         raise ValueError("Alice's noise must be None or a BoundedGateNoise, "
                          f"not {type(alice_noise).__name__}")
+    if alice_noise is not None and alice_noise.n != n:
+        raise ValueError(f"Alice's gate noise built for n={alice_noise.n} "
+                         f"qubits cannot act on a target of n={n} qubits")
     v0, prepared = plan_run(target, v, rng)
     channel = Transport()
     target_output = None

@@ -2,10 +2,11 @@
 single-qubit-gate deviations.
 
 A PauliErrorCollection assigns one Pauli per noise location per circuit:
-location 0 sits right after state preparation, location j in [1, m-1] right
-before the band-j cZ round, and location m right before measurement. The
-end locations are restricted to {I, Z}-only strings (X-type noise there is
-absorbed by preparation/measurement in the X basis).
+location 0 sits right after state preparation, location j+1 for j in
+[0, m-2] right after band j's single-qubit round and before its cZ round,
+and location m right before measurement. The end locations are restricted
+to {I, Z}-only strings (X-type noise there is absorbed by
+preparation/measurement in the X basis).
 
 Gate noise is one rate r for every (circuit, band): with probability 1-r
 nothing happens, otherwise a single-qubit Pauli deviation fires right after
@@ -118,22 +119,23 @@ def noiseless() -> NoiseModel:
 class ExplicitCollectionDistribution(NoiseModel):
     """Arbitrary classical correlation: a finite list of (collection, prob).
 
-    Each collection is converted once, here, to read-only (x, z) bits:
-    ``bits[e]`` is entry e's pair of (v+1, m+1, n) arrays, all of one
-    shape, and ``probs[e]`` its probability.
+    The model holds only bits, each collection converted once, here:
+    ``bits[e]`` is entry e's read-only (x, z) pair of (v+1, m+1, n) uint8
+    arrays, all of one shape (bit q is qubit q), and ``probs[e]`` its
+    probability.
     """
 
     def __init__(self, entries: Sequence):
-        self.entries = [(c, _real(p, "probability")) for c, p in entries]
-        if not self.entries:
+        entries = [(c, _real(p, "probability")) for c, p in entries]
+        if not entries:
             raise ValueError("distribution needs at least one entry")
-        probs = np.array([p for _, p in self.entries])
+        probs = np.array([p for _, p in entries])
         if not (probs >= 0).all():
             raise ValueError("probabilities must be nonnegative")
         if not abs(probs.sum() - 1.0) <= PROB_ATOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self.probs = probs
-        self.bits = [c.to_bits() for c, _ in self.entries]
+        self.bits = [c.to_bits() for c, _ in entries]
         shapes = {x.shape for x, _ in self.bits}
         if len(shapes) > 1:
             raise ValueError(f"entries have different shapes {sorted(shapes)}")
@@ -146,7 +148,7 @@ class ExplicitCollectionDistribution(NoiseModel):
         if shape != (v + 1, m + 1, n):
             raise ValueError(f"collection shape {shape} does not match "
                              f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
-        return self.bits[rng.choice(len(self.entries), p=self.probs)]
+        return self.bits[rng.choice(len(self.probs), p=self.probs)]
 
 
 class IndependentLocationChannels(NoiseModel):

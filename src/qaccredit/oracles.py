@@ -14,6 +14,11 @@ independent check, not a tautology:
 * Monte Carlo credibility: freq(accept AND target corrupted) under explicit
   adversarial collection distributions stays below kappa/(v+1); traps and
   target read the adversary's error bits through flip rows of basis errors.
+
+A Pauli at one location is the code ``x << n | z``: every enumeration is a
+range of codes, turned once into the (x, z) uint8 bits (bit q is qubit q)
+that the flip tables and the statevector walk read. PauliStrings appear only
+in the signed reference walk (``_flip_rows``, ``corrupts_target``).
 """
 
 from __future__ import annotations
@@ -23,15 +28,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
 
-from . import pauli, qotp, simulator, traps
+from . import cliffords, pauli, qotp, simulator, traps
 from .circuit import Circuit
-from .noise import ExplicitCollectionDistribution, PauliErrorCollection
+from .noise import ExplicitCollectionDistribution
 from .pauli import PauliString
 from .protocol import KAPPA
 
@@ -39,6 +44,7 @@ TWIRL_RESIDUAL_TOL = 1e-9
 CROSS_TERM_TOL = 1e-12
 SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
 FLIP_TABLE_CAP = 2 ** 20  # basis-error propagations in one flip table
+SWEEP_COLLECTION_CAP = 2 ** 17  # collections an exhaustive sweep lists
 TWIRL_WALK_CAP = 2 ** 15  # statevector walks in one pad-twirl fit
 PAULI_TWIRL_TERM_CAP = 2 ** 18  # Q-conjugated terms in the dense twirl sums
 
@@ -116,20 +122,13 @@ def _flips(rows: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(rows[select], axis=0)
 
 
-def _collection_flips(topology: Circuit, errors: Sequence) -> np.ndarray:
-    """Per trap choice, the flip mask of a slice of m+1 PauliStrings."""
-    n = topology.n
-    x = np.array([simulator.index_to_bits(e.x_bits, n) for e in errors])
-    z = np.array([simulator.index_to_bits(e.z_bits, n) for e in errors])
-    return _flips(_choice_flip_tables(topology), x, z)
-
-
-def lemma2_exact_prob(topology: Circuit, errors: Sequence) -> Fraction:
+def lemma2_exact_prob(topology: Circuit, errors: tuple) -> Fraction:
     """Exact prob(trap outputs all zeros), uniform over all trap choices.
 
-    ``errors`` is a single-circuit slice: m+1 PauliStrings by location.
+    ``errors`` is a single-circuit slice as an (x, z) pair of (m+1, n)
+    uint8 bit arrays, row j the location-j error (bit q is qubit q).
     """
-    flips = _collection_flips(topology, errors)
+    flips = _flips(_choice_flip_tables(topology), *errors)
     return Fraction(int((flips == 0).sum()), len(flips))
 
 
@@ -141,15 +140,19 @@ def corrupts_target(target: Circuit, errors: Sequence) -> bool:
     return pauli.z_mask(simulator.propagate_frame(target, errors)) != 0
 
 
-def _location_paulis(n: int, z_only: bool):
-    """All nonidentity PauliStrings at one location."""
-    out = []
-    for x in ([0] if z_only else range(2 ** n)):
-        for z in range(2 ** n):
-            if x or z:
-                # sign chosen so each X^1 Z^1 factor reads as the letter Y
-                out.append(PauliString(n, x, z, bin(x & z).count("1") % 4))
-    return out
+def _codes(n: int, z_only: bool) -> range:
+    """Every Pauli at one location as a code ``x << n | z``: identity
+    first, x-major, then z. A Z-only location is the codes below 2^n."""
+    return range(2 ** n if z_only else 4 ** n)
+
+
+def _bits(codes, n: int) -> tuple:
+    """(x, z) uint8 arrays of codes of any shape, with a trailing axis of
+    length n (bit q is qubit q). Codes fit in int64: the flip-table cap
+    admits n <= 22 and the twirl caps far less."""
+    bits = np.asarray(codes, dtype=np.int64)[..., None] >> np.arange(2 * n)
+    bits = (bits & 1).astype(np.uint8)
+    return bits[..., n:], bits[..., :n]
 
 
 def lemma2_sweep(topology: Circuit, band_count_class: str,
@@ -157,9 +160,11 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
     """Sweep error collections against the 1/2 (single) / 3/4 (multi) bounds.
 
     ``single`` and ``two`` enumerate exhaustively all collections supported
-    on exactly one / two locations. ``all`` samples ``SWEEP_SAMPLES``
-    collections with no support restriction from ``rng``, which it
-    requires (reports flagged as sampled).
+    on exactly one / two locations, at most ``SWEEP_COLLECTION_CAP`` of
+    them. ``all`` samples ``SWEEP_SAMPLES`` collections with no support
+    restriction from ``rng``, which it requires (reports flagged as
+    sampled). Each collection is m+1 codes, one per location; an instance
+    is named by one letter per qubit, qubit 0 first.
     """
     if band_count_class not in ("single", "two", "all"):
         raise ValueError("band_count_class must be single, two, or all")
@@ -171,25 +176,30 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
     if band_count_class == "all":
         def draw(z_only):
             x = 0 if z_only else int(rng.integers(0, 2 ** n))
-            return PauliString(n, x, int(rng.integers(0, 2 ** n)))
-        collections = ([draw(loc in (0, m)) for loc in range(m + 1)]
-                       for _ in range(SWEEP_SAMPLES))
+            return x << n | int(rng.integers(0, 2 ** n))
+        codes = [[draw(loc in (0, m)) for loc in range(m + 1)]
+                 for _ in range(SWEEP_SAMPLES)]
     else:
-        options = [_location_paulis(n, z_only=(loc in (0, m)))
-                   for loc in range(m + 1)]
+        options = [_codes(n, loc in (0, m))[1:] for loc in range(m + 1)]
         k = 1 if band_count_class == "single" else 2
-        ident = PauliString(n)
-        collections = (
-            [dict(zip(locs, picked)).get(loc, ident) for loc in range(m + 1)]
-            for locs in itertools.combinations(range(m + 1), k)
-            for picked in itertools.product(*(options[loc] for loc in locs)))
+        support_sets = list(itertools.combinations(range(m + 1), k))
+        count = sum(math.prod(len(options[loc]) for loc in locs)
+                    for locs in support_sets)
+        if count > SWEEP_COLLECTION_CAP:
+            raise ValueError(f"sweep of {count} collections too large to "
+                             f"list (cap {SWEEP_COLLECTION_CAP})")
+        codes = [[dict(zip(locs, picked)).get(loc, 0) for loc in range(m + 1)]
+                 for locs in support_sets
+                 for picked in itertools.product(*(options[loc]
+                                                   for loc in locs))]
+    x, z = _bits(codes, n)
+    letters = np.array(list("IXZY"))[x + 2 * z]
     reports = []
-    for errs in collections:
-        support = [(loc, e) for loc, e in enumerate(errs)
-                   if e.x_bits or e.z_bits]
+    for row, xs, zs, names in zip(codes, x, z, letters):
+        support = [loc for loc, code in enumerate(row) if code]
         if not support:
             continue
-        prob = lemma2_exact_prob(topology, errs)
+        prob = lemma2_exact_prob(topology, (xs, zs))
         # prob == 1 means the flip mask vanishes for every dressing: the
         # errors cancel exactly and the collection acts as the identity
         # channel on the trap. The detection bounds apply to collections
@@ -198,8 +208,8 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
         trivial = prob == 1
         bound = Fraction(1, 2) if len(support) == 1 else Fraction(3, 4)
         reports.append(LemmaReport(
-            instance="+".join(f"loc{loc}:{pauli.to_text(e)}"
-                              for loc, e in support),
+            instance="+".join(f"loc{loc}:{''.join(names[loc])}"
+                              for loc in support),
             probability=prob, bound=bound,
             passed=trivial or prob <= bound,
             samples=n_choices, sampled=band_count_class == "all",
@@ -224,19 +234,14 @@ def _postprocessed(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
     return dist[idx ^ key_int]
 
 
-def _enumerate_collections(n: int, m: int):
-    """All single-circuit Pauli collections (Z-only at the end locations)."""
-    per_loc = [[PauliString(n)] + _location_paulis(n, z_only=(loc in (0, m)))
-               for loc in range(m + 1)]
-    return list(itertools.product(*per_loc))
-
-
 @dataclass
 class TwirlReport:
+    """A twirl fit: ``weights[i]`` weighs candidate slice i of
+    ``collections``, an (x, z) pair of (C, m+1, n) uint8 bit arrays."""
     averaged: np.ndarray  # pad-averaged output distribution of the circuit
     residual: float
     weights: np.ndarray
-    collections: list
+    collections: tuple
     passed: bool
 
 
@@ -270,12 +275,14 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
     """Fit the pad-averaged noisy channel by a Pauli-collection mixture.
 
     ``channels`` maps noise locations to Kraus lists (2^n-dimensional).
+    The candidates are every slice (Z-only at the end locations) as bits:
+    the product of the locations' codes, identity first.
     """
     _check_twirl_walks(circ, channels, fit=True)
     averaged = pad_averaged_distribution(circ, channels)
-    collections = _enumerate_collections(circ.n, circ.m)
-    # the candidate slices as the circuits of one collection, in bits
-    err_x, err_z = PauliErrorCollection(collections).to_bits()
+    n, m = circ.n, circ.m
+    err_x, err_z = _bits(list(itertools.product(
+        *(_codes(n, loc in (0, m)) for loc in range(m + 1)))), n)
     a = np.array([simulator.statevector_distribution(circ, errors=(x, z))
                   for x, z in zip(err_x, err_z)]).T
     # constrain weights to a distribution by appending the sum-to-one row
@@ -285,34 +292,13 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
     weights, _ = nnls(a_aug, b_aug)
     residual = float(np.max(np.abs(a @ weights - averaged)))
     return TwirlReport(averaged=averaged, residual=residual, weights=weights,
-                       collections=collections,
+                       collections=(err_x, err_z),
                        passed=residual < TWIRL_RESIDUAL_TOL)
 
 
 # ---------------------------------------------------------------------------
 # Dense Pauli-twirl identities
 # ---------------------------------------------------------------------------
-
-
-def _dense_pauli(p: PauliString) -> np.ndarray:
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    full = np.array([[1.0]], dtype=complex)
-    for q in reversed(range(p.n)):
-        local = np.eye(2, dtype=complex)
-        if (p.x_bits >> q) & 1:
-            local = local @ x
-        if (p.z_bits >> q) & 1:
-            local = local @ z
-        full = np.kron(full, local)
-    return (1j ** p.sign) * full
-
-
-def _pauli_set(n: int, letters: str):
-    """All Paulis over {I,X,Y,Z}^n ("full"), {I,X}^n ("IX") or {I,Z}^n."""
-    xs = range(2 ** n) if letters in ("full", "IX") else [0]
-    zs = range(2 ** n) if letters in ("full", "IZ") else [0]
-    return [PauliString(n, x, z) for x in xs for z in zs]
 
 
 def pauli_twirl_identity_check(n: int,
@@ -336,28 +322,31 @@ def pauli_twirl_identity_check(n: int,
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = mat @ mat.conj().T
     rho /= np.trace(rho).real
+    # a Pauli as the kron of canonical matrices, qubit 0 the last factor: the
+    # Hermitian Pauli up to a phase c with c^4 = 1, which no check sees (a
+    # term holds each Q four times; the sanity arm has P on both sides)
+    dense = {letters: [reduce(np.kron, cliffords.MATRICES[
+        cliffords.PAULI_INDEX[xq, zq]][::-1]) for xq, zq in zip(*_bits(c, n))]
+        for letters, c in (("full", _codes(n, False)),
+                           ("IX", range(0, 4 ** n, 2 ** n)),
+                           ("IZ", _codes(n, True)))}
 
-    def twirl_sum(p, p2, q_set):
+    def twirl_sum(pd, p2d, q_mats):
         acc = np.zeros((dim, dim), dtype=complex)
-        pd, p2d = _dense_pauli(p), _dense_pauli(p2)
-        for q in q_set:
-            qd = _dense_pauli(q)
+        for qd in q_mats:
             acc += (qd @ pd @ qd) @ rho @ (qd @ p2d @ qd)
         return acc
 
     worst = 0.0
     checks = 0
     for q_letters, p_letters in cases:
-        q_set = _pauli_set(n, q_letters)
-        for p1, p2 in itertools.permutations(_pauli_set(n, p_letters), 2):
-            res = twirl_sum(p1, p2, q_set)
+        for pd, p2d in itertools.permutations(dense[p_letters], 2):
+            res = twirl_sum(pd, p2d, dense[q_letters])
             worst = max(worst, float(np.max(np.abs(res))))
             checks += 1
     # sanity arm: no cancellation when P = P'
-    full = _pauli_set(n, "full")
-    p = full[1]
-    pd = _dense_pauli(p)
-    same = twirl_sum(p, p, full)
+    pd = dense["full"][1]
+    same = twirl_sum(pd, pd, dense["full"])
     sanity_ok = np.allclose(same, (4 ** n) * pd @ rho @ pd, atol=1e-9)
     passed = worst < CROSS_TERM_TOL and sanity_ok
     return LemmaReport(

@@ -27,7 +27,7 @@ GOLDEN = {
     "run_session":
         "40eff3ba689e20d7fc3d8e96e53db17766947b061028e8522261056deb2803a1",
     "oracles":
-        "0e6349936045dc908c42ce94db4cb58431fa397290ec0ad5757e7599e984befa",
+        "fbf9b19670f8393092971a7b650cb7939d330299499434d4312880170729a686",
 }
 
 

@@ -143,6 +143,19 @@ def test_alice_noise_other_than_gate_noise_is_rejected_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def test_alice_noise_for_another_n_is_rejected_before_any_draw():
+    target = families.ghz_circuit(2)
+    bob = BobStrategy(honest=True)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    alice = BoundedGateNoise(0.5, 6)
+    with pytest.raises(ValueError, match="n=6 qubits"):
+        run_session(target, 3, bob, rng, alice_noise=alice)
+    with pytest.raises(ValueError, match="n=6 qubits"):
+        soundness_estimate(target, 3, bob, 10, rng, alice_noise=alice)
+    assert rng.bit_generator.state == state
+
+
 def test_soundness_estimate_needs_a_session(monkeypatch):
     def no_session(*args, **kwargs):
         raise AssertionError("a session ran")

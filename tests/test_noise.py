@@ -384,25 +384,24 @@ def test_independent_channels_reject_unknown_rate_keys():
     assert x[0, 1].all() and not x[1].any()
 
 
-def _touched(coll):
-    """Slots of a collection that carry a non-identity Pauli."""
-    return [k for k, locs in enumerate(coll.circuits)
-            if any(not p.is_identity for p in locs)]
+def _touched(x, z):
+    """Slots of a collection's (x, z) bits that carry a non-identity Pauli."""
+    return np.flatnonzero((x | z).any(axis=(1, 2))).tolist()
 
 
 def test_random_adversary_touches_one_location_per_slot():
     rng = np.random.default_rng(8)
     for _ in range(50):
         adv = noise.random_adversary(3, 4, 3, rng)
-        assert 1 <= len(adv.entries) <= 3
-        assert abs(sum(p for _, p in adv.entries) - 1.0) < 1e-12
+        assert 1 <= len(adv.bits) == len(adv.probs) <= 3
+        assert abs(adv.probs.sum() - 1.0) < 1e-12
         touched = None
-        for coll, _ in adv.entries:
-            slots = _touched(coll)
+        for x, z in adv.bits:
+            slots = _touched(x, z)
             assert touched is None or slots == touched
             touched = slots
             for k in slots:
-                assert sum(not p.is_identity for p in coll.circuits[k]) == 1
+                assert (x[k] | z[k]).any(axis=1).sum() == 1
         assert 1 <= len(touched) <= 4
 
 
@@ -410,8 +409,7 @@ def test_random_adversary_min_slots():
     rng = np.random.default_rng(9)
     for _ in range(50):
         adv = noise.random_adversary(2, 2, 3, rng, min_slots=2)
-        assert all(len(_touched(coll)) >= 2
-                   for coll, _ in adv.entries)
+        assert all(len(_touched(x, z)) >= 2 for x, z in adv.bits)
     for bad in (0, 5):
         with pytest.raises(ValueError, match="min_slots"):
             noise.random_adversary(2, 2, 3, rng, min_slots=bad)

@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qaccredit import families, oracles, traps
+from qaccredit import families, oracles, pauli, simulator, traps
 from qaccredit.circuit import identity_circuit
 from qaccredit.noise import (ExplicitCollectionDistribution,
                              PauliErrorCollection, identity_collection,
@@ -16,10 +17,13 @@ from qaccredit.pauli import PauliString
 
 
 def _errs(n, m, **at):
-    out = [PauliString(n)] * (m + 1)
+    """A slice as (x, z) bits of shape (m+1, n); ``at`` maps a location to
+    its PauliString, every other location is the identity."""
+    x, z = np.zeros((2, m + 1, n), dtype=np.uint8)
     for loc, p in at.items():
-        out[int(loc)] = p
-    return out
+        x[int(loc)] = simulator.index_to_bits(p.x_bits, n)
+        z[int(loc)] = simulator.index_to_bits(p.z_bits, n)
+    return x, z
 
 
 def test_prep_error_never_passes():
@@ -71,6 +75,29 @@ def test_sweep_sampled_class():
     assert all(r.sampled for r in reports)
 
 
+def test_sweep_names_carry_no_phase():
+    # one letter per qubit in every class: a Y in a sampled collection
+    # reads as "Y", as in the exhaustive classes, never as "-iY"
+    topo = families.random_clifford_circuit(2, 3, np.random.default_rng(1))
+    name = re.compile(r"loc\d+:[IXYZ]+(\+loc\d+:[IXYZ]+)*")
+    for kind in ("single", "two", "all"):
+        reports = lemma2_sweep(topo, kind, rng=np.random.default_rng(1))
+        assert reports
+        for rep in reports:
+            assert name.fullmatch(rep.instance), rep.instance
+    assert any("Y" in rep.instance for rep in reports)
+
+
+def test_sweep_instance_names_the_swept_slice():
+    topo = identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()])
+    reps = {rep.instance: rep for rep in lemma2_sweep(topo, "two")}
+    # qubit 0 is the leftmost letter, as in pauli.from_text
+    rep = reps["loc0:IZ+loc1:YX"]
+    assert rep.probability == lemma2_exact_prob(
+        topo, _errs(2, 3, **{"0": pauli.from_text("IZ"),
+                             "1": pauli.from_text("YX")}))
+
+
 def test_sweep_rejects_unknown_class():
     with pytest.raises(ValueError):
         lemma2_sweep(identity_circuit(1, 2), "three")
@@ -105,6 +132,20 @@ def test_flip_table_cap(allocates_at_most):
             lemma2_sweep(over, kind, rng=np.random.default_rng(0))
 
 
+def test_sweep_collection_cap(allocates_at_most):
+    assert oracles.SWEEP_COLLECTION_CAP == 2 ** 17
+    # n=6, m=3: a small flip table, but 2 * (63 * 4095) * 2 + 4095^2 + 63^2
+    # two-location collections, refused before any is listed
+    topo = identity_circuit(6, 3, cz_layout=[{(0, 1), (2, 3), (4, 5)}] * 2
+                            + [set()])
+    oracles._choice_flip_tables(topo)  # built and cached outside the check
+    with allocates_at_most(2 ** 16), \
+            pytest.raises(ValueError, match="17804934 collections too large"):
+        lemma2_sweep(topo, "two")
+    # the single-location class lists 2 * 63 + 2 * 4095 collections
+    assert len(lemma2_sweep(topo, "single")) == 2 * 63 + 2 * 4095
+
+
 def test_report_json():
     topo = identity_circuit(1, 2)
     rep = lemma2_sweep(topo, "single")[0]
@@ -123,9 +164,10 @@ def test_twirl_identity_channels():
     circ = families.random_generic_circuit(1, 2, np.random.default_rng(1))
     rep = twirl_channel(circ, {})
     assert rep.passed
-    ident_idx = rep.collections.index(
-        identity_collection(1, 1, 2).circuits[0])
-    assert rep.weights[ident_idx] > 1 - 1e-8
+    x, z = rep.collections
+    ident = np.flatnonzero(~(x | z).any(axis=(1, 2)))
+    assert len(ident) == 1
+    assert rep.weights[ident[0]] > 1 - 1e-8
 
 
 def test_twirl_unitary_deviation_reduces_to_pauli_mixture():
@@ -140,14 +182,27 @@ def test_twirl_pure_z_error_recovered():
     circ = families.random_generic_circuit(1, 2, np.random.default_rng(3))
     z = np.diag([1.0, -1.0]).astype(complex)
     rep = twirl_channel(circ, {2: [z]})
-    weights = {}
-    for coll, w in zip(rep.collections, rep.weights):
-        if w > 1e-9:
-            weights[tuple(str(p.x_bits) + str(p.z_bits) for p in coll)] = w
+    x, z = rep.collections
     assert rep.passed
     # all recovered mass is on the Z-at-measurement collection
-    target = tuple(["00", "00", "01"])
-    assert weights.get(target, 0) > 1 - 1e-8
+    target = np.flatnonzero(~x.any(axis=(1, 2))
+                            & (z[:, :, 0] == [0, 0, 1]).all(axis=1))
+    assert len(target) == 1
+    assert rep.weights[target[0]] > 1 - 1e-8
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                  (2, 3)])
+def test_twirl_candidates_are_every_slice_once(n, m):
+    circ = families.random_generic_circuit(n, m, np.random.default_rng(6))
+    rep = twirl_channel(circ, {})
+    x, z = rep.collections
+    assert x.shape == z.shape == (len(rep.weights), m + 1, n)
+    rows = np.concatenate((x, z), axis=-1).reshape(len(x), -1)
+    assert len(rows) == 2 ** (2 * n) * 4 ** (n * (m - 1))
+    assert len(np.unique(rows, axis=0)) == len(rows)  # each exactly once
+    assert not x[:, [0, m]].any()  # Z-only at the end locations
+    assert not rows[0].any()  # identity first
 
 
 def test_twirl_walk_cap(allocates_at_most, monkeypatch):
@@ -272,13 +327,19 @@ def test_acceptance_tables_match_the_pauli_path():
         target = families.random_clifford_circuit(n, m, rng)
         adv = random_adversary(n, m, 3, rng)
         accept, corrupted, probs = oracles._acceptance_tables(target, adv)
-        assert accept.shape[:2] == corrupted.shape == (len(adv.entries), 4)
-        assert np.array_equal(probs, [p for _, p in adv.entries])
-        for e, (coll, _) in enumerate(adv.entries):
-            for k, errs in enumerate(coll.circuits):
-                assert np.array_equal(
-                    accept[e, k],
-                    oracles._collection_flips(target, errs) == 0)
+        assert accept.shape[:2] == corrupted.shape == (len(adv.bits), 4)
+        assert np.array_equal(probs, adv.probs)
+        choices = traps.enumerate_choices(target)
+        for e, (x, z) in enumerate(adv.bits):
+            for k in range(4):
+                errs = [PauliString(n, simulator.bits_to_index(xl),
+                                    simulator.bits_to_index(zl))
+                        for xl, zl in zip(x[k], z[k])]
+                # trap acceptance choice by choice through the signed walk
+                assert accept[e, k].tolist() == [
+                    not pauli.z_mask(simulator.propagate_frame(
+                        traps.generate_trap(target, c), errs))
+                    for c in choices]
                 assert corrupted[e, k] == oracles.corrupts_target(target,
                                                                   errs)
                 seen.add(bool(corrupted[e, k]))
