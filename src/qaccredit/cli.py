@@ -158,11 +158,13 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, seed, out):
     """Run a lemma-verification suite; emits JSON-lines reports."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
+    # a circuit and the samples drawn against it use two independent streams
+    circuit_rng, sample_rng = map(np.random.default_rng,
+                                  np.random.SeedSequence(seed).spawn(2))
     reports = []
     if which == "lemma2":
-        topology = families.random_clifford_circuit(
-            n, m, np.random.default_rng(seed))
-        reports = oracles.lemma2_sweep(topology, band_class, rng=rng)
+        topology = families.random_clifford_circuit(n, m, circuit_rng)
+        reports = oracles.lemma2_sweep(topology, band_class, rng=sample_rng)
     elif which == "twirl":
         circ = families.random_generic_circuit(n, m, rng)
         # a random unitary deviation as a one-element Kraus list
@@ -171,12 +173,11 @@ def cmd_oracle(which, n, m, v, band_class, runs, adversaries, seed, out):
     elif which == "pauli-twirl":
         reports = [oracles.pauli_twirl_identity_check(n, rng)]
     elif which == "theorem1":
-        target = families.random_clifford_circuit(
-            n, m, np.random.default_rng(seed))
+        target = families.random_clifford_circuit(n, m, circuit_rng)
         for _ in range(adversaries):
-            adv = random_adversary(n, m, v, rng, min_slots=2)
+            adv = random_adversary(n, m, v, sample_rng, min_slots=2)
             reports.append(oracles.theorem1_empirical(
-                target, v, adv, runs=runs, rng=rng))
+                target, v, adv, runs=runs, rng=sample_rng))
     text = "\n".join(r.to_json() for r in reports) + "\n"
     _emit(text, out)
     failures = sum(1 for r in reports if not r.passed)

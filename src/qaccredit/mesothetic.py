@@ -177,7 +177,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     target_output = None
     for k, (circuit, key) in enumerate(prepared):
         alice = simulator.row_masks(None if alice_noise is None else [
-            b[0] for b in alice_noise.sample_error_bits(0, n, m, rng)], m + 1)
+            b[0, 0] for b in alice_noise.sample_error_bits(1, 0, n, m, rng)],
+            m + 1)
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)

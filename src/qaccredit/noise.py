@@ -15,10 +15,12 @@ is not a Pauli needs no model of its own: the one-time pad twirls it into a
 Pauli mixture, which the twirl oracle checks. Models never see which circuit
 is the target or any pad/trap bits.
 
-A model has one sampler, ``sample_error_bits``, which draws a (v+1, m+1, n)
-collection as (x, z) uint8 bits (bit q is qubit q). A gate deviation is
-drawn as the location error it meets: band j's deviation is XORed into the
-location-(j+1) error, the same operator up to phase.
+A model has one sampler, ``sample_error_bits``, which draws the collections
+of R runs at once as (x, z) uint8 bits of shape (R, v+1, m+1, n): a leading
+run axis, then circuit, location and qubit (bit q is qubit q). A single run
+is the sampler called with R = 1. A gate deviation is drawn as the location
+error it meets: band j's deviation is XORed into the location-(j+1) error,
+the same operator up to phase.
 """
 
 from __future__ import annotations
@@ -101,10 +103,11 @@ class NoiseModel:
     draws nothing.
     """
 
-    def sample_error_bits(self, v: int, n: int, m: int,
+    def sample_error_bits(self, runs: int, v: int, n: int, m: int,
                           rng: np.random.Generator) -> tuple:
-        """One collection as (x, z) uint8 arrays of shape (v+1, m+1, n)."""
-        shape = (v + 1, m + 1, n)
+        """The collections of ``runs`` runs as (x, z) uint8 arrays of shape
+        (runs, v+1, m+1, n), which the caller owns."""
+        shape = (runs, v + 1, m + 1, n)
         return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
 
     def g_factor(self, v: int, m: int) -> float:
@@ -122,7 +125,7 @@ class ExplicitCollectionDistribution(NoiseModel):
     The model holds only bits, each collection converted once, here:
     ``bits[e]`` is entry e's read-only (x, z) pair of (v+1, m+1, n) uint8
     arrays, all of one shape (bit q is qubit q), and ``probs[e]`` its
-    probability.
+    probability. A draw picks one entry per run and hands out copies.
     """
 
     def __init__(self, entries: Sequence):
@@ -142,13 +145,17 @@ class ExplicitCollectionDistribution(NoiseModel):
         for x, z in self.bits:
             x.setflags(write=False)
             z.setflags(write=False)
+        # (entries, v+1, m+1, n) stacks of x and z, gathered by one draw
+        self._stacked = tuple(np.stack(part) for part in zip(*self.bits))
 
-    def sample_error_bits(self, v, n, m, rng):
+    def sample_error_bits(self, runs, v, n, m, rng):
+        """One entry per run, picked by one ``rng.choice`` of ``runs``."""
         shape = self.bits[0][0].shape
         if shape != (v + 1, m + 1, n):
             raise ValueError(f"collection shape {shape} does not match "
                              f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
-        return self.bits[rng.choice(len(self.probs), p=self.probs)]
+        picked = rng.choice(len(self.probs), size=runs, p=self.probs)
+        return tuple(part[picked] for part in self._stacked)
 
 
 class IndependentLocationChannels(NoiseModel):
@@ -200,10 +207,11 @@ class IndependentLocationChannels(NoiseModel):
             self._cumulative[v, m] = np.cumsum(rates, axis=-1)[:, :, None, :]
         return self._cumulative[v, m]
 
-    def sample_error_bits(self, v, n, m, rng):
-        """One uniform draw per (circuit, location, qubit) against the rates."""
+    def sample_error_bits(self, runs, v, n, m, rng):
+        """One uniform draw per (run, circuit, location, qubit) against the
+        rates, all in one ``rng.random`` call."""
         cum = self._thresholds(v, m)
-        u = rng.random((v + 1, m + 1, n))
+        u = rng.random((runs, v + 1, m + 1, n))
         x = u < cum[..., 1]
         z = (u >= cum[..., 0]) & (u < cum[..., 2])
         return x.astype(np.uint8), z.astype(np.uint8)
@@ -246,6 +254,9 @@ def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,
     return ExplicitCollectionDistribution([(c, p / total) for c, p in entries])
 
 
+_LETTER_BITS = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)  # X, Y, Z
+
+
 class BoundedGateNoise(NoiseModel):
     """Diamond-norm-bounded single-qubit-gate deviations.
 
@@ -271,19 +282,18 @@ class BoundedGateNoise(NoiseModel):
     def g_factor(self, v, m):
         return math.prod([1.0 - self.rate] * ((v + 1) * m))
 
-    def sample_error_bits(self, v, n, m, rng):
-        """Circuit by circuit and band by band: the firing uniform, then the
-        qubit, then the letter; band j's deviation sits at location j+1."""
+    def sample_error_bits(self, runs, v, n, m, rng):
+        """Three array draws: one firing uniform per (run, circuit, band),
+        then, over the rounds that fire in that order, their qubits and then
+        their letters (X, Y, Z); band j's deviation sits at location j+1."""
         if n != self.n:
             raise ValueError(f"gate noise built for n={self.n} qubits "
                              f"cannot act on a circuit of n={n} qubits")
-        bits = np.zeros((2, v + 1, m + 1, n), dtype=np.uint8)
-        for k in range(v + 1):
-            for j in range(m):
-                if rng.random() < self.rate:
-                    q = int(rng.integers(0, n))
-                    bits[:, k, j + 1, q] = [(1, 0), (1, 1), (0, 1)][
-                        int(rng.integers(0, 3))]
+        r, k, j = np.nonzero(rng.random((runs, v + 1, m)) < self.rate)
+        q = rng.integers(0, n, size=len(r))
+        letter = rng.integers(0, 3, size=len(r))
+        bits = np.zeros((2, runs, v + 1, m + 1, n), dtype=np.uint8)
+        bits[:, r, k, j + 1, q] = _LETTER_BITS[:, letter]
         return bits[0], bits[1]
 
 
@@ -296,9 +306,9 @@ class CompositeModel(NoiseModel):
         self.pauli_part = pauli_part if pauli_part is not None else NoiseModel()
         self.gate_part = gate_part if gate_part is not None else NoiseModel()
 
-    def sample_error_bits(self, v, n, m, rng):
-        px, pz = self.pauli_part.sample_error_bits(v, n, m, rng)
-        gx, gz = self.gate_part.sample_error_bits(v, n, m, rng)
+    def sample_error_bits(self, runs, v, n, m, rng):
+        px, pz = self.pauli_part.sample_error_bits(runs, v, n, m, rng)
+        gx, gz = self.gate_part.sample_error_bits(runs, v, n, m, rng)
         return px ^ gx, pz ^ gz
 
     def g_factor(self, v, m):

@@ -128,7 +128,13 @@ def lemma2_exact_prob(topology: Circuit, errors: tuple) -> Fraction:
     ``errors`` is a single-circuit slice as an (x, z) pair of (m+1, n)
     uint8 bit arrays, row j the location-j error (bit q is qubit q).
     """
-    flips = _flips(_choice_flip_tables(topology), *errors)
+    return _pass_prob(_choice_flip_tables(topology), *errors)
+
+
+def _pass_prob(table: np.ndarray, x: np.ndarray, z: np.ndarray) -> Fraction:
+    """Share of the table's trap choices whose flip mask under a slice's
+    (m+1, n) error bits is zero."""
+    flips = _flips(table, x, z)
     return Fraction(int((flips == 0).sum()), len(flips))
 
 
@@ -172,7 +178,8 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
         raise ValueError("the sampled class 'all' needs an rng")
     n, m = topology.n, topology.m
     # the table is checked against its cap before any collection is listed
-    n_choices = _choice_flip_tables(topology).shape[-1]
+    table = _choice_flip_tables(topology)
+    n_choices = table.shape[-1]
     if band_count_class == "all":
         def draw(z_only):
             x = 0 if z_only else int(rng.integers(0, 2 ** n))
@@ -199,7 +206,7 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
         support = [loc for loc, code in enumerate(row) if code]
         if not support:
             continue
-        prob = lemma2_exact_prob(topology, (xs, zs))
+        prob = _pass_prob(table, xs, zs)
         # prob == 1 means the flip mask vanishes for every dressing: the
         # errors cancel exactly and the collection acts as the identity
         # channel on the trap. The detection bounds apply to collections

@@ -13,8 +13,9 @@ or g * kappa / (v + 1) + 1 - g when single-qubit rounds additionally suffer
 diamond-norm-bounded deviations with survival factor g.
 
 :func:`accredit` runs the protocol without the pads, which change nothing
-observable under Pauli errors, gate deviations included (Lemma 1);
-:func:`single_run` is the padded run it is checked against.
+observable under Pauli errors, gate deviations included (Lemma 1), as array
+work per block of runs; :func:`single_run` is the padded run it is checked
+against.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import qotp, simulator, traps
+from . import cliffords, qotp, simulator, traps
 from .circuit import Circuit
 from .noise import NoiseModel
 
@@ -185,7 +186,8 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     The run accepts iff every trap outputs all zeros.
     """
     v0, plan = plan_run(target, v, rng)
-    err_x, err_z = noise.sample_error_bits(v, target.n, target.m, rng)
+    err_x, err_z = noise.sample_error_bits(1, v, target.n, target.m, rng)
+    err_x, err_z = err_x[0], err_z[0]
     outputs = []
     for k, (circuit, key) in enumerate(plan):
         raw = simulator.run_statevector(circuit, (err_x[k], err_z[k]),
@@ -197,12 +199,17 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
                       trap_outputs=trap_outputs, flag=flag)
 
 
-def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Per-run generator; identical whether runs execute serially or not."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, run_index]))
+def run_rng(master_seed: int, block: int) -> np.random.Generator:
+    """Generator of stream block ``block`` of :func:`accredit`'s runs, the
+    ``STREAM_BLOCK`` runs from ``block * STREAM_BLOCK`` on; it depends on
+    the seed and the block only, not on d or on the frame batches."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, block]))
 
 
-# Runs per batched frame; bounds the trap frame's memory for any d.
+# Runs drawn from one run_rng stream; fixed, so a report's runs do not
+# depend on d or on RUN_BLOCK.
+STREAM_BLOCK = 128
+# Runs per batched frame; bounds the frame's memory for any d.
 RUN_BLOCK = 128
 
 
@@ -212,61 +219,99 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     By Lemma 1 the one-time pad changes neither a trap's flip mask nor the
     target's post-processed output distribution under Pauli errors, and
     every gate deviation is a Pauli drawn into the error bits, so no
-    circuit is padded: the traps of a block of runs move through one
-    batched Pauli frame, and each accepted run samples the bare target.
-    Run r draws from ``run_rng(master_seed, r)``, in order: v0, the flat
-    choice bits of its v traps (slot order), the error bits of its v+1
-    slots (one ``sample_error_bits`` call) and, only if every trap outputs
-    zeros, the uniform that picks its target sample
-    (:func:`simulator.sample_bits`'s rule).
+    circuit is padded. Stream block b draws its ``STREAM_BLOCK`` runs from
+    ``run_rng(master_seed, b)`` as arrays, in order: v0, the choice bits of
+    each run's v traps in slot order, the error bits of all slots (one
+    ``sample_error_bits`` call) and the last draws. It draws all its runs
+    and drops those past d, so a shorter report is a prefix of a longer one.
+
+    A Clifford target's last draw is a mask a of n bits: an accepted run
+    outputs :func:`simulator.reference_outcome` XOR the target's flips
+    under its slice with X^a at location 0, and no statevector is built. A
+    generic target's last draw is the uniform that picks its sample from
+    its slice's statevector distribution; only it meets the size limit.
     """
     _check_plan(target, config.v)
-    simulator.check_statevector_size(target.n)
-    # (run, sample draw) of each accepted run, by its target's error bits
-    slices = {}
-    for start in range(0, config.d, RUN_BLOCK):
-        runs = range(start, min(start + RUN_BLOCK, config.d))
-        for r, u, bits in _pad_free_block(config, target, runs):
-            slices.setdefault(bits, []).append((r, u))
-    # one target distribution at a time
-    outputs = [None] * config.d
-    shape = (2, target.m + 1, target.n)
-    for bits, accepted in slices.items():
-        probs = simulator.statevector_distribution(
-            target, np.frombuffer(bits, dtype=np.uint8).reshape(shape))
-        run_ids, draws = zip(*accepted)
-        for r, i in zip(run_ids, simulator.quantile_indices(probs, draws)):
-            outputs[r] = simulator.index_to_bits(int(i), target.n)
-    return [out for out in outputs if out is not None]
+    clifford = target.all_clifford
+    if not clifford:
+        simulator.check_statevector_size(target.n)
+    # per batch: the target rows and last draws of the accepted runs
+    rows, draws = [], []
+    for start in range(0, config.d, STREAM_BLOCK):
+        block = [a[:config.d - start] for a in
+                 _draw_block(config, target, start // STREAM_BLOCK)]
+        for lo in range(0, len(block[0]), RUN_BLOCK):
+            batch = [a[lo:lo + RUN_BLOCK] for a in block]
+            accepted, target_rows = _pad_free_block(target, *batch)
+            rows.append(target_rows[accepted])
+            draws.append(batch[-1][accepted])
+    rows, draws = np.concatenate(rows), np.concatenate(draws)
+    if clifford:
+        return list(simulator.reference_outcome(target) ^ rows)
+    return list(_sample_targets(target, rows, draws))
 
 
-def _pad_free_block(config: ProtocolConfig, target: Circuit,
-                    runs: range) -> list:
-    """(run, sample draw, target error bits as bytes) per accepted run."""
-    v, noise, b = config.v, config.noise, len(runs)
+def _draw_block(config: ProtocolConfig, target: Circuit, block: int):
+    """Every draw of stream block ``block``, for all its STREAM_BLOCK runs."""
+    v, n, m, runs = config.v, target.n, target.m, STREAM_BLOCK
+    rng = run_rng(config.master_seed, block)
+    v0 = rng.integers(0, v + 1, size=runs)
+    choice = rng.integers(0, 2, size=(runs, v, traps.choice_width(target)),
+                          dtype=np.uint8)
+    err_x, err_z = config.noise.sample_error_bits(runs, v, n, m, rng)
+    last = (rng.integers(0, 2, size=(runs, n), dtype=np.uint8)
+            if target.all_clifford else rng.random(runs))
+    return v0, choice, err_x, err_z, last
+
+
+def _pad_free_block(target: Circuit, v0, choice, err_x, err_z,
+                    last) -> tuple:
+    """(accepted, target rows) of a batch of drawn runs.
+
+    Every run's traps, and a Clifford target in slot v0 with X^a (``last``)
+    at location 0, move through one batched frame; a run accepts when its
+    traps' flips are all zero. A Clifford target's row is its flip mask. A
+    generic target's frame row is the identity, and its row is its (2, m+1,
+    n) error slice.
+    """
+    b, v = choice.shape[:2]
     n, m = target.n, target.m
-    width = traps.choice_width(target)
-    v0 = np.empty(b, dtype=np.intp)
-    choice = np.empty((b, v, width), dtype=np.uint8)
-    err_x = np.empty((b, v + 1, m + 1, n), dtype=np.uint8)
-    err_z = np.empty_like(err_x)
-    rngs = []
-    for i, r in enumerate(runs):
-        rng = run_rng(config.master_seed, r)
-        v0[i] = rng.integers(0, v + 1)
-        choice[i] = rng.integers(0, 2, size=(v, width), dtype=np.uint8)
-        err_x[i], err_z[i] = noise.sample_error_bits(v, n, m, rng)
-        rngs.append(rng)
+    run = np.arange(b)
     # run i's t-th trap sits at the t-th slot other than v0[i]
     slots = np.arange(v) + (np.arange(v) >= v0[:, None])
-    rows = np.arange(b)[:, None]
+    gates = np.empty((b, v + 1, m, n), dtype=np.uint8)
+    gates[run[:, None], slots] = traps.trap_cliffords(
+        target, choice.reshape(b * v, -1)).reshape(b, v, m, n)
+    if target.all_clifford:
+        gates[run, v0] = target.gates
+        err_x[run, v0, 0] ^= last
+    else:
+        gates[run, v0] = cliffords.C_I
     flips = simulator.frame_flips(
-        target, traps.trap_cliffords(target, choice.reshape(b * v, width)),
-        err_x[rows, slots].reshape(b * v, m + 1, n),
-        err_z[rows, slots].reshape(b * v, m + 1, n))
-    return [(runs[i], rngs[i].random(),
-             err_x[i, v0[i]].tobytes() + err_z[i, v0[i]].tobytes())
-            for i in np.flatnonzero(~flips.reshape(b, v * n).any(axis=1))]
+        target, gates.reshape(-1, m, n), err_x.reshape(-1, m + 1, n),
+        err_z.reshape(-1, m + 1, n)).reshape(b, v + 1, n)
+    target_rows = (flips[run, v0] if target.all_clifford
+                   else np.stack((err_x[run, v0], err_z[run, v0]), axis=1))
+    flips[run, v0] = 0
+    return ~flips.any(axis=(1, 2)), target_rows
+
+
+def _sample_targets(target: Circuit, slices: np.ndarray,
+                    draws: np.ndarray) -> np.ndarray:
+    """Outputs (A, n) of a generic target under A error slices (A, 2, m+1,
+    n), each picked by its uniform draw from the slice's statevector
+    distribution; one distribution per distinct slice, held one at a time.
+    """
+    flat = slices.reshape(len(slices), math.prod(slices.shape[1:]))
+    keys, inverse = np.unique(flat, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    indices = np.empty(len(slices), dtype=np.int64)
+    for i, key in enumerate(keys):
+        runs = inverse == i
+        probs = simulator.statevector_distribution(
+            target, key.reshape(slices.shape[1:]))
+        indices[runs] = simulator.quantile_indices(probs, draws[runs])
+    return (indices[:, None] >> np.arange(target.n) & 1).astype(np.uint8)
 
 
 def accredit(config: ProtocolConfig, target: Circuit) -> AccreditationReport:

@@ -3,7 +3,9 @@
 * Pauli-frame propagation: exact and sampling-free for all-Clifford circuits
   under Pauli noise — errors are commuted to the end of the circuit and read
   off as an X-measurement flip mask; :func:`frame_flips` does this for many
-  circuits on one cZ topology at once, on bit arrays.
+  circuits on one cZ topology at once, on bit arrays. With one noiseless
+  outcome from a signed stabiliser tableau (:func:`reference_outcome`), the
+  frame also samples a Clifford circuit's outputs, with no statevector.
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_pauli`, :func:`apply_cz`), the
   steps the two-party register also runs; the density backend sums it over
@@ -20,6 +22,7 @@ Measurement convention: X-basis outcome 0 corresponds to ``|+>``.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +76,59 @@ def trap_output(circuit: Circuit, errors: Sequence) -> np.ndarray:
                     dtype=np.uint8)
 
 
+def reference_outcome(circuit: Circuit) -> np.ndarray:
+    """One noiseless X-measurement outcome of a Clifford circuit, n bits.
+
+    Pushes the stabilisers X_q of |+>^n through the circuit with their
+    signs, finds the X-type subgroup of the final stabiliser group by GF(2)
+    elimination on the z bits, and solves its sign constraints
+    <r, x> = sign/2 for r, free bits 0 (Aaronson & Gottesman 2004,
+    arXiv:quant-ph/0406196). Any stabiliser S leaves the output law
+    unchanged and flips outcomes by its z bits, so the outcomes are r XOR
+    the flips of X^a at location 0 for uniform a, the frame reference-sample
+    method (arXiv:2103.02202). No statevector is built, at any n.
+    """
+    if not circuit.all_clifford:
+        raise NonCliffordError("reference outcome requires an all-Clifford "
+                               "circuit")
+    n = circuit.n
+    rows = [PauliString(n, 1 << q) for q in range(n)]
+    for j, pairs in enumerate(circuit.cz):
+        gates = circuit.gates[j].tolist()
+        for k, p in enumerate(rows):
+            support = p.x_bits | p.z_bits
+            for q in range(n):
+                if support >> q & 1:
+                    p = pauli.conj_single(p, gates[q], q)
+            for pair in pairs:
+                p = pauli.conj_cz(p, pair)
+            rows[k] = p
+    # eliminate z bits: a pivot row leaves, clearing its bit from the rest
+    x_type = []
+    while rows:
+        p = rows.pop()
+        if not p.z_bits:
+            x_type.append(p)
+            continue
+        pivot = p.z_bits & -p.z_bits
+        rows = [pauli.multiply(p, r) if r.z_bits & pivot else r
+                for r in rows]
+    # i^sign X^x stabilises the state: the outcome parity on x is sign/2
+    solved = []
+    eqs = [(p.x_bits, p.sign >> 1) for p in x_type]
+    while eqs:
+        x, b = eqs.pop()
+        pivot = x & -x
+        eqs = [(x2 ^ x, b2 ^ b) if x2 & pivot else (x2, b2)
+               for x2, b2 in eqs]
+        solved.append((x, b, pivot))
+    r = 0
+    for x, b, pivot in reversed(solved):
+        if (b + bin(x & r).count("1")) % 2:
+            r |= pivot
+    return index_to_bits(r, n)
+
+
 def _build_conj_table() -> np.ndarray:
     """_CONJ[c, x | z << 1] = x' | z' << 1 where c X^x Z^z c† ~ X^x' Z^z'."""
     table = np.zeros((cliffords.GROUP_ORDER, 2, 2), dtype=np.uint8)
@@ -100,14 +156,23 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     """
     codes = err_x | err_z << 1
     frame = codes[:, 0]
-    for j, pairs in enumerate(topology.cz):
+    for j, (lo, hi) in enumerate(_cz_columns(topology.cz)):
         frame = _CONJ[gates[:, j], frame] ^ codes[:, j + 1]
-        if pairs:
-            lo, hi = np.array(pairs).T
-            x = frame & 1
-            frame[:, lo] ^= x[:, hi] << 1
-            frame[:, hi] ^= x[:, lo] << 1
+        x = frame & 1
+        frame[:, lo] ^= x[:, hi] << 1
+        frame[:, hi] ^= x[:, lo] << 1
     return frame >> 1
+
+
+@lru_cache(maxsize=64)
+def _cz_columns(cz: tuple) -> tuple:
+    """Per band, the read-only (lo, hi) qubit index arrays of its pairs."""
+    out = []
+    for pairs in cz:
+        lo_hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        lo_hi.setflags(write=False)
+        out.append(tuple(lo_hi))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +180,32 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def apply_single(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Apply a 2x2 unitary to qubit q (qubit 0 = least significant bit)."""
-    psi = state.reshape(2 ** (n - 1 - q), 2, 2 ** q)
-    return np.einsum("ab,ibj->iaj", u, psi).reshape(-1)
+def _apply_singles(state: np.ndarray, unitaries: Sequence) -> np.ndarray:
+    """Apply the 2x2 unitary ``unitaries[q]`` to every qubit q (qubit 0 =
+    least significant bit), one matrix product per qubit.
+
+    Each product acts on the highest qubit, the leading axis, and leaves it
+    as the lowest, so after the last product every qubit is back in place.
+    """
+    for u in reversed(unitaries):
+        state = (state.reshape(2, -1).T @ u.T).reshape(-1)
+    return state
 
 
 def apply_round(state: np.ndarray, circuit: Circuit, j: int,
                 n: int) -> np.ndarray:
     """Apply band j's single-qubit round of ``circuit``."""
-    for i in range(n):
-        state = apply_single(state, circuit.unitary(j, i), i, n)
-    return state
+    return _apply_singles(state, [circuit.unitary(j, i) for i in range(n)])
 
 
 def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
-    """Apply a band's cZ round, one (i, j) pair at a time."""
+    """Apply a band's cZ round: one sign flip per basis state, where an
+    odd number of its pairs has both qubits set."""
+    idx = np.arange(2 ** n)
+    odd = np.zeros(2 ** n, dtype=idx.dtype)
     for i, j in pairs:
-        idx = np.arange(2 ** n)
-        mask = ((idx >> i) & 1) & ((idx >> j) & 1)
-        state = state.copy()
-        state[mask == 1] *= -1
-    return state
+        odd ^= idx >> i & idx >> j & 1
+    return np.where(odd, -state, state)
 
 
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
@@ -195,9 +264,7 @@ def _evolve_state(circuit: Circuit, errors: Optional[Sequence],
 def _x_weights(state: np.ndarray, n: int) -> np.ndarray:
     """Squared X-basis amplitudes of a state, not normalised."""
     # rotate to the X basis so computational outcomes are the measurement bits
-    had = cliffords.MATRICES[cliffords.C_H]
-    for q in range(n):
-        state = apply_single(state, had, q, n)
+    state = _apply_singles(state, [cliffords.MATRICES[cliffords.C_H]] * n)
     return np.abs(state) ** 2
 
 

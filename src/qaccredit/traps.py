@@ -15,6 +15,8 @@ ascending order (0: H, 1: S); t is the last bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import cliffords
@@ -23,12 +25,10 @@ from .circuit import Circuit
 ENUMERATION_CAP = 2 ** 24
 
 
-def _band_layout(target: Circuit, j: int):
-    """Sorted cZ pairs and ascending unpaired qubits of band j."""
-    pairs = target.cz[j]
+def _unpaired(n: int, pairs: tuple) -> list:
+    """Ascending qubits of n in no cZ pair of a band."""
     in_pair = {q for p in pairs for q in p}
-    unpaired = [q for q in range(target.n) if q not in in_pair]
-    return pairs, unpaired
+    return [q for q in range(n) if q not in in_pair]
 
 
 def choice_width(target: Circuit) -> int:
@@ -66,11 +66,10 @@ def generate_trap(target: Circuit, choice) -> Circuit:
     layers[0] = layers[m] = h if choice[-1] else cliffords.C_I
     bits = iter(choice[:-1].tolist())
     for j in range(m - 1):
-        pairs, unpaired = _band_layout(target, j)
-        for lo, hi in pairs:
+        for lo, hi in target.cz[j]:
             layers[j + 1, lo], layers[j + 1, hi] = \
                 (h, s) if next(bits) else (s, h)
-        for q in unpaired:
+        for q in _unpaired(n, target.cz[j]):
             layers[j + 1, q] = s if next(bits) else h
     gates = cliffords.COMPOSE[cliffords.DAGGER[layers[:-1]], layers[1:]]
     return Circuit(n, m, gates, target.cz)
@@ -84,25 +83,34 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     bits = _check_choice(target, bits, ndim=2)
     n, m = target.n, target.m
     # layers 0 and m are the sandwich; layer j+1, band j's assignment, is S
-    # on qubit q exactly when bit[column] ^ lower-of-pair is 1
+    # on qubit q exactly when bit[cols[j, q]] ^ lower[j, q] is 1
+    cols, lower = _layer_columns(n, target.cz)
     layers = np.empty((len(bits), m + 1, n), dtype=np.uint8)
     layers[:, [0, m]] = np.where(bits[:, -1:, None], cliffords.C_H,
                                  cliffords.C_I)
-    col = 0
-    for j in range(m - 1):
-        pairs, unpaired = _band_layout(target, j)
-        cols = np.empty(n, dtype=np.intp)
-        lower = np.zeros(n, dtype=np.uint8)
-        for lo, hi in pairs:
-            cols[lo] = cols[hi] = col
-            lower[lo] = 1
-            col += 1
-        for q in unpaired:
-            cols[q] = col
-            col += 1
-        layers[:, j + 1] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
-                                    cliffords.C_H)
+    layers[:, 1:m] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
+                              cliffords.C_H)
     return cliffords.COMPOSE[cliffords.DAGGER[layers[:, :-1]], layers[:, 1:]]
+
+
+@lru_cache(maxsize=64)
+def _layer_columns(n: int, cz: tuple) -> tuple:
+    """(m-1, n) arrays: the choice column each qubit of layer j+1 reads,
+    and 1 where the qubit is the lower one of a cZ pair."""
+    cols = np.empty((len(cz) - 1, n), dtype=np.intp)
+    lower = np.zeros((len(cz) - 1, n), dtype=np.uint8)
+    col = 0
+    for j, pairs in enumerate(cz[:-1]):
+        for lo, hi in pairs:
+            cols[j, lo] = cols[j, hi] = col
+            lower[j, lo] = 1
+            col += 1
+        for q in _unpaired(n, pairs):
+            cols[j, q] = col
+            col += 1
+    cols.setflags(write=False)
+    lower.setflags(write=False)
+    return cols, lower
 
 
 def sample_choice(target: Circuit, rng: np.random.Generator) -> np.ndarray:

@@ -152,15 +152,18 @@ def test_accredit_echoes_entropy_seed(runner, ghz_file):
 
 
 def test_accredit_limits_exit_code(runner, tmp_path):
-    path = tmp_path / "big.json"
-    result = CliRunner().invoke(main, ["gen", "--family", "random-clifford",
-                                       "--n", "20", "--m", "2", "--seed", "1",
-                                       "--out", str(path)])
-    assert result.exit_code == 0
-    result = runner.invoke(main, ["accredit", "--circuit", str(path),
-                                  "--v", "3", "--d", "1", "--theta", "0.1",
-                                  "--seed", "1"])
-    assert result.exit_code == 3
+    # only a generic target needs a statevector; a Clifford one of the same
+    # size runs on the frame
+    for family, code in (("random-generic", 3), ("random-clifford", 0)):
+        path = tmp_path / f"{family}.json"
+        result = CliRunner().invoke(main, ["gen", "--family", family,
+                                           "--n", "20", "--m", "2",
+                                           "--seed", "1", "--out", str(path)])
+        assert result.exit_code == 0
+        result = runner.invoke(main, ["accredit", "--circuit", str(path),
+                                      "--v", "3", "--d", "1", "--theta",
+                                      "0.1", "--seed", "1"])
+        assert result.exit_code == code, result.output
 
 
 def test_accredit_with_noise_file(runner, ghz_file, tmp_path):
@@ -383,6 +386,20 @@ def test_oracle_lemma2_passes(runner):
     assert result.exit_code == 0, result.output
     for line in result.output.strip().splitlines():
         assert json.loads(line)["passed"]
+
+
+def test_oracle_circuit_and_samples_use_independent_streams(runner):
+    # the topology and the sampled collections come from two children of
+    # the seed, not from two generators on the same stream
+    result = runner.invoke(main, ["oracle", "--which", "lemma2", "--n", "2",
+                                  "--m", "3", "--band-class", "all",
+                                  "--seed", "4"])
+    assert result.exit_code == 0, result.output
+    circuit_rng, sample_rng = map(np.random.default_rng,
+                                  np.random.SeedSequence(4).spawn(2))
+    topology = families.random_clifford_circuit(2, 3, circuit_rng)
+    expected = oracles.lemma2_sweep(topology, "all", rng=sample_rng)
+    assert result.stdout == "\n".join(r.to_json() for r in expected) + "\n"
 
 
 def test_oracle_twirl_passes(runner):

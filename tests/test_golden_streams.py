@@ -21,11 +21,11 @@ from qaccredit.pauli import PauliString
 
 GOLDEN = {
     "accredit":
-        "b1c50d5a5db62ef8021895d512178e85a6710dff194f4c5b75a090b6f2a628eb",
+        "5a9651202cd9bebd0ce56dff6b04e8a6c9ca06ed6b7f78aade74a26571880c64",
     "single_run":
-        "6750d171e2917df953c7d6d445e7629b6ee4e5024395468286c72ab998a8fbd7",
+        "e6a7f7e37128cc803628471da1d5ac4eaa46f4c1908ae156b6d7dfa1f7c4f6fe",
     "run_session":
-        "40eff3ba689e20d7fc3d8e96e53db17766947b061028e8522261056deb2803a1",
+        "45155cde7e6207bdff691cc4c70f3f84eed1d586e58b26208dc32000b3ee31af",
     "oracles":
         "fbf9b19670f8393092971a7b650cb7939d330299499434d4312880170729a686",
 }

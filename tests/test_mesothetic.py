@@ -218,7 +218,8 @@ def _replay(target, v, bob, rng, alice_noise):
         bits = np.zeros((2, m + 1, n), dtype=np.uint8)
         if alice_noise is not None:
             # one circuit's error bits, drawn as Alice starts the circuit
-            bits ^= np.array(alice_noise.sample_error_bits(0, n, m, rng))[:, 0]
+            bits ^= np.array(
+                alice_noise.sample_error_bits(1, 0, n, m, rng))[:, 0, 0]
         for stage in range(m + 1):
             for p in bob.deviations_for(k, stage):
                 bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)

@@ -10,6 +10,13 @@ from qaccredit.noise import (BoundedGateNoise, CompositeModel,
 from qaccredit.pauli import PauliString
 
 
+def _one_run(model, v, n, m, rng):
+    """One run's (x, z) bits of shape (v+1, m+1, n): the sampler at R = 1."""
+    x, z = model.sample_error_bits(1, v, n, m, rng)
+    assert x.shape == z.shape == (1, v + 1, m + 1, n)
+    return x[0], z[0]
+
+
 def _uniform_collection(num, n, m, letter_z=True):
     locs = []
     for loc in range(m + 1):
@@ -55,8 +62,8 @@ def test_explicit_distribution_rejects_different_shapes():
 
 def test_noiseless_model():
     model = noiseless()
-    x, z = model.sample_error_bits(3, 2, 2, np.random.default_rng(0))
-    assert x.shape == z.shape == (4, 3, 2) and not x.any() and not z.any()
+    x, z = model.sample_error_bits(5, 3, 2, 2, np.random.default_rng(0))
+    assert x.shape == z.shape == (5, 4, 3, 2) and not x.any() and not z.any()
 
 
 def test_explicit_distribution_frequencies():
@@ -65,9 +72,9 @@ def test_explicit_distribution_frequencies():
     model = ExplicitCollectionDistribution([(c1, 0.3), (c2, 0.7)])
     rng = np.random.default_rng(1)
     draws = 10 ** 4
-    # c1 puts Z at every location, c2 nothing
-    hits = sum(model.sample_error_bits(1, 1, 1, rng)[1].all()
-               for _ in range(draws))
+    # c1 puts Z at every location, c2 nothing; one draw picks every run's
+    z = model.sample_error_bits(draws, 1, 1, 1, rng)[1]
+    hits = z.all(axis=(1, 2, 3)).sum()
     sigma = np.sqrt(0.3 * 0.7 / draws)
     assert abs(hits / draws - 0.3) < 3 * sigma
 
@@ -83,7 +90,7 @@ def test_explicit_distribution_validation():
 def test_independent_channels_degenerate_rate():
     model = IndependentLocationChannels(rates={(1, 2): {"Z": 1.0}})
     rng = np.random.default_rng(2)
-    x, z = model.sample_error_bits(1, 3, 2, rng)
+    x, z = _one_run(model, 1, 3, 2, rng)
     assert z[1, 2].all() and not x[1, 2].any()
     # untouched circuits stay identity
     assert not x[0].any() and not z[0].any()
@@ -93,7 +100,7 @@ def test_independent_channels_respect_z_only_ends():
     model = IndependentLocationChannels(default_rates={"X": 0.9, "Z": 0.05})
     rng = np.random.default_rng(3)
     for _ in range(50):
-        x, _ = model.sample_error_bits(1, 2, 2, rng)
+        x, _ = _one_run(model, 1, 2, 2, rng)
         assert not x[:, [0, -1]].any()
 
 
@@ -101,16 +108,15 @@ def test_gate_deviation_rates():
     # one circuit of one band: one round that may fire
     rng = np.random.default_rng(4)
     zero = BoundedGateNoise(rate=0.0, n=2)
-    assert not any(np.any(zero.sample_error_bits(0, 2, 1, rng))
-                   for _ in range(100))
+    assert not np.any(zero.sample_error_bits(100, 0, 2, 1, rng))
     hot = BoundedGateNoise(rate=1 - 1e-9, n=2)
-    fired = sum(np.any(hot.sample_error_bits(0, 2, 1, rng))
-                for _ in range(10 ** 4))
+    x, z = hot.sample_error_bits(10 ** 4, 0, 2, 1, rng)
+    fired = (x | z).any(axis=(1, 2, 3)).sum()
     assert fired >= 9990
     a = BoundedGateNoise(rate=0.5, n=2).sample_error_bits(
-        0, 2, 8, np.random.default_rng(9))
+        3, 0, 2, 8, np.random.default_rng(9))
     b = BoundedGateNoise(rate=0.5, n=2).sample_error_bits(
-        0, 2, 8, np.random.default_rng(9))
+        3, 0, 2, 8, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
@@ -119,7 +125,7 @@ def test_gate_deviation_is_nonidentity_pauli():
     rng = np.random.default_rng(5)
     letters = set()
     for _ in range(100):
-        x, z = model.sample_error_bits(0, 3, 1, rng)
+        x, z = _one_run(model, 0, 3, 1, rng)
         assert x.shape == z.shape == (1, 2, 3)
         assert x.dtype == z.dtype == np.uint8
         # nothing at location 0; the band-0 deviation at location 1
@@ -163,10 +169,10 @@ def test_independent_channels_reject_locations_outside_the_run():
     for key in ((9, 1), (0, 3)):
         model = IndependentLocationChannels(rates={key: {"Z": 1.0}})
         with pytest.raises(ValueError, match=f"k={key[0]}, loc={key[1]}"):
-            model.sample_error_bits(3, 2, 2, rng)
+            _one_run(model, 3, 2, 2, rng)
     # the same key is fine where it lies inside the run
     model = IndependentLocationChannels(rates={(9, 1): {"Z": 1.0}})
-    x, z = model.sample_error_bits(9, 2, 2, rng)
+    x, z = _one_run(model, 9, 2, 2, rng)
     assert z[9, 1].all() and not z.sum() - z[9, 1].sum()
     with pytest.raises(ValueError, match="integers"):
         model_from_json('{"variant": "independent", "rates": '
@@ -175,18 +181,19 @@ def test_independent_channels_reject_locations_outside_the_run():
 
 def test_gate_noise_draws_band_by_band_at_the_next_location():
     model = BoundedGateNoise(rate=0.5, n=3)
-    bits = model.sample_error_bits(2, 3, 4, np.random.default_rng(12))
-    # circuit by circuit and band by band: the firing uniform, then the
-    # qubit and the letter; band j's deviation sits at location j+1
+    bits = model.sample_error_bits(2, 2, 3, 4, np.random.default_rng(12))
+    # one firing uniform per (run, circuit, band), then the qubits and then
+    # the letters of the rounds that fire, in that order; band j's
+    # deviation sits at location j+1
     rng = np.random.default_rng(12)
-    expected = np.zeros((2, 3, 5, 3), dtype=np.uint8)
-    for k in range(3):
-        for j in range(4):
-            if rng.random() < 0.5:
-                q = int(rng.integers(0, 3))
-                x, z = [(1, 0), (1, 1), (0, 1)][int(rng.integers(0, 3))]
-                expected[:, k, j + 1, q] = x, z
-    assert expected[:, :, 4].any() and not expected[:, :, 0].any()
+    fires = rng.random((2, 3, 4)) < 0.5
+    qubits = iter(rng.integers(0, 3, size=fires.sum()).tolist())
+    letters = iter(rng.integers(0, 3, size=fires.sum()).tolist())
+    expected = np.zeros((2, 2, 3, 5, 3), dtype=np.uint8)
+    for r, k, j in zip(*np.nonzero(fires)):
+        expected[:, r, k, j + 1, next(qubits)] = \
+            [(1, 0), (1, 1), (0, 1)][next(letters)]
+    assert expected[:, :, :, 4].any() and not expected[:, :, :, 0].any()
     assert np.array_equal(bits, expected)
 
 
@@ -197,7 +204,7 @@ def test_gate_noise_rejects_another_qubit_count():
     for sampler in (model, CompositeModel(gate_part=model),
                     CompositeModel(pauli_part=model)):
         with pytest.raises(ValueError, match="n=6 .* n=2"):
-            sampler.sample_error_bits(3, 2, 2, rng)
+            sampler.sample_error_bits(4, 3, 2, 2, rng)
         # raised before any draw
         assert rng.bit_generator.state == state
 
@@ -207,11 +214,11 @@ def test_composite_model():
                                                             "Z": 0.2})
     gate = BoundedGateNoise(rate=0.2, n=2)
     model = CompositeModel(pauli_part=pauli_part, gate_part=gate)
-    x, z = model.sample_error_bits(3, 2, 9, np.random.default_rng(7))
+    x, z = model.sample_error_bits(4, 3, 2, 9, np.random.default_rng(7))
     # the XOR of the parts' bits, drawn from one generator, Pauli part first
     rng = np.random.default_rng(7)
-    px, pz = pauli_part.sample_error_bits(3, 2, 9, rng)
-    gx, gz = gate.sample_error_bits(3, 2, 9, rng)
+    px, pz = pauli_part.sample_error_bits(4, 3, 2, 9, rng)
+    gx, gz = gate.sample_error_bits(4, 3, 2, 9, rng)
     assert px.any() and gx.any()
     assert np.array_equal(x, px ^ gx) and np.array_equal(z, pz ^ gz)
     # g is the product of the parts' g factors, whichever slot holds a part
@@ -230,8 +237,9 @@ def test_models_without_gate_noise():
     state = rng.bit_generator.state
     for model in (noiseless(), CompositeModel(),
                   CompositeModel(pauli_part=noiseless())):
-        x, z = model.sample_error_bits(3, 1, 1, rng)
-        assert x.shape == z.shape == (4, 2, 1) and not x.any() and not z.any()
+        x, z = model.sample_error_bits(6, 3, 1, 1, rng)
+        assert x.shape == z.shape == (6, 4, 2, 1) and not x.any() \
+            and not z.any()
     assert rng.bit_generator.state == state
     for model in (noiseless(),
                   IndependentLocationChannels(default_rates={"Z": 0.5}),
@@ -248,7 +256,7 @@ def test_model_json_variants():
     doc = ('{"variant": "explicit", "entries": [{"prob": 1.0, '
            '"collection": [["Z", "X", "I"], ["I", "I", "Z"]]}]}')
     model = model_from_json(doc)
-    x, z = model.sample_error_bits(1, 1, 2, np.random.default_rng(0))
+    x, z = _one_run(model, 1, 1, 2, np.random.default_rng(0))
     assert x[:, :, 0].tolist() == [[0, 1, 0], [0, 0, 0]]
     assert z[:, :, 0].tolist() == [[1, 0, 0], [0, 0, 1]]
     model = model_from_json('{"variant": "bounded_gate", "rate": 0.25, "n": 2}')
@@ -266,11 +274,7 @@ def test_independent_error_bits_match_rates():
     model = IndependentLocationChannels(default_rates=rates,
                                         rates={(1, 2): {"Y": 0.5}})
     v, n, m, draws = 2, 4, 3, 4000
-    x = np.empty((draws, v + 1, m + 1, n), np.uint8)
-    z = np.empty_like(x)
-    rng = np.random.default_rng(13)
-    for i in range(draws):
-        x[i], z[i] = model.sample_error_bits(v, n, m, rng)
+    x, z = model.sample_error_bits(draws, v, n, m, np.random.default_rng(13))
 
     def freqs(sel):
         xs, zs = x[(slice(None),) + sel], z[(slice(None),) + sel]
@@ -294,29 +298,49 @@ def test_error_bits_agree_with_collections():
         tuple(pauli.from_text(s) for s in locs)
         for locs in (["Z", "X", "I"], ["I", "Y", "Z"])))
     model = ExplicitCollectionDistribution([(coll, 1.0)])
-    x, z = model.sample_error_bits(1, 1, 2, np.random.default_rng(0))
+    x, z = _one_run(model, 1, 1, 2, np.random.default_rng(0))
     assert x[:, :, 0].tolist() == [[0, 1, 0], [0, 1, 0]]
     assert z[:, :, 0].tolist() == [[1, 0, 0], [0, 1, 1]]
-    # the bits are the collection's own, handed out read-only
     assert np.array_equal((x, z), coll.to_bits())
-    with pytest.raises(ValueError, match="read-only"):
-        x[0, 1] = 0
+    # a draw is a copy the caller owns; the model's own bits stay read-only
+    x[0, 1] = 0
+    assert np.array_equal(model.bits[0], coll.to_bits())
+    for part in model.bits[0]:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0, 1] = 0
     with pytest.raises(ValueError, match="shape"):
-        model.sample_error_bits(1, 2, 2, np.random.default_rng(0))
+        model.sample_error_bits(1, 1, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape"):
-        model.sample_error_bits(2, 1, 2, np.random.default_rng(0))
-    x, z = noiseless().sample_error_bits(3, 2, 4, np.random.default_rng(0))
+        model.sample_error_bits(1, 2, 1, 2, np.random.default_rng(0))
+    x, z = _one_run(noiseless(), 3, 2, 4, np.random.default_rng(0))
     assert x.shape == z.shape == (4, 5, 2) and not x.any() and not z.any()
-    # a composite multiplies into new arrays, never into the read-only ones
+    # a composite XORs its parts' draws of every run
     gate = BoundedGateNoise(rate=1 - 1e-12, n=1)
     composite = CompositeModel(pauli_part=model, gate_part=gate)
-    cx, cz = composite.sample_error_bits(1, 1, 2, np.random.default_rng(0))
+    cx, cz = composite.sample_error_bits(3, 1, 1, 2, np.random.default_rng(0))
     rng = np.random.default_rng(0)
-    x, z = model.sample_error_bits(1, 1, 2, rng)
-    gx, gz = gate.sample_error_bits(1, 1, 2, rng)
-    assert gx.any() or gz.any()
+    x, z = model.sample_error_bits(3, 1, 1, 2, rng)
+    gx, gz = gate.sample_error_bits(3, 1, 1, 2, rng)
+    assert (gx | gz).any(axis=(1, 2, 3)).all()
     assert np.array_equal(cx, x ^ gx) and np.array_equal(cz, z ^ gz)
-    assert np.array_equal((x, z), coll.to_bits())
+    assert np.array_equal(model.bits[0], coll.to_bits())
+
+
+def test_one_call_of_r_runs_equals_r_calls_of_one_run():
+    # the location channels and explicit mixtures draw one value per run
+    # and location in order, so the run axis leaves their streams as they
+    # were run by run
+    coll = [_uniform_collection(3, 2, 2), identity_collection(3, 2, 2)]
+    for model in (IndependentLocationChannels(
+                      default_rates={"X": 0.2, "Y": 0.1, "Z": 0.3}),
+                  ExplicitCollectionDistribution([(coll[0], 0.4),
+                                                  (coll[1], 0.6)])):
+        rng = np.random.default_rng(21)
+        many = model.sample_error_bits(50, 2, 2, 2, rng)
+        rng = np.random.default_rng(21)
+        ones = [_one_run(model, 2, 2, 2, rng) for _ in range(50)]
+        assert np.array_equal(many, np.stack(ones, axis=1))
+        assert many[1].any() and not many[1].all()
 
 
 @pytest.mark.parametrize("n", [1, 8, 63, 64, 100])
@@ -361,7 +385,7 @@ def test_rates_and_probabilities_must_be_real_numbers():
     assert model.probs.tolist() == [1.0]
     model = IndependentLocationChannels(
         default_rates={"Z": np.float64(1.0)}, rates={(0, 1): {"X": np.int64(1)}})
-    x, z = model.sample_error_bits(3, 1, 2, np.random.default_rng(0))
+    x, z = _one_run(model, 3, 1, 2, np.random.default_rng(0))
     assert z[:, [0, 2]].all() and x[0, 1].all() and not z[0, 1].any()
 
 
@@ -380,7 +404,7 @@ def test_independent_channels_reject_unknown_rate_keys():
             model_from_json(doc)
     model = model_from_json('{"variant": "independent", "rates": '
                             '[{"k": 0, "loc": 1, "X": 1.0}]}')
-    x, _ = model.sample_error_bits(1, 2, 2, np.random.default_rng(0))
+    x, _ = _one_run(model, 1, 2, 2, np.random.default_rng(0))
     assert x[0, 1].all() and not x[1].any()
 
 

@@ -233,35 +233,43 @@ def _hoeffding(d: int, delta: float = 1e-9) -> float:
 
 
 def test_pad_free_runs_match_padded_runs():
-    target, v, d = families.ghz_circuit(2), 3, 3000
-    pauli_only = IndependentLocationChannels(
-        default_rates={"X": 0.03, "Y": 0.03, "Z": 0.03})
-    gate_noise = CompositeModel(
-        pauli_part=IndependentLocationChannels(
-            default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02}),
-        gate_part=BoundedGateNoise(rate=0.08, n=target.n))
-    for model in (pauli_only, gate_noise):
-        cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=41,
-                             noise=model, epsilon_mode="theorem2")
-        fast = protocol.accredit(cfg, target).accepted_outputs
-        slow = []
-        for r in range(d):
-            out = single_run(target, v, model, run_rng(42, r))
-            if out.flag == "acc":
-                slow.append(out.target_output)
-        assert abs(len(fast) - len(slow)) / d <= _hoeffding(d)
-        # TV between the two empirical distributions over k = 4 outcomes:
-        # its mean is at most sum_i sqrt(k / N_i) / 2, and McDiarmid (one
-        # sample moves it by at most 1/N_i) adds t with
-        # exp(-2t^2 / sum_i 1/N_i) = 1e-9
-        hist = [np.bincount([int(o[0]) + 2 * int(o[1]) for o in outs],
-                            minlength=4) / len(outs) for outs in (fast, slow)]
-        inv = 1 / len(fast) + 1 / len(slow)
-        tol = (math.sqrt(4 / len(fast)) + math.sqrt(4 / len(slow))) / 2 \
-            + math.sqrt(math.log(1e9) * inv / 2)
-        assert 0.5 * np.abs(hist[0] - hist[1]).sum() <= tol
-        # the noise is visible in the target: odd-parity GHZ outputs occur
-        assert hist[0][1] + hist[0][2] > 0
+    v, d = 3, 3000
+    ghz = families.ghz_circuit(2)
+    clifford = families.random_clifford_circuit(3, 4,
+                                                np.random.default_rng(40))
+    for target in (ghz, clifford):
+        pauli_only = IndependentLocationChannels(
+            default_rates={"X": 0.03, "Y": 0.03, "Z": 0.03})
+        gate_noise = CompositeModel(
+            pauli_part=IndependentLocationChannels(
+                default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02}),
+            gate_part=BoundedGateNoise(rate=0.08, n=target.n))
+        for model in (pauli_only, gate_noise):
+            cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=41,
+                                 noise=model, epsilon_mode="theorem2")
+            fast = protocol.accredit(cfg, target).accepted_outputs
+            slow = []
+            for r in range(d):
+                out = single_run(target, v, model, run_rng(42, r))
+                if out.flag == "acc":
+                    slow.append(out.target_output)
+            assert abs(len(fast) - len(slow)) / d <= _hoeffding(d)
+            # TV between the two empirical distributions over k = 2^n
+            # outcomes: its mean is at most sum_i sqrt(k / N_i) / 2, and
+            # McDiarmid (one sample moves it by at most 1/N_i) adds t with
+            # exp(-2t^2 / sum_i 1/N_i) = 1e-9
+            k = 2 ** target.n
+            hist = [np.bincount([simulator.bits_to_index(o) for o in outs],
+                                minlength=k) / len(outs)
+                    for outs in (fast, slow)]
+            inv = 1 / len(fast) + 1 / len(slow)
+            tol = (math.sqrt(k / len(fast)) + math.sqrt(k / len(slow))) / 2 \
+                + math.sqrt(math.log(1e9) * inv / 2)
+            assert 0.5 * np.abs(hist[0] - hist[1]).sum() <= tol
+            if target is ghz:
+                # the noise is visible in the target: odd-parity GHZ
+                # outputs occur
+                assert hist[0][1] + hist[0][2] > 0
 
 
 def test_pad_free_slots_see_their_own_errors():
@@ -304,12 +312,42 @@ def test_accredit_report_repeats_under_pauli_noise(monkeypatch):
 
 
 def test_accredit_checks_target_size_before_running(allocates_at_most):
-    target = families.ghz_circuit(simulator.MAX_STATEVECTOR_QUBITS + 1)
+    # only a generic target needs a statevector, so only it meets the limit
+    target = families.random_generic_circuit(
+        simulator.MAX_STATEVECTOR_QUBITS + 1, 3, np.random.default_rng(12))
     cfg = ProtocolConfig(v=3, d=5, theta=0.05, master_seed=12,
                          noise=_z_everywhere_model(3, target.n, target.m))
     # no run accepts, yet the target could never have been simulated
     with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
         protocol.accredit(cfg, target)
+
+
+def test_clifford_accredit_builds_no_statevector(monkeypatch):
+    def no_statevector(*args, **kwargs):
+        raise AssertionError("a statevector was built")
+
+    monkeypatch.setattr(simulator, "statevector_distribution", no_statevector)
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02})
+    for target in (families.ghz_circuit(3),
+                   families.random_clifford_circuit(
+                       4, 3, np.random.default_rng(5))):
+        cfg = ProtocolConfig(v=3, d=300, theta=0.05, master_seed=7,
+                             noise=model)
+        assert protocol.accredit(cfg, target).n_acc > 0
+
+
+def test_noiseless_ghz_beyond_the_statevector_limit_accepts_even_parity():
+    target = families.ghz_circuit(24)
+    cfg = ProtocolConfig(v=3, d=300, theta=0.05, master_seed=24,
+                         noise=noiseless())
+    report = protocol.accredit(cfg, target)
+    assert report.n_acc == 300
+    outputs = np.array(report.accepted_outputs)
+    assert outputs.shape == (300, 24)
+    assert not (outputs.sum(axis=1) % 2).any()
+    # the X^a masks spread the outputs over the even-parity strings
+    assert len({o.tobytes() for o in outputs}) > 250
 
 
 def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
@@ -326,9 +364,9 @@ def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
         # single-qubit deviations as the model draws them, times one
         # arbitrary Pauli at a random location after a round
         gate_x, gate_z = BoundedGateNoise(rate=0.5, n=n).sample_error_bits(
-            0, n, m, rng)
-        err_x ^= gate_x[0]
-        err_z ^= gate_z[0]
+            1, 0, n, m, rng)
+        err_x ^= gate_x[0, 0]
+        err_z ^= gate_z[0, 0]
         j = int(rng.integers(1, m + 1))
         err_x[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
         err_z[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)

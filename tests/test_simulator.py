@@ -322,3 +322,47 @@ def test_trap_cliffords_rejects_bad_input():
     bits[1, 0] = 2
     with pytest.raises(ValueError, match="0 or 1"):
         traps.trap_cliffords(topo, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_masks_at_location_zero_give_the_exact_clifford_law(n, m, seed):
+    # X^a stabilises |+>^n, so a Clifford circuit's outputs under a slice
+    # are r XOR the flips of the slice with X^a at location 0: every mask
+    # a once weighs each output by its exact probability
+    rng = np.random.default_rng(seed)
+    circuit = families.random_clifford_circuit(n, m, rng)
+    err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
+    err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
+    masks = 2 ** n
+    xs = np.repeat(err_x[None], masks, axis=0)
+    xs[:, 0] ^= (np.arange(masks)[:, None] >> np.arange(n) & 1).astype(
+        np.uint8)
+    flips = simulator.frame_flips(
+        circuit, np.broadcast_to(circuit.gates, (masks, m, n)), xs,
+        np.broadcast_to(err_z, xs.shape))
+    outputs = simulator.reference_outcome(circuit) ^ flips
+    law = np.bincount(outputs.astype(np.int64) @ (1 << np.arange(n)),
+                      minlength=masks) / masks
+    exact = statevector_distribution(circuit, (err_x, err_z))
+    assert np.abs(law - exact).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reference_outcome_is_a_possible_noiseless_output(n, m, seed):
+    circuit = families.random_clifford_circuit(n, m,
+                                               np.random.default_rng(seed))
+    r = simulator.reference_outcome(circuit)
+    assert r.shape == (n,) and r.dtype == np.uint8
+    assert statevector_distribution(circuit)[simulator.bits_to_index(r)] \
+        > 1e-9
+
+
+def test_reference_outcome_rejects_non_clifford():
+    circuit = families.random_generic_circuit(2, 2,
+                                              np.random.default_rng(0))
+    with pytest.raises(NonCliffordError):
+        simulator.reference_outcome(circuit)
