@@ -24,11 +24,10 @@ from .pauli import PauliString
 from .protocol import (AccreditationReport, ProtocolConfig, RunOutcome,
                        accredit, delta_bound, epsilon_theorem1,
                        epsilon_theorem2, figure8_curve, single_run)
-from .qotp import dress, postprocess, sample_pads
+from .qotp import dress, postprocess
 from .simulator import propagate_frame, run_density, run_statevector, \
     trap_output
-from .traps import (choice_width, enumerate_choices, generate_trap,
-                    sample_choice)
+from .traps import choice_width, enumerate_choices, generate_trap
 
 __version__ = "0.1.0"
 
@@ -39,8 +38,8 @@ __all__ = [
     "AccreditationReport", "ProtocolConfig", "RunOutcome", "accredit",
     "delta_bound", "epsilon_theorem1", "epsilon_theorem2", "figure8_curve",
     "single_run",
-    "dress", "postprocess", "sample_pads",
+    "dress", "postprocess",
     "propagate_frame", "run_density", "run_statevector", "trap_output",
-    "choice_width", "enumerate_choices", "generate_trap", "sample_choice",
+    "choice_width", "enumerate_choices", "generate_trap",
     "__version__",
 ]

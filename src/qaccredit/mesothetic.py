@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli, qotp, simulator
 from .circuit import Circuit
-from .noise import BoundedGateNoise
+from .noise import BoundedGateNoise, NoiseModel
 from .oracles import LemmaReport, corrupts_target, three_sigma_report
 from .pauli import PauliString
 from .protocol import epsilon_theorem1, epsilon_theorem2, plan_run
@@ -156,9 +156,10 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     """One interactive session over all v+1 circuits.
 
     Alice's preliminary work (``protocol.plan_run``: slot choice, trap
-    sampling, padding) happens before any message is exchanged.
-    ``alice_noise`` (None or a BoundedGateNoise): Alice draws one circuit's
-    error bits from it per circuit and applies location j+1 after her band-j
+    choices, error bits and pads, drawn as a run of ``accredit`` draws
+    them) happens before any message is exchanged. ``alice_noise`` (None
+    or a BoundedGateNoise) is the noise model of that draw, noiseless for
+    None; Alice applies a circuit's location-(j+1) error after her band-j
     round. Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
     statevector limit (SimLimitError) and the noise's type and qubit count
     are checked before any draw.
@@ -172,13 +173,12 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     if alice_noise is not None and alice_noise.n != n:
         raise ValueError(f"Alice's gate noise built for n={alice_noise.n} "
                          f"qubits cannot act on a target of n={n} qubits")
-    v0, prepared = plan_run(target, v, rng)
+    v0, prepared, (err_x, err_z) = plan_run(
+        target, v, NoiseModel() if alice_noise is None else alice_noise, rng)
     channel = Transport()
     target_output = None
     for k, (circuit, key) in enumerate(prepared):
-        alice = simulator.row_masks(None if alice_noise is None else [
-            b[0, 0] for b in alice_noise.sample_error_bits(1, 0, n, m, rng)],
-            m + 1)
+        alice = simulator.row_masks((err_x[k], err_z[k]), m + 1)
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)

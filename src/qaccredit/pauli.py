@@ -39,10 +39,6 @@ class PauliString:
         if not 0 <= self.sign < 4:
             object.__setattr__(self, "sign", self.sign % 4)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0 and self.sign == 0
-
     def qubit(self, q: int) -> str:
         """Letter (I/X/Y/Z) on qubit q, phase dropped."""
         return _BITS_TO_CHAR[(self.x_bits >> q) & 1, (self.z_bits >> q) & 1]

@@ -15,7 +15,9 @@ diamond-norm-bounded deviations with survival factor g.
 :func:`accredit` runs the protocol without the pads, which change nothing
 observable under Pauli errors, gate deviations included (Lemma 1), as array
 work per block of runs; :func:`single_run` is the padded run it is checked
-against.
+against. Every run path draws a run's slot, trap choices and error bits in
+one order (:func:`_draw_runs`), so from one generator state the padded run
+and the two-party session decide as the pad-free engine does.
 """
 
 from __future__ import annotations
@@ -156,38 +158,40 @@ def _check_plan(target: Circuit, v: int):
         raise DomainError("traps need at least 2 bands")
 
 
-def plan_run(target: Circuit, v: int,
-             rng: np.random.Generator) -> tuple[int, list]:
-    """The verifier's secret choices for one run: (v0, [(circuit, key)]).
+def plan_run(target: Circuit, v: int, noise: NoiseModel,
+             rng: np.random.Generator) -> tuple:
+    """One run's secret choices and noise: (v0, [(circuit, key)], (err_x,
+    err_z)).
 
-    Draws the target's slot v0, then slot by slot a trap choice (every slot
-    but v0) and fresh pads. Both the padded reference run and the
+    Draws the run as a run of :func:`accredit` is drawn (:func:`_draw_runs`
+    at one run), then the v+1 pad rows as one array. Trap t sits at the
+    t-th slot other than v0 and is built from its choice row by
+    :func:`traps.generate_trap`. Both the padded reference run and the
     two-party session execute the v+1 dressed circuits this returns, each
-    with the key that post-processes its output.
+    with the key that post-processes its output, under the error bits of
+    shape (v+1, m+1, n).
     """
     _check_plan(target, v)
-    n, m = target.n, target.m
-    v0 = int(rng.integers(0, v + 1))
-    dressed = []
-    for k in range(v + 1):
-        base = target if k == v0 else traps.generate_trap(
-            target, traps.sample_choice(target, rng))
-        dressed.append(qotp.dress(base, qotp.sample_pads(n, m, rng)))
-    return v0, dressed
+    v0, choice, err_x, err_z = _draw_runs(target, v, noise, 1, rng)
+    v0 = int(v0[0])
+    pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(target.n, target.m)),
+                        dtype=np.uint8)
+    bases = [traps.generate_trap(target, row) for row in choice[0]]
+    bases.insert(v0, target)
+    dressed = [qotp.dress(base, row) for base, row in zip(bases, pads)]
+    return v0, dressed, (err_x[0], err_z[0])
 
 
 def single_run(target: Circuit, v: int, noise: NoiseModel,
                rng: np.random.Generator) -> RunOutcome:
     """One padded protocol run, the reference that :func:`accredit` matches.
 
-    Hides the target among v traps and pads every circuit
-    (:func:`plan_run`), draws the error bits, then per slot one dense
-    statevector sample of the dressed circuit, post-processed with its key.
-    The run accepts iff every trap outputs all zeros.
+    Hides the target among v traps, pads every circuit and draws the error
+    bits (:func:`plan_run`), then per slot one dense statevector sample of
+    the dressed circuit, post-processed with its key. The run accepts iff
+    every trap outputs all zeros.
     """
-    v0, plan = plan_run(target, v, rng)
-    err_x, err_z = noise.sample_error_bits(1, v, target.n, target.m, rng)
-    err_x, err_z = err_x[0], err_z[0]
+    v0, plan, (err_x, err_z) = plan_run(target, v, noise, rng)
     outputs = []
     for k, (circuit, key) in enumerate(plan):
         raw = simulator.run_statevector(circuit, (err_x[k], err_z[k]),
@@ -202,15 +206,14 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
 def run_rng(master_seed: int, block: int) -> np.random.Generator:
     """Generator of stream block ``block`` of :func:`accredit`'s runs, the
     ``STREAM_BLOCK`` runs from ``block * STREAM_BLOCK`` on; it depends on
-    the seed and the block only, not on d or on the frame batches."""
+    the seed and the block only, not on d."""
     return np.random.default_rng(np.random.SeedSequence([master_seed, block]))
 
 
-# Runs drawn from one run_rng stream; fixed, so a report's runs do not
-# depend on d or on RUN_BLOCK.
+# Runs drawn from one run_rng stream and decided by one batched frame;
+# fixed, so a report's runs do not depend on d, and a frame's memory is
+# bounded for any d.
 STREAM_BLOCK = 128
-# Runs per batched frame; bounds the frame's memory for any d.
-RUN_BLOCK = 128
 
 
 def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
@@ -220,10 +223,9 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     target's post-processed output distribution under Pauli errors, and
     every gate deviation is a Pauli drawn into the error bits, so no
     circuit is padded. Stream block b draws its ``STREAM_BLOCK`` runs from
-    ``run_rng(master_seed, b)`` as arrays, in order: v0, the choice bits of
-    each run's v traps in slot order, the error bits of all slots (one
-    ``sample_error_bits`` call) and the last draws. It draws all its runs
-    and drops those past d, so a shorter report is a prefix of a longer one.
+    ``run_rng(master_seed, b)`` (:func:`_draw_block`). It draws all its
+    runs and drops those past d, so a shorter report is a prefix of a
+    longer one.
 
     A Clifford target's last draw is a mask a of n bits: an accepted run
     outputs :func:`simulator.reference_outcome` XOR the target's flips
@@ -235,38 +237,47 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     clifford = target.all_clifford
     if not clifford:
         simulator.check_statevector_size(target.n)
-    # per batch: the target rows and last draws of the accepted runs
+    # per block: the target rows and last draws of the accepted runs
     rows, draws = [], []
     for start in range(0, config.d, STREAM_BLOCK):
         block = [a[:config.d - start] for a in
                  _draw_block(config, target, start // STREAM_BLOCK)]
-        for lo in range(0, len(block[0]), RUN_BLOCK):
-            batch = [a[lo:lo + RUN_BLOCK] for a in block]
-            accepted, target_rows = _pad_free_block(target, *batch)
-            rows.append(target_rows[accepted])
-            draws.append(batch[-1][accepted])
+        accepted, target_rows = _pad_free_block(target, *block)
+        rows.append(target_rows[accepted])
+        draws.append(block[-1][accepted])
     rows, draws = np.concatenate(rows), np.concatenate(draws)
     if clifford:
         return list(simulator.reference_outcome(target) ^ rows)
     return list(_sample_targets(target, rows, draws))
 
 
-def _draw_block(config: ProtocolConfig, target: Circuit, block: int):
-    """Every draw of stream block ``block``, for all its STREAM_BLOCK runs."""
-    v, n, m, runs = config.v, target.n, target.m, STREAM_BLOCK
-    rng = run_rng(config.master_seed, block)
+def _draw_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
+               rng: np.random.Generator) -> tuple:
+    """The draws of ``runs`` protocol runs, in the one order every run
+    takes: v0 (runs,), the choice rows (runs, v, choice_width) of each
+    run's traps in slot order, then the error bits err_x, err_z (runs,
+    v+1, m+1, n) of all slots from one ``sample_error_bits`` call."""
     v0 = rng.integers(0, v + 1, size=runs)
     choice = rng.integers(0, 2, size=(runs, v, traps.choice_width(target)),
                           dtype=np.uint8)
-    err_x, err_z = config.noise.sample_error_bits(runs, v, n, m, rng)
-    last = (rng.integers(0, 2, size=(runs, n), dtype=np.uint8)
+    err_x, err_z = noise.sample_error_bits(runs, v, target.n, target.m, rng)
+    return v0, choice, err_x, err_z
+
+
+def _draw_block(config: ProtocolConfig, target: Circuit, block: int):
+    """Every draw of stream block ``block``: its STREAM_BLOCK runs
+    (:func:`_draw_runs`), then each run's last draw."""
+    runs = STREAM_BLOCK
+    rng = run_rng(config.master_seed, block)
+    draws = _draw_runs(target, config.v, config.noise, runs, rng)
+    last = (rng.integers(0, 2, size=(runs, target.n), dtype=np.uint8)
             if target.all_clifford else rng.random(runs))
-    return v0, choice, err_x, err_z, last
+    return (*draws, last)
 
 
 def _pad_free_block(target: Circuit, v0, choice, err_x, err_z,
                     last) -> tuple:
-    """(accepted, target rows) of a batch of drawn runs.
+    """(accepted, target rows) of a block of drawn runs.
 
     Every run's traps, and a Clifford target in slot v0 with X^a (``last``)
     at location 0, move through one batched frame; a run accepts when its

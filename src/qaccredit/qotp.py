@@ -1,4 +1,4 @@
-"""Quantum one-time pad: pad sampling, circuit dressing, classical key.
+"""Quantum one-time pad: circuit dressing and classical key.
 
 A circuit's pads are one uint8 row of :func:`pad_width` = 2nm + n bits:
 alpha (m x n, band-major), then alpha' (m x n), then gamma (n). Every
@@ -24,11 +24,6 @@ _COMPOSE = np.pad(cliffords.COMPOSE, (0, 1), constant_values=GENERIC)
 def pad_width(n: int, m: int) -> int:
     """Bits in one circuit's pad row: alpha and alpha' (m x n each), gamma."""
     return 2 * n * m + n
-
-
-def sample_pads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform pads: one row of :func:`pad_width` bits, deterministic given rng."""
-    return rng.integers(0, 2, size=pad_width(n, m), dtype=np.uint8)
 
 
 def dress(circuit: Circuit, pads: np.ndarray) -> tuple[Circuit, np.ndarray]:

@@ -215,13 +215,8 @@ def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
         return state
     idx = np.arange(2 ** n)
     # X^x Z^z on |b>: Z phases first on b, then X flips b
-    zpar = np.zeros(2 ** n, dtype=np.int64)
-    for q in range(n):
-        if (z_mask >> q) & 1:
-            zpar ^= (idx >> q) & 1
-    out = np.zeros_like(state)
-    out[idx ^ x_mask] = state * ((-1.0) ** zpar)
-    return out
+    odd = np.bitwise_count(idx & z_mask) & 1
+    return np.where(odd, -state, state)[idx ^ x_mask]
 
 
 def plus_state(n: int) -> np.ndarray:

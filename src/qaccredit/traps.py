@@ -113,15 +113,6 @@ def _layer_columns(n: int, cz: tuple) -> tuple:
     return cols, lower
 
 
-def sample_choice(target: Circuit, rng: np.random.Generator) -> np.ndarray:
-    """Uniform over the Routine-2 choice space; deterministic given rng.
-
-    Draws with the default integer dtype, one 32-bit word per bit in row
-    order, so the stream does not depend on how the row splits into bands.
-    """
-    return rng.integers(0, 2, size=choice_width(target)).astype(np.uint8)
-
-
 def choice_space_size(target: Circuit) -> int:
     return 2 ** choice_width(target)
 

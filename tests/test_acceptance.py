@@ -56,7 +56,8 @@ def test_criterion_2_qotp_transparency():
         if pad_bits <= 12:
             pad_iter = oracles._all_pads(n, m)
         else:
-            pad_iter = (qotp.sample_pads(n, m, rng) for _ in range(200))
+            pad_iter = (rng.integers(0, 2, size=qotp.pad_width(n, m),
+                                     dtype=np.uint8) for _ in range(200))
         total = np.zeros(2 ** n)
         count = 0
         for pads in pad_iter:
@@ -76,7 +77,8 @@ def test_criterion_3_trap_completeness():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(2, 7))
         topo = families.random_clifford_circuit(n, m, rng)
-        trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
+        trap = traps.generate_trap(topo, rng.integers(
+            0, 2, size=traps.choice_width(topo), dtype=np.uint8))
         dist = simulator.statevector_distribution(trap)
         if dist[0] <= 1 - 1e-10:
             all_zero = False
@@ -249,7 +251,8 @@ def test_criterion_11_backend_cross_check():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(2, 4))
         topo = families.random_clifford_circuit(n, m, rng)
-        trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
+        trap = traps.generate_trap(topo, rng.integers(
+            0, 2, size=traps.choice_width(topo), dtype=np.uint8))
         errs = []
         for loc in range(m + 1):
             z_only = loc in (0, m)

@@ -23,9 +23,9 @@ GOLDEN = {
     "accredit":
         "5a9651202cd9bebd0ce56dff6b04e8a6c9ca06ed6b7f78aade74a26571880c64",
     "single_run":
-        "e6a7f7e37128cc803628471da1d5ac4eaa46f4c1908ae156b6d7dfa1f7c4f6fe",
+        "7b3a911c95ec6a8626aa1d47cf46371cef4053d8d59c20d9cc9bc58aadfc726e",
     "run_session":
-        "45155cde7e6207bdff691cc4c70f3f84eed1d586e58b26208dc32000b3ee31af",
+        "f10bd97337eb1383f4b65a83439edb926912818cd25677cb2cf586411ee88f6e",
     "oracles":
         "fbf9b19670f8393092971a7b650cb7939d330299499434d4312880170729a686",
 }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaccredit import families, mesothetic, qotp, simulator
+from qaccredit import families, mesothetic, protocol, qotp, simulator
 from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import (ALICE, BOB, BobStrategy, OwnershipError,
                                   ProtocolViolation, QubitRegister, Transport,
@@ -208,18 +208,15 @@ def test_session_deterministic():
 
 def _replay(target, v, bob, rng, alice_noise):
     """A session's outcome without the register: each slot sampled from its
-    statevector distribution, with Bob's stage-s Paulis and Alice's
-    location-s gate-noise bits XORed into the location-s error.
+    statevector distribution, with Bob's stage-s Paulis XORed into the
+    plan's location-s error bits, drawn from Alice's gate noise.
     Returns (flag, v0, target output, transcript length)."""
     n, m = target.n, target.m
-    v0, prepared = plan_run(target, v, rng)
+    v0, prepared, errors = plan_run(
+        target, v, noiseless() if alice_noise is None else alice_noise, rng)
     output, sent = None, 0
     for k, (circuit, key) in enumerate(prepared):
-        bits = np.zeros((2, m + 1, n), dtype=np.uint8)
-        if alice_noise is not None:
-            # one circuit's error bits, drawn as Alice starts the circuit
-            bits ^= np.array(
-                alice_noise.sample_error_bits(1, 0, n, m, rng))[:, 0, 0]
+        bits = np.array([errors[0][k], errors[1][k]])
         for stage in range(m + 1):
             for p in bob.deviations_for(k, stage):
                 bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)
@@ -268,3 +265,44 @@ def test_session_matches_statevector_replay(n, m, v, generic,
     else:
         assert np.array_equal(rep.target_output, output)
     assert session_rng.bit_generator.state == replay_rng.bit_generator.state
+
+
+def test_session_decision_matches_frame_run_by_run():
+    # from one seed a session draws what a pad-free run draws, so its slot
+    # and decision equal the frame's with Bob's bits in the drawn errors
+    v, seeds = 3, 150
+    accepted = 0
+    for target in (families.ghz_circuit(2), families.random_clifford_circuit(
+            3, 3, np.random.default_rng(46))):
+        n, m = target.n, target.m
+        for alice in (None, BoundedGateNoise(rate=0.1, n=n)):
+            for seed in range(seeds):
+                bob_rng = np.random.default_rng([seed, 1])
+                deviations = {}
+                for k in range(v + 1):
+                    for stage in range(m + 1):
+                        if bob_rng.random() < 0.05:
+                            deviations[k, stage] = [PauliString(
+                                n, int(bob_rng.integers(0, 2 ** n)),
+                                int(bob_rng.integers(0, 2 ** n)))]
+                bob = BobStrategy(honest=not deviations,
+                                  deviations=deviations)
+                rep = run_session(target, v, bob, np.random.default_rng(seed),
+                                  alice_noise=alice)
+                v0, choice, err_x, err_z = protocol._draw_runs(
+                    target, v, noiseless() if alice is None else alice, 1,
+                    np.random.default_rng(seed))
+                for (k, stage), devs in deviations.items():
+                    for dev in devs:
+                        err_x[0, k, stage] ^= simulator.index_to_bits(
+                            dev.x_bits, n)
+                        err_z[0, k, stage] ^= simulator.index_to_bits(
+                            dev.z_bits, n)
+                frame_accepts, _ = protocol._pad_free_block(
+                    target, v0, choice, err_x, err_z,
+                    np.zeros((1, n), dtype=np.uint8))
+                assert rep.v0 == v0[0]
+                assert (rep.flag == "acc") == frame_accepts[0]
+                accepted += rep.flag == "acc"
+    # both decisions occur, so the check says something about each
+    assert 0.2 < accepted / (4 * seeds) < 0.8

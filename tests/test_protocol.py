@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaccredit import families, noise, protocol, qotp, simulator, traps
+from qaccredit.circuit import identity_circuit
 from qaccredit.mesothetic import BobStrategy, run_session
 from qaccredit.noise import (BoundedGateNoise, CompositeModel,
                              ExplicitCollectionDistribution,
@@ -113,7 +114,7 @@ def test_single_run_v0_uniform():
 
 def test_plan_run_hides_target_among_traps():
     target = families.ghz_circuit(3)
-    v0, plan = plan_run(target, 5, np.random.default_rng(4))
+    v0, plan, _ = plan_run(target, 5, noiseless(), np.random.default_rng(4))
     assert len(plan) == 6 and 0 <= v0 <= 5
     rng = np.random.default_rng(5)
     for k, (circuit, key) in enumerate(plan):
@@ -128,6 +129,45 @@ def test_plan_run_hides_target_among_traps():
                           np.random.default_rng(4))
     run = single_run(target, 5, noiseless(), np.random.default_rng(4))
     assert session.v0 == run.v0 == v0
+
+
+def test_draw_runs_choice_rows_deterministic_and_uniform():
+    topo = identity_circuit(3, 3, cz_layout=[{(0, 1)}, {(1, 2)}, set()])
+    a = protocol._draw_runs(topo, 3, noiseless(), 2, np.random.default_rng(4))
+    b = protocol._draw_runs(topo, 3, noiseless(), 2, np.random.default_rng(4))
+    assert a[1].dtype == np.uint8 and a[1].shape == (2, 3, 5)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    reps = 10 ** 4
+    # band 0's pair and unpaired bits, band 1's, then t
+    means = protocol._draw_runs(topo, 3, noiseless(), reps,
+                                np.random.default_rng(5))[1].mean(axis=0)
+    assert ((means > 0.48) & (means < 0.52)).all()
+
+
+def test_plan_run_keys_deterministic():
+    # the keys are band m's alpha rows of the v+1 pad rows, drawn as one
+    # array right after the run's draws
+    target, v = families.ghz_circuit(3), 3
+    n, m = target.n, target.m
+    keys = [key for _, key in plan_run(target, v, noiseless(),
+                                       np.random.default_rng(42))[1]]
+    rng = np.random.default_rng(42)
+    protocol._draw_runs(target, v, noiseless(), 1, rng)
+    pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
+                        dtype=np.uint8)
+    assert keys[0].dtype == np.uint8
+    assert np.array_equal(keys, pads[:, n * (m - 1):n * m])
+
+
+def test_plan_run_key_bit_means():
+    target = families.ghz_circuit(2)
+    rng = np.random.default_rng(7)
+    reps = 10 ** 4
+    keys = np.array([[key for _, key in plan_run(target, 3, noiseless(),
+                                                 rng)[1]]
+                     for _ in range(reps)])
+    for mean in keys.mean(axis=0).reshape(-1):
+        assert 0.48 <= mean <= 0.52
 
 
 def test_run_outcome_rejects_inconsistent_flag():
@@ -272,6 +312,45 @@ def test_pad_free_runs_match_padded_runs():
                 assert hist[0][1] + hist[0][2] > 0
 
 
+def test_padded_runs_match_frame_run_by_run():
+    # from one seed the padded run draws what a pad-free run draws, so its
+    # slot, flag and every trap output equal the frame's, run by run; the
+    # traps are built independently (generate_trap, dress, statevector
+    # against trap_cliffords and frame_flips)
+    v, seeds = 3, 75
+    ghz = families.ghz_circuit(3)
+    clifford = families.random_clifford_circuit(3, 4,
+                                                np.random.default_rng(44))
+    flags = []
+    for target in (ghz, clifford):
+        n, m = target.n, target.m
+        pauli_rates = IndependentLocationChannels(
+            default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01})
+        models = (pauli_rates, BoundedGateNoise(rate=0.08, n=n),
+                  CompositeModel(pauli_part=pauli_rates,
+                                 gate_part=BoundedGateNoise(rate=0.04, n=n)),
+                  noise.random_adversary(n, m, v, np.random.default_rng(45)))
+        for model in models:
+            for seed in range(seeds):
+                out = single_run(target, v, model,
+                                 np.random.default_rng(seed))
+                v0, choice, err_x, err_z = protocol._draw_runs(
+                    target, v, model, 1, np.random.default_rng(seed))
+                slots = [k for k in range(v + 1) if k != v0[0]]
+                flips = simulator.frame_flips(
+                    target, traps.trap_cliffords(target, choice[0]),
+                    err_x[0, slots], err_z[0, slots])
+                accepted, _ = protocol._pad_free_block(
+                    target, v0, choice, err_x, err_z,
+                    np.zeros((1, n), dtype=np.uint8))
+                assert out.v0 == v0[0]
+                assert (out.flag == "acc") == accepted[0]
+                assert np.array_equal(out.trap_outputs, flips)
+                flags.append(out.flag)
+    # both decisions occur, so the check says something about each
+    assert 0.2 < flags.count("acc") / len(flags) < 0.8
+
+
 def test_pad_free_slots_see_their_own_errors():
     # Z on qubit 0 before measurement, in slot 2 only: a trap there always
     # rejects, and a target there always outputs odd GHZ parity
@@ -289,7 +368,7 @@ def test_pad_free_slots_see_their_own_errors():
     assert all(int(out.sum()) % 2 == 1 for out in report.accepted_outputs)
 
 
-def test_accredit_report_repeats_under_pauli_noise(monkeypatch):
+def test_accredit_report_repeats_under_pauli_noise():
     target = families.ghz_circuit(3)
     model = IndependentLocationChannels(
         default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02})
@@ -302,10 +381,8 @@ def test_accredit_report_repeats_under_pauli_noise(monkeypatch):
     first = report(300)
     assert 0 < first.n_acc < 300
     assert report(300).to_json() == first.to_json()
-    # each run draws from its own generator, so neither the block size of
-    # the batched frame nor the number of runs changes a run's outcome
-    monkeypatch.setattr(protocol, "RUN_BLOCK", 7)
-    assert report(300).to_json() == first.to_json()
+    # each stream block draws all its runs, so the number of runs changes
+    # no run's outcome
     short = report(100)
     assert [o.tolist() for o in short.accepted_outputs] == \
         [o.tolist() for o in first.accepted_outputs[:short.n_acc]]
@@ -355,9 +432,11 @@ def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
     for _ in range(150):
         n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         topo = families.random_clifford_circuit(n, m, rng)
-        trap = traps.generate_trap(topo, traps.sample_choice(topo, rng))
+        trap = traps.generate_trap(topo, rng.integers(
+            0, 2, size=traps.choice_width(topo), dtype=np.uint8))
         gates = trap.gates[None]
-        dressed, key = qotp.dress(trap, qotp.sample_pads(n, m, rng))
+        dressed, key = qotp.dress(trap, rng.integers(
+            0, 2, size=qotp.pad_width(n, m), dtype=np.uint8))
         err_x = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
         err_x[[0, m]] = 0
         err_z = rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8)
@@ -387,7 +466,8 @@ def test_pad_invariance_under_paulis_at_every_location(n, m, generic, seed):
     make = (families.random_generic_circuit if generic
             else families.random_clifford_circuit)
     target = make(n, m, rng)
-    dressed, key = qotp.dress(target, qotp.sample_pads(n, m, rng))
+    dressed, key = qotp.dress(target, rng.integers(
+        0, 2, size=qotp.pad_width(n, m), dtype=np.uint8))
     errors = (rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8),
               rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8))
     padded = simulator.statevector_distribution(dressed, errors)

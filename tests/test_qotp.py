@@ -3,7 +3,7 @@ import pytest
 
 from qaccredit import cliffords, families, simulator
 from qaccredit.circuit import GENERIC, Circuit, identity_circuit
-from qaccredit.qotp import dress, pad_width, postprocess, sample_pads
+from qaccredit.qotp import dress, pad_width, postprocess
 
 TV_TOL = 1e-10
 PAULI = cliffords.PAULI_INDEX
@@ -66,26 +66,10 @@ def test_dress_rejects_non_bit_values():
         dress(identity_circuit(2, 2), row)
 
 
-def test_sample_pads_deterministic():
-    pads = sample_pads(3, 2, np.random.default_rng(42))
-    assert pads.dtype == np.uint8
-    assert np.array_equal(pads, np.random.default_rng(42).integers(
-        0, 2, size=pad_width(3, 2), dtype=np.uint8))
-
-
-def test_sample_pads_bit_means():
-    rng = np.random.default_rng(7)
-    reps = 10 ** 4
-    rows = np.array([sample_pads(2, 2, rng) for _ in range(reps)])
-    for mean in rows.mean(axis=0):
-        assert 0.48 <= mean <= 0.52
-
-
 def test_pad_bit_budget():
     # n=1, m=1 uses exactly 3 bits: alpha, alpha_prime, gamma
     assert pad_width(1, 1) == 3
     assert pad_width(2, 3) == 14
-    assert sample_pads(1, 1, np.random.default_rng(0)).shape == (3,)
 
 
 def test_postprocess():
@@ -103,7 +87,7 @@ def test_postprocess():
 def test_dressing_preserves_structure():
     rng = np.random.default_rng(3)
     circ = families.random_generic_circuit(3, 3, rng)
-    pads = sample_pads(3, 3, rng)
+    pads = rng.integers(0, 2, size=pad_width(3, 3), dtype=np.uint8)
     dressed, key = dress(circ, pads)
     assert dressed.n == circ.n and dressed.m == circ.m
     assert dressed.cz == circ.cz
@@ -156,5 +140,6 @@ def test_transparency_random_pads():
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         circ = families.random_generic_circuit(n, m, rng)
         for _ in range(20):
-            assert _transparency_tv(circ, sample_pads(n, m, rng)) < TV_TOL
+            pads = rng.integers(0, 2, size=pad_width(n, m), dtype=np.uint8)
+            assert _transparency_tv(circ, pads) < TV_TOL
 

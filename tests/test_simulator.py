@@ -95,7 +95,8 @@ def test_statevector_matches_frame_on_traps():
     for _ in range(200):
         n, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
         topo = families.random_clifford_circuit(n, m, rng)
-        trap = generate_trap(topo, traps.sample_choice(topo, rng))
+        trap = generate_trap(topo, rng.integers(
+            0, 2, size=traps.choice_width(topo), dtype=np.uint8))
         errs = []
         for loc in range(m + 1):
             z_only = loc in (0, m)
@@ -104,6 +105,22 @@ def test_statevector_matches_frame_on_traps():
         expected = trap_output(trap, errs)
         sampled = run_statevector(trap, errors=_bits(errs), rng=rng)
         assert np.array_equal(sampled, expected)
+
+
+def test_apply_pauli_matches_basis_state_loop():
+    # X^x Z^z sends |b> to (-1)^popcount(b & z) |b ^ x>, one basis state
+    # at a time
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        x, z = int(rng.integers(0, 2 ** n)), int(rng.integers(0, 2 ** n))
+        expected = np.empty_like(state)
+        for b in range(2 ** n):
+            sign = -1 if bin(b & z).count("1") % 2 else 1
+            expected[b ^ x] = sign * state[b]
+        assert np.array_equal(simulator.apply_pauli(state, x, z, n),
+                              expected)
 
 
 def test_statevector_frame_exhaustive_small():

@@ -4,8 +4,8 @@ import pytest
 from qaccredit import cliffords, families, simulator, traps
 from qaccredit.circuit import identity_circuit
 from qaccredit.noise import identity_collection
-from qaccredit.traps import (choice_space_size, enumerate_choices,
-                             generate_trap, sample_choice)
+from qaccredit.traps import (choice_space_size, choice_width,
+                             enumerate_choices, generate_trap)
 
 
 def test_single_qubit_trap_gates():
@@ -43,7 +43,8 @@ def test_traps_always_output_zero_noiseless():
         n, m = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         topo = families.random_clifford_circuit(n, m, rng)
         # a trap exists only as a valid circuit: the constructor checks it
-        trap = generate_trap(topo, sample_choice(topo, rng))
+        trap = generate_trap(topo, rng.integers(
+            0, 2, size=choice_width(topo), dtype=np.uint8))
         assert trap.all_clifford
         dist = simulator.statevector_distribution(trap)
         assert dist[0] > 1 - 1e-10
@@ -63,20 +64,6 @@ def test_trap_is_oriented_cx_sequence():
         # cX on |++> is |++>, so the whole trap must fix |+>^n
         overlap = abs(np.vdot(np.full(4, 0.5), state))
         assert overlap > 1 - 1e-10
-
-
-def test_sample_choice_deterministic_and_uniform():
-    topo = identity_circuit(3, 3, cz_layout=[{(0, 1)}, {(1, 2)}, set()])
-    a = sample_choice(topo, np.random.default_rng(4))
-    b = sample_choice(topo, np.random.default_rng(4))
-    assert a.dtype == np.uint8 and np.array_equal(a, b)
-    rng = np.random.default_rng(5)
-    counts = np.zeros(5)
-    reps = 10 ** 4
-    for _ in range(reps):
-        # band 0's pair and unpaired bits, band 1's, then t
-        counts += sample_choice(topo, rng)
-    assert ((counts / reps > 0.48) & (counts / reps < 0.52)).all()
 
 
 def test_choice_space_sizes():
