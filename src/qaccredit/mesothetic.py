@@ -21,8 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import pauli, qotp, simulator
-from .circuit import Circuit
+from . import cliffords, pauli, qotp, simulator
+from .circuit import GENERIC, Circuit
 from .noise import BoundedGateNoise, NoiseModel
 from .oracles import LemmaReport, corrupts_target, three_sigma_report
 from .pauli import PauliString
@@ -157,12 +157,14 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
 
     Alice's preliminary work (``protocol.plan_run``: slot choice, trap
     choices, error bits and pads, drawn as a run of ``accredit`` draws
-    them) happens before any message is exchanged. ``alice_noise`` (None
-    or a BoundedGateNoise) is the noise model of that draw, noiseless for
-    None; Alice applies a circuit's location-(j+1) error after her band-j
-    round. Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
-    statevector limit (SimLimitError) and the noise's type and qubit count
-    are checked before any draw.
+    them) happens before any message is exchanged, and she reads every
+    slot's band unitaries and error masks from the plan's arrays once; no
+    circuit is built. ``alice_noise`` (None or a BoundedGateNoise) is the
+    noise model of that draw, noiseless for None; Alice applies a
+    circuit's location-(j+1) error after her band-j round. Bob's
+    deviations (:meth:`BobStrategy.check_fits`), n against the statevector
+    limit (SimLimitError) and the noise's type and qubit count are checked
+    before any draw.
     """
     n, m = target.n, target.m
     bob.check_fits(v, n, m)
@@ -173,19 +175,27 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     if alice_noise is not None and alice_noise.n != n:
         raise ValueError(f"Alice's gate noise built for n={alice_noise.n} "
                          f"qubits cannot act on a target of n={n} qubits")
-    v0, prepared, (err_x, err_z) = plan_run(
-        target, v, NoiseModel() if alice_noise is None else alice_noise, rng)
+    plan = plan_run(target, v,
+                    NoiseModel() if alice_noise is None else alice_noise, rng)
+    v0 = plan.v0
+    # every slot's band unitaries (v+1, m, n, 2, 2) and Alice's x and z
+    # error masks (v+1, m+1), gathered once
+    unitaries = cliffords.MATRICES[np.where(plan.gates == GENERIC,
+                                            cliffords.C_I, plan.gates)]
+    for (j, i), u in plan.matrices.items():
+        unitaries[v0, j, i] = u
+    alice_x, alice_z = simulator.row_masks(plan.errors, m + 1).tolist()
     channel = Transport()
     target_output = None
-    for k, (circuit, key) in enumerate(prepared):
-        alice = simulator.row_masks((err_x[k], err_z[k]), m + 1)
+    for k, key in enumerate(plan.keys):
         reg = QubitRegister(n, owner=BOB)
         for dev in bob.deviations_for(k, 0):
             reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)
-        for j, pairs in enumerate(circuit.cz):
+        for j, pairs in enumerate(target.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
-            reg.apply(ALICE, simulator.apply_round, circuit, j)
-            reg.apply(ALICE, simulator.apply_pauli, *alice[j + 1])
+            reg.apply(ALICE, simulator.apply_round, unitaries[k, j])
+            reg.apply(ALICE, simulator.apply_pauli, alice_x[k][j + 1],
+                      alice_z[k][j + 1])
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
             for dev in bob.deviations_for(k, j + 1):
                 reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)

@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -158,28 +158,41 @@ def _check_plan(target: Circuit, v: int):
         raise DomainError("traps need at least 2 bands")
 
 
+class RunPlan(NamedTuple):
+    """One run's secret choices and noise, as arrays (:func:`plan_run`)."""
+
+    v0: int
+    gates: np.ndarray  # (v+1, m, n) dressed gate indices, slot by slot
+    matrices: dict  # the dressed target's generic 2x2s, {} if Clifford
+    keys: np.ndarray  # (v+1, n) post-processing keys
+    errors: tuple  # (err_x, err_z), each (v+1, m+1, n)
+
+
 def plan_run(target: Circuit, v: int, noise: NoiseModel,
-             rng: np.random.Generator) -> tuple:
-    """One run's secret choices and noise: (v0, [(circuit, key)], (err_x,
-    err_z)).
+             rng: np.random.Generator) -> RunPlan:
+    """One run's secret choices and noise as a :class:`RunPlan`.
 
     Draws the run as a run of :func:`accredit` is drawn (:func:`_draw_runs`
     at one run), then the v+1 pad rows as one array. Trap t sits at the
-    t-th slot other than v0 and is built from its choice row by
-    :func:`traps.generate_trap`. Both the padded reference run and the
-    two-party session execute the v+1 dressed circuits this returns, each
-    with the key that post-processes its output, under the error bits of
-    shape (v+1, m+1, n).
+    t-th slot other than v0, with the gates :func:`traps.trap_cliffords`
+    gives its choice row; every slot is dressed by its pad row
+    (:func:`qotp.pad_paulis`), as :func:`qotp.dress` dresses one circuit,
+    on the target's cZ layers. Both the padded reference run and the
+    two-party session execute these v+1 circuits, each post-processed with
+    its key, under the error bits. No circuit is built.
     """
     _check_plan(target, v)
     v0, choice, err_x, err_z = _draw_runs(target, v, noise, 1, rng)
     v0 = int(v0[0])
     pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(target.n, target.m)),
                         dtype=np.uint8)
-    bases = [traps.generate_trap(target, row) for row in choice[0]]
-    bases.insert(v0, target)
-    dressed = [qotp.dress(base, row) for base, row in zip(bases, pads)]
-    return v0, dressed, (err_x[0], err_z[0])
+    trap_gates = traps.trap_cliffords(target, choice[0])
+    bases = np.concatenate((trap_gates[:v0], target.gates[None],
+                            trap_gates[v0:]))
+    pre, post, keys = qotp.pad_paulis(target, pads)
+    return RunPlan(v0, qotp.pad_gates(bases, pre, post),
+                   qotp.pad_matrices(target.matrices, pre[v0], post[v0]),
+                   keys, (err_x[0], err_z[0]))
 
 
 def single_run(target: Circuit, v: int, noise: NoiseModel,
@@ -187,13 +200,16 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
     """One padded protocol run, the reference that :func:`accredit` matches.
 
     Hides the target among v traps, pads every circuit and draws the error
-    bits (:func:`plan_run`), then per slot one dense statevector sample of
-    the dressed circuit, post-processed with its key. The run accepts iff
-    every trap outputs all zeros.
+    bits (:func:`plan_run`), then per slot builds the dressed circuit and
+    takes one dense statevector sample of it, post-processed with its key.
+    The run accepts iff every trap outputs all zeros.
     """
-    v0, plan, (err_x, err_z) = plan_run(target, v, noise, rng)
+    plan = plan_run(target, v, noise, rng)
+    v0, (err_x, err_z) = plan.v0, plan.errors
     outputs = []
-    for k, (circuit, key) in enumerate(plan):
+    for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
+        circuit = Circuit(target.n, target.m, gates, target.cz,
+                          plan.matrices if k == v0 else None)
         raw = simulator.run_statevector(circuit, (err_x[k], err_z[k]),
                                         rng=rng)
         outputs.append(qotp.postprocess(raw, key))

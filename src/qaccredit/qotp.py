@@ -7,10 +7,14 @@ single-qubit gate U_{i,j} gets a Pauli pad appended:
 (X stabilizes ``|+>``). The pad of band j is undone at the start of band j+1
 by the pad conjugated through band j's cZ layer; the band-m Z-pad exponents
 survive as a classical key that is XORed into the measured outputs.
-:func:`dress` returns the padded circuit and its key as a pair.
+:func:`pad_paulis` turns a stack of pad rows into these Paulis and keys in
+one pass; :func:`dress` applies them to one circuit and returns the padded
+circuit and its key as a pair.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,32 +36,73 @@ def dress(circuit: Circuit, pads: np.ndarray) -> tuple[Circuit, np.ndarray]:
     Band 1: ``U'' = X^{alpha'} Z^{alpha} U X^{gamma}``. Band j+1 prepends the
     band-j pad conjugated through band j's cZ layer (X_i -> X_i Z_j).
     Clifford gates stay Clifford (Pauli * Clifford is Clifford); generic gates
-    multiply matrices.
+    multiply matrices. This is :func:`pad_paulis` at one row, then
+    :func:`pad_gates` and :func:`pad_matrices`.
     """
     n, m = circuit.n, circuit.m
     row = np.asarray(pads)
     if row.shape != (pad_width(n, m),) or not set(row.tolist()) <= {0, 1}:
         raise ValueError(f"pads must be a 0/1 row of {pad_width(n, m)} bits")
-    row = row.astype(np.uint8)
-    alpha = row[: n * m].reshape(m, n)
-    alpha_prime = row[n * m: 2 * n * m].reshape(m, n)
-    # band j's pad conjugated through band j's cZ layer
-    crossed_z = alpha.copy()
-    for j, pairs in enumerate(circuit.cz):
-        for lo, hi in pairs:
-            crossed_z[j, lo] ^= alpha_prime[j, hi]
-            crossed_z[j, hi] ^= alpha_prime[j, lo]
-    # band 1 opens with X^gamma; band j+1 undoes band j's crossed pad
-    pre = np.empty((m, n), dtype=np.uint8)
-    pre[0] = cliffords.PAULI_INDEX[row[2 * n * m:], 0]
-    pre[1:] = cliffords.PAULI_INDEX[alpha_prime[:-1], crossed_z[:-1]]
+    pre, post, key = pad_paulis(circuit, row[None].astype(np.uint8))
+    dressed = Circuit(n, m, pad_gates(circuit.gates, pre[0], post[0]),
+                      circuit.cz,
+                      pad_matrices(circuit.matrices, pre[0], post[0]))
+    return dressed, key[0]
+
+
+def pad_paulis(topology: Circuit, pads: np.ndarray) -> tuple:
+    """Pads of K circuits on ``topology``'s cZ layers as Paulis.
+
+    ``pads`` is a (K, pad_width) stack of 0/1 uint8 rows. Returns the
+    Pauli indices (K, m, n) that go before and after each gate, and the
+    keys (K, n): band 1 opens with X^gamma, band j+1 undoes band j's pad
+    conjugated through band j's cZ layer, and every gate is followed by
+    X^{alpha'} Z^{alpha}; the band-m alpha rows are the keys.
+    """
+    n, m = topology.n, topology.m
+    alpha = pads[:, : n * m].reshape(-1, m, n)
+    alpha_prime = pads[:, n * m: 2 * n * m]
+    # band j's pad conjugated through band j's cZ layer: a qubit's Z pad
+    # picks up its partner's X pad
+    partner, paired = _cz_partners(n, topology.cz)
+    crossed_z = alpha ^ alpha_prime[:, partner] & paired
+    alpha_prime = alpha_prime.reshape(alpha.shape)
+    pre = np.empty(alpha.shape, dtype=np.uint8)
+    pre[:, 0] = cliffords.PAULI_INDEX[pads[:, 2 * n * m:], 0]
+    pre[:, 1:] = cliffords.PAULI_INDEX[alpha_prime[:, :-1], crossed_z[:, :-1]]
     post = cliffords.PAULI_INDEX[alpha_prime, alpha]
-    matrices = {(j, i): cliffords.MATRICES[post[j, i]]
-                @ (u @ cliffords.MATRICES[pre[j, i]])
-                for (j, i), u in circuit.matrices.items()}
-    dressed = Circuit(n, m, _COMPOSE[_COMPOSE[pre, circuit.gates], post],
-                      circuit.cz, matrices)
-    return dressed, alpha[m - 1]
+    return pre, post, alpha[:, m - 1]
+
+
+@lru_cache(maxsize=64)
+def _cz_partners(n: int, cz: tuple) -> tuple:
+    """(m, n) arrays: the position j*n + p, in a band-major (m x n) row, of
+    qubit q's cZ partner p in band j (q itself when unpaired), and 1 where
+    q has a partner."""
+    partner = np.arange(len(cz) * n).reshape(-1, n)
+    paired = np.zeros((len(cz), n), dtype=np.uint8)
+    for j, pairs in enumerate(cz):
+        for lo, hi in pairs:
+            partner[j, lo], partner[j, hi] = j * n + hi, j * n + lo
+            paired[j, [lo, hi]] = 1
+    partner.setflags(write=False)
+    paired.setflags(write=False)
+    return partner, paired
+
+
+def pad_gates(gates: np.ndarray, pre: np.ndarray,
+              post: np.ndarray) -> np.ndarray:
+    """Gate indices of any shape between their pre and post Paulis; a
+    GENERIC gate stays GENERIC."""
+    return _COMPOSE[_COMPOSE[pre, gates], post]
+
+
+def pad_matrices(matrices, pre: np.ndarray, post: np.ndarray) -> dict:
+    """One circuit's generic 2x2s {(j, i): u}, each between the (m, n)
+    pre and post Paulis at its position."""
+    return {(j, i): cliffords.MATRICES[post[j, i]]
+            @ (u @ cliffords.MATRICES[pre[j, i]])
+            for (j, i), u in matrices.items()}
 
 
 def postprocess(outputs: np.ndarray, key: np.ndarray) -> np.ndarray:

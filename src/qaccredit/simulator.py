@@ -180,32 +180,36 @@ def _cz_columns(cz: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _apply_singles(state: np.ndarray, unitaries: Sequence) -> np.ndarray:
-    """Apply the 2x2 unitary ``unitaries[q]`` to every qubit q (qubit 0 =
-    least significant bit), one matrix product per qubit.
+def apply_round(state: np.ndarray, unitaries: Sequence,
+                n: int) -> np.ndarray:
+    """Apply a band's single-qubit round, the 2x2 unitary ``unitaries[q]``
+    on every qubit q (qubit 0 = least significant bit), one matrix product
+    per qubit; ``unitaries`` is an (n, 2, 2) array or a list of n 2x2s.
 
     Each product acts on the highest qubit, the leading axis, and leaves it
     as the lowest, so after the last product every qubit is back in place.
     """
-    for u in reversed(unitaries):
+    for u in unitaries[::-1]:
         state = (state.reshape(2, -1).T @ u.T).reshape(-1)
     return state
 
 
-def apply_round(state: np.ndarray, circuit: Circuit, j: int,
-                n: int) -> np.ndarray:
-    """Apply band j's single-qubit round of ``circuit``."""
-    return _apply_singles(state, [circuit.unitary(j, i) for i in range(n)])
-
-
 def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
-    """Apply a band's cZ round: one sign flip per basis state, where an
-    odd number of its pairs has both qubits set."""
+    """Apply a band's cZ round, a tuple of (lo, hi) pairs: one sign flip
+    per basis state where an odd number of its pairs has both qubits set."""
+    return np.where(_cz_parity(n, pairs), -state, state)
+
+
+@lru_cache(maxsize=4)
+def _cz_parity(n: int, pairs: tuple) -> np.ndarray:
+    """Read-only bool (2^n,): the basis states a cZ round flips."""
     idx = np.arange(2 ** n)
     odd = np.zeros(2 ** n, dtype=idx.dtype)
     for i, j in pairs:
         odd ^= idx >> i & idx >> j & 1
-    return np.where(odd, -state, state)
+    odd = odd.astype(bool)
+    odd.setflags(write=False)
+    return odd
 
 
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
@@ -224,12 +228,13 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
 
 
-def row_masks(bits: Optional[Sequence], rows: int) -> list:
-    """(x, z) integer masks per row of an (x, z) bit-array pair, or of
-    ``rows`` noiseless rows for None."""
+def row_masks(bits: Optional[Sequence], rows: int) -> np.ndarray:
+    """Integer masks (bit q = qubit q) of each row of an (x, z) pair of
+    bit arrays of shape (..., rows, n), as one (2, ..., rows) array of x
+    and z masks, or of ``rows`` noiseless rows for None."""
     if bits is None:
-        return [(0, 0)] * rows
-    return [(bits_to_index(x), bits_to_index(z)) for x, z in zip(*bits)]
+        return np.zeros((2, rows), dtype=np.int64)
+    return np.dot(bits, 1 << np.arange(bits[0].shape[-1]))
 
 
 def _evolve_state(circuit: Circuit, errors: Optional[Sequence],
@@ -242,16 +247,17 @@ def _evolve_state(circuit: Circuit, errors: Optional[Sequence],
     2^n x 2^n matrix applied after its error.
     """
     n, m = circuit.n, circuit.m
-    err = row_masks(errors, m + 1)
+    err_x, err_z = row_masks(errors, m + 1).tolist()
     operators = operators or {}
 
     def at_location(state, loc):
-        state = apply_pauli(state, *err[loc], n)
+        state = apply_pauli(state, err_x[loc], err_z[loc], n)
         return operators[loc] @ state if loc in operators else state
 
     state = at_location(plus_state(n), 0)
     for j, pairs in enumerate(circuit.cz):
-        state = at_location(apply_round(state, circuit, j, n), j + 1)
+        band = [circuit.unitary(j, i) for i in range(n)]
+        state = at_location(apply_round(state, band, n), j + 1)
         state = apply_cz(state, pairs, n)
     return state
 
@@ -259,7 +265,7 @@ def _evolve_state(circuit: Circuit, errors: Optional[Sequence],
 def _x_weights(state: np.ndarray, n: int) -> np.ndarray:
     """Squared X-basis amplitudes of a state, not normalised."""
     # rotate to the X basis so computational outcomes are the measurement bits
-    state = _apply_singles(state, [cliffords.MATRICES[cliffords.C_H]] * n)
+    state = apply_round(state, [cliffords.MATRICES[cliffords.C_H]] * n, n)
     return np.abs(state) ** 2
 
 

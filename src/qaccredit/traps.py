@@ -24,6 +24,10 @@ from .circuit import Circuit
 
 ENUMERATION_CAP = 2 ** 24
 
+# layer gates by bit: the sandwich (I or H) and an assignment (H or S)
+_SANDWICH = np.array([cliffords.C_I, cliffords.C_H], dtype=np.uint8)
+_ASSIGNMENT = np.array([cliffords.C_H, cliffords.C_S], dtype=np.uint8)
+
 
 def _unpaired(n: int, pairs: tuple) -> list:
     """Ascending qubits of n in no cZ pair of a band."""
@@ -82,14 +86,13 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     """
     bits = _check_choice(target, bits, ndim=2)
     n, m = target.n, target.m
-    # layers 0 and m are the sandwich; layer j+1, band j's assignment, is S
-    # on qubit q exactly when bit[cols[j, q]] ^ lower[j, q] is 1
+    # layers 0 and m are the sandwich, H when t is 1; layer j+1, band j's
+    # assignment, is S on qubit q exactly when bit[cols[j, q]] ^ lower[j, q]
+    # is 1
     cols, lower = _layer_columns(n, target.cz)
     layers = np.empty((len(bits), m + 1, n), dtype=np.uint8)
-    layers[:, [0, m]] = np.where(bits[:, -1:, None], cliffords.C_H,
-                                 cliffords.C_I)
-    layers[:, 1:m] = np.where(bits[:, cols] ^ lower, cliffords.C_S,
-                              cliffords.C_H)
+    layers[:, 0] = layers[:, m] = _SANDWICH[bits[:, -1:]]
+    layers[:, 1:m] = _ASSIGNMENT[bits[:, cols] ^ lower]
     return cliffords.COMPOSE[cliffords.DAGGER[layers[:, :-1]], layers[:, 1:]]
 
 

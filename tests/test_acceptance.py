@@ -234,14 +234,29 @@ def test_criterion_10_mesothetic_soundness():
         if rep.flag != "acc" or rep.aborted:
             honest_ok = False
             break
-    devs = {(k, 1): [PauliString(2, 1, 1)] for k in range(4)}
+    y0 = PauliString(2, 1, 1)
+    devs = {(k, 1): [y0] for k in range(4)}
     bob = BobStrategy(honest=False, deviations=devs)
-    sound = soundness_estimate(target, 3, bob, 10 ** 5,
+    sessions = 10 ** 5
+    sound = soundness_estimate(target, 3, bob, sessions,
                                np.random.default_rng(101))
-    ok = honest_ok and sound.passed and sound.bound == 0.421875
+    # exact value: Y on qubit 0 at location 1 corrupts the target in every
+    # slot, so a session accepts a corrupted output when its 3 traps pass,
+    # each with Lemma 2's exact probability A; Hoeffding at risk 1e-6
+    ident = PauliString(2)
+    slot = (ident, y0, ident)
+    assert oracles.corrupts_target(target, slot)
+    bits = PauliErrorCollection((slot,)).to_bits()
+    accept = oracles.lemma2_exact_prob(target, (bits[0][0], bits[1][0]))
+    exact = float(accept ** 3)
+    half_width = math.sqrt(math.log(2 / 1e-6) / (2 * sessions))
+    ok = (honest_ok and sound.passed and sound.bound == 0.421875
+          and abs(sound.probability - exact) <= half_width)
     _report(10, f"1e4 honest sessions all accept without abort; deviating "
                 f"prover: freq(acc AND corrupted) = "
-                f"{float(sound.probability):.4f} <= 27/64 + 3 sigma", ok)
+                f"{float(sound.probability):.4f} <= 27/64 + 3 sigma, and "
+                f"within {half_width:.4f} of the exact A^3 = {exact:.6f}",
+            ok)
 
 
 def test_criterion_11_backend_cross_check():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaccredit import families, mesothetic, protocol, qotp, simulator
-from qaccredit.circuit import identity_circuit
+from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.mesothetic import (ALICE, BOB, BobStrategy, OwnershipError,
                                   ProtocolViolation, QubitRegister, Transport,
                                   Message, run_session, soundness_estimate)
@@ -206,16 +206,33 @@ def test_session_deterministic():
     assert a.transcript_length == b.transcript_length
 
 
+def test_session_builds_no_circuit(monkeypatch):
+    # the plan and the register read index arrays; only the target exists
+    target = families.random_generic_circuit(2, 3, np.random.default_rng(8))
+
+    def no_circuit(self):
+        raise AssertionError("a circuit was built")
+
+    monkeypatch.setattr(Circuit, "__post_init__", no_circuit)
+    devs = {(k, 1): [PauliString(2, 0b11, 0b11)] for k in range(4)}
+    for bob in (BobStrategy(honest=True),
+                BobStrategy(honest=False, deviations=devs)):
+        run_session(target, 3, bob, np.random.default_rng(8))
+
+
 def _replay(target, v, bob, rng, alice_noise):
     """A session's outcome without the register: each slot sampled from its
     statevector distribution, with Bob's stage-s Paulis XORed into the
     plan's location-s error bits, drawn from Alice's gate noise.
     Returns (flag, v0, target output, transcript length)."""
     n, m = target.n, target.m
-    v0, prepared, errors = plan_run(
+    plan = plan_run(
         target, v, noiseless() if alice_noise is None else alice_noise, rng)
+    v0, errors = plan.v0, plan.errors
     output, sent = None, 0
-    for k, (circuit, key) in enumerate(prepared):
+    for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
+        circuit = Circuit(n, m, gates, target.cz,
+                          plan.matrices if k == v0 else None)
         bits = np.array([errors[0][k], errors[1][k]])
         for stage in range(m + 1):
             for p in bob.deviations_for(k, stage):

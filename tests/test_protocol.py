@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaccredit import families, noise, protocol, qotp, simulator, traps
-from qaccredit.circuit import identity_circuit
+from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.mesothetic import BobStrategy, run_session
 from qaccredit.noise import (BoundedGateNoise, CompositeModel,
                              ExplicitCollectionDistribution,
@@ -114,10 +114,12 @@ def test_single_run_v0_uniform():
 
 def test_plan_run_hides_target_among_traps():
     target = families.ghz_circuit(3)
-    v0, plan, _ = plan_run(target, 5, noiseless(), np.random.default_rng(4))
-    assert len(plan) == 6 and 0 <= v0 <= 5
+    plan = plan_run(target, 5, noiseless(), np.random.default_rng(4))
+    v0 = plan.v0
+    assert plan.gates.shape == (6, target.m, 3) and 0 <= v0 <= 5
     rng = np.random.default_rng(5)
-    for k, (circuit, key) in enumerate(plan):
+    for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
+        circuit = Circuit(3, target.m, gates, target.cz)
         out = qotp.postprocess(
             simulator.run_statevector(circuit, rng=rng), key)
         if k == v0:  # GHZ X-measurement outputs have even parity
@@ -129,6 +131,38 @@ def test_plan_run_hides_target_among_traps():
                           np.random.default_rng(4))
     run = single_run(target, 5, noiseless(), np.random.default_rng(4))
     assert session.v0 == run.v0 == v0
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(2, 5), v=st.integers(1, 6),
+       generic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_run_equals_generate_trap_and_dress(n, m, v, generic, seed):
+    # the array plan against the per-circuit reference: redo its draws by
+    # hand, then build every slot with generate_trap and dress
+    make = (families.random_generic_circuit if generic
+            else families.random_clifford_circuit)
+    target = make(n, m, np.random.default_rng([seed, 1]))
+    plan = plan_run(target, v, noiseless(), np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    v0, choice, err_x, err_z = protocol._draw_runs(target, v, noiseless(), 1,
+                                                   rng)
+    pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
+                        dtype=np.uint8)
+    assert plan.v0 == v0[0]
+    assert np.array_equal(plan.errors[0], err_x[0])
+    assert np.array_equal(plan.errors[1], err_z[0])
+    slots = [k for k in range(v + 1) if k != plan.v0]
+    for k, row in zip(slots, choice[0]):
+        dressed, key = qotp.dress(traps.generate_trap(target, row), pads[k])
+        assert np.array_equal(plan.gates[k], dressed.gates)
+        assert np.array_equal(plan.keys[k], key)
+    dressed, key = qotp.dress(target, pads[plan.v0])
+    assert np.array_equal(plan.gates[plan.v0], dressed.gates)
+    assert np.array_equal(plan.keys[plan.v0], key)
+    assert plan.matrices.keys() == dressed.matrices.keys()
+    for at, u in dressed.matrices.items():
+        assert np.array_equal(plan.matrices[at], u)
+    assert plan.gates.dtype == plan.keys.dtype == np.uint8
 
 
 def test_draw_runs_choice_rows_deterministic_and_uniform():
@@ -149,8 +183,7 @@ def test_plan_run_keys_deterministic():
     # array right after the run's draws
     target, v = families.ghz_circuit(3), 3
     n, m = target.n, target.m
-    keys = [key for _, key in plan_run(target, v, noiseless(),
-                                       np.random.default_rng(42))[1]]
+    keys = plan_run(target, v, noiseless(), np.random.default_rng(42)).keys
     rng = np.random.default_rng(42)
     protocol._draw_runs(target, v, noiseless(), 1, rng)
     pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
@@ -163,8 +196,7 @@ def test_plan_run_key_bit_means():
     target = families.ghz_circuit(2)
     rng = np.random.default_rng(7)
     reps = 10 ** 4
-    keys = np.array([[key for _, key in plan_run(target, 3, noiseless(),
-                                                 rng)[1]]
+    keys = np.array([plan_run(target, 3, noiseless(), rng).keys
                      for _ in range(reps)])
     for mean in keys.mean(axis=0).reshape(-1):
         assert 0.48 <= mean <= 0.52
