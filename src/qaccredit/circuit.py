@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -139,6 +140,22 @@ class Circuit:
 
     def __hash__(self):
         return hash(self._key())
+
+
+@lru_cache(maxsize=64)
+def cz_partners(n: int, cz: tuple) -> tuple:
+    """Read-only (m, n) arrays of a cZ topology: the position j*n + p, in a
+    band-major (m x n) row, of qubit q's cZ partner p in band j (q itself
+    when unpaired), and 1 where q has a partner."""
+    partner = np.arange(len(cz) * n).reshape(-1, n)
+    paired = np.zeros((len(cz), n), dtype=np.uint8)
+    for j, pairs in enumerate(cz):
+        for lo, hi in pairs:
+            partner[j, lo], partner[j, hi] = j * n + hi, j * n + lo
+            paired[j, [lo, hi]] = 1
+    partner.setflags(write=False)
+    paired.setflags(write=False)
+    return partner, paired
 
 
 # ---------------------------------------------------------------------------

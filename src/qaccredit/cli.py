@@ -104,10 +104,9 @@ def cmd_accredit(circuit_path, v, d, theta, noise_path, epsilon_mode, seed, out)
               type=click.Path(exists=True, dir_okay=False),
               help="JSON {preparations, measurements, cz_gates, "
                    "single_qubit_rounds}; omitted = dense-topology default.")
-@click.option("--gate-rate-divisor", type=float, default=10.0)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_exit_codes()
-def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
+def cmd_bounds(v, n, m, grid_spec, counts_path, out):
     """Emit the credibility/acceptance bound curve as CSV."""
     parts = grid_spec.split(":")
     if len(parts) != 3:
@@ -131,8 +130,7 @@ def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
         counts = OperationCounts.for_protocol(
             n, m, v, cz_per_circuit=(m - 1) * (n // 2))
     grid = np.linspace(start, stop, steps)
-    points = figure8_curve(v, grid, counts,
-                           gate_rate_divisor=gate_rate_divisor)
+    points = figure8_curve(v, grid, counts)
     for p in points:
         if p.vacuous:
             click.echo(f"note: vacuous bound {p.bound:.4g} at r0={p.r0:.4g}",
@@ -156,6 +154,8 @@ def cmd_bounds(v, n, m, grid_spec, counts_path, gate_rate_divisor, out):
 @_exit_codes()
 def cmd_oracle(which, n, m, v, band_class, runs, adversaries, seed, out):
     """Run a lemma-verification suite; emits JSON-lines reports."""
+    if which == "theorem1" and v < 3:
+        raise ValueError("v >= 3 required for the credibility bound")
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     # a circuit and the samples drawn against it use two independent streams

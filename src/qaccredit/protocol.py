@@ -14,10 +14,11 @@ diamond-norm-bounded deviations with survival factor g.
 
 :func:`accredit` runs the protocol without the pads, which change nothing
 observable under Pauli errors, gate deviations included (Lemma 1), as array
-work per block of runs; :func:`single_run` is the padded run it is checked
-against. Every run path draws a run's slot, trap choices and error bits in
-one order (:func:`_draw_runs`), so from one generator state the padded run
-and the two-party session decide as the pad-free engine does.
+work per block of runs: the traps alone decide each run, and only accepted
+runs' targets are sampled. :func:`single_run` is the padded run it is
+checked against. Every run path draws a run's slot, trap choices and error
+bits in one order (:func:`_draw_runs`), so from one generator state the
+padded run and the two-party session decide as the pad-free engine does.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import cliffords, qotp, simulator, traps
+from . import qotp, simulator, traps
 from .circuit import Circuit
 from .noise import NoiseModel
 
 KAPPA = Fraction(27, 16)  # 3 * (3/4)^2, exact
+GATE_RATE_DIVISOR = 10.0  # figure8_curve's single-qubit rounds fail at r0/10
 
 
 class DomainError(ValueError):
@@ -239,32 +241,47 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     target's post-processed output distribution under Pauli errors, and
     every gate deviation is a Pauli drawn into the error bits, so no
     circuit is padded. Stream block b draws its ``STREAM_BLOCK`` runs from
-    ``run_rng(master_seed, b)`` (:func:`_draw_block`). It draws all its
-    runs and drops those past d, so a shorter report is a prefix of a
-    longer one.
+    ``run_rng(master_seed, b)`` (:func:`_draw_runs`), then each run's last
+    draw. It draws all its runs and drops those past d, so a shorter report
+    is a prefix of a longer one. The traps alone decide a run
+    (:func:`_traps_accept`); only the accepted runs' target slices are read.
 
     A Clifford target's last draw is a mask a of n bits: an accepted run
     outputs :func:`simulator.reference_outcome` XOR the target's flips
-    under its slice with X^a at location 0, and no statevector is built. A
+    under its slice with X^a at location 0, one batched frame per block, so
+    a report keeps n bits per accepted run and builds no statevector. A
     generic target's last draw is the uniform that picks its sample from
     its slice's statevector distribution; only it meets the size limit.
     """
     _check_plan(target, config.v)
+    n, m = target.n, target.m
     clifford = target.all_clifford
-    if not clifford:
-        simulator.check_statevector_size(target.n)
-    # per block: the target rows and last draws of the accepted runs
+    if clifford:
+        reference = simulator.reference_outcome(target)
+    else:
+        simulator.check_statevector_size(n)
     rows, draws = [], []
     for start in range(0, config.d, STREAM_BLOCK):
-        block = [a[:config.d - start] for a in
-                 _draw_block(config, target, start // STREAM_BLOCK)]
-        accepted, target_rows = _pad_free_block(target, *block)
-        rows.append(target_rows[accepted])
-        draws.append(block[-1][accepted])
-    rows, draws = np.concatenate(rows), np.concatenate(draws)
-    if clifford:
-        return list(simulator.reference_outcome(target) ^ rows)
-    return list(_sample_targets(target, rows, draws))
+        rng = run_rng(config.master_seed, start // STREAM_BLOCK)
+        drawn = _draw_runs(target, config.v, config.noise, STREAM_BLOCK, rng)
+        last = (rng.integers(0, 2, size=(STREAM_BLOCK, n), dtype=np.uint8)
+                if clifford else rng.random(STREAM_BLOCK))
+        v0, choice, err_x, err_z, last = (a[:config.d - start]
+                                          for a in (*drawn, last))
+        run = np.flatnonzero(_traps_accept(target, v0, choice, err_x, err_z))
+        slot = v0[run]
+        err_x, err_z, last = err_x[run, slot], err_z[run, slot], last[run]
+        if clifford:
+            err_x[:, 0] ^= last
+            gates = np.broadcast_to(target.gates, (len(run), m, n))
+            rows.append(reference
+                        ^ simulator.frame_flips(target, gates, err_x, err_z))
+        else:
+            rows.append(np.stack((err_x, err_z), axis=1))
+            draws.append(last)
+    rows = np.concatenate(rows)
+    return list(rows if clifford
+                else _sample_targets(target, rows, np.concatenate(draws)))
 
 
 def _draw_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
@@ -280,47 +297,17 @@ def _draw_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
     return v0, choice, err_x, err_z
 
 
-def _draw_block(config: ProtocolConfig, target: Circuit, block: int):
-    """Every draw of stream block ``block``: its STREAM_BLOCK runs
-    (:func:`_draw_runs`), then each run's last draw."""
-    runs = STREAM_BLOCK
-    rng = run_rng(config.master_seed, block)
-    draws = _draw_runs(target, config.v, config.noise, runs, rng)
-    last = (rng.integers(0, 2, size=(runs, target.n), dtype=np.uint8)
-            if target.all_clifford else rng.random(runs))
-    return (*draws, last)
-
-
-def _pad_free_block(target: Circuit, v0, choice, err_x, err_z,
-                    last) -> tuple:
-    """(accepted, target rows) of a block of drawn runs.
-
-    Every run's traps, and a Clifford target in slot v0 with X^a (``last``)
-    at location 0, move through one batched frame; a run accepts when its
-    traps' flips are all zero. A Clifford target's row is its flip mask. A
-    generic target's frame row is the identity, and its row is its (2, m+1,
-    n) error slice.
-    """
+def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
+    """Acceptance flags (runs,) of drawn runs (:func:`_draw_runs`): every
+    run's v traps move through one batched frame, and a run accepts when
+    all their flips are zero. The target's slot takes no part."""
     b, v = choice.shape[:2]
-    n, m = target.n, target.m
-    run = np.arange(b)
     # run i's t-th trap sits at the t-th slot other than v0[i]
-    slots = np.arange(v) + (np.arange(v) >= v0[:, None])
-    gates = np.empty((b, v + 1, m, n), dtype=np.uint8)
-    gates[run[:, None], slots] = traps.trap_cliffords(
-        target, choice.reshape(b * v, -1)).reshape(b, v, m, n)
-    if target.all_clifford:
-        gates[run, v0] = target.gates
-        err_x[run, v0, 0] ^= last
-    else:
-        gates[run, v0] = cliffords.C_I
+    trap_slots = np.arange(v + 1) != v0[:, None]
     flips = simulator.frame_flips(
-        target, gates.reshape(-1, m, n), err_x.reshape(-1, m + 1, n),
-        err_z.reshape(-1, m + 1, n)).reshape(b, v + 1, n)
-    target_rows = (flips[run, v0] if target.all_clifford
-                   else np.stack((err_x[run, v0], err_z[run, v0]), axis=1))
-    flips[run, v0] = 0
-    return ~flips.any(axis=(1, 2)), target_rows
+        target, traps.trap_cliffords(target, choice.reshape(b * v, -1)),
+        err_x[trap_slots], err_z[trap_slots])
+    return ~flips.reshape(b, v * target.n).any(axis=1)
 
 
 def _sample_targets(target: Circuit, slices: np.ndarray,
@@ -411,22 +398,20 @@ class CurvePoint:
     vacuous: bool  # bound exceeds 1, i.e. weaker than the trivial TV bound
 
 
-def figure8_curve(v: int, r0_grid: Sequence[float], counts: OperationCounts,
-                  gate_rate_divisor: float = 10.0) -> list:
+def figure8_curve(v: int, r0_grid: Sequence[float],
+                  counts: OperationCounts) -> list:
     """Credibility-over-acceptance curve for physical error rate r0.
 
     Preparations, measurements, and cZ gates fail at rate r0; single-qubit
-    gate rounds at r0 / gate_rate_divisor. For each grid point:
+    gate rounds at r0 / GATE_RATE_DIVISOR. For each grid point:
     delta = (1-r0)^(preps+meas+cZ) * (1-r0/div)^rounds, g = (1-r0/div)^rounds,
     epsilon from the bounded-gate-noise formula, and bound = epsilon/delta.
     """
-    if not (math.isfinite(gate_rate_divisor) and gate_rate_divisor > 0):
-        raise DomainError("gate rate divisor must be finite and > 0")
     points = []
     for r0 in r0_grid:
         if not 0.0 <= r0 < 1.0:
             raise DomainError("r0 must lie in [0, 1)")
-        r_gate = r0 / gate_rate_divisor
+        r_gate = r0 / GATE_RATE_DIVISOR
         rates = ([r0] * (counts.preparations + counts.measurements
                          + counts.cz_gates)
                  + [r_gate] * counts.single_qubit_rounds)

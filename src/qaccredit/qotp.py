@@ -14,12 +14,10 @@ circuit and its key as a pair.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import cliffords
-from .circuit import GENERIC, Circuit
+from .circuit import GENERIC, Circuit, cz_partners
 
 # COMPOSE with a GENERIC row and column: a generic gate stays generic
 _COMPOSE = np.pad(cliffords.COMPOSE, (0, 1), constant_values=GENERIC)
@@ -64,7 +62,7 @@ def pad_paulis(topology: Circuit, pads: np.ndarray) -> tuple:
     alpha_prime = pads[:, n * m: 2 * n * m]
     # band j's pad conjugated through band j's cZ layer: a qubit's Z pad
     # picks up its partner's X pad
-    partner, paired = _cz_partners(n, topology.cz)
+    partner, paired = cz_partners(n, topology.cz)
     crossed_z = alpha ^ alpha_prime[:, partner] & paired
     alpha_prime = alpha_prime.reshape(alpha.shape)
     pre = np.empty(alpha.shape, dtype=np.uint8)
@@ -72,22 +70,6 @@ def pad_paulis(topology: Circuit, pads: np.ndarray) -> tuple:
     pre[:, 1:] = cliffords.PAULI_INDEX[alpha_prime[:, :-1], crossed_z[:, :-1]]
     post = cliffords.PAULI_INDEX[alpha_prime, alpha]
     return pre, post, alpha[:, m - 1]
-
-
-@lru_cache(maxsize=64)
-def _cz_partners(n: int, cz: tuple) -> tuple:
-    """(m, n) arrays: the position j*n + p, in a band-major (m x n) row, of
-    qubit q's cZ partner p in band j (q itself when unpaired), and 1 where
-    q has a partner."""
-    partner = np.arange(len(cz) * n).reshape(-1, n)
-    paired = np.zeros((len(cz), n), dtype=np.uint8)
-    for j, pairs in enumerate(cz):
-        for lo, hi in pairs:
-            partner[j, lo], partner[j, hi] = j * n + hi, j * n + lo
-            paired[j, [lo, hi]] = 1
-    partner.setflags(write=False)
-    paired.setflags(write=False)
-    return partner, paired
 
 
 def pad_gates(gates: np.ndarray, pre: np.ndarray,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cliffords, pauli
-from .circuit import Circuit
+from .circuit import Circuit, cz_partners
 from .pauli import PauliString
 
 TRACE_ATOL = 1e-10
@@ -71,38 +71,27 @@ def propagate_frame(circuit: Circuit, errors: Sequence) -> PauliString:
 
 def trap_output(circuit: Circuit, errors: Sequence) -> np.ndarray:
     """X-measurement flip pattern relative to the noiseless all-zero output."""
-    mask = pauli.z_mask(propagate_frame(circuit, errors))
-    return np.array([(mask >> q) & 1 for q in range(circuit.n)],
-                    dtype=np.uint8)
+    return index_to_bits(pauli.z_mask(propagate_frame(circuit, errors)),
+                         circuit.n)
 
 
 def reference_outcome(circuit: Circuit) -> np.ndarray:
     """One noiseless X-measurement outcome of a Clifford circuit, n bits.
 
     Pushes the stabilisers X_q of |+>^n through the circuit with their
-    signs, finds the X-type subgroup of the final stabiliser group by GF(2)
-    elimination on the z bits, and solves its sign constraints
-    <r, x> = sign/2 for r, free bits 0 (Aaronson & Gottesman 2004,
-    arXiv:quant-ph/0406196). Any stabiliser S leaves the output law
-    unchanged and flips outcomes by its z bits, so the outcomes are r XOR
-    the flips of X^a at location 0 for uniform a, the frame reference-sample
-    method (arXiv:2103.02202). No statevector is built, at any n.
+    signs (:func:`propagate_frame` of X_q at location 0), finds the X-type
+    subgroup of the final stabiliser group by GF(2) elimination on the z
+    bits, and solves its sign constraints <r, x> = sign/2 for r, free bits
+    0 (Aaronson & Gottesman 2004, arXiv:quant-ph/0406196). Any stabiliser S
+    leaves the output law unchanged and flips outcomes by its z bits, so
+    the outcomes are r XOR the flips of X^a at location 0 for uniform a,
+    the frame reference-sample method (arXiv:2103.02202). No statevector is
+    built, at any n. A non-Clifford circuit raises NonCliffordError.
     """
-    if not circuit.all_clifford:
-        raise NonCliffordError("reference outcome requires an all-Clifford "
-                               "circuit")
     n = circuit.n
-    rows = [PauliString(n, 1 << q) for q in range(n)]
-    for j, pairs in enumerate(circuit.cz):
-        gates = circuit.gates[j].tolist()
-        for k, p in enumerate(rows):
-            support = p.x_bits | p.z_bits
-            for q in range(n):
-                if support >> q & 1:
-                    p = pauli.conj_single(p, gates[q], q)
-            for pair in pairs:
-                p = pauli.conj_cz(p, pair)
-            rows[k] = p
+    later = (PauliString(n),) * circuit.m
+    rows = [propagate_frame(circuit, (PauliString(n, 1 << q),) + later)
+            for q in range(n)]
     # eliminate z bits: a pivot row leaves, clearing its bit from the rest
     x_type = []
     while rows:
@@ -130,7 +119,7 @@ def reference_outcome(circuit: Circuit) -> np.ndarray:
 
 
 def _build_conj_table() -> np.ndarray:
-    """_CONJ[c, x | z << 1] = x' | z' << 1 where c X^x Z^z c† ~ X^x' Z^z'."""
+    """_CONJ[c << 2 | x | z << 1] = x' | z' << 1: c X^x Z^z c† ~ X^x' Z^z'."""
     table = np.zeros((cliffords.GROUP_ORDER, 2, 2), dtype=np.uint8)
     for c in range(cliffords.GROUP_ORDER):
         for z in (0, 1):
@@ -138,7 +127,7 @@ def _build_conj_table() -> np.ndarray:
                 lx = x & cliffords.IMG_X[c][0] ^ z & cliffords.IMG_Z[c][0]
                 lz = x & cliffords.IMG_X[c][1] ^ z & cliffords.IMG_Z[c][1]
                 table[c, z, x] = lx | lz << 1
-    return table.reshape(cliffords.GROUP_ORDER, 4)
+    return table.reshape(-1)
 
 
 _CONJ = _build_conj_table()
@@ -155,24 +144,15 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202).
     """
     codes = err_x | err_z << 1
+    gates = gates << 2
     frame = codes[:, 0]
-    for j, (lo, hi) in enumerate(_cz_columns(topology.cz)):
-        frame = _CONJ[gates[:, j], frame] ^ codes[:, j + 1]
-        x = frame & 1
-        frame[:, lo] ^= x[:, hi] << 1
-        frame[:, hi] ^= x[:, lo] << 1
+    partner, paired = cz_partners(topology.n, topology.cz)
+    partner = partner % topology.n  # the partner's qubit in its band
+    for j in range(topology.m):
+        frame = _CONJ.take(gates[:, j] | frame) ^ codes[:, j + 1]
+        # cZ: a paired qubit's z bit takes its partner's x bit
+        frame ^= (frame[:, partner[j]] & paired[j]) << 1
     return frame >> 1
-
-
-@lru_cache(maxsize=64)
-def _cz_columns(cz: tuple) -> tuple:
-    """Per band, the read-only (lo, hi) qubit index arrays of its pairs."""
-    out = []
-    for pairs in cz:
-        lo_hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        lo_hi.setflags(write=False)
-        out.append(tuple(lo_hi))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -333,18 +333,6 @@ def test_bounds_rejects_bad_counts(runner, tmp_path, doc, message):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("divisor", ["0", "-1", "inf", "nan"])
-def test_bounds_rejects_bad_gate_rate_divisor(runner, divisor):
-    # warnings are errors in this suite, so exit 2 also shows that no
-    # RuntimeWarning from r0 / divisor comes before the DomainError
-    result = runner.invoke(main, ["bounds", "--v", "3", "--n", "2", "--m", "2",
-                                  "--r0-grid", "0:0.01:5",
-                                  "--gate-rate-divisor", divisor])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "error: gate rate divisor must be finite and > 0" in result.stderr
-
-
 def test_oracle_rejects_flip_table_over_cap(runner):
     # 2^16 trap choices x 156 basis errors: refused before any table work
     result = runner.invoke(main, ["oracle", "--which", "lemma2", "--n", "26",
@@ -425,6 +413,18 @@ def test_oracle_theorem1_passes(runner):
     reports = [json.loads(line) for line in result.output.splitlines()]
     assert len(reports) == 8
     assert all(r["detail"]["v_hat"] >= 2 for r in reports)
+
+
+@pytest.mark.parametrize("v", ["-1", "0", "1", "2"])
+def test_oracle_theorem1_rejects_small_v(runner, v):
+    # refused by the bound's own rule, before any adversary is drawn
+    result = runner.invoke(main, ["oracle", "--which", "theorem1", "--v", v,
+                                  "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == \
+        "error: v >= 3 required for the credibility bound\n"
+    assert result.stdout == ""
 
 
 def test_oracle_corrupted_bound_hook(runner, monkeypatch):

@@ -315,9 +315,8 @@ def test_session_decision_matches_frame_run_by_run():
                             dev.x_bits, n)
                         err_z[0, k, stage] ^= simulator.index_to_bits(
                             dev.z_bits, n)
-                frame_accepts, _ = protocol._pad_free_block(
-                    target, v0, choice, err_x, err_z,
-                    np.zeros((1, n), dtype=np.uint8))
+                frame_accepts = protocol._traps_accept(target, v0, choice,
+                                                       err_x, err_z)
                 assert rep.v0 == v0[0]
                 assert (rep.flag == "acc") == frame_accepts[0]
                 accepted += rep.flag == "acc"

@@ -372,9 +372,8 @@ def test_padded_runs_match_frame_run_by_run():
                 flips = simulator.frame_flips(
                     target, traps.trap_cliffords(target, choice[0]),
                     err_x[0, slots], err_z[0, slots])
-                accepted, _ = protocol._pad_free_block(
-                    target, v0, choice, err_x, err_z,
-                    np.zeros((1, n), dtype=np.uint8))
+                accepted = protocol._traps_accept(target, v0, choice,
+                                                  err_x, err_z)
                 assert out.v0 == v0[0]
                 assert (out.flag == "acc") == accepted[0]
                 assert np.array_equal(out.trap_outputs, flips)
@@ -429,6 +428,19 @@ def test_accredit_checks_target_size_before_running(allocates_at_most):
     # no run accepts, yet the target could never have been simulated
     with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
         protocol.accredit(cfg, target)
+
+
+def test_clifford_accredit_memory_is_bounded_by_a_block(allocates_at_most):
+    # a report keeps n bits per accepted run: keeping each run's (2, m+1, n)
+    # error slice instead, 2112 bytes a run here, would pass 16 MiB
+    target, d = families.ghz_circuit(32), 8192
+    cfg = ProtocolConfig(v=3, d=d, theta=0.05, master_seed=7,
+                         noise=noiseless())
+    with allocates_at_most(8 * 2 ** 20):
+        report = protocol.accredit(cfg, target)
+    assert report.n_acc == d
+    # noiseless GHZ outputs in the X basis have even parity
+    assert all(int(out.sum()) % 2 == 0 for out in report.accepted_outputs)
 
 
 def test_clifford_accredit_builds_no_statevector(monkeypatch):
