@@ -1,8 +1,9 @@
 """Brute-force verifiers for the protocol's supporting lemmas.
 
-These recompute everything from the Pauli-algebra and simulator primitives —
-never through the protocol runner's acceptance logic — so they are an
-independent check, not a tautology:
+These recompute everything from the Clifford tables and the simulator's
+reference paths — never through the protocol runner's acceptance logic, the
+batched trap builder or the batched frame — so they are an independent
+check, not a tautology:
 
 * trap-detection bounds: exact (rational) probability that a trap outputs
   all zeros under a fixed Pauli error collection, averaged over all trap
@@ -17,8 +18,11 @@ independent check, not a tautology:
 
 A Pauli at one location is the code ``x << n | z``: every enumeration is a
 range of codes, turned once into the (x, z) uint8 bits (bit q is qubit q)
-that the flip tables and the statevector walk read. PauliStrings appear only
-in the signed reference walk (``_flip_rows``, ``corrupts_target``).
+that the flip tables and the statevector walk read. Flip tables come from
+one backward pass over the Clifford images of the gates (``_backward_flips``),
+a sweep gathers them by code (``_pass_counts``), and the pad average walks
+every pad row as one batch (``pad_averaged_distribution``). PauliStrings
+appear only in ``corrupts_target``.
 """
 
 from __future__ import annotations
@@ -37,14 +41,15 @@ from scipy.optimize import nnls
 from . import cliffords, pauli, qotp, simulator, traps
 from .circuit import Circuit
 from .noise import ExplicitCollectionDistribution
-from .pauli import PauliString
 from .protocol import KAPPA
 
 TWIRL_RESIDUAL_TOL = 1e-9
 CROSS_TERM_TOL = 1e-12
 SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
-FLIP_TABLE_CAP = 2 ** 20  # basis-error propagations in one flip table
+FLIP_TABLE_CAP = 2 ** 20  # entries of one flip table
 SWEEP_COLLECTION_CAP = 2 ** 17  # collections an exhaustive sweep lists
+SWEEP_CHUNK = 2 ** 18  # flip words a sweep's code tables, or a block, hold
+_CODE_GROUP_BITS = 8  # code bits one location's flip table covers
 TWIRL_WALK_CAP = 2 ** 15  # statevector walks in one pad-twirl fit
 PAULI_TWIRL_TERM_CAP = 2 ** 18  # Q-conjugated terms in the dense twirl sums
 
@@ -78,23 +83,48 @@ class LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-def _flip_rows(circuit: Circuit) -> np.ndarray:
-    """Flip masks of the basis errors of one Clifford circuit.
+# _IMAGES[c, p, o]: bit o (0: x, 1: z) of c P c† for P = X (p 0) or Z (p 1)
+_IMAGES = np.array([[image[c][:2] for image in (cliffords.IMG_X,
+                                                cliffords.IMG_Z)]
+                    for c in range(cliffords.GROUP_ORDER)], dtype=np.uint32)
 
-    Returns a uint32 array of shape (m+1, 2n): entry [loc, b] is the
-    end-of-circuit flip mask, by :func:`simulator.propagate_frame`, of the
-    basis error with symplectic bit b (b < n: X on qubit b; b >= n: Z on
-    qubit b-n) inserted at location loc. Flip masks are GF(2)-linear in the
-    error's symplectic bits, so any slice's mask is an XOR of these rows.
+
+def _backward_flips(gates: np.ndarray, cz: tuple) -> np.ndarray:
+    """Flip masks of the basis errors of C Clifford circuits on one cZ
+    topology, gate indices (C, m, n), as a uint32 array (m+1, 2n, C).
+
+    Entry [loc, b, c] is the end-of-circuit flip mask of circuit c under
+    the basis error with symplectic bit b (b < n: X on qubit b; b >= n: Z
+    on qubit b-n) inserted at location loc. A suffix of a Clifford circuit
+    acts on Paulis as a GF(2)-linear map (Aaronson & Gottesman 2004,
+    arXiv:quant-ph/0406196), so one pass from the measurement back to
+    location 0 builds every row: at the measurement Z_q flips bit q and X_q
+    nothing; band j, from m-1 down to 0, takes the rows through cZ_j (X_lo
+    picks up Z_hi's flips, X_hi Z_lo's) to location j+1, then through its
+    single-qubit round, where gate c sends X and Z to their images.
     """
-    n, m = circuit.n, circuit.m
-    ident = PauliString(n)
-    rows = np.zeros((m + 1, 2 * n), dtype=np.uint32)
-    for loc, b in itertools.product(range(m + 1), range(2 * n)):
-        slice_ = [ident] * (m + 1)
-        slice_[loc] = PauliString(n, (b < n) << (b % n), (b >= n) << (b % n))
-        rows[loc, b] = pauli.z_mask(simulator.propagate_frame(circuit, slice_))
-    return rows
+    n_circuits, m, n = gates.shape
+    table = np.empty((m + 1, 2 * n, n_circuits), dtype=np.uint32)
+    x = np.zeros((n, n_circuits), dtype=np.uint32)
+    z = np.ones((n, n_circuits), dtype=np.uint32) << np.arange(
+        n, dtype=np.uint32)[:, None]
+    for j in range(m - 1, -1, -1):
+        for lo, hi in cz[j]:
+            x[lo], x[hi] = x[lo] ^ z[hi], x[hi] ^ z[lo]
+        table[j + 1, :n], table[j + 1, n:] = x, z
+        image = _IMAGES[gates[:, j].T]
+        x, z = (image[..., 0, 0] * x ^ image[..., 0, 1] * z,
+                image[..., 1, 0] * x ^ image[..., 1, 1] * z)
+    table[0, :n], table[0, n:] = x, z
+    return table
+
+
+def _flip_rows(circuit: Circuit) -> np.ndarray:
+    """Flip masks (m+1, 2n) of the basis errors of one Clifford circuit:
+    :func:`_backward_flips` of the circuit alone. Flip masks are GF(2)-linear
+    in the error's symplectic bits, so any slice's mask is an XOR of these
+    rows."""
+    return _backward_flips(circuit.gates[None], circuit.cz)[..., 0]
 
 
 @lru_cache(maxsize=32)
@@ -102,16 +132,18 @@ def _choice_flip_tables(topology: Circuit) -> np.ndarray:
     """:func:`_flip_rows` of every trap choice of a topology.
 
     Returns a read-only uint32 array of shape (m+1, 2n, choices), choice c
-    last. Raises ValueError when the table needs more than
-    ``FLIP_TABLE_CAP`` propagations, 2n(m+1) per trap choice.
+    last: one backward pass over the gates that :func:`traps.generate_trap`
+    builds for each choice. Raises ValueError when the table holds more
+    than ``FLIP_TABLE_CAP`` entries, 2n(m+1) per trap choice.
     """
     n, m = topology.n, topology.m
     size = 2 * n * (m + 1) * traps.choice_space_size(topology)
     if size > FLIP_TABLE_CAP:
-        raise ValueError(f"flip table of {size} basis-error propagations "
-                         f"too large to build (cap {FLIP_TABLE_CAP})")
-    table = np.stack([_flip_rows(traps.generate_trap(topology, c))
-                      for c in traps.enumerate_choices(topology)], axis=-1)
+        raise ValueError(f"flip table of {size} entries too large to build "
+                         f"(cap {FLIP_TABLE_CAP})")
+    gates = np.stack([traps.generate_trap(topology, c).gates
+                      for c in traps.enumerate_choices(topology)])
+    table = _backward_flips(gates, topology.cz)
     table.flags.writeable = False
     return table
 
@@ -161,6 +193,51 @@ def _bits(codes, n: int) -> tuple:
     return bits[..., n:], bits[..., :n]
 
 
+def _pass_counts(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Trap choices of a flip table (m+1, 2n, C) under which each of S
+    collections, an (S, m+1) array of codes, has a zero flip mask.
+
+    Flips are linear in a code's bits, so each location's codes get flip
+    tables by XOR doubling, F[c | 1 << b] = F[c] ^ row[b], one table per
+    group of ``_CODE_GROUP_BITS`` bits (a single table up to n = 4), and a
+    collection's flips are the XOR of the rows its codes gather, over the
+    locations a block of collections touches. Choices and collections go in
+    chunks, so that the tables, and each block of flips, hold at most
+    ``SWEEP_CHUNK`` words.
+    """
+    m1, two_n, n_choices = table.shape
+    n = two_n // 2
+    # code bit b < n is Z on qubit b (row n + b), bit n + q X on qubit q
+    row_of_bit = (np.arange(two_n) + n) % two_n
+    groups = [[(lo, min(lo + _CODE_GROUP_BITS, bits))
+               for lo in range(0, bits, _CODE_GROUP_BITS)]
+              for bits in [n] + [two_n] * (m1 - 2) + [n]]
+    per_choice = sum(1 << hi - lo for spans in groups for lo, hi in spans)
+    width = max(1, SWEEP_CHUNK // per_choice)
+    height = max(1, SWEEP_CHUNK // min(width, n_choices))
+    counts = np.zeros(len(codes), dtype=np.int64)
+    for c0 in range(0, n_choices, width):
+        tables = [[_doubled(table[loc, row_of_bit[lo:hi], c0:c0 + width])
+                   for lo, hi in spans] for loc, spans in enumerate(groups)]
+        for s0 in range(0, len(codes), height):
+            block = codes[s0:s0 + height]
+            flips = np.zeros((len(block), tables[0][0].shape[1]),
+                             dtype=np.uint32)
+            for loc in np.flatnonzero(block.any(axis=0)):
+                for (lo, hi), t in zip(groups[loc], tables[loc]):
+                    flips ^= t[block[:, loc] >> lo & (1 << hi - lo) - 1]
+            counts[s0:s0 + len(block)] += (flips == 0).sum(axis=1)
+    return counts
+
+
+def _doubled(rows: np.ndarray) -> np.ndarray:
+    """XOR of every subset of ``rows`` (k, C), subset c at index c."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=rows.dtype)
+    for b, row in enumerate(rows):
+        out[1 << b: 2 << b] = out[:1 << b] ^ row
+    return out
+
+
 def lemma2_sweep(topology: Circuit, band_count_class: str,
                  rng: Optional[np.random.Generator] = None) -> list:
     """Sweep error collections against the 1/2 (single) / 3/4 (multi) bounds.
@@ -170,7 +247,9 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
     them. ``all`` samples ``SWEEP_SAMPLES`` collections with no support
     restriction from ``rng``, which it requires (reports flagged as
     sampled). Each collection is m+1 codes, one per location; an instance
-    is named by one letter per qubit, qubit 0 first.
+    is named by one letter per qubit, qubit 0 first. Every class counts its
+    passing trap choices by :func:`_pass_counts`; :func:`lemma2_exact_prob`
+    is the one-collection reference.
     """
     if band_count_class not in ("single", "two", "all"):
         raise ValueError("band_count_class must be single, two, or all")
@@ -181,64 +260,72 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
     table = _choice_flip_tables(topology)
     n_choices = table.shape[-1]
     if band_count_class == "all":
-        def draw(z_only):
-            x = 0 if z_only else int(rng.integers(0, 2 ** n))
-            return x << n | int(rng.integers(0, 2 ** n))
-        codes = [[draw(loc in (0, m)) for loc in range(m + 1)]
-                 for _ in range(SWEEP_SAMPLES)]
+        # per collection and location: x (inner locations only), then z
+        draws = rng.integers(0, 2 ** n, size=(SWEEP_SAMPLES, 2 * m))
+        codes = np.empty((SWEEP_SAMPLES, m + 1), dtype=np.int64)
+        codes[:, 0], codes[:, m] = draws[:, 0], draws[:, -1]
+        codes[:, 1:m] = draws[:, 1:-2:2] << n | draws[:, 2:-1:2]
     else:
-        options = [_codes(n, loc in (0, m))[1:] for loc in range(m + 1)]
+        sizes = [len(_codes(n, loc in (0, m))) for loc in range(m + 1)]
         k = 1 if band_count_class == "single" else 2
         support_sets = list(itertools.combinations(range(m + 1), k))
-        count = sum(math.prod(len(options[loc]) for loc in locs)
+        count = sum(math.prod(sizes[loc] - 1 for loc in locs)
                     for locs in support_sets)
         if count > SWEEP_COLLECTION_CAP:
             raise ValueError(f"sweep of {count} collections too large to "
                              f"list (cap {SWEEP_COLLECTION_CAP})")
-        codes = [[dict(zip(locs, picked)).get(loc, 0) for loc in range(m + 1)]
-                 for locs in support_sets
-                 for picked in itertools.product(*(options[loc]
-                                                   for loc in locs))]
-    x, z = _bits(codes, n)
-    letters = np.array(list("IXZY"))[x + 2 * z]
+        codes = np.zeros((count, m + 1), dtype=np.int64)
+        start = 0
+        for locs in support_sets:
+            # every non-identity code per location, the first one outermost
+            picked = np.indices([sizes[loc] - 1 for loc in locs])
+            picked = picked.reshape(k, -1) + 1
+            codes[start:start + picked.shape[1], locs] = picked.T
+            start += picked.shape[1]
+    counts = _pass_counts(table, codes)
+    single, multi = Fraction(1, 2), Fraction(3, 4)
+    probabilities = {passes: Fraction(passes, n_choices)
+                     for passes in np.unique(counts).tolist()}
     reports = []
-    for row, xs, zs, names in zip(codes, x, z, letters):
-        support = [loc for loc, code in enumerate(row) if code]
-        if not support:
-            continue
-        prob = _pass_prob(table, xs, zs)
-        # prob == 1 means the flip mask vanishes for every dressing: the
-        # errors cancel exactly and the collection acts as the identity
-        # channel on the trap. The detection bounds apply to collections
-        # with a non-trivial action, so these pass with a note (they can
-        # never corrupt an output either).
-        trivial = prob == 1
-        bound = Fraction(1, 2) if len(support) == 1 else Fraction(3, 4)
-        reports.append(LemmaReport(
-            instance="+".join(f"loc{loc}:{''.join(names[loc])}"
-                              for loc in support),
-            probability=prob, bound=bound,
-            passed=trivial or prob <= bound,
-            samples=n_choices, sampled=band_count_class == "all",
-            detail={"acts_trivially": True} if trivial else {}))
+    # names go in blocks whose bit arrays (2n(m+1) int64 per collection)
+    # and strings take about as much memory as one block of flips
+    step = max(1, SWEEP_CHUNK // (16 * n * (m + 1)))
+    for s0 in range(0, len(codes), step):
+        block = codes[s0:s0 + step]
+        touched = block != 0
+        # "loc<j>:" and n letters, qubit 0 first, per touched location j
+        x, z = _bits(block, n)
+        letters = np.array(list("IXZY"))[x + 2 * z].view(f"<U{n}")[..., 0]
+        instances = np.full(len(block), "")
+        for loc in range(m + 1):
+            sep = np.where((instances != "") & touched[:, loc], "+", "")
+            name = np.strings.add(f"loc{loc}:", letters[:, loc])
+            instances = np.strings.add(np.strings.add(instances, sep),
+                                       np.where(touched[:, loc], name, ""))
+        for instance, size, passes in zip(instances.tolist(),
+                                          touched.sum(axis=1).tolist(),
+                                          counts[s0:s0 + step].tolist()):
+            if not size:
+                continue
+            prob = probabilities[passes]
+            # prob == 1 means the flip mask vanishes for every dressing: the
+            # errors cancel exactly and the collection acts as the identity
+            # channel on the trap. The detection bounds apply to collections
+            # with a non-trivial action, so these pass with a note (they can
+            # never corrupt an output either).
+            trivial = prob == 1
+            bound = single if size == 1 else multi
+            reports.append(LemmaReport(
+                instance=instance, probability=prob, bound=bound,
+                passed=trivial or prob <= bound,
+                samples=n_choices, sampled=band_count_class == "all",
+                detail={"acts_trivially": True} if trivial else {}))
     return reports
 
 
 # ---------------------------------------------------------------------------
 # Pad-twirl reduction to Pauli-collection mixtures
 # ---------------------------------------------------------------------------
-
-
-def _all_pads(n: int, m: int):
-    width = qotp.pad_width(n, m)
-    for code in range(2 ** width):
-        yield simulator.index_to_bits(code, width)
-
-
-def _postprocessed(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
-    key_int = simulator.bits_to_index(key)
-    idx = np.arange(len(dist))
-    return dist[idx ^ key_int]
 
 
 @dataclass
@@ -266,16 +353,26 @@ def _check_twirl_walks(circ: Circuit, channels: dict, fit: bool):
 
 
 def pad_averaged_distribution(circ: Circuit, channels: dict) -> np.ndarray:
-    """Exhaustive pad average of the noisy, post-processed output."""
+    """Exhaustive pad average of the noisy, post-processed output.
+
+    Every pad row's dressed bands, X^{alpha'} Z^{alpha} U times the Pauli
+    before it, walk through the density backend as one batch; each row's
+    distribution is read at its outputs XOR its key. :func:`qotp.dress`
+    and :func:`simulator.run_density` of one row are the reference.
+    """
     _check_twirl_walks(circ, channels, fit=False)
     n, m = circ.n, circ.m
-    total = np.zeros(2 ** n)
-    count = 0
-    for pads in _all_pads(n, m):
-        dressed, key = qotp.dress(circ, pads)
-        total += _postprocessed(simulator.run_density(dressed, channels), key)
-        count += 1
-    return total / count
+    channels = simulator.density_channels(n, m, channels)
+    width = qotp.pad_width(n, m)
+    rows = np.arange(2 ** width)
+    pads = (rows[:, None] >> np.arange(width) & 1).astype(np.uint8)
+    pre, post, key = qotp.pad_paulis(circ, pads)
+    mats = cliffords.MATRICES
+    bands = mats[post] @ (simulator.band_unitaries(circ) @ mats[pre])
+    probs = simulator.density_distribution(bands.transpose(1, 2, 0, 3, 4),
+                                           circ.cz, channels)
+    outputs = np.arange(2 ** n) ^ (key @ (1 << np.arange(n)))[:, None]
+    return probs[rows[:, None], outputs].mean(axis=0)
 
 
 def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:

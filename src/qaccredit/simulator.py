@@ -8,8 +8,9 @@
   frame also samples a Clifford circuit's outputs, with no statevector.
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_pauli`, :func:`apply_cz`), the
-  steps the two-party register also runs; the density backend sums it over
-  every path of Kraus operators at the noise locations.
+  steps the two-party register also runs. The round and cZ steps take
+  leading batch axes, so one walk moves many states; the density backend
+  sums that walk over every path of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cliffords, pauli
-from .circuit import Circuit, cz_partners
+from .circuit import GENERIC, Circuit, cz_partners
 from .pauli import PauliString
 
 TRACE_ATOL = 1e-10
@@ -53,19 +54,27 @@ def propagate_frame(circuit: Circuit, errors: Sequence) -> PauliString:
     """Commute a per-location Pauli error slice to the end of the circuit.
 
     ``errors`` holds m+1 PauliStrings indexed by location. Returns the single
-    end-of-circuit Pauli; exact, no sampling.
+    end-of-circuit Pauli; exact, no sampling. A gate off the running Pauli's
+    support, an identity error and a cZ touching no X leave it unchanged,
+    sign included, so they are skipped.
     """
     if not circuit.all_clifford:
         raise NonCliffordError("frame backend requires an all-Clifford circuit")
     if len(errors) != circuit.m + 1:
         raise ValueError(f"expected {circuit.m + 1} error locations")
     q = errors[0]
-    for j, pairs in enumerate(circuit.cz):
-        for i, c in enumerate(circuit.gates[j].tolist()):
-            q = pauli.conj_single(q, c, i)
-        q = pauli.multiply(errors[j + 1], q)
+    for row, pairs, error in zip(circuit.gates.tolist(), circuit.cz,
+                                 errors[1:]):
+        support = q.x_bits | q.z_bits
+        while support:
+            i = (support & -support).bit_length() - 1
+            q = pauli.conj_single(q, row[i], i)
+            support &= support - 1
+        if error.x_bits or error.z_bits or error.sign:
+            q = pauli.multiply(error, q)
         for pair in pairs:
-            q = pauli.conj_cz(q, pair)
+            if q.x_bits >> pair[0] & 1 or q.x_bits >> pair[1] & 1:
+                q = pauli.conj_cz(q, pair)
     return q
 
 
@@ -160,23 +169,27 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def apply_round(state: np.ndarray, unitaries: Sequence,
-                n: int) -> np.ndarray:
+def apply_round(state: np.ndarray, unitaries, n: int) -> np.ndarray:
     """Apply a band's single-qubit round, the 2x2 unitary ``unitaries[q]``
     on every qubit q (qubit 0 = least significant bit), one matrix product
     per qubit; ``unitaries`` is an (n, 2, 2) array or a list of n 2x2s.
 
-    Each product acts on the highest qubit, the leading axis, and leaves it
+    ``state`` may carry leading batch axes, (..., 2^n); ``unitaries[q]``
+    may then be a stack (..., 2, 2) of one 2x2 per state. Each product acts
+    on the highest qubit, the first axis after the batch axes, and leaves it
     as the lowest, so after the last product every qubit is back in place.
     """
+    shape = state.shape
+    split = shape[:-1] + (2, -1)
     for u in unitaries[::-1]:
-        state = (state.reshape(2, -1).T @ u.T).reshape(-1)
+        state = (state.reshape(split).mT @ u.mT).reshape(shape)
     return state
 
 
 def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
-    """Apply a band's cZ round, a tuple of (lo, hi) pairs: one sign flip
-    per basis state where an odd number of its pairs has both qubits set."""
+    """Apply a band's cZ round, a tuple of (lo, hi) pairs, to (..., 2^n)
+    states: one sign flip per basis state where an odd number of its pairs
+    has both qubits set."""
     return np.where(_cz_parity(n, pairs), -state, state)
 
 
@@ -217,27 +230,40 @@ def row_masks(bits: Optional[Sequence], rows: int) -> np.ndarray:
     return np.dot(bits, 1 << np.arange(bits[0].shape[-1]))
 
 
-def _evolve_state(circuit: Circuit, errors: Optional[Sequence],
+def band_unitaries(circuit: Circuit) -> np.ndarray:
+    """Every band's single-qubit unitaries as one (m, n, 2, 2) array."""
+    bands = cliffords.MATRICES[np.where(circuit.gates == GENERIC,
+                                        cliffords.C_I, circuit.gates)]
+    for (j, i), u in circuit.matrices.items():
+        bands[j, i] = u
+    return bands
+
+
+def _evolve_state(bands: np.ndarray, cz: tuple,
+                  errors: Optional[Sequence] = None,
                   operators: Optional[dict] = None) -> np.ndarray:
-    """|+>^n through the circuit with one Pauli error per location.
+    """|+>^n through single-qubit rounds ``bands`` (m, n, ..., 2, 2) and
+    the cZ layers ``cz``, one Pauli error per location. Axes of ``bands``
+    between n and the 2x2 walk a batch of states at once, (..., 2^n).
 
     ``errors`` is an (x, z) pair of (m+1, n) bit arrays, row j the
-    location-j error, or None for no noise; a gate deviation is the error
-    at the location after its round. ``operators`` maps a location to one
-    2^n x 2^n matrix applied after its error.
+    location-j error, or None for no noise (the only choice for a batch); a
+    gate deviation is the error at the location after its round.
+    ``operators`` maps a location to one 2^n x 2^n matrix applied after its
+    error.
     """
-    n, m = circuit.n, circuit.m
+    n, m = bands.shape[1], len(cz)
     err_x, err_z = row_masks(errors, m + 1).tolist()
     operators = operators or {}
 
     def at_location(state, loc):
         state = apply_pauli(state, err_x[loc], err_z[loc], n)
-        return operators[loc] @ state if loc in operators else state
+        return state @ operators[loc].T if loc in operators else state
 
-    state = at_location(plus_state(n), 0)
-    for j, pairs in enumerate(circuit.cz):
-        band = [circuit.unitary(j, i) for i in range(n)]
-        state = at_location(apply_round(state, band, n), j + 1)
+    state = np.broadcast_to(plus_state(n), bands.shape[2:-2] + (2 ** n,))
+    state = at_location(state, 0)
+    for j, pairs in enumerate(cz):
+        state = at_location(apply_round(state, bands[j], n), j + 1)
         state = apply_cz(state, pairs, n)
     return state
 
@@ -285,7 +311,8 @@ def statevector_distribution(circuit: Circuit,
     """Exact X-measurement outcome distribution (index bit q = qubit q)
     under the (x, z) error bits that :func:`_evolve_state` reads."""
     check_statevector_size(circuit.n)
-    return x_distribution(_evolve_state(circuit, errors), circuit.n)
+    state = _evolve_state(band_unitaries(circuit), circuit.cz, errors)
+    return x_distribution(state, circuit.n)
 
 
 def run_statevector(circuit: Circuit, errors: Optional[Sequence] = None, *,
@@ -300,14 +327,19 @@ def run_density(circuit: Circuit,
     """Exact output distribution under Kraus channels at noise locations.
 
     ``channels`` maps location index (0..m) to a list of 2^n x 2^n Kraus
-    operators. Returns the length-2^n X-measurement probability vector.
-
-    The distribution is a sum over Kraus paths: for every choice of one
-    operator per location, the statevector walk of :func:`_evolve_state`
-    adds that path's squared X-basis amplitudes. This costs one walk per
-    path, the product of the Kraus-list lengths, in 2^n memory.
+    operators. Returns the length-2^n X-measurement probability vector:
+    :func:`density_distribution` of the circuit's bands, once
+    :func:`density_channels` has checked the channels.
     """
-    n, m = circuit.n, circuit.m
+    channels = density_channels(circuit.n, circuit.m, channels)
+    return density_distribution(band_unitaries(circuit), circuit.cz,
+                                channels)
+
+
+def density_channels(n: int, m: int, channels: Optional[dict]) -> dict:
+    """``channels`` as lists of complex Kraus arrays, once n is within the
+    density limit (else SimLimitError) and every channel sits at a location
+    in 0..m and is trace-preserving within 1e-10 (else ValueError)."""
     if n > MAX_DENSITY_QUBITS:
         raise SimLimitError(
             f"{n} qubits exceeds density limit {MAX_DENSITY_QUBITS}")
@@ -321,13 +353,30 @@ def run_density(circuit: Circuit,
                 sum(k.conj().T @ k for k in kraus)
                 - np.eye(2 ** n)).max() <= TRACE_ATOL):
             raise ValueError("channel is not trace-preserving within 1e-10")
-    probs = np.zeros(2 ** n)
+    return channels
+
+
+def density_distribution(bands: np.ndarray, cz: tuple,
+                         channels: dict) -> np.ndarray:
+    """X-measurement distributions (..., 2^n) of walks through ``bands``
+    (m, n, ..., 2, 2) on the cZ layers ``cz`` under channels that
+    :func:`density_channels` returned.
+
+    Each distribution is a sum over Kraus paths: for every choice of one
+    operator per location, the statevector walk of :func:`_evolve_state`
+    adds that path's squared X-basis amplitudes. This costs one batched
+    walk per path, the product of the Kraus-list lengths. Raises
+    ValueError when a distribution does not sum to 1 within 1e-10.
+    """
+    n = bands.shape[1]
+    probs = np.zeros(bands.shape[2:-2] + (2 ** n,))
     for path in itertools.product(*channels.values()):
         operators = dict(zip(channels, path))
-        probs += _x_weights(_evolve_state(circuit, None, operators), n)
-    if abs(probs.sum() - 1.0) > TRACE_ATOL:
+        probs += _x_weights(_evolve_state(bands, cz, None, operators), n)
+    sums = probs.sum(axis=-1, keepdims=True)
+    if np.abs(sums - 1.0).max() > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")
-    return probs / probs.sum()
+    return probs / sums
 
 
 def bits_to_index(bits: np.ndarray) -> int:

@@ -54,7 +54,8 @@ def test_criterion_2_qotp_transparency():
         bare = simulator.run_density(circ)
         pad_bits = 2 * n * m + n
         if pad_bits <= 12:
-            pad_iter = oracles._all_pads(n, m)
+            pad_iter = (simulator.index_to_bits(code, pad_bits)
+                        for code in range(2 ** pad_bits))
         else:
             pad_iter = (rng.integers(0, 2, size=qotp.pad_width(n, m),
                                      dtype=np.uint8) for _ in range(200))
@@ -62,8 +63,8 @@ def test_criterion_2_qotp_transparency():
         count = 0
         for pads in pad_iter:
             dressed, key = qotp.dress(circ, pads)
-            total += oracles._postprocessed(simulator.run_density(dressed),
-                                            key)
+            outputs = np.arange(2 ** n) ^ simulator.bits_to_index(key)
+            total += simulator.run_density(dressed)[outputs]
             count += 1
         worst = max(worst, _tv(bare, total / count))
     _report(2, f"QOTP pad average leaves 50 random circuits unchanged "

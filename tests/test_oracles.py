@@ -1,12 +1,17 @@
+import ast
+import inspect
+import itertools
 import json
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaccredit import families, oracles, pauli, simulator, traps
-from qaccredit.circuit import identity_circuit
+from qaccredit import families, oracles, pauli, qotp, simulator, traps
+from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.noise import (ExplicitCollectionDistribution,
                              PauliErrorCollection, identity_collection,
                              random_adversary)
@@ -146,6 +151,145 @@ def test_sweep_collection_cap(allocates_at_most):
     assert len(lemma2_sweep(topo, "single")) == 2 * 63 + 2 * 4095
 
 
+def _reference_reports(topo, rows):
+    """(instance, probability) of every non-identity collection among
+    ``rows`` (one code per location), each by its own ``_pass_prob``."""
+    n, table = topo.n, oracles._choice_flip_tables(topo)
+    names = ["".join("IXZY"[(code >> n + q & 1) + 2 * (code >> q & 1)]
+                     for q in range(n)) for code in range(4 ** n)]
+    out = []
+    for row in rows:
+        support = [loc for loc, code in enumerate(row) if code]
+        if support:
+            out.append(("+".join(f"loc{loc}:{names[row[loc]]}"
+                                 for loc in support),
+                        oracles._pass_prob(table, *oracles._bits(row, n))))
+    return out
+
+
+def test_sweep_memory_stays_within_the_chunk_budget(allocates_at_most):
+    # beyond the reports it returns, a sweep holds its code tables and one
+    # block of flips with its temporaries, a few SWEEP_CHUNK words each,
+    # plus a few words of codes and counts per collection. One block of
+    # every collection's flips would be 80550 x 512 and 10^4 x 8192 words.
+    budget = 8 * 4 * oracles.SWEEP_CHUNK
+    n, m = 4, 3
+    two = identity_circuit(n, m)  # 2^9 trap choices
+    sizes = [2 ** n, 4 ** n, 4 ** n, 2 ** n]
+    rows = [[dict(zip(locs, picked)).get(loc, 0) for loc in range(m + 1)]
+            for locs in itertools.combinations(range(m + 1), 2)
+            for picked in itertools.product(*(range(1, sizes[loc])
+                                              for loc in locs))]
+    assert len(rows) == 80550  # just under SWEEP_COLLECTION_CAP
+    assert len(rows) <= oracles.SWEEP_COLLECTION_CAP < 2 * len(rows)
+    oracles._choice_flip_tables(two)  # built and cached outside the check
+    with allocates_at_most(budget, beyond_result=True):
+        reports = lemma2_sweep(two, "two")
+    assert [(r.instance, r.probability) for r in reports] \
+        == _reference_reports(two, rows)
+
+    n, m = 2, 7
+    many = identity_circuit(n, m)  # 2^13 trap choices
+    assert traps.choice_space_size(many) == 2 ** 13
+    oracles._choice_flip_tables(many)
+    with allocates_at_most(budget, beyond_result=True):
+        reports = lemma2_sweep(many, "all", rng=np.random.default_rng(3))
+    # the draws, collection by collection: z at the end locations, x then
+    # z in between
+    rng = np.random.default_rng(3)
+    rows = [[(0 if loc in (0, m) else int(rng.integers(0, 2 ** n))) << n
+             | int(rng.integers(0, 2 ** n)) for loc in range(m + 1)]
+            for _ in range(oracles.SWEEP_SAMPLES)]
+    assert [(r.instance, r.probability) for r in reports] \
+        == _reference_reports(many, rows)
+
+
+def _flip_topology(n, m, seed):
+    """A random Clifford topology with at most 2^9 trap choices: every
+    cZ band pairs as many qubits as it can when a random one has more."""
+    rng = np.random.default_rng(seed)
+    topo = families.random_clifford_circuit(n, m, rng)
+    if traps.choice_width(topo) > 9:
+        cz = [tuple(zip(p[0::2], p[1::2]))
+              for p in (rng.permutation(n).tolist() for _ in range(m - 1))]
+        topo = Circuit(n, m, topo.gates, cz + [()])
+    return topo
+
+
+def _basis_slices(n, m):
+    """PauliString slices of every basis error, (location, bit) order: bit
+    b < n is X on qubit b, b >= n Z on qubit b - n."""
+    ident = PauliString(n)
+    out = []
+    for loc, b in itertools.product(range(m + 1), range(2 * n)):
+        slice_ = [ident] * (m + 1)
+        slice_[loc] = PauliString(n, (b < n) << b % n, (b >= n) << b % n)
+        out.append(slice_)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_flip_tables_agree_three_ways(n, m, seed):
+    """The backward pass against the signed PauliString walk of each
+    generate_trap circuit, and against the batched frame of the engine on
+    basis errors over trap_cliffords."""
+    topo = _flip_topology(n, m, seed)
+    choices = traps.enumerate_choices(topo)
+    table = oracles._choice_flip_tables(topo)
+    assert table.shape == (m + 1, 2 * n, len(choices))
+    slices = _basis_slices(n, m)
+
+    def walk(circuit):
+        return np.array([pauli.z_mask(simulator.propagate_frame(circuit, sl))
+                         for sl in slices]).reshape(m + 1, 2 * n)
+    assert np.array_equal(oracles._flip_rows(topo), walk(topo))
+    for c, choice in enumerate(choices):
+        assert np.array_equal(table[..., c],
+                              walk(traps.generate_trap(topo, choice)))
+    # every (choice, location, bit) as one row of the batched frame
+    basis = np.eye(2 * n, dtype=np.uint8)
+    errors = np.zeros((m + 1, 2 * n, m + 1, 2 * n), dtype=np.uint8)
+    errors[np.arange(m + 1), :, np.arange(m + 1)] = basis
+    errors = np.broadcast_to(errors, (len(choices),) + errors.shape)
+    errors = errors.reshape(-1, m + 1, 2 * n)
+    gates = np.repeat(traps.trap_cliffords(topo, choices),
+                      2 * n * (m + 1), axis=0)
+    flips = simulator.frame_flips(topo, gates, errors[..., :n],
+                                  errors[..., n:])
+    masks = (flips @ (1 << np.arange(n))).reshape(len(choices), m + 1, 2 * n)
+    assert np.array_equal(table, masks.transpose(1, 2, 0))
+
+
+def test_oracles_never_read_the_engine_they_check(monkeypatch):
+    """No name in ``oracles`` reaches the batched trap builder, the batched
+    frame or its conjugation table, and no oracle calls them."""
+    engine = {"trap_cliffords", "frame_flips", "_CONJ"}
+    tree = ast.parse(inspect.getsource(oracles))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & engine
+
+    def engine_call(*args):
+        raise AssertionError("an oracle called the engine")
+    monkeypatch.setattr(traps, "trap_cliffords", engine_call)
+    monkeypatch.setattr(simulator, "frame_flips", engine_call)
+    monkeypatch.setattr(simulator, "_CONJ", None)
+    rng = np.random.default_rng(21)
+    topo = families.random_clifford_circuit(2, 3, rng)
+    oracles._choice_flip_tables.cache_clear()
+    for kind in ("single", "two", "all"):
+        assert all(r.passed for r in lemma2_sweep(topo, kind, rng=rng))
+    adv = random_adversary(2, 3, 3, rng)
+    assert theorem1_empirical(topo, 3, adv, runs=1000, rng=rng).passed
+    circ = families.random_generic_circuit(1, 2, rng)
+    assert twirl_channel(circ, {1: [_random_unitary(2, rng)]}).passed
+
+
 def test_report_json():
     topo = identity_circuit(1, 2)
     rep = lemma2_sweep(topo, "single")[0]
@@ -203,6 +347,47 @@ def test_twirl_candidates_are_every_slice_once(n, m):
     assert len(np.unique(rows, axis=0)) == len(rows)  # each exactly once
     assert not x[:, [0, m]].any()  # Z-only at the end locations
     assert not rows[0].any()  # identity first
+
+
+def _random_channel(dim, kraus, rng):
+    """``kraus`` Kraus operators of a random channel on ``dim`` levels:
+    the blocks of a random isometry, so that they sum to the identity."""
+    isometry = _random_unitary(dim * kraus, rng)[:, :dim]
+    return [isometry[k * dim:(k + 1) * dim] for k in range(kraus)]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_pad_average_matches_the_per_pad_loop(n, m):
+    """The batched walk against qotp.dress and run_density, one pad row at
+    a time, under multi-Kraus channels at several locations, location 0
+    among them."""
+    rng = np.random.default_rng(40 + 10 * n + m)
+    circ = families.random_generic_circuit(n, m, rng)
+    channels = {0: _random_channel(2 ** n, 2, rng),
+                m: _random_channel(2 ** n, 3, rng)}
+    if m > 1:
+        channels[1] = [_random_unitary(2 ** n, rng)]
+    width = qotp.pad_width(n, m)
+    total = np.zeros(2 ** n)
+    for code in range(2 ** width):
+        dressed, key = qotp.dress(circ, simulator.index_to_bits(code, width))
+        outputs = np.arange(2 ** n) ^ simulator.bits_to_index(key)
+        total += simulator.run_density(dressed, channels)[outputs]
+    averaged = oracles.pad_averaged_distribution(circ, channels)
+    assert np.abs(averaged - total / 2 ** width).max() <= 1e-12
+
+
+def test_pad_average_checks_channels_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a state was walked")
+    monkeypatch.setattr(simulator, "_evolve_state", no_walk)
+    circ = families.random_generic_circuit(2, 2, np.random.default_rng(41))
+    half = 0.5 * np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="trace-preserving"):
+        oracles.pad_averaged_distribution(circ, {1: [half]})
+    for loc in (3, -1):
+        with pytest.raises(ValueError, match=f"location {loc} lies outside"):
+            oracles.pad_averaged_distribution(circ, {loc: [np.eye(4)]})
 
 
 def test_twirl_walk_cap(allocates_at_most, monkeypatch):

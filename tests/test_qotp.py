@@ -97,12 +97,17 @@ def test_dressing_preserves_structure():
     assert dressed.matrices.keys() == circ.matrices.keys()
 
 
+def _all_pads(n, m):
+    """Every pad row of an n-qubit, m-band circuit, row c the bits of c."""
+    width = pad_width(n, m)
+    return [simulator.index_to_bits(code, width) for code in range(2 ** width)]
+
+
 def test_dress_keeps_generic_gates_generic():
     # T on band 0 and H on band 1 of one qubit, under every pad
     t_gate = np.diag([1.0, np.exp(1j * np.pi / 4)])
     circ = Circuit(1, 2, [[GENERIC], [cliffords.C_H]],
                    matrices={(0, 0): t_gate})
-    from qaccredit.oracles import _all_pads
     for pads in _all_pads(1, 2):
         alpha, alpha_prime, gamma = pads[:2], pads[2:4], pads[4]
         pre = [PAULI[gamma, 0], PAULI[alpha_prime[0], alpha[0]]]
@@ -129,7 +134,6 @@ def test_transparency_exhaustive_small():
     # every pad of a 1-qubit, 2-band circuit leaves the distribution fixed
     rng = np.random.default_rng(5)
     circ = families.random_generic_circuit(1, 2, rng)
-    from qaccredit.oracles import _all_pads
     for pads in _all_pads(1, 2):
         assert _transparency_tv(circ, pads) < TV_TOL
 
