@@ -3,11 +3,11 @@
 Alice (verifier) privately prepares trap choices and one-time pads, then the
 qubit register shuttles between the parties: Bob (prover) prepares the
 qubits, applies every cZ round, and measures; Alice applies only the padded
-single-qubit rounds. Bob never learns the target's slot, the pads, or the
-trap choices — his strategy interface receives only (circuit index, stage).
+single-qubit rounds, her own gate errors folded in. Bob never learns the
+target's slot, the pads, or the trap choices — his strategy interface
+receives only (circuit index, stage).
 The register only checks ownership: a party acts on it by the simulator's
-band steps (``apply_round``, ``apply_cz``, ``apply_pauli``), the steps of
-the statevector walk.
+band steps (``apply_round``, ``apply_cz``) and Bob by ``apply_pauli``.
 
 Alice checks each trap's post-processed output as it arrives and aborts the
 session at the first failure.
@@ -158,13 +158,12 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     Alice's preliminary work (``protocol.plan_run``: slot choice, trap
     choices, error bits and pads, drawn as a run of ``accredit`` draws
     them) happens before any message is exchanged, and she reads every
-    slot's band unitaries and error masks from the plan's arrays once; no
-    circuit is built. ``alice_noise`` (None or a BoundedGateNoise) is the
-    noise model of that draw, noiseless for None; Alice applies a
-    circuit's location-(j+1) error after her band-j round. Bob's
-    deviations (:meth:`BobStrategy.check_fits`), n against the statevector
-    limit (SimLimitError) and the noise's type and qubit count are checked
-    before any draw.
+    slot's band unitaries, her drawn errors folded in, from the plan's
+    arrays once; no circuit is built. ``alice_noise`` (None or a
+    BoundedGateNoise) is the noise model of that draw, noiseless for None.
+    Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
+    statevector limit (SimLimitError) and the noise's type and qubit count
+    are checked before any draw.
     """
     n, m = target.n, target.m
     bob.check_fits(v, n, m)
@@ -178,13 +177,11 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     plan = plan_run(target, v,
                     NoiseModel() if alice_noise is None else alice_noise, rng)
     v0 = plan.v0
-    # every slot's band unitaries (v+1, m, n, 2, 2) and Alice's x and z
-    # error masks (v+1, m+1), gathered once
+    # every slot's band unitaries (v+1, m, n, 2, 2), gathered once
     unitaries = cliffords.MATRICES[np.where(plan.gates == GENERIC,
                                             cliffords.C_I, plan.gates)]
     for (j, i), u in plan.matrices.items():
         unitaries[v0, j, i] = u
-    alice_x, alice_z = simulator.row_masks(plan.errors, m + 1).tolist()
     channel = Transport()
     target_output = None
     for k, key in enumerate(plan.keys):
@@ -194,8 +191,6 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
         for j, pairs in enumerate(target.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
             reg.apply(ALICE, simulator.apply_round, unitaries[k, j])
-            reg.apply(ALICE, simulator.apply_pauli, alice_x[k][j + 1],
-                      alice_z[k][j + 1])
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
             for dev in bob.deviations_for(k, j + 1):
                 reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)

@@ -141,7 +141,7 @@ def _choice_flip_tables(topology: Circuit) -> np.ndarray:
     if size > FLIP_TABLE_CAP:
         raise ValueError(f"flip table of {size} entries too large to build "
                          f"(cap {FLIP_TABLE_CAP})")
-    gates = np.stack([traps.generate_trap(topology, c).gates
+    gates = np.stack([traps._trap_gates(topology, c)
                       for c in traps.enumerate_choices(topology)])
     table = _backward_flips(gates, topology.cz)
     table.flags.writeable = False
@@ -367,8 +367,7 @@ def pad_averaged_distribution(circ: Circuit, channels: dict) -> np.ndarray:
     rows = np.arange(2 ** width)
     pads = (rows[:, None] >> np.arange(width) & 1).astype(np.uint8)
     pre, post, key = qotp.pad_paulis(circ, pads)
-    mats = cliffords.MATRICES
-    bands = mats[post] @ (simulator.band_unitaries(circ) @ mats[pre])
+    bands = qotp.pad_unitaries(simulator.band_unitaries(circ), pre, post)
     probs = simulator.density_distribution(bands.transpose(1, 2, 0, 3, 4),
                                            circ.cz, channels)
     outputs = np.arange(2 ** n) ^ (key @ (1 << np.arange(n)))[:, None]
@@ -380,15 +379,18 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
 
     ``channels`` maps noise locations to Kraus lists (2^n-dimensional).
     The candidates are every slice (Z-only at the end locations) as bits:
-    the product of the locations' codes, identity first.
+    the product of the locations' codes, identity first, folded into the
+    gates (:func:`simulator.error_paulis`) and walked as one batch.
     """
     _check_twirl_walks(circ, channels, fit=True)
     averaged = pad_averaged_distribution(circ, channels)
     n, m = circ.n, circ.m
     err_x, err_z = _bits(list(itertools.product(
         *(_codes(n, loc in (0, m)) for loc in range(m + 1)))), n)
-    a = np.array([simulator.statevector_distribution(circ, errors=(x, z))
-                  for x, z in zip(err_x, err_z)]).T
+    bands = qotp.pad_unitaries(simulator.band_unitaries(circ),
+                               *simulator.error_paulis(err_x, err_z))
+    a = simulator.density_distribution(bands.transpose(1, 2, 0, 3, 4),
+                                       circ.cz, {}).T
     # constrain weights to a distribution by appending the sum-to-one row
     scale = 10.0
     a_aug = np.vstack([a, scale * np.ones(a.shape[1])])

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import qotp, simulator, traps
+from . import cliffords, qotp, simulator, traps
 from .circuit import Circuit
 from .noise import NoiseModel
 
@@ -164,10 +164,9 @@ class RunPlan(NamedTuple):
     """One run's secret choices and noise, as arrays (:func:`plan_run`)."""
 
     v0: int
-    gates: np.ndarray  # (v+1, m, n) dressed gate indices, slot by slot
-    matrices: dict  # the dressed target's generic 2x2s, {} if Clifford
+    gates: np.ndarray  # (v+1, m, n) gate indices, pads and errors in
+    matrices: dict  # the target slot's generic 2x2s, {} if Clifford
     keys: np.ndarray  # (v+1, n) post-processing keys
-    errors: tuple  # (err_x, err_z), each (v+1, m+1, n)
 
 
 def plan_run(target: Circuit, v: int, noise: NoiseModel,
@@ -179,9 +178,10 @@ def plan_run(target: Circuit, v: int, noise: NoiseModel,
     t-th slot other than v0, with the gates :func:`traps.trap_cliffords`
     gives its choice row; every slot is dressed by its pad row
     (:func:`qotp.pad_paulis`), as :func:`qotp.dress` dresses one circuit,
-    on the target's cZ layers. Both the padded reference run and the
-    two-party session execute these v+1 circuits, each post-processed with
-    its key, under the error bits. No circuit is built.
+    on the target's cZ layers, and its drawn errors are composed into the
+    pads (:func:`simulator.error_paulis`). Both the padded reference run
+    and the two-party session execute these v+1 circuits as run, each
+    post-processed with its key. No circuit is built.
     """
     _check_plan(target, v)
     v0, choice, err_x, err_z = _draw_runs(target, v, noise, 1, rng)
@@ -192,28 +192,30 @@ def plan_run(target: Circuit, v: int, noise: NoiseModel,
     bases = np.concatenate((trap_gates[:v0], target.gates[None],
                             trap_gates[v0:]))
     pre, post, keys = qotp.pad_paulis(target, pads)
+    err_pre, err_post = simulator.error_paulis(err_x[0], err_z[0])
+    pre = cliffords.COMPOSE[err_pre, pre]
+    post = cliffords.COMPOSE[post, err_post]
     return RunPlan(v0, qotp.pad_gates(bases, pre, post),
                    qotp.pad_matrices(target.matrices, pre[v0], post[v0]),
-                   keys, (err_x[0], err_z[0]))
+                   keys)
 
 
 def single_run(target: Circuit, v: int, noise: NoiseModel,
                rng: np.random.Generator) -> RunOutcome:
     """One padded protocol run, the reference that :func:`accredit` matches.
 
-    Hides the target among v traps, pads every circuit and draws the error
-    bits (:func:`plan_run`), then per slot builds the dressed circuit and
-    takes one dense statevector sample of it, post-processed with its key.
-    The run accepts iff every trap outputs all zeros.
+    Hides the target among v traps, pads every circuit and folds in the
+    drawn errors (:func:`plan_run`), then per slot builds the circuit as
+    run and takes one dense statevector sample of it, post-processed with
+    its key. The run accepts iff every trap outputs all zeros.
     """
     plan = plan_run(target, v, noise, rng)
-    v0, (err_x, err_z) = plan.v0, plan.errors
+    v0 = plan.v0
     outputs = []
     for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
         circuit = Circuit(target.n, target.m, gates, target.cz,
                           plan.matrices if k == v0 else None)
-        raw = simulator.run_statevector(circuit, (err_x[k], err_z[k]),
-                                        rng=rng)
+        raw = simulator.run_statevector(circuit, rng=rng)
         outputs.append(qotp.postprocess(raw, key))
     trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"

@@ -79,11 +79,17 @@ def pad_gates(gates: np.ndarray, pre: np.ndarray,
     return _COMPOSE[_COMPOSE[pre, gates], post]
 
 
+def pad_unitaries(unitaries: np.ndarray, pre: np.ndarray,
+                  post: np.ndarray) -> np.ndarray:
+    """2x2 unitaries (..., 2, 2) between pre and post Pauli indices; the
+    Paulis' matrices hold only 0 and +-1, so the products are exact."""
+    return cliffords.MATRICES[post] @ (unitaries @ cliffords.MATRICES[pre])
+
+
 def pad_matrices(matrices, pre: np.ndarray, post: np.ndarray) -> dict:
     """One circuit's generic 2x2s {(j, i): u}, each between the (m, n)
     pre and post Paulis at its position."""
-    return {(j, i): cliffords.MATRICES[post[j, i]]
-            @ (u @ cliffords.MATRICES[pre[j, i]])
+    return {(j, i): pad_unitaries(u, pre[j, i], post[j, i])
             for (j, i), u in matrices.items()}
 
 

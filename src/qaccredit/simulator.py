@@ -7,10 +7,11 @@
   outcome from a signed stabiliser tableau (:func:`reference_outcome`), the
   frame also samples a Clifford circuit's outputs, with no statevector.
 * Dense statevector simulation for small generic circuits, one band step at
-  a time (:func:`apply_round`, :func:`apply_pauli`, :func:`apply_cz`), the
-  steps the two-party register also runs. The round and cZ steps take
-  leading batch axes, so one walk moves many states; the density backend
-  sums that walk over every path of Kraus operators at the noise locations.
+  a time (:func:`apply_round`, :func:`apply_cz`), the steps the two-party
+  register also runs; a drawn Pauli error is folded into its gate as a pad
+  is (:func:`error_paulis`). The round and cZ steps take leading batch
+  axes, so one walk moves many states; the density backend sums that walk
+  over every path of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cliffords, pauli
+from . import cliffords, pauli, qotp
 from .circuit import GENERIC, Circuit, cz_partners
 from .pauli import PauliString
 
@@ -208,8 +209,6 @@ def _cz_parity(n: int, pairs: tuple) -> np.ndarray:
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
                 n: int) -> np.ndarray:
     """Apply X^x Z^z by integer masks (bit q = qubit q); no global phase."""
-    if not x_mask and not z_mask:
-        return state
     idx = np.arange(2 ** n)
     # X^x Z^z on |b>: Z phases first on b, then X flips b
     odd = np.bitwise_count(idx & z_mask) & 1
@@ -221,13 +220,14 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
 
 
-def row_masks(bits: Optional[Sequence], rows: int) -> np.ndarray:
-    """Integer masks (bit q = qubit q) of each row of an (x, z) pair of
-    bit arrays of shape (..., rows, n), as one (2, ..., rows) array of x
-    and z masks, or of ``rows`` noiseless rows for None."""
-    if bits is None:
-        return np.zeros((2, rows), dtype=np.int64)
-    return np.dot(bits, 1 << np.arange(bits[0].shape[-1]))
+def error_paulis(err_x: np.ndarray, err_z: np.ndarray) -> tuple:
+    """Error bits (..., m+1, n), row j the location-j error, as Pauli
+    indices (..., m, n) before and after each gate, the pads' form: the
+    location-0 error before band 0's gate, location j+1 after band j's."""
+    paulis = cliffords.PAULI_INDEX[err_x, err_z]
+    pre = np.full_like(paulis[..., 1:, :], cliffords.C_I)
+    pre[..., 0, :] = paulis[..., 0, :]
+    return pre, paulis[..., 1:, :]
 
 
 def band_unitaries(circuit: Circuit) -> np.ndarray:
@@ -240,24 +240,15 @@ def band_unitaries(circuit: Circuit) -> np.ndarray:
 
 
 def _evolve_state(bands: np.ndarray, cz: tuple,
-                  errors: Optional[Sequence] = None,
-                  operators: Optional[dict] = None) -> np.ndarray:
+                  operators: dict) -> np.ndarray:
     """|+>^n through single-qubit rounds ``bands`` (m, n, ..., 2, 2) and
-    the cZ layers ``cz``, one Pauli error per location. Axes of ``bands``
-    between n and the 2x2 walk a batch of states at once, (..., 2^n).
-
-    ``errors`` is an (x, z) pair of (m+1, n) bit arrays, row j the
-    location-j error, or None for no noise (the only choice for a batch); a
-    gate deviation is the error at the location after its round.
-    ``operators`` maps a location to one 2^n x 2^n matrix applied after its
-    error.
+    the cZ layers ``cz``. Axes of ``bands`` between n and the 2x2 walk a
+    batch of states at once, (..., 2^n). ``operators`` maps a location to
+    one 2^n x 2^n matrix applied there.
     """
-    n, m = bands.shape[1], len(cz)
-    err_x, err_z = row_masks(errors, m + 1).tolist()
-    operators = operators or {}
+    n = bands.shape[1]
 
     def at_location(state, loc):
-        state = apply_pauli(state, err_x[loc], err_z[loc], n)
         return state @ operators[loc].T if loc in operators else state
 
     state = np.broadcast_to(plus_state(n), bands.shape[2:-2] + (2 ** n,))
@@ -309,10 +300,13 @@ def check_statevector_size(n: int):
 def statevector_distribution(circuit: Circuit,
                              errors: Optional[Sequence] = None) -> np.ndarray:
     """Exact X-measurement outcome distribution (index bit q = qubit q)
-    under the (x, z) error bits that :func:`_evolve_state` reads."""
+    under ``errors``, an (x, z) pair of (m+1, n) bit arrays or None, each
+    error folded into its gate (:func:`error_paulis`)."""
     check_statevector_size(circuit.n)
-    state = _evolve_state(band_unitaries(circuit), circuit.cz, errors)
-    return x_distribution(state, circuit.n)
+    bands = band_unitaries(circuit)
+    if errors is not None:
+        bands = qotp.pad_unitaries(bands, *error_paulis(*errors))
+    return x_distribution(_evolve_state(bands, circuit.cz, {}), circuit.n)
 
 
 def run_statevector(circuit: Circuit, errors: Optional[Sequence] = None, *,
@@ -372,7 +366,7 @@ def density_distribution(bands: np.ndarray, cz: tuple,
     probs = np.zeros(bands.shape[2:-2] + (2 ** n,))
     for path in itertools.product(*channels.values()):
         operators = dict(zip(channels, path))
-        probs += _x_weights(_evolve_state(bands, cz, None, operators), n)
+        probs += _x_weights(_evolve_state(bands, cz, operators), n)
     sums = probs.sum(axis=-1, keepdims=True)
     if np.abs(sums - 1.0).max() > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")

@@ -36,16 +36,17 @@ def _unpaired(n: int, pairs: tuple) -> list:
 
 
 def choice_width(target: Circuit) -> int:
-    """Bits in one trap choice: every pair and unpaired bit, then t."""
+    """Bits in one trap choice: every pair and unpaired bit, then t. A
+    circuit of fewer than 2 bands has no traps (ValueError)."""
+    if target.m < 2:
+        raise ValueError("trap generation needs at least 2 bands")
     return 1 + sum(target.n - len(pairs) for pairs in target.cz[:-1])
 
 
 def _check_choice(target: Circuit, bits, ndim: int) -> np.ndarray:
     """``bits`` as uint8, once it is an ndim-array of 0/1 choice rows."""
-    if target.m < 2:
-        raise ValueError("trap generation needs at least 2 bands")
     bits = np.asarray(bits)
-    if bits.ndim != ndim or bits.shape[-1] != choice_width(target):
+    if bits.shape[-1:] != (choice_width(target),) or bits.ndim != ndim:
         shape = "(R, choice_width)" if ndim == 2 else "(choice_width,)"
         raise ValueError(f"choice bits must have shape {shape}")
     if not ((bits == 0) | (bits == 1)).all():
@@ -64,6 +65,11 @@ def generate_trap(target: Circuit, choice) -> Circuit:
     closes it.
     """
     choice = _check_choice(target, choice, ndim=1)
+    return Circuit(target.n, target.m, _trap_gates(target, choice), target.cz)
+
+
+def _trap_gates(target: Circuit, choice: np.ndarray) -> np.ndarray:
+    """:func:`generate_trap`'s gate indices (m, n) of a checked row."""
     n, m = target.n, target.m
     h, s = cliffords.C_H, cliffords.C_S
     layers = np.empty((m + 1, n), dtype=np.uint8)
@@ -75,8 +81,7 @@ def generate_trap(target: Circuit, choice) -> Circuit:
                 (h, s) if next(bits) else (s, h)
         for q in _unpaired(n, target.cz[j]):
             layers[j + 1, q] = s if next(bits) else h
-    gates = cliffords.COMPOSE[cliffords.DAGGER[layers[:-1]], layers[1:]]
-    return Circuit(n, m, gates, target.cz)
+    return cliffords.COMPOSE[cliffords.DAGGER[layers[:-1]], layers[1:]]
 
 
 def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 
@@ -25,3 +26,19 @@ def allocates_at_most():
         assert peak <= limit, f"peak allocation {peak} B exceeds {limit} B"
 
     return check
+
+
+@pytest.fixture(scope="session")
+def pauli_kraus():
+    """Function of (n,) bit rows x, z: X^x Z^z as a one-element Kraus list
+    of one 2^n x 2^n matrix, qubit 0 the rightmost factor."""
+
+    def kraus(x, z):
+        flip, phase = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        full = np.eye(1, dtype=complex)
+        for xq, zq in zip(x[::-1], z[::-1]):
+            full = np.kron(full, np.linalg.matrix_power(flip, xq)
+                           @ np.linalg.matrix_power(phase, zq))
+        return [full]
+
+    return kraus

@@ -221,19 +221,19 @@ def test_session_builds_no_circuit(monkeypatch):
 
 
 def _replay(target, v, bob, rng, alice_noise):
-    """A session's outcome without the register: each slot sampled from its
-    statevector distribution, with Bob's stage-s Paulis XORed into the
-    plan's location-s error bits, drawn from Alice's gate noise.
+    """A session's outcome without the register: each slot of the plan,
+    which holds Alice's gate noise, sampled from its statevector
+    distribution with Bob's stage-s Paulis as the location-s error bits.
     Returns (flag, v0, target output, transcript length)."""
     n, m = target.n, target.m
     plan = plan_run(
         target, v, noiseless() if alice_noise is None else alice_noise, rng)
-    v0, errors = plan.v0, plan.errors
+    v0 = plan.v0
     output, sent = None, 0
     for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
         circuit = Circuit(n, m, gates, target.cz,
                           plan.matrices if k == v0 else None)
-        bits = np.array([errors[0][k], errors[1][k]])
+        bits = np.zeros((2, m + 1, n), dtype=np.uint8)
         for stage in range(m + 1):
             for p in bob.deviations_for(k, stage):
                 bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)

@@ -144,13 +144,10 @@ def test_plan_run_equals_generate_trap_and_dress(n, m, v, generic, seed):
     target = make(n, m, np.random.default_rng([seed, 1]))
     plan = plan_run(target, v, noiseless(), np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    v0, choice, err_x, err_z = protocol._draw_runs(target, v, noiseless(), 1,
-                                                   rng)
+    v0, choice, _, _ = protocol._draw_runs(target, v, noiseless(), 1, rng)
     pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
                         dtype=np.uint8)
     assert plan.v0 == v0[0]
-    assert np.array_equal(plan.errors[0], err_x[0])
-    assert np.array_equal(plan.errors[1], err_z[0])
     slots = [k for k in range(v + 1) if k != plan.v0]
     for k, row in zip(slots, choice[0]):
         dressed, key = qotp.dress(traps.generate_trap(target, row), pads[k])
@@ -163,6 +160,41 @@ def test_plan_run_equals_generate_trap_and_dress(n, m, v, generic, seed):
     for at, u in dressed.matrices.items():
         assert np.array_equal(plan.matrices[at], u)
     assert plan.gates.dtype == plan.keys.dtype == np.uint8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(2, 4), v=st.integers(1, 4),
+       generic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_noisy_plan_runs_each_dressed_slot_under_its_drawn_errors(
+        pauli_kraus, n, m, v, generic, seed):
+    # the plan folds its drawn Paulis into the gates: redo its draws by
+    # hand, and each slot as planned has the law of the dressed slot with
+    # the drawn Paulis as Kraus lists at their locations
+    make = (families.random_generic_circuit if generic
+            else families.random_clifford_circuit)
+    target = make(n, m, np.random.default_rng([seed, 1]))
+    model = CompositeModel(
+        IndependentLocationChannels(
+            default_rates={"X": 0.2, "Y": 0.2, "Z": 0.2}),
+        BoundedGateNoise(0.5, n))
+    plan = plan_run(target, v, model, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    v0, choice, err_x, err_z = protocol._draw_runs(target, v, model, 1, rng)
+    pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
+                        dtype=np.uint8)
+    assert plan.v0 == v0[0]
+    bases = [traps.generate_trap(target, row) for row in choice[0]]
+    bases.insert(plan.v0, target)
+    for k, base in enumerate(bases):
+        dressed, key = qotp.dress(base, pads[k])
+        assert np.array_equal(plan.keys[k], key)
+        planned = Circuit(n, m, plan.gates[k], target.cz,
+                          plan.matrices if k == plan.v0 else None)
+        channels = {loc: pauli_kraus(err_x[0, k, loc], err_z[0, k, loc])
+                    for loc in range(m + 1)}
+        assert np.abs(simulator.statevector_distribution(planned)
+                      - simulator.run_density(dressed, channels)
+                      ).max() <= 1e-12
 
 
 def test_draw_runs_choice_rows_deterministic_and_uniform():

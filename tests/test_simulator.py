@@ -247,6 +247,24 @@ def test_density_matches_kronecker_reference():
                           - _kron_density(circ, channels)).max() < 1e-12
 
 
+def test_folded_errors_match_kronecker_reference_at_every_location(
+        pauli_kraus):
+    # a non-identity Pauli at every location, the edge locations 0 and m
+    # included, each folded into the gate next to it
+    rng = np.random.default_rng(15)
+    for n in range(1, 4):
+        for m in range(1, 5):
+            for _ in range(3):
+                circ = families.random_generic_circuit(n, m, rng)
+                codes = rng.integers(1, 4 ** n, size=(m + 1, 1))
+                bits = (codes >> np.arange(2 * n) & 1).astype(np.uint8)
+                x, z = bits[:, :n], bits[:, n:]
+                channels = {loc: pauli_kraus(x[loc], z[loc])
+                            for loc in range(m + 1)}
+                assert np.abs(statevector_distribution(circ, (x, z))
+                              - _kron_density(circ, channels)).max() <= 1e-12
+
+
 def _amplitude_damping(n, q, gamma):
     """The two Kraus operators of amplitude damping on qubit q of n."""
     kraus = [np.diag([1.0, np.sqrt(1 - gamma)]),
