@@ -253,7 +253,10 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     under its slice with X^a at location 0, one batched frame per block, so
     a report keeps n bits per accepted run and builds no statevector. A
     generic target's last draw is the uniform that picks its sample from
-    its slice's statevector distribution; only it meets the size limit.
+    its slice's statevector distribution; the report's accepted slices are
+    sampled together (:func:`_sample_targets`), from one noiseless walk
+    branched at each slice's first error, and only a generic target meets
+    the size limit.
     """
     _check_plan(target, config.v)
     n, m = target.n, target.m
@@ -316,16 +319,17 @@ def _sample_targets(target: Circuit, slices: np.ndarray,
                     draws: np.ndarray) -> np.ndarray:
     """Outputs (A, n) of a generic target under A error slices (A, 2, m+1,
     n), each picked by its uniform draw from the slice's statevector
-    distribution; one distribution per distinct slice, held one at a time.
+    distribution. Each distinct slice's distribution comes from one
+    noiseless walk branched per slice (:func:`simulator.slice_distributions`)
+    and is dropped once its runs are picked.
     """
     flat = slices.reshape(len(slices), math.prod(slices.shape[1:]))
     keys, inverse = np.unique(flat, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     indices = np.empty(len(slices), dtype=np.int64)
-    for i, key in enumerate(keys):
+    for i, probs in simulator.slice_distributions(
+            target, keys.reshape((-1,) + slices.shape[1:])):
         runs = inverse == i
-        probs = simulator.statevector_distribution(
-            target, key.reshape(slices.shape[1:]))
         indices[runs] = simulator.quantile_indices(probs, draws[runs])
     return (indices[:, None] >> np.arange(target.n) & 1).astype(np.uint8)
 

@@ -8,10 +8,13 @@
   frame also samples a Clifford circuit's outputs, with no statevector.
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_cz`), the steps the two-party
-  register also runs; a drawn Pauli error is folded into its gate as a pad
-  is (:func:`error_paulis`). The round and cZ steps take leading batch
-  axes, so one walk moves many states; the density backend sums that walk
-  over every path of Kraus operators at the noise locations.
+  register also runs. A drawn Pauli error is folded into a gate as a pad
+  is: :func:`slice_distributions` branches every error slice off one
+  noiseless walk at its first error, and :func:`error_paulis` gives errors
+  the pads' form for a run's plan and for batched walks. The round and cZ
+  steps take leading batch axes, so one walk moves many states; the
+  density backend sums that walk over every path of Kraus operators at
+  the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -29,13 +32,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cliffords, pauli, qotp
+from . import cliffords, pauli
 from .circuit import GENERIC, Circuit, cz_partners
 from .pauli import PauliString
 
 TRACE_ATOL = 1e-10
 MAX_STATEVECTOR_QUBITS = 16
 MAX_DENSITY_QUBITS = 6
+# apply_round fuses the 2x2s of BLOCK qubits into one product from
+# BLOCK_FROM qubits on; below that the per-qubit products cost no more
+BLOCK = 4
+BLOCK_FROM = 8
 
 
 class SimLimitError(RuntimeError):
@@ -172,19 +179,41 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
 
 def apply_round(state: np.ndarray, unitaries, n: int) -> np.ndarray:
     """Apply a band's single-qubit round, the 2x2 unitary ``unitaries[q]``
-    on every qubit q (qubit 0 = least significant bit), one matrix product
-    per qubit; ``unitaries`` is an (n, 2, 2) array or a list of n 2x2s.
+    on every qubit q (qubit 0 = least significant bit); ``unitaries`` is an
+    (n, 2, 2) array or a list of n 2x2s.
 
     ``state`` may carry leading batch axes, (..., 2^n); ``unitaries[q]``
     may then be a stack (..., 2, 2) of one 2x2 per state. Each product acts
-    on the highest qubit, the first axis after the batch axes, and leaves it
-    as the lowest, so after the last product every qubit is back in place.
+    on the highest qubits, the first axis after the batch axes, and leaves
+    them as the lowest, so after the last product every qubit is back in
+    place. Below ``BLOCK_FROM`` qubits that is one 2x2 product per qubit;
+    from there on the 2x2s of up to ``BLOCK`` qubits are first multiplied
+    into one Kronecker product, so the state is read once per block, not
+    once per qubit (gate fusion, arXiv:1704.01127).
     """
     shape = state.shape
-    split = shape[:-1] + (2, -1)
-    for u in unitaries[::-1]:
-        state = (state.reshape(split).mT @ u.mT).reshape(shape)
+    if n < BLOCK_FROM:
+        split = shape[:-1] + (2, -1)
+        for u in reversed(unitaries):
+            state = (state.reshape(split).mT @ u.mT).reshape(shape)
+        return state
+    for hi in range(n, 0, -BLOCK):
+        lo = max(hi - BLOCK, 0)
+        u = _kron(unitaries[lo:hi])
+        state = (state.reshape(shape[:-1] + (2 ** (hi - lo), -1)).mT
+                 @ u.mT).reshape(shape)
     return state
+
+
+def _kron(unitaries) -> np.ndarray:
+    """Kronecker product (..., 2^k, 2^k) of k stacks (..., 2, 2), the last
+    one the most significant qubit, by broadcasting."""
+    out = unitaries[-1]
+    for u in unitaries[-2::-1]:
+        size = 2 * out.shape[-1]
+        out = (out[..., :, None, :, None] * u[..., None, :, None, :]
+               ).reshape(out.shape[:-2] + (size, size))
+    return out
 
 
 def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
@@ -300,13 +329,66 @@ def check_statevector_size(n: int):
 def statevector_distribution(circuit: Circuit,
                              errors: Optional[Sequence] = None) -> np.ndarray:
     """Exact X-measurement outcome distribution (index bit q = qubit q)
-    under ``errors``, an (x, z) pair of (m+1, n) bit arrays or None, each
-    error folded into its gate (:func:`error_paulis`)."""
+    under ``errors``, an (x, z) pair of (m+1, n) bit arrays or None: the
+    one-slice case of :func:`slice_distributions`."""
     check_statevector_size(circuit.n)
-    bands = band_unitaries(circuit)
+    slices = np.zeros((1, 2, circuit.m + 1, circuit.n), dtype=np.uint8)
     if errors is not None:
-        bands = qotp.pad_unitaries(bands, *error_paulis(*errors))
-    return x_distribution(_evolve_state(bands, circuit.cz, {}), circuit.n)
+        slices[0] = errors
+    return next(slice_distributions(circuit, slices))[1]
+
+
+def slice_distributions(circuit: Circuit, slices: np.ndarray):
+    """Yield (k, probs) for every error slice k of ``slices`` (K, 2, m+1,
+    n), the (x, z) bits of each location's Pauli: the X-measurement
+    distribution (index bit q = qubit q) of ``circuit`` under slice k.
+
+    One noiseless walk serves every slice. A location-j error (j < m) is
+    moved through band j-1's cZ round, where a qubit's Z picks up its
+    partner's X, to just before band j's round, so a slice's state is the
+    noiseless one up to its first error location f. The walk branches
+    there, and the branch runs bands f..m-1 with the slice's Paulis folded
+    into their unitaries. The X-basis rotation is folded into the last
+    band, which has no cZ round, so a location-m Pauli only relabels
+    outcomes: its Z bits XOR the outcome index and its X bits do nothing,
+    and slices that differ only there share one branch. The walk holds two
+    states at a time, at any m; slices come out by first error location.
+    """
+    n, m, k = circuit.n, circuit.m, len(slices)
+    x, z = slices[:, 0], slices[:, 1]
+    partner, paired = cz_partners(n, circuit.cz)
+    crossed = z[:, 1:] ^ x[:, 1:].reshape(k, m * n)[:, partner] & paired
+    pre = cliffords.PAULI_INDEX[x[:, :m], np.concatenate(
+        (z[:, :1], crossed[:, :-1]), axis=1)]
+    touched = (pre != cliffords.C_I).any(axis=2)
+    first = np.where(touched.any(axis=1), touched.argmax(axis=1), m)
+    flips = z[:, m] @ (1 << np.arange(n))
+    branches = {}
+    for i, key in enumerate(pre):
+        branches.setdefault(key.tobytes(), []).append(i)
+    outcomes = np.arange(2 ** n)
+    bands = band_unitaries(circuit)
+    bands[-1] = cliffords.MATRICES[cliffords.C_H] @ bands[-1]
+    state, at = plus_state(n), 0
+    for group in sorted(branches.values(), key=lambda ks: first[ks[0]]):
+        f = first[group[0]]
+        state = _walk(state, bands[at:f], circuit.cz[at:f], n)
+        at = f
+        probs = np.abs(_walk(state, bands[f:] @ cliffords.MATRICES[
+            pre[group[0], f:]], circuit.cz[f:], n)) ** 2
+        probs /= probs.sum()
+        for i in group:
+            yield i, probs[outcomes ^ flips[i]]
+
+
+def _walk(state: np.ndarray, bands, cz: tuple, n: int) -> np.ndarray:
+    """``state`` through single-qubit rounds ``bands``, each followed by
+    its cZ layer in ``cz``; an empty layer costs nothing."""
+    for unitaries, pairs in zip(bands, cz):
+        state = apply_round(state, unitaries, n)
+        if pairs:
+            state = apply_cz(state, pairs, n)
+    return state
 
 
 def run_statevector(circuit: Circuit, errors: Optional[Sequence] = None, *,

@@ -257,13 +257,16 @@ def test_accredit_noiseless():
 
 
 def test_accredit_always_rejecting():
-    target = families.ghz_circuit(2)
-    cfg = ProtocolConfig(v=3, d=5, theta=0.05, master_seed=12,
-                         noise=_z_everywhere_model(3, 2, target.m))
-    rep = protocol.accredit(cfg, target)
-    assert rep.n_acc == 0
-    assert rep.bound is None
-    assert "unavailable" in rep.to_json()
+    # a generic target then samples no slice at all
+    for target in (families.ghz_circuit(2), families.random_generic_circuit(
+            3, 3, np.random.default_rng(12))):
+        cfg = ProtocolConfig(v=3, d=5, theta=0.05, master_seed=12,
+                             noise=_z_everywhere_model(3, target.n, target.m))
+        rep = protocol.accredit(cfg, target)
+        assert rep.n_acc == 0
+        assert rep.accepted_outputs == []
+        assert rep.bound is None
+        assert "unavailable" in rep.to_json()
 
 
 def test_report_json_keys_and_vacuous_flags():
@@ -488,6 +491,48 @@ def test_clifford_accredit_builds_no_statevector(monkeypatch):
         cfg = ProtocolConfig(v=3, d=300, theta=0.05, master_seed=7,
                              noise=model)
         assert protocol.accredit(cfg, target).n_acc > 0
+
+
+def _slices_at_every_location(n, m, count, rng):
+    """``count`` (2, m+1, n) error slices with their first error spread
+    over every location 0..m, then an error-free slice and repeats."""
+    slices = np.zeros((count, 2, m + 1, n), dtype=np.uint8)
+    for i in range(count):
+        f = i % (m + 1)
+        slices[i, :, f:] = rng.random((2, m + 1 - f, n)) < 0.3
+        if not slices[i, :, f].any():
+            slices[i, rng.integers(2), f, rng.integers(n)] = 1
+    repeats = slices[rng.integers(0, count, size=count // 2)]
+    return np.concatenate((slices, np.zeros_like(slices[:1]), repeats))
+
+
+def test_sample_targets_pick_from_each_slice_distribution():
+    # the branched walk picks as the old rule did: one distribution per
+    # slice, the edge locations 0 and m included, location m alone too
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        n, m = int(rng.integers(1, 11)), int(rng.integers(2, 6))
+        target = families.random_generic_circuit(n, m, rng)
+        slices = _slices_at_every_location(n, m, 4 * (m + 1), rng)
+        draws = rng.random(len(slices))
+        picks = protocol._sample_targets(target, slices, draws)
+        for bits, draw, pick in zip(slices, draws, picks):
+            probs = simulator.statevector_distribution(target, bits)
+            index = simulator.quantile_indices(probs, draw)
+            assert simulator.bits_to_index(pick) == index
+
+
+def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):
+    # the walk holds two states and a branch's distributions, not one
+    # state per location: m = 10 stays within eight states at n = 12
+    n, m = 12, 10
+    rng = np.random.default_rng(31)
+    target = families.random_generic_circuit(n, m, rng)
+    slices = _slices_at_every_location(n, m, 3 * (m + 1), rng)
+    draws = rng.random(len(slices))
+    with allocates_at_most(8 * 2 ** n * 16):
+        picks = protocol._sample_targets(target, slices, draws)
+    assert picks.shape == (len(slices), n)
 
 
 def test_noiseless_ghz_beyond_the_statevector_limit_accepts_even_parity():

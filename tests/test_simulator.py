@@ -265,6 +265,53 @@ def test_folded_errors_match_kronecker_reference_at_every_location(
                               - _kron_density(circ, channels)).max() <= 1e-12
 
 
+def _kron_round(states, unitaries):
+    """Dense reference of a round on (B, 2^n) states with (n, B, 2, 2)
+    unitaries: state b times the Kronecker product of its n 2x2s, qubit 0
+    the rightmost factor, held as its high and low halves, U_hi (x) U_lo,
+    applied to the state as a 2^(n-h) x 2^h matrix."""
+    n = len(unitaries)
+    h = n // 2
+
+    def kron(us):
+        out = np.eye(1)
+        for u in reversed(us):
+            out = np.kron(out, u)
+        return out
+
+    out = []
+    for b, state in enumerate(states):
+        hi, lo = kron(unitaries[h:, b]), kron(unitaries[:h, b])
+        out.append((hi @ state.reshape(2 ** (n - h), 2 ** h) @ lo.T)
+                   .reshape(-1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_apply_round_matches_kronecker_reference(n):
+    # the per-qubit products below simulator.BLOCK_FROM qubits, the fused
+    # blocks from there on, in every form a caller passes
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
+    stack = np.array([[families.random_unitary(2, rng) for _ in range(3)]
+                      for _ in range(n)])
+    shared = np.broadcast_to(stack[:, :1], stack.shape)
+    hadamard = cliffords.MATRICES[cliffords.C_H]
+    cases = [
+        (states[0], stack[:, 0], states[:1], shared[:, :1]),
+        (states, stack[:, 0], states, shared),
+        (states, stack, states, stack),
+        (states.reshape(3, 1, -1), stack[:, :, None], states, stack),
+        (states[0], [hadamard] * n, states[:1],
+         np.broadcast_to(hadamard, (n, 1, 2, 2))),
+    ]
+    for state, unitaries, ref_states, ref_unitaries in cases:
+        out = simulator.apply_round(state, unitaries, n)
+        ref = _kron_round(ref_states, ref_unitaries)
+        assert out.shape == state.shape
+        assert np.abs(out.reshape(ref.shape) - ref).max() <= 1e-12
+
+
 def _amplitude_damping(n, q, gamma):
     """The two Kraus operators of amplitude damping on qubit q of n."""
     kraus = [np.diag([1.0, np.sqrt(1 - gamma)]),
