@@ -193,7 +193,8 @@ class IndependentLocationChannels(NoiseModel):
         self._cumulative = {}
 
     def _thresholds(self, v, m) -> np.ndarray:
-        """Cumulative X, X+Y, X+Y+Z rates of shape (v+1, m+1, 1, 3)."""
+        """Cumulative X, X+Y, X+Y+Z rates of shape ((v+1)(m+1), 3), one row
+        per (circuit, location) in that order."""
         if (v, m) not in self._cumulative:
             rates = np.empty((v + 1, m + 1, 3))
             rates[...] = [float(self.default_rates.get(p, 0.0)) for p in "XYZ"]
@@ -204,17 +205,28 @@ class IndependentLocationChannels(NoiseModel):
                         f"circuits 0..{v} and locations 0..{m}")
                 rates[k, loc] = [float(r.get(p, 0.0)) for p in "XYZ"]
             rates[:, [0, m], :2] = 0.0
-            self._cumulative[v, m] = np.cumsum(rates, axis=-1)[:, :, None, :]
+            self._cumulative[v, m] = np.cumsum(rates, axis=-1).reshape(-1, 3)
         return self._cumulative[v, m]
 
     def sample_error_bits(self, runs, v, n, m, rng):
-        """One uniform draw per (run, circuit, location, qubit) against the
-        rates, all in one ``rng.random`` call."""
+        """One uniform draw u per (run, circuit, location, qubit) against the
+        rates, all in one ``rng.random`` call: u < X+Y+Z fires, and a firing
+        u sets x when u < X+Y and z when u >= X. Only the uniforms below the
+        largest X+Y+Z are compared with their own location's rates."""
         cum = self._thresholds(v, m)
-        u = rng.random((runs, v + 1, m + 1, n))
-        x = u < cum[..., 1]
-        z = (u >= cum[..., 0]) & (u < cum[..., 2])
-        return x.astype(np.uint8), z.astype(np.uint8)
+        shape = (runs, v + 1, m + 1, n)
+        u = rng.random(shape).reshape(-1)
+        hit = np.flatnonzero(u < cum[:, 2].max())
+        # a flat index over (run, circuit, location, qubit) reads the
+        # thresholds of its (circuit, location)
+        u, cum = u[hit], cum[hit // n % len(cum)]
+        fires = u < cum[:, 2]
+        hit, u, cum = hit[fires], u[fires], cum[fires]
+        x = np.zeros(math.prod(shape), dtype=np.uint8)
+        z = np.zeros_like(x)
+        x[hit] = u < cum[:, 1]
+        z[hit] = u >= cum[:, 0]
+        return x.reshape(shape), z.reshape(shape)
 
 
 def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,

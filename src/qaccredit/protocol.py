@@ -246,7 +246,10 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     ``run_rng(master_seed, b)`` (:func:`_draw_runs`), then each run's last
     draw. It draws all its runs and drops those past d, so a shorter report
     is a prefix of a longer one. The traps alone decide a run
-    (:func:`_traps_accept`); only the accepted runs' target slices are read.
+    (:func:`_traps_accept`): by Lemma 2's linearity a trap with no error
+    outputs zeros, so only the trap slots that hold an error are built and
+    walked, each from its first error location. Only the accepted runs'
+    target slices are read.
 
     A Clifford target's last draw is a mask a of n bits: an accepted run
     outputs :func:`simulator.reference_outcome` XOR the target's flips
@@ -303,16 +306,35 @@ def _draw_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
 
 
 def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
-    """Acceptance flags (runs,) of drawn runs (:func:`_draw_runs`): every
-    run's v traps move through one batched frame, and a run accepts when
-    all their flips are zero. The target's slot takes no part."""
-    b, v = choice.shape[:2]
+    """Acceptance flags (runs,) of drawn runs (:func:`_draw_runs`): a run
+    accepts when all its v traps' flips are zero. The target's slot takes
+    no part.
+
+    A trap's flips are GF(2)-linear in its error bits (Lemma 2), so a trap
+    slot that holds no error bit outputs zeros whatever its gates. Only the
+    live slots, those holding an error, get gates and move, through one
+    batched frame, each from its first error location
+    (:func:`simulator.frame_flips`).
+    """
+    b, slots, locations, n = err_x.shape
+    # flat hits in (run, slot, location, qubit) order: the first hit of a
+    # (run, slot) pair is at its first error location
+    hit = np.flatnonzero((err_x | err_z) != 0) // n
+    live, start = np.unique(hit // locations, return_index=True)
+    run, slot = np.divmod(live, slots)
+    trap = slot != v0[run]
+    run, slot = run[trap], slot[trap]
+    first = hit[start[trap]] % locations
+    order = np.argsort(first, kind="stable")
+    run, slot, first = run[order], slot[order], first[order]
     # run i's t-th trap sits at the t-th slot other than v0[i]
-    trap_slots = np.arange(v + 1) != v0[:, None]
+    t = slot - (slot > v0[run])
     flips = simulator.frame_flips(
-        target, traps.trap_cliffords(target, choice.reshape(b * v, -1)),
-        err_x[trap_slots], err_z[trap_slots])
-    return ~flips.reshape(b, v * target.n).any(axis=1)
+        target, traps.trap_cliffords(target, choice[run, t]),
+        err_x[run, slot], err_z[run, slot], first)
+    accept = np.ones(b, dtype=bool)
+    accept[run[flips.any(axis=1)]] = False
+    return accept
 
 
 def _sample_targets(target: Circuit, slices: np.ndarray,

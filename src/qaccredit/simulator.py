@@ -151,7 +151,8 @@ _CONJ = _build_conj_table()
 
 
 def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
-                err_z: np.ndarray) -> np.ndarray:
+                err_z: np.ndarray, first: Optional[np.ndarray] = None
+                ) -> np.ndarray:
     """Flip patterns of R Clifford circuits sharing ``topology``'s cZ layers.
 
     ``gates`` holds Clifford indices of shape (R, m, n); ``err_x``/``err_z``
@@ -159,16 +160,28 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     (R, n) result is :func:`trap_output` of circuit r under error slice r.
     The frame of all R circuits moves band by band as a 2-bit code
     x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202).
+
+    ``first``, ascending (R,), gives each row's first error location; the
+    row has no error before it. A frame is GF(2)-linear in its error bits
+    (Lemma 2), so a row's frame is the identity up to there, and band j
+    moves only the leading rows whose first location is at most j+1: a
+    row whose one error sits at location m still takes band m-1's step.
+    None starts every row at location 0.
     """
+    rows, m = len(gates), topology.m
+    moved = (np.full(m, rows) if first is None
+             else np.searchsorted(first, np.arange(1, m + 1), side="right"))
     codes = err_x | err_z << 1
     gates = gates << 2
-    frame = codes[:, 0]
+    frame = codes[:, 0].copy()
     partner, paired = cz_partners(topology.n, topology.cz)
     partner = partner % topology.n  # the partner's qubit in its band
-    for j in range(topology.m):
-        frame = _CONJ.take(gates[:, j] | frame) ^ codes[:, j + 1]
+    for j, k in enumerate(moved.tolist()):
+        head = frame[:k]
+        _CONJ.take(gates[:k, j] | head, out=head)
+        head ^= codes[:k, j + 1]
         # cZ: a paired qubit's z bit takes its partner's x bit
-        frame ^= (frame[:, partner[j]] & paired[j]) << 1
+        head ^= (head[:, partner[j]] & paired[j]) << 1
     return frame >> 1
 
 
@@ -223,7 +236,8 @@ def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
     return np.where(_cz_parity(n, pairs), -state, state)
 
 
-@lru_cache(maxsize=4)
+# a whole target's cZ layers, which a branch walk revisits once per branch
+@lru_cache(maxsize=64)
 def _cz_parity(n: int, pairs: tuple) -> np.ndarray:
     """Read-only bool (2^n,): the basis states a cZ round flips."""
     idx = np.arange(2 ** n)

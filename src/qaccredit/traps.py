@@ -24,9 +24,11 @@ from .circuit import Circuit
 
 ENUMERATION_CAP = 2 ** 24
 
-# layer gates by bit: the sandwich (I or H) and an assignment (H or S)
-_SANDWICH = np.array([cliffords.C_I, cliffords.C_H], dtype=np.uint8)
-_ASSIGNMENT = np.array([cliffords.C_H, cliffords.C_S], dtype=np.uint8)
+# trap_cliffords' layer codes 0, 1, 2 are the gates I, H, S; _UNDO_THEN[3a +
+# b] is the band gate "undo layer gate a, then apply layer gate b"
+_LAYER = np.array([cliffords.C_I, cliffords.C_H, cliffords.C_S])
+_UNDO_THEN = cliffords.COMPOSE[cliffords.DAGGER[_LAYER][:, None],
+                               _LAYER].reshape(-1)
 
 
 def _unpaired(n: int, pairs: tuple) -> list:
@@ -91,14 +93,14 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     """
     bits = _check_choice(target, bits, ndim=2)
     n, m = target.n, target.m
-    # layers 0 and m are the sandwich, H when t is 1; layer j+1, band j's
-    # assignment, is S on qubit q exactly when bit[cols[j, q]] ^ lower[j, q]
-    # is 1
+    # layers 0 and m are the sandwich, H (code 1) when t is 1; layer j+1,
+    # band j's assignment, is S (code 2) on qubit q exactly when
+    # bit[cols[j, q]] ^ lower[j, q] is 1, else H
     cols, lower = _layer_columns(n, target.cz)
     layers = np.empty((len(bits), m + 1, n), dtype=np.uint8)
-    layers[:, 0] = layers[:, m] = _SANDWICH[bits[:, -1:]]
-    layers[:, 1:m] = _ASSIGNMENT[bits[:, cols] ^ lower]
-    return cliffords.COMPOSE[cliffords.DAGGER[layers[:, :-1]], layers[:, 1:]]
+    layers[:, 0] = layers[:, m] = bits[:, -1:]
+    layers[:, 1:m] = (bits[:, cols] ^ lower) + 1
+    return _UNDO_THEN.take(layers[:, :-1] * 3 + layers[:, 1:])
 
 
 @lru_cache(maxsize=64)

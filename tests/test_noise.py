@@ -293,6 +293,37 @@ def test_independent_error_bits_match_rates():
     assert not x[:, :, 0].any() and not x[:, :, m].any()
 
 
+@pytest.mark.parametrize("default, overrides", [
+    ({"X": 0.1, "Y": 0.2, "Z": 0.3}, {}),
+    ({"X": 0.002, "Y": 0.002, "Z": 0.002}, {}),
+    ({"X": 0.05, "Z": 0.1}, {(1, 2): {"Y": 0.5}, (0, 0): {"Z": 0.9},
+                             (2, 1): {"X": 0.4, "Y": 0.6},
+                             (3, 3): {"X": 1.0}}),
+    ({}, {(2, 2): {"X": 0.3, "Y": 0.3, "Z": 0.3}}),
+    ({}, {}),
+])
+def test_independent_error_bits_follow_the_three_comparisons(default,
+                                                             overrides):
+    # from one generator state: u < X + Y sets x, X <= u < X + Y + Z sets
+    # z, with a location's own rates and X = Y = 0 at the end locations
+    model = IndependentLocationChannels(default_rates=default,
+                                        rates=overrides)
+    runs, v, n, m = 300, 3, 4, 3
+    rates = np.empty((v + 1, m + 1, 3))
+    rates[...] = [default.get(p, 0.0) for p in "XYZ"]
+    for (k, loc), r in overrides.items():
+        rates[k, loc] = [r.get(p, 0.0) for p in "XYZ"]
+    rates[:, [0, m], :2] = 0.0
+    px, py, pz = (rates[..., i, None] for i in range(3))
+    for seed in range(3):
+        x, z = model.sample_error_bits(runs, v, n, m,
+                                       np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random((runs, v + 1, m + 1, n))
+        assert x.dtype == z.dtype == np.uint8
+        assert np.array_equal(x, u < px + py)
+        assert np.array_equal(z, (u >= px) & (u < px + py + pz))
+
+
 def test_error_bits_agree_with_collections():
     coll = PauliErrorCollection(tuple(
         tuple(pauli.from_text(s) for s in locs)

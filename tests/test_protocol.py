@@ -478,6 +478,55 @@ def test_clifford_accredit_memory_is_bounded_by_a_block(allocates_at_most):
     assert all(int(out.sum()) % 2 == 0 for out in report.accepted_outputs)
 
 
+def test_error_free_traps_build_no_gates(monkeypatch):
+    # a trap's flips are linear in its error bits, so only the trap slots
+    # that hold an error get gates; a noiseless report builds none
+    built, trap_cliffords = [], traps.trap_cliffords
+
+    def recording(target, bits):
+        built.append(np.array(bits))
+        return trap_cliffords(target, bits)
+
+    monkeypatch.setattr(traps, "trap_cliffords", recording)
+    target, v, d, seed = families.ghz_circuit(4), 3, 300, 5
+    cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=seed,
+                         noise=noiseless())
+    assert protocol.accredit(cfg, target).n_acc == d
+    assert sum(len(rows) for rows in built) == 0
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01})
+    built.clear()
+    protocol.accredit(ProtocolConfig(v=v, d=d, theta=0.05, master_seed=seed,
+                                     noise=model), target)
+    expected = []
+    for block, start in enumerate(range(0, d, protocol.STREAM_BLOCK)):
+        v0, choice, err_x, err_z = (a[:d - start] for a in protocol._draw_runs(
+            target, v, model, protocol.STREAM_BLOCK, run_rng(seed, block)))
+        for i in range(len(v0)):
+            slots = [k for k in range(v + 1) if k != v0[i]]
+            expected += [choice[i, t].tobytes()
+                         for t, k in enumerate(slots)
+                         if err_x[i, k].any() or err_z[i, k].any()]
+    rows = [row.tobytes() for block in built for row in block]
+    assert 0 < len(rows) < d * v
+    assert sorted(rows) == sorted(expected)
+
+
+def test_generic_report_builds_each_cz_layer_once():
+    # the branch walk meets every later cZ layer once per branch; the sign
+    # cache holds a whole target's layers, so each is built once a report
+    target = families.random_generic_circuit(6, 12, np.random.default_rng(3))
+    layers = set(target.cz) - {()}
+    assert 4 < len(layers) <= simulator._cz_parity.cache_info().maxsize
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
+    simulator._cz_parity.cache_clear()
+    protocol.accredit(ProtocolConfig(v=3, d=200, theta=0.05, master_seed=1,
+                                     noise=model), target)
+    info = simulator._cz_parity.cache_info()
+    assert info.hits > 0 and info.misses <= len(layers)
+
+
 def test_clifford_accredit_builds_no_statevector(monkeypatch):
     def no_statevector(*args, **kwargs):
         raise AssertionError("a statevector was built")

@@ -394,6 +394,34 @@ def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
         assert np.array_equal(flips[r], trap_output(trap, errors))
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(2, 6), rows=st.integers(4, 24),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, m=2, rows=4, seed=0)
+def test_frame_flips_from_first_error_location_match_full_walk(n, m, rows,
+                                                               seed):
+    # each row starts at its first error location; rows 0 and 1 hold errors
+    # only at location m, rows 2 and 3 only at location 0, the rest sparse
+    # random errors, some none at all
+    rng = np.random.default_rng(seed)
+    topo = families.random_clifford_circuit(n, m, rng)
+    bits = rng.integers(0, 2, size=(rows, traps.choice_width(topo)),
+                        dtype=np.uint8)
+    err_x, err_z = (rng.random((2, rows, m + 1, n)) < 0.1).astype(np.uint8)
+    err_x[:, [0, m]] = 0  # the end locations are Z-only
+    err_x[:4] = err_z[:4] = 0
+    err_z[:2, m] = err_z[2:4, 0] = 1
+    touched = (err_x | err_z).any(axis=2)
+    first = np.where(touched.any(axis=1), touched.argmax(axis=1), m + 1)
+    order = np.argsort(first, kind="stable")
+    gates = traps.trap_cliffords(topo, bits[order])
+    ex, ez = err_x[order], err_z[order]
+    flips = simulator.frame_flips(topo, gates, ex, ez, first[order])
+    assert np.array_equal(flips, simulator.frame_flips(topo, gates, ex, ez))
+    # a location-m Z flips its qubits' outcomes in every trap
+    assert np.array_equal(flips[order < 2], err_z[:2, m])
+
+
 def test_trap_cliffords_rejects_bad_input():
     with pytest.raises(ValueError, match="2 bands"):
         traps.trap_cliffords(identity_circuit(2, 1), np.zeros((1, 1)))
