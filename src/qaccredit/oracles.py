@@ -84,9 +84,7 @@ class LemmaReport:
 
 
 # _IMAGES[c, p, o]: bit o (0: x, 1: z) of c P c† for P = X (p 0) or Z (p 1)
-_IMAGES = np.array([[image[c][:2] for image in (cliffords.IMG_X,
-                                                cliffords.IMG_Z)]
-                    for c in range(cliffords.GROUP_ORDER)], dtype=np.uint32)
+_IMAGES = cliffords.IMAGES[:, 1:3, :2].astype(np.uint32)
 
 
 def _backward_flips(gates: np.ndarray, cz: tuple) -> np.ndarray:

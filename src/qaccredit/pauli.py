@@ -19,6 +19,8 @@ _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 # X^1 Z^1 = -iY, so writing the qubit as "Y" owes a factor of i per Y.
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_SIGN = {v: k for k, v in _SIGN_PREFIX.items()}
+# _IMAGES[c][x | z << 1] = (x', z', sign): c X^x Z^z c† = i^sign X^x' Z^z'
+_IMAGES = cliffords.IMAGES.tolist()
 
 
 @dataclass(frozen=True)
@@ -99,18 +101,10 @@ def conj_single(p: PauliString, gate: int, qubit: int) -> PauliString:
         raise IndexError("qubit index out of range")
     if not 0 <= gate < cliffords.GROUP_ORDER:
         raise ValueError("not a Clifford index")
-    xb = (p.x_bits >> qubit) & 1
-    zb = (p.z_bits >> qubit) & 1
-    if not (xb or zb):
+    code = (p.x_bits >> qubit) & 1 | ((p.z_bits >> qubit) & 1) << 1
+    if not code:
         return p
-    lx = lz = ls = 0
-    if xb:
-        lx, lz, ls = cliffords.IMG_X[gate]
-    if zb:
-        ax, az, asn = cliffords.IMG_Z[gate]
-        ls = (ls + asn + 2 * (lz & ax)) % 4
-        lx ^= ax
-        lz ^= az
+    lx, lz, ls = _IMAGES[gate][code]
     x = (p.x_bits & ~(1 << qubit)) | (lx << qubit)
     z = (p.z_bits & ~(1 << qubit)) | (lz << qubit)
     return PauliString(p.n, x, z, (p.sign + ls) % 4)

@@ -433,20 +433,18 @@ def figure8_curve(v: int, r0_grid: Sequence[float],
     Preparations, measurements, and cZ gates fail at rate r0; single-qubit
     gate rounds at r0 / GATE_RATE_DIVISOR. For each grid point:
     delta = (1-r0)^(preps+meas+cZ) * (1-r0/div)^rounds, g = (1-r0/div)^rounds,
-    epsilon from the bounded-gate-noise formula, and bound = epsilon/delta.
+    epsilon from the bounded-gate-noise formula, and bound = epsilon/delta
+    (infinite, so vacuous, where delta underflows to 0).
     """
     points = []
+    others = counts.preparations + counts.measurements + counts.cz_gates
     for r0 in r0_grid:
         if not 0.0 <= r0 < 1.0:
             raise DomainError("r0 must lie in [0, 1)")
-        r_gate = r0 / GATE_RATE_DIVISOR
-        rates = ([r0] * (counts.preparations + counts.measurements
-                         + counts.cz_gates)
-                 + [r_gate] * counts.single_qubit_rounds)
-        delta = delta_bound(rates)
-        g = (1.0 - r_gate) ** counts.single_qubit_rounds
+        g = (1.0 - r0 / GATE_RATE_DIVISOR) ** counts.single_qubit_rounds
+        delta = (1.0 - r0) ** others * g
         eps = float(epsilon_theorem2(v, Fraction(g)))
-        bound = eps / delta
+        bound = eps / delta if delta else math.inf
         points.append(CurvePoint(r0=float(r0), epsilon=eps, delta=delta,
                                  bound=bound, vacuous=bound > 1.0))
     return points

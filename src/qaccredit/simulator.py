@@ -135,19 +135,8 @@ def reference_outcome(circuit: Circuit) -> np.ndarray:
     return index_to_bits(r, n)
 
 
-def _build_conj_table() -> np.ndarray:
-    """_CONJ[c << 2 | x | z << 1] = x' | z' << 1: c X^x Z^z c† ~ X^x' Z^z'."""
-    table = np.zeros((cliffords.GROUP_ORDER, 2, 2), dtype=np.uint8)
-    for c in range(cliffords.GROUP_ORDER):
-        for z in (0, 1):
-            for x in (0, 1):
-                lx = x & cliffords.IMG_X[c][0] ^ z & cliffords.IMG_Z[c][0]
-                lz = x & cliffords.IMG_X[c][1] ^ z & cliffords.IMG_Z[c][1]
-                table[c, z, x] = lx | lz << 1
-    return table.reshape(-1)
-
-
-_CONJ = _build_conj_table()
+# _CONJ[c << 2 | x | z << 1] = x' | z' << 1: c X^x Z^z c† ~ X^x' Z^z'
+_CONJ = (cliffords.IMAGES[..., 0] | cliffords.IMAGES[..., 1] << 1).reshape(-1)
 
 
 def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,

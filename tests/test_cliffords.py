@@ -53,15 +53,31 @@ def test_dagger():
 
 
 def test_images_match_dense_conjugation():
+    """c X^x Z^z c† = i^sign X^x' Z^z' for all four codes x | z << 1, the
+    sign included, so Y's image (code 3) is checked as well."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
+    images = cliffords.IMAGES
+    assert images.shape == (24, 4, 3) and images.dtype == np.uint8
+    assert not images.flags.writeable
     for c in range(24):
         u = cliffords.MATRICES[c]
-        for img, base in ((cliffords.IMG_X[c], x), (cliffords.IMG_Z[c], z)):
-            xb, zb, s = img
+        for code in range(4):
+            base = np.linalg.matrix_power(x, code & 1) \
+                @ np.linalg.matrix_power(z, code >> 1)
+            xb, zb, s = (int(b) for b in images[c, code])
             rebuilt = (1j ** s) * np.linalg.matrix_power(x, xb) \
                 @ np.linalg.matrix_power(z, zb)
-            assert np.allclose(rebuilt, u @ base @ u.conj().T, atol=1e-9)
+            assert np.allclose(rebuilt, u @ base @ u.conj().T, atol=1e-12)
+        assert cliffords.IMG_X[c] == tuple(images[c, 1].tolist())
+        assert cliffords.IMG_Z[c] == tuple(images[c, 2].tolist())
+
+
+def test_tables_are_permutations_with_stable_named_indices():
+    for row in (*cliffords.COMPOSE, *cliffords.COMPOSE.T):
+        assert sorted(row.tolist()) == list(range(24))
+    names = cliffords.CLIFFORD_NAMES
+    assert [cliffords.NAME_TO_INDEX[name] for name in names] == list(range(7))
 
 
 def test_known_images():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -709,3 +710,29 @@ def test_figure8_csv_contract():
 def test_figure8_rejects_bad_rate():
     with pytest.raises(DomainError):
         figure8_curve(3, [1.0], _counts())
+
+
+@pytest.mark.parametrize("counts", [_counts(), OperationCounts(3, 5, 0, 11),
+                                    OperationCounts(0, 0, 0, 0)])
+def test_figure8_closed_form_matches_rate_product(counts):
+    """delta is delta_bound of the explicit per-operation rate list."""
+    others = counts.preparations + counts.measurements + counts.cz_gates
+    for r0 in np.linspace(0.0, 0.05, 11):
+        rates = ([r0] * others + [r0 / protocol.GATE_RATE_DIVISOR]
+                 * counts.single_qubit_rounds)
+        (point,) = figure8_curve(3, [r0], counts)
+        assert point.delta == pytest.approx(delta_bound(rates), rel=1e-12)
+
+
+def test_figure8_at_size_takes_no_time():
+    """10^9 operations of each kind cost one power per grid point, and a
+    delta that underflows gives an infinite, vacuous bound."""
+    counts = OperationCounts(*[10 ** 9] * 4)
+    start = time.perf_counter()
+    points = figure8_curve(3, [0.0, 1e-12, 1e-3], counts)
+    assert time.perf_counter() - start < 0.1
+    assert points[0].delta == 1.0
+    expected = math.exp(3e9 * math.log1p(-1e-12) + 1e9 * math.log1p(-1e-13))
+    assert points[1].delta == pytest.approx(expected, rel=1e-6)
+    assert points[2].delta == 0.0
+    assert points[2].bound == math.inf and points[2].vacuous
