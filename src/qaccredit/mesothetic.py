@@ -21,8 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import cliffords, pauli, qotp, simulator
-from .circuit import GENERIC, Circuit
+from . import pauli, qotp, simulator
+from .circuit import Circuit
 from .noise import BoundedGateNoise, NoiseModel
 from .oracles import LemmaReport, corrupts_target, three_sigma_report
 from .pauli import PauliString
@@ -158,8 +158,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     Alice's preliminary work (``protocol.plan_run``: slot choice, trap
     choices, error bits and pads, drawn as a run of ``accredit`` draws
     them) happens before any message is exchanged, and she reads every
-    slot's band unitaries, her drawn errors folded in, from the plan's
-    arrays once; no circuit is built. ``alice_noise`` (None or a
+    slot's band unitaries, her drawn errors folded in, once from
+    ``plan.unitaries()``; no circuit is built. ``alice_noise`` (None or a
     BoundedGateNoise) is the noise model of that draw, noiseless for None.
     Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
     statevector limit (SimLimitError) and the noise's type and qubit count
@@ -176,12 +176,7 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
                          f"qubits cannot act on a target of n={n} qubits")
     plan = plan_run(target, v,
                     NoiseModel() if alice_noise is None else alice_noise, rng)
-    v0 = plan.v0
-    # every slot's band unitaries (v+1, m, n, 2, 2), gathered once
-    unitaries = cliffords.MATRICES[np.where(plan.gates == GENERIC,
-                                            cliffords.C_I, plan.gates)]
-    for (j, i), u in plan.matrices.items():
-        unitaries[v0, j, i] = u
+    v0, unitaries = plan.v0, plan.unitaries()
     channel = Transport()
     target_output = None
     for k, key in enumerate(plan.keys):

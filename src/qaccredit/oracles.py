@@ -365,7 +365,8 @@ def pad_averaged_distribution(circ: Circuit, channels: dict) -> np.ndarray:
     rows = np.arange(2 ** width)
     pads = (rows[:, None] >> np.arange(width) & 1).astype(np.uint8)
     pre, post, key = qotp.pad_paulis(circ, pads)
-    bands = qotp.pad_unitaries(simulator.band_unitaries(circ), pre, post)
+    bands = qotp.pad_unitaries(
+        simulator.band_unitaries(circ.gates, circ.matrices), pre, post)
     probs = simulator.density_distribution(bands.transpose(1, 2, 0, 3, 4),
                                            circ.cz, channels)
     outputs = np.arange(2 ** n) ^ (key @ (1 << np.arange(n)))[:, None]
@@ -385,8 +386,9 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
     n, m = circ.n, circ.m
     err_x, err_z = _bits(list(itertools.product(
         *(_codes(n, loc in (0, m)) for loc in range(m + 1)))), n)
-    bands = qotp.pad_unitaries(simulator.band_unitaries(circ),
-                               *simulator.error_paulis(err_x, err_z))
+    bands = qotp.pad_unitaries(
+        simulator.band_unitaries(circ.gates, circ.matrices),
+        *simulator.error_paulis(err_x, err_z))
     a = simulator.density_distribution(bands.transpose(1, 2, 0, 3, 4),
                                        circ.cz, {}).T
     # constrain weights to a distribution by appending the sum-to-one row

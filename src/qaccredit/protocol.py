@@ -168,6 +168,13 @@ class RunPlan(NamedTuple):
     matrices: dict  # the target slot's generic 2x2s, {} if Clifford
     keys: np.ndarray  # (v+1, n) post-processing keys
 
+    def unitaries(self) -> np.ndarray:
+        """Every slot's band unitaries (v+1, m, n, 2, 2), the target
+        slot's generic 2x2s in (:func:`simulator.band_unitaries`)."""
+        return simulator.band_unitaries(
+            self.gates, {(self.v0, j, i): u
+                         for (j, i), u in self.matrices.items()})
+
 
 def plan_run(target: Circuit, v: int, noise: NoiseModel,
              rng: np.random.Generator) -> RunPlan:
@@ -204,22 +211,20 @@ def single_run(target: Circuit, v: int, noise: NoiseModel,
                rng: np.random.Generator) -> RunOutcome:
     """One padded protocol run, the reference that :func:`accredit` matches.
 
-    Hides the target among v traps, pads every circuit and folds in the
-    drawn errors (:func:`plan_run`), then per slot builds the circuit as
-    run and takes one dense statevector sample of it, post-processed with
-    its key. The run accepts iff every trap outputs all zeros.
+    Checks n against the statevector limit before any draw, plans the
+    padded run with its drawn errors folded in (:func:`plan_run`), walks
+    its v+1 slots as one batch and samples each slot in slot order,
+    post-processed with its key. It accepts iff every trap outputs zeros.
     """
+    simulator.check_statevector_size(target.n)
     plan = plan_run(target, v, noise, rng)
-    v0 = plan.v0
-    outputs = []
-    for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
-        circuit = Circuit(target.n, target.m, gates, target.cz,
-                          plan.matrices if k == v0 else None)
-        raw = simulator.run_statevector(circuit, rng=rng)
-        outputs.append(qotp.postprocess(raw, key))
-    trap_outputs = tuple(outputs[:v0] + outputs[v0 + 1:])
+    probs = simulator.density_distribution(
+        plan.unitaries().transpose(1, 2, 0, 3, 4), target.cz, {})
+    outputs = [qotp.postprocess(simulator.sample_bits(p, target.n, rng), key)
+               for p, key in zip(probs, plan.keys)]
+    trap_outputs = tuple(outputs[:plan.v0] + outputs[plan.v0 + 1:])
     flag = "acc" if all(not out.any() for out in trap_outputs) else "rej"
-    return RunOutcome(v0=v0, target_output=outputs[v0],
+    return RunOutcome(v0=plan.v0, target_output=outputs[plan.v0],
                       trap_outputs=trap_outputs, flag=flag)
 
 
@@ -407,6 +412,10 @@ class OperationCounts:
                     or count < 0:
                 raise DomainError(f"{name} must be an integer >= 0, "
                                   f"found {count!r}")
+            try:
+                float(count)
+            except OverflowError:
+                raise DomainError(f"{name} is too large for a float") from None
 
     @classmethod
     def for_protocol(cls, n: int, m: int, v: int,
@@ -437,7 +446,9 @@ def figure8_curve(v: int, r0_grid: Sequence[float],
     (infinite, so vacuous, where delta underflows to 0).
     """
     points = []
-    others = counts.preparations + counts.measurements + counts.cz_gates
+    # as floats: a sum past the largest float is inf, not OverflowError
+    others = (float(counts.preparations) + float(counts.measurements)
+              + float(counts.cz_gates))
     for r0 in r0_grid:
         if not 0.0 <= r0 < 1.0:
             raise DomainError("r0 must lie in [0, 1)")

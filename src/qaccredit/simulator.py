@@ -262,33 +262,14 @@ def error_paulis(err_x: np.ndarray, err_z: np.ndarray) -> tuple:
     return pre, paulis[..., 1:, :]
 
 
-def band_unitaries(circuit: Circuit) -> np.ndarray:
-    """Every band's single-qubit unitaries as one (m, n, 2, 2) array."""
-    bands = cliffords.MATRICES[np.where(circuit.gates == GENERIC,
-                                        cliffords.C_I, circuit.gates)]
-    for (j, i), u in circuit.matrices.items():
-        bands[j, i] = u
+def band_unitaries(gates: np.ndarray, matrices: dict) -> np.ndarray:
+    """Single-qubit unitaries (..., 2, 2) of gate indices of any shape;
+    ``matrices`` maps a full index of ``gates`` to a GENERIC gate's 2x2."""
+    bands = cliffords.MATRICES[np.where(gates == GENERIC, cliffords.C_I,
+                                        gates)]
+    for at, u in matrices.items():
+        bands[at] = u
     return bands
-
-
-def _evolve_state(bands: np.ndarray, cz: tuple,
-                  operators: dict) -> np.ndarray:
-    """|+>^n through single-qubit rounds ``bands`` (m, n, ..., 2, 2) and
-    the cZ layers ``cz``. Axes of ``bands`` between n and the 2x2 walk a
-    batch of states at once, (..., 2^n). ``operators`` maps a location to
-    one 2^n x 2^n matrix applied there.
-    """
-    n = bands.shape[1]
-
-    def at_location(state, loc):
-        return state @ operators[loc].T if loc in operators else state
-
-    state = np.broadcast_to(plus_state(n), bands.shape[2:-2] + (2 ** n,))
-    state = at_location(state, 0)
-    for j, pairs in enumerate(cz):
-        state = at_location(apply_round(state, bands[j], n), j + 1)
-        state = apply_cz(state, pairs, n)
-    return state
 
 
 def _x_weights(state: np.ndarray, n: int) -> np.ndarray:
@@ -370,7 +351,7 @@ def slice_distributions(circuit: Circuit, slices: np.ndarray):
     for i, key in enumerate(pre):
         branches.setdefault(key.tobytes(), []).append(i)
     outcomes = np.arange(2 ** n)
-    bands = band_unitaries(circuit)
+    bands = band_unitaries(circuit.gates, circuit.matrices)
     bands[-1] = cliffords.MATRICES[cliffords.C_H] @ bands[-1]
     state, at = plus_state(n), 0
     for group in sorted(branches.values(), key=lambda ks: first[ks[0]]):
@@ -384,11 +365,20 @@ def slice_distributions(circuit: Circuit, slices: np.ndarray):
             yield i, probs[outcomes ^ flips[i]]
 
 
-def _walk(state: np.ndarray, bands, cz: tuple, n: int) -> np.ndarray:
+def _walk(state: np.ndarray, bands, cz: tuple, n: int,
+          operators: Optional[dict] = None) -> np.ndarray:
     """``state`` through single-qubit rounds ``bands``, each followed by
-    its cZ layer in ``cz``; an empty layer costs nothing."""
-    for unitaries, pairs in zip(bands, cz):
+    its cZ layer in ``cz``; an empty layer costs nothing. ``operators``
+    maps a location, counted from the first band passed, to one 2^n x 2^n
+    matrix applied there: location 0 before the first round, location j+1
+    after round j and before its cZ layer, even an empty one."""
+    operators = operators or {}
+    if 0 in operators:
+        state = state @ operators[0].T
+    for j, (unitaries, pairs) in enumerate(zip(bands, cz), 1):
         state = apply_round(state, unitaries, n)
+        if j in operators:
+            state = state @ operators[j].T
         if pairs:
             state = apply_cz(state, pairs, n)
     return state
@@ -411,8 +401,8 @@ def run_density(circuit: Circuit,
     :func:`density_channels` has checked the channels.
     """
     channels = density_channels(circuit.n, circuit.m, channels)
-    return density_distribution(band_unitaries(circuit), circuit.cz,
-                                channels)
+    return density_distribution(
+        band_unitaries(circuit.gates, circuit.matrices), circuit.cz, channels)
 
 
 def density_channels(n: int, m: int, channels: Optional[dict]) -> dict:
@@ -442,16 +432,17 @@ def density_distribution(bands: np.ndarray, cz: tuple,
     :func:`density_channels` returned.
 
     Each distribution is a sum over Kraus paths: for every choice of one
-    operator per location, the statevector walk of :func:`_evolve_state`
-    adds that path's squared X-basis amplitudes. This costs one batched
-    walk per path, the product of the Kraus-list lengths. Raises
-    ValueError when a distribution does not sum to 1 within 1e-10.
+    operator per location, the walk of |+>^n by :func:`_walk` with that
+    path's operators at their locations adds its squared X-basis
+    amplitudes. This costs one batched walk per path, the product of the
+    Kraus-list lengths. Raises ValueError when a distribution does not sum
+    to 1 within 1e-10.
     """
     n = bands.shape[1]
-    probs = np.zeros(bands.shape[2:-2] + (2 ** n,))
-    for path in itertools.product(*channels.values()):
-        operators = dict(zip(channels, path))
-        probs += _x_weights(_evolve_state(bands, cz, operators), n)
+    plus = np.broadcast_to(plus_state(n), bands.shape[2:-2] + (2 ** n,))
+    paths = (dict(zip(channels, kraus))
+             for kraus in itertools.product(*channels.values()))
+    probs = sum(_x_weights(_walk(plus, bands, cz, n, p), n) for p in paths)
     sums = probs.sum(axis=-1, keepdims=True)
     if np.abs(sums - 1.0).max() > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")

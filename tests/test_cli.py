@@ -320,7 +320,9 @@ _COUNTS = {"preparations": 4, "measurements": 4, "cz_gates": 4,
     ({**_COUNTS, "measurements": True}, "measurements must be an integer"),
     ([4, 4, 4, 4], "counts document must be an object"),
     (4, "counts document must be an object"),
-], ids=["float", "negative", "boolean", "list", "number"])
+    ({**_COUNTS, "preparations": 10 ** 400},
+     "preparations is too large for a float"),
+], ids=["float", "negative", "boolean", "list", "number", "past-float"])
 def test_bounds_rejects_bad_counts(runner, tmp_path, doc, message):
     path = tmp_path / "counts.json"
     path.write_text(json.dumps(doc))
@@ -331,6 +333,30 @@ def test_bounds_rejects_bad_counts(runner, tmp_path, doc, message):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ") and message in result.stderr
     assert result.stdout == ""
+
+
+def test_bounds_n_past_float_is_usage_error(runner):
+    # the default counts scale with n, so no float holds them
+    result = runner.invoke(main, ["bounds", "--v", "3", "--n", str(10 ** 400),
+                                  "--m", "2", "--r0-grid", "0:0.5:3"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert "too large for a float" in result.stderr
+    assert result.stdout == ""
+
+
+def test_bounds_counts_summing_past_float_are_vacuous(runner, tmp_path):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({**_COUNTS, "preparations": 10 ** 308,
+                                "measurements": 10 ** 308,
+                                "cz_gates": 10 ** 308}))
+    result = runner.invoke(main, ["bounds", "--v", "3", "--n", "2", "--m",
+                                  "2", "--r0-grid", "0:0.5:3",
+                                  "--counts", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[2:] == [
+        "0.25,0.4775554382,0,inf", "0.5,0.5291135742,0,inf"]
 
 
 def test_oracle_rejects_flip_table_over_cap(runner):

@@ -380,7 +380,7 @@ def test_pad_average_matches_the_per_pad_loop(n, m):
 def test_pad_average_checks_channels_before_any_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a state was walked")
-    monkeypatch.setattr(simulator, "_evolve_state", no_walk)
+    monkeypatch.setattr(simulator, "_walk", no_walk)
     circ = families.random_generic_circuit(2, 2, np.random.default_rng(41))
     half = 0.5 * np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace-preserving"):

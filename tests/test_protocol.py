@@ -113,6 +113,32 @@ def test_single_run_v0_uniform():
     assert (abs(counts / reps - 0.25) < 4 * sigma).all()
 
 
+def test_single_run_builds_no_circuit(monkeypatch):
+    # the planned slots walk as one batch of band unitaries
+    target = families.random_generic_circuit(3, 3, np.random.default_rng(6))
+    model = CompositeModel(
+        IndependentLocationChannels(
+            default_rates={"X": 0.1, "Y": 0.1, "Z": 0.1}),
+        BoundedGateNoise(0.5, 3))
+
+    def no_circuit(self):
+        raise AssertionError("a circuit was built")
+    monkeypatch.setattr(Circuit, "__post_init__", no_circuit)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        out = single_run(target, 3, model, rng)
+        assert len(out.trap_outputs) == 3
+
+
+def test_single_run_rejects_oversize_target_before_any_draw():
+    target = families.ghz_circuit(17)
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(SimLimitError):
+        single_run(target, 3, noiseless(), rng)
+    assert rng.bit_generator.state == before
+
+
 def test_plan_run_hides_target_among_traps():
     target = families.ghz_circuit(3)
     plan = plan_run(target, 5, noiseless(), np.random.default_rng(4))
@@ -150,13 +176,18 @@ def test_plan_run_equals_generate_trap_and_dress(n, m, v, generic, seed):
                         dtype=np.uint8)
     assert plan.v0 == v0[0]
     slots = [k for k in range(v + 1) if k != plan.v0]
+    unitaries = plan.unitaries()
     for k, row in zip(slots, choice[0]):
         dressed, key = qotp.dress(traps.generate_trap(target, row), pads[k])
         assert np.array_equal(plan.gates[k], dressed.gates)
         assert np.array_equal(plan.keys[k], key)
+        assert np.array_equal(unitaries[k], simulator.band_unitaries(
+            dressed.gates, dressed.matrices))
     dressed, key = qotp.dress(target, pads[plan.v0])
     assert np.array_equal(plan.gates[plan.v0], dressed.gates)
     assert np.array_equal(plan.keys[plan.v0], key)
+    assert np.array_equal(unitaries[plan.v0], simulator.band_unitaries(
+        dressed.gates, dressed.matrices))
     assert plan.matrices.keys() == dressed.matrices.keys()
     for at, u in dressed.matrices.items():
         assert np.array_equal(plan.matrices[at], u)
