@@ -18,9 +18,11 @@ is the target or any pad/trap bits.
 A model has one sampler, ``sample_error_bits``, which draws the collections
 of R runs at once as (x, z) uint8 bits of shape (R, v+1, m+1, n): a leading
 run axis, then circuit, location and qubit (bit q is qubit q). A single run
-is the sampler called with R = 1. A gate deviation is drawn as the location
-error it meets: band j's deviation is XORed into the location-(j+1) error,
-the same operator up to phase.
+is the sampler called with R = 1. Per-location channels draw in proportion
+to the errors, not the locations: the positions that may fire come from
+geometric gaps, and each gets one uniform that picks its letter. A gate
+deviation is drawn as the location error it meets: band j's deviation is
+XORed into the location-(j+1) error, the same operator up to phase.
 """
 
 from __future__ import annotations
@@ -209,24 +211,55 @@ class IndependentLocationChannels(NoiseModel):
         return self._cumulative[v, m]
 
     def sample_error_bits(self, runs, v, n, m, rng):
-        """One uniform draw u per (run, circuit, location, qubit) against the
-        rates, all in one ``rng.random`` call: u < X+Y+Z fires, and a firing
-        u sets x when u < X+Y and z when u >= X. Only the uniforms below the
-        largest X+Y+Z are compared with their own location's rates."""
+        """Candidates by geometric gaps, then one letter uniform each.
+
+        Over the flat (run, circuit, location, qubit) order, each position
+        is a candidate with probability p, the largest X+Y+Z rate: the
+        candidates are the partial sums of ``rng.geometric(p)`` gaps
+        (:func:`_gap_positions`). Then one ``rng.random`` call draws a
+        uniform u in [0, p) per candidate, compared with the candidate's
+        own location's rates: u < X+Y+Z fires, and a firing u sets x when
+        u < X+Y and z when u >= X. So each position fires X, Y or Z at its
+        location's rates, and the draws follow the errors, not the
+        positions. At p = 0 nothing is drawn."""
         cum = self._thresholds(v, m)
         shape = (runs, v + 1, m + 1, n)
-        u = rng.random(shape).reshape(-1)
-        hit = np.flatnonzero(u < cum[:, 2].max())
-        # a flat index over (run, circuit, location, qubit) reads the
-        # thresholds of its (circuit, location)
-        u, cum = u[hit], cum[hit // n % len(cum)]
-        fires = u < cum[:, 2]
-        hit, u, cum = hit[fires], u[fires], cum[fires]
         x = np.zeros(math.prod(shape), dtype=np.uint8)
         z = np.zeros_like(x)
-        x[hit] = u < cum[:, 1]
-        z[hit] = u >= cum[:, 0]
+        p = min(float(cum[:, 2].max()), 1.0)
+        if p > 0.0:
+            hit = _gap_positions(p, len(x), rng)
+            u = rng.random(len(hit)) * p
+            # a flat index over (run, circuit, location, qubit) reads the
+            # thresholds of its (circuit, location)
+            cum = cum[hit // n % len(cum)]
+            fires = u < cum[:, 2]
+            hit, u, cum = hit[fires], u[fires], cum[fires]
+            x[hit] = u < cum[:, 1]
+            z[hit] = u >= cum[:, 0]
         return x.reshape(shape), z.reshape(shape)
+
+
+def _gap_positions(p: float, size: int, rng: np.random.Generator
+                   ) -> np.ndarray:
+    """Ascending positions in [0, size), each one in independently with
+    probability p in (0, 1]: the partial sums of geometric gaps, less one
+    (Gidney 2021, arXiv:2103.02202, samples sparse Pauli noise this way).
+
+    The gaps come in chunks of ``rng.geometric(p, size=k)``, each k the
+    mean count of the r positions left plus about four standard deviations
+    plus 16, k = int(r p + 4 sqrt(r p)) + 16, until a partial sum reaches
+    size; one chunk nearly always does.
+    """
+    chunks, last = [np.empty(0, dtype=np.int64)], -1
+    while last < size - 1:
+        left = (size - 1 - last) * p
+        chunk = last + np.cumsum(rng.geometric(
+            p, size=int(left + 4 * math.sqrt(left)) + 16))
+        chunks.append(chunk)
+        last = int(chunk[-1])
+    positions = np.concatenate(chunks)
+    return positions[:np.searchsorted(positions, size)]
 
 
 def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,

@@ -40,7 +40,8 @@ from scipy.optimize import nnls
 
 from . import cliffords, pauli, qotp, simulator, traps
 from .circuit import Circuit
-from .noise import ExplicitCollectionDistribution
+from .noise import (ExplicitCollectionDistribution,
+                    IndependentLocationChannels)
 from .protocol import KAPPA
 
 TWIRL_RESIDUAL_TOL = 1e-9
@@ -166,6 +167,39 @@ def _pass_prob(table: np.ndarray, x: np.ndarray, z: np.ndarray) -> Fraction:
     (m+1, n) error bits is zero."""
     flips = _flips(table, x, z)
     return Fraction(int((flips == 0).sum()), len(flips))
+
+
+def exact_acceptance(target: Circuit, v: int,
+                     noise: IndependentLocationChannels) -> float:
+    """Probability that a run of ``target`` with v traps accepts under
+    independent location channels; only the target's cZ topology matters.
+
+    A trap's flip mask is GF(2)-linear in its error bits, so under a choice
+    c it is the XOR of one independent term per (location, qubit): the
+    flip row of X_q, Z_q or both (Y), fired at that location's rates in
+    trap k's slot. By Walsh-Hadamard inversion, P(flip = 0 | c) =
+    2^-n sum_s prod_(loc, q) E[(-1)^(s . term)]. A_k is its mean over the
+    rows of the flip table (:func:`_choice_flip_tables`), and with the
+    target at a uniform slot v0, P(acc) = (1/(v+1)) sum_v0 prod_(k != v0)
+    A_k.
+    """
+    if not isinstance(noise, IndependentLocationChannels):
+        raise TypeError("exact acceptance needs IndependentLocationChannels")
+    n, m = target.n, target.m
+    table = _choice_flip_tables(target)
+    flips = np.stack((table[:, :n], table[:, :n] ^ table[:, n:],
+                      table[:, n:]))  # X, Y, Z terms (3, m+1, n, C)
+    cum = noise._thresholds(v, m).reshape(v + 1, m + 1, 3)
+    rates = np.diff(cum, axis=-1, prepend=0.0)  # X, Y, Z (v+1, m+1, 3)
+    stay = (1.0 - cum[..., 2])[:, :, None, None]
+    passing = np.zeros((v + 1, table.shape[-1]))
+    for s in range(2 ** n):
+        sign = 1.0 - 2.0 * (np.bitwise_count(flips & s) & 1)
+        chi = stay + np.einsum("klp,plqc->klqc", rates, sign)
+        passing += chi.prod(axis=(1, 2))
+    trap = passing.mean(axis=1) / 2 ** n  # A_k
+    return float(np.mean([np.prod(np.delete(trap, v0))
+                          for v0 in range(v + 1)]))
 
 
 def corrupts_target(target: Circuit, errors: Sequence) -> bool:

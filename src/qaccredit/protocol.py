@@ -235,10 +235,14 @@ def run_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, block]))
 
 
-# Runs drawn from one run_rng stream and decided by one batched frame;
-# fixed, so a report's runs do not depend on d, and a frame's memory is
-# bounded for any d.
+# Runs drawn from one run_rng stream; fixed, so a report's runs do not
+# depend on d.
 STREAM_BLOCK = 128
+# Bytes of live trap rows and target slices that stream blocks hand on to
+# one trap walk: once the pending blocks hold more, they are decided
+# together, so a walk's memory is bounded for any d while a small report
+# is one walk.
+WALK_BYTES = 2 ** 20
 
 
 def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
@@ -250,15 +254,17 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     circuit is padded. Stream block b draws its ``STREAM_BLOCK`` runs from
     ``run_rng(master_seed, b)`` (:func:`_draw_runs`), then each run's last
     draw. It draws all its runs and drops those past d, so a shorter report
-    is a prefix of a longer one. The traps alone decide a run
-    (:func:`_traps_accept`): by Lemma 2's linearity a trap with no error
-    outputs zeros, so only the trap slots that hold an error are built and
-    walked, each from its first error location. Only the accepted runs'
-    target slices are read.
+    is a prefix of a longer one. The traps alone decide a run: by Lemma 2's
+    linearity a trap with no error outputs zeros, so a block hands on only
+    its live trap rows and its runs' target slices and last draws
+    (:func:`_hand_on`). Once the pending blocks hold more than ``WALK_BYTES``,
+    and at the end of the report, their live rows are decided in one walk
+    (:func:`_accepted_slices`), and only the accepted runs' target slices
+    are read.
 
     A Clifford target's last draw is a mask a of n bits: an accepted run
     outputs :func:`simulator.reference_outcome` XOR the target's flips
-    under its slice with X^a at location 0, one batched frame per block, so
+    under its slice with X^a at location 0, one batched frame per walk, so
     a report keeps n bits per accepted run and builds no statevector. A
     generic target's last draw is the uniform that picks its sample from
     its slice's statevector distribution; the report's accepted slices are
@@ -273,20 +279,17 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
         reference = simulator.reference_outcome(target)
     else:
         simulator.check_statevector_size(n)
-    rows, draws = [], []
+    rows, draws, pending, held = [], [], [], 0
     for start in range(0, config.d, STREAM_BLOCK):
-        rng = run_rng(config.master_seed, start // STREAM_BLOCK)
-        drawn = _draw_runs(target, config.v, config.noise, STREAM_BLOCK, rng)
-        last = (rng.integers(0, 2, size=(STREAM_BLOCK, n), dtype=np.uint8)
-                if clifford else rng.random(STREAM_BLOCK))
-        v0, choice, err_x, err_z, last = (a[:config.d - start]
-                                          for a in (*drawn, last))
-        run = np.flatnonzero(_traps_accept(target, v0, choice, err_x, err_z))
-        slot = v0[run]
-        err_x, err_z, last = err_x[run, slot], err_z[run, slot], last[run]
+        pending.append(_hand_on(config, target, start))
+        held += sum(a.nbytes for part in pending[-1] for a in part)
+        if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:
+            continue
+        err_x, err_z, last = _accepted_slices(target, pending)
+        pending, held = [], 0
         if clifford:
             err_x[:, 0] ^= last
-            gates = np.broadcast_to(target.gates, (len(run), m, n))
+            gates = np.broadcast_to(target.gates, (len(last), m, n))
             rows.append(reference
                         ^ simulator.frame_flips(target, gates, err_x, err_z))
         else:
@@ -297,31 +300,49 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
                 else _sample_targets(target, rows, np.concatenate(draws)))
 
 
+def _hand_on(config: ProtocolConfig, target: Circuit, start: int) -> tuple:
+    """What the stream block of runs ``start`` on hands on, its runs past d
+    dropped: its live trap rows (:func:`_live_traps`), and its runs' target
+    slices err_x, err_z (runs, m+1, n) and last draws. Its dense draws are
+    dropped on return."""
+    rng = run_rng(config.master_seed, start // STREAM_BLOCK)
+    drawn = _draw_runs(target, config.v, config.noise, STREAM_BLOCK, rng)
+    last = (rng.integers(0, 2, size=(STREAM_BLOCK, target.n), dtype=np.uint8)
+            if target.all_clifford else rng.random(STREAM_BLOCK))
+    v0, choice, err_x, err_z, last = (a[:config.d - start]
+                                      for a in (*drawn, last))
+    run = np.arange(len(v0))
+    return (_live_traps(v0, choice, err_x, err_z),
+            (err_x[run, v0], err_z[run, v0], last))
+
+
 def _draw_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
                rng: np.random.Generator) -> tuple:
     """The draws of ``runs`` protocol runs, in the one order every run
     takes: v0 (runs,), the choice rows (runs, v, choice_width) of each
     run's traps in slot order, then the error bits err_x, err_z (runs,
-    v+1, m+1, n) of all slots from one ``sample_error_bits`` call."""
+    v+1, m+1, n) of all slots from one ``sample_error_bits`` call. A trap's
+    choice row is ceil(choice_width / 8) random bytes, unpacked
+    least significant bit first."""
+    width = traps.choice_width(target)
     v0 = rng.integers(0, v + 1, size=runs)
-    choice = rng.integers(0, 2, size=(runs, v, traps.choice_width(target)),
+    packed = rng.integers(0, 256, size=(runs, v, -(-width // 8)),
                           dtype=np.uint8)
+    choice = np.unpackbits(packed, axis=-1, count=width, bitorder="little")
     err_x, err_z = noise.sample_error_bits(runs, v, target.n, target.m, rng)
     return v0, choice, err_x, err_z
 
 
-def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
-    """Acceptance flags (runs,) of drawn runs (:func:`_draw_runs`): a run
-    accepts when all its v traps' flips are zero. The target's slot takes
-    no part.
+def _live_traps(v0, choice, err_x, err_z) -> tuple:
+    """The trap slots of drawn runs (:func:`_draw_runs`) that hold an error
+    bit, as rows: run index, choice row, error bits err_x, err_z (rows,
+    m+1, n) and first error location. The target's slot takes no part.
 
     A trap's flips are GF(2)-linear in its error bits (Lemma 2), so a trap
-    slot that holds no error bit outputs zeros whatever its gates. Only the
-    live slots, those holding an error, get gates and move, through one
-    batched frame, each from its first error location
-    (:func:`simulator.frame_flips`).
+    slot that holds no error bit outputs zeros whatever its gates, and only
+    these rows need gates and a walk.
     """
-    b, slots, locations, n = err_x.shape
+    _, slots, locations, n = err_x.shape
     # flat hits in (run, slot, location, qubit) order: the first hit of a
     # (run, slot) pair is at its first error location
     hit = np.flatnonzero((err_x | err_z) != 0) // n
@@ -329,17 +350,54 @@ def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
     run, slot = np.divmod(live, slots)
     trap = slot != v0[run]
     run, slot = run[trap], slot[trap]
-    first = hit[start[trap]] % locations
-    order = np.argsort(first, kind="stable")
-    run, slot, first = run[order], slot[order], first[order]
     # run i's t-th trap sits at the t-th slot other than v0[i]
     t = slot - (slot > v0[run])
+    return (run, choice[run, t], err_x[run, slot], err_z[run, slot],
+            hit[start[trap]] % locations)
+
+
+def _failing_runs(target: Circuit, lives: list) -> np.ndarray:
+    """The run indices of live trap rows whose flips are not all zero, of
+    one or more blocks given as a list of :func:`_live_traps` results,
+    which it empties. The rows, merged in order of first error location,
+    get their gates from one ``trap_cliffords`` call and move through one
+    batched frame, each from there (:func:`simulator.frame_flips`)."""
+    order = np.argsort(np.concatenate([live[-1] for live in lives]),
+                       kind="stable")
+    run, choice, err_x, err_z, first = [np.concatenate(part)[order]
+                                        for part in zip(*lives)]
+    lives.clear()  # so that the walk does not hold every row twice
     flips = simulator.frame_flips(
-        target, traps.trap_cliffords(target, choice[run, t]),
-        err_x[run, slot], err_z[run, slot], first)
-    accept = np.ones(b, dtype=bool)
-    accept[run[flips.any(axis=1)]] = False
+        target, traps.trap_cliffords(target, choice), err_x, err_z, first)
+    return run[flips.any(axis=1)]
+
+
+def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
+    """Acceptance flags (runs,) of drawn runs (:func:`_draw_runs`): a run
+    accepts when all its v traps' flips are zero; only its live trap rows
+    are walked."""
+    accept = np.ones(len(v0), dtype=bool)
+    accept[_failing_runs(target, [_live_traps(v0, choice, err_x, err_z)])] \
+        = False
     return accept
+
+
+def _accepted_slices(target: Circuit, blocks: list) -> tuple:
+    """The accepted runs' target slices err_x, err_z (A, m+1, n) and last
+    draws (A, ...), in run order, of stream blocks handed on as pairs
+    (live trap rows, (target slices and last draws of every run)), which it
+    empties. Every block's live rows, their run indices offset by the runs
+    of the blocks before, are decided in one walk (:func:`_failing_runs`).
+    """
+    offsets = np.cumsum([0] + [len(last) for _, (_, _, last) in blocks])
+    lives = [(run + offset, *rows)
+             for ((run, *rows), _), offset in zip(blocks, offsets)]
+    slices = [np.concatenate(part)
+              for part in zip(*(slices for _, slices in blocks))]
+    blocks.clear()
+    accept = np.ones(offsets[-1], dtype=bool)
+    accept[_failing_runs(target, lives)] = False
+    return tuple(part[accept] for part in slices)
 
 
 def _sample_targets(target: Circuit, slices: np.ndarray,

@@ -160,7 +160,8 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     rows, m = len(gates), topology.m
     moved = (np.full(m, rows) if first is None
              else np.searchsorted(first, np.arange(1, m + 1), side="right"))
-    codes = err_x | err_z << 1
+    codes = err_z << 1
+    codes |= err_x
     gates = gates << 2
     frame = codes[:, 0].copy()
     partner, paired = cz_partners(topology.n, topology.cz)

@@ -87,7 +87,8 @@ def _trap_gates(target: Circuit, choice: np.ndarray) -> np.ndarray:
 
 
 def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
-    """Clifford indices (R, m, n) of the R traps chosen by rows of ``bits``.
+    """Clifford indices (R, m, n) of the R traps chosen by rows of ``bits``,
+    a view of a band-major (m, R, n) array.
 
     Band j of trap r is the gate :func:`generate_trap` builds from row r.
     """
@@ -95,12 +96,19 @@ def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:
     n, m = target.n, target.m
     # layers 0 and m are the sandwich, H (code 1) when t is 1; layer j+1,
     # band j's assignment, is S (code 2) on qubit q exactly when
-    # bit[cols[j, q]] ^ lower[j, q] is 1, else H
+    # bit[cols[j, q]] ^ lower[j, q] is 1, else H. Layers and gates are
+    # band-major, so each band's take reads and writes one block and its
+    # index copy holds one band
     cols, lower = _layer_columns(n, target.cz)
-    layers = np.empty((len(bits), m + 1, n), dtype=np.uint8)
-    layers[:, 0] = layers[:, m] = bits[:, -1:]
-    layers[:, 1:m] = (bits[:, cols] ^ lower) + 1
-    return _UNDO_THEN.take(layers[:, :-1] * 3 + layers[:, 1:])
+    layers = np.empty((m + 1, len(bits), n), dtype=np.uint8)
+    layers[0] = layers[m] = bits[:, -1:]
+    np.add(bits[:, cols].transpose(1, 0, 2) ^ lower[:, None], 1,
+           out=layers[1:m])
+    gates = layers[:-1] * 3
+    gates += layers[1:]
+    for band in gates:
+        band[...] = _UNDO_THEN.take(band)
+    return gates.transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=64)

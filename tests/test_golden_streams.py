@@ -21,11 +21,11 @@ from qaccredit.pauli import PauliString
 
 GOLDEN = {
     "accredit":
-        "5a9651202cd9bebd0ce56dff6b04e8a6c9ca06ed6b7f78aade74a26571880c64",
+        "4518860e2fdd8d5df9cde85ef105b220939ef205732a6f3fbe3ccb4b002628c0",
     "single_run":
-        "7b3a911c95ec6a8626aa1d47cf46371cef4053d8d59c20d9cc9bc58aadfc726e",
+        "83afc57ad8b6084937170351a94d6f5bb891cf77c9773ca3e3e521e6747fa248",
     "run_session":
-        "f10bd97337eb1383f4b65a83439edb926912818cd25677cb2cf586411ee88f6e",
+        "c4c5ac080f893b5e6f1135c7e184530e48f9015826766f340f471dcbb4543700",
     "oracles":
         "fbf9b19670f8393092971a7b650cb7939d330299499434d4312880170729a686",
 }

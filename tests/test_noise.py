@@ -293,6 +293,43 @@ def test_independent_error_bits_match_rates():
     assert not x[:, :, 0].any() and not x[:, :, m].any()
 
 
+def _location_rates(default, overrides, v, m):
+    """(v+1, m+1, 3) X, Y, Z rates as the model reads them: the default,
+    a location's own override, and X = Y = 0 at the end locations."""
+    rates = np.empty((v + 1, m + 1, 3))
+    rates[...] = [default.get(p, 0.0) for p in "XYZ"]
+    for (k, loc), r in overrides.items():
+        rates[k, loc] = [r.get(p, 0.0) for p in "XYZ"]
+    rates[:, [0, m], :2] = 0.0
+    return rates
+
+
+def _gap_reference(rates, runs, n, rng):
+    """The sampler's draw, one candidate at a time: geometric gaps in
+    chunks of int(r p + 4 sqrt(r p)) + 16 (r positions left) until a
+    position reaches the end, then one uniform in [0, p) per candidate,
+    compared with its own location's cumulative rates."""
+    v1, m1, _ = rates.shape
+    cum = np.cumsum(rates, axis=-1)
+    size, p = runs * v1 * m1 * n, min(cum[..., 2].max(), 1.0)
+    x, z = np.zeros(size, dtype=np.uint8), np.zeros(size, dtype=np.uint8)
+    if p == 0:
+        return x, z
+    candidates, last = [], -1
+    while last < size - 1:
+        left = (size - 1 - last) * p
+        for gap in rng.geometric(p, size=int(left + 4 * left ** 0.5) + 16):
+            last += int(gap)
+            candidates.append(last)
+    candidates = [c for c in candidates if c < size]
+    for c, u in zip(candidates, rng.random(len(candidates)) * p):
+        k, loc = divmod(c // n % (v1 * m1), m1)
+        below_x, below_y, below_z = cum[k, loc]
+        if u < below_z:
+            x[c], z[c] = u < below_y, u >= below_x
+    return x, z
+
+
 @pytest.mark.parametrize("default, overrides", [
     ({"X": 0.1, "Y": 0.2, "Z": 0.3}, {}),
     ({"X": 0.002, "Y": 0.002, "Z": 0.002}, {}),
@@ -304,24 +341,74 @@ def test_independent_error_bits_match_rates():
 ])
 def test_independent_error_bits_follow_the_three_comparisons(default,
                                                              overrides):
-    # from one generator state: u < X + Y sets x, X <= u < X + Y + Z sets
-    # z, with a location's own rates and X = Y = 0 at the end locations
+    # from one generator state: candidates by geometric gaps at the largest
+    # X + Y + Z rate p, one uniform u in [0, p) each; u < X + Y sets x and
+    # X <= u < X + Y + Z sets z, with a location's own rates and X = Y = 0
+    # at the end locations
     model = IndependentLocationChannels(default_rates=default,
                                         rates=overrides)
     runs, v, n, m = 300, 3, 4, 3
-    rates = np.empty((v + 1, m + 1, 3))
-    rates[...] = [default.get(p, 0.0) for p in "XYZ"]
-    for (k, loc), r in overrides.items():
-        rates[k, loc] = [r.get(p, 0.0) for p in "XYZ"]
-    rates[:, [0, m], :2] = 0.0
-    px, py, pz = (rates[..., i, None] for i in range(3))
+    rates = _location_rates(default, overrides, v, m)
     for seed in range(3):
-        x, z = model.sample_error_bits(runs, v, n, m,
-                                       np.random.default_rng(seed))
-        u = np.random.default_rng(seed).random((runs, v + 1, m + 1, n))
+        rng = np.random.default_rng(seed)
+        x, z = model.sample_error_bits(runs, v, n, m, rng)
+        ref = np.random.default_rng(seed)
+        want_x, want_z = _gap_reference(rates, runs, n, ref)
         assert x.dtype == z.dtype == np.uint8
-        assert np.array_equal(x, u < px + py)
-        assert np.array_equal(z, (u >= px) & (u < px + py + pz))
+        assert np.array_equal(x.reshape(-1), want_x)
+        assert np.array_equal(z.reshape(-1), want_z)
+        # the sampler draws nothing more than the reference
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_zero_rates_draw_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    # X and Y at the end locations are rate 0 too
+    for model in (IndependentLocationChannels(),
+                  IndependentLocationChannels(rates={(1, 0): {"Y": 0.2},
+                                                     (0, 2): {"X": 1.0}})):
+        x, z = model.sample_error_bits(50, 2, 3, 2, rng)
+        assert not x.any() and not z.any()
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("top", [0.6, 1.0])
+def test_independent_error_bits_follow_their_binomial_law(top):
+    # firing counts per (circuit, location) over runs x n qubit draws are
+    # Binomial(runs n, X + Y + Z), and given the count the letters split
+    # by X, Y and Z over it; six standard deviations per check, so the
+    # whole test fails by chance with probability below 1e-6. The largest
+    # rate ``top`` is that of X at one location, below 1 or 1 itself
+    default = {"X": 0.01, "Y": 0.02, "Z": 0.03}
+    overrides = {(0, 1): {"X": 0.2}, (1, 2): {"Y": 0.5, "Z": 0.1},
+                 (2, 3): {"X": top}, (3, 0): {"X": 0.4, "Z": 0.3},
+                 (1, 4): {"Y": 0.2, "Z": 0.25}, (2, 1): {}}
+    v, n, m, runs = 3, 5, 4, 2000
+    model = IndependentLocationChannels(default_rates=default,
+                                        rates=overrides)
+    x, z = model.sample_error_bits(runs, v, n, m, np.random.default_rng(31))
+    rates = _location_rates(default, overrides, v, m)
+    letters = np.stack((x & ~z, x & z, ~x & z), axis=-1).astype(np.int64)
+    counts = letters.sum(axis=(0, 3))  # (v+1, m+1, 3)
+
+    def within(count, trials, p):
+        return abs(count - trials * p) \
+            <= 6 * np.sqrt(trials * p * (1 - p)) + 1e-9
+
+    for k in range(v + 1):
+        for loc in range(m + 1):
+            fired, total = counts[k, loc].sum(), rates[k, loc].sum()
+            assert within(fired, runs * n, total), (k, loc)
+            for letter in range(3):
+                share = rates[k, loc, letter] / total if total else 0.0
+                assert within(counts[k, loc, letter], fired, share), \
+                    (k, loc, letter)
+    # a rate-1 location always fires; X and Y never fire at the ends
+    if top == 1.0:
+        assert counts[2, 3].tolist() == [runs * n, 0, 0]
+    assert not counts[:, [0, m], :2].any()
+    assert counts[3, 0, 2] > 0 and not x[:, 3, 0].any()
 
 
 def test_error_bits_agree_with_collections():
@@ -358,20 +445,16 @@ def test_error_bits_agree_with_collections():
 
 
 def test_one_call_of_r_runs_equals_r_calls_of_one_run():
-    # the location channels and explicit mixtures draw one value per run
-    # and location in order, so the run axis leaves their streams as they
-    # were run by run
+    # an explicit mixture draws one entry per run in order, so the run
+    # axis leaves its stream as it was run by run
     coll = [_uniform_collection(3, 2, 2), identity_collection(3, 2, 2)]
-    for model in (IndependentLocationChannels(
-                      default_rates={"X": 0.2, "Y": 0.1, "Z": 0.3}),
-                  ExplicitCollectionDistribution([(coll[0], 0.4),
-                                                  (coll[1], 0.6)])):
-        rng = np.random.default_rng(21)
-        many = model.sample_error_bits(50, 2, 2, 2, rng)
-        rng = np.random.default_rng(21)
-        ones = [_one_run(model, 2, 2, 2, rng) for _ in range(50)]
-        assert np.array_equal(many, np.stack(ones, axis=1))
-        assert many[1].any() and not many[1].all()
+    model = ExplicitCollectionDistribution([(coll[0], 0.4), (coll[1], 0.6)])
+    rng = np.random.default_rng(21)
+    many = model.sample_error_bits(50, 2, 2, 2, rng)
+    rng = np.random.default_rng(21)
+    ones = [_one_run(model, 2, 2, 2, rng) for _ in range(50)]
+    assert np.array_equal(many, np.stack(ones, axis=1))
+    assert many[1].any() and not many[1].all()
 
 
 @pytest.mark.parametrize("n", [1, 8, 63, 64, 100])

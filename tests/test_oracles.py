@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaccredit import families, oracles, pauli, qotp, simulator, traps
+from qaccredit import families, oracles, pauli, protocol, qotp, simulator, \
+    traps
 from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.noise import (ExplicitCollectionDistribution,
+                             IndependentLocationChannels,
                              PauliErrorCollection, identity_collection,
                              random_adversary)
 from qaccredit.oracles import (lemma2_exact_prob, lemma2_sweep,
@@ -260,6 +263,66 @@ def test_flip_tables_agree_three_ways(n, m, seed):
                                   errors[..., n:])
     masks = (flips @ (1 << np.arange(n))).reshape(len(choices), m + 1, 2 * n)
     assert np.array_equal(table, masks.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 2, 0), (1, 3, 1), (2, 2, 2),
+                                         (2, 3, 3)])
+def test_exact_acceptance_is_the_sum_over_every_slice(n, m, seed):
+    # A_k sums, over every error slice of trap slot k, the slice's
+    # probability under slot k's rates times its Lemma-2 pass probability;
+    # the target sits at a uniform slot and the other v traps must pass
+    topo = families.random_clifford_circuit(n, m, np.random.default_rng(seed))
+    v = 3
+    default = {"X": 0.04, "Y": 0.02, "Z": 0.06}
+    overrides = {(0, 1): {"X": 0.3}, (2, m): {"Z": 0.5},
+                 (3, 0): {"X": 0.7, "Z": 0.2}, (1, 1): {"Y": 0.25, "Z": 0.1},
+                 (3, m - 1): {"X": 1.0}}
+    model = IndependentLocationChannels(default_rates=default,
+                                        rates=overrides)
+    codes = np.array(list(itertools.product(*[
+        range(2 ** n if loc in (0, m) else 4 ** n) for loc in range(m + 1)])))
+    x, z = oracles._bits(codes, n)  # (slices, m+1, n)
+    passes = np.array([float(lemma2_exact_prob(topo, (xs, zs)))
+                       for xs, zs in zip(x, z)])
+    letter = x + 2 * z  # 0: I, 1: X, 2: Z, 3: Y
+    trap = []
+    for k in range(v + 1):
+        probs = np.empty((m + 1, 4))
+        for loc in range(m + 1):
+            r = overrides.get((k, loc), default)
+            px, py, pz = (0.0 if loc in (0, m) and p != "Z" else
+                          r.get(p, 0.0) for p in "XYZ")
+            probs[loc] = [1 - px - py - pz, px, pz, py]
+        weight = probs[np.arange(m + 1)[:, None], letter].prod(axis=(1, 2))
+        trap.append((weight * passes).sum())
+    want = np.mean([np.prod([trap[k] for k in range(v + 1) if k != v0])
+                    for v0 in range(v + 1)])
+    assert 0.0 < want < 1.0
+    assert abs(oracles.exact_acceptance(topo, v, model) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("target", [
+    families.ghz_circuit(3),
+    families.random_clifford_circuit(3, 4, np.random.default_rng(40))])
+def test_accredit_acceptance_lies_in_its_hoeffding_interval(target):
+    # n_acc / d against the exact acceptance probability, at risk 1e-6
+    v, d = 3, 20000
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01},
+        rates={(2, 1): {"X": 0.2}, (0, target.m): {"Z": 0.1}})
+    p = oracles.exact_acceptance(target, v, model)
+    assert 0.2 < p < 0.8
+    cfg = protocol.ProtocolConfig(v=v, d=d, theta=0.05, master_seed=61,
+                                  noise=model)
+    freq = protocol.accredit(cfg, target).n_acc / d
+    assert abs(freq - p) <= math.sqrt(math.log(2 / 1e-6) / (2 * d))
+
+
+def test_exact_acceptance_needs_independent_channels():
+    with pytest.raises(TypeError, match="IndependentLocationChannels"):
+        oracles.exact_acceptance(families.ghz_circuit(2), 3,
+                                 random_adversary(2, 2, 3,
+                                                  np.random.default_rng(0)))
 
 
 def test_oracles_never_read_the_engine_they_check(monkeypatch):

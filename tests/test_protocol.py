@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,25 @@ def test_draw_runs_choice_rows_deterministic_and_uniform():
     means = protocol._draw_runs(topo, 3, noiseless(), reps,
                                 np.random.default_rng(5))[1].mean(axis=0)
     assert ((means > 0.48) & (means < 0.52)).all()
+
+
+def test_draw_runs_unpack_packed_choice_bytes():
+    # from one generator state: v0, then ceil(width / 8) random bytes per
+    # trap, bit i of a row being bit i % 8 of byte i // 8
+    target = families.random_clifford_circuit(4, 5,
+                                              np.random.default_rng(2))
+    v, runs, width = 3, 40, traps.choice_width(target)
+    assert width % 8 and width > 8  # several bytes, the last one partial
+    v0, choice, _, _ = protocol._draw_runs(target, v, noiseless(), runs,
+                                           np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    want_v0 = rng.integers(0, v + 1, size=runs)
+    raw = rng.integers(0, 256, size=(runs, v, (width + 7) // 8),
+                       dtype=np.uint8)
+    want = [[[raw[r, t, i // 8] >> i % 8 & 1 for i in range(width)]
+             for t in range(v)] for r in range(runs)]
+    assert np.array_equal(v0, want_v0)
+    assert choice.dtype == np.uint8 and np.array_equal(choice, want)
 
 
 def test_plan_run_keys_deterministic():
@@ -484,6 +504,97 @@ def test_accredit_report_repeats_under_pauli_noise():
     short = report(100)
     assert [o.tolist() for o in short.accepted_outputs] == \
         [o.tolist() for o in first.accepted_outputs[:short.n_acc]]
+
+
+def _run_flags(target, v, model, seed, d):
+    """Acceptance of each of d runs, every stream block decided alone."""
+    flags = []
+    for block, start in enumerate(range(0, d, protocol.STREAM_BLOCK)):
+        drawn = protocol._draw_runs(target, v, model, protocol.STREAM_BLOCK,
+                                    run_rng(seed, block))
+        flags.append(protocol._traps_accept(
+            target, *(a[:d - start] for a in drawn)))
+    return np.concatenate(flags)
+
+
+def test_reports_are_prefixes_whatever_the_walks(monkeypatch):
+    # a report of d runs is a prefix of a longer one, whether its blocks
+    # are decided in one walk or in several, and each run is decided as
+    # its block alone decides it
+    target, v, seed = families.ghz_circuit(5), 3, 17
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01})
+    walks, accepted_slices = [], protocol._accepted_slices
+
+    def recording(target, blocks):
+        walks.append(len(blocks))
+        return accepted_slices(target, blocks)
+
+    def outputs(d):
+        cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=seed,
+                             noise=model)
+        return [o.tolist() for o in protocol.accredit(cfg, target)
+                .accepted_outputs]
+
+    monkeypatch.setattr(protocol, "_accepted_slices", recording)
+    d = 6 * protocol.STREAM_BLOCK + 50
+    flags = _run_flags(target, v, model, seed, d)
+    full = outputs(d)
+    assert walks == [7] and len(full) == flags.sum()
+    assert 0.2 < flags.mean() < 0.8
+    # a budget that about two blocks pass: several walks, one of them
+    # holding the last, partial block
+    monkeypatch.setattr(protocol, "WALK_BYTES", 40_000)
+    for short in (1, 127, 128, 129, 300, 640, d):
+        walks.clear()
+        got = outputs(short)
+        assert len(got) == flags[:short].sum()
+        assert got == full[:len(got)]
+    assert len(walks) >= 3 and max(walks) > 1
+
+
+def test_small_report_is_one_walk(monkeypatch):
+    # GHZ n=8, v=7, d=1000 under 0.002 X/Y/Z: the live trap rows of all
+    # eight blocks take one frame walk, and the accepted targets one more
+    walks, frame_flips = [], simulator.frame_flips
+
+    def recording(topology, gates, *args):
+        walks.append(len(gates))
+        return frame_flips(topology, gates, *args)
+
+    monkeypatch.setattr(simulator, "frame_flips", recording)
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
+    cfg = ProtocolConfig(v=7, d=1000, theta=0.05, master_seed=4,
+                         noise=model)
+    report = protocol.accredit(cfg, families.ghz_circuit(8))
+    assert len(walks) == 2 and walks[1] == report.n_acc > 0
+    assert walks[0] > 1000
+
+
+def test_merged_walk_memory_is_bounded_by_the_budget(allocates_at_most):
+    # pending blocks are decided once they hold more than WALK_BYTES. A
+    # block of noisy GHZ n=32 hands on about 1.4 MB, so each block is
+    # decided alone, and a long report allocates at most what a one-block
+    # report does (its draws and its walk) plus the budget; one walk over
+    # all 32 blocks would hold every block's live rows at once, ~45 MB
+    target = families.ghz_circuit(32)
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
+
+    def report(d):
+        return protocol.accredit(ProtocolConfig(
+            v=3, d=d, theta=0.05, master_seed=9, noise=model), target)
+
+    tracemalloc.start()
+    try:
+        report(protocol.STREAM_BLOCK)
+        one_block = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert one_block < 16 * 2 ** 20
+    with allocates_at_most(one_block + protocol.WALK_BYTES):
+        report(32 * protocol.STREAM_BLOCK)
 
 
 def test_accredit_checks_target_size_before_running(allocates_at_most):

@@ -1,0 +1,169 @@
+"""Mutation check: tier-1 must catch each listed break of ``src/``.
+
+Run from the repository root:
+
+    python3 tools/mutants.py               # every mutant
+    python3 tools/mutants.py gap-offset    # some mutants, by name
+
+A mutant names a file under ``src/qaccredit/``, an exact snippet that must
+occur there exactly once, its replacement, and the tests that must fail
+once the snippet is replaced. The script first runs every named test
+against an unmutated copy of ``src/``, where they must pass; then, for each
+mutant, it copies ``src/`` to a temporary directory, applies the mutant and
+runs its tests against the copy. It exits 1 when the unmutated copy fails,
+a snippet is missing or ambiguous, or a mutant survives, so a refactor that
+moves a snippet must update its mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/qaccredit/
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest node ids, from the repository root
+
+
+NOISE, PROTOCOL, ORACLES = (f"tests/test_{module}.py::"
+                            for module in ("noise", "protocol", "oracles"))
+NOISE_PIN = NOISE + "test_independent_error_bits_follow_the_three_comparisons"
+NOISE_LAW = NOISE + "test_independent_error_bits_follow_their_binomial_law"
+PACKING = PROTOCOL + "test_draw_runs_unpack_packed_choice_bytes"
+PREFIX = PROTOCOL + "test_reports_are_prefixes_whatever_the_walks"
+BUDGET = PROTOCOL + "test_merged_walk_memory_is_bounded_by_the_budget"
+EXACT = ORACLES + "test_exact_acceptance_is_the_sum_over_every_slice"
+HOEFFDING = ORACLES + "test_accredit_acceptance_lies_in_its_hoeffding_interval"
+
+MUTANTS = (
+    # the sampler: candidates by geometric gaps, one letter uniform each
+    Mutant("gap-offset", "noise.py",
+           "chunk = last + np.cumsum(rng.geometric(",
+           "chunk = last + 1 + np.cumsum(rng.geometric(",
+           (NOISE_PIN,)),
+    Mutant("fire-at-p", "noise.py",
+           "fires = u < cum[:, 2]",
+           "fires = u < p",
+           (NOISE_LAW,)),
+    Mutant("uniform-not-below-p", "noise.py",
+           "u = rng.random(len(hit)) * p",
+           "u = rng.random(len(hit))",
+           (NOISE_LAW,)),
+    Mutant("x-letter", "noise.py",
+           "x[hit] = u < cum[:, 1]",
+           "x[hit] = u < cum[:, 0]",
+           (NOISE_LAW,)),
+    Mutant("z-letter", "noise.py",
+           "z[hit] = u >= cum[:, 0]",
+           "z[hit] = u >= cum[:, 1]",
+           (NOISE_LAW,)),
+    # packed choice rows
+    Mutant("pack-bit-order", "protocol.py",
+           'count=width, bitorder="little")',
+           'count=width, bitorder="big")',
+           (PACKING,)),
+    Mutant("pack-count", "protocol.py",
+           'np.unpackbits(packed, axis=-1, count=width, bitorder="little")',
+           'np.unpackbits(packed, axis=-1, bitorder="little")[..., -width:]',
+           (PACKING,)),
+    # one trap walk for many stream blocks
+    Mutant("run-offset", "protocol.py",
+           "(run + offset, *rows)",
+           "(run, *rows)",
+           (PREFIX,)),
+    Mutant("unsorted-walk", "protocol.py",
+           "[np.concatenate(part)[order]",
+           "[np.concatenate(part)",
+           (PREFIX,)),
+    Mutant("flush-drops-block", "protocol.py",
+           "err_x, err_z, last = _accepted_slices(target, pending)",
+           "err_x, err_z, last = _accepted_slices(target, pending[:-1] "
+           "or pending)",
+           (PREFIX,)),
+    Mutant("no-final-flush", "protocol.py",
+           "if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:",
+           "if held <= WALK_BYTES and start < config.d:",
+           (PREFIX,)),
+    Mutant("no-budget", "protocol.py",
+           "if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:",
+           "if start + STREAM_BLOCK < config.d:",
+           (BUDGET,)),
+    # the exact acceptance probability
+    Mutant("v0-product", "oracles.py",
+           "np.prod(np.delete(trap, v0))",
+           "np.prod(trap)",
+           (EXACT, HOEFFDING)),
+)
+
+
+def _copy(into: Path) -> Path:
+    """A copy of src/ under ``into``, without bytecode caches."""
+    shutil.copytree(SRC, into / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return into / "src"
+
+
+def _run(src: Path, tests) -> bool:
+    """Do ``tests`` pass against the package in ``src``?"""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import qaccredit; print(qaccredit.__file__)"],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).is_relative_to(src):
+        raise RuntimeError(f"qaccredit imported from {where.stdout.strip()}, "
+                           f"not from the copy in {src}")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], env=env, cwd=ROOT, capture_output=True, text=True)
+    return done.returncode == 0
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants {sorted(unknown)}")
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = sorted({t for m in mutants for t in m.tests})
+        if not _run(_copy(Path(tmp)), tests):
+            print("unmutated copy: the named tests fail")
+            return 1
+        print(f"unmutated copy: {len(tests)} tests pass")
+    for m in mutants:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _copy(Path(tmp)) / "qaccredit" / m.file
+            text = path.read_text()
+            count = text.count(m.snippet)
+            if count != 1:
+                verdict = f"snippet found {count} times"
+            else:
+                path.write_text(text.replace(m.snippet, m.replacement))
+                verdict = ("SURVIVED" if _run(path.parent.parent, m.tests)
+                           else "killed")
+        print(f"{m.name}: {verdict}")
+        if verdict != "killed":
+            failures.append(m.name)
+    if failures:
+        print(f"failed: {', '.join(failures)}")
+        return 1
+    print(f"all {len(mutants)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
