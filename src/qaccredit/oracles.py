@@ -49,10 +49,12 @@ CROSS_TERM_TOL = 1e-12
 SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
 FLIP_TABLE_CAP = 2 ** 20  # entries of one flip table
 SWEEP_COLLECTION_CAP = 2 ** 17  # collections an exhaustive sweep lists
-SWEEP_CHUNK = 2 ** 18  # flip words a sweep's code tables, or a block, hold
+SWEEP_CHUNK = 2 ** 18  # flip words a sweep's code tables, or a block, hold,
+# and the trap-choice draws of one block of a credibility check
 _CODE_GROUP_BITS = 8  # code bits one location's flip table covers
 TWIRL_WALK_CAP = 2 ** 15  # statevector walks in one pad-twirl fit
 PAULI_TWIRL_TERM_CAP = 2 ** 18  # Q-conjugated terms in the dense twirl sums
+THEOREM1_DRAW_CAP = 2 ** 24  # slot draws, runs x (v+1), of a credibility check
 
 
 @dataclass
@@ -131,18 +133,18 @@ def _choice_flip_tables(topology: Circuit) -> np.ndarray:
     """:func:`_flip_rows` of every trap choice of a topology.
 
     Returns a read-only uint32 array of shape (m+1, 2n, choices), choice c
-    last: one backward pass over the gates that :func:`traps.generate_trap`
-    builds for each choice. Raises ValueError when the table holds more
-    than ``FLIP_TABLE_CAP`` entries, 2n(m+1) per trap choice.
+    last: one backward pass over the gates that :func:`traps._trap_gates`
+    builds for every choice at once. Raises ValueError when the table holds
+    more than ``FLIP_TABLE_CAP`` entries, 2n(m+1) per trap choice.
     """
     n, m = topology.n, topology.m
     size = 2 * n * (m + 1) * traps.choice_space_size(topology)
     if size > FLIP_TABLE_CAP:
         raise ValueError(f"flip table of {size} entries too large to build "
                          f"(cap {FLIP_TABLE_CAP})")
-    gates = np.stack([traps._trap_gates(topology, c)
-                      for c in traps.enumerate_choices(topology)])
-    table = _backward_flips(gates, topology.cz)
+    table = _backward_flips(
+        traps._trap_gates(topology, traps.enumerate_choices(topology)),
+        topology.cz)
     table.flags.writeable = False
     return table
 
@@ -315,10 +317,21 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
             codes[start:start + picked.shape[1], locs] = picked.T
             start += picked.shape[1]
     counts = _pass_counts(table, codes)
-    single, multi = Fraction(1, 2), Fraction(3, 4)
-    probabilities = {passes: Fraction(passes, n_choices)
-                     for passes in np.unique(counts).tolist()}
+    support = (codes != 0).sum(axis=1)
+    # one verdict per key 2 * passes + (more than one location touched).
+    # prob == 1 means the flip mask vanishes for every dressing: the errors
+    # cancel exactly and the collection acts as the identity channel on the
+    # trap. The detection bounds apply to collections with a non-trivial
+    # action, so these pass with a note (they can never corrupt an output
+    # either).
+    keys = 2 * counts + (support > 1)
+    verdicts = {}
+    for key in np.unique(keys[support > 0]).tolist():
+        prob = Fraction(key >> 1, n_choices)
+        bound = Fraction(3, 4) if key & 1 else Fraction(1, 2)
+        verdicts[key] = (prob, bound, prob == 1 or prob <= bound, prob == 1)
     reports = []
+    sampled = band_count_class == "all"
     # names go in blocks whose bit arrays (2n(m+1) int64 per collection)
     # and strings take about as much memory as one block of flips
     step = max(1, SWEEP_CHUNK // (16 * n * (m + 1)))
@@ -334,23 +347,15 @@ def lemma2_sweep(topology: Circuit, band_count_class: str,
             name = np.strings.add(f"loc{loc}:", letters[:, loc])
             instances = np.strings.add(np.strings.add(instances, sep),
                                        np.where(touched[:, loc], name, ""))
-        for instance, size, passes in zip(instances.tolist(),
-                                          touched.sum(axis=1).tolist(),
-                                          counts[s0:s0 + step].tolist()):
+        for instance, size, key in zip(instances.tolist(),
+                                       support[s0:s0 + step].tolist(),
+                                       keys[s0:s0 + step].tolist()):
             if not size:
                 continue
-            prob = probabilities[passes]
-            # prob == 1 means the flip mask vanishes for every dressing: the
-            # errors cancel exactly and the collection acts as the identity
-            # channel on the trap. The detection bounds apply to collections
-            # with a non-trivial action, so these pass with a note (they can
-            # never corrupt an output either).
-            trivial = prob == 1
-            bound = single if size == 1 else multi
+            prob, bound, passed, trivial = verdicts[key]
             reports.append(LemmaReport(
                 instance=instance, probability=prob, bound=bound,
-                passed=trivial or prob <= bound,
-                samples=n_choices, sampled=band_count_class == "all",
+                passed=passed, samples=n_choices, sampled=sampled,
                 detail={"acts_trivially": True} if trivial else {}))
     return reports
 
@@ -534,6 +539,20 @@ def _acceptance_tables(target: Circuit,
     return accept, corrupted, adversary.probs
 
 
+def _choice_draw(probs: np.ndarray, runs: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(probs), size=runs, p=probs)`` by its own rule, for
+    a few entries: one uniform per run, its index the count of normalised
+    cdf values at or below it."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(runs)
+    picked = np.zeros(runs, dtype=np.intp)
+    for c in cdf[:-1]:
+        picked += u >= c
+    return picked
+
+
 def theorem1_empirical(target: Circuit, v: int,
                        adversary: ExplicitCollectionDistribution,
                        runs: int, rng: np.random.Generator) -> LemmaReport:
@@ -542,12 +561,18 @@ def theorem1_empirical(target: Circuit, v: int,
     The target must be all-Clifford (corruption is decided by frame
     propagation). Also reports the tighter per-v-hat bound
     v_hat/(v+1) * (3/4)^(v_hat-1) when every adversary entry touches the
-    same number of circuits.
+    same number of circuits. Each run's rejection is decided slot by
+    slot, from the same draws as one (runs, v+1) gather. Raises ValueError,
+    before any table is built or any draw made, when the runs x (v+1) slot
+    draws exceed ``THEOREM1_DRAW_CAP``.
     """
     if v < 3:
         raise ValueError("v >= 3 required")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, not {runs}")
+    if runs * (v + 1) > THEOREM1_DRAW_CAP:
+        raise ValueError(f"credibility check of {runs} runs x {v + 1} slots "
+                         f"too large to draw (cap {THEOREM1_DRAW_CAP})")
     if not target.all_clifford:
         raise ValueError("empirical credibility check needs a Clifford target")
     shape, want = adversary.bits[0][0].shape, (v + 1, target.m + 1, target.n)
@@ -555,18 +580,27 @@ def theorem1_empirical(target: Circuit, v: int,
         raise ValueError(f"adversary collections of shape {shape} do not "
                          f"cover (v+1, m+1, n) = {want}")
     accept, corrupted, probs = _acceptance_tables(target, adversary)
-    n_entries, _, n_choices = accept.shape
-
-    entry_idx = rng.choice(n_entries, size=runs, p=probs)
-    v0 = rng.integers(0, v + 1, size=runs)
-    choice_idx = rng.integers(0, n_choices, size=(runs, v + 1))
-    slot = np.arange(v + 1)[None, :]
-    per_slot = accept[entry_idx[:, None], slot, choice_idx]
-    per_slot[np.arange(runs), v0] = True  # target slot carries no trap
-    acc = per_slot.all(axis=1)
-    corr = corrupted[entry_idx, v0]
-    bad = acc & corr
-    freq = float(bad.mean())
+    n_entries, slots, n_choices = accept.shape
+    # the entries as rng.choice draws them, then v0, then every run's v+1
+    # trap choices, in blocks of SWEEP_CHUNK draws that continue one
+    # stream: the values of one (runs, v+1) draw
+    entry = _choice_draw(probs, runs, rng)
+    v0 = rng.integers(0, slots, size=runs)
+    reject = ~accept.transpose(1, 0, 2).reshape(slots, -1)  # slot k: (e, c)
+    rejected = np.zeros(runs, dtype=bool)
+    block = max(1, SWEEP_CHUNK // slots)
+    for r0 in range(0, runs, block):
+        rows = slice(r0, min(r0 + block, runs))
+        choice = rng.integers(0, n_choices, size=(rows.stop - r0, slots))
+        at = entry[rows] * n_choices
+        for k in range(slots):
+            # the target's slot carries no trap
+            rejected[rows] |= (reject[k].take(at + choice[:, k])
+                               & (v0[rows] != k))
+    # each run's (entry, v0) cell of the corruption table, in place
+    entry *= slots
+    entry += v0
+    freq = float((corrupted.reshape(-1).take(entry) & ~rejected).mean())
 
     bound = KAPPA / (v + 1)
     touched = {int((x | z).any(axis=(1, 2)).sum()) for x, z in adversary.bits}

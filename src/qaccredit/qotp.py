@@ -21,6 +21,10 @@ from .circuit import GENERIC, Circuit, cz_partners
 
 # COMPOSE with a GENERIC row and column: a generic gate stays generic
 _COMPOSE = np.pad(cliffords.COMPOSE, (0, 1), constant_values=GENERIC)
+# the four Paulis' matrices, code 2x + z, and each Pauli index's code
+_PAULI_MATRICES = cliffords.MATRICES[cliffords.PAULI_INDEX.reshape(-1)]
+_PAULI_CODE = np.zeros(cliffords.GROUP_ORDER, dtype=np.intp)
+_PAULI_CODE[cliffords.PAULI_INDEX.reshape(-1)] = np.arange(4)
 
 
 def pad_width(n: int, m: int) -> int:
@@ -81,16 +85,29 @@ def pad_gates(gates: np.ndarray, pre: np.ndarray,
 
 def pad_unitaries(unitaries: np.ndarray, pre: np.ndarray,
                   post: np.ndarray) -> np.ndarray:
-    """2x2 unitaries (..., 2, 2) between pre and post Pauli indices; the
-    Paulis' matrices hold only 0 and +-1, so the products are exact."""
-    return cliffords.MATRICES[post] @ (unitaries @ cliffords.MATRICES[pre])
+    """2x2 unitaries (..., 2, 2) between pre and post Pauli indices, whose
+    shapes broadcast with the unitaries' leading axes. Each unitary U gets
+    its 16 products ``P_post @ (U @ P_pre)``, one per (post, pre) pair of
+    Paulis, which are gathered by the Paulis' codes. The Paulis' matrices
+    hold only 0 and +-1, so the products are exact."""
+    unitaries = np.asarray(unitaries)
+    table = (_PAULI_MATRICES[:, None] @ (
+        unitaries[..., None, :, :] @ _PAULI_MATRICES)[..., None, :, :, :]
+    ).reshape(-1, 2, 2)
+    at = np.arange(0, len(table), 16).reshape(unitaries.shape[:-2])
+    return table[at + 4 * _PAULI_CODE[post] + _PAULI_CODE[pre]]
 
 
 def pad_matrices(matrices, pre: np.ndarray, post: np.ndarray) -> dict:
     """One circuit's generic 2x2s {(j, i): u}, each between the (m, n)
-    pre and post Paulis at its position."""
-    return {(j, i): pad_unitaries(u, pre[j, i], post[j, i])
-            for (j, i), u in matrices.items()}
+    pre and post Paulis at its position, padded by one
+    :func:`pad_unitaries` call (none for a Clifford circuit)."""
+    if not matrices:
+        return {}
+    at = tuple(np.array(list(matrices)).T)
+    padded = pad_unitaries(np.array(list(matrices.values())), pre[at],
+                           post[at])
+    return dict(zip(matrices, padded))
 
 
 def postprocess(outputs: np.ndarray, key: np.ndarray) -> np.ndarray:

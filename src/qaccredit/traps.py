@@ -64,26 +64,31 @@ def generate_trap(target: Circuit, choice) -> Circuit:
     band j's fresh H/S assignment for j in [0, m-1). Band j undoes layer j
     and applies layer j+1, recompiled into one Clifford per qubit; H and I
     are their own inverses, so band 0 opens the sandwich and band m-1
-    closes it.
+    closes it. This is :func:`_trap_gates` at one row.
     """
     choice = _check_choice(target, choice, ndim=1)
-    return Circuit(target.n, target.m, _trap_gates(target, choice), target.cz)
+    return Circuit(target.n, target.m, _trap_gates(target, choice[None])[0],
+                   target.cz)
 
 
-def _trap_gates(target: Circuit, choice: np.ndarray) -> np.ndarray:
-    """:func:`generate_trap`'s gate indices (m, n) of a checked row."""
+def _trap_gates(target: Circuit, choices: np.ndarray) -> np.ndarray:
+    """:func:`generate_trap`'s gate indices (C, m, n) of C checked rows
+    (C, choice_width), layer by layer from ``target.cz``: one vector pick
+    per cZ pair and per unpaired qubit over every row, then one gather of
+    the band gates."""
     n, m = target.n, target.m
     h, s = cliffords.C_H, cliffords.C_S
-    layers = np.empty((m + 1, n), dtype=np.uint8)
-    layers[0] = layers[m] = h if choice[-1] else cliffords.C_I
-    bits = iter(choice[:-1].tolist())
+    layers = np.empty((len(choices), m + 1, n), dtype=np.uint8)
+    layers[:, 0] = layers[:, m] = np.where(choices[:, -1:], h, cliffords.C_I)
+    bits = iter(choices[:, :-1].T.astype(bool))
     for j in range(m - 1):
         for lo, hi in target.cz[j]:
-            layers[j + 1, lo], layers[j + 1, hi] = \
-                (h, s) if next(bits) else (s, h)
+            bit = next(bits)
+            layers[:, j + 1, lo] = np.where(bit, h, s)
+            layers[:, j + 1, hi] = np.where(bit, s, h)
         for q in _unpaired(n, target.cz[j]):
-            layers[j + 1, q] = s if next(bits) else h
-    return cliffords.COMPOSE[cliffords.DAGGER[layers[:-1]], layers[1:]]
+            layers[:, j + 1, q] = np.where(next(bits), s, h)
+    return cliffords.COMPOSE[cliffords.DAGGER[layers[:, :-1]], layers[:, 1:]]
 
 
 def trap_cliffords(target: Circuit, bits: np.ndarray) -> np.ndarray:

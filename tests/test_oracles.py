@@ -207,6 +207,51 @@ def test_sweep_memory_stays_within_the_chunk_budget(allocates_at_most):
         == _reference_reports(many, rows)
 
 
+
+def _class_rows(topo, kind, seed):
+    """The collections a sweep of class ``kind`` lists, one code per
+    location: every one on one / two locations, or the sampled draws from
+    ``default_rng(seed)`` (z at the end locations, x then z in between)."""
+    n, m = topo.n, topo.m
+    if kind == "all":
+        rng = np.random.default_rng(seed)
+        return [[(0 if loc in (0, m) else int(rng.integers(0, 2 ** n))) << n
+                 | int(rng.integers(0, 2 ** n)) for loc in range(m + 1)]
+                for _ in range(oracles.SWEEP_SAMPLES)]
+    sizes = [2 ** n if loc in (0, m) else 4 ** n for loc in range(m + 1)]
+    return [[dict(zip(locs, picked)).get(loc, 0) for loc in range(m + 1)]
+            for locs in itertools.combinations(
+                range(m + 1), 1 if kind == "single" else 2)
+            for picked in itertools.product(*(range(1, sizes[loc])
+                                              for loc in locs))]
+
+
+@pytest.mark.parametrize("topo, trivial_too", [
+    (identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()]), True),
+    (families.random_clifford_circuit(2, 4, np.random.default_rng(12)),
+     False)])
+def test_sweep_verdicts_equal_a_per_collection_decision(topo, trivial_too):
+    # each report against its own probability and bound, decided apart;
+    # on the identity topology some collections act trivially
+    trivial = set()
+    for kind in ("single", "two", "all"):
+        want = []
+        for instance, prob in _reference_reports(
+                topo, _class_rows(topo, kind, seed=5)):
+            bound = Fraction(1 if "+" not in instance else 3,
+                             2 if "+" not in instance else 4)
+            want.append(oracles.LemmaReport(
+                instance=instance, probability=prob, bound=bound,
+                passed=prob == 1 or prob <= bound,
+                samples=traps.choice_space_size(topo),
+                sampled=kind == "all",
+                detail={"acts_trivially": True} if prob == 1 else {}))
+            trivial.add(prob == 1)
+        got = lemma2_sweep(topo, kind, rng=np.random.default_rng(5))
+        assert got == want
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert trivial == {False, trivial_too}
+
 def _flip_topology(n, m, seed):
     """A random Clifford topology with at most 2^9 trap choices: every
     cZ band pairs as many qubits as it can when a random one has more."""
@@ -326,9 +371,10 @@ def test_exact_acceptance_needs_independent_channels():
 
 
 def test_oracles_never_read_the_engine_they_check(monkeypatch):
-    """No name in ``oracles`` reaches the batched trap builder, the batched
-    frame or its conjugation table, and no oracle calls them."""
-    engine = {"trap_cliffords", "frame_flips", "_CONJ"}
+    """No name in ``oracles`` reaches the engine's batched trap builder or
+    its layer cache, the batched frame or its conjugation table, and no
+    oracle calls them."""
+    engine = {"trap_cliffords", "_layer_columns", "frame_flips", "_CONJ"}
     tree = ast.parse(inspect.getsource(oracles))
     names = {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
@@ -340,6 +386,7 @@ def test_oracles_never_read_the_engine_they_check(monkeypatch):
     def engine_call(*args):
         raise AssertionError("an oracle called the engine")
     monkeypatch.setattr(traps, "trap_cliffords", engine_call)
+    monkeypatch.setattr(traps, "_layer_columns", engine_call)
     monkeypatch.setattr(simulator, "frame_flips", engine_call)
     monkeypatch.setattr(simulator, "_CONJ", None)
     rng = np.random.default_rng(21)
@@ -593,6 +640,88 @@ def test_acceptance_tables_match_the_pauli_path():
                 seen.add(bool(corrupted[e, k]))
     assert seen == {False, True}
 
+
+
+def _sampler_before_slots(target, v, adversary, runs, rng):
+    """freq(accept AND corrupted) by the sampler that gathered every
+    (run, slot) at once: rng.choice, then v0, then the (runs, v+1) trap
+    choices, the target slot overwritten as accepting."""
+    accept, corrupted, probs = oracles._acceptance_tables(target, adversary)
+    n_entries, _, n_choices = accept.shape
+    entry_idx = rng.choice(n_entries, size=runs, p=probs)
+    v0 = rng.integers(0, v + 1, size=runs)
+    choice_idx = rng.integers(0, n_choices, size=(runs, v + 1))
+    per_slot = accept[entry_idx[:, None], np.arange(v + 1)[None, :],
+                      choice_idx]
+    per_slot[np.arange(runs), v0] = True
+    return float((per_slot.all(axis=1) & corrupted[entry_idx, v0]).mean())
+
+
+def _weighted_adversary(n, m, v, weights, rng):
+    """One random collection per weight, zero weights included: each puts
+    a random non-identity Pauli at a random inner location of one or two
+    random slots, so that some runs accept a corrupted target."""
+    entries = []
+    for w in weights:
+        circuits = [[PauliString(n)] * (m + 1) for _ in range(v + 1)]
+        for k in rng.choice(v + 1, size=int(rng.integers(1, 3)),
+                            replace=False):
+            x, z = rng.integers(0, 2 ** n, size=2).tolist()
+            circuits[k][int(rng.integers(1, m))] = PauliString(n, x, z or 1)
+        entries.append((PauliErrorCollection(tuple(map(tuple, circuits))),
+                        w))
+    return ExplicitCollectionDistribution(entries)
+
+
+@pytest.mark.parametrize("v", [3, 7, 8, 11])
+@pytest.mark.parametrize("chunk", [None, 37])
+def test_theorem1_sampler_keeps_the_draws_of_the_full_gather(
+        v, chunk, monkeypatch):
+    # the same entries, slots and trap choices as the (runs, v+1) gather,
+    # so the same frequency, and the generator left in the same state; a
+    # small chunk draws the trap choices in many uneven blocks
+    if chunk:
+        monkeypatch.setattr(oracles, "SWEEP_CHUNK", chunk)
+    rng = np.random.default_rng(100 + v)
+    n, m = 2, 2
+    target = families.random_clifford_circuit(n, m, rng)
+    adversaries = [random_adversary(n, m, v, rng),
+                   _weighted_adversary(n, m, v, [0.0, 0.5, 0.0, 0.3, 0.2,
+                                                 0.0], rng),
+                   _weighted_adversary(n, m, v, [0.0, 1.0], rng)]
+    wants = []
+    for adv in adversaries:
+        seed = int(rng.integers(2 ** 32))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        runs = 3001
+        rep = theorem1_empirical(target, v, adv, runs=runs, rng=new)
+        want = _sampler_before_slots(target, v, adv, runs, old)
+        assert rep.probability == want
+        assert new.bit_generator.state == old.bit_generator.state
+        wants.append(want)
+    assert wants[1] > 0  # the mixture with zero weights corrupts some runs
+
+
+def test_theorem1_draw_cap(monkeypatch):
+    assert oracles.THEOREM1_DRAW_CAP == 2 ** 24
+    target = families.random_clifford_circuit(2, 2, np.random.default_rng(9))
+    adv = ExplicitCollectionDistribution([(identity_collection(4, 2, 2), 1.0)])
+
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_acceptance_tables", no_tables)
+        # 10^9 runs x 4 slots, refused before any table or draw
+        with pytest.raises(ValueError, match="too large to draw"):
+            theorem1_empirical(target, 3, adv, runs=10 ** 9, rng=rng)
+    assert rng.bit_generator.state == state
+    # 25 runs x 4 slots sit at a cap of 100 slot draws, 26 exceed it
+    monkeypatch.setattr(oracles, "THEOREM1_DRAW_CAP", 100)
+    assert theorem1_empirical(target, 3, adv, runs=25, rng=rng).passed
+    with pytest.raises(ValueError, match="26 runs x 4 slots"):
+        theorem1_empirical(target, 3, adv, runs=26, rng=rng)
 
 def test_theorem1_requires_v_at_least_3():
     target = families.random_clifford_circuit(2, 2, np.random.default_rng(9))

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qaccredit import cliffords, families, simulator
 from qaccredit.circuit import GENERIC, Circuit, identity_circuit
-from qaccredit.qotp import dress, pad_width, postprocess
+from qaccredit.qotp import dress, pad_unitaries, pad_width, postprocess
 
 TV_TOL = 1e-10
 PAULI = cliffords.PAULI_INDEX
@@ -119,6 +121,40 @@ def test_dress_keeps_generic_gates_generic():
                               p_post @ (t_gate @ p_pre))
         assert dressed.gates[1, 0] == cliffords.COMPOSE[
             cliffords.COMPOSE[pre[1], cliffords.C_H], post[1]]
+
+
+def _haar(rng, shape):
+    """Haar-random 2x2 unitaries of a leading ``shape``."""
+    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _same_bits(a, b):
+    """Equal arrays of complex numbers, the sign of every zero too."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def test_pad_unitaries_is_the_plain_product():
+    # the gathered table against P_post @ (U @ P_pre) of each entry: Haar
+    # (m, n) unitaries against (K, m, n) Paulis, the Clifford matrices
+    # (whose zeros keep their signs), and one unitary between two Paulis
+    rng = np.random.default_rng(11)
+    paulis = PAULI.reshape(-1)
+    for unitaries in (_haar(rng, (3, 4)), cliffords.MATRICES[
+            rng.integers(0, 24, size=(3, 4))]):
+        pre, post = paulis[rng.integers(0, 4, size=(2, 50, 3, 4))]
+        want = cliffords.MATRICES[post] @ (
+            unitaries @ cliffords.MATRICES[pre])
+        got = pad_unitaries(unitaries, pre, post)
+        assert np.array_equal(got, want) and _same_bits(got, want)
+    u = _haar(rng, ())
+    for p, q in itertools.product(paulis, repeat=2):
+        want = cliffords.MATRICES[q] @ (u @ cliffords.MATRICES[p])
+        got = pad_unitaries(u, p, q)
+        assert np.array_equal(got, want) and _same_bits(got, want)
 
 
 def _transparency_tv(circ, pads):

@@ -98,3 +98,28 @@ def test_choice_topology_mismatch():
         generate_trap(topo, [0, 0, 1])
     with pytest.raises(ValueError, match="0 or 1"):
         generate_trap(topo, [2, 0])
+
+
+@pytest.mark.parametrize("n, m, seed", [(n, m, 7 * n + m)
+                                         for n in range(1, 5)
+                                         for m in range(2, 6)])
+def test_batched_trap_gates_equal_one_row_builds(n, m, seed):
+    # every choice at once against one generate_trap per row, and against
+    # the engine's batched builder, on random cZ bands and on bands that
+    # pair as many qubits as they can (at odd n >= 3, paired and unpaired
+    # qubits share every band)
+    rng = np.random.default_rng(seed)
+    topos = [families.random_clifford_circuit(n, m, rng)]
+    pairs = [tuple(zip(p[0::2], p[1::2]))
+             for p in (rng.permutation(n).tolist() for _ in range(m - 1))]
+    topos.append(identity_circuit(n, m, cz_layout=[set(p) for p in pairs]
+                                  + [set()]))
+    for topo in topos:
+        if choice_width(topo) > 10:
+            continue
+        choices = enumerate_choices(topo)
+        gates = traps._trap_gates(topo, choices)
+        assert gates.shape == (len(choices), m, n)
+        assert np.array_equal(gates, [generate_trap(topo, row).gates
+                                      for row in choices])
+        assert np.array_equal(gates, traps.trap_cliffords(topo, choices))

@@ -45,6 +45,12 @@ NOISE_LAW = NOISE + "test_independent_error_bits_follow_their_binomial_law"
 PACKING = PROTOCOL + "test_draw_runs_unpack_packed_choice_bytes"
 PREFIX = PROTOCOL + "test_reports_are_prefixes_whatever_the_walks"
 BUDGET = PROTOCOL + "test_merged_walk_memory_is_bounded_by_the_budget"
+TRAPS, QOTP = (f"tests/test_{module}.py::" for module in ("traps", "qotp"))
+TRAP_ROWS = TRAPS + "test_batched_trap_gates_equal_one_row_builds"
+PAD_TABLE = QOTP + "test_pad_unitaries_is_the_plain_product"
+SAME_DRAWS = (ORACLES
+              + "test_theorem1_sampler_keeps_the_draws_of_the_full_gather")
+VERDICTS = ORACLES + "test_sweep_verdicts_equal_a_per_collection_decision"
 EXACT = ORACLES + "test_exact_acceptance_is_the_sum_over_every_slice"
 HOEFFDING = ORACLES + "test_accredit_acceptance_lies_in_its_hoeffding_interval"
 
@@ -101,6 +107,45 @@ MUTANTS = (
            "if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:",
            "if start + STREAM_BLOCK < config.d:",
            (BUDGET,)),
+    # every trap choice's gates at once
+    Mutant("trap-pair-orientation", "traps.py",
+           "layers[:, j + 1, lo] = np.where(bit, h, s)\n"
+           "            layers[:, j + 1, hi] = np.where(bit, s, h)",
+           "layers[:, j + 1, lo] = np.where(bit, s, h)\n"
+           "            layers[:, j + 1, hi] = np.where(bit, h, s)",
+           (TRAP_ROWS, TRAPS + "test_pair_orientation")),
+    Mutant("trap-sandwich-bit", "traps.py",
+           "np.where(choices[:, -1:], h, cliffords.C_I)",
+           "np.where(choices[:, -1:], cliffords.C_I, h)",
+           (TRAPS + "test_sandwich_bit",)),
+    # the credibility sampler, slot by slot on the same draws
+    Mutant("sampler-no-v0-mask", "oracles.py",
+           "rejected[rows] |= (reject[k].take(at + choice[:, k])\n"
+           "                               & (v0[rows] != k))",
+           "rejected[rows] |= reject[k].take(at + choice[:, k])",
+           (SAME_DRAWS, ORACLES + "test_corrupted_target_is_seen")),
+    Mutant("sampler-slot-table", "oracles.py",
+           "reject[k].take(at + choice[:, k])",
+           "reject[0].take(at + choice[:, k])",
+           (SAME_DRAWS,)),
+    Mutant("sampler-entry-by-probs", "oracles.py",
+           "for c in cdf[:-1]:",
+           "for c in probs[:-1]:",
+           (SAME_DRAWS,)),
+    # the Lemma-2 verdict table
+    Mutant("verdict-single-bound", "oracles.py",
+           "bound = Fraction(3, 4) if key & 1 else Fraction(1, 2)",
+           "bound = Fraction(1, 2)",
+           (VERDICTS, ORACLES + "test_sweep_two_class")),
+    # padded 2x2s by table gather
+    Mutant("pad-gather-pre-post", "qotp.py",
+           "at + 4 * _PAULI_CODE[post] + _PAULI_CODE[pre]",
+           "at + 4 * _PAULI_CODE[pre] + _PAULI_CODE[post]",
+           (PAD_TABLE,)),
+    Mutant("pad-table-side", "qotp.py",
+           "unitaries[..., None, :, :] @ _PAULI_MATRICES",
+           "_PAULI_MATRICES @ unitaries[..., None, :, :]",
+           (PAD_TABLE,)),
     # the exact acceptance probability
     Mutant("v0-product", "oracles.py",
            "np.prod(np.delete(trap, v0))",
