@@ -159,8 +159,9 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
     choices, error bits and pads, drawn as a run of ``accredit`` draws
     them) happens before any message is exchanged, and she reads every
     slot's band unitaries, her drawn errors folded in, once from
-    ``plan.unitaries()``; no circuit is built. ``alice_noise`` (None or a
-    BoundedGateNoise) is the noise model of that draw, noiseless for None.
+    ``plan.unitaries()``, fused in one ``simulator.fuse_round`` call; no
+    circuit is built. ``alice_noise`` (None or a BoundedGateNoise) is the
+    noise model of that draw, noiseless for None.
     Bob's deviations (:meth:`BobStrategy.check_fits`), n against the
     statevector limit (SimLimitError) and the noise's type and qubit count
     are checked before any draw.
@@ -176,7 +177,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
                          f"qubits cannot act on a target of n={n} qubits")
     plan = plan_run(target, v,
                     NoiseModel() if alice_noise is None else alice_noise, rng)
-    v0, unitaries = plan.v0, plan.unitaries()
+    v0 = plan.v0
+    blocks = simulator.fuse_round(plan.unitaries().transpose(2, 0, 1, 3, 4))
     channel = Transport()
     target_output = None
     for k, key in enumerate(plan.keys):
@@ -185,7 +187,8 @@ def run_session(target: Circuit, v: int, bob: BobStrategy,
             reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)
         for j, pairs in enumerate(target.cz):
             reg = _hand_over(channel, reg, BOB, ALICE, "qubits_to_alice")
-            reg.apply(ALICE, simulator.apply_round, unitaries[k, j])
+            reg.apply(ALICE, simulator.apply_round,
+                      [block[k, j] for block in blocks])
             reg = _hand_over(channel, reg, ALICE, BOB, "qubits_to_bob")
             for dev in bob.deviations_for(k, j + 1):
                 reg.apply(BOB, simulator.apply_pauli, dev.x_bits, dev.z_bits)

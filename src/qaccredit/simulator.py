@@ -39,10 +39,7 @@ from .pauli import PauliString
 TRACE_ATOL = 1e-10
 MAX_STATEVECTOR_QUBITS = 16
 MAX_DENSITY_QUBITS = 6
-# apply_round fuses the 2x2s of BLOCK qubits into one product from
-# BLOCK_FROM qubits on; below that the per-qubit products cost no more
-BLOCK = 4
-BLOCK_FROM = 8
+BLOCK = 4  # qubits of one fused Kronecker block of a round
 
 
 class SimLimitError(RuntimeError):
@@ -180,30 +177,34 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def apply_round(state: np.ndarray, unitaries, n: int) -> np.ndarray:
-    """Apply a band's single-qubit round, the 2x2 unitary ``unitaries[q]``
-    on every qubit q (qubit 0 = least significant bit); ``unitaries`` is an
-    (n, 2, 2) array or a list of n 2x2s.
+def fuse_round(unitaries) -> list:
+    """A single-qubit round as the Kronecker blocks :func:`apply_round`
+    applies: ``unitaries`` (n, ..., 2, 2) holds qubit q's 2x2 (qubit 0 =
+    least significant bit) at index q, with any batch axes in between, and
+    each block (..., 2^k, 2^k) is the product of k <= ``BLOCK``
+    consecutive qubits' 2x2s, the highest qubits first (gate fusion,
+    arXiv:1704.01127). A caller that knows its gates ahead fuses them once
+    and indexes the blocks by its batch axes."""
+    unitaries = np.asarray(unitaries)
+    n = len(unitaries)
+    return [_kron(unitaries[max(hi - BLOCK, 0):hi])
+            for hi in range(n, 0, -BLOCK)]
 
-    ``state`` may carry leading batch axes, (..., 2^n); ``unitaries[q]``
-    may then be a stack (..., 2, 2) of one 2x2 per state. Each product acts
-    on the highest qubits, the first axis after the batch axes, and leaves
-    them as the lowest, so after the last product every qubit is back in
-    place. Below ``BLOCK_FROM`` qubits that is one 2x2 product per qubit;
-    from there on the 2x2s of up to ``BLOCK`` qubits are first multiplied
-    into one Kronecker product, so the state is read once per block, not
-    once per qubit (gate fusion, arXiv:1704.01127).
+
+def apply_round(state: np.ndarray, blocks, n: int) -> np.ndarray:
+    """Apply a band's single-qubit round, given as its :func:`fuse_round`
+    blocks, to ``state`` (..., 2^n), one product per block.
+
+    A block may be one matrix for every state or a stack (..., 2^k, 2^k)
+    of one per state. Each product acts on the highest qubits, the first
+    axis after the batch axes, and leaves them as the lowest, so after the
+    last block every qubit is back in place and the state has been read
+    once per block, not once per qubit. ``n`` is unused: every band step
+    takes the qubit count last.
     """
     shape = state.shape
-    if n < BLOCK_FROM:
-        split = shape[:-1] + (2, -1)
-        for u in reversed(unitaries):
-            state = (state.reshape(split).mT @ u.mT).reshape(shape)
-        return state
-    for hi in range(n, 0, -BLOCK):
-        lo = max(hi - BLOCK, 0)
-        u = _kron(unitaries[lo:hi])
-        state = (state.reshape(shape[:-1] + (2 ** (hi - lo), -1)).mT
+    for u in blocks:
+        state = (state.reshape(shape[:-1] + (u.shape[-1], -1)).mT
                  @ u.mT).reshape(shape)
     return state
 
@@ -276,8 +277,17 @@ def band_unitaries(gates: np.ndarray, matrices: dict) -> np.ndarray:
 def _x_weights(state: np.ndarray, n: int) -> np.ndarray:
     """Squared X-basis amplitudes of a state, not normalised."""
     # rotate to the X basis so computational outcomes are the measurement bits
-    state = apply_round(state, [cliffords.MATRICES[cliffords.C_H]] * n, n)
-    return np.abs(state) ** 2
+    return np.abs(apply_round(state, _hadamard_round(n), n)) ** 2
+
+
+@lru_cache(maxsize=32)
+def _hadamard_round(n: int) -> tuple:
+    """Read-only :func:`fuse_round` blocks of a Hadamard on every qubit."""
+    blocks = tuple(fuse_round(np.broadcast_to(
+        cliffords.MATRICES[cliffords.C_H], (n, 2, 2))))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def x_distribution(state: np.ndarray, n: int) -> np.ndarray:
@@ -368,16 +378,18 @@ def slice_distributions(circuit: Circuit, slices: np.ndarray):
 
 def _walk(state: np.ndarray, bands, cz: tuple, n: int,
           operators: Optional[dict] = None) -> np.ndarray:
-    """``state`` through single-qubit rounds ``bands``, each followed by
-    its cZ layer in ``cz``; an empty layer costs nothing. ``operators``
-    maps a location, counted from the first band passed, to one 2^n x 2^n
-    matrix applied there: location 0 before the first round, location j+1
-    after round j and before its cZ layer, even an empty one."""
+    """``state`` through single-qubit rounds ``bands`` (m, n, ..., 2, 2),
+    each followed by its cZ layer in ``cz``; an empty layer costs nothing.
+    A round is fused (:func:`fuse_round`) as the walk reaches it, so the
+    walk holds one round's blocks at any m. ``operators`` maps a location,
+    counted from the first band passed, to one 2^n x 2^n matrix applied
+    there: location 0 before the first round, location j+1 after round j
+    and before its cZ layer, even an empty one."""
     operators = operators or {}
     if 0 in operators:
         state = state @ operators[0].T
     for j, (unitaries, pairs) in enumerate(zip(bands, cz), 1):
-        state = apply_round(state, unitaries, n)
+        state = apply_round(state, fuse_round(unitaries), n)
         if j in operators:
             state = state @ operators[j].T
         if pairs:

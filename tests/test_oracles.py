@@ -226,6 +226,27 @@ def _class_rows(topo, kind, seed):
                                               for loc in locs))]
 
 
+@pytest.mark.parametrize("kind", ["single", "two", "all"])
+def test_pass_counts_equal_the_exact_probability_of_each_collection(
+        kind, monkeypatch):
+    # each location gathers only the rows that touch it; at n = 5 an inner
+    # location's 10 code bits take two flip tables, and a small chunk
+    # splits the 32 trap choices and the collections into many blocks
+    monkeypatch.setattr(oracles, "SWEEP_CHUNK", 2 ** 10)
+    topo = families.random_clifford_circuit(5, 2, np.random.default_rng(0))
+    table = oracles._choice_flip_tables(topo)
+    n_choices = table.shape[-1]
+    assert n_choices == 32
+    codes = np.array(_class_rows(topo, kind, seed=6))
+    counts = oracles._pass_counts(table, codes)
+    assert counts.shape == (len(codes),)
+    # every row of a one-location sweep, a spread of the larger classes
+    stride = 1 if kind == "single" else 7
+    for row, count in zip(codes[::stride], counts[::stride]):
+        want = lemma2_exact_prob(topo, oracles._bits(row, topo.n))
+        assert Fraction(int(count), n_choices) == want
+
+
 @pytest.mark.parametrize("topo, trivial_too", [
     (identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()]), True),
     (families.random_clifford_circuit(2, 4, np.random.default_rng(12)),
@@ -700,6 +721,42 @@ def test_theorem1_sampler_keeps_the_draws_of_the_full_gather(
         assert new.bit_generator.state == old.bit_generator.state
         wants.append(want)
     assert wants[1] > 0  # the mixture with zero weights corrupts some runs
+
+
+class _Draws:
+    """A generator stand-in whose ``random`` hands out fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("entries", [1, 3, 30, 64, 65, 300])
+def test_choice_draw_is_rng_choice(entries):
+    # counting by passes up to _CDF_PASSES entries, by binary search beyond
+    rng = np.random.default_rng(entries)
+    probs = rng.dirichlet(np.ones(entries))
+    probs[rng.random(entries) < 0.3] = 0.0  # zero-weight entries
+    probs[rng.integers(entries)] = 1.0
+    probs /= probs.sum()
+    runs = 10 ** 4
+    seed = int(rng.integers(2 ** 32))
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    picked = oracles._choice_draw(probs, runs, new)
+    assert np.array_equal(picked, old.choice(entries, size=runs, p=probs))
+    assert new.bit_generator.state == old.bit_generator.state
+    assert (probs[picked] > 0).all()
+    # the rule itself: each uniform picks the count of normalised cdf
+    # values at or below it, exact hits on the cdf included
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate(([0.0], cdf[:-1], np.nextafter(cdf[:-1], 0),
+                        rng.random(100)))
+    want = [sum(c <= x for c in cdf[:-1]) for x in u]
+    assert oracles._choice_draw(probs, len(u), _Draws(u)).tolist() == want
 
 
 def test_theorem1_draw_cap(monkeypatch):

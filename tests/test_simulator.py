@@ -289,27 +289,36 @@ def _kron_round(states, unitaries):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_apply_round_matches_kronecker_reference(n):
-    # the per-qubit products below simulator.BLOCK_FROM qubits, the fused
-    # blocks from there on, in every form a caller passes
+    # fused blocks of at most simulator.BLOCK qubits at every n, a last
+    # block of n % 4 qubits included, in every form a caller passes:
+    # shared 2x2s, one stack per state under one or two batch axes, a list
+    # of 2x2s and the cached Hadamard round
     rng = np.random.default_rng(n)
     states = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
     stack = np.array([[families.random_unitary(2, rng) for _ in range(3)]
                       for _ in range(n)])
     shared = np.broadcast_to(stack[:, :1], stack.shape)
     hadamard = cliffords.MATRICES[cliffords.C_H]
+    hadamards = np.broadcast_to(hadamard, (n, 1, 2, 2))
     cases = [
         (states[0], stack[:, 0], states[:1], shared[:, :1]),
         (states, stack[:, 0], states, shared),
         (states, stack, states, stack),
         (states.reshape(3, 1, -1), stack[:, :, None], states, stack),
-        (states[0], [hadamard] * n, states[:1],
-         np.broadcast_to(hadamard, (n, 1, 2, 2))),
+        (states[0], [hadamard] * n, states[:1], hadamards),
     ]
     for state, unitaries, ref_states, ref_unitaries in cases:
-        out = simulator.apply_round(state, unitaries, n)
+        blocks = simulator.fuse_round(unitaries)
+        # highest qubits first: every block holds BLOCK qubits but the last
+        assert [b.shape[-1] for b in blocks] == [
+            2 ** min(simulator.BLOCK, n - lo)
+            for lo in range(0, n, simulator.BLOCK)]
+        out = simulator.apply_round(state, blocks, n)
         ref = _kron_round(ref_states, ref_unitaries)
         assert out.shape == state.shape
         assert np.abs(out.reshape(ref.shape) - ref).max() <= 1e-12
+    out = simulator.apply_round(states[0], simulator._hadamard_round(n), n)
+    assert np.abs(out - _kron_round(states[:1], hadamards)[0]).max() <= 1e-12
 
 
 def _amplitude_damping(n, q, gamma):

@@ -59,8 +59,8 @@ def test_trap_is_oriented_cx_sequence():
         trap = generate_trap(topo, [*bits, 0])
         state = simulator.plus_state(2)
         for j, pairs in enumerate(trap.cz):
-            state = simulator.apply_round(
-                state, [trap.unitary(j, i) for i in range(2)], 2)
+            state = simulator.apply_round(state, simulator.fuse_round(
+                [trap.unitary(j, i) for i in range(2)]), 2)
             state = simulator.apply_cz(state, pairs, 2)
         # cX on |++> is |++>, so the whole trap must fix |+>^n
         overlap = abs(np.vdot(np.full(4, 0.5), state))

@@ -53,6 +53,10 @@ SAME_DRAWS = (ORACLES
 VERDICTS = ORACLES + "test_sweep_verdicts_equal_a_per_collection_decision"
 EXACT = ORACLES + "test_exact_acceptance_is_the_sum_over_every_slice"
 HOEFFDING = ORACLES + "test_accredit_acceptance_lies_in_its_hoeffding_interval"
+PASS_COUNTS = ORACLES + ("test_pass_counts_equal_the_exact_probability_"
+                         "of_each_collection")
+CHOICE_DRAW = ORACLES + "test_choice_draw_is_rng_choice"
+FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
 
 MUTANTS = (
     # the sampler: candidates by geometric gaps, one letter uniform each
@@ -120,13 +124,12 @@ MUTANTS = (
            (TRAPS + "test_sandwich_bit",)),
     # the credibility sampler, slot by slot on the same draws
     Mutant("sampler-no-v0-mask", "oracles.py",
-           "rejected[rows] |= (reject[k].take(at + choice[:, k])\n"
-           "                               & (v0[rows] != k))",
-           "rejected[rows] |= reject[k].take(at + choice[:, k])",
+           "rejected[rows] |= reject[k].take(at[k]) & (v0[rows] != k)",
+           "rejected[rows] |= reject[k].take(at[k])",
            (SAME_DRAWS, ORACLES + "test_corrupted_target_is_seen")),
     Mutant("sampler-slot-table", "oracles.py",
-           "reject[k].take(at + choice[:, k])",
-           "reject[0].take(at + choice[:, k])",
+           "reject[k].take(at[k])",
+           "reject[0].take(at[k])",
            (SAME_DRAWS,)),
     Mutant("sampler-entry-by-probs", "oracles.py",
            "for c in cdf[:-1]:",
@@ -146,6 +149,29 @@ MUTANTS = (
            "unitaries[..., None, :, :] @ _PAULI_MATRICES",
            "_PAULI_MATRICES @ unitaries[..., None, :, :]",
            (PAD_TABLE,)),
+    # fused rounds: Kronecker blocks, highest qubits first
+    Mutant("fuse-block-order", "simulator.py",
+           "for hi in range(n, 0, -BLOCK)]",
+           "for hi in range(n, 0, -BLOCK)][::-1]",
+           (FUSED,)),
+    Mutant("round-block-untransposed", "simulator.py",
+           "@ u.mT).reshape(shape)",
+           "@ u).reshape(shape)",
+           (FUSED,)),
+    # pass counts over the rows that touch a location
+    Mutant("sparse-xor-leading-rows", "oracles.py",
+           "flips[rows] ^= t[",
+           "flips[:rows.stop - rows.start] ^= t[",
+           (PASS_COUNTS,)),
+    Mutant("sparse-span-end", "oracles.py",
+           "rows = slice(touched[0], touched[-1] + 1)",
+           "rows = slice(touched[0], touched[-1])",
+           (PASS_COUNTS,)),
+    # the entry draw beyond _CDF_PASSES entries
+    Mutant("choice-draw-side", "oracles.py",
+           'cdf[:-1].searchsorted(u, side="right")',
+           'cdf[:-1].searchsorted(u, side="left")',
+           (CHOICE_DRAW,)),
     # the exact acceptance probability
     Mutant("v0-product", "oracles.py",
            "np.prod(np.delete(trap, v0))",
