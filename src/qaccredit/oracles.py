@@ -45,6 +45,7 @@ from .noise import (ExplicitCollectionDistribution,
 from .protocol import KAPPA
 
 TWIRL_RESIDUAL_TOL = 1e-9
+TWIRL_OUTPUT_DECIMALS = 12  # twirl candidates alike to this many decimals
 CROSS_TERM_TOL = 1e-12
 SWEEP_SAMPLES = 10 ** 4  # collections drawn by the sampled ``all`` sweep
 FLIP_TABLE_CAP = 2 ** 20  # entries of one flip table
@@ -56,7 +57,6 @@ _CODE_GROUP_BITS = 8  # code bits one location's flip table covers
 TWIRL_WALK_CAP = 2 ** 15  # statevector walks in one pad-twirl fit
 PAULI_TWIRL_TERM_CAP = 2 ** 18  # Q-conjugated terms in the dense twirl sums
 THEOREM1_DRAW_CAP = 2 ** 24  # slot draws, runs x (v+1), of a credibility check
-_CDF_PASSES = 64  # adversary entries an entry draw counts in passes
 
 
 @dataclass
@@ -379,7 +379,9 @@ def _instance_names(codes: np.ndarray, n: int) -> list:
 @dataclass
 class TwirlReport:
     """A twirl fit: ``weights[i]`` weighs candidate slice i of
-    ``collections``, an (x, z) pair of (C, m+1, n) uint8 bit arrays."""
+    ``collections``, an (x, z) pair of (C, m+1, n) uint8 bit arrays.
+    Candidates with one output distribution share its fitted weight: it
+    sits on the first of them, and the rest weigh 0."""
     averaged: np.ndarray  # pad-averaged output distribution of the circuit
     residual: float
     weights: np.ndarray
@@ -445,7 +447,14 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
     scale = 10.0
     a_aug = np.vstack([a, scale * np.ones(a.shape[1])])
     b_aug = np.concatenate([averaged, [scale]])
-    weights, _ = nnls(a_aug, b_aug)
+    split, _ = nnls(a_aug, b_aug)
+    # how the fit splits one output's weight among its candidates follows
+    # last bits of the walk, so each output's total sits on its first
+    _, first, output = np.unique(a.T.round(TWIRL_OUTPUT_DECIMALS) + 0.0,
+                                 axis=0, return_index=True,
+                                 return_inverse=True)
+    weights = np.zeros_like(split)
+    weights[first] = np.bincount(output.ravel(), split, len(first))
     residual = float(np.max(np.abs(a @ weights - averaged)))
     return TwirlReport(averaged=averaged, residual=residual, weights=weights,
                        collections=(err_x, err_z),
@@ -552,17 +561,12 @@ def _acceptance_tables(target: Circuit,
 
 def _choice_draw(probs: np.ndarray, runs: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(len(probs), size=runs, p=probs)`` by its own rule: one
-    uniform per run, its index the count of normalised cdf values at or
-    below it. Up to ``_CDF_PASSES`` entries that count takes one vector
-    comparison per cdf value; beyond, one binary search per run, whose
-    branches mispredict on random draws: at 10^5 runs about 1.4 ms
-    against 0.2 ms at 3 entries, 7 ms against 25 ms at 300."""
+    """``rng.choice(len(probs), size=runs, p=probs)`` by its own rule, for
+    a few entries: one uniform per run, its index the count of normalised
+    cdf values at or below it."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     u = rng.random(runs)
-    if len(cdf) > _CDF_PASSES:
-        return cdf[:-1].searchsorted(u, side="right")
     picked = np.zeros(runs, dtype=np.intp)
     for c in cdf[:-1]:
         picked += u >= c

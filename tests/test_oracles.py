@@ -466,6 +466,28 @@ def test_twirl_pure_z_error_recovered():
     assert rep.weights[target[0]] > 1 - 1e-8
 
 
+def test_twirl_weights_do_not_follow_the_rounding_of_a_walk(monkeypatch):
+    # many candidates share one output distribution; unfused rounds round
+    # differently, and must not move weight between such candidates
+    rng = np.random.default_rng(5)
+    fits = [(families.random_generic_circuit(2, 2, rng),
+             {1: [_random_unitary(4, rng)]}) for _ in range(8)]
+    fused = [twirl_channel(circ, channels) for circ, channels in fits]
+    monkeypatch.setattr(simulator, "BLOCK", 1)
+    for (circ, channels), rep in zip(fits, fused):
+        unfused = twirl_channel(circ, channels)
+        assert rep.passed and unfused.passed
+        assert np.abs(unfused.weights - rep.weights).max() < 1e-9
+        # each output's weight sits on its first candidate
+        x, z = rep.collections
+        outputs = simulator.density_distribution(qotp.pad_unitaries(
+            simulator.band_unitaries(circ.gates, circ.matrices),
+            *simulator.error_paulis(x, z)).transpose(1, 2, 0, 3, 4),
+            circ.cz, {}).round(9)
+        for i in np.flatnonzero(rep.weights):
+            assert not (outputs[:i] == outputs[i]).all(axis=1).any()
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
                                   (2, 3)])
 def test_twirl_candidates_are_every_slice_once(n, m):
@@ -734,9 +756,8 @@ class _Draws:
         return self.u
 
 
-@pytest.mark.parametrize("entries", [1, 3, 30, 64, 65, 300])
+@pytest.mark.parametrize("entries", [1, 3, 30, 300])
 def test_choice_draw_is_rng_choice(entries):
-    # counting by passes up to _CDF_PASSES entries, by binary search beyond
     rng = np.random.default_rng(entries)
     probs = rng.dirichlet(np.ones(entries))
     probs[rng.random(entries) < 0.3] = 0.0  # zero-weight entries

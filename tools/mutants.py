@@ -56,6 +56,8 @@ HOEFFDING = ORACLES + "test_accredit_acceptance_lies_in_its_hoeffding_interval"
 PASS_COUNTS = ORACLES + ("test_pass_counts_equal_the_exact_probability_"
                          "of_each_collection")
 CHOICE_DRAW = ORACLES + "test_choice_draw_is_rng_choice"
+TWIRL_WEIGHTS = ORACLES + ("test_twirl_weights_do_not_follow_the_"
+                           "rounding_of_a_walk")
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
 
 MUTANTS = (
@@ -167,11 +169,16 @@ MUTANTS = (
            "rows = slice(touched[0], touched[-1] + 1)",
            "rows = slice(touched[0], touched[-1])",
            (PASS_COUNTS,)),
-    # the entry draw beyond _CDF_PASSES entries
-    Mutant("choice-draw-side", "oracles.py",
-           'cdf[:-1].searchsorted(u, side="right")',
-           'cdf[:-1].searchsorted(u, side="left")',
+    # the entry draw: a uniform on a cdf value picks the next entry
+    Mutant("choice-draw-tie", "oracles.py",
+           "picked += u >= c",
+           "picked += u > c",
            (CHOICE_DRAW,)),
+    # the twirl fit: one weight per output distribution
+    Mutant("twirl-outputs-unrounded", "oracles.py",
+           "a.T.round(TWIRL_OUTPUT_DECIMALS) + 0.0",
+           "a.T",
+           (TWIRL_WEIGHTS,)),
     # the exact acceptance probability
     Mutant("v0-product", "oracles.py",
            "np.prod(np.delete(trap, v0))",
