@@ -15,14 +15,17 @@ is not a Pauli needs no model of its own: the one-time pad twirls it into a
 Pauli mixture, which the twirl oracle checks. Models never see which circuit
 is the target or any pad/trap bits.
 
-A model has one sampler, ``sample_error_bits``, which draws the collections
-of R runs at once as (x, z) uint8 bits of shape (R, v+1, m+1, n): a leading
-run axis, then circuit, location and qubit (bit q is qubit q). A single run
-is the sampler called with R = 1. Per-location channels draw in proportion
-to the errors, not the locations: the positions that may fire come from
-geometric gaps, and each gets one uniform that picks its letter. A gate
-deviation is drawn as the location error it meets: band j's deviation is
-XORed into the location-(j+1) error, the same operator up to phase.
+A model has one sampler, ``sample_hits``, which draws the errors of R runs
+at once as hits: ascending int64 flat positions over (run, circuit,
+location, qubit), the shape (R, v+1, m+1, n), each with a uint8 code
+x | z << 1 of 1 (X), 2 (Z) or 3 (Y). A single run is the sampler called
+with R = 1, and ``sample_error_bits`` scatters the hits into (x, z) uint8
+bits of that shape (bit q is qubit q). Per-location channels draw in
+proportion to the errors, not the locations: the positions that may fire
+come from geometric gaps, and each gets one uniform that picks its letter.
+A gate deviation is drawn as the location error it meets: band j's
+deviation is XORed into the location-(j+1) error, the same operator up to
+phase.
 """
 
 from __future__ import annotations
@@ -101,20 +104,38 @@ def _real(value, what: str) -> float:
 
 
 class NoiseModel:
-    """Base: no noise. A model overrides the sampler; the base version
-    draws nothing.
+    """Base: no noise. A model overrides the sampler, :meth:`sample_hits`;
+    the base version draws nothing.
     """
+
+    def sample_hits(self, runs: int, v: int, n: int, m: int,
+                    rng: np.random.Generator) -> tuple:
+        """The errors of ``runs`` runs as hits (positions, codes): ascending
+        int64 flat positions over (run, circuit, location, qubit) of shape
+        (runs, v+1, m+1, n), and each one's uint8 code x | z << 1, never 0.
+        The caller owns both arrays."""
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
 
     def sample_error_bits(self, runs: int, v: int, n: int, m: int,
                           rng: np.random.Generator) -> tuple:
-        """The collections of ``runs`` runs as (x, z) uint8 arrays of shape
+        """The hits of :meth:`sample_hits` as (x, z) uint8 arrays of shape
         (runs, v+1, m+1, n), which the caller owns."""
-        shape = (runs, v + 1, m + 1, n)
-        return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
+        return scatter_hits(self.sample_hits(runs, v, n, m, rng),
+                            (runs, v + 1, m + 1, n))
 
     def g_factor(self, v: int, m: int) -> float:
         """Product over all (v+1)*m single-qubit rounds of (1 - r_max)."""
         return 1.0
+
+
+def scatter_hits(hits: tuple, shape: tuple) -> tuple:
+    """Hits (positions, codes) over the flat ``shape`` as dense (x, z)
+    uint8 arrays of that shape."""
+    positions, codes = hits
+    bits = np.zeros((2, math.prod(shape)), dtype=np.uint8)
+    bits[0, positions] = codes & 1
+    bits[1, positions] = codes >> 1
+    return bits[0].reshape(shape), bits[1].reshape(shape)
 
 
 def noiseless() -> NoiseModel:
@@ -127,7 +148,8 @@ class ExplicitCollectionDistribution(NoiseModel):
     The model holds only bits, each collection converted once, here:
     ``bits[e]`` is entry e's read-only (x, z) pair of (v+1, m+1, n) uint8
     arrays, all of one shape (bit q is qubit q), and ``probs[e]`` its
-    probability. A draw picks one entry per run and hands out copies.
+    probability. Each entry's hits are found once too, so a draw picks one
+    entry per run and gathers that entry's hits.
     """
 
     def __init__(self, entries: Sequence):
@@ -147,17 +169,28 @@ class ExplicitCollectionDistribution(NoiseModel):
         for x, z in self.bits:
             x.setflags(write=False)
             z.setflags(write=False)
-        # (entries, v+1, m+1, n) stacks of x and z, gathered by one draw
-        self._stacked = tuple(np.stack(part) for part in zip(*self.bits))
+        # every entry's hits in one run, entry by entry: entry e's are
+        # positions[bounds[e]:bounds[e + 1]], flat over (v+1, m+1, n)
+        codes = np.stack([x | z << 1 for x, z in self.bits]).reshape(
+            len(self.bits), -1)
+        entry, positions = np.nonzero(codes)
+        self._hits = (positions, codes[entry, positions],
+                      np.searchsorted(entry, np.arange(len(self.bits) + 1)))
 
-    def sample_error_bits(self, runs, v, n, m, rng):
+    def sample_hits(self, runs, v, n, m, rng):
         """One entry per run, picked by one ``rng.choice`` of ``runs``."""
         shape = self.bits[0][0].shape
         if shape != (v + 1, m + 1, n):
             raise ValueError(f"collection shape {shape} does not match "
                              f"(v+1, m+1, n) = {(v + 1, m + 1, n)}")
         picked = rng.choice(len(self.probs), size=runs, p=self.probs)
-        return tuple(part[picked] for part in self._stacked)
+        positions, codes, bounds = self._hits
+        count = np.diff(bounds)[picked]
+        # hit i of run r is hit i of its entry, offset by r runs
+        run = np.repeat(np.arange(runs), count)
+        at = np.arange(count.sum()) + np.repeat(
+            bounds[picked] - (np.cumsum(count) - count), count)
+        return run * math.prod(shape) + positions[at], codes[at]
 
 
 class IndependentLocationChannels(NoiseModel):
@@ -210,7 +243,7 @@ class IndependentLocationChannels(NoiseModel):
             self._cumulative[v, m] = np.cumsum(rates, axis=-1).reshape(-1, 3)
         return self._cumulative[v, m]
 
-    def sample_error_bits(self, runs, v, n, m, rng):
+    def sample_hits(self, runs, v, n, m, rng):
         """Candidates by geometric gaps, then one letter uniform each.
 
         Over the flat (run, circuit, location, qubit) order, each position
@@ -223,21 +256,19 @@ class IndependentLocationChannels(NoiseModel):
         location's rates, and the draws follow the errors, not the
         positions. At p = 0 nothing is drawn."""
         cum = self._thresholds(v, m)
-        shape = (runs, v + 1, m + 1, n)
-        x = np.zeros(math.prod(shape), dtype=np.uint8)
-        z = np.zeros_like(x)
         p = min(float(cum[:, 2].max()), 1.0)
-        if p > 0.0:
-            hit = _gap_positions(p, len(x), rng)
-            u = rng.random(len(hit)) * p
-            # a flat index over (run, circuit, location, qubit) reads the
-            # thresholds of its (circuit, location)
-            cum = cum[hit // n % len(cum)]
-            fires = u < cum[:, 2]
-            hit, u, cum = hit[fires], u[fires], cum[fires]
-            x[hit] = u < cum[:, 1]
-            z[hit] = u >= cum[:, 0]
-        return x.reshape(shape), z.reshape(shape)
+        if p == 0.0:
+            return super().sample_hits(runs, v, n, m, rng)
+        hit = _gap_positions(p, runs * len(cum) * n, rng)
+        u = rng.random(len(hit)) * p
+        # a flat index over (run, circuit, location, qubit) reads the
+        # thresholds of its (circuit, location)
+        cum = cum[hit // n % len(cum)]
+        fires = u < cum[:, 2]
+        hit, u, cum = hit[fires], u[fires], cum[fires]
+        x_bit = (u < cum[:, 1]).view(np.uint8)
+        z_bit = (u >= cum[:, 0]).view(np.uint8)
+        return hit, x_bit | z_bit << 1
 
 
 def _gap_positions(p: float, size: int, rng: np.random.Generator
@@ -299,7 +330,7 @@ def random_adversary(n: int, m: int, v: int, rng: np.random.Generator,
     return ExplicitCollectionDistribution([(c, p / total) for c, p in entries])
 
 
-_LETTER_BITS = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)  # X, Y, Z
+_LETTER_CODES = np.array([1, 3, 2], dtype=np.uint8)  # X, Y, Z as x | z << 1
 
 
 class BoundedGateNoise(NoiseModel):
@@ -327,23 +358,22 @@ class BoundedGateNoise(NoiseModel):
     def g_factor(self, v, m):
         return math.prod([1.0 - self.rate] * ((v + 1) * m))
 
-    def sample_error_bits(self, runs, v, n, m, rng):
+    def sample_hits(self, runs, v, n, m, rng):
         """Three array draws: one firing uniform per (run, circuit, band),
         then, over the rounds that fire in that order, their qubits and then
         their letters (X, Y, Z); band j's deviation sits at location j+1."""
         if n != self.n:
             raise ValueError(f"gate noise built for n={self.n} qubits "
                              f"cannot act on a circuit of n={n} qubits")
-        r, k, j = np.nonzero(rng.random((runs, v + 1, m)) < self.rate)
-        q = rng.integers(0, n, size=len(r))
-        letter = rng.integers(0, 3, size=len(r))
-        bits = np.zeros((2, runs, v + 1, m + 1, n), dtype=np.uint8)
-        bits[:, r, k, j + 1, q] = _LETTER_BITS[:, letter]
-        return bits[0], bits[1]
+        fired = np.flatnonzero(rng.random((runs, v + 1, m)) < self.rate)
+        q = rng.integers(0, n, size=len(fired))
+        letter = rng.integers(0, 3, size=len(fired))
+        # flat (run, circuit, band j) to flat (run, circuit, location j+1)
+        return (fired + fired // m + 1) * n + q, _LETTER_CODES[letter]
 
 
 class CompositeModel(NoiseModel):
-    """Any two models at once: their error bits XORed (Pauli part drawn
+    """Any two models at once: their hits XOR-merged (Pauli part drawn
     first) and their g factors multiplied; a missing part is noiseless."""
 
     def __init__(self, pauli_part: Optional[NoiseModel] = None,
@@ -351,10 +381,18 @@ class CompositeModel(NoiseModel):
         self.pauli_part = pauli_part if pauli_part is not None else NoiseModel()
         self.gate_part = gate_part if gate_part is not None else NoiseModel()
 
-    def sample_error_bits(self, runs, v, n, m, rng):
-        px, pz = self.pauli_part.sample_error_bits(runs, v, n, m, rng)
-        gx, gz = self.gate_part.sample_error_bits(runs, v, n, m, rng)
-        return px ^ gx, pz ^ gz
+    def sample_hits(self, runs, v, n, m, rng):
+        """Both parts' hits in position order, the codes of a position both
+        parts hit XORed into one, which is dropped when it cancels to 0."""
+        positions, codes = (np.concatenate(part) for part in zip(
+            self.pauli_part.sample_hits(runs, v, n, m, rng),
+            self.gate_part.sample_hits(runs, v, n, m, rng)))
+        order = np.argsort(positions, kind="stable")
+        positions = positions[order]
+        first = np.flatnonzero(np.diff(positions, prepend=-1))
+        codes = np.bitwise_xor.reduceat(codes[order], first)
+        kept = codes != 0
+        return positions[first][kept], codes[kept]
 
     def g_factor(self, v, m):
         return self.pauli_part.g_factor(v, m) * self.gate_part.g_factor(v, m)

@@ -31,9 +31,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import cliffords, qotp, simulator, traps
+from . import qotp, simulator, traps
 from .circuit import Circuit
-from .noise import NoiseModel
+from .noise import NoiseModel, scatter_hits
 
 KAPPA = Fraction(27, 16)  # 3 * (3/4)^2, exact
 GATE_RATE_DIVISOR = 10.0  # figure8_curve's single-qubit rounds fail at r0/10
@@ -185,23 +185,20 @@ def plan_run(target: Circuit, v: int, noise: NoiseModel,
     t-th slot other than v0, with the gates :func:`traps.trap_cliffords`
     gives its choice row; every slot is dressed by its pad row
     (:func:`qotp.pad_paulis`), as :func:`qotp.dress` dresses one circuit,
-    on the target's cZ layers, and its drawn errors are composed into the
-    pads (:func:`simulator.error_paulis`). Both the padded reference run
-    and the two-party session execute these v+1 circuits as run, each
-    post-processed with its key. No circuit is built.
+    on the target's cZ layers, with its drawn errors XORed into the pad
+    Paulis. Both the padded reference run and the two-party session
+    execute these v+1 circuits as run, each post-processed with its key.
+    No circuit is built.
     """
     _check_plan(target, v)
-    v0, choice, err_x, err_z = _draw_runs(target, v, noise, 1, rng)
+    v0, choice, err_x, err_z = _dense_runs(target, v, noise, 1, rng)
     v0 = int(v0[0])
     pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(target.n, target.m)),
                         dtype=np.uint8)
     trap_gates = traps.trap_cliffords(target, choice[0])
     bases = np.concatenate((trap_gates[:v0], target.gates[None],
                             trap_gates[v0:]))
-    pre, post, keys = qotp.pad_paulis(target, pads)
-    err_pre, err_post = simulator.error_paulis(err_x[0], err_z[0])
-    pre = cliffords.COMPOSE[err_pre, pre]
-    post = cliffords.COMPOSE[post, err_post]
+    pre, post, keys = qotp.pad_paulis(target, pads, (err_x[0], err_z[0]))
     return RunPlan(v0, qotp.pad_gates(bases, pre, post),
                    qotp.pad_matrices(target.matrices, pre[v0], post[v0]),
                    keys)
@@ -238,10 +235,11 @@ def run_rng(master_seed: int, block: int) -> np.random.Generator:
 # Runs drawn from one run_rng stream; fixed, so a report's runs do not
 # depend on d.
 STREAM_BLOCK = 128
-# Bytes of live trap rows and target slices that stream blocks hand on to
-# one trap walk: once the pending blocks hold more, they are decided
-# together, so a walk's memory is bounded for any d while a small report
-# is one walk.
+# Bytes that stream blocks hand on to one trap walk, each pending error hit
+# counted at the bytes of a live trap row (its gates, choice row and error
+# codes) and each pending run at its target slice: once the pending blocks
+# count more, they are decided together, so a walk's memory is bounded for
+# any d while a small report is one walk.
 WALK_BYTES = 2 ** 20
 
 
@@ -250,17 +248,17 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
 
     By Lemma 1 the one-time pad changes neither a trap's flip mask nor the
     target's post-processed output distribution under Pauli errors, and
-    every gate deviation is a Pauli drawn into the error bits, so no
+    every gate deviation is a Pauli drawn into the error hits, so no
     circuit is padded. Stream block b draws its ``STREAM_BLOCK`` runs from
     ``run_rng(master_seed, b)`` (:func:`_draw_runs`), then each run's last
     draw. It draws all its runs and drops those past d, so a shorter report
-    is a prefix of a longer one. The traps alone decide a run: by Lemma 2's
-    linearity a trap with no error outputs zeros, so a block hands on only
-    its live trap rows and its runs' target slices and last draws
-    (:func:`_hand_on`). Once the pending blocks hold more than ``WALK_BYTES``,
-    and at the end of the report, their live rows are decided in one walk
-    (:func:`_accepted_slices`), and only the accepted runs' target slices
-    are read.
+    is a prefix of a longer one. A block does nothing but draw: it hands on
+    its runs' v0, packed choice bytes and last draws and its error hits
+    (:func:`_hand_on`). Once the pending blocks count more than
+    ``WALK_BYTES``, and at the end of the report, they are decided in one
+    walk (:func:`_accepted_slices`): by Lemma 2's linearity a trap with no
+    error outputs zeros, so only the trap slots that hold a hit are walked,
+    and only the accepted runs' target slices are built.
 
     A Clifford target's last draw is a mask a of n bits: an accepted run
     outputs :func:`simulator.reference_outcome` XOR the target's flips
@@ -279,125 +277,170 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
         reference = simulator.reference_outcome(target)
     else:
         simulator.check_statevector_size(n)
+    hit_bytes = m * n + traps.choice_width(target) + (m + 1) * n
+    run_bytes = 2 * (m + 1) * n
     rows, draws, pending, held = [], [], [], 0
     for start in range(0, config.d, STREAM_BLOCK):
-        pending.append(_hand_on(config, target, start))
-        held += sum(a.nbytes for part in pending[-1] for a in part)
+        block = _hand_on(config, target, start)
+        pending.append(block)
+        held += (sum(a.nbytes for a in block) + len(block.v0) * run_bytes
+                 + len(block.codes) * hit_bytes)
         if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:
             continue
-        err_x, err_z, last = _accepted_slices(target, pending)
+        slices, last = _accepted_slices(target, pending)
         pending, held = [], 0
         if clifford:
-            err_x[:, 0] ^= last
+            slices[:, 0, 0] ^= last
             gates = np.broadcast_to(target.gates, (len(last), m, n))
-            rows.append(reference
-                        ^ simulator.frame_flips(target, gates, err_x, err_z))
+            rows.append(reference ^ simulator.frame_flips(
+                target, gates, simulator.frame_hits(slices[:, 0],
+                                                    slices[:, 1])))
         else:
-            rows.append(np.stack((err_x, err_z), axis=1))
+            rows.append(slices)
             draws.append(last)
     rows = np.concatenate(rows)
     return list(rows if clifford
                 else _sample_targets(target, rows, np.concatenate(draws)))
 
 
-def _hand_on(config: ProtocolConfig, target: Circuit, start: int) -> tuple:
+class _Block(NamedTuple):
+    """What a stream block hands on (:func:`_hand_on`)."""
+
+    v0: np.ndarray  # (runs,)
+    packed: np.ndarray  # (runs, v, bytes) packed choice bytes
+    positions: np.ndarray  # error hits (:func:`_draw_runs`)
+    codes: np.ndarray
+    last: np.ndarray  # (runs, ...) last draws
+
+
+def _hand_on(config: ProtocolConfig, target: Circuit, start: int) -> _Block:
     """What the stream block of runs ``start`` on hands on, its runs past d
-    dropped: its live trap rows (:func:`_live_traps`), and its runs' target
-    slices err_x, err_z (runs, m+1, n) and last draws. Its dense draws are
-    dropped on return."""
+    and their hits dropped."""
     rng = run_rng(config.master_seed, start // STREAM_BLOCK)
-    drawn = _draw_runs(target, config.v, config.noise, STREAM_BLOCK, rng)
+    v0, packed, (positions, codes) = _draw_runs(
+        target, config.v, config.noise, STREAM_BLOCK, rng)
     last = (rng.integers(0, 2, size=(STREAM_BLOCK, target.n), dtype=np.uint8)
             if target.all_clifford else rng.random(STREAM_BLOCK))
-    v0, choice, err_x, err_z, last = (a[:config.d - start]
-                                      for a in (*drawn, last))
-    run = np.arange(len(v0))
-    return (_live_traps(v0, choice, err_x, err_z),
-            (err_x[run, v0], err_z[run, v0], last))
+    runs = min(STREAM_BLOCK, config.d - start)
+    cut = np.searchsorted(
+        positions, runs * (config.v + 1) * (target.m + 1) * target.n)
+    return _Block(v0[:runs], packed[:runs], positions[:cut], codes[:cut],
+                  last[:runs])
 
 
 def _draw_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
                rng: np.random.Generator) -> tuple:
     """The draws of ``runs`` protocol runs, in the one order every run
-    takes: v0 (runs,), the choice rows (runs, v, choice_width) of each
-    run's traps in slot order, then the error bits err_x, err_z (runs,
-    v+1, m+1, n) of all slots from one ``sample_error_bits`` call. A trap's
-    choice row is ceil(choice_width / 8) random bytes, unpacked
-    least significant bit first."""
+    takes: v0 (runs,), the packed choice bytes (runs, v, ceil(choice_width
+    / 8)) of each run's traps in slot order, then the error hits of all
+    slots, positions flat over (run, slot, location, qubit) and codes, from
+    one ``sample_hits`` call. A trap's choice row is its bytes unpacked
+    least significant bit first (:func:`_choice_rows`)."""
     width = traps.choice_width(target)
     v0 = rng.integers(0, v + 1, size=runs)
     packed = rng.integers(0, 256, size=(runs, v, -(-width // 8)),
                           dtype=np.uint8)
-    choice = np.unpackbits(packed, axis=-1, count=width, bitorder="little")
-    err_x, err_z = noise.sample_error_bits(runs, v, target.n, target.m, rng)
-    return v0, choice, err_x, err_z
+    return v0, packed, noise.sample_hits(runs, v, target.n, target.m, rng)
 
 
-def _live_traps(v0, choice, err_x, err_z) -> tuple:
-    """The trap slots of drawn runs (:func:`_draw_runs`) that hold an error
-    bit, as rows: run index, choice row, error bits err_x, err_z (rows,
-    m+1, n) and first error location. The target's slot takes no part.
+def _choice_rows(target: Circuit, packed: np.ndarray) -> np.ndarray:
+    """Choice rows (..., choice_width) of packed choice bytes (..., bytes)."""
+    return np.unpackbits(packed, axis=-1, count=traps.choice_width(target),
+                         bitorder="little")
 
-    A trap's flips are GF(2)-linear in its error bits (Lemma 2), so a trap
-    slot that holds no error bit outputs zeros whatever its gates, and only
-    these rows need gates and a walk.
-    """
-    _, slots, locations, n = err_x.shape
-    # flat hits in (run, slot, location, qubit) order: the first hit of a
-    # (run, slot) pair is at its first error location
-    hit = np.flatnonzero((err_x | err_z) != 0) // n
-    live, start = np.unique(hit // locations, return_index=True)
-    run, slot = np.divmod(live, slots)
-    trap = slot != v0[run]
-    run, slot = run[trap], slot[trap]
+
+def _dense_runs(target: Circuit, v: int, noise: NoiseModel, runs: int,
+                rng: np.random.Generator) -> tuple:
+    """The draws of :func:`_draw_runs` as dense arrays: v0 (runs,), the
+    choice rows (runs, v, choice_width) and the error bits err_x, err_z
+    (runs, v+1, m+1, n)."""
+    v0, packed, hits = _draw_runs(target, v, noise, runs, rng)
+    return (v0, _choice_rows(target, packed),
+            *scatter_hits(hits, (runs, v + 1, target.m + 1, target.n)))
+
+
+def _decide(target: Circuit, v0, packed, positions, codes) -> tuple:
+    """Acceptance flags (runs,) of drawn runs given as v0, packed choice
+    bytes and error hits (:func:`_draw_runs`), and the hits in the
+    target's slot as (run, at, codes), at = location * n + qubit, in
+    position order. Every other hit sits in a trap, and all traps are
+    decided in one walk (:func:`_failing_runs`)."""
+    slots = packed.shape[1] + 1
+    cell, at = np.divmod(positions, (target.m + 1) * target.n)
+    run, slot = np.divmod(cell, slots)
+    in_target = slot == v0[run]
+    trap = ~in_target
+    accept = np.ones(len(v0), dtype=bool)
+    accept[_failing_runs(target, v0, packed, cell[trap], at[trap],
+                         codes[trap])] = False
+    return accept, (run[in_target], at[in_target], codes[in_target])
+
+
+def _failing_runs(target: Circuit, v0, packed, cell, at, codes
+                  ) -> np.ndarray:
+    """The runs among trap hits whose flips are not all zero; a hit sits
+    at cell = run * (v+1) + slot, ascending, and at = location * n +
+    qubit within it.
+
+    A trap's flips are GF(2)-linear in its errors (Lemma 2), so a trap
+    slot with no hit outputs zeros whatever its gates, and each live slot
+    is one row, found from the sorted cells. A row's first hit is at its
+    first error location. The rows, in order of first error location, get
+    their choice rows, unpacked for them alone, and their gates from one
+    ``trap_cliffords`` call, and move through one batched frame, each from
+    there (:func:`simulator.frame_flips`)."""
+    n, slots = target.n, packed.shape[1] + 1
+    new = np.diff(cell, prepend=-1) != 0
+    starts = np.flatnonzero(new)
+    first = at[starts] // n
+    order = np.argsort(first, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    row = row[np.cumsum(new) - 1]
+    # the frame's hits: flat over (location, row, qubit), ascending
+    frame_at = (at // n * len(order) + row) * n + at % n
+    sort = np.argsort(frame_at)
+    run, slot = np.divmod(cell[starts[order]], slots)
     # run i's t-th trap sits at the t-th slot other than v0[i]
-    t = slot - (slot > v0[run])
-    return (run, choice[run, t], err_x[run, slot], err_z[run, slot],
-            hit[start[trap]] % locations)
-
-
-def _failing_runs(target: Circuit, lives: list) -> np.ndarray:
-    """The run indices of live trap rows whose flips are not all zero, of
-    one or more blocks given as a list of :func:`_live_traps` results,
-    which it empties. The rows, merged in order of first error location,
-    get their gates from one ``trap_cliffords`` call and move through one
-    batched frame, each from there (:func:`simulator.frame_flips`)."""
-    order = np.argsort(np.concatenate([live[-1] for live in lives]),
-                       kind="stable")
-    run, choice, err_x, err_z, first = [np.concatenate(part)[order]
-                                        for part in zip(*lives)]
-    lives.clear()  # so that the walk does not hold every row twice
+    choice = _choice_rows(target, packed[run, slot - (slot > v0[run])])
     flips = simulator.frame_flips(
-        target, traps.trap_cliffords(target, choice), err_x, err_z, first)
+        target, traps.trap_cliffords(target, choice),
+        (frame_at[sort], codes[sort]), first[order])
     return run[flips.any(axis=1)]
 
 
 def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
-    """Acceptance flags (runs,) of drawn runs (:func:`_draw_runs`): a run
-    accepts when all its v traps' flips are zero; only its live trap rows
-    are walked."""
-    accept = np.ones(len(v0), dtype=bool)
-    accept[_failing_runs(target, [_live_traps(v0, choice, err_x, err_z)])] \
-        = False
-    return accept
+    """Acceptance flags (runs,) of drawn runs given densely
+    (:func:`_dense_runs`): a run accepts when all its v traps' flips are
+    zero. The flags come from the walk of a report, on the hits of the
+    error bits and the packed choice rows (:func:`_decide`)."""
+    codes = (err_z << 1 | err_x).reshape(-1)
+    positions = np.flatnonzero(codes)
+    packed = np.packbits(choice, axis=-1, bitorder="little")
+    return _decide(target, v0, packed, positions, codes[positions])[0]
 
 
 def _accepted_slices(target: Circuit, blocks: list) -> tuple:
-    """The accepted runs' target slices err_x, err_z (A, m+1, n) and last
-    draws (A, ...), in run order, of stream blocks handed on as pairs
-    (live trap rows, (target slices and last draws of every run)), which it
-    empties. Every block's live rows, their run indices offset by the runs
-    of the blocks before, are decided in one walk (:func:`_failing_runs`).
-    """
-    offsets = np.cumsum([0] + [len(last) for _, (_, _, last) in blocks])
-    lives = [(run + offset, *rows)
-             for ((run, *rows), _), offset in zip(blocks, offsets)]
-    slices = [np.concatenate(part)
-              for part in zip(*(slices for _, slices in blocks))]
+    """The accepted runs' target slices (A, 2, m+1, n), the (x, z) bits of
+    each location, and last draws (A, ...), in run order, of stream blocks
+    handed on by :func:`_hand_on`, which it empties. Each block's
+    positions are offset by the runs of the blocks before, and all blocks
+    are decided in one walk (:func:`_decide`)."""
+    n, m = target.n, target.m
+    size = (m + 1) * n
+    run_size = (blocks[0].packed.shape[1] + 1) * size
+    offsets = np.cumsum([0] + [len(block.v0) for block in blocks])
+    positions = np.concatenate([block.positions + offset * run_size
+                                for block, offset in zip(blocks, offsets)])
+    v0, packed, _, codes, last = (np.concatenate(part)
+                                  for part in zip(*blocks))
     blocks.clear()
-    accept = np.ones(offsets[-1], dtype=bool)
-    accept[_failing_runs(target, lives)] = False
-    return tuple(part[accept] for part in slices)
+    accept, (run, at, codes) = _decide(target, v0, packed, positions, codes)
+    kept = accept[run]
+    row = np.cumsum(accept) - 1
+    slices = np.zeros((int(accept.sum()), 1, m + 1, n), dtype=np.uint8)
+    slices.reshape(-1)[row[run[kept]] * size + at[kept]] = codes[kept]
+    return np.concatenate((slices & 1, slices >> 1), axis=1), last[accept]
 
 
 def _sample_targets(target: Circuit, slices: np.ndarray,

@@ -14,6 +14,8 @@ circuit and its key as a pair.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import cliffords
@@ -52,7 +54,8 @@ def dress(circuit: Circuit, pads: np.ndarray) -> tuple[Circuit, np.ndarray]:
     return dressed, key[0]
 
 
-def pad_paulis(topology: Circuit, pads: np.ndarray) -> tuple:
+def pad_paulis(topology: Circuit, pads: np.ndarray,
+               errors: Optional[tuple] = None) -> tuple:
     """Pads of K circuits on ``topology``'s cZ layers as Paulis.
 
     ``pads`` is a (K, pad_width) stack of 0/1 uint8 rows. Returns the
@@ -60,6 +63,12 @@ def pad_paulis(topology: Circuit, pads: np.ndarray) -> tuple:
     keys (K, n): band 1 opens with X^gamma, band j+1 undoes band j's pad
     conjugated through band j's cZ layer, and every gate is followed by
     X^{alpha'} Z^{alpha}; the band-m alpha rows are the keys.
+
+    ``errors``, an (x, z) pair of (K, m+1, n) bit arrays, folds each
+    circuit's drawn errors into its Paulis: location 0's before band 0's
+    gate, location j+1's after band j's. A product of Paulis is the XOR of
+    their bits up to phase, so the bits are XORed into gamma's and into
+    each gate's post-Pauli bits; the undo Paulis and keys stay the pads'.
     """
     n, m = topology.n, topology.m
     alpha = pads[:, : n * m].reshape(-1, m, n)
@@ -70,9 +79,15 @@ def pad_paulis(topology: Circuit, pads: np.ndarray) -> tuple:
     crossed_z = alpha ^ alpha_prime[:, partner] & paired
     alpha_prime = alpha_prime.reshape(alpha.shape)
     pre = np.empty(alpha.shape, dtype=np.uint8)
-    pre[:, 0] = cliffords.PAULI_INDEX[pads[:, 2 * n * m:], 0]
     pre[:, 1:] = cliffords.PAULI_INDEX[alpha_prime[:, :-1], crossed_z[:, :-1]]
-    post = cliffords.PAULI_INDEX[alpha_prime, alpha]
+    gamma_x, gamma_z = pads[:, 2 * n * m:], 0
+    post_x, post_z = alpha_prime, alpha
+    if errors is not None:
+        err_x, err_z = errors
+        gamma_x, gamma_z = gamma_x ^ err_x[:, 0], err_z[:, 0]
+        post_x, post_z = post_x ^ err_x[:, 1:], post_z ^ err_z[:, 1:]
+    pre[:, 0] = cliffords.PAULI_INDEX[gamma_x, gamma_z]
+    post = cliffords.PAULI_INDEX[post_x, post_z]
     return pre, post, alpha[:, m - 1]
 
 

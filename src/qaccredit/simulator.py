@@ -11,10 +11,9 @@
   register also runs. A drawn Pauli error is folded into a gate as a pad
   is: :func:`slice_distributions` branches every error slice off one
   noiseless walk at its first error, and :func:`error_paulis` gives errors
-  the pads' form for a run's plan and for batched walks. The round and cZ
-  steps take leading batch axes, so one walk moves many states; the
-  density backend sums that walk over every path of Kraus operators at
-  the noise locations.
+  the pads' form for batched walks. The round and cZ steps take leading
+  batch axes, so one walk moves many states; the density backend sums
+  that walk over every path of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -89,8 +88,11 @@ def trap_output(circuit: Circuit, errors: Sequence) -> np.ndarray:
                          circuit.n)
 
 
+# asked once per report, and one target is reported on many times
+@lru_cache(maxsize=64)
 def reference_outcome(circuit: Circuit) -> np.ndarray:
-    """One noiseless X-measurement outcome of a Clifford circuit, n bits.
+    """One noiseless X-measurement outcome of a Clifford circuit, n
+    read-only bits.
 
     Pushes the stabilisers X_q of |+>^n through the circuit with their
     signs (:func:`propagate_frame` of X_q at location 0), finds the X-type
@@ -129,23 +131,36 @@ def reference_outcome(circuit: Circuit) -> np.ndarray:
     for x, b, pivot in reversed(solved):
         if (b + bin(x & r).count("1")) % 2:
             r |= pivot
-    return index_to_bits(r, n)
+    bits = index_to_bits(r, n)
+    bits.setflags(write=False)
+    return bits
 
 
 # _CONJ[c << 2 | x | z << 1] = x' | z' << 1: c X^x Z^z c† ~ X^x' Z^z'
 _CONJ = (cliffords.IMAGES[..., 0] | cliffords.IMAGES[..., 1] << 1).reshape(-1)
 
 
-def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
-                err_z: np.ndarray, first: Optional[np.ndarray] = None
-                ) -> np.ndarray:
+def frame_hits(err_x: np.ndarray, err_z: np.ndarray) -> tuple:
+    """Error bits (R, m+1, n) of R rows as the hits :func:`frame_flips`
+    takes: ascending flat positions over (location, row, qubit) and their
+    codes x | z << 1."""
+    codes = (err_z << 1 | err_x).transpose(1, 0, 2).reshape(-1)
+    positions = np.flatnonzero(codes)
+    return positions, codes[positions]
+
+
+def frame_flips(topology: Circuit, gates: np.ndarray, hits: tuple,
+                first: Optional[np.ndarray] = None) -> np.ndarray:
     """Flip patterns of R Clifford circuits sharing ``topology``'s cZ layers.
 
-    ``gates`` holds Clifford indices of shape (R, m, n); ``err_x``/``err_z``
-    the location-indexed error bits of shape (R, m+1, n). Row r of the
-    (R, n) result is :func:`trap_output` of circuit r under error slice r.
+    ``gates`` holds Clifford indices of shape (R, m, n); ``hits`` the
+    errors of all rows as (positions, codes): ascending flat positions over
+    (location, row, qubit) of shape (m+1, R, n), each with its code
+    x | z << 1 (:func:`frame_hits` makes them from error bits). Row r of
+    the (R, n) result is :func:`trap_output` of circuit r under its errors.
     The frame of all R circuits moves band by band as a 2-bit code
-    x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202).
+    x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202),
+    and each location's hits are XORed in with one fancy-index assignment.
 
     ``first``, ascending (R,), gives each row's first error location; the
     row has no error before it. A frame is GF(2)-linear in its error bits
@@ -154,19 +169,24 @@ def frame_flips(topology: Circuit, gates: np.ndarray, err_x: np.ndarray,
     row whose one error sits at location m still takes band m-1's step.
     None starts every row at location 0.
     """
-    rows, m = len(gates), topology.m
+    rows, n, m = len(gates), topology.n, topology.m
     moved = (np.full(m, rows) if first is None
              else np.searchsorted(first, np.arange(1, m + 1), side="right"))
-    codes = err_z << 1
-    codes |= err_x
+    positions, codes = hits
+    # location j's hits are those in [j R n, (j+1) R n)
+    bounds = np.searchsorted(positions,
+                             np.arange(m + 2) * (rows * n)).tolist()
     gates = gates << 2
-    frame = codes[:, 0].copy()
-    partner, paired = cz_partners(topology.n, topology.cz)
-    partner = partner % topology.n  # the partner's qubit in its band
+    frame = np.zeros((rows, n), dtype=np.uint8)
+    flat = frame.reshape(-1)
+    flat[positions[:bounds[1]]] = codes[:bounds[1]]
+    partner, paired = cz_partners(n, topology.cz)
+    partner = partner % n  # the partner's qubit in its band
     for j, k in enumerate(moved.tolist()):
         head = frame[:k]
         _CONJ.take(gates[:k, j] | head, out=head)
-        head ^= codes[:k, j + 1]
+        at = slice(bounds[j + 1], bounds[j + 2])
+        flat[positions[at] - (j + 1) * rows * n] ^= codes[at]
         # cZ: a paired qubit's z bit takes its partner's x bit
         head ^= (head[:, partner[j]] & paired[j]) << 1
     return frame >> 1
@@ -243,10 +263,21 @@ def _cz_parity(n: int, pairs: tuple) -> np.ndarray:
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
                 n: int) -> np.ndarray:
     """Apply X^x Z^z by integer masks (bit q = qubit q); no global phase."""
+    sign, perm = _pauli_action(n, x_mask, z_mask)
+    return np.where(sign, -state, state)[perm]
+
+
+# a prover inserts few distinct Paulis; at n = 16 an entry holds 0.6 MB
+@lru_cache(maxsize=32)
+def _pauli_action(n: int, x_mask: int, z_mask: int) -> tuple:
+    """Read-only (2^n,) arrays of X^x Z^z on basis states |b>: the sign
+    flip, Z phasing b first, and the permutation b -> b ^ x after it."""
     idx = np.arange(2 ** n)
-    # X^x Z^z on |b>: Z phases first on b, then X flips b
-    odd = np.bitwise_count(idx & z_mask) & 1
-    return np.where(odd, -state, state)[idx ^ x_mask]
+    sign = (np.bitwise_count(idx & z_mask) & 1).astype(bool)
+    perm = idx ^ x_mask
+    sign.setflags(write=False)
+    perm.setflags(write=False)
+    return sign, perm
 
 
 def plus_state(n: int) -> np.ndarray:

@@ -306,7 +306,7 @@ def test_session_decision_matches_frame_run_by_run():
                                   deviations=deviations)
                 rep = run_session(target, v, bob, np.random.default_rng(seed),
                                   alice_noise=alice)
-                v0, choice, err_x, err_z = protocol._draw_runs(
+                v0, choice, err_x, err_z = protocol._dense_runs(
                     target, v, noiseless() if alice is None else alice, 1,
                     np.random.default_rng(seed))
                 for (k, stage), devs in deviations.items():

@@ -338,6 +338,7 @@ def _gap_reference(rates, runs, n, rng):
                              (3, 3): {"X": 1.0}}),
     ({}, {(2, 2): {"X": 0.3, "Y": 0.3, "Z": 0.3}}),
     ({}, {}),
+    ({"X": 0.5, "Y": 0.25, "Z": 0.25}, {}),
 ])
 def test_independent_error_bits_follow_the_three_comparisons(default,
                                                              overrides):
@@ -359,6 +360,111 @@ def test_independent_error_bits_follow_the_three_comparisons(default,
         assert np.array_equal(z.reshape(-1), want_z)
         # the sampler draws nothing more than the reference
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _explicit_reference(model, runs, rng):
+    """One entry per run by ``rng.choice``, its (x, z) bits copied."""
+    picked = rng.choice(len(model.probs), size=runs, p=model.probs)
+    return tuple(np.stack(part)[picked] for part in zip(*model.bits))
+
+
+def _gate_reference(model, runs, v, m, rng):
+    """Firing rounds, then their qubits and letters, set one at a time."""
+    fires = rng.random((runs, v + 1, m)) < model.rate
+    qubits = rng.integers(0, model.n, size=fires.sum())
+    letters = rng.integers(0, 3, size=fires.sum())
+    bits = np.zeros((2, runs, v + 1, m + 1, model.n), dtype=np.uint8)
+    for (r, k, j), q, letter in zip(zip(*np.nonzero(fires)), qubits,
+                                    letters):
+        bits[:, r, k, j + 1, q] = [(1, 0), (1, 1), (0, 1)][letter]
+    return bits[0], bits[1]
+
+
+def _collection(n, m, paulis):
+    """Two circuits of identities but ``paulis`` {(k, loc): text}."""
+    return PauliErrorCollection(tuple(
+        tuple(pauli.from_text(paulis.get((k, loc), "I" * n))
+              for loc in range(m + 1)) for k in range(2)))
+
+
+def _hit_cases():
+    """(model, dense reference) pairs by name; a reference maps (runs,
+    rng) to the (x, z) bits of shape (runs, v+1, m+1, n) at v = 1, n = 3,
+    m = 3."""
+    v, n, m = 1, 3, 3
+    shape = (v + 1, m + 1, n)
+
+    def independent(default, overrides):
+        rates = _location_rates(default, overrides, v, m)
+        return (IndependentLocationChannels(default, overrides),
+                lambda runs, rng: tuple(
+                    bits.reshape((runs,) + shape)
+                    for bits in _gap_reference(rates, runs, n, rng)))
+
+    per_location = independent({"X": 0.05, "Z": 0.1},
+                               {(1, 2): {"Y": 0.5}, (0, 1): {"X": 1.0}})
+    gate = BoundedGateNoise(rate=0.3, n=n)
+    mixture = ExplicitCollectionDistribution([
+        (_collection(n, m, {(0, 1): "XYI", (1, 3): "ZIZ"}), 0.25),
+        (identity_collection(2, n, m), 0.25),
+        (_collection(n, m, {(1, 0): "IIZ", (1, 2): "YYY"}), 0.5)])
+    # both parts hit qubit 0 at (0, 1), Y then X, which makes Z, and qubit
+    # 1 at (1, 2), Z twice, which cancels
+    first = ExplicitCollectionDistribution(
+        [(_collection(n, m, {(0, 1): "YII", (1, 2): "IZX"}), 1.0)])
+    second = ExplicitCollectionDistribution(
+        [(_collection(n, m, {(0, 1): "XIZ", (1, 2): "IZI"}), 1.0)])
+
+    def xor(*references):
+        def draw(runs, rng):
+            (ax, az), (bx, bz) = (ref(runs, rng) for ref in references)
+            return ax ^ bx, az ^ bz
+        return draw
+
+    def explicit(model):
+        return lambda runs, rng: _explicit_reference(model, runs, rng)
+
+    def gates(runs, rng):
+        return _gate_reference(gate, runs, v, m, rng)
+
+    return {
+        "per-location": per_location,
+        "rate-1": independent({"X": 1.0}, {}),
+        "gate": (gate, gates),
+        "mixture": (mixture, explicit(mixture)),
+        "composite": (CompositeModel(pauli_part=per_location[0],
+                                     gate_part=gate),
+                      xor(per_location[1], gates)),
+        "cancelling": (CompositeModel(pauli_part=first, gate_part=second),
+                       xor(explicit(first), explicit(second))),
+        "noiseless": (noiseless(), lambda runs, rng: (np.zeros(
+            (runs,) + shape, dtype=np.uint8),) * 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_hit_cases()))
+def test_hits_scatter_to_the_dense_bits(case):
+    # every model's hits are ascending positions with non-zero codes, and
+    # scattered they are the dense bits of a reference that draws the same
+    # numbers and sets bits one by one, leaving the generator as it does
+    model, reference = _hit_cases()[case]
+    v, n, m = 1, 3, 3
+    for runs, seed in ((1, 0), (7, 1), (200, 2)):
+        rng = np.random.default_rng(seed)
+        positions, codes = model.sample_hits(runs, v, n, m, rng)
+        assert positions.dtype == np.int64 and codes.dtype == np.uint8
+        assert (np.diff(positions) > 0).all()
+        assert ((codes >= 1) & (codes <= 3)).all()
+        ref = np.random.default_rng(seed)
+        want = reference(runs, ref)
+        got = noise.scatter_hits((positions, codes),
+                                 (runs, v + 1, m + 1, n))
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the sampler's dense bits are the same scatter
+        dense = model.sample_error_bits(runs, v, n, m,
+                                        np.random.default_rng(seed))
+        assert np.array_equal(dense, want)
 
 
 def test_zero_rates_draw_nothing():

@@ -325,8 +325,8 @@ def test_flip_tables_agree_three_ways(n, m, seed):
     errors = errors.reshape(-1, m + 1, 2 * n)
     gates = np.repeat(traps.trap_cliffords(topo, choices),
                       2 * n * (m + 1), axis=0)
-    flips = simulator.frame_flips(topo, gates, errors[..., :n],
-                                  errors[..., n:])
+    flips = simulator.frame_flips(topo, gates, simulator.frame_hits(
+        errors[..., :n], errors[..., n:]))
     masks = (flips @ (1 << np.arange(n))).reshape(len(choices), m + 1, 2 * n)
     assert np.array_equal(table, masks.transpose(1, 2, 0))
 

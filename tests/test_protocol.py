@@ -172,7 +172,7 @@ def test_plan_run_equals_generate_trap_and_dress(n, m, v, generic, seed):
     target = make(n, m, np.random.default_rng([seed, 1]))
     plan = plan_run(target, v, noiseless(), np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    v0, choice, _, _ = protocol._draw_runs(target, v, noiseless(), 1, rng)
+    v0, choice, _, _ = protocol._dense_runs(target, v, noiseless(), 1, rng)
     pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
                         dtype=np.uint8)
     assert plan.v0 == v0[0]
@@ -212,7 +212,7 @@ def test_noisy_plan_runs_each_dressed_slot_under_its_drawn_errors(
         BoundedGateNoise(0.5, n))
     plan = plan_run(target, v, model, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    v0, choice, err_x, err_z = protocol._draw_runs(target, v, model, 1, rng)
+    v0, choice, err_x, err_z = protocol._dense_runs(target, v, model, 1, rng)
     pads = rng.integers(0, 2, size=(v + 1, qotp.pad_width(n, m)),
                         dtype=np.uint8)
     assert plan.v0 == v0[0]
@@ -232,14 +232,14 @@ def test_noisy_plan_runs_each_dressed_slot_under_its_drawn_errors(
 
 def test_draw_runs_choice_rows_deterministic_and_uniform():
     topo = identity_circuit(3, 3, cz_layout=[{(0, 1)}, {(1, 2)}, set()])
-    a = protocol._draw_runs(topo, 3, noiseless(), 2, np.random.default_rng(4))
-    b = protocol._draw_runs(topo, 3, noiseless(), 2, np.random.default_rng(4))
+    a, b = (protocol._dense_runs(topo, 3, noiseless(), 2,
+                                 np.random.default_rng(4)) for _ in range(2))
     assert a[1].dtype == np.uint8 and a[1].shape == (2, 3, 5)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     reps = 10 ** 4
     # band 0's pair and unpaired bits, band 1's, then t
-    means = protocol._draw_runs(topo, 3, noiseless(), reps,
-                                np.random.default_rng(5))[1].mean(axis=0)
+    means = protocol._dense_runs(topo, 3, noiseless(), reps,
+                                 np.random.default_rng(5))[1].mean(axis=0)
     assert ((means > 0.48) & (means < 0.52)).all()
 
 
@@ -250,8 +250,8 @@ def test_draw_runs_unpack_packed_choice_bytes():
                                               np.random.default_rng(2))
     v, runs, width = 3, 40, traps.choice_width(target)
     assert width % 8 and width > 8  # several bytes, the last one partial
-    v0, choice, _, _ = protocol._draw_runs(target, v, noiseless(), runs,
-                                           np.random.default_rng(6))
+    v0, choice, _, _ = protocol._dense_runs(target, v, noiseless(), runs,
+                                            np.random.default_rng(6))
     rng = np.random.default_rng(6)
     want_v0 = rng.integers(0, v + 1, size=runs)
     raw = rng.integers(0, 256, size=(runs, v, (width + 7) // 8),
@@ -435,7 +435,8 @@ def test_padded_runs_match_frame_run_by_run():
     # from one seed the padded run draws what a pad-free run draws, so its
     # slot, flag and every trap output equal the frame's, run by run; the
     # traps are built independently (generate_trap, dress, statevector
-    # against trap_cliffords and frame_flips)
+    # against trap_cliffords and frame_flips). Deciding all seeds' draws in
+    # one walk gives every run its own flag too
     v, seeds = 3, 75
     ghz = families.ghz_circuit(3)
     clifford = families.random_clifford_circuit(3, 4,
@@ -450,21 +451,27 @@ def test_padded_runs_match_frame_run_by_run():
                                  gate_part=BoundedGateNoise(rate=0.04, n=n)),
                   noise.random_adversary(n, m, v, np.random.default_rng(45)))
         for model in models:
+            drawn = []
             for seed in range(seeds):
                 out = single_run(target, v, model,
                                  np.random.default_rng(seed))
-                v0, choice, err_x, err_z = protocol._draw_runs(
+                v0, choice, err_x, err_z = protocol._dense_runs(
                     target, v, model, 1, np.random.default_rng(seed))
+                drawn.append((v0, choice, err_x, err_z))
                 slots = [k for k in range(v + 1) if k != v0[0]]
                 flips = simulator.frame_flips(
                     target, traps.trap_cliffords(target, choice[0]),
-                    err_x[0, slots], err_z[0, slots])
+                    simulator.frame_hits(err_x[0, slots], err_z[0, slots]))
                 accepted = protocol._traps_accept(target, v0, choice,
                                                   err_x, err_z)
                 assert out.v0 == v0[0]
                 assert (out.flag == "acc") == accepted[0]
                 assert np.array_equal(out.trap_outputs, flips)
                 flags.append(out.flag)
+            together = protocol._traps_accept(
+                target, *(np.concatenate(part) for part in zip(*drawn)))
+            assert together.tolist() == [
+                flag == "acc" for flag in flags[-seeds:]]
     # both decisions occur, so the check says something about each
     assert 0.2 < flags.count("acc") / len(flags) < 0.8
 
@@ -510,8 +517,8 @@ def _run_flags(target, v, model, seed, d):
     """Acceptance of each of d runs, every stream block decided alone."""
     flags = []
     for block, start in enumerate(range(0, d, protocol.STREAM_BLOCK)):
-        drawn = protocol._draw_runs(target, v, model, protocol.STREAM_BLOCK,
-                                    run_rng(seed, block))
+        drawn = protocol._dense_runs(target, v, model, protocol.STREAM_BLOCK,
+                                     run_rng(seed, block))
         flags.append(protocol._traps_accept(
             target, *(a[:d - start] for a in drawn)))
     return np.concatenate(flags)
@@ -597,6 +604,20 @@ def test_merged_walk_memory_is_bounded_by_the_budget(allocates_at_most):
         report(32 * protocol.STREAM_BLOCK)
 
 
+def test_noisy_walk_memory_counts_hits_as_live_rows(allocates_at_most):
+    # GHZ n=32, v=7 under 0.002 X/Y/Z: a block draws a few thousand hits,
+    # nearly one live trap row each, and a row's gates and choice row take
+    # about 2 kB, so blocks must be decided about one at a time. Counting
+    # only the sparse draws would put all eight blocks in one walk, which
+    # peaks at about 13 MiB
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
+    cfg = ProtocolConfig(v=7, d=1000, theta=0.05, master_seed=3,
+                         noise=model)
+    with allocates_at_most(8 * 2 ** 20):
+        protocol.accredit(cfg, families.ghz_circuit(32))
+
+
 def test_accredit_checks_target_size_before_running(allocates_at_most):
     # only a generic target needs a statevector, so only it meets the limit
     target = families.random_generic_circuit(
@@ -643,8 +664,9 @@ def test_error_free_traps_build_no_gates(monkeypatch):
                                      noise=model), target)
     expected = []
     for block, start in enumerate(range(0, d, protocol.STREAM_BLOCK)):
-        v0, choice, err_x, err_z = (a[:d - start] for a in protocol._draw_runs(
-            target, v, model, protocol.STREAM_BLOCK, run_rng(seed, block)))
+        v0, choice, err_x, err_z = (
+            a[:d - start] for a in protocol._dense_runs(
+                target, v, model, protocol.STREAM_BLOCK, run_rng(seed, block)))
         for i in range(len(v0)):
             slots = [k for k in range(v + 1) if k != v0[i]]
             expected += [choice[i, t].tobytes()
@@ -762,7 +784,8 @@ def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
         j = int(rng.integers(1, m + 1))
         err_x[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
         err_z[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
-        frame = simulator.frame_flips(topo, gates, err_x[None], err_z[None])
+        frame = simulator.frame_flips(
+            topo, gates, simulator.frame_hits(err_x[None], err_z[None]))
         dense = qotp.postprocess(simulator.run_statevector(
             dressed, (err_x, err_z), rng=rng), key)
         assert np.array_equal(frame[0], dense)

@@ -121,6 +121,9 @@ def test_apply_pauli_matches_basis_state_loop():
             expected[b ^ x] = sign * state[b]
         assert np.array_equal(simulator.apply_pauli(state, x, z, n),
                               expected)
+        # the sign and permutation are cached per (n, x, z), read-only
+        assert not any(table.flags.writeable
+                       for table in simulator._pauli_action(n, x, z))
 
 
 def test_statevector_frame_exhaustive_small():
@@ -394,7 +397,8 @@ def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
     err_x = rng.integers(0, 2, size=(traps_count, m + 1, n), dtype=np.uint8)
     err_z = rng.integers(0, 2, size=(traps_count, m + 1, n), dtype=np.uint8)
     gates = traps.trap_cliffords(topo, bits)
-    flips = simulator.frame_flips(topo, gates, err_x, err_z)
+    flips = simulator.frame_flips(
+        topo, gates, simulator.frame_hits(err_x, err_z))
     assert flips.shape == (traps_count, n)
     for r in range(traps_count):
         trap = generate_trap(topo, bits[r])
@@ -425,8 +429,9 @@ def test_frame_flips_from_first_error_location_match_full_walk(n, m, rows,
     order = np.argsort(first, kind="stable")
     gates = traps.trap_cliffords(topo, bits[order])
     ex, ez = err_x[order], err_z[order]
-    flips = simulator.frame_flips(topo, gates, ex, ez, first[order])
-    assert np.array_equal(flips, simulator.frame_flips(topo, gates, ex, ez))
+    hits = simulator.frame_hits(ex, ez)
+    flips = simulator.frame_flips(topo, gates, hits, first[order])
+    assert np.array_equal(flips, simulator.frame_flips(topo, gates, hits))
     # a location-m Z flips its qubits' outcomes in every trap
     assert np.array_equal(flips[order < 2], err_z[:2, m])
 
@@ -459,8 +464,8 @@ def test_masks_at_location_zero_give_the_exact_clifford_law(n, m, seed):
     xs[:, 0] ^= (np.arange(masks)[:, None] >> np.arange(n) & 1).astype(
         np.uint8)
     flips = simulator.frame_flips(
-        circuit, np.broadcast_to(circuit.gates, (masks, m, n)), xs,
-        np.broadcast_to(err_z, xs.shape))
+        circuit, np.broadcast_to(circuit.gates, (masks, m, n)),
+        simulator.frame_hits(xs, np.broadcast_to(err_z, xs.shape)))
     outputs = simulator.reference_outcome(circuit) ^ flips
     law = np.bincount(outputs.astype(np.int64) @ (1 << np.arange(n)),
                       minlength=masks) / masks
@@ -475,7 +480,8 @@ def test_reference_outcome_is_a_possible_noiseless_output(n, m, seed):
     circuit = families.random_clifford_circuit(n, m,
                                                np.random.default_rng(seed))
     r = simulator.reference_outcome(circuit)
-    assert r.shape == (n,) and r.dtype == np.uint8
+    # cached per circuit, so a caller cannot change it for the next one
+    assert r.shape == (n,) and r.dtype == np.uint8 and not r.flags.writeable
     assert statevector_distribution(circuit)[simulator.bits_to_index(r)] \
         > 1e-9
 

@@ -45,6 +45,11 @@ NOISE_LAW = NOISE + "test_independent_error_bits_follow_their_binomial_law"
 PACKING = PROTOCOL + "test_draw_runs_unpack_packed_choice_bytes"
 PREFIX = PROTOCOL + "test_reports_are_prefixes_whatever_the_walks"
 BUDGET = PROTOCOL + "test_merged_walk_memory_is_bounded_by_the_budget"
+NOISY_BUDGET = PROTOCOL + "test_noisy_walk_memory_counts_hits_as_live_rows"
+PADDED = PROTOCOL + "test_padded_runs_match_frame_run_by_run"
+SESSION = ("tests/test_mesothetic.py::"
+           "test_session_decision_matches_frame_run_by_run")
+HITS = NOISE + "test_hits_scatter_to_the_dense_bits"
 TRAPS, QOTP = (f"tests/test_{module}.py::" for module in ("traps", "qotp"))
 TRAP_ROWS = TRAPS + "test_batched_trap_gates_equal_one_row_builds"
 PAD_TABLE = QOTP + "test_pad_unitaries_is_the_plain_product"
@@ -59,6 +64,7 @@ CHOICE_DRAW = ORACLES + "test_choice_draw_is_rng_choice"
 TWIRL_WEIGHTS = ORACLES + ("test_twirl_weights_do_not_follow_the_"
                            "rounding_of_a_walk")
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
+FRAMES = "tests/test_simulator.py::test_frame_flips_match_per_trap_frames"
 
 MUTANTS = (
     # the sampler: candidates by geometric gaps, one letter uniform each
@@ -75,44 +81,77 @@ MUTANTS = (
            "u = rng.random(len(hit))",
            (NOISE_LAW,)),
     Mutant("x-letter", "noise.py",
-           "x[hit] = u < cum[:, 1]",
-           "x[hit] = u < cum[:, 0]",
+           "x_bit = (u < cum[:, 1])",
+           "x_bit = (u < cum[:, 0])",
            (NOISE_LAW,)),
     Mutant("z-letter", "noise.py",
-           "z[hit] = u >= cum[:, 0]",
-           "z[hit] = u >= cum[:, 1]",
+           "z_bit = (u >= cum[:, 0])",
+           "z_bit = (u >= cum[:, 1])",
            (NOISE_LAW,)),
+    # hits: a composite XORs the codes of a position both parts hit
+    Mutant("composite-or", "noise.py",
+           "codes = np.bitwise_xor.reduceat(",
+           "codes = np.bitwise_or.reduceat(",
+           (HITS,)),
     # packed choice rows
     Mutant("pack-bit-order", "protocol.py",
-           'count=width, bitorder="little")',
-           'count=width, bitorder="big")',
+           "choice_width(target),\n"
+           '                         bitorder="little")',
+           "choice_width(target),\n"
+           '                         bitorder="big")',
            (PACKING,)),
     Mutant("pack-count", "protocol.py",
-           'np.unpackbits(packed, axis=-1, count=width, bitorder="little")',
-           'np.unpackbits(packed, axis=-1, bitorder="little")[..., -width:]',
+           "np.unpackbits(packed, axis=-1, count=traps.choice_width(target),",
+           "np.unpackbits(packed, axis=-1, count=None,",
            (PACKING,)),
-    # one trap walk for many stream blocks
-    Mutant("run-offset", "protocol.py",
-           "(run + offset, *rows)",
-           "(run, *rows)",
+    # one trap walk for many stream blocks, on their hits
+    Mutant("block-offset", "protocol.py",
+           "for block, offset in zip(blocks, offsets)",
+           "for block, offset in zip(blocks, offsets[1:])",
            (PREFIX,)),
+    Mutant("split-slot", "protocol.py",
+           "in_target = slot == v0[run]",
+           "in_target = slot != v0[run]",
+           (PADDED, SESSION)),
+    Mutant("first-from-last-hit", "protocol.py",
+           "first = at[starts] // n",
+           "first = at[np.append(starts[1:], len(at)) - 1] // n",
+           (PADDED, SESSION)),
     Mutant("unsorted-walk", "protocol.py",
-           "[np.concatenate(part)[order]",
-           "[np.concatenate(part)",
+           'order = np.argsort(first, kind="stable")',
+           "order = np.arange(len(first))",
+           (PADDED, SESSION)),
+    Mutant("uncut-hits", "protocol.py",
+           "positions[:cut], codes[:cut]",
+           "positions, codes",
            (PREFIX,)),
     Mutant("flush-drops-block", "protocol.py",
-           "err_x, err_z, last = _accepted_slices(target, pending)",
-           "err_x, err_z, last = _accepted_slices(target, pending[:-1] "
+           "slices, last = _accepted_slices(target, pending)",
+           "slices, last = _accepted_slices(target, pending[:-1] "
            "or pending)",
            (PREFIX,)),
     Mutant("no-final-flush", "protocol.py",
            "if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:",
            "if held <= WALK_BYTES and start < config.d:",
            (PREFIX,)),
+    Mutant("walk-counts-draws-only", "protocol.py",
+           "+ len(block.codes) * hit_bytes)",
+           ")",
+           (NOISY_BUDGET,)),
     Mutant("no-budget", "protocol.py",
            "if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:",
            "if start + STREAM_BLOCK < config.d:",
            (BUDGET,)),
+    # errors folded into the pads, and frames that take hits
+    Mutant("pad-error-letters", "qotp.py",
+           "post_x ^ err_x[:, 1:], post_z ^ err_z[:, 1:]",
+           "post_x ^ err_z[:, 1:], post_z ^ err_x[:, 1:]",
+           (PROTOCOL + "test_noisy_plan_runs_each_dressed_slot_under_its_"
+            "drawn_errors",)),
+    Mutant("frame-hits-location", "simulator.py",
+           "at = slice(bounds[j + 1], bounds[j + 2])",
+           "at = slice(bounds[j], bounds[j + 1])",
+           (FRAMES,)),
     # every trap choice's gates at once
     Mutant("trap-pair-orientation", "traps.py",
            "layers[:, j + 1, lo] = np.where(bit, h, s)\n"
