@@ -267,8 +267,9 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     generic target's last draw is the uniform that picks its sample from
     its slice's statevector distribution; the report's accepted slices are
     sampled together (:func:`_sample_targets`), from one noiseless walk
-    branched at each slice's first error, and only a generic target meets
-    the size limit.
+    that each slice joins at the latest band where the light cone of its
+    errors so far fits in ``simulator.BLOCK`` qubits, and only a generic
+    target meets the size limit.
     """
     _check_plan(target, config.v)
     n, m = target.n, target.m
@@ -447,16 +448,21 @@ def _sample_targets(target: Circuit, slices: np.ndarray,
                     draws: np.ndarray) -> np.ndarray:
     """Outputs (A, n) of a generic target under A error slices (A, 2, m+1,
     n), each picked by its uniform draw from the slice's statevector
-    distribution. Each distinct slice's distribution comes from one
-    noiseless walk branched per slice (:func:`simulator.slice_distributions`)
-    and is dropped once its runs are picked.
+    distribution. Slices are told apart by their bytes. Each distinct
+    slice's distribution comes from one noiseless walk, which the slice
+    joins at the latest band where the light cone of its errors so far
+    holds at most ``simulator.BLOCK`` qubits, its errors up to there one
+    operator on that cone (:func:`simulator.slice_distributions`); it is
+    dropped once its runs are picked.
     """
-    flat = slices.reshape(len(slices), math.prod(slices.shape[1:]))
-    keys, inverse = np.unique(flat, axis=0, return_inverse=True)
+    flat = np.ascontiguousarray(slices).reshape(
+        len(slices), math.prod(slices.shape[1:]))
+    rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))
+    _, first, inverse = np.unique(rows[:, 0], return_index=True,
+                                  return_inverse=True)
     inverse = inverse.reshape(-1)
     indices = np.empty(len(slices), dtype=np.int64)
-    for i, probs in simulator.slice_distributions(
-            target, keys.reshape((-1,) + slices.shape[1:])):
+    for i, probs in simulator.slice_distributions(target, slices[first]):
         runs = inverse == i
         indices[runs] = simulator.quantile_indices(probs, draws[runs])
     return (indices[:, None] >> np.arange(target.n) & 1).astype(np.uint8)

@@ -9,11 +9,14 @@
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_cz`), the steps the two-party
   register also runs. A drawn Pauli error is folded into a gate as a pad
-  is: :func:`slice_distributions` branches every error slice off one
-  noiseless walk at its first error, and :func:`error_paulis` gives errors
-  the pads' form for batched walks. The round and cZ steps take leading
-  batch axes, so one walk moves many states; the density backend sums
-  that walk over every path of Kraus operators at the noise locations.
+  is, and :func:`error_paulis` gives errors the pads' form for batched
+  walks. A Pauli reaches only its forward light cone, so
+  :func:`slice_distributions` joins every error slice to one noiseless
+  walk late: its errors up to the latest band whose light cone fits in
+  ``BLOCK`` qubits become one operator on that cone. The round and cZ
+  steps take leading batch axes, so one walk moves many states; the
+  density backend sums that walk over every path of Kraus operators at
+  the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -243,21 +246,27 @@ def _kron(unitaries) -> np.ndarray:
 def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
     """Apply a band's cZ round, a tuple of (lo, hi) pairs, to (..., 2^n)
     states: one sign flip per basis state where an odd number of its pairs
-    has both qubits set."""
-    return np.where(_cz_parity(n, pairs), -state, state)
+    has both qubits set, as one product with the round's cached signs."""
+    return state * (_cz_parity if n > BLOCK else _block_cz_parity)(n, pairs)
+
+
+def _cz_signs(n: int, pairs: tuple) -> np.ndarray:
+    """Read-only int8 (2^n,): (-1)^parity, -1 on the basis states a cZ
+    round flips."""
+    idx = np.arange(2 ** n, dtype=np.min_scalar_type(2 ** n - 1))
+    odd = np.zeros_like(idx)
+    for i, j in pairs:
+        odd ^= idx >> i & idx >> j
+    signs = 1 - 2 * (odd & 1).astype(np.int8)
+    signs.setflags(write=False)
+    return signs
 
 
 # a whole target's cZ layers, which a branch walk revisits once per branch
-@lru_cache(maxsize=64)
-def _cz_parity(n: int, pairs: tuple) -> np.ndarray:
-    """Read-only bool (2^n,): the basis states a cZ round flips."""
-    idx = np.arange(2 ** n)
-    odd = np.zeros(2 ** n, dtype=idx.dtype)
-    for i, j in pairs:
-        odd ^= idx >> i & idx >> j & 1
-    odd = odd.astype(bool)
-    odd.setflags(write=False)
-    return odd
+_cz_parity = lru_cache(maxsize=64)(_cz_signs)
+# layers of at most BLOCK qubits, such as a light cone's: few exist, and
+# they take no room from a target's layers
+_block_cz_parity = lru_cache(maxsize=None)(_cz_signs)
 
 
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
@@ -355,30 +364,49 @@ def check_statevector_size(n: int):
 def statevector_distribution(circuit: Circuit,
                              errors: Optional[Sequence] = None) -> np.ndarray:
     """Exact X-measurement outcome distribution (index bit q = qubit q)
-    under ``errors``, an (x, z) pair of (m+1, n) bit arrays or None: the
-    one-slice case of :func:`slice_distributions`."""
+    under ``errors``, an (x, z) pair of (m+1, n) 0/1 arrays or None: the
+    one-slice case of :func:`slice_distributions`. Any other shape or
+    value raises ValueError."""
     check_statevector_size(circuit.n)
-    slices = np.zeros((1, 2, circuit.m + 1, circuit.n), dtype=np.uint8)
+    n, m = circuit.n, circuit.m
+    slices = np.zeros((1, 2, m + 1, n), dtype=np.uint8)
     if errors is not None:
-        slices[0] = errors
-    return next(slice_distributions(circuit, slices))[1]
+        bits = np.asarray(errors)
+        if bits.shape != (2, m + 1, n) or not np.isin(bits, (0, 1)).all():
+            raise ValueError(f"errors must be an (x, z) pair of 0/1 arrays "
+                             f"of shape ({m + 1}, {n})")
+        slices[0] = bits
+    probs = next(slice_distributions(circuit, slices))[1]
+    return probs / probs.sum()
 
 
 def slice_distributions(circuit: Circuit, slices: np.ndarray):
-    """Yield (k, probs) for every error slice k of ``slices`` (K, 2, m+1,
-    n), the (x, z) bits of each location's Pauli: the X-measurement
-    distribution (index bit q = qubit q) of ``circuit`` under slice k.
+    """Yield (k, weights) for every error slice k of ``slices`` (K, 2,
+    m+1, n), the (x, z) bits of each location's Pauli: the squared
+    X-basis amplitudes (index bit q = qubit q) of ``circuit`` under slice
+    k, its outcome distribution up to rounding (:func:`quantile_indices`
+    normalises).
 
     One noiseless walk serves every slice. A location-j error (j < m) is
     moved through band j-1's cZ round, where a qubit's Z picks up its
     partner's X, to just before band j's round, so a slice's state is the
-    noiseless one up to its first error location f. The walk branches
-    there, and the branch runs bands f..m-1 with the slice's Paulis folded
-    into their unitaries. The X-basis rotation is folded into the last
-    band, which has no cZ round, so a location-m Pauli only relabels
-    outcomes: its Z bits XOR the outcome index and its X bits do nothing,
-    and slices that differ only there share one branch. The walk holds two
-    states at a time, at any m; slices come out by first error location.
+    noiseless one up to its first error location f. A Pauli reaches only
+    its forward light cone, so the slice's state at a later band boundary
+    t is the noiseless one there times one operator O on the cone S of its
+    errors before t: S holds the qubits they touch, closed under the
+    partners of each crossed cZ layer, and O = W_slice W_noiseless†, the
+    walks of bands f..t-1 restricted to S (:func:`_cone_operator`). A slice
+    joins the noiseless walk at the latest t at which S fits in ``BLOCK``
+    qubits (:func:`_join_bands`): O acts there as one product on the
+    state with S's bits gathered on top (:func:`_gather_index`), then the
+    slice walks bands t..m-1 with its Paulis folded into their unitaries.
+    Most slices join at t = m and walk no full-size round; one whose first
+    band already overflows joins at t = f with O the identity. The X-basis
+    rotation is folded into the last band, which has no cZ round, so a
+    location-m Pauli only relabels outcomes: its Z bits XOR the outcome
+    index and its X bits do nothing, and slices that differ only there
+    share one branch. The walk holds a few states at a time, at any m;
+    slices come out by join band.
     """
     n, m, k = circuit.n, circuit.m, len(slices)
     x, z = slices[:, 0], slices[:, 1]
@@ -386,25 +414,126 @@ def slice_distributions(circuit: Circuit, slices: np.ndarray):
     crossed = z[:, 1:] ^ x[:, 1:].reshape(k, m * n)[:, partner] & paired
     pre = cliffords.PAULI_INDEX[x[:, :m], np.concatenate(
         (z[:, :1], crossed[:, :-1]), axis=1)]
-    touched = (pre != cliffords.C_I).any(axis=2)
-    first = np.where(touched.any(axis=1), touched.argmax(axis=1), m)
+    first, join, cones = _join_bands(pre != cliffords.C_I, partner % n,
+                                     paired.astype(bool))
     flips = z[:, m] @ (1 << np.arange(n))
     branches = {}
     for i, key in enumerate(pre):
         branches.setdefault(key.tobytes(), []).append(i)
-    outcomes = np.arange(2 ** n)
     bands = band_unitaries(circuit.gates, circuit.matrices)
     bands[-1] = cliffords.MATRICES[cliffords.C_H] @ bands[-1]
     state, at = plus_state(n), 0
-    for group in sorted(branches.values(), key=lambda ks: first[ks[0]]):
-        f = first[group[0]]
-        state = _walk(state, bands[at:f], circuit.cz[at:f], n)
-        at = f
-        probs = np.abs(_walk(state, bands[f:] @ cliffords.MATRICES[
-            pre[group[0], f:]], circuit.cz[f:], n)) ** 2
-        probs /= probs.sum()
-        for i in group:
-            yield i, probs[outcomes ^ flips[i]]
+    for group in sorted(branches.values(), key=lambda ks: join[ks[0]]):
+        i = group[0]
+        state = _walk(state, bands[at:join[i]], circuit.cz[at:join[i]], n)
+        at = join[i]
+        yield from _relabel(group, flips, *_branch_weights(
+            state, bands, circuit.cz, pre[i], first[i], at, cones[i, at]))
+
+
+def _relabel(group: list, flips: np.ndarray, weights: np.ndarray,
+             index: Optional[np.ndarray]):
+    """Yield (k, weights) for each slice k of ``group``: ``weights`` laid
+    out by ``index`` (None for the natural order) with its outcomes XORed
+    by the slice's location-m ``flips``, in the natural order."""
+    for k in group:
+        if index is not None:
+            yield k, _scatter(weights, index ^ flips[k])
+        elif flips[k]:
+            yield k, weights[np.arange(len(weights)) ^ flips[k]]
+        else:
+            yield k, weights
+
+
+def _branch_weights(state: np.ndarray, bands: np.ndarray, cz: tuple,
+                    paulis: np.ndarray, f: int, t: int,
+                    cone: np.ndarray) -> tuple:
+    """(weights, index) of a slice with Pauli indices ``paulis`` (m, n)
+    before each band's round, first at band f, that joins the noiseless
+    ``state`` at band boundary t with the bool light cone ``cone`` (n,):
+    its squared amplitudes after ``bands`` (m, n, 2, 2) and ``cz``, laid
+    out by the gather ``index`` of :func:`_gather_index` (None for the
+    natural order). A slice that joins before the last band is scattered
+    back to the natural order and walks the later bands."""
+    m, n = bands.shape[:2]
+    index = None
+    if t > f:
+        cone = np.flatnonzero(cone)
+        index = _gather_index(n, cone)
+        state = _cone_operator(bands[f:t], cz[f:t], paulis[f:t],
+                               cone) @ state[index]
+        if t < m:
+            state, index = _scatter(state, index), None
+    if t < m:
+        state = _walk(state, bands[t:] @ cliffords.MATRICES[paulis[t:]],
+                      cz[t:], n)
+    weights = np.square(state.real)
+    weights += np.square(state.imag)
+    return weights, index
+
+
+def _join_bands(touched: np.ndarray, partner: np.ndarray,
+                paired: np.ndarray) -> tuple:
+    """(first, join, cones) of K slices whose Paulis before band j's round
+    touch the qubits ``touched[:, j]`` (K, m, n), on cZ layers given by
+    :func:`circuit.cz_partners` as qubit ``partner`` and bool ``paired``
+    (m, n) arrays. ``cones`` (K, m+1, n) marks the light cone of each
+    slice's Paulis before band boundary t: the qubits they touch, closed
+    under each crossed cZ layer's partners. ``first`` is the first band a
+    slice touches (m when none), ``join`` the latest boundary whose cone
+    holds at most ``BLOCK`` qubits; cones only grow, and none is nonempty
+    before ``first``, so first <= join."""
+    k, m, n = touched.shape
+    cones = np.zeros((k, m + 1, n), dtype=bool)
+    for j in range(m):
+        cone = cones[:, j] | touched[:, j]
+        cones[:, j + 1] = cone | cone[:, partner[j]] & paired[j]
+    bands = touched.any(axis=2)
+    first = np.where(bands.any(axis=1), bands.argmax(axis=1), m)
+    join = (cones.sum(axis=2) <= BLOCK).sum(axis=1) - 1
+    return first, join, cones
+
+
+def _cone_operator(bands: np.ndarray, cz: tuple, paulis: np.ndarray,
+                   cone: np.ndarray) -> np.ndarray:
+    """O = W_slice W_noiseless† (2^s, 2^s) on the s qubits ``cone``, bit i
+    of its index qubit cone[i]: W is the walk of ``bands`` (b, n, 2, 2) and
+    the ``cz`` pairs inside the cone, W_slice with the Pauli indices
+    ``paulis`` (b, n) before each round. Both walks are one :func:`_walk`
+    of the 2^s basis states, so row r of each walk is column r of its W.
+    """
+    s = len(cone)
+    at = dict(zip(cone.tolist(), range(s)))
+    pairs = tuple(tuple((at[lo], at[hi]) for lo, hi in layer
+                        if lo in at and hi in at) for layer in cz)
+    plain = bands[:, cone, None, None]
+    both = np.concatenate((plain @ cliffords.MATRICES[
+        paulis[:, cone, None, None]], plain), axis=2)
+    basis = np.eye(2 ** s, dtype=complex)[None].repeat(2, axis=0)
+    walked, plain_walked = _walk(basis, both, pairs, s)
+    return walked.T @ plain_walked.conj()
+
+
+def _gather_index(n: int, cone: np.ndarray) -> np.ndarray:
+    """Indices (2^s, 2^(n-s)) into a (2^n,) state that put the s qubits
+    ``cone`` (ascending) on top: row a holds the basis states whose bit
+    cone[i] is bit i of a, the other qubits' bits in order along the row.
+    The row offsets are an outer sum over the segments of qubits between
+    the cone's, so no loop runs once per qubit of the state."""
+    qubits = cone.tolist()
+    rest = np.zeros(1, dtype=np.intp)
+    for lo, hi in zip([0] + [q + 1 for q in qubits], qubits + [n]):
+        rest = ((np.arange(1 << hi - lo) << lo)[:, None] + rest).reshape(-1)
+    top = (np.arange(1 << len(qubits))[:, None] >> np.arange(len(qubits))
+           & 1) @ (1 << cone)
+    return top[:, None] + rest
+
+
+def _scatter(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(2^n,) array holding ``values`` at ``index`` (a permutation)."""
+    out = np.empty(index.size, dtype=values.dtype)
+    out[index.reshape(-1)] = values.reshape(-1)
+    return out
 
 
 def _walk(state: np.ndarray, bands, cz: tuple, n: int,

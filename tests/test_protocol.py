@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaccredit import families, noise, protocol, qotp, simulator, traps
+from qaccredit import (cliffords, families, noise, protocol, qotp, simulator,
+                       traps)
 from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.mesothetic import BobStrategy, run_session
 from qaccredit.noise import (BoundedGateNoise, CompositeModel,
@@ -720,20 +721,132 @@ def _slices_at_every_location(n, m, count, rng):
     return np.concatenate((slices, np.zeros_like(slices[:1]), repeats))
 
 
+def _cz_dense(target, rng):
+    """``target`` with as many cZ pairs as its qubits allow in every band
+    but the last, on fresh random pairings."""
+    n, m = target.n, target.m
+    cz = []
+    for _ in range(m - 1):
+        qubits = rng.permutation(n).tolist()
+        cz.append([(qubits[i], qubits[i + 1]) for i in range(0, n - 1, 2)])
+    return Circuit(n, m, target.gates, cz + [()], target.matrices)
+
+
+def _join_band(target, x, z):
+    """(first, join) of a slice of error bits x, z (m+1, n), by sets: the
+    first band its Paulis touch (m when none), and the latest band
+    boundary at which the light cone of its Paulis before the boundary
+    holds at most ``BLOCK`` qubits. A location-j error (0 < j < m) is
+    moved through band j-1's cZ layer first, where a qubit's Z picks up
+    its partner's X."""
+    n, m = target.n, target.m
+    first, cone = m, set()
+    for j in range(m):
+        partner = {}
+        for lo, hi in target.cz[j - 1] if j else ():
+            partner[lo], partner[hi] = hi, lo
+        touched = {q for q in range(n) if x[j, q] or z[j, q]
+                   ^ (x[j, partner[q]] if q in partner else 0)}
+        if touched and first == m:
+            first = j
+        cone |= touched
+        for lo, hi in target.cz[j]:
+            if lo in cone or hi in cone:
+                cone |= {lo, hi}
+        if len(cone) > simulator.BLOCK:
+            return first, j
+    return first, m
+
+
+def _slices_with_single_errors(n, m, rng):
+    """One slice per location j < m with one random Pauli on one random
+    qubit, and random bits at location m."""
+    slices = np.zeros((m, 2, m + 1, n), dtype=np.uint8)
+    for j in range(m):
+        slices[j, :, j, rng.integers(n)] = [(1, 0), (0, 1), (1, 1)][
+            rng.integers(3)]
+        slices[j, :, m] = rng.random((2, n)) < 0.3
+    return slices
+
+
 def test_sample_targets_pick_from_each_slice_distribution():
-    # the branched walk picks as the old rule did: one distribution per
-    # slice, the edge locations 0 and m included, location m alone too
+    # each slice's distribution against the plain walk of its bands with
+    # its Paulis folded in (density_distribution, no join), on cZ-dense
+    # targets, the edge locations 0 and m included, location m alone too;
+    # slices join at the last band and before it, with and without an
+    # operator on their light cone
     rng = np.random.default_rng(23)
+    kinds = set()
     for _ in range(12):
         n, m = int(rng.integers(1, 11)), int(rng.integers(2, 6))
-        target = families.random_generic_circuit(n, m, rng)
-        slices = _slices_at_every_location(n, m, 4 * (m + 1), rng)
+        target = _cz_dense(families.random_generic_circuit(n, m, rng), rng)
+        slices = np.concatenate((
+            _slices_at_every_location(n, m, 4 * (m + 1), rng),
+            _slices_with_single_errors(n, m, rng)))
         draws = rng.random(len(slices))
         picks = protocol._sample_targets(target, slices, draws)
-        for bits, draw, pick in zip(slices, draws, picks):
-            probs = simulator.statevector_distribution(target, bits)
+        weights = dict(simulator.slice_distributions(target, slices))
+        bands = simulator.band_unitaries(target.gates, target.matrices)
+        for k, (bits, draw, pick) in enumerate(zip(slices, draws, picks)):
+            pre, post = simulator.error_paulis(*bits)
+            probs = simulator.density_distribution(
+                cliffords.MATRICES[post] @ bands @ cliffords.MATRICES[pre],
+                target.cz, {})
+            assert np.abs(weights[k] / weights[k].sum() - probs).max() \
+                <= 1e-12
             index = simulator.quantile_indices(probs, draw)
             assert simulator.bits_to_index(pick) == index
+            first, join = _join_band(target, *bits)
+            kinds.add((join == m, join > first))
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_report_walks_each_branch_from_its_join_band(monkeypatch):
+    # full-size rounds of one report: m for the noiseless walk plus m - t
+    # for each distinct branch joining at band t (slices that differ only
+    # at location m share one); m alone when every slice joins at m
+    rounds, seen = [], []
+    apply_round = simulator.apply_round
+    slice_distributions = simulator.slice_distributions
+
+    def counting_round(state, blocks, n):
+        rounds.append(state.shape)
+        return apply_round(state, blocks, n)
+
+    def seen_slices(circuit, slices):
+        seen.append(slices)
+        return slice_distributions(circuit, slices)
+
+    monkeypatch.setattr(simulator, "apply_round", counting_round)
+    monkeypatch.setattr(simulator, "slice_distributions", seen_slices)
+    rng = np.random.default_rng(41)
+    n, m = 8, 5
+    target = _cz_dense(families.random_generic_circuit(n, m, rng), rng)
+    model = CompositeModel(
+        pauli_part=IndependentLocationChannels(
+            default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01}),
+        gate_part=BoundedGateNoise(rate=0.05, n=n))
+    report = protocol.accredit(ProtocolConfig(
+        v=3, d=400, theta=0.05, master_seed=8, noise=model,
+        epsilon_mode="theorem2"), target)
+    (slices,) = seen
+    assert len(slices) <= report.n_acc
+    branches = {bits[:, :m].tobytes(): _join_band(target, *bits)[1]
+                for bits in slices}
+    joins = list(branches.values())
+    assert max(joins) == m and min(joins) < m
+    assert rounds.count((2 ** n,)) == m + sum(m - t for t in joins)
+
+    # one error at location m-2 or m-1 reaches at most four qubits
+    rounds.clear()
+    slices = _slices_with_single_errors(n, m, rng)[-2:]
+    relabelled = slices.copy()
+    relabelled[:, :, m] ^= 1
+    slices = np.concatenate((slices, relabelled))
+    assert all(_join_band(target, *bits)[1] == m for bits in slices)
+    protocol._sample_targets(target, slices, rng.random(len(slices)))
+    assert rounds.count((2 ** n,)) == m
 
 
 def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):

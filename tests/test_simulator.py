@@ -364,6 +364,25 @@ def test_run_statevector_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def test_statevector_rejects_errors_that_are_not_bits_at_every_location():
+    # a (1, n) pair would broadcast to every location and float bits such
+    # as 0.6 would truncate to 0; both are refused, as is any other shape
+    n, m = 3, 3
+    circ = families.random_generic_circuit(n, m, np.random.default_rng(4))
+    ones = np.ones((m + 1, n), dtype=np.uint8)
+    bad = [(ones[:1], ones[:1]), (0.6 * ones, ones), (ones, 2 * ones),
+           (ones[:, :2], ones[:, :2]), (ones,), ones]
+    for errors in bad:
+        with pytest.raises(ValueError, match="errors"):
+            statevector_distribution(circ, errors)
+        with pytest.raises(ValueError, match="errors"):
+            run_statevector(circ, errors, rng=np.random.default_rng(1))
+    # 0/1 of any dtype is accepted
+    exact = statevector_distribution(circ, (ones, 0 * ones))
+    for errors in ((ones.astype(bool), 0 * ones), (1.0 * ones, 0.0 * ones)):
+        assert np.array_equal(statevector_distribution(circ, errors), exact)
+
+
 def test_sample_bits_draws_as_generator_choice():
     # the pad-free engine takes a run's uniform draw before its target's
     # distribution exists; the outcome must be the one choice() would pick

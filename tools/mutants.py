@@ -63,6 +63,8 @@ PASS_COUNTS = ORACLES + ("test_pass_counts_equal_the_exact_probability_"
 CHOICE_DRAW = ORACLES + "test_choice_draw_is_rng_choice"
 TWIRL_WEIGHTS = ORACLES + ("test_twirl_weights_do_not_follow_the_"
                            "rounding_of_a_walk")
+SLICES = PROTOCOL + "test_sample_targets_pick_from_each_slice_distribution"
+ROUNDS = PROTOCOL + "test_report_walks_each_branch_from_its_join_band"
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
 FRAMES = "tests/test_simulator.py::test_frame_flips_match_per_trap_frames"
 
@@ -199,6 +201,27 @@ MUTANTS = (
            "@ u.mT).reshape(shape)",
            "@ u).reshape(shape)",
            (FUSED,)),
+    # generic slices join the noiseless walk by a light-cone operator
+    Mutant("cone-without-partners", "simulator.py",
+           "cones[:, j + 1] = cone | cone[:, partner[j]] & paired[j]",
+           "cones[:, j + 1] = cone",
+           (SLICES, ROUNDS)),
+    Mutant("operator-without-inverse", "simulator.py",
+           "return walked.T @ plain_walked.conj()",
+           "return walked.T",
+           (SLICES,)),
+    Mutant("cone-bits-reversed", "simulator.py",
+           "& 1) @ (1 << cone)",
+           "& 1) @ (1 << cone[::-1])",
+           (SLICES,)),
+    Mutant("join-drops-relabel", "simulator.py",
+           "yield k, _scatter(weights, index ^ flips[k])",
+           "yield k, _scatter(weights, index)",
+           (SLICES,)),
+    Mutant("cone-cap-past-block", "simulator.py",
+           "join = (cones.sum(axis=2) <= BLOCK)",
+           "join = (cones.sum(axis=2) <= BLOCK + 1)",
+           (ROUNDS,)),
     # pass counts over the rows that touch a location
     Mutant("sparse-xor-leading-rows", "oracles.py",
            "flips[rows] ^= t[",
