@@ -11,7 +11,8 @@ Submodules:
 * :mod:`qaccredit.traps` — trap-circuit generation from flat 0/1 choice rows
 * :mod:`qaccredit.noise` — Pauli-collection and bounded-gate noise models,
   each with one sampler of (x, z) error bits per noise location
-* :mod:`qaccredit.simulator` — Pauli-frame and dense backends
+* :mod:`qaccredit.simulator` — Pauli-frame and dense backends; error
+  slices reach the statevector backend through ``slice_distributions``
 * :mod:`qaccredit.protocol` — the accreditation runner and bounds
 * :mod:`qaccredit.oracles` — brute-force lemma verifiers
 * :mod:`qaccredit.mesothetic` — interactive verifier/prover sessions
@@ -25,8 +26,7 @@ from .protocol import (AccreditationReport, ProtocolConfig, RunOutcome,
                        accredit, delta_bound, epsilon_theorem1,
                        epsilon_theorem2, figure8_curve, single_run)
 from .qotp import dress, postprocess
-from .simulator import propagate_frame, run_density, run_statevector, \
-    trap_output
+from .simulator import propagate_frame, run_density, trap_output
 from .traps import choice_width, enumerate_choices, generate_trap
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "delta_bound", "epsilon_theorem1", "epsilon_theorem2", "figure8_curve",
     "single_run",
     "dress", "postprocess",
-    "propagate_frame", "run_density", "run_statevector", "trap_output",
+    "propagate_frame", "run_density", "trap_output",
     "choice_width", "enumerate_choices", "generate_trap",
     "__version__",
 ]

@@ -431,16 +431,19 @@ def twirl_channel(circ: Circuit, channels: dict) -> TwirlReport:
     ``channels`` maps noise locations to Kraus lists (2^n-dimensional).
     The candidates are every slice (Z-only at the end locations) as bits:
     the product of the locations' codes, identity first, folded into the
-    gates (:func:`simulator.error_paulis`) and walked as one batch.
+    gates' Paulis as :func:`protocol.plan_run` folds a run's errors
+    (:func:`qotp.pad_paulis` with zero pads) and walked as one batch.
     """
     _check_twirl_walks(circ, channels, fit=True)
     averaged = pad_averaged_distribution(circ, channels)
     n, m = circ.n, circ.m
     err_x, err_z = _bits(list(itertools.product(
         *(_codes(n, loc in (0, m)) for loc in range(m + 1)))), n)
+    pre, post, _ = qotp.pad_paulis(
+        circ, np.zeros((len(err_x), qotp.pad_width(n, m)), np.uint8),
+        (err_x, err_z))
     bands = qotp.pad_unitaries(
-        simulator.band_unitaries(circ.gates, circ.matrices),
-        *simulator.error_paulis(err_x, err_z))
+        simulator.band_unitaries(circ.gates, circ.matrices), pre, post)
     a = simulator.density_distribution(bands.transpose(1, 2, 0, 3, 4),
                                        circ.cz, {}).T
     # constrain weights to a distribution by appending the sum-to-one row

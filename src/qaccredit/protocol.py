@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -84,10 +85,17 @@ class ProtocolConfig:
     epsilon_mode: str = "theorem1"  # or "theorem2"
 
     def __post_init__(self):
+        for name in ("v", "d", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise DomainError(f"{name} must be an integer")
         if self.v < 3:
             raise DomainError("v >= 3 required for the credibility bound")
         if self.d < 1:
             raise DomainError("d must be >= 1")
+        if self.master_seed < 0:
+            raise DomainError("master_seed must be >= 0")
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise DomainError("theta must be finite and > 0")
         if self.epsilon_mode not in ("theorem1", "theorem2"):

@@ -8,15 +8,14 @@
   frame also samples a Clifford circuit's outputs, with no statevector.
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_cz`), the steps the two-party
-  register also runs. A drawn Pauli error is folded into a gate as a pad
-  is, and :func:`error_paulis` gives errors the pads' form for batched
-  walks. A Pauli reaches only its forward light cone, so
-  :func:`slice_distributions` joins every error slice to one noiseless
-  walk late: its errors up to the latest band whose light cone fits in
-  ``BLOCK`` qubits become one operator on that cone. The round and cZ
-  steps take leading batch axes, so one walk moves many states; the
-  density backend sums that walk over every path of Kraus operators at
-  the noise locations.
+  register also runs. :func:`slice_distributions` is its one entry: a
+  drawn Pauli error is folded into a gate as a pad is, and since a Pauli
+  reaches only its forward light cone, every error slice joins one
+  noiseless walk late: its errors up to the latest band whose light cone
+  fits in ``BLOCK`` qubits become one operator on that cone, applied on
+  the cone's qubit axes. The round and cZ steps take leading batch axes,
+  so one walk moves many states; the density backend sums that walk over
+  every path of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -294,16 +293,6 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
 
 
-def error_paulis(err_x: np.ndarray, err_z: np.ndarray) -> tuple:
-    """Error bits (..., m+1, n), row j the location-j error, as Pauli
-    indices (..., m, n) before and after each gate, the pads' form: the
-    location-0 error before band 0's gate, location j+1 after band j's."""
-    paulis = cliffords.PAULI_INDEX[err_x, err_z]
-    pre = np.full_like(paulis[..., 1:, :], cliffords.C_I)
-    pre[..., 0, :] = paulis[..., 0, :]
-    return pre, paulis[..., 1:, :]
-
-
 def band_unitaries(gates: np.ndarray, matrices: dict) -> np.ndarray:
     """Single-qubit unitaries (..., 2, 2) of gate indices of any shape;
     ``matrices`` maps a full index of ``gates`` to a GENERIC gate's 2x2."""
@@ -361,25 +350,6 @@ def check_statevector_size(n: int):
             f"{n} qubits exceeds statevector limit {MAX_STATEVECTOR_QUBITS}")
 
 
-def statevector_distribution(circuit: Circuit,
-                             errors: Optional[Sequence] = None) -> np.ndarray:
-    """Exact X-measurement outcome distribution (index bit q = qubit q)
-    under ``errors``, an (x, z) pair of (m+1, n) 0/1 arrays or None: the
-    one-slice case of :func:`slice_distributions`. Any other shape or
-    value raises ValueError."""
-    check_statevector_size(circuit.n)
-    n, m = circuit.n, circuit.m
-    slices = np.zeros((1, 2, m + 1, n), dtype=np.uint8)
-    if errors is not None:
-        bits = np.asarray(errors)
-        if bits.shape != (2, m + 1, n) or not np.isin(bits, (0, 1)).all():
-            raise ValueError(f"errors must be an (x, z) pair of 0/1 arrays "
-                             f"of shape ({m + 1}, {n})")
-        slices[0] = bits
-    probs = next(slice_distributions(circuit, slices))[1]
-    return probs / probs.sum()
-
-
 def slice_distributions(circuit: Circuit, slices: np.ndarray):
     """Yield (k, weights) for every error slice k of ``slices`` (K, 2,
     m+1, n), the (x, z) bits of each location's Pauli: the squared
@@ -398,20 +368,20 @@ def slice_distributions(circuit: Circuit, slices: np.ndarray):
     walks of bands f..t-1 restricted to S (:func:`_cone_operator`). A slice
     joins the noiseless walk at the latest t at which S fits in ``BLOCK``
     qubits (:func:`_join_bands`): O acts there as one product on the
-    state with S's bits gathered on top (:func:`_gather_index`), then the
-    slice walks bands t..m-1 with its Paulis folded into their unitaries.
-    Most slices join at t = m and walk no full-size round; one whose first
-    band already overflows joins at t = f with O the identity. The X-basis
-    rotation is folded into the last band, which has no cZ round, so a
-    location-m Pauli only relabels outcomes: its Z bits XOR the outcome
-    index and its X bits do nothing, and slices that differ only there
-    share one branch. The walk holds a few states at a time, at any m;
-    slices come out by join band.
+    state with S's qubit axes moved to the front (:func:`_branch_weights`),
+    then the slice walks bands t..m-1 with its Paulis folded into their
+    unitaries. Most slices join at t = m and walk no full-size round; one
+    whose first band already overflows joins at t = f with O the identity.
+    The X-basis rotation is folded into the last band, which has no cZ
+    round, so a location-m Pauli only relabels outcomes: its Z bits XOR
+    the outcome index and its X bits do nothing, and slices that differ
+    only there share one branch. The walk holds a few states at a time, at
+    any m; slices come out by join band.
     """
-    n, m, k = circuit.n, circuit.m, len(slices)
+    n, m = circuit.n, circuit.m
     x, z = slices[:, 0], slices[:, 1]
     partner, paired = cz_partners(n, circuit.cz)
-    crossed = z[:, 1:] ^ x[:, 1:].reshape(k, m * n)[:, partner] & paired
+    crossed = z[:, 1:] ^ x[:, 1:].reshape(-1, m * n)[:, partner] & paired
     pre = cliffords.PAULI_INDEX[x[:, :m], np.concatenate(
         (z[:, :1], crossed[:, :-1]), axis=1)]
     first, join, cones = _join_bands(pre != cliffords.C_I, partner % n,
@@ -427,49 +397,39 @@ def slice_distributions(circuit: Circuit, slices: np.ndarray):
         i = group[0]
         state = _walk(state, bands[at:join[i]], circuit.cz[at:join[i]], n)
         at = join[i]
-        yield from _relabel(group, flips, *_branch_weights(
-            state, bands, circuit.cz, pre[i], first[i], at, cones[i, at]))
-
-
-def _relabel(group: list, flips: np.ndarray, weights: np.ndarray,
-             index: Optional[np.ndarray]):
-    """Yield (k, weights) for each slice k of ``group``: ``weights`` laid
-    out by ``index`` (None for the natural order) with its outcomes XORed
-    by the slice's location-m ``flips``, in the natural order."""
-    for k in group:
-        if index is not None:
-            yield k, _scatter(weights, index ^ flips[k])
-        elif flips[k]:
-            yield k, weights[np.arange(len(weights)) ^ flips[k]]
-        else:
-            yield k, weights
+        weights = _branch_weights(state, bands, circuit.cz, pre[i],
+                                  first[i], at, cones[i, at])
+        for k in group:
+            yield k, (weights[np.arange(2 ** n) ^ flips[k]] if flips[k]
+                      else weights)
+        del weights  # the next branch's walk holds no stale weights
 
 
 def _branch_weights(state: np.ndarray, bands: np.ndarray, cz: tuple,
                     paulis: np.ndarray, f: int, t: int,
-                    cone: np.ndarray) -> tuple:
-    """(weights, index) of a slice with Pauli indices ``paulis`` (m, n)
-    before each band's round, first at band f, that joins the noiseless
-    ``state`` at band boundary t with the bool light cone ``cone`` (n,):
-    its squared amplitudes after ``bands`` (m, n, 2, 2) and ``cz``, laid
-    out by the gather ``index`` of :func:`_gather_index` (None for the
-    natural order). A slice that joins before the last band is scattered
-    back to the natural order and walks the later bands."""
+                    cone: np.ndarray) -> np.ndarray:
+    """Squared amplitudes (2^n,) of a slice with Pauli indices ``paulis``
+    (m, n) before each band's round, first at band f, that joins the
+    noiseless ``state`` at band boundary t with the bool light cone
+    ``cone`` (n,), after ``bands`` (m, n, 2, 2) and ``cz``. The state is
+    read as n axes of length 2, qubit q on axis n-1-q: the cone's axes move
+    to the front, highest qubit first, for the cone operator's product and
+    move back after it. A slice that joins before the last band walks the
+    later bands."""
     m, n = bands.shape[:2]
-    index = None
     if t > f:
-        cone = np.flatnonzero(cone)
-        index = _gather_index(n, cone)
-        state = _cone_operator(bands[f:t], cz[f:t], paulis[f:t],
-                               cone) @ state[index]
-        if t < m:
-            state, index = _scatter(state, index), None
+        qubits = np.flatnonzero(cone)
+        axes, front = n - 1 - qubits[::-1], range(len(qubits))
+        operator = _cone_operator(bands[f:t], cz[f:t], paulis[f:t], qubits)
+        state = np.moveaxis(state.reshape((2,) * n), axes, front)
+        state = operator @ state.reshape(len(operator), -1)
+        state = np.moveaxis(state.reshape((2,) * n), front, axes).reshape(-1)
     if t < m:
         state = _walk(state, bands[t:] @ cliffords.MATRICES[paulis[t:]],
                       cz[t:], n)
     weights = np.square(state.real)
     weights += np.square(state.imag)
-    return weights, index
+    return weights
 
 
 def _join_bands(touched: np.ndarray, partner: np.ndarray,
@@ -514,28 +474,6 @@ def _cone_operator(bands: np.ndarray, cz: tuple, paulis: np.ndarray,
     return walked.T @ plain_walked.conj()
 
 
-def _gather_index(n: int, cone: np.ndarray) -> np.ndarray:
-    """Indices (2^s, 2^(n-s)) into a (2^n,) state that put the s qubits
-    ``cone`` (ascending) on top: row a holds the basis states whose bit
-    cone[i] is bit i of a, the other qubits' bits in order along the row.
-    The row offsets are an outer sum over the segments of qubits between
-    the cone's, so no loop runs once per qubit of the state."""
-    qubits = cone.tolist()
-    rest = np.zeros(1, dtype=np.intp)
-    for lo, hi in zip([0] + [q + 1 for q in qubits], qubits + [n]):
-        rest = ((np.arange(1 << hi - lo) << lo)[:, None] + rest).reshape(-1)
-    top = (np.arange(1 << len(qubits))[:, None] >> np.arange(len(qubits))
-           & 1) @ (1 << cone)
-    return top[:, None] + rest
-
-
-def _scatter(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(2^n,) array holding ``values`` at ``index`` (a permutation)."""
-    out = np.empty(index.size, dtype=values.dtype)
-    out[index.reshape(-1)] = values.reshape(-1)
-    return out
-
-
 def _walk(state: np.ndarray, bands, cz: tuple, n: int,
           operators: Optional[dict] = None) -> np.ndarray:
     """``state`` through single-qubit rounds ``bands`` (m, n, ..., 2, 2),
@@ -555,13 +493,6 @@ def _walk(state: np.ndarray, bands, cz: tuple, n: int,
         if pairs:
             state = apply_cz(state, pairs, n)
     return state
-
-
-def run_statevector(circuit: Circuit, errors: Optional[Sequence] = None, *,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One X-measurement sample as an n-bit array."""
-    probs = statevector_distribution(circuit, errors)
-    return sample_bits(probs, circuit.n, rng)
 
 
 def run_density(circuit: Circuit,

@@ -4,6 +4,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from qaccredit import qotp, simulator
+
 
 @pytest.fixture
 def allocates_at_most():
@@ -42,3 +44,28 @@ def pauli_kraus():
         return [full]
 
     return kraus
+
+
+@pytest.fixture(scope="session")
+def plain_walk():
+    """Function of a circuit and its errors, an (x, z) pair of (..., m+1,
+    n) bit arrays or None: the exact X-measurement distributions (...,
+    2^n) of the plain walk of its bands (density_distribution, no light
+    cone), each slice's errors folded into the gates' Paulis as a run
+    folds them (qotp.pad_paulis with zero pads)."""
+
+    def walk(circuit, errors=None):
+        n, m = circuit.n, circuit.m
+        x, z = np.zeros((2, m + 1, n), np.uint8) if errors is None \
+            else np.asarray(errors, np.uint8)
+        shape = x.shape[:-2]
+        x, z = x.reshape(-1, m + 1, n), z.reshape(-1, m + 1, n)
+        pre, post, _ = qotp.pad_paulis(circuit, np.zeros(
+            (len(x), qotp.pad_width(n, m)), np.uint8), (x, z))
+        bands = qotp.pad_unitaries(simulator.band_unitaries(
+            circuit.gates, circuit.matrices), pre, post)
+        return simulator.density_distribution(
+            bands.transpose(1, 2, 0, 3, 4), circuit.cz, {}
+        ).reshape(shape + (2 ** n,))
+
+    return walk

@@ -220,10 +220,10 @@ def test_session_builds_no_circuit(monkeypatch):
         run_session(target, 3, bob, np.random.default_rng(8))
 
 
-def _replay(target, v, bob, rng, alice_noise):
+def _replay(target, v, bob, rng, alice_noise, plain_walk):
     """A session's outcome without the register: each slot of the plan,
-    which holds Alice's gate noise, sampled from its statevector
-    distribution with Bob's stage-s Paulis as the location-s error bits.
+    which holds Alice's gate noise, sampled from its distribution by
+    ``plain_walk`` with Bob's stage-s Paulis as the location-s error bits.
     Returns (flag, v0, target output, transcript length)."""
     n, m = target.n, target.m
     plan = plan_run(
@@ -238,7 +238,7 @@ def _replay(target, v, bob, rng, alice_noise):
             for p in bob.deviations_for(k, stage):
                 bits[0, stage] ^= simulator.index_to_bits(p.x_bits, n)
                 bits[1, stage] ^= simulator.index_to_bits(p.z_bits, n)
-        probs = simulator.statevector_distribution(circuit, tuple(bits))
+        probs = plain_walk(circuit, bits)
         out = qotp.postprocess(simulator.sample_bits(probs, n, rng), key)
         sent += 2 * m + 1  # m round trips of the register, one measurement
         if k == v0:
@@ -253,7 +253,8 @@ def _replay(target, v, bob, rng, alice_noise):
        generic=st.booleans(), alice_gate_noise=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_session_matches_statevector_replay(n, m, v, generic,
-                                            alice_gate_noise, seed):
+                                            alice_gate_noise, seed,
+                                            plain_walk):
     """The register walk equals the simulator's walk at BobStrategy's
     stage-to-location rule: stage s is noise location s."""
     rng = np.random.default_rng(seed)
@@ -274,7 +275,8 @@ def test_session_matches_statevector_replay(n, m, v, generic,
     session_rng = np.random.default_rng(seed + 1)
     replay_rng = np.random.default_rng(seed + 1)
     rep = run_session(target, v, bob, session_rng, alice_noise=alice)
-    flag, v0, output, sent = _replay(target, v, bob, replay_rng, alice)
+    flag, v0, output, sent = _replay(target, v, bob, replay_rng, alice,
+                                     plain_walk)
     assert (rep.flag, rep.v0, rep.transcript_length) == (flag, v0, sent)
     assert rep.aborted == (flag == "rej")
     if output is None:

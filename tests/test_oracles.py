@@ -466,7 +466,8 @@ def test_twirl_pure_z_error_recovered():
     assert rep.weights[target[0]] > 1 - 1e-8
 
 
-def test_twirl_weights_do_not_follow_the_rounding_of_a_walk(monkeypatch):
+def test_twirl_weights_do_not_follow_the_rounding_of_a_walk(monkeypatch,
+                                                           plain_walk):
     # many candidates share one output distribution; unfused rounds round
     # differently, and must not move weight between such candidates
     rng = np.random.default_rng(5)
@@ -480,10 +481,7 @@ def test_twirl_weights_do_not_follow_the_rounding_of_a_walk(monkeypatch):
         assert np.abs(unfused.weights - rep.weights).max() < 1e-9
         # each output's weight sits on its first candidate
         x, z = rep.collections
-        outputs = simulator.density_distribution(qotp.pad_unitaries(
-            simulator.band_unitaries(circ.gates, circ.matrices),
-            *simulator.error_paulis(x, z)).transpose(1, 2, 0, 3, 4),
-            circ.cz, {}).round(9)
+        outputs = plain_walk(circ, (x, z)).round(9)
         for i in np.flatnonzero(rep.weights):
             assert not (outputs[:i] == outputs[i]).all(axis=1).any()
 

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaccredit import (cliffords, families, noise, protocol, qotp, simulator,
-                       traps)
+from qaccredit import families, noise, protocol, qotp, simulator, traps
 from qaccredit.circuit import Circuit, identity_circuit
 from qaccredit.mesothetic import BobStrategy, run_session
 from qaccredit.noise import (BoundedGateNoise, CompositeModel,
@@ -141,7 +140,7 @@ def test_single_run_rejects_oversize_target_before_any_draw():
     assert rng.bit_generator.state == before
 
 
-def test_plan_run_hides_target_among_traps():
+def test_plan_run_hides_target_among_traps(plain_walk):
     target = families.ghz_circuit(3)
     plan = plan_run(target, 5, noiseless(), np.random.default_rng(4))
     v0 = plan.v0
@@ -150,7 +149,7 @@ def test_plan_run_hides_target_among_traps():
     for k, (gates, key) in enumerate(zip(plan.gates, plan.keys)):
         circuit = Circuit(3, target.m, gates, target.cz)
         out = qotp.postprocess(
-            simulator.run_statevector(circuit, rng=rng), key)
+            simulator.sample_bits(plain_walk(circuit), 3, rng), key)
         if k == v0:  # GHZ X-measurement outputs have even parity
             assert int(out.sum()) % 2 == 0
         else:  # a noiseless trap outputs all zeros
@@ -200,7 +199,7 @@ def test_plan_run_equals_generate_trap_and_dress(n, m, v, generic, seed):
 @given(n=st.integers(1, 3), m=st.integers(2, 4), v=st.integers(1, 4),
        generic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_noisy_plan_runs_each_dressed_slot_under_its_drawn_errors(
-        pauli_kraus, n, m, v, generic, seed):
+        pauli_kraus, plain_walk, n, m, v, generic, seed):
     # the plan folds its drawn Paulis into the gates: redo its draws by
     # hand, and each slot as planned has the law of the dressed slot with
     # the drawn Paulis as Kraus lists at their locations
@@ -226,7 +225,7 @@ def test_noisy_plan_runs_each_dressed_slot_under_its_drawn_errors(
                           plan.matrices if k == plan.v0 else None)
         channels = {loc: pauli_kraus(err_x[0, k, loc], err_z[0, k, loc])
                     for loc in range(m + 1)}
-        assert np.abs(simulator.statevector_distribution(planned)
+        assert np.abs(plain_walk(planned)
                       - simulator.run_density(dressed, channels)
                       ).max() <= 1e-12
 
@@ -697,7 +696,9 @@ def test_clifford_accredit_builds_no_statevector(monkeypatch):
     def no_statevector(*args, **kwargs):
         raise AssertionError("a statevector was built")
 
-    monkeypatch.setattr(simulator, "statevector_distribution", no_statevector)
+    # every statevector walk starts from plus_state
+    for name in ("plus_state", "slice_distributions"):
+        monkeypatch.setattr(simulator, name, no_statevector)
     model = IndependentLocationChannels(
         default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02})
     for target in (families.ghz_circuit(3),
@@ -769,7 +770,7 @@ def _slices_with_single_errors(n, m, rng):
     return slices
 
 
-def test_sample_targets_pick_from_each_slice_distribution():
+def test_sample_targets_pick_from_each_slice_distribution(plain_walk):
     # each slice's distribution against the plain walk of its bands with
     # its Paulis folded in (density_distribution, no join), on cZ-dense
     # targets, the edge locations 0 and m included, location m alone too;
@@ -786,12 +787,8 @@ def test_sample_targets_pick_from_each_slice_distribution():
         draws = rng.random(len(slices))
         picks = protocol._sample_targets(target, slices, draws)
         weights = dict(simulator.slice_distributions(target, slices))
-        bands = simulator.band_unitaries(target.gates, target.matrices)
         for k, (bits, draw, pick) in enumerate(zip(slices, draws, picks)):
-            pre, post = simulator.error_paulis(*bits)
-            probs = simulator.density_distribution(
-                cliffords.MATRICES[post] @ bands @ cliffords.MATRICES[pre],
-                target.cz, {})
+            probs = plain_walk(target, bits)
             assert np.abs(weights[k] / weights[k].sum() - probs).max() \
                 <= 1e-12
             index = simulator.quantile_indices(probs, draw)
@@ -875,7 +872,7 @@ def test_noiseless_ghz_beyond_the_statevector_limit_accepts_even_parity():
     assert len({o.tobytes() for o in outputs}) > 250
 
 
-def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
+def test_gate_noise_bits_in_trap_frame_match_padded_statevector(plain_walk):
     rng = np.random.default_rng(17)
     for _ in range(150):
         n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -899,15 +896,16 @@ def test_gate_noise_bits_in_trap_frame_match_padded_statevector():
         err_z[j] ^= simulator.index_to_bits(int(rng.integers(0, 2 ** n)), n)
         frame = simulator.frame_flips(
             topo, gates, simulator.frame_hits(err_x[None], err_z[None]))
-        dense = qotp.postprocess(simulator.run_statevector(
-            dressed, (err_x, err_z), rng=rng), key)
+        dense = qotp.postprocess(simulator.sample_bits(
+            plain_walk(dressed, (err_x, err_z)), n, rng), key)
         assert np.array_equal(frame[0], dense)
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), m=st.integers(2, 4), generic=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_pad_invariance_under_paulis_at_every_location(n, m, generic, seed):
+def test_pad_invariance_under_paulis_at_every_location(n, m, generic, seed,
+                                                       plain_walk):
     # Lemma 1: padding changes nothing observable under any Pauli at any
     # location, gate deviations included, so the pad-free engine may run
     # the bare target under the same error bits
@@ -919,8 +917,8 @@ def test_pad_invariance_under_paulis_at_every_location(n, m, generic, seed):
         0, 2, size=qotp.pad_width(n, m), dtype=np.uint8))
     errors = (rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8),
               rng.integers(0, 2, size=(m + 1, n), dtype=np.uint8))
-    padded = simulator.statevector_distribution(dressed, errors)
-    bare = simulator.statevector_distribution(target, errors)
+    padded = plain_walk(dressed, errors)
+    bare = plain_walk(target, errors)
     # post-processing XORs every outcome with the key
     key = simulator.bits_to_index(key)
     assert np.abs(padded[np.arange(2 ** n) ^ key] - bare).max() <= 1e-12
@@ -933,6 +931,16 @@ def test_config_invariants():
         ProtocolConfig(v=3, d=0, theta=0.1, master_seed=0, noise=noiseless())
     with pytest.raises(DomainError):
         ProtocolConfig(v=3, d=1, theta=0.0, master_seed=0, noise=noiseless())
+    # v and d are counts and the seed feeds SeedSequence: a float count
+    # failed inside numpy, True ran one run and a negative seed failed in
+    # the first stream block
+    for bad in ({"v": 3.5}, {"d": 2.5}, {"v": 4.0}, {"d": True},
+                {"master_seed": -1}, {"master_seed": 1.5}):
+        with pytest.raises(DomainError):
+            ProtocolConfig(**{"v": 3, "d": 1, "theta": 0.1, "master_seed": 0,
+                              "noise": noiseless(), **bad})
+    ProtocolConfig(v=np.int64(3), d=np.uint8(1), theta=0.1,
+                   master_seed=2 ** 63, noise=noiseless())
 
 
 def test_config_rejects_non_finite_theta():

@@ -9,9 +9,7 @@ from qaccredit.noise import identity_collection
 from qaccredit.pauli import PauliString
 from qaccredit.simulator import (MAX_DENSITY_QUBITS, MAX_STATEVECTOR_QUBITS,
                                  NonCliffordError, SimLimitError,
-                                 propagate_frame, run_density,
-                                 run_statevector, statevector_distribution,
-                                 trap_output)
+                                 propagate_frame, run_density, trap_output)
 from qaccredit.traps import generate_trap
 
 
@@ -75,22 +73,24 @@ def test_trap_output_flips():
 
 def test_statevector_identity_circuit():
     circ = identity_circuit(3, 2)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        assert not run_statevector(circ, rng=rng).any()
+    [(_, weights)] = simulator.slice_distributions(
+        circ, np.zeros((1, 2, 3, 3), dtype=np.uint8))
+    assert np.abs(weights - np.eye(8)[0]).max() <= 1e-12
 
 
 def test_statevector_hadamard_split():
     circ = Circuit(1, 1, [[cliffords.C_H]])
-    dist = statevector_distribution(circ)
+    [(_, dist)] = simulator.slice_distributions(
+        circ, np.zeros((1, 2, 2, 1), dtype=np.uint8))
     assert np.allclose(dist, [0.5, 0.5])
     rng = np.random.default_rng(4)
-    ones = sum(int(run_statevector(circ, rng=rng)[0]) for _ in range(10 ** 4))
+    ones = sum(int(simulator.sample_bits(dist, 1, rng)[0])
+               for _ in range(10 ** 4))
     sigma = np.sqrt(0.25 / 10 ** 4)
     assert abs(ones / 10 ** 4 - 0.5) < 3 * sigma
 
 
-def test_statevector_matches_frame_on_traps():
+def test_statevector_matches_frame_on_traps(plain_walk):
     rng = np.random.default_rng(5)
     for _ in range(200):
         n, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
@@ -103,7 +103,8 @@ def test_statevector_matches_frame_on_traps():
             x = 0 if z_only else int(rng.integers(0, 2 ** n))
             errs.append(PauliString(n, x, int(rng.integers(0, 2 ** n))))
         expected = trap_output(trap, errs)
-        sampled = run_statevector(trap, errors=_bits(errs), rng=rng)
+        sampled = simulator.sample_bits(plain_walk(trap, _bits(errs)), n,
+                                        rng)
         assert np.array_equal(sampled, expected)
 
 
@@ -126,7 +127,7 @@ def test_apply_pauli_matches_basis_state_loop():
                        for table in simulator._pauli_action(n, x, z))
 
 
-def test_statevector_frame_exhaustive_small():
+def test_statevector_frame_exhaustive_small(plain_walk):
     # all single-location errors on all 2-qubit, <=3-band trap dressings
     rng = np.random.default_rng(6)
     topo = identity_circuit(2, 3, cz_layout=[{(0, 1)}, {(0, 1)}, set()])
@@ -139,14 +140,13 @@ def test_statevector_frame_exhaustive_small():
                     errs = list(_ident_errors(2, 3))
                     errs[loc] = PauliString(2, x, z)
                     expected = trap_output(trap, errs)
-                    got = run_statevector(trap, errors=_bits(errs), rng=rng)
+                    got = simulator.sample_bits(
+                        plain_walk(trap, _bits(errs)), 2, rng)
                     assert np.array_equal(got, expected)
 
 
 def test_statevector_limits(allocates_at_most):
     assert (MAX_STATEVECTOR_QUBITS, MAX_DENSITY_QUBITS) == (16, 6)
-    with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
-        statevector_distribution(identity_circuit(17, 1))
     with allocates_at_most(2 ** 16), pytest.raises(SimLimitError):
         run_density(identity_circuit(7, 1))
 
@@ -193,10 +193,13 @@ def test_density_matches_statevector_sampling():
     rng = np.random.default_rng(7)
     circ = families.random_generic_circuit(2, 2, rng)
     dist = run_density(circ)
+    [(_, probs)] = simulator.slice_distributions(
+        circ, np.zeros((1, 2, 3, 2), dtype=np.uint8))
     reps = 10 ** 4
     counts = np.zeros(4)
     for _ in range(reps):
-        counts[simulator.bits_to_index(run_statevector(circ, rng=rng))] += 1
+        counts[simulator.bits_to_index(
+            simulator.sample_bits(probs, 2, rng))] += 1
     for k in range(4):
         sigma = np.sqrt(max(dist[k] * (1 - dist[k]), 1e-4) / reps)
         assert abs(counts[k] / reps - dist[k]) < 3 * sigma
@@ -264,8 +267,10 @@ def test_folded_errors_match_kronecker_reference_at_every_location(
                 x, z = bits[:, :n], bits[:, n:]
                 channels = {loc: pauli_kraus(x[loc], z[loc])
                             for loc in range(m + 1)}
-                assert np.abs(statevector_distribution(circ, (x, z))
-                              - _kron_density(circ, channels)).max() <= 1e-12
+                [(_, weights)] = simulator.slice_distributions(
+                    circ, np.array((x, z))[None])
+                assert np.abs(weights - _kron_density(circ, channels)
+                              ).max() <= 1e-12
 
 
 def _kron_round(states, unitaries):
@@ -357,32 +362,6 @@ def test_density_normalization_random_channels():
         assert abs(dist.sum() - 1.0) < 1e-10
 
 
-def test_run_statevector_deterministic_given_seed():
-    circ = families.random_generic_circuit(3, 3, np.random.default_rng(9))
-    a = run_statevector(circ, rng=np.random.default_rng(123))
-    b = run_statevector(circ, rng=np.random.default_rng(123))
-    assert np.array_equal(a, b)
-
-
-def test_statevector_rejects_errors_that_are_not_bits_at_every_location():
-    # a (1, n) pair would broadcast to every location and float bits such
-    # as 0.6 would truncate to 0; both are refused, as is any other shape
-    n, m = 3, 3
-    circ = families.random_generic_circuit(n, m, np.random.default_rng(4))
-    ones = np.ones((m + 1, n), dtype=np.uint8)
-    bad = [(ones[:1], ones[:1]), (0.6 * ones, ones), (ones, 2 * ones),
-           (ones[:, :2], ones[:, :2]), (ones,), ones]
-    for errors in bad:
-        with pytest.raises(ValueError, match="errors"):
-            statevector_distribution(circ, errors)
-        with pytest.raises(ValueError, match="errors"):
-            run_statevector(circ, errors, rng=np.random.default_rng(1))
-    # 0/1 of any dtype is accepted
-    exact = statevector_distribution(circ, (ones, 0 * ones))
-    for errors in ((ones.astype(bool), 0 * ones), (1.0 * ones, 0.0 * ones)):
-        assert np.array_equal(statevector_distribution(circ, errors), exact)
-
-
 def test_sample_bits_draws_as_generator_choice():
     # the pad-free engine takes a run's uniform draw before its target's
     # distribution exists; the outcome must be the one choice() would pick
@@ -470,7 +449,8 @@ def test_trap_cliffords_rejects_bad_input():
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 5), m=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_masks_at_location_zero_give_the_exact_clifford_law(n, m, seed):
+def test_masks_at_location_zero_give_the_exact_clifford_law(n, m, seed,
+                                                          plain_walk):
     # X^a stabilises |+>^n, so a Clifford circuit's outputs under a slice
     # are r XOR the flips of the slice with X^a at location 0: every mask
     # a once weighs each output by its exact probability
@@ -488,21 +468,21 @@ def test_masks_at_location_zero_give_the_exact_clifford_law(n, m, seed):
     outputs = simulator.reference_outcome(circuit) ^ flips
     law = np.bincount(outputs.astype(np.int64) @ (1 << np.arange(n)),
                       minlength=masks) / masks
-    exact = statevector_distribution(circuit, (err_x, err_z))
+    exact = plain_walk(circuit, (err_x, err_z))
     assert np.abs(law - exact).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), m=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_reference_outcome_is_a_possible_noiseless_output(n, m, seed):
+def test_reference_outcome_is_a_possible_noiseless_output(n, m, seed,
+                                                         plain_walk):
     circuit = families.random_clifford_circuit(n, m,
                                                np.random.default_rng(seed))
     r = simulator.reference_outcome(circuit)
     # cached per circuit, so a caller cannot change it for the next one
     assert r.shape == (n,) and r.dtype == np.uint8 and not r.flags.writeable
-    assert statevector_distribution(circuit)[simulator.bits_to_index(r)] \
-        > 1e-9
+    assert plain_walk(circuit)[simulator.bits_to_index(r)] > 1e-9
 
 
 def test_reference_outcome_rejects_non_clifford():

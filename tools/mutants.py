@@ -210,18 +210,24 @@ MUTANTS = (
            "return walked.T @ plain_walked.conj()",
            "return walked.T",
            (SLICES,)),
-    Mutant("cone-bits-reversed", "simulator.py",
-           "& 1) @ (1 << cone)",
-           "& 1) @ (1 << cone[::-1])",
+    Mutant("cone-axes-ascending", "simulator.py",
+           "n - 1 - qubits[::-1]",
+           "n - 1 - qubits",
            (SLICES,)),
     Mutant("join-drops-relabel", "simulator.py",
-           "yield k, _scatter(weights, index ^ flips[k])",
-           "yield k, _scatter(weights, index)",
+           "weights[np.arange(2 ** n) ^ flips[k]] if flips[k]",
+           "weights if flips[k]",
            (SLICES,)),
     Mutant("cone-cap-past-block", "simulator.py",
            "join = (cones.sum(axis=2) <= BLOCK)",
            "join = (cones.sum(axis=2) <= BLOCK + 1)",
            (ROUNDS,)),
+    # a Clifford report samples by frames, from no statevector
+    Mutant("clifford-walks-statevector", "protocol.py",
+           "            slices[:, 0, 0] ^= last\n",
+           "            list(simulator.slice_distributions(target, slices))\n"
+           "            slices[:, 0, 0] ^= last\n",
+           (PROTOCOL + "test_clifford_accredit_builds_no_statevector",)),
     # pass counts over the rows that touch a location
     Mutant("sparse-xor-leading-rows", "oracles.py",
            "flips[rows] ^= t[",
