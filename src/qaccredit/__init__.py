@@ -12,7 +12,8 @@ Submodules:
 * :mod:`qaccredit.noise` — Pauli-collection and bounded-gate noise models,
   each with one sampler of (x, z) error bits per noise location
 * :mod:`qaccredit.simulator` — Pauli-frame and dense backends; error
-  slices reach the statevector backend through ``slice_distributions``
+  slices reach the statevector backend through ``sample_slices``, which
+  draws each run from one noiseless law, then its light cone's bits again
 * :mod:`qaccredit.protocol` — the accreditation runner and bounds
 * :mod:`qaccredit.oracles` — brute-force lemma verifiers
 * :mod:`qaccredit.mesothetic` — interactive verifier/prover sessions

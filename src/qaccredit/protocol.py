@@ -96,6 +96,9 @@ class ProtocolConfig:
             raise DomainError("d must be >= 1")
         if self.master_seed < 0:
             raise DomainError("master_seed must be >= 0")
+        if isinstance(self.theta, bool) or not isinstance(self.theta,
+                                                          numbers.Real):
+            raise DomainError("theta must be a real number")
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise DomainError("theta must be finite and > 0")
         if self.epsilon_mode not in ("theorem1", "theorem2"):
@@ -273,11 +276,11 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     under its slice with X^a at location 0, one batched frame per walk, so
     a report keeps n bits per accepted run and builds no statevector. A
     generic target's last draw is the uniform that picks its sample from
-    its slice's statevector distribution; the report's accepted slices are
-    sampled together (:func:`_sample_targets`), from one noiseless walk
-    that each slice joins at the latest band where the light cone of its
-    errors so far fits in ``simulator.BLOCK`` qubits, and only a generic
-    target meets the size limit.
+    its slice's statevector law; the report's accepted slices are sampled
+    together (:func:`_sample_targets`): each run's uniform draws from the
+    law of one noiseless walk, and its place inside the drawn outcome's
+    cell redraws the bits on the light cone of the slice's errors. Only a
+    generic target meets the size limit.
     """
     _check_plan(target, config.v)
     n, m = target.n, target.m
@@ -455,24 +458,12 @@ def _accepted_slices(target: Circuit, blocks: list) -> tuple:
 def _sample_targets(target: Circuit, slices: np.ndarray,
                     draws: np.ndarray) -> np.ndarray:
     """Outputs (A, n) of a generic target under A error slices (A, 2, m+1,
-    n), each picked by its uniform draw from the slice's statevector
-    distribution. Slices are told apart by their bytes. Each distinct
-    slice's distribution comes from one noiseless walk, which the slice
-    joins at the latest band where the light cone of its errors so far
-    holds at most ``simulator.BLOCK`` qubits, its errors up to there one
-    operator on that cone (:func:`simulator.slice_distributions`); it is
-    dropped once its runs are picked.
+    n), each drawn by its uniform from the slice's statevector law: x from
+    the noiseless law of one walk, then the bits on the light cone of its
+    errors again, by the uniform's place inside x's cell
+    (:func:`simulator.sample_slices`).
     """
-    flat = np.ascontiguousarray(slices).reshape(
-        len(slices), math.prod(slices.shape[1:]))
-    rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))
-    _, first, inverse = np.unique(rows[:, 0], return_index=True,
-                                  return_inverse=True)
-    inverse = inverse.reshape(-1)
-    indices = np.empty(len(slices), dtype=np.int64)
-    for i, probs in simulator.slice_distributions(target, slices[first]):
-        runs = inverse == i
-        indices[runs] = simulator.quantile_indices(probs, draws[runs])
+    indices = simulator.sample_slices(target, slices, draws)
     return (indices[:, None] >> np.arange(target.n) & 1).astype(np.uint8)
 
 

@@ -8,14 +8,13 @@
   frame also samples a Clifford circuit's outputs, with no statevector.
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_cz`), the steps the two-party
-  register also runs. :func:`slice_distributions` is its one entry: a
-  drawn Pauli error is folded into a gate as a pad is, and since a Pauli
-  reaches only its forward light cone, every error slice joins one
-  noiseless walk late: its errors up to the latest band whose light cone
-  fits in ``BLOCK`` qubits become one operator on that cone, applied on
-  the cone's qubit axes. The round and cZ steps take leading batch axes,
-  so one walk moves many states; the density backend sums that walk over
-  every path of Kraus operators at the noise locations.
+  register also runs. :func:`sample_slices` is its one entry, a chain-rule
+  sampler: a drawn Pauli error is folded into a gate as a pad is, and it
+  reaches only its forward light cone, so every run draws from the law of
+  one noiseless walk and then redraws only the bits on the light cone of
+  its errors. The round and cZ steps take leading batch axes, so one walk
+  moves many states; the density backend sums that walk over every path
+  of Kraus operators at the noise locations.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -246,7 +245,7 @@ def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
     """Apply a band's cZ round, a tuple of (lo, hi) pairs, to (..., 2^n)
     states: one sign flip per basis state where an odd number of its pairs
     has both qubits set, as one product with the round's cached signs."""
-    return state * (_cz_parity if n > BLOCK else _block_cz_parity)(n, pairs)
+    return state * _cz_parity(n, pairs)
 
 
 def _cz_signs(n: int, pairs: tuple) -> np.ndarray:
@@ -261,11 +260,11 @@ def _cz_signs(n: int, pairs: tuple) -> np.ndarray:
     return signs
 
 
-# a whole target's cZ layers, which a branch walk revisits once per branch
+# a target's cZ layers
 _cz_parity = lru_cache(maxsize=64)(_cz_signs)
-# layers of at most BLOCK qubits, such as a light cone's: few exist, and
-# they take no room from a target's layers
-_block_cz_parity = lru_cache(maxsize=None)(_cz_signs)
+# the layers of light cones of at most BLOCK qubits: few exist, and they
+# take no room from a target's layers; a wider cone's are built per walk
+_cone_parity = lru_cache(maxsize=None)(_cz_signs)
 
 
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
@@ -350,139 +349,146 @@ def check_statevector_size(n: int):
             f"{n} qubits exceeds statevector limit {MAX_STATEVECTOR_QUBITS}")
 
 
-def slice_distributions(circuit: Circuit, slices: np.ndarray):
-    """Yield (k, weights) for every error slice k of ``slices`` (K, 2,
-    m+1, n), the (x, z) bits of each location's Pauli: the squared
-    X-basis amplitudes (index bit q = qubit q) of ``circuit`` under slice
-    k, its outcome distribution up to rounding (:func:`quantile_indices`
-    normalises).
+def sample_slices(circuit: Circuit, slices: np.ndarray,
+                  draws: np.ndarray) -> np.ndarray:
+    """Outcome indices (A,) (index bit q = qubit q) of ``circuit`` under A
+    error slices (A, 2, m+1, n), the (x, z) bits of each location's Pauli,
+    each drawn by its uniform in ``draws`` (A,).
 
-    One noiseless walk serves every slice. A location-j error (j < m) is
-    moved through band j-1's cZ round, where a qubit's Z picks up its
-    partner's X, to just before band j's round, so a slice's state is the
-    noiseless one up to its first error location f. A Pauli reaches only
-    its forward light cone, so the slice's state at a later band boundary
-    t is the noiseless one there times one operator O on the cone S of its
-    errors before t: S holds the qubits they touch, closed under the
-    partners of each crossed cZ layer, and O = W_slice W_noiseless†, the
-    walks of bands f..t-1 restricted to S (:func:`_cone_operator`). A slice
-    joins the noiseless walk at the latest t at which S fits in ``BLOCK``
-    qubits (:func:`_join_bands`): O acts there as one product on the
-    state with S's qubit axes moved to the front (:func:`_branch_weights`),
-    then the slice walks bands t..m-1 with its Paulis folded into their
-    unitaries. Most slices join at t = m and walk no full-size round; one
-    whose first band already overflows joins at t = f with O the identity.
-    The X-basis rotation is folded into the last band, which has no cZ
-    round, so a location-m Pauli only relabels outcomes: its Z bits XOR
-    the outcome index and its X bits do nothing, and slices that differ
-    only there share one branch. The walk holds a few states at a time, at
-    any m; slices come out by join band.
+    Chain-rule sampling (Bravyi, Gosset & Liu, arXiv:2112.08499): one
+    noiseless walk gives the state phi (:func:`_noiseless_law`), and each
+    run first draws x from |phi|^2 by its uniform; the residual, its place
+    inside x's cell, is uniform and independent of x, so it draws again.
+    A location-j error (j < m) is moved through band j-1's cZ round, where
+    a qubit's Z picks up its partner's X, to just before band j's round. A
+    Pauli reaches only its forward light cone, so a slice's final state is
+    (O (x) I) phi with O = W_slice W_noiseless† unitary on the cone S of its
+    errors: the qubits they touch, closed under the partners of each
+    crossed cZ layer (:func:`_light_cones`). O leaves the law of the
+    qubits off S unchanged, so x's bits off S stay and the residual redraws
+    S's bits from O's image of x's column (:func:`_cone_law`). A slice's
+    runs walk their columns, or the whole state once when those would hold
+    as many amplitudes. The X-basis rotation is folded into the last band,
+    which has no cZ round, so a location-m Pauli only relabels outcomes:
+    its Z bits XOR the outcome index and its X bits do nothing; slices that
+    differ only there share one cone.
     """
+    n, m = circuit.n, circuit.m
+    paulis, starts, cones = _light_cones(circuit, slices)
+    bands, state, cdf = _noiseless_law(circuit)
+    out = cdf.searchsorted(draws, side="right") - 1
+    low = cdf[out]
+    residual = np.minimum((draws - low) / (cdf[out + 1] - low),
+                          np.nextafter(1.0, 0.0))
+    del cdf
+    keys = np.ascontiguousarray(paulis).reshape(len(paulis), m * n)
+    _, first, group, counts = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0],
+        return_index=True, return_inverse=True, return_counts=True)
+    runs = np.split(np.argsort(group.reshape(-1), kind="stable"),
+                    np.cumsum(counts)[:-1])
+    for i, at in zip(first.tolist(), runs):
+        f = starts[i]
+        if f == m:
+            continue
+        qubits = np.flatnonzero(cones[i])
+        mask = int((1 << qubits).sum())
+        clear = out[at] & ~mask
+        rows, row = clear, np.arange(len(at))
+        if len(at) << len(qubits) >= 1 << n:  # the whole state, once
+            rows = np.flatnonzero(np.arange(2 ** n) & mask == 0)
+            row = rows.searchsorted(clear)
+        spread, law = _cone_law(state, rows, bands[f:], circuit.cz[f:],
+                                paulis[i, f:], qubits)
+        out[at] = clear | spread[(law[row] <= residual[at, None]).sum(axis=1)]
+        del spread, law  # the next cone's walk holds no stale law
+    return out ^ slices[:, 1, m] @ (1 << np.arange(n))
+
+
+def _noiseless_law(circuit: Circuit) -> tuple:
+    """(bands, state, cdf) of ``circuit``: its single-qubit bands (m, n, 2,
+    2) with the X-basis rotation folded into the last, the noiseless final
+    state (2^n,) after them, and the cdf (2^n + 1,) of its outcomes, from 0
+    to 1: outcome k owns [cdf[k], cdf[k+1])."""
+    n = circuit.n
+    bands = band_unitaries(circuit.gates, circuit.matrices)
+    bands[-1] = cliffords.MATRICES[cliffords.C_H] @ bands[-1]
+    state = _walk(plus_state(n), bands, circuit.cz, n)
+    cdf = np.zeros(2 ** n + 1)
+    np.cumsum(np.square(state.real) + np.square(state.imag), out=cdf[1:])
+    cdf /= cdf[-1]
+    return bands, state, cdf
+
+
+def _cone_law(state: np.ndarray, rows: np.ndarray, bands: np.ndarray,
+              cz: tuple, paulis: np.ndarray, qubits: np.ndarray) -> tuple:
+    """(spread, cdf) of O = W_slice W_noiseless† on the s ascending
+    ``qubits`` of a light cone, for the R columns of ``state`` whose bits
+    off the cone are ``rows`` (R,) and whose cone bits are 0: ``spread``
+    (2^s,) maps cone index c, bit i qubit qubits[i], to its outcome bits,
+    and row r of ``cdf`` (R, 2^s) is the normalised cumulative law of
+    |O state[rows[r] | spread]|^2. W walks ``bands`` (b, n, 2, 2) and the
+    ``cz`` pairs inside the cone, W_slice with the Pauli indices ``paulis``
+    (b, n) before each round; the columns walk W_noiseless† backwards, then
+    W_slice."""
+    s = len(qubits)
+    spread = np.zeros(1, dtype=np.int64)
+    for q in qubits.tolist():
+        spread = np.concatenate((spread, spread | 1 << q))
+    at = dict(zip(qubits.tolist(), range(s)))
+    pairs = tuple(tuple((at[lo], at[hi]) for lo, hi in layer
+                        if lo in at and hi in at) for layer in cz)
+    plain = bands[:, qubits]
+    parity = _cone_parity if s <= BLOCK else _cz_signs
+    # the last band has no cZ round, so W† starts with a round; no name
+    # holds the gathered columns or W†'s image, so each walk frees them
+    amps = _walk(_walk(state[rows[:, None] | spread], plain[::-1].conj().mT,
+                       pairs[-2::-1] + ((),), s, parity=parity),
+                 plain @ cliffords.MATRICES[paulis[:, qubits]], pairs, s,
+                 parity=parity)
+    cdf = np.square(amps.real)
+    cdf += np.square(amps.imag)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    return spread, cdf
+
+
+def _light_cones(circuit: Circuit, slices: np.ndarray) -> tuple:
+    """(paulis, first, cones) of K error slices (K, 2, m+1, n) of
+    ``circuit``: the Pauli indices (K, m, n) before each band's round, a
+    location-j error (0 < j < m) moved through band j-1's cZ round, where a
+    qubit's Z picks up its partner's X; the first band each slice touches
+    (m when none); and the bool light cones (K, n) of its Paulis after the
+    last band: the qubits they touch, closed under the partners of each
+    cZ layer they cross."""
     n, m = circuit.n, circuit.m
     x, z = slices[:, 0], slices[:, 1]
     partner, paired = cz_partners(n, circuit.cz)
     crossed = z[:, 1:] ^ x[:, 1:].reshape(-1, m * n)[:, partner] & paired
-    pre = cliffords.PAULI_INDEX[x[:, :m], np.concatenate(
+    paulis = cliffords.PAULI_INDEX[x[:, :m], np.concatenate(
         (z[:, :1], crossed[:, :-1]), axis=1)]
-    first, join, cones = _join_bands(pre != cliffords.C_I, partner % n,
-                                     paired.astype(bool))
-    flips = z[:, m] @ (1 << np.arange(n))
-    branches = {}
-    for i, key in enumerate(pre):
-        branches.setdefault(key.tobytes(), []).append(i)
-    bands = band_unitaries(circuit.gates, circuit.matrices)
-    bands[-1] = cliffords.MATRICES[cliffords.C_H] @ bands[-1]
-    state, at = plus_state(n), 0
-    for group in sorted(branches.values(), key=lambda ks: join[ks[0]]):
-        i = group[0]
-        state = _walk(state, bands[at:join[i]], circuit.cz[at:join[i]], n)
-        at = join[i]
-        weights = _branch_weights(state, bands, circuit.cz, pre[i],
-                                  first[i], at, cones[i, at])
-        for k in group:
-            yield k, (weights[np.arange(2 ** n) ^ flips[k]] if flips[k]
-                      else weights)
-        del weights  # the next branch's walk holds no stale weights
-
-
-def _branch_weights(state: np.ndarray, bands: np.ndarray, cz: tuple,
-                    paulis: np.ndarray, f: int, t: int,
-                    cone: np.ndarray) -> np.ndarray:
-    """Squared amplitudes (2^n,) of a slice with Pauli indices ``paulis``
-    (m, n) before each band's round, first at band f, that joins the
-    noiseless ``state`` at band boundary t with the bool light cone
-    ``cone`` (n,), after ``bands`` (m, n, 2, 2) and ``cz``. The state is
-    read as n axes of length 2, qubit q on axis n-1-q: the cone's axes move
-    to the front, highest qubit first, for the cone operator's product and
-    move back after it. A slice that joins before the last band walks the
-    later bands."""
-    m, n = bands.shape[:2]
-    if t > f:
-        qubits = np.flatnonzero(cone)
-        axes, front = n - 1 - qubits[::-1], range(len(qubits))
-        operator = _cone_operator(bands[f:t], cz[f:t], paulis[f:t], qubits)
-        state = np.moveaxis(state.reshape((2,) * n), axes, front)
-        state = operator @ state.reshape(len(operator), -1)
-        state = np.moveaxis(state.reshape((2,) * n), front, axes).reshape(-1)
-    if t < m:
-        state = _walk(state, bands[t:] @ cliffords.MATRICES[paulis[t:]],
-                      cz[t:], n)
-    weights = np.square(state.real)
-    weights += np.square(state.imag)
-    return weights
-
-
-def _join_bands(touched: np.ndarray, partner: np.ndarray,
-                paired: np.ndarray) -> tuple:
-    """(first, join, cones) of K slices whose Paulis before band j's round
-    touch the qubits ``touched[:, j]`` (K, m, n), on cZ layers given by
-    :func:`circuit.cz_partners` as qubit ``partner`` and bool ``paired``
-    (m, n) arrays. ``cones`` (K, m+1, n) marks the light cone of each
-    slice's Paulis before band boundary t: the qubits they touch, closed
-    under each crossed cZ layer's partners. ``first`` is the first band a
-    slice touches (m when none), ``join`` the latest boundary whose cone
-    holds at most ``BLOCK`` qubits; cones only grow, and none is nonempty
-    before ``first``, so first <= join."""
-    k, m, n = touched.shape
-    cones = np.zeros((k, m + 1, n), dtype=bool)
+    touched = paulis != cliffords.C_I
+    partner, paired = partner % n, paired.astype(bool)
+    cones = np.zeros((len(slices), n), dtype=bool)
     for j in range(m):
-        cone = cones[:, j] | touched[:, j]
-        cones[:, j + 1] = cone | cone[:, partner[j]] & paired[j]
+        cones |= touched[:, j]
+        cones |= cones[:, partner[j]] & paired[j]
     bands = touched.any(axis=2)
     first = np.where(bands.any(axis=1), bands.argmax(axis=1), m)
-    join = (cones.sum(axis=2) <= BLOCK).sum(axis=1) - 1
-    return first, join, cones
-
-
-def _cone_operator(bands: np.ndarray, cz: tuple, paulis: np.ndarray,
-                   cone: np.ndarray) -> np.ndarray:
-    """O = W_slice W_noiseless† (2^s, 2^s) on the s qubits ``cone``, bit i
-    of its index qubit cone[i]: W is the walk of ``bands`` (b, n, 2, 2) and
-    the ``cz`` pairs inside the cone, W_slice with the Pauli indices
-    ``paulis`` (b, n) before each round. Both walks are one :func:`_walk`
-    of the 2^s basis states, so row r of each walk is column r of its W.
-    """
-    s = len(cone)
-    at = dict(zip(cone.tolist(), range(s)))
-    pairs = tuple(tuple((at[lo], at[hi]) for lo, hi in layer
-                        if lo in at and hi in at) for layer in cz)
-    plain = bands[:, cone, None, None]
-    both = np.concatenate((plain @ cliffords.MATRICES[
-        paulis[:, cone, None, None]], plain), axis=2)
-    basis = np.eye(2 ** s, dtype=complex)[None].repeat(2, axis=0)
-    walked, plain_walked = _walk(basis, both, pairs, s)
-    return walked.T @ plain_walked.conj()
+    return paulis, first, cones
 
 
 def _walk(state: np.ndarray, bands, cz: tuple, n: int,
-          operators: Optional[dict] = None) -> np.ndarray:
+          operators: Optional[dict] = None,
+          parity=_cz_parity) -> np.ndarray:
     """``state`` through single-qubit rounds ``bands`` (m, n, ..., 2, 2),
     each followed by its cZ layer in ``cz``; an empty layer costs nothing.
     A round is fused (:func:`fuse_round`) as the walk reaches it, so the
     walk holds one round's blocks at any m. ``operators`` maps a location,
     counted from the first band passed, to one 2^n x 2^n matrix applied
     there: location 0 before the first round, location j+1 after round j
-    and before its cZ layer, even an empty one."""
+    and before its cZ layer, even an empty one. ``parity`` is the cache of
+    cZ signs the walk reads."""
     operators = operators or {}
     if 0 in operators:
         state = state @ operators[0].T
@@ -490,8 +496,8 @@ def _walk(state: np.ndarray, bands, cz: tuple, n: int,
         state = apply_round(state, fuse_round(unitaries), n)
         if j in operators:
             state = state @ operators[j].T
-        if pairs:
-            state = apply_cz(state, pairs, n)
+        if pairs:  # the round's product is a fresh array
+            state *= parity(n, pairs)
     return state
 
 

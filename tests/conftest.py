@@ -69,3 +69,34 @@ def plain_walk():
         ).reshape(shape + (2 ** n,))
 
     return walk
+
+
+@pytest.fixture(scope="session")
+def sampler_law():
+    """Function of a circuit and one error slice, an (x, z) pair of (m+1,
+    n) bit arrays: the exact law (2^n,) of simulator.sample_slices's
+    outcomes under the slice, in closed form from the noiseless law
+    |phi|^2 and the cone law: every row of bits off the slice's light cone
+    keeps its noiseless marginal and spreads it over the cone's bits by the
+    conditional cdf of _cone_law; location-m Z bits XOR the index."""
+
+    def law(circuit, errors):
+        n, m = circuit.n, circuit.m
+        slices = np.asarray(errors, np.uint8)[None]
+        paulis, first, cones = simulator._light_cones(circuit, slices)
+        bands, state, cdf = simulator._noiseless_law(circuit)
+        probs, f = np.diff(cdf), first[0]
+        if f < m:
+            qubits = np.flatnonzero(cones[0])
+            mask = int((1 << qubits).sum())
+            rows = np.flatnonzero(np.arange(2 ** n) & mask == 0)
+            spread, cone = simulator._cone_law(
+                state, rows, bands[f:], circuit.cz[f:], paulis[0, f:], qubits)
+            cells = rows[:, None] | spread
+            marginal = probs[cells].sum(axis=1, keepdims=True)
+            probs = np.zeros(2 ** n)
+            probs[cells] = marginal * np.diff(cone, axis=1, prepend=0.0)
+        flips = slices[0, 1, m] @ (1 << np.arange(n))
+        return probs[np.arange(2 ** n) ^ flips]
+
+    return law

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -678,18 +679,23 @@ def test_error_free_traps_build_no_gates(monkeypatch):
 
 
 def test_generic_report_builds_each_cz_layer_once():
-    # the branch walk meets every later cZ layer once per branch; the sign
-    # cache holds a whole target's layers, so each is built once a report
+    # a report walks the target's cZ layers once, in its noiseless walk;
+    # the light cones' layers have a sign cache of their own, so they evict
+    # none of the target's and a second report builds no layer again
     target = families.random_generic_circuit(6, 12, np.random.default_rng(3))
     layers = set(target.cz) - {()}
     assert 4 < len(layers) <= simulator._cz_parity.cache_info().maxsize
     model = IndependentLocationChannels(
         default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
     simulator._cz_parity.cache_clear()
-    protocol.accredit(ProtocolConfig(v=3, d=200, theta=0.05, master_seed=1,
-                                     noise=model), target)
-    info = simulator._cz_parity.cache_info()
-    assert info.hits > 0 and info.misses <= len(layers)
+    simulator._cone_parity.cache_clear()
+    for seed in (1, 2):
+        protocol.accredit(ProtocolConfig(v=3, d=200, theta=0.05,
+                                         master_seed=seed, noise=model),
+                          target)
+        assert simulator._cz_parity.cache_info().misses == len(layers)
+    assert simulator._cz_parity.cache_info().hits >= len(layers)
+    assert simulator._cone_parity.cache_info().misses > 0
 
 
 def test_clifford_accredit_builds_no_statevector(monkeypatch):
@@ -697,7 +703,7 @@ def test_clifford_accredit_builds_no_statevector(monkeypatch):
         raise AssertionError("a statevector was built")
 
     # every statevector walk starts from plus_state
-    for name in ("plus_state", "slice_distributions"):
+    for name in ("plus_state", "sample_slices"):
         monkeypatch.setattr(simulator, name, no_statevector)
     model = IndependentLocationChannels(
         default_rates={"X": 0.02, "Y": 0.02, "Z": 0.02})
@@ -733,13 +739,12 @@ def _cz_dense(target, rng):
     return Circuit(n, m, target.gates, cz + [()], target.matrices)
 
 
-def _join_band(target, x, z):
-    """(first, join) of a slice of error bits x, z (m+1, n), by sets: the
-    first band its Paulis touch (m when none), and the latest band
-    boundary at which the light cone of its Paulis before the boundary
-    holds at most ``BLOCK`` qubits. A location-j error (0 < j < m) is
-    moved through band j-1's cZ layer first, where a qubit's Z picks up
-    its partner's X."""
+def _light_cone(target, x, z):
+    """(first, cone) of a slice of error bits x, z (m+1, n), by sets: the
+    first band its Paulis touch (m when none), and the qubits in the light
+    cone of its Paulis before the rounds, after the last band. A
+    location-j error (0 < j < m) is moved through band j-1's cZ layer
+    first, where a qubit's Z picks up its partner's X."""
     n, m = target.n, target.m
     first, cone = m, set()
     for j in range(m):
@@ -754,9 +759,7 @@ def _join_band(target, x, z):
         for lo, hi in target.cz[j]:
             if lo in cone or hi in cone:
                 cone |= {lo, hi}
-        if len(cone) > simulator.BLOCK:
-            return first, j
-    return first, m
+    return first, cone
 
 
 def _slices_with_single_errors(n, m, rng):
@@ -770,53 +773,83 @@ def _slices_with_single_errors(n, m, rng):
     return slices
 
 
-def test_sample_targets_pick_from_each_slice_distribution(plain_walk):
-    # each slice's distribution against the plain walk of its bands with
-    # its Paulis folded in (density_distribution, no join), on cZ-dense
-    # targets, the edge locations 0 and m included, location m alone too;
-    # slices join at the last band and before it, with and without an
-    # operator on their light cone
+def test_sample_targets_pick_from_each_slice_distribution(plain_walk,
+                                                           sampler_law):
+    # each slice's law, in closed form from the noiseless law and its cone
+    # law, against the plain walk of its bands with its Paulis folded in
+    # (density_distribution, no light cone), on cZ-dense targets, the edge
+    # locations 0 and m included, location m alone too, on cones from none
+    # to every qubit; then the outputs of every slice, repeated and drawn
+    # in batches, against the mean of their laws in L1 at risk 1e-6: over
+    # N independent draws E[L1] <= sqrt(2^n / N), and one draw moves L1 by
+    # at most 2 / N (McDiarmid)
     rng = np.random.default_rng(23)
-    kinds = set()
-    for _ in range(12):
+    targets, repeats, sizes = 12, 400, set()
+    for _ in range(targets):
         n, m = int(rng.integers(1, 11)), int(rng.integers(2, 6))
         target = _cz_dense(families.random_generic_circuit(n, m, rng), rng)
         slices = np.concatenate((
             _slices_at_every_location(n, m, 4 * (m + 1), rng),
             _slices_with_single_errors(n, m, rng)))
-        draws = rng.random(len(slices))
-        picks = protocol._sample_targets(target, slices, draws)
-        weights = dict(simulator.slice_distributions(target, slices))
-        for k, (bits, draw, pick) in enumerate(zip(slices, draws, picks)):
-            probs = plain_walk(target, bits)
-            assert np.abs(weights[k] / weights[k].sum() - probs).max() \
-                <= 1e-12
-            index = simulator.quantile_indices(probs, draw)
-            assert simulator.bits_to_index(pick) == index
-            first, join = _join_band(target, *bits)
-            kinds.add((join == m, join > first))
-    assert kinds == {(True, True), (True, False), (False, True),
-                     (False, False)}
+        laws = np.array([sampler_law(target, bits) for bits in slices])
+        assert np.abs(laws - plain_walk(target, (slices[:, 0], slices[:, 1]))
+                      ).max() <= 1e-12
+        sizes |= {len(_light_cone(target, *bits)[1]) / n for bits in slices}
+        runs = rng.permutation(np.repeat(np.arange(len(slices)), repeats))
+        picks = np.concatenate([protocol._sample_targets(
+            target, slices[part], rng.random(len(part)))
+            for part in np.array_split(runs, 10)])
+        counts = np.bincount(picks @ (1 << np.arange(n)), minlength=2 ** n)
+        bound = (np.sqrt(2 ** n / len(runs))
+                 + np.sqrt(2 * np.log(targets / 1e-6) / len(runs)))
+        assert np.abs(counts / len(runs) - laws.mean(axis=0)).sum() <= bound
+    assert {0, 1} < sizes
 
 
-def test_report_walks_each_branch_from_its_join_band(monkeypatch):
-    # full-size rounds of one report: m for the noiseless walk plus m - t
-    # for each distinct branch joining at band t (slices that differ only
-    # at location m share one); m alone when every slice joins at m
+def test_sampler_picks_outcomes_of_positive_probability_at_cell_edges(
+        sampler_law):
+    # a uniform on an edge of the noiseless cdf leaves the cone draw a
+    # residual of 0, and the largest uniform below 1 one at the top of its
+    # cell: each picks an in-range outcome of positive probability, under
+    # the noiseless law (the error-free slice) and under each slice's cone
+    # law, on targets whose laws are exactly 0 on many outcomes (the cone
+    # laws' rounding leaves some 1e-35 where 0 is exact)
+    rng = np.random.default_rng(29)
+    for target in (families.ghz_circuit(4), families.ghz_circuit(6),
+                   families.random_clifford_circuit(5, 4, rng)):
+        n, m = target.n, target.m
+        _, _, cdf = simulator._noiseless_law(target)
+        draws = np.append(cdf[:-1], np.nextafter(1.0, 0.0))
+        slices = np.concatenate((np.zeros((1, 2, m + 1, n), np.uint8),
+                                 _slices_at_every_location(n, m, m + 1, rng)))
+        for bits in slices:
+            picks = simulator.sample_slices(
+                target, np.repeat(bits[None], len(draws), axis=0), draws)
+            assert ((picks >= 0) & (picks < 2 ** n)).all()
+            assert (sampler_law(target, bits)[picks] > 0).all()
+
+
+def test_report_walks_full_size_rounds_only_for_whole_state_cones(
+        monkeypatch):
+    # full-size rounds of one report: m for the noiseless walk, plus
+    # 2 (m - f) for each distinct cone (slices that differ only at location
+    # m share one) whose A runs' columns would hold as many amplitudes as
+    # the state, A 2^|S| >= 2^n: its whole state walks back and forth from
+    # the cone's first band f; m alone when every cone is narrower
     rounds, seen = [], []
     apply_round = simulator.apply_round
-    slice_distributions = simulator.slice_distributions
+    sample_slices = simulator.sample_slices
 
     def counting_round(state, blocks, n):
-        rounds.append(state.shape)
+        rounds.append(state.size)
         return apply_round(state, blocks, n)
 
-    def seen_slices(circuit, slices):
+    def seen_slices(circuit, slices, draws):
         seen.append(slices)
-        return slice_distributions(circuit, slices)
+        return sample_slices(circuit, slices, draws)
 
     monkeypatch.setattr(simulator, "apply_round", counting_round)
-    monkeypatch.setattr(simulator, "slice_distributions", seen_slices)
+    monkeypatch.setattr(simulator, "sample_slices", seen_slices)
     rng = np.random.default_rng(41)
     n, m = 8, 5
     target = _cz_dense(families.random_generic_circuit(n, m, rng), rng)
@@ -828,12 +861,15 @@ def test_report_walks_each_branch_from_its_join_band(monkeypatch):
         v=3, d=400, theta=0.05, master_seed=8, noise=model,
         epsilon_mode="theorem2"), target)
     (slices,) = seen
-    assert len(slices) <= report.n_acc
-    branches = {bits[:, :m].tobytes(): _join_band(target, *bits)[1]
-                for bits in slices}
-    joins = list(branches.values())
-    assert max(joins) == m and min(joins) < m
-    assert rounds.count((2 ** n,)) == m + sum(m - t for t in joins)
+    assert len(slices) == report.n_acc
+    runs = Counter(bits[:, :m].tobytes() for bits in slices)
+    cones = {bits[:, :m].tobytes(): _light_cone(target, *bits)
+             for bits in slices}
+    whole = [first for key, (first, cone) in cones.items()
+             if cone and runs[key] << len(cone) >= 1 << n]
+    assert 0 < len(whole) < sum(1 for _, cone in cones.values() if cone)
+    assert max(rounds) == 2 ** n
+    assert rounds.count(2 ** n) == m + sum(2 * (m - f) for f in whole)
 
     # one error at location m-2 or m-1 reaches at most four qubits
     rounds.clear()
@@ -841,14 +877,24 @@ def test_report_walks_each_branch_from_its_join_band(monkeypatch):
     relabelled = slices.copy()
     relabelled[:, :, m] ^= 1
     slices = np.concatenate((slices, relabelled))
-    assert all(_join_band(target, *bits)[1] == m for bits in slices)
+    assert all(len(_light_cone(target, *bits)[1]) <= 4 for bits in slices)
     protocol._sample_targets(target, slices, rng.random(len(slices)))
-    assert rounds.count((2 ** n,)) == m
+    assert rounds.count(2 ** n) == m
+
+    # one more run than its cone has rows: as columns these would hold
+    # more than a state, so the whole state walks once
+    rounds.clear()
+    first, cone = _light_cone(target, *slices[0])
+    runs = np.repeat(slices[:1], 2 ** (n - len(cone)) + 1, axis=0)
+    protocol._sample_targets(target, runs, rng.random(len(runs)))
+    assert max(rounds) == 2 ** n
+    assert rounds.count(2 ** n) == m + 2 * (m - first)
 
 
 def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):
-    # the walk holds two states and a branch's distributions, not one
-    # state per location: m = 10 stays within eight states at n = 12
+    # the sampler holds the noiseless state and one cone's columns on
+    # their walk, not one state per location or per slice: m = 10 stays
+    # within eight states at n = 12, wide cones and repeated slices too
     n, m = 12, 10
     rng = np.random.default_rng(31)
     target = families.random_generic_circuit(n, m, rng)
@@ -933,9 +979,11 @@ def test_config_invariants():
         ProtocolConfig(v=3, d=1, theta=0.0, master_seed=0, noise=noiseless())
     # v and d are counts and the seed feeds SeedSequence: a float count
     # failed inside numpy, True ran one run and a negative seed failed in
-    # the first stream block
+    # the first stream block; theta is a real number: True passed and the
+    # report printed "theta": true
     for bad in ({"v": 3.5}, {"d": 2.5}, {"v": 4.0}, {"d": True},
-                {"master_seed": -1}, {"master_seed": 1.5}):
+                {"master_seed": -1}, {"master_seed": 1.5}, {"theta": True},
+                {"theta": "0.1"}, {"theta": 0.1j}, {"theta": None}):
         with pytest.raises(DomainError):
             ProtocolConfig(**{"v": 3, "d": 1, "theta": 0.1, "master_seed": 0,
                               "noise": noiseless(), **bad})

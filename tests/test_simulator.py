@@ -71,21 +71,21 @@ def test_trap_output_flips():
     assert np.array_equal(trap_output(trap, errs), [0, 1])
 
 
-def test_statevector_identity_circuit():
+def test_statevector_identity_circuit(sampler_law):
     circ = identity_circuit(3, 2)
-    [(_, weights)] = simulator.slice_distributions(
-        circ, np.zeros((1, 2, 3, 3), dtype=np.uint8))
-    assert np.abs(weights - np.eye(8)[0]).max() <= 1e-12
+    assert np.abs(sampler_law(circ, np.zeros((2, 3, 3), dtype=np.uint8))
+                  - np.eye(8)[0]).max() <= 1e-12
+    draws = np.random.default_rng(3).random(100)
+    assert not simulator.sample_slices(
+        circ, np.zeros((100, 2, 3, 3), dtype=np.uint8), draws).any()
 
 
-def test_statevector_hadamard_split():
+def test_statevector_hadamard_split(sampler_law):
     circ = Circuit(1, 1, [[cliffords.C_H]])
-    [(_, dist)] = simulator.slice_distributions(
-        circ, np.zeros((1, 2, 2, 1), dtype=np.uint8))
-    assert np.allclose(dist, [0.5, 0.5])
+    slices = np.zeros((10 ** 4, 2, 2, 1), dtype=np.uint8)
+    assert np.allclose(sampler_law(circ, slices[0]), [0.5, 0.5])
     rng = np.random.default_rng(4)
-    ones = sum(int(simulator.sample_bits(dist, 1, rng)[0])
-               for _ in range(10 ** 4))
+    ones = simulator.sample_slices(circ, slices, rng.random(10 ** 4)).sum()
     sigma = np.sqrt(0.25 / 10 ** 4)
     assert abs(ones / 10 ** 4 - 0.5) < 3 * sigma
 
@@ -193,13 +193,10 @@ def test_density_matches_statevector_sampling():
     rng = np.random.default_rng(7)
     circ = families.random_generic_circuit(2, 2, rng)
     dist = run_density(circ)
-    [(_, probs)] = simulator.slice_distributions(
-        circ, np.zeros((1, 2, 3, 2), dtype=np.uint8))
     reps = 10 ** 4
-    counts = np.zeros(4)
-    for _ in range(reps):
-        counts[simulator.bits_to_index(
-            simulator.sample_bits(probs, 2, rng))] += 1
+    counts = np.bincount(simulator.sample_slices(
+        circ, np.zeros((reps, 2, 3, 2), dtype=np.uint8), rng.random(reps)),
+        minlength=4)
     for k in range(4):
         sigma = np.sqrt(max(dist[k] * (1 - dist[k]), 1e-4) / reps)
         assert abs(counts[k] / reps - dist[k]) < 3 * sigma
@@ -254,7 +251,7 @@ def test_density_matches_kronecker_reference():
 
 
 def test_folded_errors_match_kronecker_reference_at_every_location(
-        pauli_kraus):
+        pauli_kraus, sampler_law):
     # a non-identity Pauli at every location, the edge locations 0 and m
     # included, each folded into the gate next to it
     rng = np.random.default_rng(15)
@@ -267,10 +264,8 @@ def test_folded_errors_match_kronecker_reference_at_every_location(
                 x, z = bits[:, :n], bits[:, n:]
                 channels = {loc: pauli_kraus(x[loc], z[loc])
                             for loc in range(m + 1)}
-                [(_, weights)] = simulator.slice_distributions(
-                    circ, np.array((x, z))[None])
-                assert np.abs(weights - _kron_density(circ, channels)
-                              ).max() <= 1e-12
+                assert np.abs(sampler_law(circ, (x, z))
+                              - _kron_density(circ, channels)).max() <= 1e-12
 
 
 def _kron_round(states, unitaries):

@@ -64,7 +64,12 @@ CHOICE_DRAW = ORACLES + "test_choice_draw_is_rng_choice"
 TWIRL_WEIGHTS = ORACLES + ("test_twirl_weights_do_not_follow_the_"
                            "rounding_of_a_walk")
 SLICES = PROTOCOL + "test_sample_targets_pick_from_each_slice_distribution"
-ROUNDS = PROTOCOL + "test_report_walks_each_branch_from_its_join_band"
+ROUNDS = (PROTOCOL
+          + "test_report_walks_full_size_rounds_only_for_whole_state_cones")
+EDGES = PROTOCOL + ("test_sampler_picks_outcomes_of_positive_probability_"
+                    "at_cell_edges")
+CZ_SIGNS = ("tests/test_simulator.py::"
+            "test_density_matches_kronecker_reference")
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
 FRAMES = "tests/test_simulator.py::test_frame_flips_match_per_trap_frames"
 
@@ -201,31 +206,58 @@ MUTANTS = (
            "@ u.mT).reshape(shape)",
            "@ u).reshape(shape)",
            (FUSED,)),
-    # generic slices join the noiseless walk by a light-cone operator
+    # generic targets: the noiseless law, then each light cone's bits again
     Mutant("cone-without-partners", "simulator.py",
-           "cones[:, j + 1] = cone | cone[:, partner[j]] & paired[j]",
-           "cones[:, j + 1] = cone",
+           "cones |= cones[:, partner[j]] & paired[j]",
+           "cones |= cones",
            (SLICES, ROUNDS)),
     Mutant("operator-without-inverse", "simulator.py",
-           "return walked.T @ plain_walked.conj()",
-           "return walked.T",
+           "_walk(state[rows[:, None] | spread], plain[::-1].conj().mT,\n"
+           "                       pairs[-2::-1] + ((),), s, parity=parity)",
+           "state[rows[:, None] | spread]",
            (SLICES,)),
-    Mutant("cone-axes-ascending", "simulator.py",
-           "n - 1 - qubits[::-1]",
-           "n - 1 - qubits",
+    Mutant("cone-spread-reversed", "simulator.py",
+           "for q in qubits.tolist():",
+           "for q in qubits[::-1].tolist():",
            (SLICES,)),
-    Mutant("join-drops-relabel", "simulator.py",
-           "weights[np.arange(2 ** n) ^ flips[k]] if flips[k]",
-           "weights if flips[k]",
+    Mutant("location-m-not-relabelled", "simulator.py",
+           "return out ^ slices[:, 1, m] @ (1 << np.arange(n))",
+           "return out",
            (SLICES,)),
-    Mutant("cone-cap-past-block", "simulator.py",
-           "join = (cones.sum(axis=2) <= BLOCK)",
-           "join = (cones.sum(axis=2) <= BLOCK + 1)",
+    Mutant("whole-state-past-threshold", "simulator.py",
+           "if len(at) << len(qubits) >= 1 << n:",
+           "if len(at) << len(qubits) >= 2 << n:",
            (ROUNDS,)),
+    Mutant("conditional-unnormalised", "simulator.py",
+           "    cdf /= cdf[:, -1:]\n",
+           "",
+           (SLICES,)),
+    Mutant("cone-bits-not-cleared", "simulator.py",
+           "clear = out[at] & ~mask",
+           "clear = out[at]",
+           (SLICES,)),
+    Mutant("residual-not-rescaled", "simulator.py",
+           "residual = np.minimum((draws - low) / (cdf[out + 1] - low),",
+           "residual = np.minimum(draws,",
+           (SLICES,)),
+    Mutant("noiseless-draw-left", "simulator.py",
+           'out = cdf.searchsorted(draws, side="right") - 1',
+           'out = cdf.searchsorted(draws, side="left") - 1',
+           (EDGES,)),
+    Mutant("cone-draw-tie", "simulator.py",
+           "(law[row] <= residual[at, None])",
+           "(law[row] < residual[at, None])",
+           (EDGES,)),
+    # cZ signs: -1 where an odd number of pairs has both qubits set
+    Mutant("cz-signs-either-qubit", "simulator.py",
+           "odd ^= idx >> i & idx >> j",
+           "odd ^= idx >> i | idx >> j",
+           (CZ_SIGNS,)),
     # a Clifford report samples by frames, from no statevector
     Mutant("clifford-walks-statevector", "protocol.py",
            "            slices[:, 0, 0] ^= last\n",
-           "            list(simulator.slice_distributions(target, slices))\n"
+           "            simulator.sample_slices(target, slices,\n"
+           "                                    np.zeros(len(slices)))\n"
            "            slices[:, 0, 0] ^= last\n",
            (PROTOCOL + "test_clifford_accredit_builds_no_statevector",)),
     # pass counts over the rows that touch a location
