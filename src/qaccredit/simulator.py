@@ -326,20 +326,11 @@ def x_distribution(state: np.ndarray, n: int) -> np.ndarray:
 
 def sample_bits(probs: np.ndarray, n: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """One outcome drawn from ``probs`` as an n-bit array."""
-    return index_to_bits(int(quantile_indices(probs, rng.random())), n)
-
-
-def quantile_indices(probs: np.ndarray, u) -> np.ndarray:
-    """Outcome indices at uniform draw(s) ``u`` by inverse CDF.
-
-    This is the rule ``Generator.choice(len(probs), p=probs)`` applies to
-    its one uniform draw, so a caller may take the draw first and pick the
-    outcome later.
-    """
+    """One outcome drawn from ``probs`` as an n-bit array, by inverse cdf
+    at one uniform: the rule ``Generator.choice(len(probs), p=probs)``."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(u, side="right")
+    return index_to_bits(int(cdf.searchsorted(rng.random(), side="right")), n)
 
 
 def check_statevector_size(n: int):
@@ -366,41 +357,51 @@ def sample_slices(circuit: Circuit, slices: np.ndarray,
     errors: the qubits they touch, closed under the partners of each
     crossed cZ layer (:func:`_light_cones`). O leaves the law of the
     qubits off S unchanged, so x's bits off S stay and the residual redraws
-    S's bits from O's image of x's column (:func:`_cone_law`). A slice's
-    runs walk their columns, or the whole state once when those would hold
-    as many amplitudes. The X-basis rotation is folded into the last band,
-    which has no cZ round, so a location-m Pauli only relabels outcomes:
-    its Z bits XOR the outcome index and its X bits do nothing; slices that
-    differ only there share one cone.
+    S's bits from O's image of x's column (:func:`_cone_law`). A slice
+    walks only the distinct columns its runs drew, at most 2^n amplitudes,
+    and its runs read their columns' cdfs at most 2^n entries at a time.
+    The X-basis rotation is folded into the last band, which has no cZ
+    round, so a location-m Pauli only relabels outcomes: its Z bits XOR
+    the outcome index and its X bits do nothing; slices that differ only
+    there share one cone.
     """
     n, m = circuit.n, circuit.m
     paulis, starts, cones = _light_cones(circuit, slices)
     bands, state, cdf = _noiseless_law(circuit)
+    # the walks' rounding leaves about 1e-35 where a weight is exactly 0:
+    # u and its residual stay at least float eps, so no draw picks one
+    eps = np.finfo(float).eps
+    draws = np.maximum(draws, eps)
     out = cdf.searchsorted(draws, side="right") - 1
     low = cdf[out]
-    residual = np.minimum((draws - low) / (cdf[out + 1] - low),
-                          np.nextafter(1.0, 0.0))
+    residual = np.clip((draws - low) / (cdf[out + 1] - low), eps,
+                       np.nextafter(1.0, 0.0))
     del cdf
     keys = np.ascontiguousarray(paulis).reshape(len(paulis), m * n)
     _, first, group, counts = np.unique(
         keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0],
         return_index=True, return_inverse=True, return_counts=True)
-    runs = np.split(np.argsort(group.reshape(-1), kind="stable"),
-                    np.cumsum(counts)[:-1])
-    for i, at in zip(first.tolist(), runs):
+    group = group.reshape(-1)
+    runs = np.split(np.argsort(group, kind="stable"), np.cumsum(counts)[:-1])
+    # each group's distinct columns: the bits off its cone its runs drew
+    clear = out & ~(cones @ (1 << np.arange(n)))
+    cols, col = np.unique(group << n | clear, return_inverse=True)
+    bounds = (cols >> n).searchsorted(np.arange(len(first) + 1))
+    for g, (i, at) in enumerate(zip(first.tolist(), runs)):
         f = starts[i]
         if f == m:
             continue
         qubits = np.flatnonzero(cones[i])
-        mask = int((1 << qubits).sum())
-        clear = out[at] & ~mask
-        rows, row = clear, np.arange(len(at))
-        if len(at) << len(qubits) >= 1 << n:  # the whole state, once
-            rows = np.flatnonzero(np.arange(2 ** n) & mask == 0)
-            row = rows.searchsorted(clear)
-        spread, law = _cone_law(state, rows, bands[f:], circuit.cz[f:],
-                                paulis[i, f:], qubits)
-        out[at] = clear | spread[(law[row] <= residual[at, None]).sum(axis=1)]
+        spread, law = _cone_law(state, cols[bounds[g]:bounds[g + 1]] % 2 ** n,
+                                bands[f:], circuit.cz[f:], paulis[i, f:],
+                                qubits)
+        # each run counts its row's entries <= its residual, for at most
+        # 2^n entries at a time
+        step = 1 << n - len(qubits)
+        for c in range(0, len(at), step):
+            part = at[c:c + step]
+            pick = (law[col[part] - bounds[g]] <= residual[part, None]).sum(1)
+            out[part] = clear[part] | spread[pick]
         del spread, law  # the next cone's walk holds no stale law
     return out ^ slices[:, 1, m] @ (1 << np.arange(n))
 

@@ -90,6 +90,10 @@ def sampler_law():
             qubits = np.flatnonzero(cones[0])
             mask = int((1 << qubits).sum())
             rows = np.flatnonzero(np.arange(2 ** n) & mask == 0)
+            # the rows a draw can reach, as the sampler walks only those
+            spread = (np.arange(2 ** len(qubits))[:, None] >> np.arange(
+                len(qubits)) & 1) @ (1 << qubits)
+            rows = rows[probs[rows[:, None] | spread].sum(axis=1) > 0]
             spread, cone = simulator._cone_law(
                 state, rows, bands[f:], circuit.cz[f:], paulis[0, f:], qubits)
             cells = rows[:, None] | spread

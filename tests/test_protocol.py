@@ -779,10 +779,11 @@ def test_sample_targets_pick_from_each_slice_distribution(plain_walk,
     # law, against the plain walk of its bands with its Paulis folded in
     # (density_distribution, no light cone), on cZ-dense targets, the edge
     # locations 0 and m included, location m alone too, on cones from none
-    # to every qubit; then the outputs of every slice, repeated and drawn
-    # in batches, against the mean of their laws in L1 at risk 1e-6: over
-    # N independent draws E[L1] <= sqrt(2^n / N), and one draw moves L1 by
-    # at most 2 / N (McDiarmid)
+    # to every qubit; then the outputs of every slice, repeated R times
+    # and drawn in batches, in L1 at risk 1e-6: the (slice, outcome) pairs
+    # against each slice's law over K slices, E[L1] <= sqrt(2^n / R), and
+    # the outputs alone against the mean law, E[L1] <= sqrt(2^n / (K R));
+    # one of the N draws moves either L1 by at most 2 / N (McDiarmid)
     rng = np.random.default_rng(23)
     targets, repeats, sizes = 12, 400, set()
     for _ in range(targets):
@@ -799,26 +800,37 @@ def test_sample_targets_pick_from_each_slice_distribution(plain_walk,
         picks = np.concatenate([protocol._sample_targets(
             target, slices[part], rng.random(len(part)))
             for part in np.array_split(runs, 10)])
-        counts = np.bincount(picks @ (1 << np.arange(n)), minlength=2 ** n)
-        bound = (np.sqrt(2 ** n / len(runs))
-                 + np.sqrt(2 * np.log(targets / 1e-6) / len(runs)))
-        assert np.abs(counts / len(runs) - laws.mean(axis=0)).sum() <= bound
+        outcomes = picks @ (1 << np.arange(n))
+        spread = np.sqrt(2 * np.log(2 * targets / 1e-6) / len(runs))
+        joint = np.bincount(runs << n | outcomes, minlength=len(slices) << n)
+        assert (np.abs(joint / len(runs) - laws.ravel() / len(slices)).sum()
+                <= np.sqrt(2 ** n / repeats) + spread)
+        counts = np.bincount(outcomes, minlength=2 ** n)
+        assert (np.abs(counts / len(runs) - laws.mean(axis=0)).sum()
+                <= np.sqrt(2 ** n / len(runs)) + spread)
     assert {0, 1} < sizes
 
 
 def test_sampler_picks_outcomes_of_positive_probability_at_cell_edges(
-        sampler_law):
+        plain_walk):
     # a uniform on an edge of the noiseless cdf leaves the cone draw a
     # residual of 0, and the largest uniform below 1 one at the top of its
     # cell: each picks an in-range outcome of positive probability, under
     # the noiseless law (the error-free slice) and under each slice's cone
-    # law, on targets whose laws are exactly 0 on many outcomes (the cone
-    # laws' rounding leaves some 1e-35 where 0 is exact)
+    # law, on targets whose laws are exactly 0 on many outcomes and at
+    # least 2^-n elsewhere; the walks' rounding leaves about 1e-35 where 0
+    # is exact, so the exact law of the plain walk must exceed 1e-9; and
+    # without errors, outcome k owns [cdf[k], cdf[k+1]), the rule of
+    # Generator.choice, so a uniform on the lower edge of a cell picks it
     rng = np.random.default_rng(29)
     for target in (families.ghz_circuit(4), families.ghz_circuit(6),
                    families.random_clifford_circuit(5, 4, rng)):
         n, m = target.n, target.m
         _, _, cdf = simulator._noiseless_law(target)
+        owners = np.flatnonzero(np.diff(cdf) > 1e-9)
+        assert (simulator.sample_slices(
+            target, np.zeros((len(owners), 2, m + 1, n), np.uint8),
+            cdf[owners]) == owners).all()
         draws = np.append(cdf[:-1], np.nextafter(1.0, 0.0))
         slices = np.concatenate((np.zeros((1, 2, m + 1, n), np.uint8),
                                  _slices_at_every_location(n, m, m + 1, rng)))
@@ -826,16 +838,34 @@ def test_sampler_picks_outcomes_of_positive_probability_at_cell_edges(
             picks = simulator.sample_slices(
                 target, np.repeat(bits[None], len(draws), axis=0), draws)
             assert ((picks >= 0) & (picks < 2 ** n)).all()
-            assert (sampler_law(target, bits)[picks] > 0).all()
+            assert (plain_walk(target, bits)[picks] > 1e-9).all()
+
+
+def _sampler_rounds(target, cdf, slices, draws):
+    """Counter of the sizes of the rounds sample_slices walks, by the
+    column rule: m of 2^n for the noiseless walk, then for each distinct
+    cone (slices that differ only at location m share one) 2 (m - f) of
+    R 2^|S|, back and forth from its first band f, R the distinct columns
+    its runs drew by the noiseless ``cdf`` (their bits off the cone S)."""
+    n, m = target.n, target.m
+    columns = {}
+    for bits, x in zip(slices, (cdf.searchsorted(draws, side="right")
+                                - 1).tolist()):
+        first, cone = _light_cone(target, *bits)
+        if cone:
+            columns.setdefault((bits[:, :m].tobytes(), first, len(cone)),
+                               set()).add(x & ~sum(1 << q for q in cone))
+    rounds = Counter({2 ** n: m})
+    for (_, first, s), rows in columns.items():
+        rounds[len(rows) << s] += 2 * (m - first)
+    return rounds
 
 
 def test_report_walks_full_size_rounds_only_for_whole_state_cones(
         monkeypatch):
-    # full-size rounds of one report: m for the noiseless walk, plus
-    # 2 (m - f) for each distinct cone (slices that differ only at location
-    # m share one) whose A runs' columns would hold as many amplitudes as
-    # the state, A 2^|S| >= 2^n: its whole state walks back and forth from
-    # the cone's first band f; m alone when every cone is narrower
+    # the sizes of a report's rounds follow the column rule: a cone walks
+    # the distinct columns its runs drew, at most 2^n amplitudes, so it
+    # walks full-size rounds only when its runs drew every column
     rounds, seen = [], []
     apply_round = simulator.apply_round
     sample_slices = simulator.sample_slices
@@ -845,14 +875,15 @@ def test_report_walks_full_size_rounds_only_for_whole_state_cones(
         return apply_round(state, blocks, n)
 
     def seen_slices(circuit, slices, draws):
-        seen.append(slices)
+        seen.append((slices, draws))
         return sample_slices(circuit, slices, draws)
 
-    monkeypatch.setattr(simulator, "apply_round", counting_round)
-    monkeypatch.setattr(simulator, "sample_slices", seen_slices)
     rng = np.random.default_rng(41)
     n, m = 8, 5
     target = _cz_dense(families.random_generic_circuit(n, m, rng), rng)
+    _, _, cdf = simulator._noiseless_law(target)
+    monkeypatch.setattr(simulator, "apply_round", counting_round)
+    monkeypatch.setattr(simulator, "sample_slices", seen_slices)
     model = CompositeModel(
         pauli_part=IndependentLocationChannels(
             default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01}),
@@ -860,16 +891,11 @@ def test_report_walks_full_size_rounds_only_for_whole_state_cones(
     report = protocol.accredit(ProtocolConfig(
         v=3, d=400, theta=0.05, master_seed=8, noise=model,
         epsilon_mode="theorem2"), target)
-    (slices,) = seen
+    ((slices, draws),) = seen
     assert len(slices) == report.n_acc
-    runs = Counter(bits[:, :m].tobytes() for bits in slices)
-    cones = {bits[:, :m].tobytes(): _light_cone(target, *bits)
-             for bits in slices}
-    whole = [first for key, (first, cone) in cones.items()
-             if cone and runs[key] << len(cone) >= 1 << n]
-    assert 0 < len(whole) < sum(1 for _, cone in cones.values() if cone)
-    assert max(rounds) == 2 ** n
-    assert rounds.count(2 ** n) == m + sum(2 * (m - f) for f in whole)
+    walked = Counter(rounds)
+    assert walked == _sampler_rounds(target, cdf, slices, draws)
+    assert max(walked) == 2 ** n and walked[2 ** n] > m and len(walked) > 2
 
     # one error at location m-2 or m-1 reaches at most four qubits
     rounds.clear()
@@ -878,23 +904,33 @@ def test_report_walks_full_size_rounds_only_for_whole_state_cones(
     relabelled[:, :, m] ^= 1
     slices = np.concatenate((slices, relabelled))
     assert all(len(_light_cone(target, *bits)[1]) <= 4 for bits in slices)
-    protocol._sample_targets(target, slices, rng.random(len(slices)))
+    draws = rng.random(len(slices))
+    protocol._sample_targets(target, slices, draws)
+    assert Counter(rounds) == _sampler_rounds(target, cdf, slices, draws)
     assert rounds.count(2 ** n) == m
 
-    # one more run than its cone has rows: as columns these would hold
-    # more than a state, so the whole state walks once
-    rounds.clear()
+    # one more run than its cone has columns: the runs walk the distinct
+    # columns they drew, and the whole state only once they drew each one
     first, cone = _light_cone(target, *slices[0])
     runs = np.repeat(slices[:1], 2 ** (n - len(cone)) + 1, axis=0)
-    protocol._sample_targets(target, runs, rng.random(len(runs)))
-    assert max(rounds) == 2 ** n
+    probs = np.diff(cdf)
+    mask = sum(1 << q for q in cone)
+    best = {}
+    for x in np.argsort(probs).tolist():  # each column's likeliest outcome
+        best[x & ~mask] = x
+    drawn = rng.random(len(runs)), np.append(cdf[list(best.values())], 0.5)
+    for draws in drawn:
+        rounds.clear()
+        protocol._sample_targets(target, runs, draws)
+        assert Counter(rounds) == _sampler_rounds(target, cdf, runs, draws)
+    assert len(best) == 2 ** (n - len(cone))
     assert rounds.count(2 ** n) == m + 2 * (m - first)
 
 
 def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):
     # the sampler holds the noiseless state and one cone's columns on
     # their walk, not one state per location or per slice: m = 10 stays
-    # within eight states at n = 12, wide cones and repeated slices too
+    # within eight states at n = 12, wide cones too
     n, m = 12, 10
     rng = np.random.default_rng(31)
     target = families.random_generic_circuit(n, m, rng)
@@ -903,6 +939,18 @@ def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):
     with allocates_at_most(8 * 2 ** n * 16):
         picks = protocol._sample_targets(target, slices, draws)
     assert picks.shape == (len(slices), n)
+
+    # a slice with a full cone and one with a wide cone, each repeated
+    # 3000 times: their runs' columns and cdf rows take at most a state at
+    # a time, beyond twice the slices' own bytes, the size of the per-run
+    # light cones and Pauli indices
+    widths = [len(_light_cone(target, *bits)[1]) for bits in slices]
+    wide = next(i for i, s in enumerate(widths) if n / 2 <= s < n)
+    repeated = np.repeat(slices[[widths.index(n), wide]], 3000, axis=0)
+    draws = rng.random(len(repeated))
+    with allocates_at_most(8 * 2 ** n * 16 + 2 * repeated.nbytes):
+        picks = protocol._sample_targets(target, repeated, draws)
+    assert picks.shape == (len(repeated), n)
 
 
 def test_noiseless_ghz_beyond_the_statevector_limit_accepts_even_parity():

@@ -68,6 +68,7 @@ ROUNDS = (PROTOCOL
           + "test_report_walks_full_size_rounds_only_for_whole_state_cones")
 EDGES = PROTOCOL + ("test_sampler_picks_outcomes_of_positive_probability_"
                     "at_cell_edges")
+FEW_STATES = PROTOCOL + "test_sample_targets_hold_a_few_states_at_any_m"
 CZ_SIGNS = ("tests/test_simulator.py::"
             "test_density_matches_kronecker_reference")
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
@@ -224,29 +225,37 @@ MUTANTS = (
            "return out ^ slices[:, 1, m] @ (1 << np.arange(n))",
            "return out",
            (SLICES,)),
-    Mutant("whole-state-past-threshold", "simulator.py",
-           "if len(at) << len(qubits) >= 1 << n:",
-           "if len(at) << len(qubits) >= 2 << n:",
-           (ROUNDS,)),
+    Mutant("compare-unchunked", "simulator.py",
+           "step = 1 << n - len(qubits)",
+           "step = len(at)",
+           (FEW_STATES,)),
+    Mutant("cone-law-to-other-runs", "simulator.py",
+           "enumerate(zip(first.tolist(), runs))",
+           "enumerate(zip(np.roll(first, 1).tolist(), runs))",
+           (SLICES,)),
     Mutant("conditional-unnormalised", "simulator.py",
            "    cdf /= cdf[:, -1:]\n",
            "",
            (SLICES,)),
     Mutant("cone-bits-not-cleared", "simulator.py",
-           "clear = out[at] & ~mask",
-           "clear = out[at]",
+           "clear = out & ~(cones @ (1 << np.arange(n)))",
+           "clear = out",
            (SLICES,)),
     Mutant("residual-not-rescaled", "simulator.py",
-           "residual = np.minimum((draws - low) / (cdf[out + 1] - low),",
-           "residual = np.minimum(draws,",
+           "residual = np.clip((draws - low) / (cdf[out + 1] - low), eps,",
+           "residual = np.clip(draws, eps,",
            (SLICES,)),
     Mutant("noiseless-draw-left", "simulator.py",
            'out = cdf.searchsorted(draws, side="right") - 1',
            'out = cdf.searchsorted(draws, side="left") - 1',
            (EDGES,)),
-    Mutant("cone-draw-tie", "simulator.py",
-           "(law[row] <= residual[at, None])",
-           "(law[row] < residual[at, None])",
+    Mutant("draw-at-0", "simulator.py",
+           "draws = np.maximum(draws, eps)",
+           "draws = np.maximum(draws, 0)",
+           (EDGES,)),
+    Mutant("residual-at-0", "simulator.py",
+           "(cdf[out + 1] - low), eps,",
+           "(cdf[out + 1] - low), 0,",
            (EDGES,)),
     # cZ signs: -1 where an odd number of pairs has both qubits set
     Mutant("cz-signs-either-qubit", "simulator.py",
