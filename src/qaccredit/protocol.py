@@ -421,17 +421,6 @@ def _failing_runs(target: Circuit, v0, packed, cell, at, codes
     return run[flips.any(axis=1)]
 
 
-def _traps_accept(target: Circuit, v0, choice, err_x, err_z) -> np.ndarray:
-    """Acceptance flags (runs,) of drawn runs given densely
-    (:func:`_dense_runs`): a run accepts when all its v traps' flips are
-    zero. The flags come from the walk of a report, on the hits of the
-    error bits and the packed choice rows (:func:`_decide`)."""
-    codes = (err_z << 1 | err_x).reshape(-1)
-    positions = np.flatnonzero(codes)
-    packed = np.packbits(choice, axis=-1, bitorder="little")
-    return _decide(target, v0, packed, positions, codes[positions])[0]
-
-
 def _accepted_slices(target: Circuit, blocks: list) -> tuple:
     """The accepted runs' target slices (A, 2, m+1, n), the (x, z) bits of
     each location, and last draws (A, ...), in run order, of stream blocks
@@ -486,13 +475,16 @@ def accredit(config: ProtocolConfig, target: Circuit) -> AccreditationReport:
         eps = epsilon_theorem1(config.v)
     accepted = _pad_free_runs(config, target)
     n_acc = len(accepted)
+    # plain Python numbers, so any real theta writes to JSON
+    theta = (int if isinstance(config.theta, numbers.Integral) else float)(
+        config.theta)
     return AccreditationReport(
         n_acc=n_acc,
         d=config.d,
-        theta=config.theta,
+        theta=theta,
         epsilon=float(eps),
-        confidence=confidence(config.d, config.theta),
-        bound=eq1_bound(float(eps), n_acc, config.d, config.theta),
+        confidence=confidence(config.d, theta),
+        bound=eq1_bound(float(eps), n_acc, config.d, theta),
         accepted_outputs=accepted,
         seed=config.master_seed,
     )

@@ -12,9 +12,9 @@
   sampler: a drawn Pauli error is folded into a gate as a pad is, and it
   reaches only its forward light cone, so every run draws from the law of
   one noiseless walk and then redraws only the bits on the light cone of
-  its errors. The round and cZ steps take leading batch axes, so one walk
-  moves many states; the density backend sums that walk over every path
-  of Kraus operators at the noise locations.
+  its errors, a width class of cones in one walk. The round and cZ steps
+  take leading batch axes, so one walk moves many states; the density
+  backend sums that walk over every path of Kraus operators.
 
 Noise locations for a circuit with m bands: location 0 right after state
 preparation, location j+1 right after band j's single-qubit round and before
@@ -40,6 +40,9 @@ TRACE_ATOL = 1e-10
 MAX_STATEVECTOR_QUBITS = 16
 MAX_DENSITY_QUBITS = 6
 BLOCK = 4  # qubits of one fused Kronecker block of a round
+# _BYTE_BITS[k, v]: bit k of the byte v
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0,
+                           bitorder="little")
 
 
 class SimLimitError(RuntimeError):
@@ -248,7 +251,9 @@ def apply_cz(state: np.ndarray, pairs, n: int) -> np.ndarray:
     return state * _cz_parity(n, pairs)
 
 
-def _cz_signs(n: int, pairs: tuple) -> np.ndarray:
+# a target's cZ layers
+@lru_cache(maxsize=64)
+def _cz_parity(n: int, pairs: tuple) -> np.ndarray:
     """Read-only int8 (2^n,): (-1)^parity, -1 on the basis states a cZ
     round flips."""
     idx = np.arange(2 ** n, dtype=np.min_scalar_type(2 ** n - 1))
@@ -258,13 +263,6 @@ def _cz_signs(n: int, pairs: tuple) -> np.ndarray:
     signs = 1 - 2 * (odd & 1).astype(np.int8)
     signs.setflags(write=False)
     return signs
-
-
-# a target's cZ layers
-_cz_parity = lru_cache(maxsize=64)(_cz_signs)
-# the layers of light cones of at most BLOCK qubits: few exist, and they
-# take no room from a target's layers; a wider cone's are built per walk
-_cone_parity = lru_cache(maxsize=None)(_cz_signs)
 
 
 def apply_pauli(state: np.ndarray, x_mask: int, z_mask: int,
@@ -357,13 +355,11 @@ def sample_slices(circuit: Circuit, slices: np.ndarray,
     errors: the qubits they touch, closed under the partners of each
     crossed cZ layer (:func:`_light_cones`). O leaves the law of the
     qubits off S unchanged, so x's bits off S stay and the residual redraws
-    S's bits from O's image of x's column (:func:`_cone_law`). A slice
-    walks only the distinct columns its runs drew, at most 2^n amplitudes,
-    and its runs read their columns' cdfs at most 2^n entries at a time.
-    The X-basis rotation is folded into the last band, which has no cZ
-    round, so a location-m Pauli only relabels outcomes: its Z bits XOR
-    the outcome index and its X bits do nothing; slices that differ only
-    there share one cone.
+    S's bits from O's image of x's column: the (cone, column) pairs the
+    runs drew walk by width class ceil(|S| / BLOCK), in chunks of about
+    one state (:func:`_cone_laws`). The last band holds the X-basis
+    rotation and no cZ, so a location-m Pauli's Z bits XOR the outcome and
+    its X bits do nothing; slices that differ only there share one cone.
     """
     n, m = circuit.n, circuit.m
     paulis, starts, cones = _light_cones(circuit, slices)
@@ -378,31 +374,43 @@ def sample_slices(circuit: Circuit, slices: np.ndarray,
                        np.nextafter(1.0, 0.0))
     del cdf
     keys = np.ascontiguousarray(paulis).reshape(len(paulis), m * n)
-    _, first, group, counts = np.unique(
+    _, first, group = np.unique(
         keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0],
-        return_index=True, return_inverse=True, return_counts=True)
-    group = group.reshape(-1)
-    runs = np.split(np.argsort(group, kind="stable"), np.cumsum(counts)[:-1])
-    # each group's distinct columns: the bits off its cone its runs drew
+        return_index=True, return_inverse=True)
+    # the states: each cone's distinct columns, the bits off the cone its
+    # runs drew, by width class, width and first band; the runs by state
     clear = out & ~(cones @ (1 << np.arange(n)))
-    cols, col = np.unique(group << n | clear, return_inverse=True)
-    bounds = (cols >> n).searchsorted(np.arange(len(first) + 1))
-    for g, (i, at) in enumerate(zip(first.tolist(), runs)):
-        f = starts[i]
-        if f == m:
+    cols, col = np.unique(group.reshape(-1) << n | clear, return_inverse=True)
+    rep = first[cols >> n]
+    widths, starts = cones[rep].sum(axis=1), starts[rep]
+    kind = -(-widths // BLOCK)
+    order = np.lexsort((starts, widths, kind))
+    place = np.argsort(order)[col]
+    runs = np.argsort(place, kind="stable")
+    run_at = place[runs].searchsorted(np.arange(len(order) + 1)).tolist()
+    classes = kind[order].searchsorted(np.arange(1, -(-n // BLOCK) + 2))
+    for lo, hi in zip(classes[:-1].tolist(), classes[1:].tolist()):
+        if lo == hi:
             continue
-        qubits = np.flatnonzero(cones[i])
-        spread, law = _cone_law(state, cols[bounds[g]:bounds[g + 1]] % 2 ** n,
-                                bands[f:], circuit.cz[f:], paulis[i, f:],
-                                qubits)
-        # each run counts its row's entries <= its residual, for at most
-        # 2^n entries at a time
-        step = 1 << n - len(qubits)
-        for c in range(0, len(at), step):
-            part = at[c:c + step]
-            pick = (law[col[part] - bounds[g]] <= residual[part, None]).sum(1)
-            out[part] = clear[part] | spread[pick]
-        del spread, law  # the next cone's walk holds no stale law
+        members = order[lo:hi]
+        s, f0 = int(widths[members].max()), int(starts[members].min())
+        # a chunk's amplitudes, 2x2s and one round's blocks: about a state
+        size = (1 << s) + 8 * (m - f0) * s + sum(
+            4 ** min(BLOCK, s - k) for k in range(0, s, BLOCK))
+        step = max(1, (1 << n) // size)
+        for a in range(lo, hi, step):
+            at = order[a:min(a + step, hi)]
+            s, f0 = int(widths[at].max()), int(starts[at].min())
+            spread, law = _cone_laws(state, cols[at] % 2 ** n, bands[f0:],
+                                     circuit.cz[f0:], paulis[rep[at], f0:],
+                                     starts[at] - f0, cones[rep[at]], s)
+            end = run_at[a + len(at)]  # runs compare 2^n entries at a time
+            for c in range(run_at[a], end, 1 << n - s):
+                part = runs[c:min(c + (1 << n - s), end)]
+                row = place[part] - a
+                pick = (law[row] <= residual[part, None]).sum(axis=1)
+                out[part] = clear[part] | spread[row, pick]
+            del spread, law  # the next chunk's walk holds no stale law
     return out ^ slices[:, 1, m] @ (1 << np.arange(n))
 
 
@@ -414,39 +422,60 @@ def _noiseless_law(circuit: Circuit) -> tuple:
     n = circuit.n
     bands = band_unitaries(circuit.gates, circuit.matrices)
     bands[-1] = cliffords.MATRICES[cliffords.C_H] @ bands[-1]
-    state = _walk(plus_state(n), bands, circuit.cz, n)
+    state = _walk(plus_state(n), zip(*fuse_round(bands.swapaxes(0, 1))),
+                  [_cz_parity(n, p) if p else None for p in circuit.cz], n)
     cdf = np.zeros(2 ** n + 1)
     np.cumsum(np.square(state.real) + np.square(state.imag), out=cdf[1:])
     cdf /= cdf[-1]
     return bands, state, cdf
 
 
-def _cone_law(state: np.ndarray, rows: np.ndarray, bands: np.ndarray,
-              cz: tuple, paulis: np.ndarray, qubits: np.ndarray) -> tuple:
-    """(spread, cdf) of O = W_slice W_noiseless† on the s ascending
-    ``qubits`` of a light cone, for the R columns of ``state`` whose bits
-    off the cone are ``rows`` (R,) and whose cone bits are 0: ``spread``
-    (2^s,) maps cone index c, bit i qubit qubits[i], to its outcome bits,
-    and row r of ``cdf`` (R, 2^s) is the normalised cumulative law of
-    |O state[rows[r] | spread]|^2. W walks ``bands`` (b, n, 2, 2) and the
-    ``cz`` pairs inside the cone, W_slice with the Pauli indices ``paulis``
-    (b, n) before each round; the columns walk W_noiseless† backwards, then
-    W_slice."""
-    s = len(qubits)
-    spread = np.zeros(1, dtype=np.int64)
-    for q in qubits.tolist():
-        spread = np.concatenate((spread, spread | 1 << q))
-    at = dict(zip(qubits.tolist(), range(s)))
-    pairs = tuple(tuple((at[lo], at[hi]) for lo, hi in layer
-                        if lo in at and hi in at) for layer in cz)
+def _cone_laws(state: np.ndarray, rows: np.ndarray, bands: np.ndarray,
+               cz: tuple, paulis: np.ndarray, first: np.ndarray,
+               cones: np.ndarray, width: int) -> tuple:
+    """(spread, cdf) (C, 2^width) of O = W_slice W_noiseless† on the C
+    light cones ``cones`` (C, n), for the columns of ``state`` whose bits
+    off cone c are ``rows[c]``: ``spread`` maps cone index i, bit k its
+    k-th qubit, to outcome bits, and ``cdf`` row c is the normalised
+    cumulative law of |O state[rows[c] | spread[c]]|^2. A cone is padded to
+    ``width`` with dummy high qubits of zero amplitude, identity gates and
+    no cZ, so no draw picks their entries. W walks ``bands`` (b, n, 2, 2)
+    and each cone's own sign rows of the ``cz`` pairs inside it, W_slice
+    the Pauli indices ``paulis`` (C, b, n) too; bands before ``first[c]``
+    are the identity. The columns walk W† back, then W_slice forth."""
+    index = np.arange(2 ** width, dtype=np.uint16)
+    octets = index.view(np.uint8).reshape(-1, 2)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
+    qubits = np.argsort(~cones, axis=1, kind="stable")[:, :width]
+    sizes = cones.sum(axis=1, keepdims=True)
+    live = np.arange(width) < sizes
+    table = np.pad(live << qubits, ((0, 0), (0, 16 - width))).reshape(
+        -1, 2, 8) @ _BYTE_BITS  # each cone's outcome bits of a byte
+    spread = table[:, 0, octets[:, 0]] | table[:, 1, octets[:, 1]]
+    # a round is the identity before a cone's first band and on its dummies
+    on = ((np.arange(len(bands))[:, None, None] >= first[:, None])
+          & live)[..., None, None]
     plain = bands[:, qubits]
-    parity = _cone_parity if s <= BLOCK else _cz_signs
-    # the last band has no cZ round, so W† starts with a round; no name
-    # holds the gathered columns or W†'s image, so each walk frees them
-    amps = _walk(_walk(state[rows[:, None] | spread], plain[::-1].conj().mT,
-                       pairs[-2::-1] + ((),), s, parity=parity),
-                 plain @ cliffords.MATRICES[paulis[:, qubits]], pairs, s,
-                 parity=parity)
+    errors = cliffords.MATRICES[np.take_along_axis(
+        paulis, qubits[:, None], axis=2)].swapaxes(0, 1)
+    back = np.where(on, plain.conj().mT, np.eye(2))[::-1].swapaxes(1, 2)
+    forth = np.where(on, plain @ errors, np.eye(2)).swapaxes(1, 2)
+    # cZ layer j's signs: -1 where an odd number of a cone's pairs inside
+    # it has both qubits set, from the cone's first band on
+    place = np.cumsum(cones, axis=1) - 1
+    signs = []
+    for j, pairs in enumerate(cz[:-1]):
+        lo, hi = np.array(pairs, dtype=int).reshape(-1, 2).T
+        inside = cones[:, lo] & cones[:, hi] & (first <= j)[:, None]
+        odd = np.bitwise_xor.reduce(bits[:, place[:, lo]]
+                                    & bits[:, place[:, hi]] & inside, axis=2)
+        signs.append(1 - 2 * odd.T.astype(np.int8) if pairs else None)
+    del bits, octets  # as large as the amplitudes, and no longer read
+    # no name holds the gathered columns or W†'s image: each walk frees them
+    amps = _walk(_walk(np.where(index < 1 << sizes,
+                                state[rows[:, None] | spread], 0),
+                       map(fuse_round, back), signs[::-1] + [None], width),
+                 map(fuse_round, forth), signs + [None], width)
     cdf = np.square(amps.real)
     cdf += np.square(amps.imag)
     np.cumsum(cdf, axis=1, out=cdf)
@@ -479,26 +508,23 @@ def _light_cones(circuit: Circuit, slices: np.ndarray) -> tuple:
     return paulis, first, cones
 
 
-def _walk(state: np.ndarray, bands, cz: tuple, n: int,
-          operators: Optional[dict] = None,
-          parity=_cz_parity) -> np.ndarray:
-    """``state`` through single-qubit rounds ``bands`` (m, n, ..., 2, 2),
-    each followed by its cZ layer in ``cz``; an empty layer costs nothing.
-    A round is fused (:func:`fuse_round`) as the walk reaches it, so the
-    walk holds one round's blocks at any m. ``operators`` maps a location,
-    counted from the first band passed, to one 2^n x 2^n matrix applied
-    there: location 0 before the first round, location j+1 after round j
-    and before its cZ layer, even an empty one. ``parity`` is the cache of
-    cZ signs the walk reads."""
+def _walk(state: np.ndarray, rounds, signs, n: int,
+          operators: Optional[dict] = None) -> np.ndarray:
+    """``state`` through ``rounds`` of :func:`fuse_round` blocks, each
+    followed by its cZ layer's ``signs``: one row, a row per state, or
+    None for an empty layer. ``operators`` maps a location, counted from
+    the first round passed, to one 2^n x 2^n matrix applied there:
+    location 0 before the first round, location j+1 after round j and
+    before its cZ layer, even an empty one."""
     operators = operators or {}
     if 0 in operators:
         state = state @ operators[0].T
-    for j, (unitaries, pairs) in enumerate(zip(bands, cz), 1):
-        state = apply_round(state, fuse_round(unitaries), n)
+    for j, (blocks, layer) in enumerate(zip(rounds, signs), 1):
+        state = apply_round(state, blocks, n)
         if j in operators:
             state = state @ operators[j].T
-        if pairs:  # the round's product is a fresh array
-            state *= parity(n, pairs)
+        if layer is not None:  # the round's product is a fresh array
+            state *= layer
     return state
 
 
@@ -553,7 +579,9 @@ def density_distribution(bands: np.ndarray, cz: tuple,
     plus = np.broadcast_to(plus_state(n), bands.shape[2:-2] + (2 ** n,))
     paths = (dict(zip(channels, kraus))
              for kraus in itertools.product(*channels.values()))
-    probs = sum(_x_weights(_walk(plus, bands, cz, n, p), n) for p in paths)
+    signs = [_cz_parity(n, pairs) if pairs else None for pairs in cz]
+    probs = sum(_x_weights(_walk(plus, map(fuse_round, bands), signs, n, p), n)
+                for p in paths)
     sums = probs.sum(axis=-1, keepdims=True)
     if np.abs(sums - 1.0).max() > TRACE_ATOL:
         raise ValueError("output distribution does not sum to 1 within 1e-10")

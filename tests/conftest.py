@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qaccredit import qotp, simulator
+from qaccredit import cliffords, protocol, qotp, simulator
 
 
 @pytest.fixture
@@ -72,6 +72,30 @@ def plain_walk():
 
 
 @pytest.fixture(scope="session")
+def traps_accept():
+    """Function of a target and runs drawn densely (protocol._dense_runs:
+    v0, choice, err_x, err_z): the acceptance flags (runs,), a run
+    accepting when all its v traps' flips are zero, from the walk of a
+    report on the hits of the error bits and the packed choice rows
+    (protocol._decide)."""
+
+    def accept(target, v0, choice, err_x, err_z):
+        codes = (err_z << 1 | err_x).reshape(-1)
+        positions = np.flatnonzero(codes)
+        packed = np.packbits(choice, axis=-1, bitorder="little")
+        return protocol._decide(target, v0, packed, positions,
+                                codes[positions])[0]
+
+    return accept
+
+
+@pytest.fixture(scope="session")
+def cone_law():
+    """The one-cone reference :func:`_cone_law` below."""
+    return _cone_law
+
+
+@pytest.fixture(scope="session")
 def sampler_law():
     """Function of a circuit and one error slice, an (x, z) pair of (m+1,
     n) bit arrays: the exact law (2^n,) of simulator.sample_slices's
@@ -94,7 +118,7 @@ def sampler_law():
             spread = (np.arange(2 ** len(qubits))[:, None] >> np.arange(
                 len(qubits)) & 1) @ (1 << qubits)
             rows = rows[probs[rows[:, None] | spread].sum(axis=1) > 0]
-            spread, cone = simulator._cone_law(
+            spread, cone = _cone_law(
                 state, rows, bands[f:], circuit.cz[f:], paulis[0, f:], qubits)
             cells = rows[:, None] | spread
             marginal = probs[cells].sum(axis=1, keepdims=True)
@@ -104,3 +128,35 @@ def sampler_law():
         return probs[np.arange(2 ** n) ^ flips]
 
     return law
+
+
+def _cone_law(state, rows, bands, cz, paulis, qubits):
+    """The one-cone reference of simulator._cone_laws: (spread, cdf) of O =
+    W_slice W_noiseless† on the s ascending ``qubits`` of one light cone,
+    for the R columns of ``state`` whose bits off the cone are ``rows``
+    (R,) and whose cone bits are 0: ``spread`` (2^s,) maps cone index c,
+    bit i qubit qubits[i], to its outcome bits, and row r of ``cdf`` (R,
+    2^s) is the normalised cumulative law of |O state[rows[r] |
+    spread]|^2. W walks ``bands`` (b, n, 2, 2) and the ``cz`` pairs inside
+    the cone, W_slice with the Pauli indices ``paulis`` (b, n) before each
+    round; the columns walk W_noiseless† backwards, then W_slice."""
+    s = len(qubits)
+    spread = np.zeros(1, dtype=np.int64)
+    for q in qubits.tolist():
+        spread = np.concatenate((spread, spread | 1 << q))
+    at = dict(zip(qubits.tolist(), range(s)))
+    signs = [simulator._cz_parity(s, pairs) if pairs else None for pairs in (
+        tuple((at[lo], at[hi]) for lo, hi in layer if lo in at and hi in at)
+        for layer in cz)]
+    plain = bands[:, qubits]
+    amps = simulator._walk(
+        state[rows[:, None] | spread],
+        map(simulator.fuse_round, plain[::-1].conj().mT),
+        signs[-2::-1] + [None], s)
+    amps = simulator._walk(
+        amps, map(simulator.fuse_round,
+                  plain @ cliffords.MATRICES[paulis[:, qubits]]), signs, s)
+    cdf = np.square(amps.real) + np.square(amps.imag)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    return spread, cdf

@@ -286,7 +286,7 @@ def test_session_matches_statevector_replay(n, m, v, generic,
     assert session_rng.bit_generator.state == replay_rng.bit_generator.state
 
 
-def test_session_decision_matches_frame_run_by_run():
+def test_session_decision_matches_frame_run_by_run(traps_accept):
     # from one seed a session draws what a pad-free run draws, so its slot
     # and decision equal the frame's with Bob's bits in the drawn errors
     v, seeds = 3, 150
@@ -317,8 +317,7 @@ def test_session_decision_matches_frame_run_by_run():
                             dev.x_bits, n)
                         err_z[0, k, stage] ^= simulator.index_to_bits(
                             dev.z_bits, n)
-                frame_accepts = protocol._traps_accept(target, v0, choice,
-                                                       err_x, err_z)
+                frame_accepts = traps_accept(target, v0, choice, err_x, err_z)
                 assert rep.v0 == v0[0]
                 assert (rep.flag == "acc") == frame_accepts[0]
                 accepted += rep.flag == "acc"

@@ -432,7 +432,7 @@ def test_pad_free_runs_match_padded_runs():
                 assert hist[0][1] + hist[0][2] > 0
 
 
-def test_padded_runs_match_frame_run_by_run():
+def test_padded_runs_match_frame_run_by_run(traps_accept):
     # from one seed the padded run draws what a pad-free run draws, so its
     # slot, flag and every trap output equal the frame's, run by run; the
     # traps are built independently (generate_trap, dress, statevector
@@ -463,13 +463,12 @@ def test_padded_runs_match_frame_run_by_run():
                 flips = simulator.frame_flips(
                     target, traps.trap_cliffords(target, choice[0]),
                     simulator.frame_hits(err_x[0, slots], err_z[0, slots]))
-                accepted = protocol._traps_accept(target, v0, choice,
-                                                  err_x, err_z)
+                accepted = traps_accept(target, v0, choice, err_x, err_z)
                 assert out.v0 == v0[0]
                 assert (out.flag == "acc") == accepted[0]
                 assert np.array_equal(out.trap_outputs, flips)
                 flags.append(out.flag)
-            together = protocol._traps_accept(
+            together = traps_accept(
                 target, *(np.concatenate(part) for part in zip(*drawn)))
             assert together.tolist() == [
                 flag == "acc" for flag in flags[-seeds:]]
@@ -514,18 +513,19 @@ def test_accredit_report_repeats_under_pauli_noise():
         [o.tolist() for o in first.accepted_outputs[:short.n_acc]]
 
 
-def _run_flags(target, v, model, seed, d):
+def _run_flags(target, v, model, seed, d, traps_accept):
     """Acceptance of each of d runs, every stream block decided alone."""
     flags = []
     for block, start in enumerate(range(0, d, protocol.STREAM_BLOCK)):
         drawn = protocol._dense_runs(target, v, model, protocol.STREAM_BLOCK,
                                      run_rng(seed, block))
-        flags.append(protocol._traps_accept(
+        flags.append(traps_accept(
             target, *(a[:d - start] for a in drawn)))
     return np.concatenate(flags)
 
 
-def test_reports_are_prefixes_whatever_the_walks(monkeypatch):
+def test_reports_are_prefixes_whatever_the_walks(monkeypatch,
+                                                  traps_accept):
     # a report of d runs is a prefix of a longer one, whether its blocks
     # are decided in one walk or in several, and each run is decided as
     # its block alone decides it
@@ -546,7 +546,7 @@ def test_reports_are_prefixes_whatever_the_walks(monkeypatch):
 
     monkeypatch.setattr(protocol, "_accepted_slices", recording)
     d = 6 * protocol.STREAM_BLOCK + 50
-    flags = _run_flags(target, v, model, seed, d)
+    flags = _run_flags(target, v, model, seed, d, traps_accept)
     full = outputs(d)
     assert walks == [7] and len(full) == flags.sum()
     assert 0.2 < flags.mean() < 0.8
@@ -680,22 +680,20 @@ def test_error_free_traps_build_no_gates(monkeypatch):
 
 def test_generic_report_builds_each_cz_layer_once():
     # a report walks the target's cZ layers once, in its noiseless walk;
-    # the light cones' layers have a sign cache of their own, so they evict
-    # none of the target's and a second report builds no layer again
+    # the light cones build their own sign rows, so they evict none of the
+    # target's and a second report builds no layer again
     target = families.random_generic_circuit(6, 12, np.random.default_rng(3))
     layers = set(target.cz) - {()}
     assert 4 < len(layers) <= simulator._cz_parity.cache_info().maxsize
     model = IndependentLocationChannels(
         default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
     simulator._cz_parity.cache_clear()
-    simulator._cone_parity.cache_clear()
     for seed in (1, 2):
         protocol.accredit(ProtocolConfig(v=3, d=200, theta=0.05,
                                          master_seed=seed, noise=model),
                           target)
         assert simulator._cz_parity.cache_info().misses == len(layers)
     assert simulator._cz_parity.cache_info().hits >= len(layers)
-    assert simulator._cone_parity.cache_info().misses > 0
 
 
 def test_clifford_accredit_builds_no_statevector(monkeypatch):
@@ -843,29 +841,47 @@ def test_sampler_picks_outcomes_of_positive_probability_at_cell_edges(
 
 def _sampler_rounds(target, cdf, slices, draws):
     """Counter of the sizes of the rounds sample_slices walks, by the
-    column rule: m of 2^n for the noiseless walk, then for each distinct
-    cone (slices that differ only at location m share one) 2 (m - f) of
-    R 2^|S|, back and forth from its first band f, R the distinct columns
-    its runs drew by the noiseless ``cdf`` (their bits off the cone S)."""
+    batch rule: m of 2^n for the noiseless walk, then the states, each
+    distinct cone (slices that differ only at location m share one) with
+    each distinct column its runs drew by the noiseless ``cdf`` (their
+    bits off the cone S), walk by width class ceil(|S| / BLOCK), ordered
+    by width, then first band, in chunks of at most 2^n // (2^s + 8 (m -
+    f0) s + the entries of one round's blocks) states, at least one, s the
+    class's widest cone and f0 its earliest first band; a chunk of C states
+    walks 2 (m - f) rounds of C 2^w, w its widest cone and f its earliest
+    first band."""
     n, m = target.n, target.m
-    columns = {}
+    states = {}
     for bits, x in zip(slices, (cdf.searchsorted(draws, side="right")
                                 - 1).tolist()):
         first, cone = _light_cone(target, *bits)
         if cone:
-            columns.setdefault((bits[:, :m].tobytes(), first, len(cone)),
-                               set()).add(x & ~sum(1 << q for q in cone))
+            states[bits[:, :m].tobytes(), x & ~sum(1 << q for q in cone)] = (
+                first, len(cone))
+    classes = {}
+    for first, s in states.values():
+        classes.setdefault(-(-s // simulator.BLOCK), []).append((first, s))
     rounds = Counter({2 ** n: m})
-    for (_, first, s), rows in columns.items():
-        rounds[len(rows) << s] += 2 * (m - first)
+    for members in classes.values():
+        members.sort(key=lambda state: state[::-1])
+        f0 = min(first for first, _ in members)
+        s = max(width for _, width in members)
+        blocks = sum(4 ** min(simulator.BLOCK, s - k)
+                     for k in range(0, s, simulator.BLOCK))
+        step = max(1, 2 ** n // (2 ** s + 8 * (m - f0) * s + blocks))
+        for c in range(0, len(members), step):
+            chunk = members[c:c + step]
+            width = max(width for _, width in chunk)
+            rounds[len(chunk) << width] += 2 * (m - min(f for f, _ in chunk))
     return rounds
 
 
 def test_report_walks_full_size_rounds_only_for_whole_state_cones(
         monkeypatch):
-    # the sizes of a report's rounds follow the column rule: a cone walks
-    # the distinct columns its runs drew, at most 2^n amplitudes, so it
-    # walks full-size rounds only when its runs drew every column
+    # the sizes of a report's rounds follow the batch rule: the cones
+    # walk the distinct columns their runs drew, by width class, in chunks
+    # of about one state, so only a cone as wide as the target walks
+    # full-size rounds
     rounds, seen = [], []
     apply_round = simulator.apply_round
     sample_slices = simulator.sample_slices
@@ -895,7 +911,7 @@ def test_report_walks_full_size_rounds_only_for_whole_state_cones(
     assert len(slices) == report.n_acc
     walked = Counter(rounds)
     assert walked == _sampler_rounds(target, cdf, slices, draws)
-    assert max(walked) == 2 ** n and walked[2 ** n] > m and len(walked) > 2
+    assert max(walked) == 2 ** n and walked[2 ** n] > m and len(walked) > 1
 
     # one error at location m-2 or m-1 reaches at most four qubits
     rounds.clear()
@@ -910,7 +926,8 @@ def test_report_walks_full_size_rounds_only_for_whole_state_cones(
     assert rounds.count(2 ** n) == m
 
     # one more run than its cone has columns: the runs walk the distinct
-    # columns they drew, and the whole state only once they drew each one
+    # columns they drew, in chunks of about one state, and no full-size
+    # round even once they drew each one
     first, cone = _light_cone(target, *slices[0])
     runs = np.repeat(slices[:1], 2 ** (n - len(cone)) + 1, axis=0)
     probs = np.diff(cdf)
@@ -924,7 +941,7 @@ def test_report_walks_full_size_rounds_only_for_whole_state_cones(
         protocol._sample_targets(target, runs, draws)
         assert Counter(rounds) == _sampler_rounds(target, cdf, runs, draws)
     assert len(best) == 2 ** (n - len(cone))
-    assert rounds.count(2 ** n) == m + 2 * (m - first)
+    assert rounds.count(2 ** n) == m
 
 
 def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):
@@ -951,6 +968,90 @@ def test_sample_targets_hold_a_few_states_at_any_m(allocates_at_most):
     with allocates_at_most(8 * 2 ** n * 16 + 2 * repeated.nbytes):
         picks = protocol._sample_targets(target, repeated, draws)
     assert picks.shape == (len(repeated), n)
+
+    # over 2,000 distinct slices whose cones span at most BLOCK qubits, one
+    # width class: its chunks, with their gates and sign rows, take about
+    # a state each, within the same bound
+    narrow = {}
+    while len(narrow) < 2000:
+        bits = np.zeros((2, m + 1, n), dtype=np.uint8)
+        j = int(rng.integers(m - 2, m))
+        qubits = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        letters = rng.integers(1, 4, size=len(qubits))
+        bits[:, j, qubits] = letters & 1, letters >> 1
+        if len(_light_cone(target, *bits)[1]) <= simulator.BLOCK:
+            narrow[bits.tobytes()] = bits
+    narrow = np.array(list(narrow.values()))
+    draws = rng.random(len(narrow))
+    with allocates_at_most(8 * 2 ** n * 16 + 2 * narrow.nbytes):
+        picks = protocol._sample_targets(target, narrow, draws)
+    assert picks.shape == (len(narrow), n)
+
+
+def test_batched_cone_walks_match_the_one_cone_reference(monkeypatch,
+                                                         cone_law):
+    # every batch of cone walks against the one-cone reference, state by
+    # state: cdf rows within 1e-12 and exactly 1 over the dummy qubits'
+    # entries; then every run's pick against the reference's pick, where
+    # its residual lies more than 1e-9 from an edge of its cdf row; on
+    # cZ-dense targets whose cones cover every width class from 1 to n,
+    # with first bands at every location, and a group of one slice whose
+    # runs draw more columns than one chunk holds
+    rng = np.random.default_rng(43)
+    batches, laws = [], simulator._cone_laws
+
+    def recording(*args):
+        batches.append((args, laws(*args)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(simulator, "_cone_laws", recording)
+    eps, classes = np.finfo(float).eps, set()
+    for n, m in ((9, 4), (10, 5), (6, 3)):
+        target = _cz_dense(families.random_generic_circuit(n, m, rng), rng)
+        slices = np.concatenate((
+            _slices_at_every_location(n, m, 6 * (m + 1), rng),
+            _slices_with_single_errors(n, m, rng)))
+        one = _slices_with_single_errors(n, m, rng)[-1:]
+        slices = np.concatenate((slices, np.repeat(one, 200, axis=0)))
+        draws = rng.random(len(slices))
+        batches.clear()
+        picks = simulator.sample_slices(target, slices, draws)
+        bands, state, cdf = simulator._noiseless_law(target)
+        chunks = Counter()  # the chunks each cone's columns walk in
+        for (st, rows, bs, cz, paulis, first, cones, width), (spread, law) \
+                in batches:
+            chunks.update({(cones[c].tobytes(), paulis[c].tobytes())
+                           for c in range(len(rows))})
+            for c in range(len(rows)):
+                qubits = np.flatnonzero(cones[c])
+                f, s = first[c], len(qubits)
+                classes.add(-(-s // simulator.BLOCK))
+                ref_spread, ref = cone_law(state, rows[c:c + 1], bs[f:],
+                                           cz[f:], paulis[c, f:], qubits)
+                assert (spread[c, :2 ** s] == ref_spread).all()
+                assert np.abs(law[c, :2 ** s] - ref[0]).max() <= 1e-12
+                assert (law[c, 2 ** s:] == 1.0).all()
+        # the reference picks, one run at a time
+        paulis, starts, cones = simulator._light_cones(target, slices)
+        u = np.maximum(draws, eps)
+        out = cdf.searchsorted(u, side="right") - 1
+        residual = np.clip((u - cdf[out]) / (cdf[out + 1] - cdf[out]), eps,
+                           np.nextafter(1.0, 0.0))
+        compared = 0
+        for i, x in enumerate(out.tolist()):
+            f, qubits = starts[i], np.flatnonzero(cones[i])
+            if f < m:
+                clear = x & ~int((1 << qubits).sum())
+                spread, ref = cone_law(state, np.array([clear]), bands[f:],
+                                       target.cz[f:], paulis[i, f:], qubits)
+                if np.abs(ref[0] - residual[i]).min() <= 1e-9:
+                    continue
+                x = clear | spread[(ref[0] <= residual[i]).sum()]
+            compared += 1
+            assert picks[i] == x ^ slices[i, 1, m] @ (1 << np.arange(n))
+        assert compared > 0.9 * len(slices)
+        assert max(chunks.values()) > 1
+    assert classes == {1, 2, 3}
 
 
 def test_noiseless_ghz_beyond_the_statevector_limit_accepts_even_parity():
@@ -1118,3 +1219,20 @@ def test_figure8_at_size_takes_no_time():
     assert points[1].delta == pytest.approx(expected, rel=1e-6)
     assert points[2].delta == 0.0
     assert points[2].bound == math.inf and points[2].vacuous
+
+
+@pytest.mark.parametrize("theta", [1, 0.1, np.float64(0.1), np.float32(0.1),
+                                   Fraction(1, 10)])
+def test_report_writes_json_for_every_real_theta(theta):
+    # the report holds plain Python numbers whatever real type theta has;
+    # an integer theta is written as an integer
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01})
+    report = protocol.accredit(ProtocolConfig(
+        v=3, d=200, theta=theta, master_seed=3, noise=model),
+        families.ghz_circuit(3))
+    data = json.loads(report.to_json())
+    assert data["theta"] == float(theta)
+    assert type(data["theta"]) is (int if theta == 1 else float)
+    assert type(data["confidence_vacuous"]) is bool
+    assert type(data["bound_vacuous"]) is bool

@@ -69,6 +69,7 @@ ROUNDS = (PROTOCOL
 EDGES = PROTOCOL + ("test_sampler_picks_outcomes_of_positive_probability_"
                     "at_cell_edges")
 FEW_STATES = PROTOCOL + "test_sample_targets_hold_a_few_states_at_any_m"
+BATCH = PROTOCOL + "test_batched_cone_walks_match_the_one_cone_reference"
 CZ_SIGNS = ("tests/test_simulator.py::"
             "test_density_matches_kronecker_reference")
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
@@ -213,26 +214,44 @@ MUTANTS = (
            "cones |= cones",
            (SLICES, ROUNDS)),
     Mutant("operator-without-inverse", "simulator.py",
-           "_walk(state[rows[:, None] | spread], plain[::-1].conj().mT,\n"
-           "                       pairs[-2::-1] + ((),), s, parity=parity)",
-           "state[rows[:, None] | spread]",
+           "map(fuse_round, back), signs[::-1] + [None], width)",
+           "[], [], width)",
            (SLICES,)),
     Mutant("cone-spread-reversed", "simulator.py",
-           "for q in qubits.tolist():",
-           "for q in qubits[::-1].tolist():",
+           "np.pad(live << qubits,",
+           "np.pad((live << qubits)[:, ::-1],",
            (SLICES,)),
     Mutant("location-m-not-relabelled", "simulator.py",
            "return out ^ slices[:, 1, m] @ (1 << np.arange(n))",
            "return out",
            (SLICES,)),
     Mutant("compare-unchunked", "simulator.py",
-           "step = 1 << n - len(qubits)",
-           "step = len(at)",
+           "part = runs[c:min(c + (1 << n - s), end)]",
+           "part = runs[c:end]",
            (FEW_STATES,)),
     Mutant("cone-law-to-other-runs", "simulator.py",
-           "enumerate(zip(first.tolist(), runs))",
-           "enumerate(zip(np.roll(first, 1).tolist(), runs))",
+           "rep = first[cols >> n]",
+           "rep = np.roll(first, 1)[cols >> n]",
            (SLICES,)),
+    # batched cone walks: a width class at a time, in chunks of about one
+    # state, each cone with its own gates and sign rows
+    Mutant("cone-signs-to-other-cones", "simulator.py",
+           "signs.append(1 - 2 * odd.T.astype(np.int8) if pairs else None)",
+           "signs.append(np.roll(1 - 2 * odd.T.astype(np.int8), 1, axis=0)\n"
+           "                     if pairs else None)",
+           (BATCH,)),
+    Mutant("dummy-qubit-gate", "simulator.py",
+           "forth = np.where(on, plain @ errors",
+           "forth = np.where(on | ~live[..., None, None], plain @ errors",
+           (BATCH,)),
+    Mutant("backward-cz-layer-j", "simulator.py",
+           "signs[::-1] + [None]",
+           "[None] + signs[::-1]",
+           (BATCH,)),
+    Mutant("chunk-bound-ignored", "simulator.py",
+           "step = max(1, (1 << n) // size)",
+           "step = hi - lo",
+           (FEW_STATES,)),
     Mutant("conditional-unnormalised", "simulator.py",
            "    cdf /= cdf[:, -1:]\n",
            "",
