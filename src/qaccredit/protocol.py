@@ -247,10 +247,11 @@ def run_rng(master_seed: int, block: int) -> np.random.Generator:
 # depend on d.
 STREAM_BLOCK = 128
 # Bytes that stream blocks hand on to one trap walk, each pending error hit
-# counted at the bytes of a live trap row (its gates, choice row and error
-# codes) and each pending run at its target slice: once the pending blocks
-# count more, they are decided together, so a walk's memory is bounded for
-# any d while a small report is one walk.
+# counted at the bytes of a live trap row in the walk (its packed choice
+# bytes and its two bits a qubit in the frame planes) and each pending run
+# at its target slice: once the pending blocks count more, they are decided
+# together, so a walk's memory is bounded for any d while a small report is
+# one walk.
 WALK_BYTES = 2 ** 20
 
 
@@ -269,7 +270,9 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
     ``WALK_BYTES``, and at the end of the report, they are decided in one
     walk (:func:`_accepted_slices`): by Lemma 2's linearity a trap with no
     error outputs zeros, so only the trap slots that hold a hit are walked,
-    and only the accepted runs' target slices are built.
+    on bit-sliced frames straight from their packed choice bytes
+    (:func:`simulator.trap_flips`), and only the accepted runs' target
+    slices are built.
 
     A Clifford target's last draw is a mask a of n bits: an accepted run
     outputs :func:`simulator.reference_outcome` XOR the target's flips
@@ -289,7 +292,7 @@ def _pad_free_runs(config: ProtocolConfig, target: Circuit) -> list:
         reference = simulator.reference_outcome(target)
     else:
         simulator.check_statevector_size(n)
-    hit_bytes = m * n + traps.choice_width(target) + (m + 1) * n
+    hit_bytes = -(-traps.choice_width(target) // 8) + -(-n // 4)
     run_bytes = 2 * (m + 1) * n
     rows, draws, pending, held = [], [], [], 0
     for start in range(0, config.d, STREAM_BLOCK):
@@ -395,29 +398,16 @@ def _failing_runs(target: Circuit, v0, packed, cell, at, codes
     qubit within it.
 
     A trap's flips are GF(2)-linear in its errors (Lemma 2), so a trap
-    slot with no hit outputs zeros whatever its gates, and each live slot
-    is one row, found from the sorted cells. A row's first hit is at its
-    first error location. The rows, in order of first error location, get
-    their choice rows, unpacked for them alone, and their gates from one
-    ``trap_cliffords`` call, and move through one batched frame, each from
-    there (:func:`simulator.frame_flips`)."""
-    n, slots = target.n, packed.shape[1] + 1
+    slot with no hit outputs zeros whatever its choice, and each live slot
+    is one row, found from the sorted cells. The rows' packed choice bytes
+    and their hits, as drawn, go through one bit-sliced walk, 64 rows to
+    a word, which builds no trap gate (:func:`simulator.trap_flips`)."""
+    slots = packed.shape[1] + 1
     new = np.diff(cell, prepend=-1) != 0
-    starts = np.flatnonzero(new)
-    first = at[starts] // n
-    order = np.argsort(first, kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(len(order))
-    row = row[np.cumsum(new) - 1]
-    # the frame's hits: flat over (location, row, qubit), ascending
-    frame_at = (at // n * len(order) + row) * n + at % n
-    sort = np.argsort(frame_at)
-    run, slot = np.divmod(cell[starts[order]], slots)
+    run, slot = np.divmod(cell[new], slots)
     # run i's t-th trap sits at the t-th slot other than v0[i]
-    choice = _choice_rows(target, packed[run, slot - (slot > v0[run])])
-    flips = simulator.frame_flips(
-        target, traps.trap_cliffords(target, choice),
-        (frame_at[sort], codes[sort]), first[order])
+    flips = simulator.trap_flips(target, packed[run, slot - (slot > v0[run])],
+                                 (np.cumsum(new) - 1, at, codes))
     return run[flips.any(axis=1)]
 
 

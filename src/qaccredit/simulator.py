@@ -6,6 +6,8 @@
   circuits on one cZ topology at once, on bit arrays. With one noiseless
   outcome from a signed stabiliser tableau (:func:`reference_outcome`), the
   frame also samples a Clifford circuit's outputs, with no statevector.
+  :func:`trap_flips` decides many traps straight from their packed choice
+  bits, on bit-sliced frames of 64 traps to a word, with no trap gate.
 * Dense statevector simulation for small generic circuits, one band step at
   a time (:func:`apply_round`, :func:`apply_cz`), the steps the two-party
   register also runs. :func:`sample_slices` is its one entry, a chain-rule
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cliffords, pauli
+from . import cliffords, pauli, traps
 from .circuit import GENERIC, Circuit, cz_partners
 from .pauli import PauliString
 
@@ -153,8 +155,8 @@ def frame_hits(err_x: np.ndarray, err_z: np.ndarray) -> tuple:
     return positions, codes[positions]
 
 
-def frame_flips(topology: Circuit, gates: np.ndarray, hits: tuple,
-                first: Optional[np.ndarray] = None) -> np.ndarray:
+def frame_flips(topology: Circuit, gates: np.ndarray,
+                hits: tuple) -> np.ndarray:
     """Flip patterns of R Clifford circuits sharing ``topology``'s cZ layers.
 
     ``gates`` holds Clifford indices of shape (R, m, n); ``hits`` the
@@ -165,17 +167,8 @@ def frame_flips(topology: Circuit, gates: np.ndarray, hits: tuple,
     The frame of all R circuits moves band by band as a 2-bit code
     x | z << 1 per qubit (bit-array frame simulation, arXiv:2103.02202),
     and each location's hits are XORed in with one fancy-index assignment.
-
-    ``first``, ascending (R,), gives each row's first error location; the
-    row has no error before it. A frame is GF(2)-linear in its error bits
-    (Lemma 2), so a row's frame is the identity up to there, and band j
-    moves only the leading rows whose first location is at most j+1: a
-    row whose one error sits at location m still takes band m-1's step.
-    None starts every row at location 0.
     """
     rows, n, m = len(gates), topology.n, topology.m
-    moved = (np.full(m, rows) if first is None
-             else np.searchsorted(first, np.arange(1, m + 1), side="right"))
     positions, codes = hits
     # location j's hits are those in [j R n, (j+1) R n)
     bounds = np.searchsorted(positions,
@@ -186,14 +179,122 @@ def frame_flips(topology: Circuit, gates: np.ndarray, hits: tuple,
     flat[positions[:bounds[1]]] = codes[:bounds[1]]
     partner, paired = cz_partners(n, topology.cz)
     partner = partner % n  # the partner's qubit in its band
-    for j, k in enumerate(moved.tolist()):
-        head = frame[:k]
-        _CONJ.take(gates[:k, j] | head, out=head)
+    for j in range(m):
+        _CONJ.take(gates[:, j] | frame, out=frame)
         at = slice(bounds[j + 1], bounds[j + 2])
         flat[positions[at] - (j + 1) * rows * n] ^= codes[at]
         # cZ: a paired qubit's z bit takes its partner's x bit
-        head ^= (head[:, partner[j]] & paired[j]) << 1
+        frame ^= (frame[:, partner[j]] & paired[j]) << 1
     return frame >> 1
+
+
+# _HIT_IMAGE[kind, bit, x | z << 1]: the sign-free image of X^x Z^z under
+# the trap layer gate a choice bit picks (S† acts as S): none at kind 0, at
+# locations 0 and m; S when the bit is 1 at kind 1, an unpaired or higher
+# qubit, else H; H when the bit is 1 at kind 2, a pair's lower qubit
+_HIT_IMAGE = _CONJ.reshape(-1, 4)[np.array(
+    [[cliffords.C_I] * 2, [cliffords.C_H, cliffords.C_S],
+     [cliffords.C_S, cliffords.C_H]])]
+
+
+def trap_flips(topology: Circuit, packed: np.ndarray,
+               hits: tuple) -> np.ndarray:
+    """Flip patterns (R, n) of R traps on ``topology``'s cZ layers, trap r
+    chosen by its packed choice bytes ``packed[r]`` (choice column c is
+    bit c % 8 of byte c // 8) and hit by its errors in ``hits`` = (row,
+    at, codes): rows ascending, at = location * n + qubit, each code
+    x | z << 1. Row r is :func:`trap_output` of the
+    :func:`traps.generate_trap` circuit of its choice under its errors,
+    yet no trap gate is built.
+
+    Trap band j undoes layer j and applies layer j+1, each gate H, S or I.
+    On sign-free (x, z) bits H swaps x and z, S (as S†) XORs x into z, and
+    each is its own inverse, so band j-1's cZ round sits between two
+    copies of layer j: a location-j error (0 < j < m) enters as its image
+    under layer j, and the cZ acts as a cX from each pair's S qubit onto
+    its H qubit, with no step on an unpaired qubit. The sandwich swaps x
+    and z under the t bits after location 0 and before location m. The
+    frame is bit-sliced as in Stim (Gidney 2021, arXiv:2103.02202): an X
+    and a Z plane (n, ceil(R/64)) uint64, row r at bit r, so every step
+    moves 64 rows per word under its rows' choice bits, one mask per pair
+    column; a location's hits are ORed into one word per (qubit, word) and
+    XORed in with one fancy-index assignment. A trap with no hit stays
+    zero, so only live rows need be passed.
+    """
+    n, m = topology.n, topology.m
+    row, at, codes = hits
+    rows, words = len(packed), -(-len(packed) // 64)
+    byte, shift, kind, pair_byte, pair_shift, qubits, partners, edges = (
+        _trap_tables(n, topology.cz))
+    # each hit as it enters the frame, as one sortable word: its (location,
+    # qubit, word) key, its row's bit in the word and its code
+    bit = packed.reshape(-1)[row * packed.shape[1] + byte[at]] >> shift[at]
+    codes = _HIT_IMAGE[kind[at], bit & 1, codes]
+    entries = np.sort((at * words + (row >> 6)) << 8 | (row & 63) << 2
+                      | codes)
+    key = entries >> 8
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    bit = np.uint64(1) << (entries >> 2 & 63).astype(np.uint64)
+    hit = np.bitwise_or.reduceat(np.where(entries & [[1], [2]], bit, 0),
+                                 starts, axis=1)
+    key = key[starts]
+    bounds = np.searchsorted(key, np.arange(m + 2) * (n * words)).tolist()
+    key %= n * words
+    # the pair columns, band by band, then t, as (columns, words) masks: a
+    # pair's bit is 1 where its trap puts H on lo and S on hi
+    bits = np.zeros((len(pair_byte), words * 64), dtype=np.uint8)
+    bits[:, :rows] = (packed[:, pair_byte] >> pair_shift & 1).T
+    masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    # per pair (lo, hi) then (hi, lo): the rows where the first qubit is
+    # the cX target, the H qubit
+    targets = np.stack((masks[:-1], ~masks[:-1]), axis=1).reshape(
+        len(qubits), words)
+    planes = np.zeros((2, n, words), dtype=np.uint64)
+    x, z = planes
+    flat = planes.reshape(2, -1)
+    for j in range(m + 1):
+        at = slice(bounds[j], bounds[j + 1])
+        flat[:, key[at]] ^= hit[:, at]
+        if 0 < j < m:
+            # band j-1's cZ seen through layer j: a cX from S onto H
+            at = slice(edges[j - 1], edges[j])
+            q, p, target = qubits[at], partners[at], targets[at]
+            x[q] ^= x[p] & target  # a target's x takes its control's
+            z[p] ^= z[q] & target  # a control's z takes its target's
+        if j in (0, m - 1):
+            # the sandwich: H on every qubit of the rows with t set
+            planes ^= (x ^ z) & masks[-1]
+    return np.unpackbits(z.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=rows, bitorder="little").T
+
+
+@lru_cache(maxsize=64)
+def _trap_tables(n: int, cz: tuple) -> tuple:
+    """Read-only tables of :func:`trap_flips` on a cZ topology of m bands.
+    Per at = location * n + qubit: the byte and shift of the choice column
+    that picks a location-j error's layer gate (0 < j < m), and its
+    ``_HIT_IMAGE`` kind. Per cZ pair of every band but the last, band by
+    band, then t: its column's byte and shift. The pairs' qubits (lo, hi)
+    then (hi, lo) as qubits and partners, and the list of bounds of each
+    band's entries in them."""
+    cols, lower = traps._layer_columns(n, cz)
+    m = len(cz)
+    column = np.zeros((m + 1, n), dtype=np.intp)
+    column[1:m] = cols
+    kind = np.zeros((m + 1, n), dtype=np.uint8)
+    kind[1:m] = 1 + lower
+    band, lo = np.nonzero(lower)
+    hi = cz_partners(n, cz)[0][band, lo] % n
+    # t is the column after the last band's
+    pairs = np.append(cols[band, lo], cols.max() + 1)
+    tables = (column.reshape(-1) >> 3, (column.reshape(-1) & 7).astype(
+        np.uint8), kind.reshape(-1), pairs >> 3, (pairs & 7).astype(np.uint8),
+        np.stack((lo, hi), axis=1).reshape(-1),
+        np.stack((hi, lo), axis=1).reshape(-1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables + (tuple((np.searchsorted(band, np.arange(m)) * 2
+                            ).tolist()),)
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,10 @@ def test_exact_acceptance_needs_independent_channels():
 
 def test_oracles_never_read_the_engine_they_check(monkeypatch):
     """No name in ``oracles`` reaches the engine's batched trap builder or
-    its layer cache, the batched frame or its conjugation table, and no
-    oracle calls them."""
-    engine = {"trap_cliffords", "_layer_columns", "frame_flips", "_CONJ"}
+    its layer cache, the bit-sliced trap walk, the batched frame or its
+    conjugation table, and no oracle calls them."""
+    engine = {"trap_cliffords", "_layer_columns", "trap_flips", "frame_flips",
+              "_CONJ"}
     tree = ast.parse(inspect.getsource(oracles))
     names = {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
@@ -408,6 +409,7 @@ def test_oracles_never_read_the_engine_they_check(monkeypatch):
         raise AssertionError("an oracle called the engine")
     monkeypatch.setattr(traps, "trap_cliffords", engine_call)
     monkeypatch.setattr(traps, "_layer_columns", engine_call)
+    monkeypatch.setattr(simulator, "trap_flips", engine_call)
     monkeypatch.setattr(simulator, "frame_flips", engine_call)
     monkeypatch.setattr(simulator, "_CONJ", None)
     rng = np.random.default_rng(21)

@@ -563,21 +563,22 @@ def test_reports_are_prefixes_whatever_the_walks(monkeypatch,
 
 def test_small_report_is_one_walk(monkeypatch):
     # GHZ n=8, v=7, d=1000 under 0.002 X/Y/Z: the live trap rows of all
-    # eight blocks take one frame walk, and the accepted targets one more
-    walks, frame_flips = [], simulator.frame_flips
-
-    def recording(topology, gates, *args):
-        walks.append(len(gates))
-        return frame_flips(topology, gates, *args)
-
-    monkeypatch.setattr(simulator, "frame_flips", recording)
+    # eight blocks take one trap walk, and the accepted targets one frame
+    walks = []
+    for name in ("trap_flips", "frame_flips"):
+        def recording(topology, rows, *args, name=name,
+                      walk=getattr(simulator, name)):
+            walks.append((name, len(rows)))
+            return walk(topology, rows, *args)
+        monkeypatch.setattr(simulator, name, recording)
     model = IndependentLocationChannels(
         default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
     cfg = ProtocolConfig(v=7, d=1000, theta=0.05, master_seed=4,
                          noise=model)
     report = protocol.accredit(cfg, families.ghz_circuit(8))
-    assert len(walks) == 2 and walks[1] == report.n_acc > 0
-    assert walks[0] > 1000
+    assert [name for name, _ in walks] == ["trap_flips", "frame_flips"]
+    assert walks[1][1] == report.n_acc > 0
+    assert walks[0][1] > 1000
 
 
 def test_merged_walk_memory_is_bounded_by_the_budget(allocates_at_most):
@@ -606,16 +607,30 @@ def test_merged_walk_memory_is_bounded_by_the_budget(allocates_at_most):
 
 
 def test_noisy_walk_memory_counts_hits_as_live_rows(allocates_at_most):
-    # GHZ n=32, v=7 under 0.002 X/Y/Z: a block draws a few thousand hits,
-    # nearly one live trap row each, and a row's gates and choice row take
-    # about 2 kB, so blocks must be decided about one at a time. Counting
-    # only the sparse draws would put all eight blocks in one walk, which
-    # peaks at about 13 MiB
+    # GHZ n=32, v=7 under 0.002 X/Y/Z: a block draws about 6,000 hits on
+    # its 896 trap slots, each counted at a live row's 129 bytes of packed
+    # choice and frame bits, so with its target slices a block counts
+    # about 1.2 MB and is decided alone, peaking at about 1.3 MiB. All
+    # eight blocks in one walk would peak at about 8 MiB
     model = IndependentLocationChannels(
         default_rates={"X": 0.002, "Y": 0.002, "Z": 0.002})
     cfg = ProtocolConfig(v=7, d=1000, theta=0.05, master_seed=3,
                          noise=model)
     with allocates_at_most(8 * 2 ** 20):
+        protocol.accredit(cfg, families.ghz_circuit(32))
+
+
+def test_heavy_noise_walk_counts_each_hit_at_its_live_row(allocates_at_most):
+    # GHZ n=32, v=7 under 0.01 X/Y/Z: a block draws about 30k hits, which
+    # count about 4 MB in the budget as live rows, against about 0.7 MB
+    # for the block's draws and target slices, so each block is decided
+    # alone and peaks at about 4.5 MiB. Counting only the draws and slices
+    # would decide two blocks in one walk, which peaks at about 8.5 MiB
+    model = IndependentLocationChannels(
+        default_rates={"X": 0.01, "Y": 0.01, "Z": 0.01})
+    cfg = ProtocolConfig(v=7, d=3 * protocol.STREAM_BLOCK, theta=0.05,
+                         master_seed=5, noise=model)
+    with allocates_at_most(6 * 2 ** 20):
         protocol.accredit(cfg, families.ghz_circuit(32))
 
 
@@ -645,14 +660,14 @@ def test_clifford_accredit_memory_is_bounded_by_a_block(allocates_at_most):
 
 def test_error_free_traps_build_no_gates(monkeypatch):
     # a trap's flips are linear in its error bits, so only the trap slots
-    # that hold an error get gates; a noiseless report builds none
-    built, trap_cliffords = [], traps.trap_cliffords
+    # that hold an error are walked; a noiseless report walks none
+    built, trap_flips = [], simulator.trap_flips
 
-    def recording(target, bits):
-        built.append(np.array(bits))
-        return trap_cliffords(target, bits)
+    def recording(target, packed, hits):
+        built.append(protocol._choice_rows(target, packed))
+        return trap_flips(target, packed, hits)
 
-    monkeypatch.setattr(traps, "trap_cliffords", recording)
+    monkeypatch.setattr(simulator, "trap_flips", recording)
     target, v, d, seed = families.ghz_circuit(4), 3, 300, 5
     cfg = ProtocolConfig(v=v, d=d, theta=0.05, master_seed=seed,
                          noise=noiseless())

@@ -400,33 +400,38 @@ def test_frame_flips_match_per_trap_frames(n, m, traps_count, seed):
         assert np.array_equal(flips[r], trap_output(trap, errors))
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 6), m=st.integers(2, 6), rows=st.integers(4, 24),
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(2, 7),
+       rows=st.sampled_from([1, 63, 64, 65, 130]),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(n=1, m=2, rows=4, seed=0)
-def test_frame_flips_from_first_error_location_match_full_walk(n, m, rows,
-                                                               seed):
-    # each row starts at its first error location; rows 0 and 1 hold errors
-    # only at location m, rows 2 and 3 only at location 0, the rest sparse
-    # random errors, some none at all
+@example(n=1, m=2, rows=1, seed=0)
+@example(n=8, m=7, rows=130, seed=1)
+def test_trap_flips_match_signed_frames_row_by_row(n, m, rows, seed):
+    # the bit-sliced walk against generate_trap + trap_output, the signed
+    # PauliString frame, row by row. Choice bytes hold random bits past
+    # choice_width, as drawn; rows 63, 65 and 130 leave padding bits in
+    # the last word, which must never read as flips
     rng = np.random.default_rng(seed)
     topo = families.random_clifford_circuit(n, m, rng)
-    bits = rng.integers(0, 2, size=(rows, traps.choice_width(topo)),
-                        dtype=np.uint8)
-    err_x, err_z = (rng.random((2, rows, m + 1, n)) < 0.1).astype(np.uint8)
+    width = traps.choice_width(topo)
+    packed = rng.integers(0, 256, size=(rows, -(-width // 8)),
+                          dtype=np.uint8)
+    # both sandwich bits: t is 0 in the first row and 1 in the last
+    byte, bit = divmod(width - 1, 8)
+    packed[0, byte] &= ~np.uint8(1 << bit)
+    packed[-1, byte] |= np.uint8(1 << bit)
+    choice = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    err_x, err_z = (rng.random((2, rows, m + 1, n)) < 0.15).astype(np.uint8)
     err_x[:, [0, m]] = 0  # the end locations are Z-only
-    err_x[:4] = err_z[:4] = 0
-    err_z[:2, m] = err_z[2:4, 0] = 1
-    touched = (err_x | err_z).any(axis=2)
-    first = np.where(touched.any(axis=1), touched.argmax(axis=1), m + 1)
-    order = np.argsort(first, kind="stable")
-    gates = traps.trap_cliffords(topo, bits[order])
-    ex, ez = err_x[order], err_z[order]
-    hits = simulator.frame_hits(ex, ez)
-    flips = simulator.frame_flips(topo, gates, hits, first[order])
-    assert np.array_equal(flips, simulator.frame_flips(topo, gates, hits))
-    # a location-m Z flips its qubits' outcomes in every trap
-    assert np.array_equal(flips[order < 2], err_z[:2, m])
+    codes = (err_z << 1 | err_x).reshape(-1)
+    positions = np.flatnonzero(codes)
+    row, at = np.divmod(positions, (m + 1) * n)
+    flips = simulator.trap_flips(topo, packed, (row, at, codes[positions]))
+    assert flips.shape == (rows, n)
+    for r in range(rows):
+        trap = generate_trap(topo, choice[r])
+        assert np.array_equal(
+            flips[r], trap_output(trap, _paulis(err_x[r], err_z[r])))
 
 
 def test_trap_cliffords_rejects_bad_input():

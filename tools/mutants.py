@@ -45,7 +45,8 @@ NOISE_LAW = NOISE + "test_independent_error_bits_follow_their_binomial_law"
 PACKING = PROTOCOL + "test_draw_runs_unpack_packed_choice_bytes"
 PREFIX = PROTOCOL + "test_reports_are_prefixes_whatever_the_walks"
 BUDGET = PROTOCOL + "test_merged_walk_memory_is_bounded_by_the_budget"
-NOISY_BUDGET = PROTOCOL + "test_noisy_walk_memory_counts_hits_as_live_rows"
+HEAVY_BUDGET = PROTOCOL + ("test_heavy_noise_walk_counts_each_hit_at_its_"
+                           "live_row")
 PADDED = PROTOCOL + "test_padded_runs_match_frame_run_by_run"
 SESSION = ("tests/test_mesothetic.py::"
            "test_session_decision_matches_frame_run_by_run")
@@ -74,6 +75,8 @@ CZ_SIGNS = ("tests/test_simulator.py::"
             "test_density_matches_kronecker_reference")
 FUSED = "tests/test_simulator.py::test_apply_round_matches_kronecker_reference"
 FRAMES = "tests/test_simulator.py::test_frame_flips_match_per_trap_frames"
+TRAP_WALK = ("tests/test_simulator.py::"
+             "test_trap_flips_match_signed_frames_row_by_row")
 
 MUTANTS = (
     # the sampler: candidates by geometric gaps, one letter uniform each
@@ -122,14 +125,6 @@ MUTANTS = (
            "in_target = slot == v0[run]",
            "in_target = slot != v0[run]",
            (PADDED, SESSION)),
-    Mutant("first-from-last-hit", "protocol.py",
-           "first = at[starts] // n",
-           "first = at[np.append(starts[1:], len(at)) - 1] // n",
-           (PADDED, SESSION)),
-    Mutant("unsorted-walk", "protocol.py",
-           'order = np.argsort(first, kind="stable")',
-           "order = np.arange(len(first))",
-           (PADDED, SESSION)),
     Mutant("uncut-hits", "protocol.py",
            "positions[:cut], codes[:cut]",
            "positions, codes",
@@ -146,7 +141,7 @@ MUTANTS = (
     Mutant("walk-counts-draws-only", "protocol.py",
            "+ len(block.codes) * hit_bytes)",
            ")",
-           (NOISY_BUDGET,)),
+           (HEAVY_BUDGET,)),
     Mutant("no-budget", "protocol.py",
            "if held <= WALK_BYTES and start + STREAM_BLOCK < config.d:",
            "if start + STREAM_BLOCK < config.d:",
@@ -161,6 +156,38 @@ MUTANTS = (
            "at = slice(bounds[j + 1], bounds[j + 2])",
            "at = slice(bounds[j], bounds[j + 1])",
            (FRAMES,)),
+    # the bit-sliced trap walk: hits imaged through their layer, cX from
+    # each pair's S qubit onto its H qubit, the sandwich at both ends
+    Mutant("trap-walk-h-s-swapped", "simulator.py",
+           "[[cliffords.C_I] * 2, [cliffords.C_H, cliffords.C_S],\n"
+           "     [cliffords.C_S, cliffords.C_H]]",
+           "[[cliffords.C_I] * 2, [cliffords.C_S, cliffords.C_H],\n"
+           "     [cliffords.C_H, cliffords.C_S]]",
+           (TRAP_WALK,)),
+    Mutant("trap-walk-hits-unimaged", "simulator.py",
+           "codes = _HIT_IMAGE[kind[at], bit & 1, codes]",
+           "codes = _HIT_IMAGE[kind[at] * 0, bit & 1, codes]",
+           (TRAP_WALK,)),
+    Mutant("trap-walk-sandwich-one-end", "simulator.py",
+           "if j in (0, m - 1):",
+           "if j == 0:",
+           (TRAP_WALK,)),
+    Mutant("trap-walk-lower-orientation", "simulator.py",
+           "np.stack((masks[:-1], ~masks[:-1]), axis=1)",
+           "np.stack((~masks[:-1], masks[:-1]), axis=1)",
+           (TRAP_WALK,)),
+    Mutant("trap-walk-cz-z-into-x", "simulator.py",
+           "z[p] ^= z[q] & target",
+           "x[p] ^= z[q] & target",
+           (TRAP_WALK,)),
+    Mutant("trap-walk-padding-unmasked", "simulator.py",
+           'count=rows, bitorder="little").T',
+           'bitorder="little").T',
+           (TRAP_WALK,)),
+    Mutant("trap-walk-row-word", "simulator.py",
+           "(at * words + (row >> 6)) << 8 | (row & 63) << 2",
+           "(at * words + (row >> 5)) << 8 | (row & 31) << 2",
+           (TRAP_WALK,)),
     # every trap choice's gates at once
     Mutant("trap-pair-orientation", "traps.py",
            "layers[:, j + 1, lo] = np.where(bit, h, s)\n"
